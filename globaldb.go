@@ -285,7 +285,8 @@ func (tx *Tx) CommitTS() ts.Timestamp { return tx.txn.CommitTS() }
 
 // Insert writes a full row (and its index entries). It is an upsert at the
 // storage level; primary-key uniqueness violations surface as write-write
-// conflicts when rows race.
+// conflicts when rows race. The write is buffered at the CN (see Update), so
+// such a conflict is reported by Commit, not by Insert.
 func (tx *Tx) Insert(ctx context.Context, tableName string, r Row) error {
 	if err := tx.writeRow(ctx, tableName, r); err != nil {
 		return err
@@ -301,6 +302,14 @@ func (tx *Tx) Insert(ctx context.Context, tableName string, r Row) error {
 // Update rewrites a full row. Indexed column values must not change (index
 // entries are re-written, not migrated), matching how the TPC-C and
 // Sysbench schemas use indexes.
+//
+// Writes are buffered at the CN and travel to the shard primary with the
+// commit, so Update itself costs no round trip and rarely fails. A
+// write-write conflict (mvcc.ErrWriteConflict) surfaces where the buffer
+// reaches the primary: from Commit, from a scan of the same shard later in
+// the transaction (the buffer is flushed so the scan sees it), or from the
+// write that fills a shard's 256-op buffer. The first transaction to get
+// there wins; the loser's Commit fails and leaves nothing behind.
 func (tx *Tx) Update(ctx context.Context, tableName string, r Row) error {
 	return tx.writeRow(ctx, tableName, r)
 }
@@ -332,18 +341,27 @@ func (tx *Tx) writeRow(ctx context.Context, tableName string, r Row) error {
 	return tx.applyOps(ctx, tx.sess.shardOfRow(sch, r), ops)
 }
 
-// Delete removes the row with the given primary key values.
+// Delete removes the row with the given primary key values. The row is
+// read first (its index entries are derived from it); a caller that already
+// holds the row uses DeleteRow and saves the round trip.
 func (tx *Tx) Delete(ctx context.Context, tableName string, pkVals []any) error {
-	sch, err := tx.sess.schemaOf(tableName)
-	if err != nil {
-		return err
-	}
 	r, found, err := tx.Get(ctx, tableName, pkVals)
 	if err != nil {
 		return err
 	}
 	if !found {
 		return fmt.Errorf("%w: %s %v", ErrNotFound, tableName, pkVals)
+	}
+	return tx.DeleteRow(ctx, tableName, r)
+}
+
+// DeleteRow removes a row the caller has already read in this transaction
+// (and its index entries) without reading it again. Like every write it is
+// buffered; see Update for where conflicts surface.
+func (tx *Tx) DeleteRow(ctx context.Context, tableName string, r Row) error {
+	sch, err := tx.sess.schemaOf(tableName)
+	if err != nil {
+		return err
 	}
 	pk, err := sch.PrimaryKey(r)
 	if err != nil {

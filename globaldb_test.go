@@ -129,6 +129,58 @@ func TestInsertGetUpdateDelete(t *testing.T) {
 	tx4.Abort(bg)
 }
 
+// TestDeleteRowSkipsTheRead: a caller that already holds the row (the SQL
+// executor's DELETE does) removes it and its index entries without reading
+// it again — no primary read is issued — and, the write being buffered, the
+// transaction itself no longer sees the row.
+func TestDeleteRowSkipsTheRead(t *testing.T) {
+	db := openDB(t)
+	if err := db.CreateTable(bg, accountsSchema()); err != nil {
+		t.Fatal(err)
+	}
+	sess, _ := db.Connect("xian")
+	tx, _ := sess.Begin(bg)
+	for i, owner := range []string{"alice", "bob"} {
+		if err := tx.Insert(bg, "accounts", Row{int64(i + 1), owner, 10.0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(bg); err != nil {
+		t.Fatal(err)
+	}
+
+	tx2, _ := sess.Begin(bg)
+	row, found, err := tx2.Get(bg, "accounts", []any{int64(1)})
+	if err != nil || !found {
+		t.Fatalf("get: %v %v", found, err)
+	}
+	reads := sess.CN().Stats().PrimaryReads
+	if err := tx2.DeleteRow(bg, "accounts", row); err != nil {
+		t.Fatal(err)
+	}
+	if _, found, _ := tx2.Get(bg, "accounts", []any{int64(1)}); found {
+		t.Fatal("transaction still sees the row it deleted")
+	}
+	if got := sess.CN().Stats().PrimaryReads - reads; got != 0 {
+		t.Fatalf("DeleteRow and the read-back issued %d primary reads, want 0", got)
+	}
+	if err := tx2.Commit(bg); err != nil {
+		t.Fatal(err)
+	}
+
+	tx3, _ := sess.Begin(bg)
+	defer tx3.Abort(bg)
+	if _, found, _ := tx3.Get(bg, "accounts", []any{int64(1)}); found {
+		t.Fatal("deleted row visible after commit")
+	}
+	if rows, err := tx3.ScanIndex(bg, "accounts", "accounts_owner", []any{int64(1)}, 0); err != nil || len(rows) != 0 {
+		t.Fatalf("index entry survived the delete: %v %v", rows, err)
+	}
+	if _, found, _ := tx3.Get(bg, "accounts", []any{int64(2)}); !found {
+		t.Fatal("the other row vanished")
+	}
+}
+
 func TestScanPKPrefix(t *testing.T) {
 	db := openDB(t)
 	if err := db.CreateTable(bg, ordersSchema()); err != nil {

@@ -633,21 +633,13 @@ func (s *Session) execUpdate(ctx context.Context, u *Update, params []any) (*Res
 }
 
 func (s *Session) execDelete(ctx context.Context, d *Delete, params []any) (*Result, error) {
-	sch, err := s.db.Schema(d.Table)
-	if err != nil {
-		return nil, err
-	}
 	n, err := s.withWriteTxn(ctx, func(tx *globaldb.Tx) (int, error) {
 		rows, _, err := matchingRows(ctx, s, tx, d.Table, d.Where, params)
 		if err != nil {
 			return 0, err
 		}
 		for _, row := range rows {
-			pkVals := make([]any, len(sch.PK))
-			for i, p := range sch.PK {
-				pkVals[i] = row[p]
-			}
-			if err := tx.Delete(ctx, d.Table, pkVals); err != nil {
+			if err := tx.DeleteRow(ctx, d.Table, row); err != nil {
 				return 0, err
 			}
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 
 	"globaldb/internal/coordinator"
 	"globaldb/internal/repl"
+	"globaldb/internal/storage/mvcc"
 	"globaldb/internal/ts"
 )
 
@@ -136,6 +138,10 @@ func TestAbortRollsBackAllShards(t *testing.T) {
 	}
 }
 
+// TestWriteConflictAborts pins commit-time conflict detection: writes are
+// buffered at the CN, so both Puts succeed; the first transaction to reach
+// the primary wins and the second Commit fails with a write-write conflict,
+// leaving no intent behind.
 func TestWriteConflictAborts(t *testing.T) {
 	c := open(t, smallCfg())
 	cn := c.CN("xian")
@@ -144,13 +150,24 @@ func TestWriteConflictAborts(t *testing.T) {
 	if err := t1.Put(bg, 0, key(0, 42), []byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	if err := t2.Put(bg, 0, key(0, 42), []byte("second")); err == nil {
-		t.Fatal("conflicting write must fail")
+	if err := t2.Put(bg, 0, key(0, 42), []byte("second")); err != nil {
+		t.Fatalf("buffered write must not fail: %v", err)
 	}
-	t2.Abort(bg)
 	if err := t1.Commit(bg); err != nil {
 		t.Fatal(err)
 	}
+	if err := t2.Commit(bg); !errors.Is(err, mvcc.ErrWriteConflict) {
+		t.Fatalf("second commit: %v, want write-write conflict", err)
+	}
+	if n := c.Primaries()[0].Store().Stats().ActiveTxns; n != 0 {
+		t.Fatalf("loser left %d unresolved transactions holding intents", n)
+	}
+	r, _ := cn.Begin(bg)
+	v, found, err := r.Get(bg, 0, key(0, 42))
+	if err != nil || !found || string(v) != "first" {
+		t.Fatalf("after conflict: %q %v %v", v, found, err)
+	}
+	r.Commit(bg)
 }
 
 func TestExternalConsistencyAcrossCNs(t *testing.T) {
@@ -304,8 +321,10 @@ func TestRORNoTornMultiShardReads(t *testing.T) {
 		if foundA != foundB {
 			t.Fatal("torn read: one account visible, the other not")
 		}
-		if sum := int(av[0]) + int(bv[0]); sum != 200 {
-			t.Fatalf("torn read: sum = %d", sum)
+		// Byte arithmetic: the balances wrap once the writer has moved more
+		// than 100 units, and their sum is conserved modulo 256.
+		if sum := av[0] + bv[0]; sum != 200 {
+			t.Fatalf("torn read: a=%d b=%d, sum = %d (mod 256)", av[0], bv[0], sum)
 		}
 		checks++
 	}

@@ -23,7 +23,9 @@ func primaryIDs(c *Cluster) []string {
 // ResolveInDoubt must commit the stragglers — no lost writes.
 func TestChaosCoordinatorDiesBeforeResolution(t *testing.T) {
 	c := open(t, smallCfg())
-	cn := c.CN("xian")
+	// Coordinated from Dongguan, whose home shard is 2: the anchor is the
+	// nearest participant, not the lowest-numbered one.
+	cn := c.CN("dongguan")
 	cn.SetResolveDropHook(func(uint64) bool { return true })
 
 	tx, _ := cn.Begin(bg)
@@ -39,20 +41,26 @@ func TestChaosCoordinatorDiesBeforeResolution(t *testing.T) {
 	cn.Quiesce()
 	want := tx.CommitTS()
 
-	// Anchor (lowest shard's primary) is committed; the rest are still
-	// prepared — their intents are not yet versions.
-	if v := c.Primaries()[0].Store().Versions(key(0, 42)); len(v) != 1 || v[0].CommitTS != want {
+	// Anchor (the CN's home shard's primary) is committed; the rest are
+	// still prepared — their intents are not yet versions — and each names
+	// the anchor in its in-doubt entry.
+	const anchorShard = 2
+	if v := c.Primaries()[anchorShard].Store().Versions(key(anchorShard, 42)); len(v) != 1 || v[0].CommitTS != want {
 		t.Fatalf("anchor shard versions %v, want single at %v", v, want)
 	}
-	for _, s := range shards[1:] {
+	client := datanode.NewClient(c.Net, "xian")
+	for _, s := range shards[:anchorShard] {
 		if v := c.Primaries()[s].Store().Versions(key(s, 42)); len(v) != 0 {
 			t.Fatalf("shard %d resolved despite dropped phase two: %v", s, v)
+		}
+		inDoubt, err := client.InDoubt(bg, c.Primaries()[s].ID())
+		if err != nil || len(inDoubt) != 1 || inDoubt[0].Anchor != c.Primaries()[anchorShard].ID() {
+			t.Fatalf("shard %d in doubt: %+v %v, want one txn anchored at shard %d", s, inDoubt, err, anchorShard)
 		}
 	}
 
 	// Recovery: a fresh coordinator sweeps the in-doubt sets and consults
 	// each transaction's anchor for the outcome.
-	client := datanode.NewClient(c.Net, "xian")
 	committed, aborted, err := coordinator.ResolveInDoubt(bg, client, primaryIDs(c))
 	if err != nil {
 		t.Fatal(err)
@@ -107,5 +115,65 @@ func TestResolveInDoubtPresumedAbort(t *testing.T) {
 	}
 	if err := tx.Commit(bg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChaosCoordinatorDiesBetweenPrepareAndDecision: the coordinator sends
+// every participant its fused Write+Prepare — intents staged and the
+// transaction prepared in one message — and dies before deciding. No
+// decision exists anywhere, no client was acked, so recovery presumes abort:
+// every participant, the anchor included, drops the intents the fused
+// message staged, and the keys are writable again.
+func TestChaosCoordinatorDiesBetweenPrepareAndDecision(t *testing.T) {
+	c := open(t, smallCfg())
+	client := datanode.NewClient(c.Net, "dongguan")
+	const orphan = 424242
+	shards := []int{0, 2}
+	anchor := c.Primaries()[2].ID()
+	for _, s := range shards {
+		ops := []datanode.WriteOp{
+			{Key: key(s, 271), Value: []byte("staged")},
+			{Key: key(s, 272), Value: []byte("staged")},
+		}
+		if err := client.WriteThen(bg, c.Primaries()[s].ID(), orphan, ts.Max, ops, datanode.ThenPrepare, anchor); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The coordinator is gone. Both participants hold prepared intents.
+	for _, s := range shards {
+		st, err := client.TxnStatus(bg, c.Primaries()[s].ID(), orphan)
+		if err != nil || !st.Prepared || st.Known {
+			t.Fatalf("shard %d before recovery: %+v %v, want prepared and undecided", s, st, err)
+		}
+	}
+
+	committed, aborted, err := coordinator.ResolveInDoubt(bg, client, primaryIDs(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if committed != 0 || aborted != len(shards) {
+		t.Fatalf("resolved committed=%d aborted=%d, want 0/%d", committed, aborted, len(shards))
+	}
+	for _, s := range shards {
+		p := c.Primaries()[s]
+		if n := p.Store().Stats().ActiveTxns; n != 0 {
+			t.Fatalf("shard %d: %d transactions still hold intents after presumed abort", s, n)
+		}
+		for _, i := range []int{271, 272} {
+			if v := p.Store().Versions(key(s, i)); len(v) != 0 {
+				t.Fatalf("shard %d: aborted write became a version: %v", s, v)
+			}
+		}
+	}
+	// The intents are gone, not merely invisible: a new transaction writes
+	// the same keys through the normal path and commits.
+	tx, _ := c.CN("dongguan").Begin(bg)
+	for _, s := range shards {
+		if err := tx.Put(bg, s, key(s, 271), []byte("after")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(bg); err != nil {
+		t.Fatalf("commit after presumed abort: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"globaldb/internal/coordinator"
+	"globaldb/internal/storage/mvcc"
 )
 
 // TestTxnDoubleFinish checks that a transaction rejects operations after it
@@ -60,7 +61,10 @@ func TestEmptyTxnCommit(t *testing.T) {
 }
 
 // TestAbortReleasesLocksPromptly verifies a conflicting writer succeeds
-// immediately after the holder aborts.
+// immediately after the holder aborts. Conflicts surface where a buffer
+// reaches the primary, so the holder flushes (a scan of the shard does that)
+// to take the intent, and the contender — whose Put is only buffered — loses
+// at Commit and leaves nothing behind.
 func TestAbortReleasesLocksPromptly(t *testing.T) {
 	c := open(t, smallCfg())
 	cn := c.CN("xian")
@@ -68,13 +72,21 @@ func TestAbortReleasesLocksPromptly(t *testing.T) {
 	if err := holder.Put(bg, 1, key(1, 7), []byte("h")); err != nil {
 		t.Fatal(err)
 	}
-	contender, _ := cn.Begin(bg)
-	if err := contender.Put(bg, 1, key(1, 7), []byte("c")); err == nil {
-		t.Fatal("conflicting write must fail while the intent is held")
+	if kvs, err := holder.Scan(bg, 1, key(1, 7), key(1, 8), 0); err != nil || len(kvs) != 1 {
+		t.Fatalf("holder scan of its own write: %v %v", kvs, err)
 	}
-	_ = contender.Abort(bg)
+	contender, _ := cn.Begin(bg)
+	if err := contender.Put(bg, 1, key(1, 7), []byte("c")); err != nil {
+		t.Fatalf("buffered write must not fail: %v", err)
+	}
+	if err := contender.Commit(bg); !errors.Is(err, mvcc.ErrWriteConflict) {
+		t.Fatalf("commit against a held intent: %v, want write-write conflict", err)
+	}
 	if err := holder.Abort(bg); err != nil {
 		t.Fatal(err)
+	}
+	if n := c.Primaries()[1].Store().Stats().ActiveTxns; n != 0 {
+		t.Fatalf("%d unresolved transactions still hold intents", n)
 	}
 	retry, _ := cn.Begin(bg)
 	if err := retry.Put(bg, 1, key(1, 7), []byte("r")); err != nil {

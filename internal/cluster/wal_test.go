@@ -48,13 +48,15 @@ func TestClusterWALDurability(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	c.Close() // stops the heartbeats, then drains the WAL archivers
+	// Read the final state after Close: until then the collector's
+	// heartbeats keep appending records and advancing watermarks.
 	watermarks := make(map[int]int64)
 	lsns := make(map[int]uint64)
 	for _, p := range c.Primaries() {
 		watermarks[p.Shard()] = int64(p.Store().LastCommitTS())
 		lsns[p.Shard()] = p.Log().LastLSN()
 	}
-	c.Close() // drains the WAL archivers
 
 	for shard := 0; shard < cfg.Shards; shard++ {
 		shardDir := filepath.Join(dir, fmt.Sprintf("shard-%d", shard))

@@ -9,7 +9,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -278,15 +280,23 @@ func (c *CN) Begin(ctx context.Context) (*Txn, error) {
 		return nil, err
 	}
 	id := c.cnID<<40 | c.txnSeq.Add(1)
-	return &Txn{cn: c, id: id, ts: tt, touched: make(map[int]bool)}, nil
+	return &Txn{cn: c, id: id, ts: tt, writes: make(map[int]*shardWrites)}, nil
 }
 
-// Txn is a read-write transaction coordinated by one CN.
+// Txn is a read-write transaction coordinated by one CN. Writes are
+// buffered here and reach a shard's primary in one message at Commit, fused
+// with that shard's PENDING COMMIT or PREPARE step, so a transaction pays
+// WAN round trips for its reads plus two for commit — not one per write.
+// Write-write conflicts therefore surface when the buffer reaches the
+// primary (at Commit, at a flush before a scan, or at the size-bound flush),
+// not at Put: the first transaction to flush a key wins.
 type Txn struct {
-	cn      *CN
-	id      uint64
-	ts      tso.TxnTS
-	touched map[int]bool
+	cn *CN
+	id uint64
+	ts tso.TxnTS
+	// writes holds every shard the transaction wrote to — its commit
+	// participants — with the mutations still buffered for each.
+	writes map[int]*shardWrites
 	// done flips once at Commit/Abort. It is atomic because scan-cursor
 	// prefetch goroutines check it while issuing page RPCs in the
 	// background; an in-flight prefetch racing a commit observes either
@@ -311,20 +321,81 @@ func (t *Txn) ID() uint64 { return t.id }
 // Snapshot returns the transaction's snapshot timestamp.
 func (t *Txn) Snapshot() ts.Timestamp { return t.ts.Snap }
 
-// WriteBatch stages a batch of mutations on one shard.
+// shardWrites is one participant shard's write state.
+type shardWrites struct {
+	// ops are the mutations not yet sent to the primary, one per key in
+	// first-write order; latest indexes them by key so a rewrite replaces
+	// its op in place and Get answers from the buffer.
+	ops    []datanode.WriteOp
+	latest map[string]int
+	// sent reports that a write message for this transaction went to the
+	// primary, i.e. there may be intents there to roll back.
+	sent bool
+}
+
+// take empties the buffer for sending.
+func (w *shardWrites) take() []datanode.WriteOp {
+	ops := w.ops
+	w.ops = nil
+	clear(w.latest)
+	w.sent = true
+	return ops
+}
+
+// WriteBatch buffers a batch of mutations for one shard. Nothing is sent
+// unless the shard's buffer reaches datanode.DefaultScanPageSize ops, which
+// flushes it so bulk transactions do not accumulate at the CN. The op
+// slices are retained until the transaction finishes.
 func (t *Txn) WriteBatch(ctx context.Context, shard int, ops []datanode.WriteOp) error {
 	if t.done.Load() {
 		return ErrTxnDone
 	}
-	node := t.cn.routing.Primary(shard)
-	if err := t.cn.client.Write(ctx, node, t.id, t.ts.Snap, ops); err != nil {
-		return err
+	w := t.writes[shard]
+	if w == nil {
+		w = &shardWrites{latest: make(map[string]int, len(ops))}
+		t.writes[shard] = w
 	}
-	t.touched[shard] = true
+	for _, op := range ops {
+		if i, ok := w.latest[string(op.Key)]; ok {
+			w.ops[i] = op
+			continue
+		}
+		w.latest[string(op.Key)] = len(w.ops)
+		w.ops = append(w.ops, op)
+	}
 	if tr := t.cn.placement; tr != nil {
 		tr.RecordWrite(shard, t.cn.region)
 	}
+	if len(w.ops) >= datanode.DefaultScanPageSize {
+		return t.flush(ctx, shard)
+	}
 	return nil
+}
+
+// flush sends a shard's buffered ops to its primary as a plain write, making
+// them intents there: before a scan of that shard (pushed fragments and
+// lookup joins run on the data node and must see them) and when the buffer
+// fills. A write-write conflict surfaces here.
+func (t *Txn) flush(ctx context.Context, shard int) error {
+	w := t.writes[shard]
+	if w == nil || len(w.ops) == 0 {
+		return nil
+	}
+	return t.cn.client.Write(ctx, t.cn.routing.Primary(shard), t.id, t.ts.Snap, w.take())
+}
+
+// flushAll flushes every shard that has buffered writes, concurrently.
+func (t *Txn) flushAll(ctx context.Context) error {
+	var dirty []int
+	for shard, w := range t.writes {
+		if len(w.ops) > 0 {
+			dirty = append(dirty, shard)
+		}
+	}
+	if len(dirty) == 0 {
+		return nil
+	}
+	return fanOut(len(dirty), func(i int) error { return t.flush(ctx, dirty[i]) })
 }
 
 // Put stages one write.
@@ -337,11 +408,18 @@ func (t *Txn) Delete(ctx context.Context, shard int, key []byte) error {
 	return t.WriteBatch(ctx, shard, []datanode.WriteOp{{Delete: true, Key: key}})
 }
 
-// Get reads a key from the shard primary at the transaction's snapshot,
-// observing the transaction's own writes.
+// Get reads a key at the transaction's snapshot, observing the
+// transaction's own writes: a key still in the write buffer is answered
+// from it without a round trip, anything else by the shard primary.
 func (t *Txn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, error) {
 	if t.done.Load() {
 		return nil, false, ErrTxnDone
+	}
+	if w := t.writes[shard]; w != nil {
+		if i, ok := w.latest[string(key)]; ok {
+			op := w.ops[i]
+			return op.Value, !op.Delete, nil
+		}
 	}
 	t.cn.primaryReads.Add(1)
 	if tr := t.cn.placement; tr != nil {
@@ -350,10 +428,14 @@ func (t *Txn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, err
 	return t.cn.client.Read(ctx, t.cn.routing.Primary(shard), key, t.ts.Snap, t.id)
 }
 
-// Scan range-scans a shard primary at the transaction's snapshot.
+// Scan range-scans a shard primary at the transaction's snapshot, flushing
+// the shard's buffered writes first so the scan observes them.
 func (t *Txn) Scan(ctx context.Context, shard int, start, end []byte, limit int) ([]mvcc.KV, error) {
 	if t.done.Load() {
 		return nil, ErrTxnDone
+	}
+	if err := t.flush(ctx, shard); err != nil {
+		return nil, err
 	}
 	t.cn.primaryReads.Add(1)
 	if tr := t.cn.placement; tr != nil {
@@ -362,9 +444,11 @@ func (t *Txn) Scan(ctx context.Context, shard int, start, end []byte, limit int)
 	return t.cn.client.Scan(ctx, t.cn.routing.Primary(shard), start, end, t.ts.Snap, limit, t.id)
 }
 
-// Commit finishes the transaction: the single-shard fast path writes
-// PENDING COMMIT then COMMIT; the multi-shard path runs two-phase commit.
-// The commit wait completes before Commit returns (external consistency).
+// Commit finishes the transaction: each participant receives its buffered
+// writes and its PENDING COMMIT (single shard) or PREPARE (two-phase commit)
+// step in one message, then the commit timestamp is fetched, then the
+// decision is applied. The commit wait completes before Commit returns
+// (external consistency).
 func (t *Txn) Commit(ctx context.Context) error {
 	if !t.done.CompareAndSwap(false, true) {
 		return ErrTxnDone
@@ -382,9 +466,10 @@ func (t *Txn) Commit(ctx context.Context) error {
 	if len(shards) == 1 {
 		shard := shards[0]
 		node := t.cn.routing.Primary(shard)
-		sp.Tag("shard=%d node=%s", shard, node)
+		ops := t.writes[shard].take()
+		sp.Tag("shard=%d node=%s ops=%d", shard, node, len(ops))
 		// PENDING COMMIT precedes the commit-timestamp fetch (Sec. IV-A).
-		if err := t.cn.client.Pending(ctx, node, t.id); err != nil {
+		if err := t.cn.client.WriteThen(ctx, node, t.id, t.ts.Snap, ops, datanode.ThenPending, ""); err != nil {
 			t.abortShards(shards)
 			return err
 		}
@@ -407,20 +492,28 @@ func (t *Txn) Commit(ctx context.Context) error {
 		return nil
 	}
 
-	// Two-phase commit, pipelined. The lowest-numbered shard's primary is
-	// the transaction's anchor: every prepare record names it, and the
-	// client ack gates only on the anchor's commit being durable (decision
-	// durability). The remaining participants resolve in the background —
-	// safe because prepared tuples block readers until resolution arrives,
-	// and a crashed resolver is replaced by ResolveInDoubt asking the
-	// anchor for the durable outcome.
-	sort.Ints(shards)
+	// Two-phase commit, pipelined. The participant nearest this CN is the
+	// transaction's anchor: every prepare record names it, and the client
+	// ack gates only on the anchor's commit being durable (decision
+	// durability) — a local WAL wait whenever the transaction touched a home
+	// shard. The remaining participants resolve in the background — safe
+	// because prepared tuples block readers until resolution arrives, and a
+	// crashed resolver is replaced by ResolveInDoubt asking the anchor for
+	// the durable outcome.
+	t.anchorFirst(shards)
 	anchor := t.cn.routing.Primary(shards[0])
-	sp.Tag("2pc shards=%d anchor=%s", len(shards), anchor)
+	batches := make([][]datanode.WriteOp, len(shards))
+	for i, shard := range shards {
+		batches[i] = t.writes[shard].take()
+	}
+	if sp != nil {
+		sp.Tag("2pc shards=%d anchor=%s ops=%s", len(shards), anchor, opsPerShard(shards, batches))
+	}
 	prep := sp.Child("2pc-prepare")
 	tPrep := time.Now()
-	err := t.forEachShard(ctx, shards, func(ctx context.Context, node string) error {
-		return t.cn.client.Prepare(ctx, node, t.id, anchor)
+	err := fanOut(len(shards), func(i int) error {
+		return t.cn.client.WriteThen(ctx, t.cn.routing.Primary(shards[i]), t.id, t.ts.Snap,
+			batches[i], datanode.ThenPrepare, anchor)
 	})
 	metricPrepareLatency.Observe(time.Since(tPrep))
 	prep.End()
@@ -456,7 +549,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("coordinator: commit prepared: %w", err)
 		}
-	} else if len(rest) > 0 {
+	} else {
 		metricAsyncResolves.Inc()
 		t.cn.resolveWG.Add(1)
 		go func() {
@@ -476,6 +569,44 @@ func (t *Txn) Commit(ctx context.Context) error {
 	t.commitTS = commitTS
 	t.cn.commits.Add(1)
 	return nil
+}
+
+// anchorFirst moves the 2PC anchor to the front of shards (sorted by id):
+// the participant whose primary is nearest this CN — one in the CN's own
+// region, else the lowest tracked latency, ties to the lowest shard id. A
+// primary the tracker does not know ranks last, so an unwired CN anchors at
+// the lowest shard id.
+func (t *Txn) anchorFirst(shards []int) {
+	const unknown = time.Duration(math.MaxInt64)
+	tracker := t.cn.Tracker()
+	best, bestDist := 0, unknown
+	for i, shard := range shards {
+		dist := unknown
+		if c, ok := tracker.Node(t.cn.routing.Primary(shard)); ok {
+			dist = c.Latency
+			if c.Region == t.cn.region {
+				dist = 0
+			}
+		}
+		if dist < bestDist {
+			best, bestDist = i, dist
+		}
+	}
+	anchor := shards[best]
+	copy(shards[1:best+1], shards[:best])
+	shards[0] = anchor
+}
+
+// opsPerShard renders "shard:ops" pairs for the commit span's tag.
+func opsPerShard(shards []int, batches [][]datanode.WriteOp) string {
+	var b strings.Builder
+	for i, shard := range shards {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%d:%d", shard, len(batches[i]))
+	}
+	return b.String()
 }
 
 // resolvePrepared drives 2PC phase two to completion with bounded retries.
@@ -499,21 +630,29 @@ func (t *Txn) resolvePrepared(shards []int, commitTS ts.Timestamp) error {
 	return lastErr
 }
 
-// Abort rolls back the transaction on every touched shard.
+// Abort rolls back the transaction on every shard a write message reached;
+// a shard whose writes never left the buffer is sent nothing.
 func (t *Txn) Abort(ctx context.Context) error {
 	if !t.done.CompareAndSwap(false, true) {
 		return ErrTxnDone
 	}
-	t.abortShards(t.shards())
-	t.cn.aborts.Add(1)
+	var sent []int
+	for shard, w := range t.writes {
+		if w.sent {
+			sent = append(sent, shard)
+		}
+	}
+	t.abortShards(sent)
 	return nil
 }
 
+// shards lists the transaction's participants in ascending shard order.
 func (t *Txn) shards() []int {
-	out := make([]int, 0, len(t.touched))
-	for s := range t.touched {
+	out := make([]int, 0, len(t.writes))
+	for s := range t.writes {
 		out = append(out, s)
 	}
+	sort.Ints(out)
 	return out
 }
 

@@ -394,7 +394,15 @@ func (s ScanSpec) observePage(resp datanode.ScanPageResp) {
 // writes. Any attached fragment runs on the data node before rows are
 // shipped. ctx bounds the cursor's background prefetching; Close (or
 // draining the cursor) releases it.
+//
+// Writes the transaction still buffers for the shard are flushed first, on
+// the caller's goroutine, so the data node evaluates the scan over them; a
+// failed flush (a write-write conflict) is the cursor's error. Writes
+// buffered after the cursor opens are not visible to its later pages.
 func (t *Txn) ScanCursor(ctx context.Context, shard int, spec ScanSpec) *ScanCursor {
+	if err := t.flush(ctx, shard); err != nil {
+		return &ScanCursor{err: err}
+	}
 	return newScanCursor(ctx, spec.Start, spec.Limit, spec.PageSize, spec.window(), spec.Counters,
 		func(ctx context.Context, from []byte, remaining, page int) ([]mvcc.KV, []byte, bool, error) {
 			if t.done.Load() {
@@ -434,9 +442,16 @@ func (t *Txn) ScanCursor(ctx context.Context, shard int, spec ScanSpec) *ScanCur
 // so by the time this returns, all K shards' first pages are in flight
 // concurrently and the merge's first refill costs one (maximum) round
 // trip instead of K serial ones. With prefetching disabled the cursors
-// stay fully lazy by design: nothing is fetched until demanded.
+// stay fully lazy by design: nothing is fetched until demanded. Shards with
+// buffered writes are flushed first, concurrently (see ScanCursor).
 func (t *Txn) ScanCursors(ctx context.Context, shards int, spec ScanSpec) []BatchCursor {
 	out := make([]BatchCursor, shards)
+	if err := t.flushAll(ctx); err != nil {
+		for shard := range out {
+			out[shard] = &ScanCursor{err: err}
+		}
+		return out
+	}
 	for shard := range out {
 		out[shard] = t.ScanCursor(ctx, shard, spec)
 	}

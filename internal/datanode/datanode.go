@@ -44,13 +44,27 @@ func (op WriteOp) size() int { return len(op.Key) + len(op.Value) + 8 }
 
 // Request/response payloads. All travel as netsim message payloads.
 type (
-	// WriteReq stages intents for a transaction.
+	// WriteReq stages intents for a transaction and, per Then, moves the
+	// transaction into its commit protocol in the same message: the
+	// coordinator buffers writes and ships each participant one WriteReq at
+	// commit, so staging and PENDING COMMIT / PREPARE cost one round trip
+	// instead of one per write plus one. The zero Then only stages.
 	WriteReq struct {
 		Txn    uint64
 		SnapTS ts.Timestamp
 		Ops    []WriteOp
+		// Then is the step that follows staging, applied only when every op
+		// staged. The primary performs both under one hold of its mutex, so
+		// the redo stream reads heap records then the control record, exactly
+		// as separate messages would have produced.
+		Then WriteThen
+		// Anchor (ThenPrepare) names the participant that holds the
+		// authoritative commit/abort decision (the coordinator commits it
+		// synchronously before acking the client); it is logged with the
+		// prepare record so recovery can ask the right node for the outcome.
+		Anchor string
 	}
-	// WriteResp acknowledges staged intents.
+	// WriteResp acknowledges staged intents (and the Then step).
 	WriteResp struct{}
 
 	// ReadReq is a point read at a snapshot.
@@ -121,9 +135,6 @@ type (
 		ExecNanos int64
 	}
 
-	// PendingReq writes the PENDING COMMIT record before the commit
-	// timestamp fetch (Sec. IV-A).
-	PendingReq struct{ Txn uint64 }
 	// CommitReq commits a single-shard transaction at TS. Sync forces a
 	// replica-quorum wait even under asynchronous replication (per-table
 	// synchronous replication).
@@ -134,14 +145,6 @@ type (
 	}
 	// AbortReq aborts a transaction.
 	AbortReq struct{ Txn uint64 }
-	// PrepareReq is 2PC phase one. Anchor names the participant that holds
-	// the authoritative commit/abort decision (the coordinator commits it
-	// synchronously before acking the client); it is logged with the
-	// prepare record so recovery can ask the right node for the outcome.
-	PrepareReq struct {
-		Txn    uint64
-		Anchor string
-	}
 	// CommitPreparedReq is 2PC phase two (commit). Sync as in CommitReq.
 	CommitPreparedReq struct {
 		Txn  uint64
@@ -201,6 +204,21 @@ type (
 
 	// GenericResp acknowledges control operations.
 	GenericResp struct{}
+)
+
+// WriteThen selects what a WriteReq does once its ops are staged.
+type WriteThen uint8
+
+const (
+	// ThenNothing only stages the ops (a plain write).
+	ThenNothing WriteThen = iota
+	// ThenPending marks the transaction pending and writes the PENDING
+	// COMMIT record, which must precede the commit-timestamp fetch
+	// (Sec. IV-A): the single-shard commit's first step.
+	ThenPending
+	// ThenPrepare is 2PC phase one: mark prepared, log the PREPARE record
+	// with the anchor, and ack only once it is durable.
+	ThenPrepare
 )
 
 // ErrBadRequest is returned for unknown payload types.
@@ -427,7 +445,7 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 	defer p.inflight.Add(-1)
 	switch req := m.Payload.(type) {
 	case WriteReq:
-		if err := p.execWrite(req); err != nil {
+		if err := p.execWrite(ctx, req); err != nil {
 			return netsim.Message{}, err
 		}
 		return netsim.Message{Payload: WriteResp{}, Size: 8}, nil
@@ -449,17 +467,6 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 			return netsim.Message{}, err
 		}
 		return netsim.Message{Payload: resp, Size: scanSize(resp.KVs) + len(resp.Next)}, nil
-	case PendingReq:
-		p.mu.Lock()
-		err := p.store.MarkPending(mvcc.TxnID(req.Txn))
-		if err == nil {
-			p.log.Append(redo.Record{Type: redo.TypePendingCommit, Txn: req.Txn})
-		}
-		p.mu.Unlock()
-		if err != nil {
-			return netsim.Message{}, err
-		}
-		return netsim.Message{Payload: GenericResp{}, Size: 8}, nil
 	case CommitReq:
 		if err := p.commit(ctx, req.Txn, req.TS, redo.TypeCommit, req.Sync); err != nil {
 			return netsim.Message{}, err
@@ -473,25 +480,6 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 		}
 		p.mu.Unlock()
 		if err != nil && !errors.Is(err, mvcc.ErrTxnNotFound) {
-			return netsim.Message{}, err
-		}
-		return netsim.Message{Payload: GenericResp{}, Size: 8}, nil
-	case PrepareReq:
-		p.mu.Lock()
-		err := p.store.MarkPrepared(mvcc.TxnID(req.Txn))
-		var lsn uint64
-		if err == nil {
-			// The anchor rides in the record so recovery knows whom to ask.
-			lsn = p.log.Append(redo.Record{Type: redo.TypePrepare, Txn: req.Txn, Value: []byte(req.Anchor)})
-		}
-		p.mu.Unlock()
-		if err != nil {
-			return netsim.Message{}, err
-		}
-		p.trackPrepared(req.Txn, req.Anchor)
-		// A prepare ack is a durability promise: after it, only the anchor's
-		// decision may abort the txn — a crash must not.
-		if err := p.waitWAL(ctx, lsn); err != nil {
 			return netsim.Message{}, err
 		}
 		return netsim.Message{Payload: GenericResp{}, Size: 8}, nil
@@ -551,34 +539,56 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 	}
 }
 
-func (p *Primary) execWrite(req WriteReq) error {
+// execWrite is the one "stage then mark" path: it stages req's ops as
+// intents and, when all of them staged, applies req.Then — everything under
+// a single hold of p.mu, so the log reads heap records then the PENDING
+// COMMIT / PREPARE record with nothing of another transaction's in between.
+// A staging failure (write-write conflict) leaves the already-staged intents
+// logged and the transaction unmarked; the coordinator aborts it.
+func (p *Primary) execWrite(ctx context.Context, req WriteReq) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	txn := mvcc.TxnID(req.Txn)
-	recs := make([]redo.Record, 0, len(req.Ops))
+	recs := make([]redo.Record, 0, len(req.Ops)+1)
+	var err error
 	for _, op := range req.Ops {
 		if op.Delete {
-			if err := p.store.Delete(txn, op.Key, req.SnapTS); err != nil {
-				p.appendLocked(recs)
-				return err
+			if err = p.store.Delete(txn, op.Key, req.SnapTS); err != nil {
+				break
 			}
 			recs = append(recs, redo.Record{Type: redo.TypeHeapDelete, Txn: req.Txn, Key: op.Key})
 		} else {
-			if err := p.store.Put(txn, op.Key, op.Value, req.SnapTS); err != nil {
-				p.appendLocked(recs)
-				return err
+			if err = p.store.Put(txn, op.Key, op.Value, req.SnapTS); err != nil {
+				break
 			}
 			recs = append(recs, redo.Record{Type: redo.TypeHeapUpdate, Txn: req.Txn, Key: op.Key, Value: op.Value})
 		}
 	}
-	p.appendLocked(recs)
-	return nil
-}
-
-func (p *Primary) appendLocked(recs []redo.Record) {
-	if len(recs) > 0 {
-		p.log.AppendBatch(recs)
+	if err == nil {
+		switch req.Then {
+		case ThenPending:
+			if err = p.store.MarkPending(txn); err == nil {
+				recs = append(recs, redo.Record{Type: redo.TypePendingCommit, Txn: req.Txn})
+			}
+		case ThenPrepare:
+			if err = p.store.MarkPrepared(txn); err == nil {
+				// The anchor rides in the record so recovery knows whom to ask.
+				recs = append(recs, redo.Record{Type: redo.TypePrepare, Txn: req.Txn, Value: []byte(req.Anchor)})
+			}
+		}
 	}
+	var lsn uint64
+	if len(recs) > 0 {
+		lsn = p.log.AppendBatch(recs)
+	}
+	p.mu.Unlock()
+	if err != nil || req.Then != ThenPrepare {
+		return err
+	}
+	p.trackPrepared(req.Txn, req.Anchor)
+	// A prepare ack is a durability promise: after it, only the anchor's
+	// decision may abort the txn — a crash must not. One WAL wait covers the
+	// heap records and the prepare record alike.
+	return p.waitWAL(ctx, lsn)
 }
 
 // commit applies the commit and, under synchronous replication (cluster
@@ -750,14 +760,20 @@ func (c *Client) call(ctx context.Context, node string, payload any, size int) (
 	return resp.Payload, nil
 }
 
-// Write stages ops on node for txn.
-func (c *Client) Write(ctx context.Context, node string, txn uint64, snap ts.Timestamp, ops []WriteOp) error {
-	size := 24
+// WriteThen stages ops on node for txn and applies then in the same message
+// (see WriteReq); anchor is recorded with a ThenPrepare.
+func (c *Client) WriteThen(ctx context.Context, node string, txn uint64, snap ts.Timestamp, ops []WriteOp, then WriteThen, anchor string) error {
+	size := 24 + len(anchor)
 	for _, op := range ops {
 		size += op.size()
 	}
-	_, err := c.call(ctx, node, WriteReq{Txn: txn, SnapTS: snap, Ops: ops}, size)
+	_, err := c.call(ctx, node, WriteReq{Txn: txn, SnapTS: snap, Ops: ops, Then: then, Anchor: anchor}, size)
 	return err
+}
+
+// Write stages ops on node for txn.
+func (c *Client) Write(ctx context.Context, node string, txn uint64, snap ts.Timestamp, ops []WriteOp) error {
+	return c.WriteThen(ctx, node, txn, snap, ops, ThenNothing, "")
 }
 
 // Read performs a point read.
@@ -813,8 +829,7 @@ func (c *Client) ScanRowsFetched() int64 { return c.scanRows.Load() }
 
 // Pending writes the PENDING COMMIT record for txn.
 func (c *Client) Pending(ctx context.Context, node string, txn uint64) error {
-	_, err := c.call(ctx, node, PendingReq{Txn: txn}, 16)
-	return err
+	return c.WriteThen(ctx, node, txn, 0, nil, ThenPending, "")
 }
 
 // Commit commits a single-shard transaction. sync forces a replica wait
@@ -833,8 +848,7 @@ func (c *Client) Abort(ctx context.Context, node string, txn uint64) error {
 // Prepare runs 2PC phase one on node, recording anchor as the participant
 // holding the authoritative decision.
 func (c *Client) Prepare(ctx context.Context, node string, txn uint64, anchor string) error {
-	_, err := c.call(ctx, node, PrepareReq{Txn: txn, Anchor: anchor}, 16+len(anchor))
-	return err
+	return c.WriteThen(ctx, node, txn, 0, nil, ThenPrepare, anchor)
 }
 
 // TxnStatus asks node for a 2PC transaction's resolution.

@@ -19,7 +19,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"globaldb/internal/obs"
 )
 
 // Errors.
@@ -62,6 +65,7 @@ type Network struct {
 	bandwidth   map[pair]float64       // bytes/sec, 0 = unlimited
 	partitioned map[pair]bool
 	eps         map[string]*Endpoint
+	links       map[link]*linkCounters
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -82,6 +86,7 @@ func New(cfg Config) *Network {
 		latency:     make(map[pair]time.Duration),
 		bandwidth:   make(map[pair]float64),
 		partitioned: make(map[pair]bool),
+		links:       make(map[link]*linkCounters),
 		rng:         rand.New(rand.NewSource(seed)),
 	}
 }
@@ -155,6 +160,66 @@ func (n *Network) OneWay(a, b string, size int) (time.Duration, error) {
 	return time.Duration(float64(d) * n.cfg.TimeScale), nil
 }
 
+// Per-link traffic metric names on obs.Default, labeled link="from->to".
+// They total every Network in the process; Network.LinkStats is per network.
+const (
+	// MetricLinkMessages counts messages put on a directed region link.
+	MetricLinkMessages = "netsim_link_messages_total"
+	// MetricLinkBytes counts their declared wire bytes.
+	MetricLinkBytes = "netsim_link_bytes_total"
+)
+
+// link is one direction of a region pair (a region to itself included).
+type link struct{ from, to string }
+
+// LinkStats is the traffic one directed link has carried: every message
+// that paid the link's delay — an RPC is one message each way, a stream
+// delivery one. Messages refused by a partition are not counted.
+type LinkStats struct {
+	Messages int64
+	Bytes    int64
+}
+
+type linkCounters struct {
+	msgs, bytes       atomic.Int64
+	obsMsgs, obsBytes *obs.Counter
+}
+
+// LinkStats returns what the from→to link has carried so far.
+func (n *Network) LinkStats(from, to string) LinkStats {
+	n.mu.RLock()
+	lc := n.links[link{from, to}]
+	n.mu.RUnlock()
+	if lc == nil {
+		return LinkStats{}
+	}
+	return LinkStats{Messages: lc.msgs.Load(), Bytes: lc.bytes.Load()}
+}
+
+// count records one message of size bytes on the from→to link.
+func (n *Network) count(from, to string, size int) {
+	k := link{from, to}
+	n.mu.RLock()
+	lc := n.links[k]
+	n.mu.RUnlock()
+	if lc == nil {
+		n.mu.Lock()
+		if lc = n.links[k]; lc == nil {
+			label := from + "->" + to
+			lc = &linkCounters{
+				obsMsgs:  obs.Default.Counter(obs.LabeledName(MetricLinkMessages, "link", label)),
+				obsBytes: obs.Default.Counter(obs.LabeledName(MetricLinkBytes, "link", label)),
+			}
+			n.links[k] = lc
+		}
+		n.mu.Unlock()
+	}
+	lc.msgs.Add(1)
+	lc.bytes.Add(int64(size))
+	lc.obsMsgs.Inc()
+	lc.obsBytes.Add(int64(size))
+}
+
 // sleep waits for d, honoring ctx cancellation.
 func sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
@@ -177,6 +242,7 @@ func (n *Network) Delay(ctx context.Context, a, b string, size int) error {
 	if err != nil {
 		return err
 	}
+	n.count(a, b, size)
 	return sleep(ctx, d)
 }
 
@@ -355,6 +421,7 @@ func (s *Stream) run() {
 			s.mu.Unlock()
 			continue
 		}
+		s.net.count(s.from, s.to, msg.size)
 		time.Sleep(d)
 		s.deliver(msg.payload)
 	}

@@ -258,3 +258,44 @@ func TestRegionsList(t *testing.T) {
 		t.Fatalf("regions = %d", got)
 	}
 }
+
+// TestLinkStatsCountPerDirection pins the per-link accounting: an RPC is one
+// message each way with its declared sizes, a stream delivery one message,
+// and a message a partition refused is not traffic.
+func TestLinkStatsCountPerDirection(t *testing.T) {
+	n := threeCity(0.01)
+	n.Register("svc", "dongguan", func(context.Context, Message) (Message, error) {
+		return Message{Size: 700}, nil
+	})
+	for i := 0; i < 3; i++ {
+		if _, err := n.Call(bg, "xian", "svc", Message{Size: 40}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := n.LinkStats("xian", "dongguan"); got != (LinkStats{Messages: 3, Bytes: 120}) {
+		t.Fatalf("requests: %+v", got)
+	}
+	if got := n.LinkStats("dongguan", "xian"); got != (LinkStats{Messages: 3, Bytes: 2100}) {
+		t.Fatalf("responses: %+v", got)
+	}
+	if got := n.LinkStats("xian", "langzhong"); got != (LinkStats{}) {
+		t.Fatalf("idle link: %+v", got)
+	}
+
+	delivered := make(chan struct{})
+	s := n.NewStream("langzhong", "xian", func(any) { close(delivered) })
+	defer s.Close()
+	s.Send("redo", 512)
+	<-delivered
+	if got := n.LinkStats("langzhong", "xian"); got != (LinkStats{Messages: 1, Bytes: 512}) {
+		t.Fatalf("stream: %+v", got)
+	}
+
+	n.SetPartitioned("xian", "dongguan", true)
+	if _, err := n.Call(bg, "xian", "svc", Message{Size: 40}); !errors.Is(err, ErrPartitioned) {
+		t.Fatalf("partitioned call: %v", err)
+	}
+	if got := n.LinkStats("xian", "dongguan").Messages; got != 3 {
+		t.Fatalf("a refused message was counted: %d", got)
+	}
+}

@@ -161,6 +161,17 @@ func (t *Tracker) MarkFailed(node string) {
 	}
 }
 
+// Node returns one tracked node's current metrics.
+func (t *Tracker) Node(node string) (Candidate, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n, ok := t.nodes[node]
+	if !ok {
+		return Candidate{}, false
+	}
+	return n.Candidate, true
+}
+
 // CandidatesFor returns the tracked candidates serving a shard.
 func (t *Tracker) CandidatesFor(shard int) []Candidate {
 	t.mu.RLock()

@@ -142,17 +142,21 @@ func (w *Writer) kickSyncer() {
 }
 
 // runSyncer is the committer goroutine: it waits for appended-but-unsynced
-// records, lingers briefly so concurrent committers pile into the same
-// group, then issues one fsync and resolves every waiter it covered.
+// records, lingers briefly when other committers are around so they pile
+// into the same group, then issues one fsync and resolves every waiter it
+// covered. A lone committer is not made to wait for company that is not
+// coming: the linger runs only on evidence of concurrency — more than one
+// waiter parked now, or the previous group released more than one.
 func (w *Writer) runSyncer() {
 	defer close(w.syncerDone)
+	lastReleased := 0
 	for {
 		select {
 		case <-w.syncReq:
 		case <-w.syncerStop:
 			return // Close's final sync covers the tail
 		}
-		if w.opts.Linger > 0 && !w.maxBatchPending() {
+		if (lastReleased > 1 || w.waitersParked() > 1) && !w.maxBatchPending() {
 			timer := time.NewTimer(w.opts.Linger)
 			select {
 			case <-timer.C:
@@ -167,9 +171,13 @@ func (w *Writer) runSyncer() {
 		case <-w.syncReq:
 		default:
 		}
-		if err := w.groupSync(); err != nil {
+		released, synced, err := w.groupSync()
+		if err != nil {
 			w.failWaiters(err)
 			return
+		}
+		if synced {
+			lastReleased = released
 		}
 	}
 }
@@ -183,46 +191,61 @@ func (w *Writer) maxBatchPending() bool {
 	return appended >= w.durable.Load()+uint64(w.opts.MaxBatch)
 }
 
-// waitersPending reports whether any WaitDurable caller is parked.
-func (w *Writer) waitersPending() bool {
+// waitersParked reports how many WaitDurable callers are parked.
+func (w *Writer) waitersParked() int {
 	w.wmu.Lock()
 	n := len(w.waiters)
 	w.wmu.Unlock()
-	return n > 0
+	return n
+}
+
+// waiterCovered reports whether an fsync up to upTo would release anyone.
+func (w *Writer) waiterCovered(upTo uint64) bool {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	for _, wt := range w.waiters {
+		if wt.lsn <= upTo {
+			return true
+		}
+	}
+	return false
 }
 
 // groupSync performs one coalesced fsync. The fsync runs outside the append
 // mutex so the next group accumulates while the device write is in flight —
 // the overlap is where group commit's throughput comes from. Fsyncs are
-// demand-driven: a group nobody is parked on is skipped, so intent traffic
+// demand-driven: a group that would release nobody is skipped, so intent traffic
 // (appends that never wait) rides along with the next commit's fsync
 // instead of paying its own. Unwaited records still reach stable storage on
-// rotation and Close; losing them in a crash loses only unacked work.
-func (w *Writer) groupSync() error {
+// rotation and Close; losing them in a crash loses only unacked work. It
+// reports how many waiters the fsync released, and whether one ran at all.
+func (w *Writer) groupSync() (released int, synced bool, err error) {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		return nil
+		return 0, false, nil
 	}
 	upTo := w.nextLSN - 1
 	f := w.file
 	w.mu.Unlock()
 	if f == nil || upTo == 0 || upTo <= w.durable.Load() {
-		return nil
+		return 0, false, nil
 	}
-	if !w.waitersPending() {
-		// Nobody needs durability yet. WaitDurable kicks after parking, so
-		// skipping here cannot strand a commit.
-		return nil
+	if !w.waiterCovered(upTo) {
+		// Nobody needs these records durable yet: either no one is parked, or
+		// every waiter's record is still on its way here (the archiver
+		// appends behind the committer's wait). WaitDurable kicks after
+		// parking and every append kicks, so skipping cannot strand a commit.
+		return 0, false, nil
 	}
 	if err := w.fsyncTimed(f); err != nil {
 		// A rotation may have closed this segment underneath us; rotation
 		// fsyncs before closing, so everything up to upTo is durable anyway.
 		if !errors.Is(err, os.ErrClosed) {
-			return fmt.Errorf("wal: group fsync: %w", err)
+			return 0, false, fmt.Errorf("wal: group fsync: %w", err)
 		}
 	}
-	released := w.advanceDurable(upTo)
+	released = w.advanceDurable(upTo)
 	w.groups.Add(1)
 	w.grouped.Add(int64(released))
 	metricGroupCommits.Inc()
@@ -238,7 +261,7 @@ func (w *Writer) groupSync() error {
 	if more {
 		w.kickSyncer()
 	}
-	return nil
+	return released, true, nil
 }
 
 // fsyncTimed fsyncs f, applies the configured device-latency model, and

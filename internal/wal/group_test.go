@@ -235,3 +235,57 @@ func TestWaitDurableEveryBatchIsImmediate(t *testing.T) {
 		t.Fatalf("durable = %d, want %d", w.DurableLSN(), lsn)
 	}
 }
+
+// TestLoneCommitterDoesNotLinger: Options.Linger is an upper bound taken
+// only on evidence of concurrent committers. A committer that is alone pays
+// its fsync and nothing more — with a linger far longer than the test's
+// patience, serial commits still return promptly — and an fsync that would
+// release nobody (the waiter's record has not been appended yet) is skipped
+// rather than spent.
+func TestLoneCommitterDoesNotLinger(t *testing.T) {
+	const linger = 2 * time.Second
+	w, err := Open(Options{Dir: t.TempDir(), Sync: SyncGroup, Linger: linger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	start := time.Now()
+	for txn := uint64(1); txn <= 5; txn++ {
+		if _, err := commitOnce(w, txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := time.Since(start); d > linger/2 {
+		t.Fatalf("5 serial commits took %v: a lone committer waited out the %v linger", d, linger)
+	}
+	if got := w.GroupStats().Fsyncs; got != 5 {
+		t.Fatalf("fsyncs = %d for 5 serial commits, want 5", got)
+	}
+
+	// A waiter parked on an LSN that is not written yet: unsynced records
+	// exist (an intent), but syncing them would release nobody.
+	if _, err := w.AppendAssign([]redo.Record{{Type: redo.TypeHeapInsert, Txn: 6, Key: []byte("k"), Value: []byte("v")}}); err != nil {
+		t.Fatal(err)
+	}
+	next := w.NextLSN()
+	done := make(chan error, 1)
+	go func() { done <- w.WaitDurable(context.Background(), next) }()
+	time.Sleep(20 * time.Millisecond) // let the waiter park and the syncer run
+	if got := w.GroupStats().Fsyncs; got != 5 {
+		t.Fatalf("fsyncs = %d after a wait on an unwritten LSN, want 5 (nothing to release)", got)
+	}
+	if _, err := w.AppendAssign([]redo.Record{{Type: redo.TypeCommit, Txn: 6, TS: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(linger / 2):
+		t.Fatal("commit record appended behind its waiter was never synced")
+	}
+	if got := w.GroupStats().Fsyncs; got != 6 {
+		t.Fatalf("fsyncs = %d, want 6: one fsync for the intent and the commit together", got)
+	}
+}

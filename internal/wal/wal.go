@@ -50,8 +50,8 @@ const (
 	SyncGroup
 )
 
-// DefaultGroupLinger is how long the group committer waits after the first
-// unsynced append for more commits to pile into the same fsync.
+// DefaultGroupLinger is the longest the group committer waits, once it has
+// seen concurrent committers, for more commits to pile into the same fsync.
 const DefaultGroupLinger = 200 * time.Microsecond
 
 // DefaultGroupMaxBatch caps how many records a group fsync may cover before
@@ -66,8 +66,11 @@ type Options struct {
 	SegmentBytes int64
 	// Sync selects the durability policy (default SyncEveryBatch).
 	Sync SyncPolicy
-	// Linger bounds how long a group fsync waits for more committers
-	// (SyncGroup only; default DefaultGroupLinger).
+	// Linger is the upper bound on how long a group fsync waits for more
+	// committers (SyncGroup only; default DefaultGroupLinger). The wait is
+	// taken only while commits are arriving concurrently — several waiters
+	// parked, or the previous group released several — so a lone committer
+	// pays the fsync and nothing more.
 	Linger time.Duration
 	// MaxBatch forces a group fsync once this many records are unsynced,
 	// skipping the linger (SyncGroup only; default DefaultGroupMaxBatch).

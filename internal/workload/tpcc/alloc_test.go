@@ -8,7 +8,8 @@ import (
 
 // tpccAllocBudgetMax caps allocations for one warm New-Order transaction
 // (single terminal, local warehouse, group-commit WAL attached). Measured
-// ~830 warm: a New-Order runs ~25 row operations (reads, updates, order +
+// ~965 warm on go1.24 (1246 before the CN buffered writes and sent them with
+// the commit): a New-Order runs ~25 row operations (reads, updates, order +
 // order-line inserts) through planning-free key paths, plus the commit's
 // redo marshal and group-commit wait. The ceiling leaves ~2.4x headroom for
 // Go-version drift while still failing fast if the write path regresses to
