@@ -189,11 +189,12 @@ func reportResult(w io.Writer, res *gsql.Result, elapsed time.Duration, commits 
 	// The numbers are an interval delta on the process-wide registry, so a
 	// statement that committed nothing prints nothing.
 	if commits.Commits > 0 {
-		fmt.Fprintf(w, "commit: n=%d, wal fsyncs=%d (%.2f/commit, %d saved), async-2pc=%d\n",
-			commits.Commits, commits.Fsyncs, commits.FsyncsPerCommit(),
+		fmt.Fprintf(w, "commit: n=%d (one-message=%d), wal fsyncs=%d (%.2f/commit, %d saved), async-2pc=%d\n",
+			commits.Commits, commits.OneMessageCommits, commits.Fsyncs, commits.FsyncsPerCommit(),
 			commits.FsyncsSaved, commits.AsyncResolves)
 	}
 	if len(res.Columns) == 0 {
+		printTrace(w, res) // a traced write: its commit span says which path ran
 		return
 	}
 	where := "primaries"
@@ -235,11 +236,17 @@ func reportResult(w io.Writer, res *gsql.Result, elapsed time.Duration, commits 
 		fmt.Fprintf(w, "wan: pages=%d, prefetch-hits=%d (%.0f%% hit rate), wait=%v (%.0f%% of wall)\n",
 			sc.PagesFetched, sc.PrefetchHits, hitRate, sc.WANWait.Round(time.Microsecond), waitPct)
 	}
-	if len(res.Trace) > 0 {
-		fmt.Fprintln(w, "trace:")
-		for _, line := range res.Trace {
-			fmt.Fprintln(w, "  "+line)
-		}
+	printTrace(w, res)
+}
+
+// printTrace prints the span tree `\trace` attached to a result, if any.
+func printTrace(w io.Writer, res *gsql.Result) {
+	if len(res.Trace) == 0 {
+		return
+	}
+	fmt.Fprintln(w, "trace:")
+	for _, line := range res.Trace {
+		fmt.Fprintln(w, "  "+line)
 	}
 }
 

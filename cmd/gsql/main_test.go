@@ -130,15 +130,22 @@ SELECT * FROM ord WHERE w_id = 1;
 }
 
 // TestShellCommitPathLine pins the write-path reporting: a committing
-// statement prints a commit: line with the interval's WAL fsync cost, and a
-// pure read does not.
+// statement prints a commit: line with the interval's WAL fsync cost and the
+// one-message share, and a pure read does not; under \trace a write prints
+// its span tree, whose commit span names the path that ran.
 func TestShellCommitPathLine(t *testing.T) {
 	script := `CREATE TABLE kv (k BIGINT, v BIGINT, PRIMARY KEY (k)) SHARD BY k;
 INSERT INTO kv VALUES (1, 10), (2, 20);
+\trace
+UPDATE kv SET v = 11 WHERE k = 1;
+\trace
 SELECT * FROM kv WHERE v >= 10;
 \q
 `
 	out := runShell(t, script)
+	if !strings.Contains(out, "commit: n=1 (one-message=1)") || !strings.Contains(out, "path=one-message floor-bump=") {
+		t.Fatalf("single-row UPDATE did not report the one-message commit path:\n%s", out)
+	}
 	var commitLines, afterSelect int
 	sawSelect := false
 	for _, line := range strings.Split(out, "\n") {

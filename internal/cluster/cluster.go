@@ -1,9 +1,9 @@
 // Package cluster assembles a complete GlobalDB deployment in-process:
 // regions connected by a simulated WAN, a GTM server, per-region computing
-// nodes with synchronized clocks, sharded primaries with replica sets, redo
-// shipping, the RCP collector, heartbeats, and the online transition
-// controller. It is the programmatic equivalent of the paper's One-Region
-// and Three-City testbeds (Sec. V).
+// nodes with synchronized clocks, sharded primaries (each with a synchronized
+// clock of its own) with replica sets, redo shipping, the RCP collector,
+// heartbeats, and the online transition controller. It is the programmatic
+// equivalent of the paper's One-Region and Three-City testbeds (Sec. V).
 package cluster
 
 import (
@@ -159,10 +159,13 @@ type Cluster struct {
 
 	mu         sync.Mutex
 	clockStops []func()
-	devices    map[string]*clock.Device
-	walClosers []io.Closer
-	closed     bool
-	gc         gcState
+	// primaryClockStops[shard] stops the node clock of the shard's current
+	// primary; a promotion replaces it.
+	primaryClockStops []func()
+	devices           map[string]*clock.Device
+	walClosers        []io.Closer
+	closed            bool
+	gc                gcState
 }
 
 // Open builds and starts a cluster.
@@ -241,8 +244,17 @@ func Open(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	// CNs: one per region, each with its own synchronized clock and oracle.
+	// Every primary gets a synchronized clock and an oracle over it, so that
+	// under GClock it can issue single-shard commit timestamps itself.
 	var nodes []transition.Node
+	c.primaryClockStops = make([]func(), cfg.Shards)
+	for _, p := range c.primaries {
+		oracle := c.givePrimaryOracle(p)
+		oracle.SetMode(cfg.Mode)
+		nodes = append(nodes, oracle)
+	}
+
+	// CNs: one per region, each with its own synchronized clock and oracle.
 	for i, r := range cfg.Regions {
 		nc := clock.NewNode(cfg.Clock, clock.Real(), c.devices[r])
 		stop := nc.Start()
@@ -273,6 +285,17 @@ func Open(cfg Config) (*Cluster, error) {
 	}
 	c.Collector.Start()
 	return c, nil
+}
+
+// givePrimaryOracle starts a node clock for p on its region's time device and
+// sets an oracle over it on p. The caller puts the oracle under the
+// transition controller and stops the clock of the primary p replaces.
+func (c *Cluster) givePrimaryOracle(p *datanode.Primary) *tso.Oracle {
+	nc := clock.NewNode(c.cfg.Clock, clock.Real(), c.devices[p.Region()])
+	c.primaryClockStops[p.Shard()] = nc.Start()
+	oracle := tso.New(p.ID(), nc, nil) // it only ever issues locally: no GTM client
+	p.SetOracle(oracle)
+	return oracle
 }
 
 func otherRegions(all []string, except string) []string {
@@ -471,6 +494,14 @@ func (c *Cluster) PromoteReplica(ctx context.Context, shard, replicaIdx int) err
 	newID := fmt.Sprintf("dn%d-promoted-%s", shard, promoted.ID())
 	p := datanode.NewPrimaryFromStore(c.Net, newID, promoted.Region(), shard,
 		promoted.Applier().Store(), c.cfg.ReplMode, c.cfg.Quorum)
+	// The new primary reads the clock of its own region; the old one's
+	// oracle is retired so a later transition floors over what it issued
+	// without asking a dead node.
+	stopOldClock := c.primaryClockStops[shard]
+	if err := c.Controller.Replace(c.primaries[shard].Oracle(), c.givePrimaryOracle(p)); err != nil {
+		return err
+	}
+	stopOldClock()
 	c.primaries[shard] = p
 	c.Routing.SetPrimary(shard, newID)
 
@@ -588,10 +619,16 @@ func (c *Cluster) FailClockDevice(region string, failed bool) {
 	}
 }
 
-// ClockHealthy reports whether every CN clock is within limit.
+// ClockHealthy reports whether every clock that issues timestamps — each
+// CN's and each shard primary's — is within limit.
 func (c *Cluster) ClockHealthy(limit time.Duration) bool {
 	for _, o := range c.oracles {
 		if !o.Clock().Healthy(limit) {
+			return false
+		}
+	}
+	for _, p := range c.primaries {
+		if !p.Oracle().Clock().Healthy(limit) {
 			return false
 		}
 	}
@@ -624,6 +661,9 @@ func (c *Cluster) Close() {
 		p.Repl().StopAll()
 	}
 	for _, stop := range c.clockStops {
+		stop()
+	}
+	for _, stop := range c.primaryClockStops {
 		stop()
 	}
 	for _, w := range c.walClosers {

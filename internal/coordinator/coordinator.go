@@ -33,6 +33,7 @@ var (
 	metricCommitLatency  = obs.Default.Histogram(stats.MetricCommitLatency)
 	metricPrepareLatency = obs.Default.Histogram(stats.MetricPrepareLatency)
 	metricDecideLatency  = obs.Default.Histogram(stats.MetricDecideLatency)
+	metricOneMsgCommits  = obs.Default.Counter(stats.MetricOneMessageCommits)
 	metricAsyncResolves  = obs.Default.Counter(stats.MetricAsyncResolves)
 	metricResolveFails   = obs.Default.Counter(stats.MetricResolveFailures)
 )
@@ -447,8 +448,9 @@ func (t *Txn) Scan(ctx context.Context, shard int, start, end []byte, limit int)
 // Commit finishes the transaction: each participant receives its buffered
 // writes and its PENDING COMMIT (single shard) or PREPARE (two-phase commit)
 // step in one message, then the commit timestamp is fetched, then the
-// decision is applied. The commit wait completes before Commit returns
-// (external consistency).
+// decision is applied — for a single shard under GClock all in that one
+// message, the primary's clock issuing the timestamp. The commit wait
+// completes before Commit returns (external consistency).
 func (t *Txn) Commit(ctx context.Context) error {
 	if !t.done.CompareAndSwap(false, true) {
 		return ErrTxnDone
@@ -467,22 +469,45 @@ func (t *Txn) Commit(ctx context.Context) error {
 		shard := shards[0]
 		node := t.cn.routing.Primary(shard)
 		ops := t.writes[shard].take()
-		sp.Tag("shard=%d node=%s ops=%d", shard, node, len(ops))
-		// PENDING COMMIT precedes the commit-timestamp fetch (Sec. IV-A).
-		if err := t.cn.client.WriteThen(ctx, node, t.id, t.ts.Snap, ops, datanode.ThenPending, ""); err != nil {
-			t.abortShards(shards)
-			return err
+		// Under GClock the primary has a synchronized clock of its own, so it
+		// is asked to issue the commit timestamp and finish the commit in the
+		// message that carries the writes (ThenCommit). A transaction begun
+		// under GTM is never delegated: Fig. 2's abort rule is the oracle's to
+		// apply. A primary that is not in GClock mode itself answers with no
+		// timestamp, having only logged PENDING COMMIT, which precedes the
+		// timestamp fetch either way (Sec. IV-A).
+		var resp datanode.WriteResp
+		var err error
+		if t.ts.Mode != ts.ModeGTM && t.cn.oracle.Mode() == ts.ModeGClock {
+			resp, err = t.cn.client.WriteCommit(ctx, node, t.id, t.ts.Snap, ops, t.sync)
+		} else {
+			err = t.cn.client.WriteThen(ctx, node, t.id, t.ts.Snap, ops, datanode.ThenPending, "")
 		}
-		commitTS, finish, err := t.cn.oracle.Commit(ctx, t.ts.Mode)
+		commitTS := resp.CommitTS
+		var finish func(context.Context) error
+		switch {
+		case err != nil: // aborted below
+		case commitTS != 0:
+			finish = func(ctx context.Context) error { return t.cn.oracle.Adopt(ctx, commitTS) }
+			metricOneMsgCommits.Inc()
+			sp.Tag("shard=%d node=%s ops=%d path=one-message floor-bump=%v", shard, node, len(ops), resp.FloorBump)
+		default:
+			// The centralized path: fetch the timestamp here, send it over.
+			sp.Tag("shard=%d node=%s ops=%d path=two-message", shard, node, len(ops))
+			if commitTS, finish, err = t.cn.oracle.Commit(ctx, t.ts.Mode); err != nil {
+				break
+			}
+			if err = t.cn.client.Commit(ctx, node, t.id, commitTS, t.sync); err != nil {
+				err = fmt.Errorf("coordinator: commit apply: %w", err)
+			}
+		}
 		if err != nil {
+			// Nothing was applied, or the outcome is unknown (the ack wait was
+			// cancelled after the records were appended); either way the
+			// transaction must not stay pending forever. The abort is a no-op
+			// at a primary that did commit.
 			t.abortShards(shards)
 			return err
-		}
-		if err := t.cn.client.Commit(ctx, node, t.id, commitTS, t.sync); err != nil {
-			// The commit record was not applied (or the apply raced a
-			// cancellation); the transaction must not stay pending forever.
-			t.abortShards(shards)
-			return fmt.Errorf("coordinator: commit apply: %w", err)
 		}
 		if err := finish(ctx); err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"globaldb/internal/datanode"
 	"globaldb/internal/gtm"
 	"globaldb/internal/netsim"
+	"globaldb/internal/obs"
 	"globaldb/internal/repl"
 	"globaldb/internal/ror"
 	"globaldb/internal/storage/mvcc"
@@ -26,14 +28,22 @@ var bg = context.Background()
 var geoRegions = []string{"xian", "langzhong", "dongguan"}
 
 // geoRig is a quiet three-region deployment — primaries only, no replicas,
-// no RCP collector, clock-based timestamps — so every message on a link
-// belongs to the transaction under test and per-link counts are exact.
+// no RCP collector, clock-based timestamps on the CNs and, as cluster.Open
+// wires them, on the primaries — so every message on a link belongs to the
+// transaction under test and per-link counts are exact.
 type geoRig struct {
 	net       *netsim.Network
 	routing   *Routing
 	primaries []*datanode.Primary
 	device    *clock.Device
 	seq       uint64
+}
+
+// gclockOracle returns an oracle in GClock mode over a fresh node clock.
+func (r *geoRig) gclockOracle(name string, client *gtm.Client) *tso.Oracle {
+	oracle := tso.New(name, clock.NewNode(clock.DefaultNodeConfig(), clock.Real(), r.device), client)
+	oracle.SetMode(ts.ModeGClock)
+	return oracle
 }
 
 func newGeoRig(t *testing.T) *geoRig {
@@ -46,6 +56,7 @@ func newGeoRig(t *testing.T) *geoRig {
 	r := &geoRig{net: n, routing: NewRouting(len(geoRegions)), device: clock.NewDevice("all", clock.Real())}
 	for shard, region := range geoRegions {
 		p := datanode.NewPrimary(n, fmt.Sprintf("dn%d", shard), region, shard, repl.Async, 1)
+		p.SetOracle(r.gclockOracle(p.ID(), nil))
 		r.primaries = append(r.primaries, p)
 		r.routing.SetPrimary(shard, p.ID())
 	}
@@ -57,8 +68,7 @@ func newGeoRig(t *testing.T) *geoRig {
 func (r *geoRig) cn(t *testing.T, region string) *CN {
 	t.Helper()
 	r.seq++
-	oracle := tso.New("cn-"+region, clock.NewNode(clock.DefaultNodeConfig(), clock.Real(), r.device), gtm.NewClient(r.net, region))
-	oracle.SetMode(ts.ModeGClock)
+	oracle := r.gclockOracle("cn-"+region, gtm.NewClient(r.net, region))
 	cn := New(DefaultConfig(), oracle.Name(), region, r.seq, datanode.NewClient(r.net, region), oracle, r.routing, table.NewCatalog())
 	tr := ror.NewTracker()
 	for shard, p := range r.primaries {
@@ -304,23 +314,53 @@ func TestCrossRegionMessagesPerTransaction(t *testing.T) {
 	seed(t, xian, 0, 2)
 	wan := func(from, to string) int64 { return r.net.LinkStats(from, to).Messages }
 
-	t.Run("remote read-modify-write", func(t *testing.T) {
-		before := wan("xian", "dongguan")
-		txn := begin(t, xian)
-		v, found, err := txn.Get(bg, 2, gkey(2, 1))
-		if err != nil || !found {
-			t.Fatalf("read: %v %v", found, err)
+	// A remote read-modify-write costs its read plus one message under
+	// GClock — the primary's clock issues the commit timestamp — and plus two
+	// when the primary's oracle is in DUAL or GTM mode: the same request, the
+	// same handler, which then stops after PENDING COMMIT and leaves the
+	// timestamp to the CN.
+	for _, tc := range []struct {
+		primaryMode ts.Mode
+		want        int64
+		shape       string
+	}{
+		{ts.ModeGClock, 2, "Read, Write+Commit"},
+		{ts.ModeDUAL, 3, "Read, Write+Pending, Commit"},
+		{ts.ModeGTM, 3, "Read, Write+Pending, Commit"},
+	} {
+		name := "remote read-modify-write"
+		if tc.primaryMode != ts.ModeGClock {
+			name += ", primary in " + tc.primaryMode.String()
 		}
-		if err := txn.Put(bg, 2, gkey(2, 1), append(v, '+')); err != nil {
-			t.Fatal(err)
-		}
-		if err := txn.Commit(bg); err != nil {
-			t.Fatal(err)
-		}
-		if got := wan("xian", "dongguan") - before; got != 3 {
-			t.Fatalf("%d cross-region messages, want 3 (Read, Write+Pending, Commit)", got)
-		}
-	})
+		t.Run(name, func(t *testing.T) {
+			r.primaries[2].Oracle().SetMode(tc.primaryMode)
+			defer r.primaries[2].Oracle().SetMode(ts.ModeGClock)
+			before := wan("xian", "dongguan")
+			txn := begin(t, xian)
+			v, found, err := txn.Get(bg, 2, gkey(2, 1))
+			if err != nil || !found {
+				t.Fatalf("read: %v %v", found, err)
+			}
+			if err := txn.Put(bg, 2, gkey(2, 1), append(v, '+')); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Commit(bg); err != nil {
+				t.Fatal(err)
+			}
+			if got := wan("xian", "dongguan") - before; got != tc.want {
+				t.Fatalf("%d cross-region messages, want %d (%s)", got, tc.want, tc.shape)
+			}
+			if vs := r.primaries[2].Store().Versions(gkey(2, 1)); len(vs) == 0 || vs[0].CommitTS != txn.CommitTS() || txn.CommitTS() == 0 {
+				t.Fatalf("committed versions %v, transaction reports %v", vs, txn.CommitTS())
+			}
+			if lower := xian.Oracle().Clock().Now().Lower(); lower <= txn.CommitTS() {
+				t.Fatalf("acked with the CN clock at %v, not past the commit timestamp %v", lower, txn.CommitTS())
+			}
+			if n := r.unresolved(2); n != 0 {
+				t.Fatalf("remote shard left %d transactions unresolved", n)
+			}
+		})
+	}
 
 	t.Run("home+remote two-phase commit", func(t *testing.T) {
 		release := make(chan struct{})
@@ -397,6 +437,76 @@ func TestCrossRegionMessagesPerTransaction(t *testing.T) {
 		}
 		close(release)
 		xian.Quiesce()
+	})
+}
+
+// TestThenCommitOnlyUnderGClock pins when a coordinator delegates the commit
+// timestamp to the primary and what it leaves behind to tell: only with its
+// own oracle in GClock mode and for a transaction that did not begin under
+// GTM; the counter and the commit span name the path that ran.
+func TestThenCommitOnlyUnderGClock(t *testing.T) {
+	r := newGeoRig(t)
+	xian := r.cn(t, "xian")
+	wan := func(from, to string) int64 { return r.net.LinkStats(from, to).Messages }
+
+	t.Run("a CN outside GClock mode does not delegate", func(t *testing.T) {
+		// The primary would issue; the CN's own mode says the cluster is in
+		// transition, so the timestamp comes from the GTM server as before.
+		xian.Oracle().SetMode(ts.ModeDUAL)
+		defer xian.Oracle().SetMode(ts.ModeGClock)
+		before, oneMsg := wan("xian", "dongguan"), metricOneMsgCommits.Value()
+		txn := begin(t, xian)
+		txn.Put(bg, 2, gkey(2, 2), []byte("dual"))
+		if err := txn.Commit(bg); err != nil {
+			t.Fatal(err)
+		}
+		if got := wan("xian", "dongguan") - before; got != 2 {
+			t.Fatalf("%d cross-region messages, want 2 (Write+Pending, Commit)", got)
+		}
+		if got := metricOneMsgCommits.Value() - oneMsg; got != 0 {
+			t.Fatalf("one-message commit counter moved by %d on the two-message path", got)
+		}
+	})
+
+	t.Run("a GTM-begun transaction still aborts after the switch", func(t *testing.T) {
+		xian.Oracle().SetMode(ts.ModeGTM)
+		txn := begin(t, xian)
+		xian.Oracle().SetMode(ts.ModeGClock)
+		txn.Put(bg, 2, gkey(2, 3), []byte("stale"))
+		if err := txn.Commit(bg); !errors.Is(err, gtm.ErrOldModeAborted) {
+			t.Fatalf("commit of a GTM-begun transaction on a GClock node: %v, want Fig. 2's abort", err)
+		}
+		if n := r.unresolved(2); n != 0 {
+			t.Fatalf("aborted transaction left %d unresolved on the remote shard", n)
+		}
+		if vs := r.primaries[2].Store().Versions(gkey(2, 3)); len(vs) != 0 {
+			t.Fatalf("aborted write committed: %v", vs)
+		}
+	})
+
+	t.Run("the commit span and counter say which path ran", func(t *testing.T) {
+		commit := func() string {
+			trace := obs.NewTrace("test")
+			txn := begin(t, xian)
+			txn.Put(bg, 2, gkey(2, 4), []byte("traced"))
+			if err := txn.Commit(obs.WithSpan(bg, trace.Root())); err != nil {
+				t.Fatal(err)
+			}
+			trace.Root().End()
+			return strings.Join(trace.Render(), "\n")
+		}
+		oneMsg := metricOneMsgCommits.Value()
+		if out := commit(); !strings.Contains(out, "path=one-message floor-bump=") {
+			t.Fatalf("commit span of a one-message commit:\n%s", out)
+		}
+		if got := metricOneMsgCommits.Value() - oneMsg; got != 1 {
+			t.Fatalf("one-message commit counter moved by %d, want 1", got)
+		}
+		r.primaries[2].Oracle().SetMode(ts.ModeGTM)
+		defer r.primaries[2].Oracle().SetMode(ts.ModeGClock)
+		if out := commit(); !strings.Contains(out, "path=two-message") {
+			t.Fatalf("commit span of a two-message commit:\n%s", out)
+		}
 	})
 }
 

@@ -26,6 +26,7 @@ import (
 	"globaldb/internal/repl"
 	"globaldb/internal/storage/mvcc"
 	"globaldb/internal/ts"
+	"globaldb/internal/tso"
 	"globaldb/internal/wal"
 )
 
@@ -63,9 +64,25 @@ type (
 		// synchronously before acking the client); it is logged with the
 		// prepare record so recovery can ask the right node for the outcome.
 		Anchor string
+		// Sync (ThenCommit) forces a replica-quorum wait before the ack, as
+		// CommitReq.Sync does.
+		Sync bool
 	}
 	// WriteResp acknowledges staged intents (and the Then step).
-	WriteResp struct{}
+	WriteResp struct {
+		// CommitTS is the commit timestamp the primary issued from its own
+		// clock for a ThenCommit; by the time the response leaves, the commit
+		// is applied, durable and replicated as CommitReq's ack promises. The
+		// coordinator still owes the commit wait before it acks its client.
+		// Zero — always for the other steps, and for a ThenCommit whose
+		// primary is not in GClock mode — means the transaction is staged
+		// and, for ThenCommit and ThenPending, pending: the coordinator
+		// fetches the timestamp and sends CommitReq.
+		CommitTS ts.Timestamp
+		// FloorBump is how far the commit watermark pushed CommitTS past the
+		// primary's clock reading (see ThenCommit); zero when the clock won.
+		FloorBump time.Duration
+	}
 
 	// ReadReq is a point read at a snapshot.
 	ReadReq struct {
@@ -219,6 +236,28 @@ const (
 	// ThenPrepare is 2PC phase one: mark prepared, log the PREPARE record
 	// with the anchor, and ack only once it is durable.
 	ThenPrepare
+	// ThenCommit finishes a single-shard transaction in this one message
+	// when the primary is in GClock mode (Sec. III: a synchronized clock
+	// where the data is). Still under the same mutex hold, and only after
+	// the transaction is marked pending and its PENDING COMMIT record is in
+	// the batch (Sec. IV-A), the primary reads a commit timestamp from its
+	// own oracle, applies the commit and logs COMMIT — the record sequence
+	// Write, Pending and Commit messages produce — then acks as CommitReq
+	// does and returns the timestamp in WriteResp.CommitTS.
+	//
+	// The timestamp is max(Tclock + Terr, LastCommitTS + 1). The second term
+	// is the watermark floor: heartbeat and DDL timestamps come from a CN's
+	// clock without a commit wait, so one may sit in this log up to twice
+	// the error bound ahead of true time, and a replica that replayed it
+	// reports the shard complete up to it. A commit below it could be
+	// skipped by an RCP snapshot; the handlers that advance the watermark
+	// hold the same mutex, so the floor is exact.
+	//
+	// With the primary's oracle in GTM or DUAL mode, or none wired, the step
+	// stops after PENDING COMMIT — it is ThenPending — and WriteResp.CommitTS
+	// is zero: the paper's centralized mode, in which the coordinator fetches
+	// the timestamp and sends CommitReq.
+	ThenCommit
 )
 
 // ErrBadRequest is returned for unknown payload types.
@@ -258,6 +297,10 @@ type Primary struct {
 	// the handler parks on the writer's group-commit watermark before
 	// responding. Atomic because AttachWAL may race in-flight requests.
 	walW atomic.Pointer[wal.Writer]
+
+	// oracle, when set by SetOracle, issues ThenCommit's timestamps from
+	// this node's own synchronized clock. Atomic for the same reason.
+	oracle atomic.Pointer[tso.Oracle]
 
 	// 2PC bookkeeping for recovery. inDoubt holds prepared-but-unresolved
 	// transactions with their anchor; outcomes caches resolved 2PC
@@ -370,6 +413,18 @@ func (p *Primary) AttachWALOptions(opts wal.Options, archiveBatch int) (*wal.Arc
 // stats and durability waits.
 func (p *Primary) WAL() *wal.Writer { return p.walW.Load() }
 
+// SetOracle gives the primary a timestamp oracle over its own node clock —
+// one synchronized to its region's time device and registered with the
+// transition controller like a CN's — which lets it finish ThenCommit
+// requests itself while that oracle is in GClock mode. Every way of building
+// a primary (new, promoted, recovered) starts without one and commits in two
+// messages until it is set. The oracle is only ever asked to IssueAbove, so
+// it needs no GTM client.
+func (p *Primary) SetOracle(o *tso.Oracle) { p.oracle.Store(o) }
+
+// Oracle returns the oracle set by SetOracle, or nil.
+func (p *Primary) Oracle() *tso.Oracle { return p.oracle.Load() }
+
 // RecoverPrimary rebuilds a crashed primary from its WAL directory: the
 // surviving redo stream is replayed into a fresh store (the same replay
 // path replicas use), the in-memory log is re-seeded with identical LSNs so
@@ -445,10 +500,11 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 	defer p.inflight.Add(-1)
 	switch req := m.Payload.(type) {
 	case WriteReq:
-		if err := p.execWrite(ctx, req); err != nil {
+		resp, err := p.execWrite(ctx, req)
+		if err != nil {
 			return netsim.Message{}, err
 		}
-		return netsim.Message{Payload: WriteResp{}, Size: 8}, nil
+		return netsim.Message{Payload: resp, Size: 24}, nil
 	case ReadReq:
 		v, found, err := p.store.Get(ctx, req.Key, req.SnapTS, mvcc.TxnID(req.Txn))
 		if err != nil {
@@ -542,13 +598,15 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 // execWrite is the one "stage then mark" path: it stages req's ops as
 // intents and, when all of them staged, applies req.Then — everything under
 // a single hold of p.mu, so the log reads heap records then the PENDING
-// COMMIT / PREPARE record with nothing of another transaction's in between.
-// A staging failure (write-write conflict) leaves the already-staged intents
-// logged and the transaction unmarked; the coordinator aborts it.
-func (p *Primary) execWrite(ctx context.Context, req WriteReq) error {
+// COMMIT / PREPARE record (then, for a ThenCommit this node can finish, the
+// COMMIT record) with nothing of another transaction's in between. A staging
+// failure (write-write conflict) leaves the already-staged intents logged and
+// the transaction unmarked; the coordinator aborts it.
+func (p *Primary) execWrite(ctx context.Context, req WriteReq) (WriteResp, error) {
 	p.mu.Lock()
 	txn := mvcc.TxnID(req.Txn)
-	recs := make([]redo.Record, 0, len(req.Ops)+1)
+	recs := make([]redo.Record, 0, len(req.Ops)+2)
+	var resp WriteResp
 	var err error
 	for _, op := range req.Ops {
 		if op.Delete {
@@ -565,9 +623,21 @@ func (p *Primary) execWrite(ctx context.Context, req WriteReq) error {
 	}
 	if err == nil {
 		switch req.Then {
-		case ThenPending:
-			if err = p.store.MarkPending(txn); err == nil {
-				recs = append(recs, redo.Record{Type: redo.TypePendingCommit, Txn: req.Txn})
+		case ThenPending, ThenCommit:
+			if err = p.store.MarkPending(txn); err != nil {
+				break
+			}
+			recs = append(recs, redo.Record{Type: redo.TypePendingCommit, Txn: req.Txn})
+			if o := p.oracle.Load(); req.Then == ThenCommit && o != nil {
+				// Only now, with the transaction pending and its record in the
+				// batch, is the timestamp read (Sec. IV-A) — above everything
+				// this log already holds (the watermark floor).
+				if t, bump, ok := o.IssueAbove(p.store.LastCommitTS()); ok {
+					if err = p.store.Commit(txn, t); err == nil {
+						recs = append(recs, redo.Record{Type: redo.TypeCommit, Txn: req.Txn, TS: t})
+						resp = WriteResp{CommitTS: t, FloorBump: bump}
+					}
+				}
 			}
 		case ThenPrepare:
 			if err = p.store.MarkPrepared(txn); err == nil {
@@ -581,14 +651,20 @@ func (p *Primary) execWrite(ctx context.Context, req WriteReq) error {
 		lsn = p.log.AppendBatch(recs)
 	}
 	p.mu.Unlock()
-	if err != nil || req.Then != ThenPrepare {
-		return err
+	switch {
+	case err != nil:
+		return WriteResp{}, err
+	case req.Then == ThenPrepare:
+		p.trackPrepared(req.Txn, req.Anchor)
+		// A prepare ack is a durability promise: after it, only the anchor's
+		// decision may abort the txn — a crash must not. One WAL wait covers
+		// the heap records and the prepare record alike.
+		return resp, p.waitWAL(ctx, lsn)
+	case resp.CommitTS != 0:
+		// One wait covers the heap records, PENDING COMMIT and COMMIT.
+		return resp, p.waitAcked(ctx, lsn, req.Sync)
 	}
-	p.trackPrepared(req.Txn, req.Anchor)
-	// A prepare ack is a durability promise: after it, only the anchor's
-	// decision may abort the txn — a crash must not. One WAL wait covers the
-	// heap records and the prepare record alike.
-	return p.waitWAL(ctx, lsn)
+	return resp, nil
 }
 
 // commit applies the commit and, under synchronous replication (cluster
@@ -608,9 +684,15 @@ func (p *Primary) commit(ctx context.Context, txn uint64, commitTS ts.Timestamp,
 	if typ == redo.TypeCommitPrepared {
 		p.resolveTxn(txn, true, commitTS)
 	}
-	// Local WAL durability first (the group-commit wait), then replication.
-	// The wait runs outside p.mu so other commits append into the same
-	// fsync group while this one parks.
+	return p.waitAcked(ctx, lsn, sync)
+}
+
+// waitAcked parks until the commit record at lsn may be acknowledged: local
+// WAL durability first (the group-commit wait), then replication — the
+// quorum when sync, else whatever the cluster's mode requires. It runs
+// outside p.mu so other commits append into the same fsync group while this
+// one parks.
+func (p *Primary) waitAcked(ctx context.Context, lsn uint64, sync bool) error {
 	if err := p.waitWAL(ctx, lsn); err != nil {
 		return err
 	}
@@ -760,15 +842,32 @@ func (c *Client) call(ctx context.Context, node string, payload any, size int) (
 	return resp.Payload, nil
 }
 
+// write sends one WriteReq to node.
+func (c *Client) write(ctx context.Context, node string, req WriteReq) (WriteResp, error) {
+	size := 24 + len(req.Anchor)
+	for _, op := range req.Ops {
+		size += op.size()
+	}
+	p, err := c.call(ctx, node, req, size)
+	if err != nil {
+		return WriteResp{}, err
+	}
+	return p.(WriteResp), nil
+}
+
 // WriteThen stages ops on node for txn and applies then in the same message
 // (see WriteReq); anchor is recorded with a ThenPrepare.
 func (c *Client) WriteThen(ctx context.Context, node string, txn uint64, snap ts.Timestamp, ops []WriteOp, then WriteThen, anchor string) error {
-	size := 24 + len(anchor)
-	for _, op := range ops {
-		size += op.size()
-	}
-	_, err := c.call(ctx, node, WriteReq{Txn: txn, SnapTS: snap, Ops: ops, Then: then, Anchor: anchor}, size)
+	_, err := c.write(ctx, node, WriteReq{Txn: txn, SnapTS: snap, Ops: ops, Then: then, Anchor: anchor})
 	return err
+}
+
+// WriteCommit stages ops on node for txn and asks the primary to finish the
+// single-shard commit in the same message (ThenCommit); sync as in Commit. A
+// zero WriteResp.CommitTS means the primary left the transaction pending and
+// the caller owes it a timestamp and a Commit.
+func (c *Client) WriteCommit(ctx context.Context, node string, txn uint64, snap ts.Timestamp, ops []WriteOp, sync bool) (WriteResp, error) {
+	return c.write(ctx, node, WriteReq{Txn: txn, SnapTS: snap, Ops: ops, Then: ThenCommit, Sync: sync})
 }
 
 // Write stages ops on node for txn.

@@ -21,6 +21,11 @@ const (
 	// MetricDecideLatency is the decision-durability step: the synchronous
 	// anchor commit that gates the client ack.
 	MetricDecideLatency = "cn_2pc_decide_seconds"
+	// MetricOneMessageCommits counts single-shard commits finished in the
+	// one message that carried their writes: the shard primary, in GClock
+	// mode, issued the commit timestamp from its own clock. Single-shard
+	// commits outside this count took a second message (GTM/DUAL mode).
+	MetricOneMessageCommits = "cn_commit_one_message_total"
 	// MetricAsyncResolves counts commits whose phase two completed in the
 	// background after the client was acked.
 	MetricAsyncResolves = "cn_2pc_async_resolves_total"
@@ -38,6 +43,10 @@ type CommitPathSnapshot struct {
 	// Commits and latency quantiles from the CN commit histogram.
 	Commits                          int64
 	CommitP50, CommitP95, CommitMean time.Duration
+
+	// OneMessageCommits is how many of Commits were single-shard commits
+	// the primary finished in one message (GClock mode).
+	OneMessageCommits int64
 
 	// 2PC phase counters.
 	AsyncResolves   int64
@@ -60,19 +69,20 @@ type CommitPathSnapshot struct {
 func ReadCommitPath(reg *obs.Registry) CommitPathSnapshot {
 	h := reg.Histogram(MetricCommitLatency).Snapshot()
 	return CommitPathSnapshot{
-		Commits:          h.Count,
-		CommitP50:        h.P50(),
-		CommitP95:        h.P95(),
-		CommitMean:       h.Mean(),
-		AsyncResolves:    reg.Counter(MetricAsyncResolves).Value(),
-		ResolveFailures:  reg.Counter(MetricResolveFailures).Value(),
-		Fsyncs:           reg.Counter(wal.MetricFsyncs).Value(),
-		GroupCommits:     reg.Counter(wal.MetricGroupCommits).Value(),
-		GroupedCommits:   reg.Counter(wal.MetricGroupedCommits).Value(),
-		FsyncsSaved:      reg.Counter(wal.MetricFsyncsSaved).Value(),
-		ReplBatches:      reg.Counter(repl.MetricBatches).Value(),
-		ReplRecords:      reg.Counter(repl.MetricRecords).Value(),
-		ReplSendFailures: reg.Counter(repl.MetricSendFailures).Value(),
+		Commits:           h.Count,
+		CommitP50:         h.P50(),
+		CommitP95:         h.P95(),
+		CommitMean:        h.Mean(),
+		OneMessageCommits: reg.Counter(MetricOneMessageCommits).Value(),
+		AsyncResolves:     reg.Counter(MetricAsyncResolves).Value(),
+		ResolveFailures:   reg.Counter(MetricResolveFailures).Value(),
+		Fsyncs:            reg.Counter(wal.MetricFsyncs).Value(),
+		GroupCommits:      reg.Counter(wal.MetricGroupCommits).Value(),
+		GroupedCommits:    reg.Counter(wal.MetricGroupedCommits).Value(),
+		FsyncsSaved:       reg.Counter(wal.MetricFsyncsSaved).Value(),
+		ReplBatches:       reg.Counter(repl.MetricBatches).Value(),
+		ReplRecords:       reg.Counter(repl.MetricRecords).Value(),
+		ReplSendFailures:  reg.Counter(repl.MetricSendFailures).Value(),
 	}
 }
 
@@ -82,6 +92,7 @@ func ReadCommitPath(reg *obs.Registry) CommitPathSnapshot {
 func (s CommitPathSnapshot) Sub(o CommitPathSnapshot) CommitPathSnapshot {
 	out := s
 	out.Commits -= o.Commits
+	out.OneMessageCommits -= o.OneMessageCommits
 	out.AsyncResolves -= o.AsyncResolves
 	out.ResolveFailures -= o.ResolveFailures
 	out.Fsyncs -= o.Fsyncs
@@ -107,8 +118,8 @@ func (s CommitPathSnapshot) FsyncsPerCommit() float64 {
 // per write-path layer, for the CLI stats surfaces.
 func (s CommitPathSnapshot) Format() []string {
 	lines := []string{
-		fmt.Sprintf("commits: n=%d p50=%v p95=%v mean=%v",
-			s.Commits, s.CommitP50.Round(time.Microsecond),
+		fmt.Sprintf("commits: n=%d one-message=%d p50=%v p95=%v mean=%v",
+			s.Commits, s.OneMessageCommits, s.CommitP50.Round(time.Microsecond),
 			s.CommitP95.Round(time.Microsecond), s.CommitMean.Round(time.Microsecond)),
 		fmt.Sprintf("2pc:     async-resolved=%d resolve-failures=%d",
 			s.AsyncResolves, s.ResolveFailures),

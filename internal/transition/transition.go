@@ -12,13 +12,16 @@ package transition
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"globaldb/internal/gtm"
 	"globaldb/internal/ts"
 )
 
-// Node is a computing node's view the controller manipulates: its oracle.
+// Node is the view of a timestamp-issuing node the controller manipulates:
+// the oracle of a computing node, or of a shard primary, which issues
+// single-shard commit timestamps from its own clock under GClock.
 type Node interface {
 	// Name identifies the node in errors and logs.
 	Name() string
@@ -37,7 +40,14 @@ type Node interface {
 // Controller drives transitions over one GTM server and a set of nodes.
 type Controller struct {
 	server *gtm.Server
-	nodes  []Node
+
+	// mu serializes transitions with each other and with membership
+	// changes: a transition holds it from its first mode switch to its last,
+	// DUAL dwell included, so a node can neither join half-way through the
+	// protocol nor miss its final switch. Transitions are rare operator
+	// actions; Replace waiting one out is the intended behaviour.
+	mu    sync.Mutex
+	nodes []Node
 
 	// Sleep is injectable for tests; defaults to a context-aware sleep.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -71,6 +81,29 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// Replace swaps old for fresh in the controller's node set — a shard primary
+// that was promoted, moved or recovered comes with a new clock. old is
+// retired first: switched to DUAL, where it can issue nothing more, and its
+// clock state reported to the server, so the floor of a later GClock→GTM
+// transition still covers every timestamp it handed out even though nobody
+// will ask it again. fresh joins in the server's current mode.
+func (c *Controller) Replace(old, fresh Node) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old.SetMode(ts.ModeDUAL)
+	if _, err := c.server.Handle(gtm.Request{Mode: ts.ModeGClock, GClock: old.ClockState(), Report: true}); err != nil {
+		return fmt.Errorf("transition: retiring %s: %w", old.Name(), err)
+	}
+	fresh.SetMode(c.server.Mode())
+	for i, n := range c.nodes {
+		if n == old {
+			c.nodes[i] = fresh
+			return nil
+		}
+	}
+	return fmt.Errorf("transition: %s is not a node of this controller", old.Name())
+}
+
 // ToGClock performs the GTM→GClock transition of Fig. 2:
 //
 //  1. Switch the GTM server to DUAL mode. From now on it tracks the largest
@@ -83,6 +116,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 //  4. Switch the server to GClock mode (old GTM transactions now abort),
 //     then switch every node.
 func (c *Controller) ToGClock(ctx context.Context) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.server.Mode() == ts.ModeGClock {
 		return nil
 	}
@@ -121,6 +156,8 @@ func (c *Controller) ToGClock(ctx context.Context) error {
 //  2. Switch each node to DUAL, reporting its largest issued timestamp.
 //  3. Switch the server to GTM (TS_GTM := TSMax + 1), then every node.
 func (c *Controller) ToGTM(ctx context.Context) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.server.Mode() == ts.ModeGTM {
 		return nil
 	}

@@ -310,3 +310,47 @@ func TestTransitionCancelable(t *testing.T) {
 		t.Fatalf("want deadline error, got %v", err)
 	}
 }
+
+// TestTransitionReplaceNode: a retired node stops issuing, the timestamps it
+// handed out — including one far ahead of any live clock, as a floor bump or
+// a failed device produces — are floored over by a later ToGTM that never
+// asks it, and its replacement joins in the current mode and follows later
+// transitions.
+func TestTransitionReplaceNode(t *testing.T) {
+	r := newRig(t, 2)
+	if err := r.ctl.ToGClock(bg); err != nil {
+		t.Fatal(err)
+	}
+	old := r.oracles[1]
+	ahead, _, ok := old.IssueAbove(ts.FromTime(time.Now().Add(time.Minute)))
+	if !ok {
+		t.Fatal("node in GClock mode issued nothing")
+	}
+	dev := clock.NewDevice("r", clock.Real())
+	fresh := tso.New("fresh", clock.NewNode(clock.DefaultNodeConfig(), clock.Real(), dev), nil)
+	if err := r.ctl.Replace(old, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := old.IssueAbove(0); ok {
+		t.Fatal("retired node still issues timestamps")
+	}
+	if fresh.Mode() != ts.ModeGClock {
+		t.Fatalf("replacement joined in %v mode, want the server's GClock", fresh.Mode())
+	}
+	if err := r.ctl.Replace(old, fresh); err == nil {
+		t.Fatal("replacing a node the controller no longer has must fail")
+	}
+	if err := r.ctl.ToGTM(bg); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Mode() != ts.ModeGTM {
+		t.Fatalf("replacement did not follow the transition: %v", fresh.Mode())
+	}
+	b, err := r.oracles[0].Begin(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Snap <= ahead {
+		t.Fatalf("first GTM timestamp %v is not above %v, issued by the retired node", b.Snap, ahead)
+	}
+}

@@ -1,5 +1,7 @@
 // Package tso implements the timestamp oracle each computing node uses to
-// begin and commit transactions.
+// begin and commit transactions — and each shard primary uses, under GClock,
+// to issue a single-shard transaction's commit timestamp on the computing
+// node's behalf (IssueAbove there, Adopt back at the computing node).
 //
 // The oracle dispatches on the node's transaction management mode (Sec. III):
 //
@@ -45,7 +47,8 @@ type TxnTS struct {
 	Mode ts.Mode
 }
 
-// Oracle issues timestamps on one computing node.
+// Oracle issues timestamps on one node: a computing node, or a shard primary
+// (which only ever calls IssueAbove and may be built without a GTM client).
 type Oracle struct {
 	name  string
 	clock *clock.Node
@@ -60,7 +63,8 @@ type Oracle struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// New returns an oracle in GTM mode.
+// New returns an oracle in GTM mode. client may be nil for a node that never
+// calls Begin or Commit and never reports.
 func New(name string, clk *clock.Node, client *gtm.Client) *Oracle {
 	return &Oracle{name: name, clock: clk, gtm: client, mode: ts.ModeGTM, sleep: sleepCtx}
 }
@@ -120,26 +124,53 @@ func (o *Oracle) ClockState() ts.Interval {
 // Clock exposes the node clock (health checks, commit waits in tests).
 func (o *Oracle) Clock() *clock.Node { return o.clock }
 
-// issueLocal atomically reads the mode and, if it is GClock, issues a local
-// timestamp. ok is false when the mode is not GClock.
-func (o *Oracle) issueLocal() (t ts.Timestamp, errBound time.Duration, mode ts.Mode, ok bool) {
-	iv := o.clock.Now()
+// issueLocal atomically reads the mode and, if it is GClock, issues the
+// local timestamp Tclock + Terr, raised to floor+1 when the clock has not
+// passed floor yet. iv is the clock reading it was issued from. ok is false
+// when the mode is not GClock.
+func (o *Oracle) issueLocal(floor ts.Timestamp) (t ts.Timestamp, iv ts.Interval, ok bool) {
+	iv = o.clock.Now()
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.mode != ts.ModeGClock {
-		return 0, 0, o.mode, false
+		return 0, iv, false
 	}
 	t = iv.Upper()
+	if t <= floor {
+		t = floor + 1
+	}
 	if t > o.maxIssued {
 		o.maxIssued = t
 	}
-	return t, iv.Err, ts.ModeGClock, true
+	return t, iv, true
+}
+
+// IssueAbove issues a commit timestamp strictly above floor: Tclock + Terr,
+// or floor+1 when that is larger; bump is how far the floor pushed it past
+// the clock (zero when the clock won). ok is false, and nothing is issued,
+// unless the node is in GClock mode.
+//
+// It is the entry point of a node that commits on a coordinator's behalf: a
+// shard primary finishing a single-shard transaction reads its own
+// synchronized clock where the data is (Sec. III) instead of waiting for a
+// second message carrying a reading of the coordinator's. The floor is the
+// primary's commit watermark — timestamps already logged there that came
+// from other clocks (heartbeats, DDL, 2PC decisions) and that this clock may
+// trail by up to its error bound. The issued value, bump included, is
+// recorded under the same lock as the mode check, so ClockState() covers it
+// the way it covers Begin's and Commit's.
+func (o *Oracle) IssueAbove(floor ts.Timestamp) (t ts.Timestamp, bump time.Duration, ok bool) {
+	t, iv, ok := o.issueLocal(floor)
+	if !ok {
+		return 0, 0, false
+	}
+	return t, t.Sub(iv.Upper()), true
 }
 
 // Begin obtains an invocation timestamp under the node's current mode,
 // performing the mode's invocation wait.
 func (o *Oracle) Begin(ctx context.Context) (TxnTS, error) {
-	if t, _, _, ok := o.issueLocal(); ok {
+	if t, _, ok := o.issueLocal(0); ok {
 		// "Invocation: wait until Tclock > TS_GClock and begin" — by the
 		// time work starts, true time has passed the snapshot, making
 		// concurrent writers' eventual commit timestamps exceed it.
@@ -161,7 +192,7 @@ func (o *Oracle) Begin(ctx context.Context) (TxnTS, error) {
 // floor (the "single shard queries bypass this wait by using the node's last
 // committed transaction timestamp" fast path of Sec. III).
 func (o *Oracle) SnapshotNoWait() TxnTS {
-	if t, _, _, ok := o.issueLocal(); ok {
+	if t, _, ok := o.issueLocal(0); ok {
 		return TxnTS{Snap: t, Mode: ts.ModeGClock}
 	}
 	// Centralized modes have no local clock notion; the caller falls back
@@ -177,18 +208,11 @@ func (o *Oracle) SnapshotNoWait() TxnTS {
 // It returns gtm.ErrOldModeAborted when a GTM-mode transaction reaches
 // commit after the node has switched to GClock (Fig. 2's abort rule).
 func (o *Oracle) Commit(ctx context.Context, beginMode ts.Mode) (ts.Timestamp, func(context.Context) error, error) {
-	if t, errBound, _, ok := o.issueLocal(); ok {
+	if t, iv, ok := o.issueLocal(0); ok {
 		if beginMode == ts.ModeGTM {
 			return 0, nil, gtm.ErrOldModeAborted
 		}
-		if o.reporting.Load() {
-			// One-way advisory report; never blocks the commit path.
-			go func() {
-				rctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				_ = o.gtm.Report(rctx, ts.Interval{Clock: t, Err: errBound})
-			}()
-		}
+		o.report(t, iv.Err)
 		finish := func(fctx context.Context) error { return o.clock.WaitUntilAfter(fctx, t) }
 		return t, finish, nil
 	}
@@ -204,6 +228,31 @@ func (o *Oracle) Commit(ctx context.Context, beginMode ts.Mode) (ts.Timestamp, f
 		return 0, nil, err
 	}
 	return resp.TS, func(context.Context) error { return nil }, nil
+}
+
+// Adopt finishes, on this node, a commit whose timestamp t another node's
+// oracle issued on its behalf (IssueAbove at the shard primary): it forwards
+// t to the GTM server when reporting is on, as Commit does for timestamps
+// issued here, and performs the commit wait against this node's own clock.
+// Like Commit's finish, it must return before the client is acknowledged.
+func (o *Oracle) Adopt(ctx context.Context, t ts.Timestamp) error {
+	// t is already an upper bound; the issuer's error bound reaches the
+	// server through the issuer's own ClockState.
+	o.report(t, 0)
+	return o.clock.WaitUntilAfter(ctx, t)
+}
+
+// report forwards a GClock commit timestamp to the GTM server while
+// reporting is on: one-way and advisory, it never blocks the commit path.
+func (o *Oracle) report(t ts.Timestamp, errBound time.Duration) {
+	if !o.reporting.Load() {
+		return
+	}
+	go func() {
+		rctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = o.gtm.Report(rctx, ts.Interval{Clock: t, Err: errBound})
+	}()
 }
 
 // callGTM performs a timestamp fetch for GTM or DUAL mode, honoring the

@@ -297,3 +297,101 @@ func TestConcurrentMixedModeClients(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestIssueAboveFloorAndModes: a delegated issuance reads the clock unless
+// the floor is ahead of it, in which case it issues floor+1 and ClockState
+// still covers the value; outside GClock mode it issues nothing.
+func TestIssueAboveFloorAndModes(t *testing.T) {
+	r := newRig(t, 1)
+	o := r.oracles[0]
+	for _, mode := range []ts.Mode{ts.ModeGTM, ts.ModeDUAL} {
+		o.SetMode(mode)
+		if got, _, ok := o.IssueAbove(0); ok || got != 0 {
+			t.Fatalf("IssueAbove in %v mode issued %v", mode, got)
+		}
+	}
+	o.SetMode(ts.ModeGClock)
+	before := o.Clock().Now()
+	got, bump, ok := o.IssueAbove(before.Lower())
+	if !ok || bump != 0 || got < before.Upper() {
+		t.Fatalf("clock ahead of the floor: issued %v bump %v ok %v, reading was %v", got, bump, ok, before)
+	}
+	floor := ts.FromTime(time.Now().Add(time.Hour))
+	got, bump, ok = o.IssueAbove(floor)
+	if !ok || got != floor+1 || bump <= 0 {
+		t.Fatalf("floor ahead of the clock: issued %v bump %v ok %v, want %v", got, bump, ok, floor+1)
+	}
+	if st := o.ClockState(); st.Upper() < got {
+		t.Fatalf("ClockState upper %v below the bumped %v", st.Upper(), got)
+	}
+}
+
+// TestTransitionVsDelegatedIssuance races IssueAbove against the switch out
+// of GClock mode: because the mode check and the issuance share the oracle's
+// lock, a ClockState read after SetMode covers every timestamp handed out
+// before it, and none is handed out after.
+func TestTransitionVsDelegatedIssuance(t *testing.T) {
+	r := newRig(t, 1)
+	o := r.oracles[0]
+	for round := 0; round < 50; round++ {
+		o.SetMode(ts.ModeGClock)
+		var wg sync.WaitGroup
+		issued := make([]ts.Timestamp, 4)
+		for g := range issued {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				floor := ts.Timestamp(0)
+				for {
+					got, _, ok := o.IssueAbove(floor)
+					if !ok {
+						return
+					}
+					issued[g], floor = got, got
+				}
+			}(g)
+		}
+		o.SetMode(ts.ModeDUAL)
+		covered := o.ClockState().Upper()
+		wg.Wait()
+		for g, got := range issued {
+			if got > covered {
+				t.Fatalf("round %d: goroutine %d was issued %v, above the post-switch ClockState %v", round, g, got, covered)
+			}
+		}
+	}
+}
+
+// TestAdoptWaitsAndReports: adopting a timestamp issued elsewhere performs
+// the commit wait on this node's clock and, while reporting is on, forwards
+// the timestamp to the GTM server.
+func TestAdoptWaitsAndReports(t *testing.T) {
+	r := newRig(t, 2)
+	issuer, cn := r.oracles[0], r.oracles[1]
+	issuer.SetMode(ts.ModeGClock)
+	cn.SetMode(ts.ModeGClock)
+	cn.SetReporting(true)
+	got, _, ok := issuer.IssueAbove(ts.FromTime(time.Now().Add(2 * time.Millisecond)))
+	if !ok {
+		t.Fatal("issuer in GClock mode issued nothing")
+	}
+	if err := cn.Adopt(bg, got); err != nil {
+		t.Fatal(err)
+	}
+	if lower := cn.Clock().Now().Lower(); lower <= got {
+		t.Fatalf("Adopt returned with the adopter's clock at %v, not past %v", lower, got)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for r.server.TSMax() < got {
+		if time.Now().After(deadline) {
+			t.Fatalf("server TSMax %v never reached the adopted %v", r.server.TSMax(), got)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cctx, cancel := context.WithCancel(bg)
+	cancel()
+	far, _, _ := issuer.IssueAbove(ts.FromTime(time.Now().Add(time.Hour)))
+	if err := cn.Adopt(cctx, far); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Adopt under a cancelled context: %v", err)
+	}
+}

@@ -32,6 +32,7 @@ type serverConn struct {
 	done  chan struct{} // closed when the statement loop exits
 	sess  *gsql.Session
 	stmts map[string]*gsql.Stmt
+	cur   stmtObs // the statement being executed, until it is accounted
 }
 
 // handle runs one connection to completion. A panic anywhere in the
@@ -222,21 +223,30 @@ func stalenessStmt(v string) (*gsql.SetStaleness, error) {
 	}
 }
 
+// stmtObs is the statement a connection is executing, for the server's
+// latency, slow-query and in-flight instrumentation.
+type stmtObs struct {
+	class, sql string
+	start      time.Time
+	pending    bool // not yet accounted
+}
+
 // observeStatement brackets one statement's execution with the server's
-// latency and in-flight instrumentation. The bookkeeping runs from a
-// defer — without recovering — so a statement that panics mid-execution
-// still observes its latency, decrements the in-flight gauge, and counts
-// toward the statement total (the handlers' own ObserveStatement call
-// never ran) before handle()'s recover answers the client; the server's
-// counters stay balanced across contained panics.
+// latency and in-flight instrumentation. The statement is accounted by
+// finish, before its final frame is flushed, so a client that has read the
+// trailer — and anyone it tells — finds the statement in Stats and the
+// slow-query log. The defer (which does not recover) is the path of a
+// statement that never reached a final frame: a write error, or a panic
+// mid-execution, which must still observe its latency, leave the in-flight
+// gauge balanced and count toward the statement total (the handlers' own
+// ObserveStatement call never ran) before handle()'s recover answers the
+// client.
 func (c *serverConn) observeStatement(sql string, fn func() error) error {
-	class := classifySQL(sql)
+	c.cur = stmtObs{class: classifySQL(sql), sql: sql, start: time.Now(), pending: true}
 	c.srv.inFlight.Inc()
-	start := time.Now()
 	completed := false
 	defer func() {
-		c.srv.inFlight.Dec()
-		c.srv.observeStatement(class, sql, time.Since(start))
+		c.accountStatement()
 		if !completed {
 			c.srv.counters.ObserveStatement(0)
 		}
@@ -244,6 +254,17 @@ func (c *serverConn) observeStatement(sql string, fn func() error) error {
 	err := fn()
 	completed = true
 	return err
+}
+
+// accountStatement records the in-flight statement's latency and takes it
+// off the in-flight gauge, once.
+func (c *serverConn) accountStatement() {
+	if !c.cur.pending {
+		return
+	}
+	c.cur.pending = false
+	c.srv.inFlight.Dec()
+	c.srv.observeStatement(c.cur.class, c.cur.sql, time.Since(c.cur.start))
 }
 
 // runStats answers the admin Stats frame with a snapshot of the server's
@@ -465,8 +486,11 @@ func (c *serverConn) flushBatch(rows [][]any) error {
 	return c.w.Flush()
 }
 
-// finish writes a response's final frame and flushes.
+// finish writes a response's final frame and flushes. A statement's final
+// frame is where the statement is accounted: before the flush, so the
+// server's counters never lag what the client has been told.
 func (c *serverConn) finish(m wire.Message) error {
+	c.accountStatement()
 	if err := c.write(m); err != nil {
 		return err
 	}

@@ -116,6 +116,56 @@ func TestServerSlowQueryLog(t *testing.T) {
 	}
 }
 
+// TestServerStatsAfterDone pins when a statement is accounted: before its
+// Done frame leaves the server. The moment one client has read Done, a Stats
+// frame on another connection must count the statement, carry its latency
+// sample and show nothing in flight, and the slow-query line must already be
+// written — accounting from a defer that ran after the flush lost that race.
+func TestServerStatsAfterDone(t *testing.T) {
+	db := newTestCluster(t)
+	var mu sync.Mutex
+	var lines []string
+	srv := startTestServer(t, db, Options{SlowQueryThreshold: time.Nanosecond, SlowQueryLog: func(line string) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, line)
+	}})
+	c := dialTest(t, srv)
+	c.hello("", "")
+	admin := dialTest(t, srv)
+	admin.hello("", "")
+	_, _, fin := c.query("CREATE TABLE sad_kv (k BIGINT, v BIGINT, PRIMARY KEY (k)) SHARD BY k")
+	c.mustDone(fin)
+
+	for i := 1; i <= 20; i++ {
+		_, _, fin = c.query("SELECT * FROM sad_kv WHERE v >= 0")
+		c.mustDone(fin)
+		admin.send(&wire.Stats{})
+		st, ok := admin.recv().(*wire.StatsResult)
+		if !ok {
+			t.Fatal("Stats did not answer a StatsResult")
+		}
+		if st.Statements != int64(i)+1 || st.InFlight != 0 {
+			t.Fatalf("after Done of select %d: Statements = %d, InFlight = %d, want %d and 0", i, st.Statements, st.InFlight, i+1)
+		}
+		var selects int64
+		for _, l := range st.Latencies {
+			if l.Type == "select" {
+				selects = l.Count
+			}
+		}
+		if selects != int64(i) {
+			t.Fatalf("after Done of select %d: %d select latency samples", i, selects)
+		}
+		mu.Lock()
+		logged := len(lines)
+		mu.Unlock()
+		if logged != i+1 {
+			t.Fatalf("after Done of select %d: %d slow-query lines, want %d", i, logged, i+1)
+		}
+	}
+}
+
 // TestServerStatsFrame round-trips the Stats admin frame over a real
 // socket: counters, the in-flight gauge, and per-statement-type latency
 // quantiles must reflect the statements this connection just ran.

@@ -135,7 +135,6 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // observeStatement records one statement's server-side latency into the
 // per-type histogram and fires the slow-query log when over threshold.
-// It is called from a defer so panicking statements are observed too.
 func (s *Server) observeStatement(class, sql string, d time.Duration) {
 	h := s.stmtHist[class]
 	if h == nil {
