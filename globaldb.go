@@ -81,7 +81,6 @@ import (
 	"globaldb/internal/cluster"
 	"globaldb/internal/coordinator"
 	"globaldb/internal/datanode"
-	"globaldb/internal/keys"
 	"globaldb/internal/placement"
 	"globaldb/internal/table"
 	"globaldb/internal/ts"
@@ -238,7 +237,7 @@ func (s *Session) Begin(ctx context.Context) (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tx{sess: s, txn: t}, nil
+	return &Tx{readCore: readCore{sess: s, src: t}, txn: t}, nil
 }
 
 // ReadOnly starts a read-only query with a staleness bound; tables names
@@ -256,7 +255,7 @@ func (s *Session) ReadOnly(ctx context.Context, bound time.Duration, tables ...s
 	if err != nil {
 		return nil, err
 	}
-	return &Query{sess: s, ro: ro}, nil
+	return &Query{readCore: readCore{sess: s, src: ro}, ro: ro}, nil
 }
 
 // schemaOf resolves a table name.
@@ -269,10 +268,12 @@ func (s *Session) shardOfRow(sch *Schema, r Row) int {
 	return s.db.c.ShardOf(r[sch.ShardBy])
 }
 
-// Tx is a read-write transaction.
+// Tx is a read-write transaction. Its reads (the embedded read core) are
+// served by shard primaries at the transaction's snapshot and observe the
+// transaction's own writes.
 type Tx struct {
-	sess *Session
-	txn  *coordinator.Txn
+	readCore
+	txn *coordinator.Txn
 }
 
 // Snapshot returns the transaction's snapshot timestamp.
@@ -398,10 +399,52 @@ func (tx *Tx) applyOps(ctx context.Context, shard int, ops []opKV) error {
 	return tx.txn.WriteBatch(ctx, shard, wops)
 }
 
-// Get fetches one row by primary key from the shard primary at the
-// transaction's snapshot, observing the transaction's own writes.
-func (tx *Tx) Get(ctx context.Context, tableName string, pkVals []any) (Row, bool, error) {
-	sch, err := tx.sess.schemaOf(tableName)
+// Commit finishes the transaction (single-shard fast path or 2PC), waiting
+// out the commit wait before returning.
+func (tx *Tx) Commit(ctx context.Context) error { return tx.txn.Commit(ctx) }
+
+// Abort rolls the transaction back.
+func (tx *Tx) Abort(ctx context.Context) error { return tx.txn.Abort(ctx) }
+
+// Query is a read-only query context. Its reads (the embedded read core) are
+// served from replicas at the RCP when the staleness bound and the DDL gate
+// allow, otherwise from shard primaries at a fresh snapshot.
+type Query struct {
+	readCore
+	ro *coordinator.ROTxn
+}
+
+// OnReplicas reports whether the query is served from replicas.
+func (q *Query) OnReplicas() bool { return q.ro.OnReplicas() }
+
+// Snapshot returns the query's snapshot timestamp.
+func (q *Query) Snapshot() ts.Timestamp { return q.ro.Snapshot() }
+
+// snapshotSource is what a read needs from the coordinator: point reads and
+// paged cursors on one shard, or on all of them, at some snapshot. The paper's
+// read-on-replica design (Sec. V) makes a replica read the same read at a
+// different snapshot source: *coordinator.Txn serves the transaction's
+// snapshot from shard primaries (observing its own writes), *coordinator.ROTxn
+// serves the RCP — or a fresh snapshot — from skyline-selected replicas.
+type snapshotSource interface {
+	Get(ctx context.Context, shard int, key []byte) ([]byte, bool, error)
+	ScanCursor(ctx context.Context, shard int, spec coordinator.ScanSpec) *coordinator.ScanCursor
+	ScanCursors(ctx context.Context, shards int, spec coordinator.ScanSpec) []coordinator.BatchCursor
+}
+
+// readCore is the typed read API — Get and the six scans — written once over
+// a snapshotSource. Tx and Query both embed it (its methods are theirs, and
+// documented as such), so they differ only in how they are constructed
+// (Session.Begin, Session.ReadOnly) and in Tx's write methods.
+type readCore struct {
+	sess *Session
+	src  snapshotSource
+}
+
+// Get fetches one row by primary key at the snapshot of the Tx or Query it is
+// called on; on a Tx it observes the transaction's own writes.
+func (c *readCore) Get(ctx context.Context, tableName string, pkVals []any) (Row, bool, error) {
+	sch, err := c.sess.schemaOf(tableName)
 	if err != nil {
 		return nil, false, err
 	}
@@ -409,8 +452,8 @@ func (tx *Tx) Get(ctx context.Context, tableName string, pkVals []any) (Row, boo
 	if err != nil {
 		return nil, false, err
 	}
-	shard := tx.sess.db.c.ShardOf(pkVals[pkPos(sch)])
-	v, found, err := tx.txn.Get(ctx, shard, key)
+	shard := c.sess.db.c.ShardOf(pkVals[pkPos(sch)])
+	v, found, err := c.src.Get(ctx, shard, key)
 	if err != nil || !found {
 		return nil, false, err
 	}
@@ -434,8 +477,8 @@ func pkPos(sch *Schema) int {
 // The prefix must include the distribution column so the scan is
 // single-shard (GaussDB's co-located scan). It drains a streaming
 // ScanPKRows iterator; limit <= 0 means no limit.
-func (tx *Tx) ScanPK(ctx context.Context, tableName string, pkPrefix []any, limit int) ([]Row, error) {
-	r, err := tx.ScanPKRows(ctx, tableName, pkPrefix, ScanOpts{Limit: limit})
+func (c *readCore) ScanPK(ctx context.Context, tableName string, pkPrefix []any, limit int) ([]Row, error) {
+	r, err := c.ScanPKRows(ctx, tableName, pkPrefix, ScanOpts{Limit: limit})
 	if err != nil {
 		return nil, err
 	}
@@ -445,8 +488,8 @@ func (tx *Tx) ScanPK(ctx context.Context, tableName string, pkPrefix []any, limi
 // ScanIndex scans a secondary index by a prefix of its columns and returns
 // the matching rows (via primary-key lookups on the same shard). It drains
 // a streaming ScanIndexRows iterator.
-func (tx *Tx) ScanIndex(ctx context.Context, tableName, indexName string, prefix []any, limit int) ([]Row, error) {
-	r, err := tx.ScanIndexRows(ctx, tableName, indexName, prefix, ScanOpts{Limit: limit})
+func (c *readCore) ScanIndex(ctx context.Context, tableName, indexName string, prefix []any, limit int) ([]Row, error) {
+	r, err := c.ScanIndexRows(ctx, tableName, indexName, prefix, ScanOpts{Limit: limit})
 	if err != nil {
 		return nil, err
 	}
@@ -456,78 +499,8 @@ func (tx *Tx) ScanIndex(ctx context.Context, tableName, indexName string, prefix
 // ScanTable scans every row of a table across all shards, in shard order
 // then key order within each shard. It is the access path of last resort
 // (an unsharded full scan); limit <= 0 means no limit.
-func (tx *Tx) ScanTable(ctx context.Context, tableName string, limit int) ([]Row, error) {
-	r, err := tx.tableRows(ctx, tableName, ScanOpts{Limit: limit}, false)
-	if err != nil {
-		return nil, err
-	}
-	return drainRows(r)
-}
-
-// Commit finishes the transaction (single-shard fast path or 2PC), waiting
-// out the commit wait before returning.
-func (tx *Tx) Commit(ctx context.Context) error { return tx.txn.Commit(ctx) }
-
-// Abort rolls the transaction back.
-func (tx *Tx) Abort(ctx context.Context) error { return tx.txn.Abort(ctx) }
-
-// Query is a read-only query context (replica reads at the RCP when the
-// bound and DDL gate allow).
-type Query struct {
-	sess *Session
-	ro   *coordinator.ROTxn
-}
-
-// OnReplicas reports whether the query is served from replicas.
-func (q *Query) OnReplicas() bool { return q.ro.OnReplicas() }
-
-// Snapshot returns the query's snapshot timestamp.
-func (q *Query) Snapshot() ts.Timestamp { return q.ro.Snapshot() }
-
-// Get fetches one row by primary key.
-func (q *Query) Get(ctx context.Context, tableName string, pkVals []any) (Row, bool, error) {
-	sch, err := q.sess.schemaOf(tableName)
-	if err != nil {
-		return nil, false, err
-	}
-	key, err := sch.PrimaryKeyFromValues(pkVals)
-	if err != nil {
-		return nil, false, err
-	}
-	shard := q.sess.db.c.ShardOf(pkVals[pkPos(sch)])
-	v, found, err := q.ro.Get(ctx, shard, key)
-	if err != nil || !found {
-		return nil, false, err
-	}
-	r, err := sch.DecodeRow(v)
-	return r, err == nil, err
-}
-
-// ScanPK scans rows by primary-key prefix, draining a streaming
-// ScanPKRows iterator.
-func (q *Query) ScanPK(ctx context.Context, tableName string, pkPrefix []any, limit int) ([]Row, error) {
-	r, err := q.ScanPKRows(ctx, tableName, pkPrefix, ScanOpts{Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	return drainRows(r)
-}
-
-// ScanIndex scans a secondary index by prefix and resolves rows, draining a
-// streaming ScanIndexRows iterator.
-func (q *Query) ScanIndex(ctx context.Context, tableName, indexName string, prefix []any, limit int) ([]Row, error) {
-	r, err := q.ScanIndexRows(ctx, tableName, indexName, prefix, ScanOpts{Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	return drainRows(r)
-}
-
-// ScanTable scans every row of a table across all shards at the query's
-// snapshot, in shard order then key order within each shard; limit <= 0
-// means no limit.
-func (q *Query) ScanTable(ctx context.Context, tableName string, limit int) ([]Row, error) {
-	r, err := q.tableRows(ctx, tableName, ScanOpts{Limit: limit}, false)
+func (c *readCore) ScanTable(ctx context.Context, tableName string, limit int) ([]Row, error) {
+	r, err := c.tableRows(ctx, tableName, ScanOpts{Limit: limit}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -564,8 +537,7 @@ func (db *DB) RowEstimate(tableName string) int64 {
 // any schema the plan resolved.
 func (db *DB) CatalogVersion() uint64 { return uint64(db.c.Catalog.MaxDDLTS()) }
 
-// Shared helpers.
-
+// indexOf resolves a table's schema and one of its secondary indexes by name.
 func indexOf(s *Session, tableName, indexName string) (*Schema, table.Index, error) {
 	sch, err := s.schemaOf(tableName)
 	if err != nil {
@@ -577,44 +549,4 @@ func indexOf(s *Session, tableName, indexName string) (*Schema, table.Index, err
 		}
 	}
 	return nil, table.Index{}, fmt.Errorf("globaldb: table %s has no index %q", tableName, indexName)
-}
-
-// pkScanBounds computes the key range and shard for a PK-prefix scan. The
-// prefix must cover the distribution column.
-func pkScanBounds(db *DB, sch *Schema, pkPrefix []any) (start, end []byte, shard int, err error) {
-	if len(pkPrefix) == 0 || len(pkPrefix) > len(sch.PK) {
-		return nil, nil, 0, fmt.Errorf("globaldb: PK prefix of %d values for %d PK columns", len(pkPrefix), len(sch.PK))
-	}
-	pos := pkPos(sch)
-	if pos >= len(pkPrefix) {
-		return nil, nil, 0, fmt.Errorf("globaldb: PK prefix must include the distribution column %s", sch.Columns[sch.ShardBy].Name)
-	}
-	start, err = sch.PrimaryKeyPrefix(pkPrefix)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return start, keys.PrefixEnd(start), db.c.ShardOf(pkPrefix[pos]), nil
-}
-
-func indexScanBounds(db *DB, sch *Schema, ix table.Index, prefix []any) (start, end []byte, shard int, err error) {
-	start, err = sch.IndexPrefix(ix, prefix)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	// The distribution column must be among the prefixed index columns so
-	// the scan is single-shard.
-	shardVal, ok := distValueFromIndexPrefix(sch, ix, prefix)
-	if !ok {
-		return nil, nil, 0, fmt.Errorf("globaldb: index scan on %s.%s must prefix the distribution column", sch.Name, ix.Name)
-	}
-	return start, keys.PrefixEnd(start), db.c.ShardOf(shardVal), nil
-}
-
-func distValueFromIndexPrefix(sch *Schema, ix table.Index, prefix []any) (any, bool) {
-	for i, col := range ix.Cols {
-		if col == sch.ShardBy && i < len(prefix) {
-			return prefix[i], true
-		}
-	}
-	return nil, false
 }

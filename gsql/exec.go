@@ -115,17 +115,9 @@ func execPushedAgg(ctx context.Context, r reader, p *boundPlan) (res *Result, ok
 	case accessFull:
 		rows, err = r.ScanTableRows(ctx, sch.Name, opts)
 	case accessPKPrefix:
-		keyVals := make([]any, len(s.keyExprs))
-		for i, e := range s.keyExprs {
-			v, evalErr := evalExpr(e, env)
-			if evalErr != nil {
-				return nil, true, evalErr
-			}
-			keyVals[i] = v
-		}
-		keyVals, err = coerceKey(sch, sch.PK[:len(keyVals)], keyVals)
-		if err != nil {
-			return nil, true, err
+		keyVals, keyErr := scanKey(s, env)
+		if keyErr != nil {
+			return nil, true, keyErr
 		}
 		rows, err = r.ScanPKRows(ctx, sch.Name, keyVals, opts)
 	default:
@@ -203,48 +195,19 @@ func finishSelect(ctx context.Context, p *boundPlan, it blockIter, orderDone boo
 		return aggregateRows(ctx, p, it)
 	}
 	out := &Result{Columns: p.outCols}
-	env := rowEnv{tables: p.tables, params: p.params}
-	var scr [2]table.Row
 	if len(p.orderBy) == 0 || orderDone {
-		var seen map[string]bool
-		if p.distinct {
-			seen = make(map[string]bool)
+		// Rows.Next is the one DISTINCT/OFFSET/LIMIT streaming loop; drain it.
+		rows := newStreamRows(ctx, p, it)
+		for rows.Next() {
+			out.Rows = append(out.Rows, rows.Row())
 		}
-		skipped := int64(0)
-	stream:
-		for p.limit < 0 || int64(len(out.Rows)) < p.limit {
-			blk, err := it.NextBlock(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if blk == nil {
-				break
-			}
-			for i, n := 0, blk.n(); i < n; i++ {
-				if p.limit >= 0 && int64(len(out.Rows)) >= p.limit {
-					break stream
-				}
-				env.rows = blk.row(i, scr[:])
-				outRow, err := projectEnv(p, &env)
-				if err != nil {
-					return nil, err
-				}
-				if seen != nil {
-					key := distinctKey(outRow)
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
-				}
-				if skipped < p.offset {
-					skipped++
-					continue
-				}
-				out.Rows = append(out.Rows, outRow)
-			}
+		if err := rows.Err(); err != nil {
+			return nil, err
 		}
 		return out, nil
 	}
+	env := rowEnv{tables: p.tables, params: p.params}
+	var scr [2]table.Row
 	// ORDER BY: with a LIMIT (and no DISTINCT, which dedups after the
 	// sort), keep only the top limit+offset rows in a bounded heap —
 	// O(N log k) comparisons and O(k) memory instead of materializing and
@@ -407,41 +370,21 @@ func scanOne(ctx context.Context, r reader, p *boundPlan, s *tableScan, outerRow
 	if outerRow != nil {
 		env.rows = []table.Row{outerRow}
 	}
-	keyVals := make([]any, len(s.keyExprs))
-	for i, e := range s.keyExprs {
-		v, err := evalExpr(e, env)
-		if err != nil {
-			return nil, err
-		}
-		keyVals[i] = v
+	keyVals, err := scanKey(s, env)
+	if err != nil {
+		return nil, err
 	}
 	name := s.tab.schema.Name
 	switch s.kind {
 	case accessPoint:
-		keyVals, err := coerceKey(s.tab.schema, s.tab.schema.PK, keyVals)
-		if err != nil {
-			return nil, err
-		}
 		row, found, err := r.Get(ctx, name, keyVals)
 		if err != nil || !found {
 			return nil, err
 		}
 		return []table.Row{row}, nil
 	case accessPKPrefix:
-		keyVals, err := coerceKey(s.tab.schema, s.tab.schema.PK[:len(keyVals)], keyVals)
-		if err != nil {
-			return nil, err
-		}
 		return r.ScanPK(ctx, name, keyVals, limit)
 	case accessIndex:
-		ix, err := findIndex(s.tab.schema, s.index)
-		if err != nil {
-			return nil, err
-		}
-		keyVals, err := coerceKey(s.tab.schema, ix.Cols[:len(keyVals)], keyVals)
-		if err != nil {
-			return nil, err
-		}
 		return r.ScanIndex(ctx, name, s.index, keyVals, limit)
 	case accessFull:
 		return r.ScanTable(ctx, name, limit)
@@ -459,18 +402,31 @@ func findIndex(sch *table.Schema, name string) (table.Index, error) {
 	return table.Index{}, fmt.Errorf("gsql: table %s has no index %q", sch.Name, name)
 }
 
-// coerceKey adapts evaluated key values to the column kinds at the given
-// positions (int64 literals bind to DOUBLE columns, etc.).
-func coerceKey(sch *table.Schema, cols []int, vals []any) ([]any, error) {
-	out := make([]any, len(vals))
-	for i, v := range vals {
-		cv, err := coerceValue(sch, cols[i], v)
+// scanKey evaluates a scan's key expressions under env and coerces each value
+// to the kind of the key column it binds (int64 literals bind to DOUBLE
+// columns, etc.): the leading primary-key columns for point and PK-prefix
+// access, the leading index columns for index access. A full scan has no key.
+func scanKey(s *tableScan, env *rowEnv) ([]any, error) {
+	sch := s.tab.schema
+	cols := sch.PK
+	if s.kind == accessIndex {
+		ix, err := findIndex(sch, s.index)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = cv
+		cols = ix.Cols
 	}
-	return out, nil
+	keyVals := make([]any, len(s.keyExprs))
+	for i, e := range s.keyExprs {
+		v, err := evalExpr(e, env)
+		if err != nil {
+			return nil, err
+		}
+		if keyVals[i], err = coerceValue(sch, cols[i], v); err != nil {
+			return nil, err
+		}
+	}
+	return keyVals, nil
 }
 
 // coerceValue converts v to the kind of the schema column, or fails.

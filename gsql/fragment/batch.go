@@ -32,9 +32,6 @@ type RowBatch struct {
 // Len returns the number of rows appended so far.
 func (b *RowBatch) Len() int { return b.n }
 
-// NumCols returns the batch's column count.
-func (b *RowBatch) NumCols() int { return len(b.kinds) }
-
 // Col returns column c's value vector (length Len). Callers must treat it
 // as read-only.
 func (b *RowBatch) Col(c int) []any { return b.cols[c] }

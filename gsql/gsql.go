@@ -376,28 +376,14 @@ func (s *Session) execShow(st *Show) (*Result, error) {
 // STALENESS or a per-statement AS OF STALENESS routes it to asynchronous
 // replicas at the RCP (read-on-replica).
 func (s *Session) execSelect(ctx context.Context, sel *Select, plan *selectPlan, params []any) (*Result, error) {
-	// root is nil when tracing is off; every span call below is then a
-	// no-op pointer compare, keeping the hot path allocation-free.
-	root := s.curTrace.Root()
-	planSp := root.Child("plan")
-	if plan == nil {
-		var err error
-		if plan, err = planSelect(s, sel); err != nil {
-			return nil, err
-		}
-	} else {
-		planSp.Tag("cached")
-	}
-	planSp.End()
-	bindSp := root.Child("bind")
-	bp, err := plan.bind(params)
-	bindSp.End()
+	bp, err := s.bindForExec(sel, plan, params)
 	if err != nil {
 		return nil, err
 	}
-	bp.noPushdown = s.pushdownOff
-	bp.joinMode = s.joinMode
 	bp.rowEst = s.db.RowEstimate
+	// root is nil when tracing is off; every span call below is then a
+	// no-op pointer compare, keeping the hot path allocation-free.
+	root := s.curTrace.Root()
 	execSp := root.Child("execute")
 	// The span rides the context into the scan cursors' prefetch
 	// goroutines (per-shard scan-page spans) and the autocommit
@@ -421,6 +407,41 @@ func (s *Session) execSelect(ctx context.Context, sel *Select, plan *selectPlan,
 	}
 	res.OnReplicas = onReplicas
 	return res, nil
+}
+
+// bindForExec plans sel unless a cached plan is supplied, binds params and
+// copies the session's execution settings (SET PUSHDOWN, SET JOIN) into the
+// bound plan. Both SELECT entry points go through it — Exec's execSelect and
+// the streaming queryRows behind Session.Query, the wire server and the
+// database/sql driver — so a setting cannot reach one and miss the other.
+//
+// rowEst is deliberately not set here: execSelect hands the catalog's row
+// estimates to the join chooser and queryRows does not. Passing them on the
+// streaming path too flips sql_front_local's join (acct JOIN grp_info, not
+// co-located, 10 inner rows against 20 000) from nested loop to hash and moves
+// that workload's read_p95_ms and read_ops_per_s — a plan-choice change that
+// belongs in a PR that names it (see ROADMAP).
+func (s *Session) bindForExec(sel *Select, plan *selectPlan, params []any) (*boundPlan, error) {
+	root := s.curTrace.Root() // nil outside a traced Exec: the spans are no-ops
+	planSp := root.Child("plan")
+	if plan == nil {
+		var err error
+		if plan, err = planSelect(s, sel); err != nil {
+			return nil, err
+		}
+	} else {
+		planSp.Tag("cached")
+	}
+	planSp.End()
+	bindSp := root.Child("bind")
+	bp, err := plan.bind(params)
+	bindSp.End()
+	if err != nil {
+		return nil, err
+	}
+	bp.noPushdown = s.pushdownOff
+	bp.joinMode = s.joinMode
+	return bp, nil
 }
 
 // openReadContext picks where a SELECT reads — the session's open

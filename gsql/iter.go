@@ -259,60 +259,33 @@ func openScan(ctx context.Context, r reader, p *boundPlan, s *tableScan, outerRo
 	if outerRow != nil {
 		env.rows = []table.Row{outerRow}
 	}
-	keyVals := make([]any, len(s.keyExprs))
-	for i, e := range s.keyExprs {
-		v, err := evalExpr(e, env)
-		if err != nil {
-			return nil, err
-		}
-		keyVals[i] = v
+	keyVals, err := scanKey(s, env)
+	if err != nil {
+		return nil, err
 	}
 	name := s.tab.schema.Name
 	opts := globaldb.ScanOpts{Limit: fetchLimit, PageSize: pageHint, Prefetch: prefetch, Range: scanRange(s, env), Pushdown: frag}
+	var rows *globaldb.Rows
 	switch s.kind {
 	case accessPoint:
-		keyVals, err := coerceKey(s.tab.schema, s.tab.schema.PK, keyVals)
-		if err != nil {
-			return nil, err
-		}
 		row, found, err := r.Get(ctx, name, keyVals)
 		if err != nil || !found {
 			return &sliceBlocks{done: true}, err
 		}
 		return newSliceBlocks([][]table.Row{{row}}, 1), nil
 	case accessPKPrefix:
-		keyVals, err := coerceKey(s.tab.schema, s.tab.schema.PK[:len(keyVals)], keyVals)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := r.ScanPKRows(ctx, name, keyVals, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &scanIter{rows: rows, totals: totals}, nil
+		rows, err = r.ScanPKRows(ctx, name, keyVals, opts)
 	case accessIndex:
-		ix, err := findIndex(s.tab.schema, s.index)
-		if err != nil {
-			return nil, err
-		}
-		keyVals, err := coerceKey(s.tab.schema, ix.Cols[:len(keyVals)], keyVals)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := r.ScanIndexRows(ctx, name, s.index, keyVals, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &scanIter{rows: rows, totals: totals}, nil
+		rows, err = r.ScanIndexRows(ctx, name, s.index, keyVals, opts)
 	case accessFull:
-		rows, err := r.ScanTableRows(ctx, name, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &scanIter{rows: rows, totals: totals}, nil
+		rows, err = r.ScanTableRows(ctx, name, opts)
 	default:
 		return nil, fmt.Errorf("gsql: unknown access kind %v", s.kind)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &scanIter{rows: rows, totals: totals}, nil
 }
 
 // scanRange evaluates a scan's pushed range bounds. A bound whose value is

@@ -529,15 +529,7 @@ func openLookupRows(ctx context.Context, r reader, p *boundPlan, fetchLimit, pag
 		Range: scanRange(s, env), Pushdown: frag}
 	switch s.kind {
 	case accessPKPrefix:
-		keyVals := make([]any, len(s.keyExprs))
-		for i, e := range s.keyExprs {
-			v, err := evalExpr(e, env)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[i] = v
-		}
-		keyVals, err := coerceKey(s.tab.schema, s.tab.schema.PK[:len(keyVals)], keyVals)
+		keyVals, err := scanKey(s, env)
 		if err != nil {
 			return nil, err
 		}

@@ -195,6 +195,44 @@ func TestJoinStrategySurface(t *testing.T) {
 	}
 }
 
+// TestSetJoinReachesStreamingQuery pins SET JOIN on the streaming path:
+// Session.Query — what every wire-server and database/sql SELECT runs — must
+// bind the session's join mode exactly as Exec does. A nested loop reads no
+// inner rows on the data nodes; the pushed lookup join reads all of them
+// there.
+func TestSetJoinReachesStreamingQuery(t *testing.T) {
+	s := openSQL(t)
+	loadOrders(t, s)
+	join := `SELECT l.item, o.amount FROM lines l JOIN orders o
+		ON o.w_id = l.w_id AND o.o_id = l.o_id`
+	run := func(mode string) (lookupRows int64, n int) {
+		t.Helper()
+		exec(t, s, "SET JOIN = "+mode)
+		rows, err := s.Query(bg, join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rows.Next() {
+			n++
+		}
+		if err := rows.Close(); err != nil || rows.Err() != nil {
+			t.Fatalf("%s: close %v, err %v", mode, err, rows.Err())
+		}
+		return rows.ScanStats().LookupRows, n
+	}
+	nestLoop, n1 := run("NESTLOOP")
+	lookup, n2 := run("LOOKUP")
+	if nestLoop != 0 {
+		t.Fatalf("SET JOIN = NESTLOOP through Query read %d inner rows on data nodes", nestLoop)
+	}
+	if lookup == 0 {
+		t.Fatal("SET JOIN = LOOKUP through Query reported no LookupRows")
+	}
+	if n1 != n2 || n1 == 0 {
+		t.Fatalf("row counts differ across strategies: %d vs %d", n1, n2)
+	}
+}
+
 // TestLookupJoinShipsMatchingRows pins the WAN economics of the pushed
 // lookup join: the fan-out join that motivated it ships O(matching) rows
 // while the nested loop pays per-outer-row lookup RPCs. LookupRows must

@@ -176,17 +176,10 @@ func (s *Session) Query(ctx context.Context, sql string, args ...any) (*Rows, er
 // autocommit primary read, or replica read) and hangs a streaming Rows off
 // the operator pipeline.
 func (s *Session) queryRows(ctx context.Context, sel *Select, plan *selectPlan, params []any) (*Rows, error) {
-	if plan == nil {
-		var err error
-		if plan, err = planSelect(s, sel); err != nil {
-			return nil, err
-		}
-	}
-	bp, err := plan.bind(params)
+	bp, err := s.bindForExec(sel, plan, params)
 	if err != nil {
 		return nil, err
 	}
-	bp.noPushdown = s.pushdownOff
 
 	r, onReplicas, finish, err := s.openReadContext(ctx, sel)
 	if err != nil {
@@ -211,13 +204,19 @@ func (s *Session) queryRows(ctx context.Context, sel *Select, plan *selectPlan, 
 		_ = finish(false)
 		return nil, err
 	}
-	rows := &Rows{
-		ctx: ctx, cols: bp.outCols, onReplicas: onReplicas,
-		bp: bp, it: it, totals: totals, finish: finish,
-		env: rowEnv{tables: bp.tables, params: bp.params},
-	}
+	rows := newStreamRows(ctx, bp, it)
+	rows.onReplicas, rows.totals, rows.finish = onReplicas, totals, finish
+	return rows, nil
+}
+
+// newStreamRows hangs a Rows off an open pipeline whose blocks arrive in
+// output order; Next applies projection, DISTINCT, OFFSET and LIMIT as it
+// steps through them.
+func newStreamRows(ctx context.Context, bp *boundPlan, it blockIter) *Rows {
+	rows := &Rows{ctx: ctx, cols: bp.outCols, bp: bp, it: it,
+		env: rowEnv{tables: bp.tables, params: bp.params}}
 	if bp.distinct {
 		rows.seen = make(map[string]bool)
 	}
-	return rows, nil
+	return rows
 }

@@ -635,13 +635,6 @@ func (c *Cluster) ClockHealthy(limit time.Duration) bool {
 	return true
 }
 
-// SetReplication switches replication mode on every primary at runtime.
-func (c *Cluster) SetReplication(mode repl.Mode, quorum int) {
-	for _, p := range c.primaries {
-		p.Repl().SetMode(mode, quorum)
-	}
-}
-
 // Close stops background activity.
 func (c *Cluster) Close() {
 	c.mu.Lock()

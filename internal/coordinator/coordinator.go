@@ -429,22 +429,6 @@ func (t *Txn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, err
 	return t.cn.client.Read(ctx, t.cn.routing.Primary(shard), key, t.ts.Snap, t.id)
 }
 
-// Scan range-scans a shard primary at the transaction's snapshot, flushing
-// the shard's buffered writes first so the scan observes them.
-func (t *Txn) Scan(ctx context.Context, shard int, start, end []byte, limit int) ([]mvcc.KV, error) {
-	if t.done.Load() {
-		return nil, ErrTxnDone
-	}
-	if err := t.flush(ctx, shard); err != nil {
-		return nil, err
-	}
-	t.cn.primaryReads.Add(1)
-	if tr := t.cn.placement; tr != nil {
-		tr.RecordRead(shard, t.cn.region)
-	}
-	return t.cn.client.Scan(ctx, t.cn.routing.Primary(shard), start, end, t.ts.Snap, limit, t.id)
-}
-
 // Commit finishes the transaction: each participant receives its buffered
 // writes and its PENDING COMMIT (single shard) or PREPARE (two-phase commit)
 // step in one message, then the commit timestamp is fetched, then the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"globaldb/internal/storage/mvcc"
 	"globaldb/internal/ts"
 )
 
@@ -82,22 +81,6 @@ func (r *ROTxn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, e
 		return r.cn.client.Read(ctx, r.cn.routing.Primary(shard), key, r.snap, 0)
 	}
 	return v, found, err
-}
-
-// Scan range-scans one shard.
-func (r *ROTxn) Scan(ctx context.Context, shard int, start, end []byte, limit int) ([]mvcc.KV, error) {
-	node, replica, err := r.pick(shard)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	kvs, err := r.cn.client.Scan(ctx, node, start, end, r.snap, limit, 0)
-	r.observe(node, replica, t0, err)
-	if err != nil && replica {
-		r.cn.primaryReads.Add(1)
-		return r.cn.client.Scan(ctx, r.cn.routing.Primary(shard), start, end, r.snap, limit, 0)
-	}
-	return kvs, err
 }
 
 // pick chooses the serving node for a shard.

@@ -33,45 +33,6 @@ type BatchCursor interface {
 	Close()
 }
 
-// KVCursor is the row-at-a-time view of a batch stream, kept for consumers
-// that genuinely want one pair per step. AsKVCursor adapts any BatchCursor.
-type KVCursor interface {
-	// Next advances to the following pair, fetching a page if needed.
-	Next(ctx context.Context) bool
-	// KV returns the current pair (valid after a true Next).
-	KV() mvcc.KV
-	// Err returns the first error encountered, if any.
-	Err() error
-	// Close releases the cursor. It is safe to call multiple times.
-	Close()
-}
-
-// AsKVCursor wraps a batch cursor in a row-at-a-time view.
-func AsKVCursor(bc BatchCursor) KVCursor { return &rowCursor{bc: bc} }
-
-type rowCursor struct {
-	bc    BatchCursor
-	batch []mvcc.KV
-	pos   int
-	cur   mvcc.KV
-}
-
-func (r *rowCursor) Next(ctx context.Context) bool {
-	for r.pos >= len(r.batch) {
-		if !r.bc.NextBatch(ctx) {
-			return false
-		}
-		r.batch, r.pos = r.bc.Batch(), 0
-	}
-	r.cur = r.batch[r.pos]
-	r.pos++
-	return true
-}
-
-func (r *rowCursor) KV() mvcc.KV { return r.cur }
-func (r *rowCursor) Err() error  { return r.bc.Err() }
-func (r *rowCursor) Close()      { r.bc.Close() }
-
 // fetchPage retrieves one page starting at start: it returns the pairs, the
 // resume key, and whether the range may hold more. remaining is the total
 // row budget still wanted (<= 0 means unlimited); page is the requested
@@ -131,10 +92,7 @@ type ScanCursor struct {
 	more      bool
 
 	// Consumer-side state.
-	buf    []mvcc.KV
-	pos    int // row-view position within buf
 	batch  []mvcc.KV
-	cur    mvcc.KV
 	err    error
 	closed bool
 
@@ -265,19 +223,19 @@ func (c *ScanCursor) recvPage(ctx context.Context) bool {
 		c.err = p.err
 		return false
 	}
-	c.buf, c.pos = p.kvs, 0
+	c.batch = p.kvs
 	return true
 }
 
-// fill ensures buf[pos:] holds at least one unconsumed pair, taking the
-// next page from the prefetcher (or fetching it synchronously) when the
-// current one is drained. The row budget truncates at the page level, so
-// batch and row consumers see identical limits.
-func (c *ScanCursor) fill(ctx context.Context) bool {
+// NextBatch implements BatchCursor: it yields the next non-empty page, taken
+// from the prefetcher or fetched synchronously. The row budget truncates at
+// the page level.
+func (c *ScanCursor) NextBatch(ctx context.Context) bool {
 	if c.closed || c.err != nil {
 		return false
 	}
-	for c.pos >= len(c.buf) {
+	c.batch = nil
+	for len(c.batch) == 0 {
 		if c.cancel != nil {
 			if !c.recvPage(ctx) {
 				return false
@@ -296,42 +254,18 @@ func (c *ScanCursor) fill(ctx context.Context) bool {
 		if c.ctrs != nil {
 			c.ctrs.ObserveWait(time.Since(start), false)
 		}
-		c.buf, c.pos = kvs, 0
+		c.batch = kvs
 	}
-	return true
-}
-
-// NextBatch implements BatchCursor: it yields the unconsumed remainder of
-// the current page, or fetches the next one.
-func (c *ScanCursor) NextBatch(ctx context.Context) bool {
-	if !c.fill(ctx) {
-		return false
-	}
-	c.batch = c.buf[c.pos:]
-	c.pos = len(c.buf)
 	return true
 }
 
 // Batch implements BatchCursor.
 func (c *ScanCursor) Batch() []mvcc.KV { return c.batch }
 
-// Next implements KVCursor.
-func (c *ScanCursor) Next(ctx context.Context) bool {
-	if !c.fill(ctx) {
-		return false
-	}
-	c.cur = c.buf[c.pos]
-	c.pos++
-	return true
-}
-
-// KV implements KVCursor.
-func (c *ScanCursor) KV() mvcc.KV { return c.cur }
-
-// Err implements KVCursor and BatchCursor.
+// Err implements BatchCursor.
 func (c *ScanCursor) Err() error { return c.err }
 
-// Close implements KVCursor and BatchCursor. In prefetch mode it cancels
+// Close implements BatchCursor. In prefetch mode it cancels
 // the outstanding page RPC (the netsim transport aborts canceled calls)
 // and waits for the prefetch goroutine to exit, so a closed cursor never
 // leaks a goroutine or lets a stale fetch land later.

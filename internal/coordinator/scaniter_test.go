@@ -22,45 +22,42 @@ func pagesCursor(pages [][]mvcc.KV) *ScanCursor {
 
 func kv(key string) mvcc.KV { return mvcc.KV{Key: []byte(key), Value: []byte("v" + key)} }
 
-// TestRowViewAdapters pins the row-at-a-time faces of the batch pipeline:
-// ScanCursor's native Next/KV (interleaved with NextBatch, which must pick
-// up exactly where the row view stopped) and AsKVCursor over a merged
-// stream, which must yield the same global key order row by row.
-func TestRowViewAdapters(t *testing.T) {
-	ctx := context.Background()
+// batchKeys drains a batch cursor, recording each batch's keys.
+func batchKeys(t *testing.T, c BatchCursor) [][]string {
+	t.Helper()
+	var out [][]string
+	for c.NextBatch(context.Background()) {
+		var b []string
+		for _, kv := range c.Batch() {
+			b = append(b, string(kv.Key))
+		}
+		out = append(out, b)
+	}
+	if c.Err() != nil {
+		t.Fatal(c.Err())
+	}
+	return out
+}
 
-	c := pagesCursor([][]mvcc.KV{{kv("a"), kv("b"), kv("c")}, {kv("d")}})
-	if !c.Next(ctx) || string(c.KV().Key) != "a" {
-		t.Fatalf("row view: first key = %q", c.KV().Key)
+// TestBatchCursorsMovePages pins the batch shape of the pipeline: a
+// ScanCursor hands each data-node page upward whole (skipping an empty one)
+// and ends cleanly, and MergeCursors yields the global key order while
+// splitting a page only where another shard's keys interleave.
+func TestBatchCursorsMovePages(t *testing.T) {
+	c := pagesCursor([][]mvcc.KV{{kv("a"), kv("b"), kv("c")}, {}, {kv("d")}})
+	if got, want := fmt.Sprint(batchKeys(t, c)), "[[a b c] [d]]"; got != want {
+		t.Fatalf("scan cursor batches = %v, want %v", got, want)
 	}
-	if !c.NextBatch(ctx) {
-		t.Fatal("NextBatch after Next failed")
-	}
-	if got := c.Batch(); len(got) != 2 || string(got[0].Key) != "b" {
-		t.Fatalf("batch after one row = %v", got)
-	}
-	if !c.Next(ctx) || string(c.KV().Key) != "d" {
-		t.Fatalf("row after batch = %q", c.KV().Key)
-	}
-	if c.Next(ctx) || c.Err() != nil {
+	if c.NextBatch(context.Background()) || c.Err() != nil {
 		t.Fatalf("expected clean end, err=%v", c.Err())
 	}
 
 	merged := MergeCursors(
-		pagesCursor([][]mvcc.KV{{kv("a"), kv("c"), kv("e")}}),
-		pagesCursor([][]mvcc.KV{{kv("b"), kv("d")}, {kv("f")}}),
+		pagesCursor([][]mvcc.KV{{kv("a"), kv("b"), kv("e")}}),
+		pagesCursor([][]mvcc.KV{{kv("c"), kv("d")}, {kv("f")}}),
 	)
-	rowView := AsKVCursor(merged)
-	var got []string
-	for rowView.Next(ctx) {
-		got = append(got, string(rowView.KV().Key))
-	}
-	if rowView.Err() != nil {
-		t.Fatal(rowView.Err())
-	}
-	want := []string{"a", "b", "c", "d", "e", "f"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("merged row view = %v, want %v", got, want)
+	if got, want := fmt.Sprint(batchKeys(t, merged)), "[[a b] [c d] [e] [f]]"; got != want {
+		t.Fatalf("merged batches = %v, want %v", got, want)
 	}
 }
 

@@ -96,18 +96,6 @@ type (
 		Found bool
 	}
 
-	// ScanReq is a range scan at a snapshot.
-	ScanReq struct {
-		Start, End []byte
-		SnapTS     ts.Timestamp
-		Limit      int
-		Txn        uint64
-	}
-	// ScanResp returns the visible pairs.
-	ScanResp struct {
-		KVs []mvcc.KV
-	}
-
 	// ScanPageReq is one page of a resumable range scan. MaxPage caps the
 	// page size (rows per response); the node clamps it to its own limit so
 	// a single RPC never ships an unbounded result over the WAN. Frag, when
@@ -511,12 +499,6 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 			return netsim.Message{}, err
 		}
 		return netsim.Message{Payload: ReadResp{Value: v, Found: found}, Size: len(v) + 8}, nil
-	case ScanReq:
-		kvs, err := p.store.Scan(ctx, req.Start, req.End, req.SnapTS, req.Limit, mvcc.TxnID(req.Txn))
-		if err != nil {
-			return netsim.Message{}, err
-		}
-		return netsim.Message{Payload: ScanResp{KVs: kvs}, Size: scanSize(kvs)}, nil
 	case ScanPageReq:
 		resp, err := servePage(ctx, p.store, req, mvcc.TxnID(req.Txn))
 		if err != nil {
@@ -776,9 +758,6 @@ func (r *Replica) Applier() *repl.Applier { return r.applier }
 // Endpoint exposes the read endpoint (failure injection).
 func (r *Replica) Endpoint() *netsim.Endpoint { return r.ep }
 
-// ReplEndpoint exposes the replication endpoint (failure injection).
-func (r *Replica) ReplEndpoint() *netsim.Endpoint { return r.replEp }
-
 // SetDown marks both endpoints up or down.
 func (r *Replica) SetDown(down bool) {
 	r.ep.SetDown(down)
@@ -796,12 +775,6 @@ func (r *Replica) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 			return netsim.Message{}, err
 		}
 		return netsim.Message{Payload: ReadResp{Value: v, Found: found}, Size: len(v) + 8}, nil
-	case ScanReq:
-		kvs, err := store.Scan(ctx, req.Start, req.End, req.SnapTS, req.Limit, 0)
-		if err != nil {
-			return netsim.Message{}, err
-		}
-		return netsim.Message{Payload: ScanResp{KVs: kvs}, Size: scanSize(kvs)}, nil
 	case ScanPageReq:
 		resp, err := servePage(ctx, store, req, 0)
 		if err != nil {
@@ -883,17 +856,6 @@ func (c *Client) Read(ctx context.Context, node string, key []byte, snap ts.Time
 	}
 	r := p.(ReadResp)
 	return r.Value, r.Found, nil
-}
-
-// Scan performs a range scan.
-func (c *Client) Scan(ctx context.Context, node string, start, end []byte, snap ts.Timestamp, limit int, txn uint64) ([]mvcc.KV, error) {
-	p, err := c.call(ctx, node, ScanReq{Start: start, End: end, SnapTS: snap, Limit: limit, Txn: txn}, len(start)+len(end)+32)
-	if err != nil {
-		return nil, err
-	}
-	kvs := p.(ScanResp).KVs
-	c.scanRows.Add(int64(len(kvs)))
-	return kvs, nil
 }
 
 // ScanPage fetches one page of a resumable range scan.

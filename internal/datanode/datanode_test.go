@@ -9,6 +9,7 @@ import (
 	"globaldb/internal/netsim"
 	"globaldb/internal/redo"
 	"globaldb/internal/repl"
+	"globaldb/internal/storage/mvcc"
 	"globaldb/internal/ts"
 )
 
@@ -151,14 +152,31 @@ func TestScanOnPrimaryAndReplica(t *testing.T) {
 	r.client.Write(bg, "dn0", 1, 0, ops)
 	r.client.Pending(bg, "dn0", 1)
 	r.client.Commit(bg, "dn0", 1, 10, false)
-	kvs, err := r.client.Scan(bg, "dn0", []byte("a"), []byte("b"), 10, 0, 0)
+	kvs, err := scanAll(r.client, "dn0", []byte("a"), []byte("b"), 10, 0)
 	if err != nil || len(kvs) != 2 {
 		t.Fatalf("primary scan: %v %v", kvs, err)
 	}
 	waitFor(t, "replay", func() bool { return r.replica.Applier().MaxCommitTS() >= 10 })
-	kvs, err = r.client.Scan(bg, "dn0r0", nil, nil, 10, 2, 0)
+	kvs, err = scanAll(r.client, "dn0r0", nil, nil, 10, 2)
 	if err != nil || len(kvs) != 2 {
 		t.Fatalf("replica limited scan: %v %v", kvs, err)
+	}
+}
+
+// scanAll drains a range on one node page by page, as the coordinator's
+// cursors do; limit <= 0 means no limit.
+func scanAll(c *Client, node string, start, end []byte, snap ts.Timestamp, limit int) ([]mvcc.KV, error) {
+	var out []mvcc.KV
+	for {
+		kvs, next, more, err := c.ScanPage(bg, node, start, end, snap, limit-len(out), 0, 0)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, kvs...)
+		if !more || (limit > 0 && len(out) >= limit) {
+			return out, nil
+		}
+		start = next
 	}
 }
 

@@ -157,14 +157,6 @@ func (d *Decoder) Reset(b []byte) { d.buf = b }
 // Remaining reports how many undecoded bytes are left.
 func (d *Decoder) Remaining() int { return len(d.buf) }
 
-// Peek returns the tag of the next element without consuming it.
-func (d *Decoder) Peek() (byte, error) {
-	if len(d.buf) == 0 {
-		return 0, ErrCorrupt
-	}
-	return d.buf[0], nil
-}
-
 func (d *Decoder) expect(tag byte) error {
 	if len(d.buf) == 0 || d.buf[0] != tag {
 		return fmt.Errorf("%w: want tag %#x", ErrCorrupt, tag)

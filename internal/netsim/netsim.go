@@ -173,8 +173,8 @@ const (
 type link struct{ from, to string }
 
 // LinkStats is the traffic one directed link has carried: every message
-// that paid the link's delay — an RPC is one message each way, a stream
-// delivery one. Messages refused by a partition are not counted.
+// that paid the link's delay — an RPC is one message each way. Messages
+// refused by a partition are not counted.
 type LinkStats struct {
 	Messages int64
 	Bytes    int64
@@ -327,102 +327,4 @@ func (n *Network) Call(ctx context.Context, fromRegion, name string, req Message
 		return Message{}, err
 	}
 	return resp, nil
-}
-
-// Stream delivers messages from one region to another in FIFO order, each
-// delayed by latency plus serialization time. Redo shipping uses it: batches
-// must arrive in log order regardless of per-message delays.
-type Stream struct {
-	net      *Network
-	from, to string
-
-	mu     sync.Mutex
-	queue  []streamMsg
-	wake   chan struct{}
-	closed bool
-
-	deliver func(payload any)
-}
-
-type streamMsg struct {
-	payload any
-	size    int
-}
-
-// NewStream creates a stream; deliver runs on the stream's goroutine for
-// every message, in order.
-func (n *Network) NewStream(from, to string, deliver func(payload any)) *Stream {
-	s := &Stream{net: n, from: from, to: to, wake: make(chan struct{}, 1), deliver: deliver}
-	go s.run()
-	return s
-}
-
-// Send enqueues a message. It never blocks; the queue is unbounded, which
-// models the primary buffering redo while the WAN is slow (the paper's
-// "Redo logs are buffered for longer before they can be transmitted").
-func (s *Stream) Send(payload any, size int) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.queue = append(s.queue, streamMsg{payload, size})
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-// Close stops delivery. Messages not yet delivered are dropped, like a
-// severed TCP connection.
-func (s *Stream) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-// QueueLen reports how many messages are waiting, a proxy for replication
-// backlog.
-func (s *Stream) QueueLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
-
-func (s *Stream) run() {
-	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		if len(s.queue) == 0 {
-			s.mu.Unlock()
-			<-s.wake
-			continue
-		}
-		msg := s.queue[0]
-		s.queue = append(s.queue[:0], s.queue[1:]...)
-		s.mu.Unlock()
-
-		d, err := s.net.OneWay(s.from, s.to, msg.size)
-		if err != nil {
-			// Partitioned: drop and retry-wait; the shipper above detects
-			// lag and resends from its cursor once healed. Here we simply
-			// park until the next send or a short probe interval.
-			time.Sleep(time.Duration(float64(5*time.Millisecond) * s.net.cfg.TimeScale))
-			s.mu.Lock()
-			s.queue = append([]streamMsg{msg}, s.queue...)
-			s.mu.Unlock()
-			continue
-		}
-		s.net.count(s.from, s.to, msg.size)
-		time.Sleep(d)
-		s.deliver(msg.payload)
-	}
 }

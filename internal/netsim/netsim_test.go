@@ -3,7 +3,6 @@ package netsim
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -170,88 +169,6 @@ func TestCallContextCancelDuringDelay(t *testing.T) {
 	}
 }
 
-func TestStreamFIFO(t *testing.T) {
-	n := New(Config{})
-	n.SetLink("a", "b", 5*time.Millisecond, 0)
-	var mu sync.Mutex
-	var got []int
-	done := make(chan struct{})
-	s := n.NewStream("a", "b", func(p any) {
-		mu.Lock()
-		got = append(got, p.(int))
-		n := len(got)
-		mu.Unlock()
-		if n == 50 {
-			close(done)
-		}
-	})
-	defer s.Close()
-	for i := 0; i < 50; i++ {
-		s.Send(i, 100)
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("stream stalled")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("out of order at %d: %v", i, got[:i+1])
-		}
-	}
-}
-
-func TestStreamSurvivesPartition(t *testing.T) {
-	n := New(Config{TimeScale: 0.2})
-	n.SetLink("a", "b", 5*time.Millisecond, 0)
-	var mu sync.Mutex
-	count := 0
-	s := n.NewStream("a", "b", func(p any) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	})
-	defer s.Close()
-	n.SetPartitioned("a", "b", true)
-	for i := 0; i < 10; i++ {
-		s.Send(i, 10)
-	}
-	time.Sleep(30 * time.Millisecond)
-	mu.Lock()
-	if count != 0 {
-		mu.Unlock()
-		t.Fatal("messages delivered across a partition")
-	}
-	mu.Unlock()
-	n.SetPartitioned("a", "b", false)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		c := count
-		mu.Unlock()
-		if c == 10 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/10 delivered after heal", c)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestStreamCloseDropsQueue(t *testing.T) {
-	n := New(Config{})
-	n.SetLink("a", "b", 50*time.Millisecond, 0)
-	s := n.NewStream("a", "b", func(any) {})
-	for i := 0; i < 5; i++ {
-		s.Send(i, 0)
-	}
-	s.Close()
-	s.Send(99, 0) // must be a no-op, not a panic
-}
-
 func TestRegionsList(t *testing.T) {
 	n := threeCity(1)
 	if got := len(n.Regions()); got != 3 {
@@ -260,8 +177,8 @@ func TestRegionsList(t *testing.T) {
 }
 
 // TestLinkStatsCountPerDirection pins the per-link accounting: an RPC is one
-// message each way with its declared sizes, a stream delivery one message,
-// and a message a partition refused is not traffic.
+// message each way with its declared sizes, and a message a partition
+// refused is not traffic.
 func TestLinkStatsCountPerDirection(t *testing.T) {
 	n := threeCity(0.01)
 	n.Register("svc", "dongguan", func(context.Context, Message) (Message, error) {
@@ -280,15 +197,6 @@ func TestLinkStatsCountPerDirection(t *testing.T) {
 	}
 	if got := n.LinkStats("xian", "langzhong"); got != (LinkStats{}) {
 		t.Fatalf("idle link: %+v", got)
-	}
-
-	delivered := make(chan struct{})
-	s := n.NewStream("langzhong", "xian", func(any) { close(delivered) })
-	defer s.Close()
-	s.Send("redo", 512)
-	<-delivered
-	if got := n.LinkStats("langzhong", "xian"); got != (LinkStats{Messages: 1, Bytes: 512}) {
-		t.Fatalf("stream: %+v", got)
 	}
 
 	n.SetPartitioned("xian", "dongguan", true)

@@ -218,8 +218,6 @@ type Log struct {
 	startLSN uint64 // LSN of recs[0]
 	nextLSN  uint64
 	waiters  []chan struct{}
-
-	bytesAppended int64
 }
 
 // NewLog returns an empty log whose first record will get LSN 1.
@@ -233,7 +231,6 @@ func (l *Log) Append(r Record) uint64 {
 	r.LSN = l.nextLSN
 	l.nextLSN++
 	l.recs = append(l.recs, r)
-	l.bytesAppended += int64(16 + len(r.Key) + len(r.Value))
 	waiters := l.waiters
 	l.waiters = nil
 	l.mu.Unlock()
@@ -254,7 +251,6 @@ func (l *Log) AppendBatch(recs []Record) uint64 {
 		recs[i].LSN = l.nextLSN
 		l.nextLSN++
 		l.recs = append(l.recs, recs[i])
-		l.bytesAppended += int64(16 + len(recs[i].Key) + len(recs[i].Value))
 	}
 	last := l.nextLSN - 1
 	waiters := l.waiters
@@ -271,13 +267,6 @@ func (l *Log) LastLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.nextLSN - 1
-}
-
-// BytesAppended returns the approximate total payload volume appended.
-func (l *Log) BytesAppended() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytesAppended
 }
 
 // ReadFrom returns up to max records starting at LSN from. It returns

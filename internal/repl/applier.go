@@ -41,10 +41,6 @@ func NewApplier(store *mvcc.Store) *Applier {
 	}
 }
 
-// NewApplierWithStore returns an applier over a pre-seeded store (failover
-// re-seeding), expecting a fresh log from LSN 1.
-func NewApplierWithStore(store *mvcc.Store) *Applier { return NewApplier(store) }
-
 // SetDDLHook installs a callback invoked for every replayed DDL record,
 // letting the hosting node maintain a replica catalog.
 func (a *Applier) SetDDLHook(fn func(redo.Record)) { a.onDDL = fn }

@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -229,39 +228,4 @@ func (h *Histogram) Max() time.Duration {
 	}
 	h.ensureSortedLocked()
 	return h.samples[len(h.samples)-1]
-}
-
-// Summary is a formatted percentile report.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
-		h.Count(), h.Mean(), h.Percentile(50), h.Percentile(95), h.Percentile(99), h.Max())
-}
-
-// EWMA is an exponentially weighted moving average.
-type EWMA struct {
-	mu    sync.Mutex
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given weight for new samples.
-func NewEWMA(alpha float64) *EWMA { return &EWMA{alpha: alpha} }
-
-// Add folds in a sample.
-func (e *EWMA) Add(v float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.init {
-		e.value, e.init = v, true
-		return
-	}
-	e.value = e.value*(1-e.alpha) + v*e.alpha
-}
-
-// Value returns the current average.
-func (e *EWMA) Value() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.value
 }

@@ -37,9 +37,6 @@ func TestHistogramEmpty(t *testing.T) {
 	if h.Percentile(50) != 0 || h.Mean() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
-	if h.Summary() == "" {
-		t.Fatal("summary must render")
-	}
 }
 
 func TestHistogramMerge(t *testing.T) {
@@ -74,21 +71,5 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if h.Count() != 8000 {
 		t.Fatalf("count = %d", h.Count())
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Fatal("first sample must seed")
-	}
-	e.Add(20)
-	if e.Value() != 15 {
-		t.Fatalf("ewma = %v", e.Value())
-	}
-	e.Add(15)
-	if e.Value() != 15 {
-		t.Fatalf("ewma = %v", e.Value())
 	}
 }

@@ -247,7 +247,7 @@ func (s *Store) write(txn TxnID, key, value []byte, deleted bool, snapTS ts.Time
 	return nil
 }
 
-// StagedOp is one replay mutation for StageBatch.
+// StagedOp is one replay mutation for StageOp.
 type StagedOp struct {
 	Txn     TxnID
 	Key     []byte
@@ -298,16 +298,6 @@ func (s *Store) StageOp(op StagedOp) error {
 		m := s.txnLocked(op.Txn)
 		m.keys = append(m.keys, bytes.Clone(op.Key))
 		s.txnMu.Unlock()
-	}
-	return nil
-}
-
-// StageBatch stages many intents in order via StageOp.
-func (s *Store) StageBatch(ops []StagedOp) error {
-	for _, op := range ops {
-		if err := s.StageOp(op); err != nil {
-			return err
-		}
 	}
 	return nil
 }

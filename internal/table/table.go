@@ -330,54 +330,6 @@ func (s *Schema) DecodeRowAppend(b []byte, dst []any) ([]any, error) {
 	return dst, nil
 }
 
-// DecodeIndexKey parses a secondary index entry produced by IndexKey back
-// into the indexed column values and the primary key values.
-func (s *Schema) DecodeIndexKey(ix Index, key []byte) (colVals, pkVals []any, err error) {
-	d := keys.NewDecoder(key)
-	id, err := d.Uint64()
-	if err != nil {
-		return nil, nil, err
-	}
-	if id != ix.ID {
-		return nil, nil, fmt.Errorf("table %s: key belongs to index %d, not %d", s.Name, id, ix.ID)
-	}
-	decodeOne := func(kind Kind) (any, error) {
-		if d.IsNull() {
-			return nil, nil
-		}
-		switch kind {
-		case Int64:
-			return d.Int64()
-		case Float64:
-			return d.Float64()
-		case String:
-			return d.String()
-		case Bytes:
-			return d.RawBytes()
-		case Bool:
-			return d.Bool()
-		default:
-			return nil, fmt.Errorf("table %s: unknown kind %v", s.Name, kind)
-		}
-	}
-	colVals = make([]any, len(ix.Cols))
-	for i, c := range ix.Cols {
-		if colVals[i], err = decodeOne(s.Columns[c].Kind); err != nil {
-			return nil, nil, err
-		}
-	}
-	pkVals = make([]any, len(s.PK))
-	for i, c := range s.PK {
-		if pkVals[i], err = decodeOne(s.Columns[c].Kind); err != nil {
-			return nil, nil, err
-		}
-	}
-	if d.Remaining() != 0 {
-		return nil, nil, fmt.Errorf("table %s: %w: trailing bytes in index key", s.Name, keys.ErrCorrupt)
-	}
-	return colVals, pkVals, nil
-}
-
 // ColIndex returns the position of the named column, or -1.
 func (s *Schema) ColIndex(name string) int {
 	for i, c := range s.Columns {

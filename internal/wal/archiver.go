@@ -26,14 +26,11 @@ type Archiver struct {
 // DefaultArchiveBatch is how many records an archiver drains per WAL append.
 const DefaultArchiveBatch = 4096
 
-// NewArchiver starts archiving log records from the writer's next LSN.
-func NewArchiver(log *redo.Log, w *Writer) *Archiver {
-	return NewArchiverBatched(log, w, DefaultArchiveBatch)
-}
-
-// NewArchiverBatched archives with an explicit per-append batch cap.
-// batchMax=1 appends (and, under SyncEveryBatch, fsyncs) record by record —
-// the no-coalescing baseline a database without group commit pays.
+// NewArchiverBatched starts archiving log records from the writer's next
+// LSN, draining at most batchMax records per WAL append (<= 0 uses
+// DefaultArchiveBatch). batchMax=1 appends (and, under SyncEveryBatch,
+// fsyncs) record by record — the no-coalescing baseline a database without
+// group commit pays.
 func NewArchiverBatched(log *redo.Log, w *Writer, batchMax int) *Archiver {
 	if batchMax <= 0 {
 		batchMax = DefaultArchiveBatch

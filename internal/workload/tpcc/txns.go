@@ -185,7 +185,7 @@ func (d *Driver) OrderStatus(ctx context.Context, client int, home int64) error 
 	if err != nil {
 		return err
 	}
-	if err := d.orderStatusBody(ctx, rng, txReader{tx}, home); err != nil {
+	if err := d.orderStatusBody(ctx, rng, tx, home); err != nil {
 		return abortOn(ctx, tx, err)
 	}
 	return tx.Commit(ctx)
@@ -202,7 +202,7 @@ func (d *Driver) StockLevel(ctx context.Context, client int, home int64) error {
 	if err != nil {
 		return err
 	}
-	if err := d.stockLevelBody(ctx, rng, txReader{tx}, home); err != nil {
+	if err := d.stockLevelBody(ctx, rng, tx, home); err != nil {
 		return abortOn(ctx, tx, err)
 	}
 	return tx.Commit(ctx)
@@ -264,36 +264,12 @@ func (d *Driver) Delivery(ctx context.Context, client int, home int64) error {
 	return tx.Commit(ctx)
 }
 
-// reader abstracts the read API shared by Tx and Query so the read-only
-// transaction bodies run identically on primaries and replicas.
+// reader is the read API *globaldb.Tx and *globaldb.Query share, so the
+// read-only transaction bodies run identically on primaries and replicas.
 type reader interface {
 	Get(ctx context.Context, table string, pk []any) (globaldb.Row, bool, error)
 	ScanPK(ctx context.Context, table string, prefix []any, limit int) ([]globaldb.Row, error)
 	ScanIndex(ctx context.Context, table, index string, prefix []any, limit int) ([]globaldb.Row, error)
-}
-
-type txReader struct{ tx *globaldb.Tx }
-
-func (r txReader) Get(ctx context.Context, t string, pk []any) (globaldb.Row, bool, error) {
-	return r.tx.Get(ctx, t, pk)
-}
-func (r txReader) ScanPK(ctx context.Context, t string, p []any, l int) ([]globaldb.Row, error) {
-	return r.tx.ScanPK(ctx, t, p, l)
-}
-func (r txReader) ScanIndex(ctx context.Context, t, ix string, p []any, l int) ([]globaldb.Row, error) {
-	return r.tx.ScanIndex(ctx, t, ix, p, l)
-}
-
-type queryReader struct{ q *globaldb.Query }
-
-func (r queryReader) Get(ctx context.Context, t string, pk []any) (globaldb.Row, bool, error) {
-	return r.q.Get(ctx, t, pk)
-}
-func (r queryReader) ScanPK(ctx context.Context, t string, p []any, l int) ([]globaldb.Row, error) {
-	return r.q.ScanPK(ctx, t, p, l)
-}
-func (r queryReader) ScanIndex(ctx context.Context, t, ix string, p []any, l int) ([]globaldb.Row, error) {
-	return r.q.ScanIndex(ctx, t, ix, p, l)
 }
 
 // orderStatusBody: find a customer (60% by last name via index, 40% by id),
@@ -415,34 +391,31 @@ func (d *Driver) ReadOnlyTerminal(client int, multiShardPct int, useROR bool, bo
 			return err
 		}
 		var r reader
-		var finish func() error
+		var tx *globaldb.Tx // stays nil on the read-on-replica path
 		if useROR {
 			q, err := sess.ReadOnly(ctx, bound, TCustomer, TOrders, TOrderLine, TDistrict, TStock)
 			if err != nil {
 				return err
 			}
-			r = queryReader{q}
-			finish = func() error { return nil }
+			r = q
 		} else {
-			tx, err := sess.Begin(ctx)
-			if err != nil {
+			if tx, err = sess.Begin(ctx); err != nil {
 				return err
 			}
-			r = txReader{tx}
-			finish = func() error { return tx.Commit(ctx) }
+			r = tx
 		}
 		if rng.Intn(100) < 50 {
 			err = d.orderStatusBody(ctx, rng, r, w)
 		} else {
 			err = d.stockLevelBody(ctx, rng, r, w)
 		}
-		if err != nil {
-			if t, ok := r.(txReader); ok {
-				t.tx.Abort(ctx)
-			}
+		if tx == nil {
 			return err
 		}
-		return finish()
+		if err != nil {
+			return abortOn(ctx, tx, err)
+		}
+		return tx.Commit(ctx)
 	}
 }
 

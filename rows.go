@@ -432,69 +432,85 @@ func (st *scanSetup) spec(start, end []byte, o ScanOpts) coordinator.ScanSpec {
 	}
 }
 
-// combine merges per-shard cursors, adding the CN-final partial-aggregate
+// combine merges per-shard cursors — in global key order, or shard after
+// shard for the legacy ScanTable — adding the CN-final partial-aggregate
 // merge when the scan's fragment aggregates.
 func (st *scanSetup) combine(curs []coordinator.BatchCursor, keyOrder bool, o ScanOpts) coordinator.BatchCursor {
-	cur := combineCursors(curs, keyOrder)
+	var cur coordinator.BatchCursor
+	switch {
+	case len(curs) == 1:
+		cur = curs[0]
+	case keyOrder:
+		cur = coordinator.MergeCursors(curs...)
+	default:
+		cur = coordinator.ChainCursors(curs...)
+	}
 	if o.Pushdown != nil && o.Pushdown.HasAggs() {
 		cur = coordinator.MergeAggregates(cur, fragment.MergeEncodedStates)
 	}
 	return cur
 }
 
-// pkRowsSpec resolves everything a streaming PK scan needs.
-func pkRowsSpec(db *DB, sch *Schema, pkPrefix []any, o ScanOpts) (start, end []byte, shard int, err error) {
-	start, end, shard, err = pkScanBounds(db, sch, pkPrefix)
+// pkScanBounds computes the key range and shard of a PK-prefix scan. The
+// prefix must cover the distribution column so the scan is single-shard; a
+// range bounds the PK column after the prefix.
+func pkScanBounds(db *DB, sch *Schema, pkPrefix []any, rng *ScanRange) (start, end []byte, shard int, err error) {
+	if len(pkPrefix) == 0 || len(pkPrefix) > len(sch.PK) {
+		return nil, nil, 0, fmt.Errorf("globaldb: PK prefix of %d values for %d PK columns", len(pkPrefix), len(sch.PK))
+	}
+	pos := pkPos(sch)
+	if pos >= len(pkPrefix) {
+		return nil, nil, 0, fmt.Errorf("globaldb: PK prefix must include the distribution column %s", sch.Columns[sch.ShardBy].Name)
+	}
+	start, err = sch.PrimaryKeyPrefix(pkPrefix)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if o.Range != nil && len(pkPrefix) >= len(sch.PK) {
+	if rng != nil && len(pkPrefix) >= len(sch.PK) {
 		return nil, nil, 0, fmt.Errorf("globaldb: range scan on %s needs an unbound PK column after the prefix", sch.Name)
 	}
-	start, end, err = applyRange(start, end, o.Range, func(v any) ([]byte, error) {
+	start, end, err = applyRange(start, keys.PrefixEnd(start), rng, func(v any) ([]byte, error) {
 		return sch.PrimaryKeyPrefix(extendPrefix(pkPrefix, v))
 	})
-	return start, end, shard, err
+	return start, end, db.c.ShardOf(pkPrefix[pos]), err
 }
 
-// indexRowsSpec resolves everything a streaming index scan needs.
-func indexRowsSpec(s *Session, tableName, indexName string, prefix []any, o ScanOpts) (sch *Schema, start, end []byte, shard int, err error) {
-	sch, ix, err := indexOf(s, tableName, indexName)
+// indexScanBounds computes the key range and shard of an index-prefix scan.
+// The distribution column must be among the prefixed index columns so the
+// scan is single-shard; a range bounds the index column after the prefix.
+func indexScanBounds(db *DB, sch *Schema, ix table.Index, prefix []any, rng *ScanRange) (start, end []byte, shard int, err error) {
+	start, err = sch.IndexPrefix(ix, prefix)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, 0, err
 	}
-	start, end, shard, err = indexScanBounds(s.db, sch, ix, prefix)
-	if err != nil {
-		return nil, nil, nil, 0, err
+	shardCol := -1
+	for i, col := range ix.Cols {
+		if col == sch.ShardBy && i < len(prefix) {
+			shardCol = i
+			break
+		}
 	}
-	if o.Range != nil && len(prefix) >= len(ix.Cols) {
-		return nil, nil, nil, 0, fmt.Errorf("globaldb: range scan on %s.%s needs an unbound index column after the prefix", sch.Name, ix.Name)
+	if shardCol < 0 {
+		return nil, nil, 0, fmt.Errorf("globaldb: index scan on %s.%s must prefix the distribution column", sch.Name, ix.Name)
 	}
-	start, end, err = applyRange(start, end, o.Range, func(v any) ([]byte, error) {
+	if rng != nil && len(prefix) >= len(ix.Cols) {
+		return nil, nil, 0, fmt.Errorf("globaldb: range scan on %s.%s needs an unbound index column after the prefix", sch.Name, ix.Name)
+	}
+	start, end, err = applyRange(start, keys.PrefixEnd(start), rng, func(v any) ([]byte, error) {
 		return sch.IndexPrefix(ix, extendPrefix(prefix, v))
 	})
-	return sch, start, end, shard, err
-}
-
-// tableRowsBounds resolves the per-shard key range of a streaming full
-// table scan, with an optional range on the leading PK column.
-func tableRowsBounds(sch *Schema, o ScanOpts) (start, end []byte, err error) {
-	start = sch.TablePrefix()
-	end = keys.PrefixEnd(start)
-	return applyRange(start, end, o.Range, func(v any) ([]byte, error) {
-		return sch.PrimaryKeyPrefix([]any{v})
-	})
+	return start, end, db.c.ShardOf(prefix[shardCol]), err
 }
 
 // ScanPKRows streams rows whose primary key starts with pkPrefix, in key
-// order, pulling pages from the shard primary on demand. The prefix must
+// order, pulling pages from the snapshot source on demand. The prefix must
 // include the distribution column so the scan is single-shard.
-func (tx *Tx) ScanPKRows(ctx context.Context, tableName string, pkPrefix []any, o ScanOpts) (*Rows, error) {
-	sch, err := tx.sess.schemaOf(tableName)
+func (c *readCore) ScanPKRows(ctx context.Context, tableName string, pkPrefix []any, o ScanOpts) (*Rows, error) {
+	sch, err := c.sess.schemaOf(tableName)
 	if err != nil {
 		return nil, err
 	}
-	start, end, shard, err := pkRowsSpec(tx.sess.db, sch, pkPrefix, o)
+	start, end, shard, err := pkScanBounds(c.sess.db, sch, pkPrefix, o.Range)
 	if err != nil {
 		return nil, err
 	}
@@ -502,17 +518,21 @@ func (tx *Tx) ScanPKRows(ctx context.Context, tableName string, pkPrefix []any, 
 	if err != nil {
 		return nil, err
 	}
-	cur := st.combine([]coordinator.BatchCursor{tx.txn.ScanCursor(ctx, shard, st.spec(start, end, o))}, true, o)
+	cur := st.combine([]coordinator.BatchCursor{c.src.ScanCursor(ctx, shard, st.spec(start, end, o))}, true, o)
 	return newRows(ctx, sch, cur, o.Limit, st), nil
 }
 
 // ScanIndexRows streams rows matched by a secondary-index prefix, resolving
 // each index entry to its row with a primary-key lookup on the same shard.
-func (tx *Tx) ScanIndexRows(ctx context.Context, tableName, indexName string, prefix []any, o ScanOpts) (*Rows, error) {
+func (c *readCore) ScanIndexRows(ctx context.Context, tableName, indexName string, prefix []any, o ScanOpts) (*Rows, error) {
 	if o.Pushdown != nil {
 		return nil, fmt.Errorf("globaldb: pushdown is not supported on index scans (index entries carry keys, not rows)")
 	}
-	sch, start, end, shard, err := indexRowsSpec(tx.sess, tableName, indexName, prefix, o)
+	sch, ix, err := indexOf(c.sess, tableName, indexName)
+	if err != nil {
+		return nil, err
+	}
+	start, end, shard, err := indexScanBounds(c.sess.db, sch, ix, prefix, o.Range)
 	if err != nil {
 		return nil, err
 	}
@@ -520,9 +540,9 @@ func (tx *Tx) ScanIndexRows(ctx context.Context, tableName, indexName string, pr
 	if err != nil {
 		return nil, err
 	}
-	cur := tx.txn.ScanCursor(ctx, shard, st.spec(start, end, o))
+	cur := c.src.ScanCursor(ctx, shard, st.spec(start, end, o))
 	st.resolve = func(ctx context.Context, kv mvcc.KV) (Row, bool, error) {
-		v, found, err := tx.txn.Get(ctx, shard, kv.Value) // index value = pk
+		v, found, err := c.src.Get(ctx, shard, kv.Value) // index value = pk
 		if err != nil || !found {
 			return nil, false, err
 		}
@@ -535,16 +555,20 @@ func (tx *Tx) ScanIndexRows(ctx context.Context, tableName, indexName string, pr
 // ScanTableRows streams every row of a table, merging per-shard paged
 // cursors so rows arrive in global primary-key order (unlike the legacy
 // ScanTable, which concatenates shards).
-func (tx *Tx) ScanTableRows(ctx context.Context, tableName string, o ScanOpts) (*Rows, error) {
-	return tx.tableRows(ctx, tableName, o, true)
+func (c *readCore) ScanTableRows(ctx context.Context, tableName string, o ScanOpts) (*Rows, error) {
+	return c.tableRows(ctx, tableName, o, true)
 }
 
-func (tx *Tx) tableRows(ctx context.Context, tableName string, o ScanOpts, keyOrder bool) (*Rows, error) {
-	sch, err := tx.sess.schemaOf(tableName)
+func (c *readCore) tableRows(ctx context.Context, tableName string, o ScanOpts, keyOrder bool) (*Rows, error) {
+	sch, err := c.sess.schemaOf(tableName)
 	if err != nil {
 		return nil, err
 	}
-	start, end, err := tableRowsBounds(sch, o)
+	// A range on a table scan bounds the leading PK column.
+	start := sch.TablePrefix()
+	start, end, err := applyRange(start, keys.PrefixEnd(start), o.Range, func(v any) ([]byte, error) {
+		return sch.PrimaryKeyPrefix([]any{v})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -552,88 +576,10 @@ func (tx *Tx) tableRows(ctx context.Context, tableName string, o ScanOpts, keyOr
 	if err != nil {
 		return nil, err
 	}
-	// Every shard cursor starts its prefetcher at creation, so all
-	// shards' routing lookups and first pages are issued concurrently and
-	// the cross-shard scan's setup costs one round trip, not one per
-	// shard.
-	curs := tx.txn.ScanCursors(ctx, tx.sess.db.c.Shards(), st.spec(start, end, o))
+	// Every shard cursor starts its prefetcher at creation, so all shards'
+	// node selection (routing lookup, or the skyline pick on replicas) and
+	// first pages are issued concurrently and the cross-shard scan's setup
+	// costs one round trip, not one per shard.
+	curs := c.src.ScanCursors(ctx, c.sess.db.c.Shards(), st.spec(start, end, o))
 	return newRows(ctx, sch, st.combine(curs, keyOrder, o), o.Limit, st), nil
-}
-
-// ScanPKRows streams rows by primary-key prefix at the query's snapshot.
-func (q *Query) ScanPKRows(ctx context.Context, tableName string, pkPrefix []any, o ScanOpts) (*Rows, error) {
-	sch, err := q.sess.schemaOf(tableName)
-	if err != nil {
-		return nil, err
-	}
-	start, end, shard, err := pkRowsSpec(q.sess.db, sch, pkPrefix, o)
-	if err != nil {
-		return nil, err
-	}
-	st, err := setupScan(sch, o)
-	if err != nil {
-		return nil, err
-	}
-	cur := st.combine([]coordinator.BatchCursor{q.ro.ScanCursor(ctx, shard, st.spec(start, end, o))}, true, o)
-	return newRows(ctx, sch, cur, o.Limit, st), nil
-}
-
-// ScanIndexRows streams rows matched by a secondary-index prefix.
-func (q *Query) ScanIndexRows(ctx context.Context, tableName, indexName string, prefix []any, o ScanOpts) (*Rows, error) {
-	if o.Pushdown != nil {
-		return nil, fmt.Errorf("globaldb: pushdown is not supported on index scans (index entries carry keys, not rows)")
-	}
-	sch, start, end, shard, err := indexRowsSpec(q.sess, tableName, indexName, prefix, o)
-	if err != nil {
-		return nil, err
-	}
-	st, err := setupScan(sch, o)
-	if err != nil {
-		return nil, err
-	}
-	cur := q.ro.ScanCursor(ctx, shard, st.spec(start, end, o))
-	st.resolve = func(ctx context.Context, kv mvcc.KV) (Row, bool, error) {
-		v, found, err := q.ro.Get(ctx, shard, kv.Value)
-		if err != nil || !found {
-			return nil, false, err
-		}
-		r, err := sch.DecodeRow(v)
-		return r, err == nil, err
-	}
-	return newRows(ctx, sch, cur, o.Limit, st), nil
-}
-
-// ScanTableRows streams every row of a table in global primary-key order at
-// the query's snapshot.
-func (q *Query) ScanTableRows(ctx context.Context, tableName string, o ScanOpts) (*Rows, error) {
-	return q.tableRows(ctx, tableName, o, true)
-}
-
-func (q *Query) tableRows(ctx context.Context, tableName string, o ScanOpts, keyOrder bool) (*Rows, error) {
-	sch, err := q.sess.schemaOf(tableName)
-	if err != nil {
-		return nil, err
-	}
-	start, end, err := tableRowsBounds(sch, o)
-	if err != nil {
-		return nil, err
-	}
-	st, err := setupScan(sch, o)
-	if err != nil {
-		return nil, err
-	}
-	// As on the read-write path: the per-shard prefetchers issue replica
-	// selection and first pages concurrently instead of serially.
-	curs := q.ro.ScanCursors(ctx, q.sess.db.c.Shards(), st.spec(start, end, o))
-	return newRows(ctx, sch, st.combine(curs, keyOrder, o), o.Limit, st), nil
-}
-
-func combineCursors(curs []coordinator.BatchCursor, keyOrder bool) coordinator.BatchCursor {
-	if len(curs) == 1 {
-		return curs[0]
-	}
-	if keyOrder {
-		return coordinator.MergeCursors(curs...)
-	}
-	return coordinator.ChainCursors(curs...)
 }
