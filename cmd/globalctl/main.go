@@ -11,7 +11,7 @@
 //	mode                           show the transaction management mode
 //	togclock | togtm               live transition
 //	rcp                            show the replica consistency point
-//	stats                          per-CN counters + commit-path (WAL/2PC/repl)
+//	stats                          per-CN counters, commit path (WAL/2PC/repl), RCP lag and replica replay lag
 //	stats <host:port>              live snapshot from a globaldb-server
 //	quit
 package main
@@ -137,6 +137,10 @@ func execute(ctx context.Context, db *globaldb.DB, fields []string) error {
 		}
 		fmt.Println("commit path:")
 		for _, line := range stats.ReadCommitPath(obs.Default).Format() {
+			fmt.Println(" ", line)
+		}
+		fmt.Println("replica reads:")
+		for _, line := range db.Cluster().Collector.FormatStats() {
 			fmt.Println(" ", line)
 		}
 	case "put":

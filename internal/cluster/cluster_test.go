@@ -560,3 +560,83 @@ func TestShardOfStable(t *testing.T) {
 		t.Fatal("all value kinds must hash")
 	}
 }
+
+// TestCollectorFollowsTopologyChanges: a promotion and a primary move each
+// rebuild the RCP collector over the new node set — a watcher per new node,
+// none left on a retired one — and the RCP goes on to cover commits made
+// after the change.
+func TestCollectorFollowsTopologyChanges(t *testing.T) {
+	c := open(t, smallCfg())
+	cn := c.CN("xian")
+	commit := func(shard, i int) ts.Timestamp {
+		t.Helper()
+		txn, err := cn.Begin(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Put(bg, shard, key(shard, i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(bg); err != nil {
+			t.Fatal(err)
+		}
+		return txn.CommitTS()
+	}
+	rcpCovers := func(what string, want ts.Timestamp) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for c.Collector.RCP() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: RCP stuck at %v, want %v covered", what, c.Collector.RCP(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// watched waits until the collector reports exactly the cluster's
+	// current nodes, all healthy.
+	watched := func(what string) {
+		t.Helper()
+		want := map[string]bool{}
+		for shard, p := range c.Primaries() {
+			want[p.ID()] = true
+			for _, rep := range c.Replicas(shard) {
+				want[rep.ID()] = true
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			got := c.Collector.Statuses()
+			ok := len(got) == len(want)
+			for node, st := range got {
+				ok = ok && want[node] && st.Healthy
+			}
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: collector reports %v, cluster has %v", what, got, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	rcpCovers("at open", commit(2, 1))
+	watched("at open")
+	before := c.Collector
+
+	c.FailPrimary(2)
+	if err := c.PromoteReplica(bg, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if c.Collector == before {
+		t.Fatal("promotion kept the collector built for the old topology")
+	}
+	watched("after the promotion")
+	rcpCovers("after the promotion", commit(2, 2))
+
+	if err := c.MovePrimary(bg, 1, "dongguan"); err != nil {
+		t.Fatal(err)
+	}
+	watched("after the move")
+	rcpCovers("after the move", commit(1, 3))
+}

@@ -193,15 +193,27 @@ type (
 	// InDoubtResp carries the in-doubt set.
 	InDoubtResp struct{ Txns []InDoubtTxn }
 
-	// StatusReq asks a node for its health/freshness metrics.
-	StatusReq struct{}
+	// StatusReq asks a node for its health/freshness metrics. The zero value
+	// is answered at once. With Wait set it is a long poll: a replica holds
+	// the request until its applied watermark passes After or Wait runs out,
+	// whichever is first, so a watcher that sends its last seen watermark
+	// hears of the next one a one-way trip after it is replayed instead of
+	// half a poll period later, and an idle replica costs one message pair
+	// per Wait. A primary's watermark is not what the RCP is made of; it
+	// ignores both fields.
+	StatusReq struct {
+		After ts.Timestamp
+		Wait  time.Duration
+	}
 	// StatusResp reports them.
 	StatusResp struct {
 		// LastCommitTS is the node's visibility watermark.
 		LastCommitTS ts.Timestamp
-		// AppliedLSN is the replica's replay position (0 on primaries).
+		// AppliedLSN is the replica's replay position; on a primary, the end
+		// of its redo log, which is what a replica's position trails.
 		AppliedLSN uint64
-		// Load is the number of in-flight requests.
+		// Load is the number of reads and writes in flight at the node. Status
+		// requests, parked or not, are not load.
 		Load int64
 		// Primary reports the node role.
 		Primary bool
@@ -484,6 +496,16 @@ func (p *Primary) Repl() *repl.Manager { return p.mgr }
 func (p *Primary) Endpoint() *netsim.Endpoint { return p.ep }
 
 func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message, error) {
+	if _, ok := m.Payload.(StatusReq); ok {
+		// Answered before the in-flight count: the question is not part of
+		// the load it asks about.
+		return netsim.Message{Payload: StatusResp{
+			LastCommitTS: p.store.LastCommitTS(),
+			AppliedLSN:   p.log.LastLSN(),
+			Load:         p.inflight.Load(),
+			Primary:      true,
+		}, Size: 32}, nil
+	}
 	p.inflight.Add(1)
 	defer p.inflight.Add(-1)
 	switch req := m.Payload.(type) {
@@ -566,12 +588,6 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 		p.store.AdvanceCommitWatermark(req.TS)
 		p.mu.Unlock()
 		return netsim.Message{Payload: GenericResp{}, Size: 8}, nil
-	case StatusReq:
-		return netsim.Message{Payload: StatusResp{
-			LastCommitTS: p.store.LastCommitTS(),
-			Load:         p.inflight.Load(),
-			Primary:      true,
-		}, Size: 32}, nil
 	default:
 		return netsim.Message{}, fmt.Errorf("%w: %T", ErrBadRequest, m.Payload)
 	}
@@ -765,6 +781,9 @@ func (r *Replica) SetDown(down bool) {
 }
 
 func (r *Replica) handle(ctx context.Context, m netsim.Message) (netsim.Message, error) {
+	if req, ok := m.Payload.(StatusReq); ok {
+		return r.status(ctx, req) // not load, however long it parks
+	}
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
 	store := r.applier.Store()
@@ -781,15 +800,37 @@ func (r *Replica) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 			return netsim.Message{}, err
 		}
 		return netsim.Message{Payload: resp, Size: scanSize(resp.KVs) + len(resp.Next)}, nil
-	case StatusReq:
-		return netsim.Message{Payload: StatusResp{
-			LastCommitTS: r.applier.MaxCommitTS(),
-			AppliedLSN:   r.applier.AppliedLSN(),
-			Load:         r.inflight.Load(),
-		}, Size: 32}, nil
 	default:
 		return netsim.Message{}, fmt.Errorf("%w: %T", ErrBadRequest, m.Payload)
 	}
+}
+
+// status answers a StatusReq, parking it first when it is a long poll whose
+// After the applied watermark has not passed yet.
+func (r *Replica) status(ctx context.Context, req StatusReq) (netsim.Message, error) {
+	if req.Wait > 0 {
+		timeout := time.NewTimer(req.Wait)
+		defer timeout.Stop()
+	park:
+		for {
+			applied := r.applier.NotifyApplied()
+			if r.applier.MaxCommitTS() > req.After {
+				break
+			}
+			select {
+			case <-applied:
+			case <-timeout.C:
+				break park
+			case <-ctx.Done():
+				return netsim.Message{}, ctx.Err()
+			}
+		}
+	}
+	return netsim.Message{Payload: StatusResp{
+		LastCommitTS: r.applier.MaxCommitTS(),
+		AppliedLSN:   r.applier.AppliedLSN(),
+		Load:         r.inflight.Load(),
+	}, Size: 32}, nil
 }
 
 // Client is a typed RPC client for data nodes, homed in a region.
@@ -954,9 +995,10 @@ func (c *Client) DDL(ctx context.Context, node string, tableID uint64, t ts.Time
 	return err
 }
 
-// Status fetches a node's metrics.
-func (c *Client) Status(ctx context.Context, node string) (StatusResp, error) {
-	p, err := c.call(ctx, node, StatusReq{}, 8)
+// Status fetches a node's metrics; req's zero value asks for them now (see
+// StatusReq for the long poll).
+func (c *Client) Status(ctx context.Context, node string, req StatusReq) (StatusResp, error) {
+	p, err := c.call(ctx, node, req, 24)
 	if err != nil {
 		return StatusResp{}, err
 	}

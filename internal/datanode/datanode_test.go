@@ -221,7 +221,7 @@ func TestHeartbeatAdvancesReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "heartbeat replay", func() bool { return r.replica.Applier().MaxCommitTS() >= 777 })
-	st, err := r.client.Status(bg, "dn0r0")
+	st, err := r.client.Status(bg, "dn0r0", StatusReq{})
 	if err != nil || st.LastCommitTS < 777 {
 		t.Fatalf("replica status: %+v %v", st, err)
 	}
@@ -238,14 +238,157 @@ func TestDDLRecordReachesReplica(t *testing.T) {
 	waitFor(t, "ddl replay", func() bool { return r.replica.Applier().MaxDDLTS() >= 900 })
 }
 
+// TestStatusLoadAndRole pins what a status answer says about the node: its
+// role, and as Load the reads and writes in flight — not the status request
+// that is asking, which would make every idle node report 1 and inflate
+// every routing cost by the same amount.
 func TestStatusLoadAndRole(t *testing.T) {
 	r := newRig(t, repl.Async)
-	st, err := r.client.Status(bg, "dn0")
-	if err != nil {
+	status := func(node string) StatusResp {
+		t.Helper()
+		st, err := r.client.Status(bg, node, StatusReq{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if st := status("dn0"); !st.Primary || st.Load != 0 {
+		t.Fatalf("idle primary: %+v, want Primary and Load 0", st)
+	}
+	if st := status("dn0r0"); st.Primary || st.Load != 0 {
+		t.Fatalf("idle replica: %+v, want a replica and Load 0", st)
+	}
+
+	// Park n reads per node on an unresolved intent: a PENDING COMMIT
+	// transaction blocks readers on the primary and, once replayed, on the
+	// replica, until its outcome arrives.
+	const n = 3
+	if err := r.client.WriteThen(bg, "dn0", 1, 0, []WriteOp{{Key: []byte("k"), Value: []byte("v")}}, ThenPending, ""); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Primary {
-		t.Fatal("primary must report its role")
+	waitFor(t, "PENDING COMMIT replay", func() bool {
+		return r.replica.Applier().AppliedLSN() == r.primary.Log().LastLSN()
+	})
+	reads := make(chan error, 2*n)
+	for _, node := range []string{"dn0", "dn0r0"} {
+		for i := 0; i < n; i++ {
+			go func(node string) {
+				_, _, err := r.client.Read(bg, node, []byte("k"), ts.Max, 0)
+				reads <- err
+			}(node)
+		}
+	}
+	waitFor(t, "reads to park", func() bool {
+		return r.primary.inflight.Load() == n && r.replica.inflight.Load() == n
+	})
+	if st := status("dn0"); st.Load != n {
+		t.Fatalf("primary Load = %d with %d reads parked", st.Load, n)
+	}
+	if st := status("dn0r0"); st.Load != n {
+		t.Fatalf("replica Load = %d with %d reads parked", st.Load, n)
+	}
+	if err := r.client.Commit(bg, "dn0", 1, 100, false); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*n; i++ {
+		if err := <-reads; err != nil {
+			t.Fatalf("parked read: %v", err)
+		}
+	}
+	if p, rep := status("dn0"), status("dn0r0"); p.Load != 0 || rep.Load != 0 {
+		t.Fatalf("Load after the reads returned: primary %d, replica %d", p.Load, rep.Load)
+	}
+}
+
+// TestStatusLongPollAnswersOnAdvance: a status request with Wait parks at the
+// replica until replay passes After, is not load while it is parked, and is
+// answered with the new watermark the moment the batch is applied.
+func TestStatusLongPollAnswersOnAdvance(t *testing.T) {
+	r := newRig(t, repl.Async)
+	if err := r.client.Heartbeat(bg, "dn0", 500); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "first heartbeat replay", func() bool { return r.replica.Applier().MaxCommitTS() == 500 })
+
+	type answer struct {
+		st  StatusResp
+		err error
+	}
+	parked := make(chan answer, 1)
+	go func() {
+		st, err := r.client.Status(bg, "dn0r0", StatusReq{After: 500, Wait: time.Minute})
+		parked <- answer{st, err}
+	}()
+	// A plain status overtakes the parked one and does not see it as load.
+	st, err := r.client.Status(bg, "dn0r0", StatusReq{})
+	if err != nil || st.LastCommitTS != 500 || st.Load != 0 {
+		t.Fatalf("plain status beside a parked one: %+v %v", st, err)
+	}
+	select {
+	case a := <-parked:
+		t.Fatalf("long poll answered with nothing new: %+v %v", a.st, a.err)
+	default:
+	}
+
+	if err := r.client.Heartbeat(bg, "dn0", 600); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case a := <-parked:
+		if a.err != nil || a.st.LastCommitTS != 600 || a.st.AppliedLSN != r.primary.Log().LastLSN() {
+			t.Fatalf("long poll answer: %+v %v", a.st, a.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("long poll still parked after the watermark passed After")
+	}
+
+	// Already past After: answered at once, Wait or not.
+	start := time.Now()
+	if st, err := r.client.Status(bg, "dn0r0", StatusReq{After: 500, Wait: time.Minute}); err != nil || st.LastCommitTS != 600 {
+		t.Fatalf("status past After: %+v %v", st, err)
+	}
+	if e := time.Since(start); e > time.Second {
+		t.Fatalf("status past After took %v", e)
+	}
+}
+
+// TestStatusLongPollRunsOutAndCancels: with nothing to report the replica
+// answers when Wait runs out, with the watermark it has; a cancelled caller
+// is released at once; and a primary does not park at all.
+func TestStatusLongPollRunsOutAndCancels(t *testing.T) {
+	r := newRig(t, repl.Async)
+	const wait = 30 * time.Millisecond
+	start := time.Now()
+	st, err := r.client.Status(bg, "dn0r0", StatusReq{After: 0, Wait: wait})
+	if err != nil || st.LastCommitTS != 0 {
+		t.Fatalf("timed-out long poll: %+v %v", st, err)
+	}
+	if e := time.Since(start); e < wait {
+		t.Fatalf("long poll with nothing to report answered after %v, before Wait (%v) ran out", e, wait)
+	}
+
+	ctx, cancel := context.WithCancel(bg)
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.client.Status(ctx, "dn0r0", StatusReq{After: 0, Wait: time.Minute})
+		done <- err
+	}()
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled long poll: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled long poll still parked")
+	}
+
+	start = time.Now()
+	if st, err := r.client.Status(bg, "dn0", StatusReq{After: ts.Max, Wait: time.Minute}); err != nil || !st.Primary {
+		t.Fatalf("primary status: %+v %v", st, err)
+	}
+	if e := time.Since(start); e > time.Second {
+		t.Fatalf("a primary parked a status request for %v", e)
 	}
 }
 

@@ -31,6 +31,11 @@ type Applier struct {
 	ddlTS      map[uint64]ts.Timestamp // tableID (from DDL record Txn field) -> ts
 
 	onDDL func(r redo.Record) // optional catalog hook
+
+	// notifyMu guards applied, the channel NotifyApplied hands out. It is
+	// separate from mu so that registering never waits for a replay.
+	notifyMu sync.Mutex
+	applied  chan struct{}
 }
 
 // NewApplier returns an applier over store, expecting the log from LSN 1.
@@ -56,6 +61,30 @@ func (a *Applier) AppliedLSN() uint64 {
 // replica's contribution to the RCP (Fig. 4).
 func (a *Applier) MaxCommitTS() ts.Timestamp { return a.store.LastCommitTS() }
 
+// NotifyApplied returns a channel closed when the next batch has been
+// replayed, in the idiom of redo.Log.NotifyAppend: take the channel, check
+// MaxCommitTS or AppliedLSN, wait on the channel, check again — no wakeup is
+// lost. It is how a status long poll parks on the watermark instead of being
+// asked again every few milliseconds.
+func (a *Applier) NotifyApplied() <-chan struct{} {
+	a.notifyMu.Lock()
+	defer a.notifyMu.Unlock()
+	if a.applied == nil {
+		a.applied = make(chan struct{})
+	}
+	return a.applied
+}
+
+// wakeApplied closes the channel the current waiters hold, if any.
+func (a *Applier) wakeApplied() {
+	a.notifyMu.Lock()
+	if a.applied != nil {
+		close(a.applied)
+		a.applied = nil
+	}
+	a.notifyMu.Unlock()
+}
+
 // Store exposes the underlying MVCC store for reads.
 func (a *Applier) Store() *mvcc.Store { return a.store }
 
@@ -65,6 +94,7 @@ func (a *Applier) Store() *mvcc.Store { return a.store }
 // are deduplicated (at-least-once delivery is fine).
 func (a *Applier) Apply(recs []redo.Record) (uint64, error) {
 	a.mu.Lock()
+	defer a.wakeApplied() // runs after the unlock: a woken waiter reads AppliedLSN
 	defer a.mu.Unlock()
 	for _, r := range recs {
 		switch {
@@ -103,6 +133,7 @@ type stageItem struct {
 // does not gate the coordinator.
 func (a *Applier) ApplyParallel(recs []redo.Record) (uint64, error) {
 	a.mu.Lock()
+	defer a.wakeApplied() // runs after the unlock: a woken waiter reads AppliedLSN
 	defer a.mu.Unlock()
 
 	queues := make([][]stageItem, ApplyParallelism)

@@ -1,10 +1,16 @@
 package repl
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"globaldb/internal/netsim"
+	"globaldb/internal/redo"
+	"globaldb/internal/storage/mvcc"
 	"globaldb/internal/ts"
 )
 
@@ -65,5 +71,102 @@ func TestShipperStopPreservesAck(t *testing.T) {
 		if acked, applied := r.shipper.AckedLSN(), r.applier.AppliedLSN(); acked != applied {
 			t.Fatalf("preStop=%v: acked=%d but replica applied %d", preStop, acked, applied)
 		}
+	}
+}
+
+// lingerCfg lingers for a second wherever the shipper lingers at all, so a
+// test can tell a record that waited from one that did not.
+func lingerCfg() ShipperConfig {
+	cfg := DefaultShipperConfig()
+	cfg.FlushDelay = time.Second
+	return cfg
+}
+
+// TestShipperIdleLinkSendsAtOnce: FlushDelay exists to coalesce records with
+// a batch that is already on the wire. A record that finds the link idle —
+// every heartbeat of a quiet shard — has nothing to wait for and leaves at
+// once.
+func TestShipperIdleLinkSendsAtOnce(t *testing.T) {
+	r := newShipRig(t, 20*time.Millisecond, 0, lingerCfg(), Async) // x0.2: 4 ms round trip
+	for i := 1; i <= 3; i++ {
+		start := time.Now()
+		lsn := r.log.Append(redo.Record{Type: redo.TypeHeartbeat, TS: ts.Timestamp(100 * i)})
+		waitFor(t, "ack", 5*time.Second, func() bool { return r.shipper.AckedLSN() == lsn })
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Fatalf("record %d on an idle link was acked after %v; FlushDelay is %v", i, took, time.Second)
+		}
+	}
+	if st := r.shipper.Stats(); st.Batches != 3 {
+		t.Fatalf("batches = %d, want one per record", st.Batches)
+	}
+}
+
+// TestShipperCoalescesBehindABatchInFlight: records appended while a batch is
+// unacked wait for each other and leave as one batch — when the ack arrives,
+// which ends the linger early, or when FlushDelay runs out.
+func TestShipperCoalescesBehindABatchInFlight(t *testing.T) {
+	r := newShipRig(t, 400*time.Millisecond, 0, lingerCfg(), Async) // x0.2: 80 ms round trip
+	r.log.Append(redo.Record{Type: redo.TypeHeartbeat, TS: 100})
+	waitFor(t, "first batch on the wire", 5*time.Second, func() bool { return r.shipper.Stats().Batches == 1 })
+	const behind = 5
+	var last uint64
+	for i := 0; i < behind; i++ {
+		last = r.log.Append(redo.Record{Type: redo.TypeHeartbeat, TS: ts.Timestamp(200 + i)})
+	}
+	if st := r.shipper.Stats(); st.Batches != 1 || st.AckedLSN != 0 {
+		t.Fatalf("the first batch was acked before the rest were appended (%+v): nothing was in flight", st)
+	}
+	start := time.Now()
+	waitFor(t, "ack of the rest", 5*time.Second, func() bool { return r.shipper.AckedLSN() == last })
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Fatalf("the records behind the first batch were acked after %v: its ack did not end the linger", took)
+	}
+	if st := r.shipper.Stats(); st.Batches != 2 || st.Records != 1+behind {
+		t.Fatalf("%d records left in %d batches, want the %d behind the first in one", st.Records, st.Batches, behind)
+	}
+}
+
+// TestShipperSmallBatchSkipsCompressor: under compressMinBytes a batch goes
+// out raw; a large one is compressed and replays to the same records.
+func TestShipperSmallBatchSkipsCompressor(t *testing.T) {
+	n := netsim.New(netsim.Config{TimeScale: 0.2})
+	n.SetLink("primary", "replica", time.Millisecond, 0)
+	log := redo.NewLog()
+	applier := NewApplier(mvcc.NewStore())
+	ServeApplier(n, "inner", "replica", applier, Flate{})
+	var seen []Batch
+	var mu sync.Mutex
+	n.Register("tap", "replica", func(ctx context.Context, m netsim.Message) (netsim.Message, error) {
+		mu.Lock()
+		seen = append(seen, m.Payload.(Batch))
+		mu.Unlock()
+		return n.Call(ctx, "replica", "inner", m)
+	})
+	sh := NewShipper(DefaultShipperConfig(), n, "primary", "tap", log, nil)
+	sh.Start()
+	defer sh.Stop()
+
+	small := log.Append(redo.Record{Type: redo.TypeHeapUpdate, Txn: 1, Key: []byte("k"), Value: bytes.Repeat([]byte("v"), 150)})
+	waitFor(t, "small batch ack", 5*time.Second, func() bool { return sh.AckedLSN() == small })
+	big := log.Append(redo.Record{Type: redo.TypeHeapUpdate, Txn: 1, Key: []byte("k2"), Value: bytes.Repeat([]byte("w"), 4096)})
+	waitFor(t, "big batch ack", 5*time.Second, func() bool { return sh.AckedLSN() == big })
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != 2 {
+		t.Fatalf("batches seen = %d, want 2", len(seen))
+	}
+	if b := seen[0]; b.Compressed || len(b.Data) >= compressMinBytes || len(b.Data) < 150 {
+		t.Fatalf("small batch: compressed=%v, %d bytes on the wire", b.Compressed, len(b.Data))
+	}
+	if b := seen[1]; !b.Compressed || len(b.Data) >= 1024 {
+		t.Fatalf("4 KB batch: compressed=%v, %d bytes on the wire", b.Compressed, len(b.Data))
+	}
+	if applier.AppliedLSN() != big {
+		t.Fatalf("applied %d, want %d", applier.AppliedLSN(), big)
+	}
+	st := sh.Stats()
+	if st.WireBytes >= st.RawBytes || st.RawBytes < 4096+150 {
+		t.Fatalf("stats: %+v", st)
 	}
 }

@@ -202,6 +202,37 @@ func TestApplierHeartbeatAndDDL(t *testing.T) {
 	}
 }
 
+// TestApplierNotifyApplied: the channel is closed by the next replay, by
+// either entry point, and a waiter that takes it before checking the
+// watermark cannot miss one.
+func TestApplierNotifyApplied(t *testing.T) {
+	a := NewApplier(mvcc.NewStore())
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	ch := a.NotifyApplied()
+	if closed(ch) || a.NotifyApplied() != ch {
+		t.Fatal("waiters between two replays share one open channel")
+	}
+	a.Apply([]redo.Record{{LSN: 1, Type: redo.TypeHeartbeat, TS: 5}})
+	if !closed(ch) || a.MaxCommitTS() != 5 {
+		t.Fatal("Apply must close the channel after the watermark has moved")
+	}
+	ch = a.NotifyApplied()
+	if closed(ch) {
+		t.Fatal("a channel taken after a replay waits for the next one")
+	}
+	a.ApplyParallel([]redo.Record{{LSN: 2, Type: redo.TypeHeartbeat, TS: 6}})
+	if !closed(ch) || a.AppliedLSN() != 2 {
+		t.Fatal("ApplyParallel must close the channel")
+	}
+}
+
 func TestApplyParallelMatchesSequential(t *testing.T) {
 	// Build a large interleaved workload, replay it via Apply on one store
 	// and ApplyParallel on another, and compare visible states.

@@ -37,8 +37,10 @@ type ShipperConfig struct {
 	// BatchMax bounds records per batch.
 	BatchMax int
 	// FlushDelay is how long the shipper lingers after the first pending
-	// record to accumulate a fuller batch — the knob that models Nagle-less
-	// aggressive flushing (GlobalDB) versus buffered shipping (baseline).
+	// record to accumulate a fuller batch — the knob that models aggressive
+	// flushing (GlobalDB) versus buffered shipping (baseline). It applies
+	// only while an earlier batch is unacked; a record that finds the link
+	// idle leaves at once.
 	FlushDelay time.Duration
 	// Compressor encodes batches; Noop for the baseline, Flate for
 	// GlobalDB's LZ4-style compression.
@@ -168,6 +170,10 @@ func (s *Shipper) Lag() uint64 {
 // stopDrainTimeout bounds how long Stop waits for in-flight batch acks.
 const stopDrainTimeout = 2 * time.Second
 
+// compressMinBytes is the marshaled size below which a batch skips the
+// compressor.
+const compressMinBytes = 256
+
 // run is the shipping loop: a sliding window of in-flight batches. The
 // cursor advances optimistically past each batch as it is handed to a
 // sender goroutine; acks (which may arrive out of order) carry the
@@ -285,14 +291,29 @@ func (s *Shipper) run(ctx context.Context) {
 				continue
 			}
 		}
-		// Linger to accumulate a fuller cross-transaction batch (the
-		// baseline buffers longer); acks keep landing while we wait.
-		if s.cfg.FlushDelay > 0 && len(recs) < s.cfg.BatchMax {
+		// Linger to accumulate a fuller cross-transaction batch (the baseline
+		// buffers longer) — but only while a batch is on the wire, as Nagle
+		// does: on an idle link there is nothing to coalesce with, and the
+		// record waiting is as often as not a heartbeat whose whole purpose is
+		// to reach the replicas now. Acks keep landing while we wait, and the
+		// last one ends the wait.
+		if s.cfg.FlushDelay > 0 && len(recs) < s.cfg.BatchMax && inflight > 0 {
 			timer := time.NewTimer(s.cfg.FlushDelay)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
+			for lingering := true; lingering && inflight > 0; {
+				select {
+				case <-timer.C:
+					lingering = false
+				case r := <-results:
+					handle(r)
+				case <-ctx.Done():
+					lingering = false
+				}
+			}
+			timer.Stop()
+			if ctx.Err() != nil || inflight == 0 {
+				// Stopping, or the link went idle: the top of the loop drains,
+				// or rewinds the cursor if the last ack left a gap, and comes
+				// back here without a linger.
 				continue
 			}
 			if more, _ := s.log.ReadFrom(cursor, s.cfg.BatchMax); len(more) > len(recs) {
@@ -300,11 +321,15 @@ func (s *Shipper) run(ctx context.Context) {
 			}
 		}
 
+		// A batch under compressMinBytes goes out as it is: DEFLATE's framing
+		// eats what it saves on a record or two, and the idle cluster's traffic
+		// is exactly that — one heartbeat record per batch per replica.
 		raw := redo.Marshal(recs)
-		wire, cerr := s.cfg.Compressor.Compress(raw)
-		compressed := cerr == nil && len(wire) < len(raw)
-		if !compressed {
-			wire = raw
+		wire, compressed := raw, false
+		if len(raw) >= compressMinBytes {
+			if enc, err := s.cfg.Compressor.Compress(raw); err == nil && len(enc) < len(raw) {
+				wire, compressed = enc, true
+			}
 		}
 		batch := Batch{From: recs[0].LSN, Count: len(recs), Compressed: compressed, Codec: s.cfg.Compressor.Name(), Data: wire}
 
