@@ -11,7 +11,7 @@
 //	mode                           show the transaction management mode
 //	togclock | togtm               live transition
 //	rcp                            show the replica consistency point
-//	stats                          per-CN counters, commit path (WAL/2PC/repl), RCP lag and replica replay lag
+//	stats                          per-CN counters, commit path (WAL/2PC/repl), RCP lag and replica replay lag, GC watermark and retained redo
 //	stats <host:port>              live snapshot from a globaldb-server
 //	quit
 package main
@@ -141,6 +141,10 @@ func execute(ctx context.Context, db *globaldb.DB, fields []string) error {
 		}
 		fmt.Println("replica reads:")
 		for _, line := range db.Cluster().Collector.FormatStats() {
+			fmt.Println(" ", line)
+		}
+		fmt.Println("gc:")
+		for _, line := range db.Cluster().FormatGCStats() {
 			fmt.Println(" ", line)
 		}
 	case "put":

@@ -82,6 +82,7 @@ import (
 	"globaldb/internal/coordinator"
 	"globaldb/internal/datanode"
 	"globaldb/internal/placement"
+	"globaldb/internal/storage/mvcc"
 	"globaldb/internal/table"
 	"globaldb/internal/ts"
 )
@@ -127,6 +128,11 @@ func OneRegion(injectedRTT time.Duration) Config { return cluster.OneRegion(inje
 var (
 	// ErrNotFound is returned by lookups that match no row.
 	ErrNotFound = errors.New("globaldb: row not found")
+	// ErrSnapshotTooOld is returned by a read whose snapshot version GC has
+	// passed: a Query kept for longer than about ten seconds, or a Tx left
+	// open for more than a minute. Start a new one. See the README, "Version GC
+	// and `snapshot too old`".
+	ErrSnapshotTooOld = mvcc.ErrSnapshotTooOld
 )
 
 // DB is an open cluster.
@@ -231,7 +237,8 @@ func (s *Session) Region() string { return s.cn.Region() }
 // CN exposes the session's computing node (stats, tests).
 func (s *Session) CN() *coordinator.CN { return s.cn }
 
-// Begin starts a read-write transaction.
+// Begin starts a read-write transaction. Until Commit or Abort it holds
+// version GC back to its snapshot, so end every transaction you begin.
 func (s *Session) Begin(ctx context.Context) (*Tx, error) {
 	t, err := s.cn.Begin(ctx)
 	if err != nil {
@@ -241,7 +248,9 @@ func (s *Session) Begin(ctx context.Context) (*Tx, error) {
 }
 
 // ReadOnly starts a read-only query with a staleness bound; tables names
-// the relations the query will touch (for the DDL visibility gate).
+// the relations the query will touch (for the DDL visibility gate). A Query
+// has no Close and holds nothing back: read with it promptly, and expect
+// ErrSnapshotTooOld from one kept for more than about ten seconds.
 func (s *Session) ReadOnly(ctx context.Context, bound time.Duration, tables ...string) (*Query, error) {
 	ids := make([]uint64, 0, len(tables))
 	for _, name := range tables {

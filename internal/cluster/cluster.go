@@ -2,8 +2,9 @@
 // regions connected by a simulated WAN, a GTM server, per-region computing
 // nodes with synchronized clocks, sharded primaries (each with a synchronized
 // clock of its own) with replica sets, redo shipping, the RCP collector,
-// heartbeats, and the online transition controller. It is the programmatic
-// equivalent of the paper's One-Region and Three-City testbeds (Sec. V).
+// heartbeats, version GC with redo truncation, and the online transition
+// controller. It is the programmatic equivalent of the paper's One-Region and
+// Three-City testbeds (Sec. V).
 package cluster
 
 import (
@@ -284,6 +285,7 @@ func Open(cfg Config) (*Cluster, error) {
 		cn.SetCollector(c.Collector)
 	}
 	c.Collector.Start()
+	c.StartGC()
 	return c, nil
 }
 
@@ -488,6 +490,9 @@ func (c *Cluster) PromoteReplica(ctx context.Context, shard, replicaIdx int) err
 	if replicaIdx < 0 || replicaIdx >= len(c.replicas[shard]) {
 		return fmt.Errorf("cluster: shard %d has no replica %d", shard, replicaIdx)
 	}
+	// No GC round while the shard's nodes and the collector are replaced.
+	c.gc.mu.Lock()
+	defer c.gc.mu.Unlock()
 	promoted := c.replicas[shard][replicaIdx]
 	promoted.SetDown(true) // stop serving as a replica
 
@@ -649,6 +654,7 @@ func (c *Cluster) Close() {
 	for _, cn := range c.cns {
 		cn.Quiesce()
 	}
+	c.StopGC()
 	c.Collector.Stop()
 	for _, p := range c.primaries {
 		p.Repl().StopAll()

@@ -145,6 +145,7 @@ type CN struct {
 	tracker *ror.Tracker
 
 	txnSeq atomic.Uint64
+	pins   snapshotPins
 
 	trackerMu   sync.Mutex
 	lastRefresh time.Time
@@ -189,6 +190,7 @@ func New(cfg Config, name, region string, cnID uint64, client *datanode.Client, 
 		client: client, oracle: oracle, routing: routing,
 		tracker: ror.NewTracker(), catalog: catalog,
 		gtmRate: cfg.GTMRatePerSec,
+		pins:    snapshotPins{held: make(map[uint64]snapshotPin)},
 	}
 }
 
@@ -274,14 +276,63 @@ func (c *CN) dropResolve(txn uint64) bool {
 	return fn != nil && fn(txn)
 }
 
-// Begin starts a read-write transaction.
+// MaxSnapshotHold is how long a read-write transaction's snapshot holds the
+// version-GC watermark back. A transaction still open after that — abandoned
+// without Commit or Abort, most likely — no longer does, and its next read
+// or write below the watermark fails with mvcc.ErrSnapshotTooOld.
+const MaxSnapshotHold = time.Minute
+
+// snapshotPins is the set of snapshots this CN's live read-write
+// transactions read at: what version GC must not prune past.
+type snapshotPins struct {
+	mu   sync.Mutex
+	held map[uint64]snapshotPin // by transaction id
+}
+
+type snapshotPin struct {
+	snap  ts.Timestamp
+	since time.Time
+}
+
+// OldestActiveSnapshot returns the lowest snapshot of any read-write
+// transaction begun at this CN and not yet committed or aborted; ok is false
+// when there is none. Transactions open for longer than MaxSnapshotHold as
+// of now are dropped from the set.
+func (c *CN) OldestActiveSnapshot(now time.Time) (oldest ts.Timestamp, ok bool) {
+	c.pins.mu.Lock()
+	defer c.pins.mu.Unlock()
+	for id, p := range c.pins.held {
+		switch {
+		case now.Sub(p.since) > MaxSnapshotHold:
+			delete(c.pins.held, id)
+		case !ok || p.snap < oldest:
+			oldest, ok = p.snap, true
+		}
+	}
+	return oldest, ok
+}
+
+// Begin starts a read-write transaction. Its snapshot pins the version-GC
+// watermark until Commit or Abort returns (see MaxSnapshotHold).
 func (c *CN) Begin(ctx context.Context) (*Txn, error) {
 	tt, err := c.oracle.Begin(ctx)
 	if err != nil {
 		return nil, err
 	}
 	id := c.cnID<<40 | c.txnSeq.Add(1)
+	c.pins.mu.Lock()
+	c.pins.held[id] = snapshotPin{snap: tt.Snap, since: time.Now()}
+	c.pins.mu.Unlock()
 	return &Txn{cn: c, id: id, ts: tt, writes: make(map[int]*shardWrites)}, nil
+}
+
+// unpin releases the transaction's hold on the GC watermark. It runs when
+// Commit or Abort returns, not when it starts: the writes a commit flushes
+// are checked against the snapshot too.
+func (t *Txn) unpin() {
+	t.cn.pins.mu.Lock()
+	delete(t.cn.pins.held, t.id)
+	t.cn.pins.mu.Unlock()
 }
 
 // Txn is a read-write transaction coordinated by one CN. Writes are
@@ -439,6 +490,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	if !t.done.CompareAndSwap(false, true) {
 		return ErrTxnDone
 	}
+	defer t.unpin()
 	shards := t.shards()
 	if len(shards) == 0 {
 		return nil // read-only: nothing to resolve
@@ -645,6 +697,7 @@ func (t *Txn) Abort(ctx context.Context) error {
 	if !t.done.CompareAndSwap(false, true) {
 		return ErrTxnDone
 	}
+	defer t.unpin()
 	var sent []int
 	for shard, w := range t.writes {
 		if w.sent {

@@ -2,8 +2,10 @@ package coordinator
 
 import (
 	"context"
+	"errors"
 	"time"
 
+	"globaldb/internal/storage/mvcc"
 	"globaldb/internal/ts"
 )
 
@@ -75,7 +77,7 @@ func (r *ROTxn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, e
 	start := time.Now()
 	v, found, err := r.cn.client.Read(ctx, node, key, r.snap, 0)
 	r.observe(node, replica, start, err)
-	if err != nil && replica {
+	if nodeFailed(err) && replica {
 		// One retry on the primary: the replica crashed mid-query.
 		r.cn.primaryReads.Add(1)
 		return r.cn.client.Read(ctx, r.cn.routing.Primary(shard), key, r.snap, 0)
@@ -108,11 +110,19 @@ func (r *ROTxn) observe(node string, replica bool, start time.Time, err error) {
 	} else {
 		r.cn.primaryReads.Add(1)
 	}
-	if err != nil {
+	switch {
+	case nodeFailed(err):
 		r.cn.Tracker().MarkFailed(node)
-		return
+	case err == nil:
+		r.cn.Tracker().ObserveLatency(node, rtt)
 	}
-	r.cn.Tracker().ObserveLatency(node, rtt)
+}
+
+// nodeFailed reports whether err says something about the node that returned
+// it. A snapshot below the GC horizon does not: every node of the shard would
+// refuse it, so it is neither held against the replica nor retried.
+func nodeFailed(err error) bool {
+	return err != nil && !errors.Is(err, mvcc.ErrSnapshotTooOld)
 }
 
 // rcpStaleness estimates how far the RCP lags real time. Under GClock the

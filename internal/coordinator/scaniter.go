@@ -420,7 +420,7 @@ func (r *ROTxn) ScanCursor(ctx context.Context, shard int, spec ScanSpec) *ScanC
 				return nil, nil, false, err
 			}
 			r.observe(node, replica, t0, err)
-			if err != nil && replica {
+			if nodeFailed(err) && replica {
 				r.cn.primaryReads.Add(1)
 				primary := r.cn.routing.Primary(shard)
 				rpc.Tag("shard=%d node=%s (replica %s failed)", shard, primary, node)

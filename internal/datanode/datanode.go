@@ -405,8 +405,15 @@ func (p *Primary) AttachWALOptions(opts wal.Options, archiveBatch int) (*wal.Arc
 	if err != nil {
 		return nil, err
 	}
-	p.walW.Store(w)
+	p.attachWriter(w)
 	return wal.NewArchiverBatched(p.log, w, archiveBatch), nil
+}
+
+// attachWriter makes w the WAL that acks wait on, and holds redo truncation
+// back to what the archiver feeding it has yet to read from the log.
+func (p *Primary) attachWriter(w *wal.Writer) {
+	p.walW.Store(w)
+	p.mgr.AddTailer(w.NextLSN)
 }
 
 // WAL exposes the attached WAL writer (nil when none), for commit-path
@@ -470,7 +477,7 @@ func RecoverPrimaryOptions(n *netsim.Network, id, region string, shard int, opts
 	if err != nil {
 		return nil, nil, err
 	}
-	p.walW.Store(w)
+	p.attachWriter(w)
 	return p, wal.NewArchiverBatched(p.log, w, archiveBatch), nil
 }
 

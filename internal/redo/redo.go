@@ -269,6 +269,14 @@ func (l *Log) LastLSN() uint64 {
 	return l.nextLSN - 1
 }
 
+// Retained returns how many records the log holds in memory: those appended
+// and not yet truncated.
+func (l *Log) Retained() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.recs)
+}
+
 // ReadFrom returns up to max records starting at LSN from. It returns
 // ErrTruncated if from precedes the retained prefix. An empty result means
 // the log has no records at or beyond from yet.
@@ -303,7 +311,7 @@ func (l *Log) NotifyAppend() <-chan struct{} {
 }
 
 // Truncate drops records with LSN < before, bounding memory. Replication
-// managers call it once every replica has acknowledged the prefix.
+// managers call it once every reader of the log is past the prefix.
 func (l *Log) Truncate(before uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

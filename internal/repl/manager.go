@@ -28,7 +28,7 @@ func (m Mode) String() string {
 }
 
 // Manager owns a primary's shippers and implements commit-time durability
-// waits plus log truncation below the slowest replica.
+// waits plus log truncation below the slowest reader of the log.
 type Manager struct {
 	log  *redo.Log
 	mode Mode
@@ -36,6 +36,7 @@ type Manager struct {
 	mu       sync.Mutex
 	quorum   int
 	shippers []*Shipper
+	tailers  []func() uint64 // see AddTailer
 	waiters  []chan struct{}
 }
 
@@ -73,6 +74,15 @@ func (m *Manager) SetMode(mode Mode, quorum int) {
 func (m *Manager) AddShipper(s *Shipper) {
 	m.mu.Lock()
 	m.shippers = append(m.shippers, s)
+	m.mu.Unlock()
+}
+
+// AddTailer registers a reader of the log other than a shipper — the WAL
+// archiver — by the LSN it will read next: Truncate keeps every record at or
+// above what next returns. next must never go backwards.
+func (m *Manager) AddTailer(next func() uint64) {
+	m.mu.Lock()
+	m.tailers = append(m.tailers, next)
 	m.mu.Unlock()
 }
 
@@ -165,10 +175,19 @@ func (m *Manager) MinAckedLSN() uint64 {
 	return min
 }
 
-// Truncate drops log records every replica has applied.
+// Truncate drops the log records no reader needs again: those below the
+// slowest replica's acknowledged LSN and below every tailer's next LSN. With
+// a replica down its shipper's acknowledgements stop, and so does truncation.
 func (m *Manager) Truncate() {
-	if min := m.MinAckedLSN(); min > 1 {
-		m.log.Truncate(min)
+	floor := m.MinAckedLSN()
+	m.mu.Lock()
+	tailers := m.tailers
+	m.mu.Unlock()
+	for _, next := range tailers {
+		floor = min(floor, next())
+	}
+	if floor > 1 {
+		m.log.Truncate(floor)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -440,9 +441,22 @@ func TestManagerTruncate(t *testing.T) {
 	}
 	last := r.log.LastLSN()
 	waitFor(t, "catch-up", 5*time.Second, func() bool { return r.mgr.MinAckedLSN() == last })
+	// A tailer (the WAL archiver) that has read less than the replicas have
+	// acknowledged holds truncation at its own position.
+	var archived atomic.Uint64
+	archived.Store(7)
+	r.mgr.AddTailer(archived.Load)
 	r.mgr.Truncate()
 	if _, err := r.log.ReadFrom(1, 1); err == nil {
 		t.Fatal("log must be truncated below the acked prefix")
+	}
+	if recs, err := r.log.ReadFrom(7, 1); err != nil || len(recs) != 1 {
+		t.Fatalf("the record the tailer reads next was truncated: %v", err)
+	}
+	archived.Store(last + 1)
+	r.mgr.Truncate()
+	if _, err := r.log.ReadFrom(7, 1); err == nil {
+		t.Fatal("log must be truncated once the tailer has moved on")
 	}
 	// New appends still ship.
 	writeTxn(r.log, 99, 999, map[string]string{"z": "end"})

@@ -51,8 +51,10 @@ func (m *model) read(key string, snap ts.Timestamp) ([]byte, bool) {
 
 // TestStoreMatchesSequentialModel drives a Store with a long random
 // sequence of serial transactions (writes, deletes, commits, aborts) and
-// cross-checks every read at randomly chosen historical snapshots against
-// the oracle.
+// random Prune calls, and cross-checks every read at randomly chosen
+// historical snapshots against the oracle, which never forgets a version: a
+// read at or above the highest prune watermark must agree with it, and a read
+// below must be refused, not answered.
 func TestStoreMatchesSequentialModel(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -60,6 +62,27 @@ func TestStoreMatchesSequentialModel(t *testing.T) {
 			store := NewStore()
 			oracle := newModel()
 			ctx := context.Background()
+
+			var floor ts.Timestamp // highest watermark pruned at
+			check := func(where, key string, snap ts.Timestamp) {
+				t.Helper()
+				got, found, err := store.Get(ctx, []byte(key), snap, 0)
+				if snap < floor {
+					if !errors.Is(err, ErrSnapshotTooOld) {
+						t.Fatalf("%s key %s snap %v below floor %v: (%q,%v,%v), want ErrSnapshotTooOld",
+							where, key, snap, floor, got, found, err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("%s get: %v", where, err)
+				}
+				want, wantFound := oracle.read(key, snap)
+				if found != wantFound || !bytes.Equal(got, want) {
+					t.Fatalf("%s key %s snap %v floor %v: store (%q,%v) vs model (%q,%v)",
+						where, key, snap, floor, got, found, want, wantFound)
+				}
+			}
 
 			var commitTimes []ts.Timestamp
 			nextTS := ts.Timestamp(100)
@@ -100,41 +123,42 @@ func TestStoreMatchesSequentialModel(t *testing.T) {
 				oracle.commit(writes, deletes, nextTS)
 				commitTimes = append(commitTimes, nextTS)
 
+				// Now and then prune at a past commit time — sometimes one
+				// below the floor, which must change nothing.
+				if rng.Intn(12) == 0 {
+					w := commitTimes[rng.Intn(len(commitTimes))] - ts.Timestamp(rng.Intn(2))
+					store.Prune(w)
+					floor = max(floor, w)
+				}
+
 				// Cross-check reads at the tip and at a random historical
 				// snapshot (including between commits).
-				snaps := []ts.Timestamp{nextTS, ts.Max}
+				snaps := []ts.Timestamp{nextTS, ts.Max, floor}
 				if len(commitTimes) > 1 {
 					base := commitTimes[rng.Intn(len(commitTimes))]
 					snaps = append(snaps, base, base-1)
 				}
 				for _, snap := range snaps {
-					key := fmt.Sprintf("k%02d", rng.Intn(30))
-					got, found, err := store.Get(ctx, []byte(key), snap, 0)
-					if err != nil {
-						t.Fatalf("get: %v", err)
-					}
-					want, wantFound := oracle.read(key, snap)
-					if found != wantFound || !bytes.Equal(got, want) {
-						t.Fatalf("txn %d key %s snap %v: store (%q,%v) vs model (%q,%v)",
-							txn, key, snap, got, found, want, wantFound)
-					}
+					check(fmt.Sprintf("txn %d", txn), fmt.Sprintf("k%02d", rng.Intn(30)), snap)
 				}
 			}
 
 			// Full sweep at several snapshots.
-			for _, snap := range []ts.Timestamp{commitTimes[len(commitTimes)/3], commitTimes[len(commitTimes)-1], ts.Max} {
+			for _, snap := range []ts.Timestamp{commitTimes[len(commitTimes)/3], floor, commitTimes[len(commitTimes)-1], ts.Max} {
 				for i := 0; i < 30; i++ {
-					key := fmt.Sprintf("k%02d", i)
-					got, found, err := store.Get(ctx, []byte(key), snap, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, wantFound := oracle.read(key, snap)
-					if found != wantFound || !bytes.Equal(got, want) {
-						t.Fatalf("sweep key %s snap %v: store (%q,%v) vs model (%q,%v)",
-							key, snap, got, found, want, wantFound)
-					}
+					check("sweep", fmt.Sprintf("k%02d", i), snap)
 				}
+			}
+			if floor == 0 || store.Stats().Pruned == 0 {
+				t.Fatalf("the run pruned nothing (floor %v): the model was not exercised against Prune", floor)
+			}
+			// The maintained version count is the one a walk finds.
+			var walked int64
+			for _, k := range store.Keys() {
+				walked += int64(len(store.Versions(k)))
+			}
+			if got := store.Stats().Versions; got != walked {
+				t.Fatalf("Stats.Versions = %d, a walk counts %d", got, walked)
 			}
 		})
 	}

@@ -1,9 +1,10 @@
 // Package mvcc implements the multi-version storage engine used by GlobalDB
 // data nodes.
 //
-// Each key maps to a version chain (newest first) plus at most one
-// uncommitted write intent. Visibility follows snapshot semantics: a read at
-// snapshot timestamp S sees the newest version with commitTS <= S.
+// Each key maps to a version chain (oldest first, so the common in-order
+// commit is an append) plus at most one uncommitted write intent. Visibility
+// follows snapshot semantics: a read at snapshot timestamp S sees the newest
+// version with commitTS <= S.
 //
 // Intents move through states mirroring the paper's redo protocol
 // (Sec. IV-A):
@@ -28,6 +29,14 @@
 // never acquired while holding the structure or a chain lock, which rules
 // out lock-order cycles; readers that race a resolving transaction simply
 // retry their key.
+//
+// Garbage collection: Prune(w) drops, for every key that gained garbage since
+// the last call, the versions no snapshot at or above w can see, and raises
+// the store's prune floor to w. From then on the store refuses any snapshot
+// below the floor with ErrSnapshotTooOld rather than answer from a chain that
+// may have lost the version that snapshot should see. Whoever picks w (the
+// cluster's GC loop) decides which readers that can happen to; the store only
+// guarantees it never returns a wrong row.
 package mvcc
 
 import (
@@ -36,11 +45,28 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
+	"globaldb/internal/obs"
 	"globaldb/internal/storage/btree"
 	"globaldb/internal/ts"
+)
+
+// GC metric names on obs.Default; they total every store in the process.
+const (
+	// MetricPrunedVersions counts versions Prune removed.
+	MetricPrunedVersions = "gc_pruned_versions_total"
+	// MetricSnapshotTooOld counts reads and writes refused because their
+	// snapshot was below a store's prune floor.
+	MetricSnapshotTooOld = "gc_snapshot_too_old_total"
+)
+
+var (
+	metricPruned = obs.Default.Counter(MetricPrunedVersions)
+	metricTooOld = obs.Default.Counter(MetricSnapshotTooOld)
 )
 
 // TxnID identifies a transaction cluster-wide. Coordinators compose it from
@@ -55,6 +81,9 @@ var (
 	ErrWriteConflict = errors.New("mvcc: write-write conflict")
 	// ErrTxnNotFound means the transaction has no state in this store.
 	ErrTxnNotFound = errors.New("mvcc: transaction not found")
+	// ErrSnapshotTooOld means the snapshot is below the store's prune floor:
+	// the versions it should see may have been garbage collected.
+	ErrSnapshotTooOld = errors.New("mvcc: snapshot too old")
 )
 
 // TxnState is the lifecycle state of a transaction's intents in one store.
@@ -96,10 +125,18 @@ type intent struct {
 	deleted bool
 }
 
+// chain is one key's committed versions and intent. versions is ordered
+// oldest first and is copy-on-write towards readers: snapshot hands out the
+// slice header without copying, so nothing may ever store to an element a
+// header already handed out covers. install is the only place that adds a
+// version and prune the only place that removes one; an in-order install
+// appends past every such header's length, everything else builds a new
+// slice.
 type chain struct {
 	mu       sync.Mutex
 	dead     bool      // set when the chain is unlinked from the tree; writers must re-fetch
-	versions []Version // newest first
+	queued   bool      // on the store's deep list
+	versions []Version // oldest first
 	intent   *intent
 }
 
@@ -116,6 +153,22 @@ type Store struct {
 
 	txnMu sync.Mutex
 	txns  map[TxnID]*txnMeta
+
+	// What gained garbage since the last Prune, so that a Prune costs
+	// O(writes since the last one), not O(keys): deep holds each chain of two
+	// or more versions once (chain.queued); tombs holds, with its key, each
+	// chain a tombstone was installed on, for unlinking. gcMu is a leaf lock,
+	// taken under a chain lock.
+	gcMu  sync.Mutex
+	deep  []*chain
+	tombs []tombstone
+	// floor is the highest watermark Prune ran at. It is stored before Prune
+	// touches a chain and loaded after a reader has read its chains, so a
+	// reader that saw a pruned chain also sees the floor that explains it.
+	floor atomic.Int64
+
+	versions atomic.Int64 // committed versions held, maintained at install/prune
+	pruned   atomic.Int64 // versions removed by Prune
 
 	lastCommit atomic.Int64 // max commit timestamp applied, for fast local snapshots
 	commits    atomic.Int64
@@ -135,10 +188,13 @@ func NewStore() *Store {
 func (s *Store) LastCommitTS() ts.Timestamp { return ts.Timestamp(s.lastCommit.Load()) }
 
 // advanceLastCommit raises the last-commit watermark monotonically.
-func (s *Store) advanceLastCommit(t ts.Timestamp) {
+func (s *Store) advanceLastCommit(t ts.Timestamp) { raise(&s.lastCommit, t) }
+
+// raise lifts a to t unless it is already there or beyond.
+func raise(a *atomic.Int64, t ts.Timestamp) {
 	for {
-		cur := s.lastCommit.Load()
-		if int64(t) <= cur || s.lastCommit.CompareAndSwap(cur, int64(t)) {
+		cur := a.Load()
+		if int64(t) <= cur || a.CompareAndSwap(cur, int64(t)) {
 			return
 		}
 	}
@@ -165,6 +221,19 @@ func (s *Store) getChain(key []byte, create bool) *chain {
 	c = &chain{}
 	s.data.Set(bytes.Clone(key), c)
 	return c
+}
+
+// lockChain returns key's chain, created if need be, locked and linked in
+// the tree: a chain unlinked between the fetch and the lock is fetched again.
+func (s *Store) lockChain(key []byte) *chain {
+	for {
+		c := s.getChain(key, true)
+		c.mu.Lock()
+		if !c.dead {
+			return c
+		}
+		c.mu.Unlock()
+	}
 }
 
 // removeChainIfEmpty deletes a chain that lost its last contents (aborted
@@ -212,24 +281,27 @@ func (s *Store) Delete(txn TxnID, key []byte, snapTS ts.Timestamp) error {
 }
 
 func (s *Store) write(txn TxnID, key, value []byte, deleted bool, snapTS ts.Timestamp) error {
-	c := s.getChain(key, true)
-	c.mu.Lock()
-	for c.dead {
-		// Lost a race with removeChainIfEmpty; fetch the live chain.
-		c.mu.Unlock()
-		c = s.getChain(key, true)
-		c.mu.Lock()
-	}
+	c := s.lockChain(key)
 	if c.intent != nil && c.intent.txn != txn {
 		holder := c.intent.txn
 		c.mu.Unlock()
 		return fmt.Errorf("%w: key %q held by txn %d", ErrWriteConflict, key, holder)
 	}
-	if len(c.versions) > 0 && c.versions[0].CommitTS > snapTS {
-		newer := c.versions[0].CommitTS
+	if n := len(c.versions); n > 0 && c.versions[n-1].CommitTS > snapTS {
+		newer := c.versions[n-1].CommitTS
 		c.mu.Unlock()
 		return fmt.Errorf("%w: key %q has newer version %v > snapshot %v",
 			ErrWriteConflict, key, newer, snapTS)
+	}
+	// Below the floor the check above proves nothing: the version that
+	// conflicts may have been a tombstone whose chain Prune unlinked.
+	if err := s.fence(snapTS); err != nil {
+		fresh := len(c.versions) == 0 && c.intent == nil
+		c.mu.Unlock()
+		if fresh {
+			s.removeChainIfEmpty(key)
+		}
+		return err
 	}
 	firstWrite := c.intent == nil
 	c.intent = &intent{txn: txn, value: bytes.Clone(value), deleted: deleted}
@@ -350,7 +422,7 @@ func (s *Store) Commit(txn TxnID, commitTS ts.Timestamp) error {
 		}
 		c.mu.Lock()
 		if c.intent != nil && c.intent.txn == txn {
-			c.versions = append([]Version{{CommitTS: commitTS, Value: c.intent.value, Deleted: c.intent.deleted}}, c.versions...)
+			s.install(key, c, Version{CommitTS: commitTS, Value: c.intent.value, Deleted: c.intent.deleted})
 			c.intent = nil
 		}
 		c.mu.Unlock()
@@ -393,26 +465,76 @@ func (s *Store) Abort(txn TxnID) error {
 	return nil
 }
 
-// snapshotChain reads a chain's contents under its lock.
-func (c *chain) snapshot() (it *intent, top []Version) {
+// snapshot reads a chain's contents under its lock. The versions are shared
+// with the chain, not copied: see chain for why that is safe.
+func (c *chain) snapshot() (it *intent, versions []Version) {
 	c.mu.Lock()
 	it = c.intent
-	top = c.versions
+	versions = c.versions
 	c.mu.Unlock()
-	return it, top
+	return it, versions
+}
+
+// install adds a committed version to c, whose lock the caller holds, and
+// queues the chain for Prune once it holds something to prune: a second
+// version or a tombstone. Commit timestamps arrive in order except under
+// parallel replay, so the usual case is the amortised append.
+func (s *Store) install(key []byte, c *chain, v Version) {
+	n := len(c.versions)
+	if n == 0 || c.versions[n-1].CommitTS <= v.CommitTS {
+		c.versions = append(c.versions, v)
+	} else {
+		i := sort.Search(n, func(i int) bool { return c.versions[i].CommitTS > v.CommitTS })
+		grown := make([]Version, n+1)
+		copy(grown, c.versions[:i])
+		grown[i] = v
+		copy(grown[i+1:], c.versions[i:])
+		c.versions = grown
+	}
+	s.versions.Add(1)
+	if (n == 0 || c.queued) && !v.Deleted {
+		return
+	}
+	s.gcMu.Lock()
+	if n > 0 && !c.queued {
+		c.queued = true
+		s.deep = append(s.deep, c)
+	}
+	if v.Deleted {
+		s.tombs = append(s.tombs, tombstone{key: bytes.Clone(key), c: c})
+	}
+	s.gcMu.Unlock()
+}
+
+// tombstone is a chain whose newest version was a deletion when installed,
+// with the key to unlink it by once nothing else is left of it.
+type tombstone struct {
+	key []byte
+	c   *chain
+}
+
+// fence refuses a snapshot below the prune floor. Callers load it after
+// reading the chains their answer is built from (see Store.floor).
+func (s *Store) fence(snapTS ts.Timestamp) error {
+	if floor := ts.Timestamp(s.floor.Load()); snapTS < floor {
+		metricTooOld.Inc()
+		return fmt.Errorf("%w: %v is below the prune floor %v", ErrSnapshotTooOld, snapTS, floor)
+	}
+	return nil
 }
 
 // Get returns the value of key visible at snapTS. If reader is non-zero and
 // holds an intent on the key, the intent's value is returned
 // (read-your-own-writes). Readers encountering Pending or Prepared intents
-// block until those transactions resolve, per Sec. IV-A.
+// block until those transactions resolve, per Sec. IV-A. A snapTS below the
+// prune floor fails with ErrSnapshotTooOld.
 func (s *Store) Get(ctx context.Context, key []byte, snapTS ts.Timestamp, reader TxnID) ([]byte, bool, error) {
 	for {
-		c := s.getChain(key, false)
-		if c == nil {
-			return nil, false, nil
+		var it *intent
+		var versions []Version
+		if c := s.getChain(key, false); c != nil {
+			it, versions = c.snapshot()
 		}
-		it, versions := c.snapshot()
 		if it != nil {
 			if reader != 0 && it.txn == reader {
 				if it.deleted {
@@ -438,6 +560,10 @@ func (s *Store) Get(ctx context.Context, key []byte, snapTS ts.Timestamp, reader
 			}
 			// Active intent: invisible; fall through to committed versions.
 		}
+		// A missing chain is fenced too: it may be a pruned tombstone's.
+		if err := s.fence(snapTS); err != nil {
+			return nil, false, err
+		}
 		v, found := visible(versions, snapTS)
 		if !found || v.Deleted {
 			return nil, false, nil
@@ -456,10 +582,12 @@ func (s *Store) stateAndDone(txn TxnID) (TxnState, bool, chan struct{}) {
 	return m.state, true, m.done
 }
 
+// visible returns the newest of versions (oldest first) at or below snapTS.
+// It walks from the tail, where the snapshots being read almost always are.
 func visible(versions []Version, snapTS ts.Timestamp) (Version, bool) {
-	for _, v := range versions {
-		if v.CommitTS <= snapTS {
-			return v, true
+	for i := len(versions) - 1; i >= 0; i-- {
+		if versions[i].CommitTS <= snapTS {
+			return versions[i], true
 		}
 	}
 	return Version{}, false
@@ -490,7 +618,8 @@ func (s *Store) Scan(ctx context.Context, start, end []byte, snapTS ts.Timestamp
 // next continues exactly where this page stopped without rescanning — the
 // primitive the paged cursor pipeline is built on. Each page is a consistent
 // cut at snapTS; MVCC snapshot semantics make consecutive pages at the same
-// snapshot mutually consistent.
+// snapshot mutually consistent. A snapTS below the prune floor fails with
+// ErrSnapshotTooOld.
 func (s *Store) ScanPage(ctx context.Context, start, end []byte, snapTS ts.Timestamp, limit int, reader TxnID) (kvs []KV, next []byte, more bool, err error) {
 	for {
 		out, foreign, last, truncated := s.scanOnce(start, end, snapTS, limit, reader)
@@ -513,6 +642,9 @@ func (s *Store) ScanPage(ctx context.Context, start, end []byte, snapTS ts.Times
 			}
 		}
 		if wait == nil {
+			if err := s.fence(snapTS); err != nil {
+				return nil, nil, false, err
+			}
 			s.scanRows.Add(int64(len(out)))
 			if !truncated {
 				return out, nil, false, nil
@@ -583,50 +715,99 @@ func (s *Store) scanOnce(start, end []byte, snapTS ts.Timestamp, limit int, read
 
 // ApplyCommitted installs an already-committed version directly, bypassing
 // the intent machinery. Replica appliers use it for single-record commits
-// and loaders use it for bulk-loading initial data.
+// and loaders use it for bulk-loading initial data. Versions may arrive out
+// of timestamp order (parallel appliers interleave).
 func (s *Store) ApplyCommitted(key, value []byte, deleted bool, commitTS ts.Timestamp) {
-	c := s.getChain(key, true)
-	c.mu.Lock()
-	// Insert preserving newest-first order; replay can deliver old versions
-	// after new ones when parallel appliers interleave.
-	i := 0
-	for i < len(c.versions) && c.versions[i].CommitTS > commitTS {
-		i++
-	}
-	v := Version{CommitTS: commitTS, Value: bytes.Clone(value), Deleted: deleted}
-	c.versions = append(c.versions, Version{})
-	copy(c.versions[i+1:], c.versions[i:])
-	c.versions[i] = v
+	c := s.lockChain(key)
+	s.install(key, c, Version{CommitTS: commitTS, Value: bytes.Clone(value), Deleted: deleted})
 	c.mu.Unlock()
 	s.advanceLastCommit(commitTS)
 }
 
-// Prune drops versions strictly older than the newest version at or below
-// watermark for every key, bounding version-chain growth. It returns the
-// number of versions removed.
+// Prune drops what no snapshot at or above watermark can see: on every key
+// that gained a version since it was last visited, the versions older than
+// the newest one at or below watermark, and the whole chain when all that is
+// left is a tombstone at or below watermark. It raises the prune floor to
+// watermark first, so snapshots below it are refused from now on, and
+// returns the number of versions removed. A key with garbage above the
+// watermark stays listed for the next call.
 func (s *Store) Prune(watermark ts.Timestamp) int {
+	raise(&s.floor, watermark)
+	s.gcMu.Lock()
+	deep, tombs := s.deep, s.tombs
+	s.deep, s.tombs = nil, nil
+	s.gcMu.Unlock()
+
 	removed := 0
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.data.AscendRange(nil, nil, func(_ []byte, c *chain) bool {
+	stillDeep := deep[:0]
+	for _, c := range deep {
 		c.mu.Lock()
-		for i, v := range c.versions {
-			if v.CommitTS <= watermark {
-				removed += len(c.versions) - i - 1
-				c.versions = c.versions[:i+1]
-				break
-			}
+		// keep is the index of the newest version at or below the watermark.
+		keep := sort.Search(len(c.versions), func(i int) bool { return c.versions[i].CommitTS > watermark }) - 1
+		if keep > 0 {
+			c.versions = slices.Clone(c.versions[keep:]) // readers may hold the old array
+			removed += keep
+		}
+		if c.queued = len(c.versions) > 1; c.queued {
+			stillDeep = append(stillDeep, c)
 		}
 		c.mu.Unlock()
-		return true
-	})
+	}
+	// A chain pruned down to a tombstone at or below the watermark reads as
+	// absent at every snapshot the floor admits: unlink it. That takes the
+	// structure lock, so the candidates are found first and the lock is
+	// taken once, and only when there is something to unlink.
+	unlinkable := func(c *chain) bool {
+		return !c.dead && c.intent == nil && len(c.versions) == 1 &&
+			c.versions[0].Deleted && c.versions[0].CommitTS <= watermark
+	}
+	var unlink []tombstone
+	stillTombs := tombs[:0]
+	for _, t := range tombs {
+		t.c.mu.Lock()
+		n := len(t.c.versions)
+		switch {
+		case unlinkable(t.c):
+			unlink = append(unlink, t)
+		case !t.c.dead && n > 0 && t.c.versions[n-1].Deleted:
+			stillTombs = append(stillTombs, t) // above the watermark, or an intent is staged on it
+		}
+		t.c.mu.Unlock()
+	}
+	if len(unlink) > 0 {
+		s.mu.Lock()
+		for _, t := range unlink {
+			t.c.mu.Lock()
+			if unlinkable(t.c) { // a writer may have staged an intent on it since
+				t.c.dead = true
+				s.data.Delete(t.key)
+				removed++
+			} else {
+				stillTombs = append(stillTombs, t)
+			}
+			t.c.mu.Unlock()
+		}
+		s.mu.Unlock()
+	}
+	s.gcMu.Lock()
+	s.deep = append(stillDeep, s.deep...) // what was listed meanwhile is the short side
+	s.tombs = append(stillTombs, s.tombs...)
+	s.gcMu.Unlock()
+	s.versions.Add(int64(-removed))
+	s.pruned.Add(int64(removed))
+	metricPruned.Add(int64(removed))
 	return removed
 }
 
 // Stats are operation counters for observability and tests.
 type Stats struct {
-	Keys        int
-	ActiveTxns  int
+	Keys       int
+	ActiveTxns int
+	// Versions is the number of committed versions held across all keys;
+	// Versions / Keys is the mean chain depth.
+	Versions int64
+	// Pruned is the number of versions Prune has removed.
+	Pruned      int64
 	Commits     int64
 	Aborts      int64
 	ReaderWaits int64
@@ -644,6 +825,8 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Keys:        keys,
 		ActiveTxns:  txns,
+		Versions:    s.versions.Load(),
+		Pruned:      s.pruned.Load(),
 		Commits:     s.commits.Load(),
 		Aborts:      s.aborts.Load(),
 		ReaderWaits: s.waits.Load(),
@@ -658,27 +841,27 @@ func (s *Store) Versions(key []byte) []Version {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Version, len(c.versions))
-	copy(out, c.versions)
+	_, versions := c.snapshot()
+	out := slices.Clone(versions)
+	slices.Reverse(out)
 	return out
 }
 
-// Clone deep-copies the committed state (version chains and watermark) into
-// a fresh store, dropping uncommitted intents. Failover uses it to re-seed
-// surviving replicas from a promoted primary.
+// Clone deep-copies the committed state (version chains, watermark and prune
+// floor) into a fresh store, dropping uncommitted intents. Failover uses it
+// to re-seed surviving replicas from a promoted primary.
 func (s *Store) Clone() *Store {
 	out := NewStore()
+	out.floor.Store(s.floor.Load())
 	s.mu.RLock()
 	s.data.AscendRange(nil, nil, func(k []byte, c *chain) bool {
-		c.mu.Lock()
-		if len(c.versions) > 0 {
-			nc := &chain{versions: make([]Version, len(c.versions))}
-			copy(nc.versions, c.versions)
-			out.data.Set(bytes.Clone(k), nc)
+		if _, versions := c.snapshot(); len(versions) > 0 {
+			key, nc := bytes.Clone(k), &chain{}
+			for _, v := range versions {
+				out.install(key, nc, v)
+			}
+			out.data.Set(key, nc)
 		}
-		c.mu.Unlock()
 		return true
 	})
 	s.mu.RUnlock()

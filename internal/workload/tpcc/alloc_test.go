@@ -14,8 +14,9 @@ import (
 // and the shipping of its redo to two replicas.
 //
 // The count is process-wide, so the test takes the cluster's own activity out
-// of the window: the RCP collector is stopped (status polls, heartbeats and
-// the shipping they trigger) and the shippers drained before measuring, and
+// of the window: the RCP collector (status polls, heartbeats and the shipping
+// they trigger) and the GC loop are stopped and the shippers drained before
+// measuring, and
 // each measured run waits for its own redo to be acked so that all of its
 // shipping falls inside. What is left beside the transaction — the
 // group-commit syncer and the clock-sync tickers — is worth ±3. The driver's
@@ -57,6 +58,7 @@ func TestTPCCAllocBudget(t *testing.T) {
 	// it (see tpccAllocBudgetMax).
 	col := db.Cluster().Collector
 	col.Stop()
+	db.Cluster().StopGC()
 	drain := func() {
 		deadline := time.Now().Add(10 * time.Second)
 		for _, p := range db.Cluster().Primaries() {
@@ -75,6 +77,7 @@ func TestTPCCAllocBudget(t *testing.T) {
 			best = n
 		}
 	}
+	db.Cluster().StartGC()
 	col.Start()
 	t.Logf("warm New-Order: %.0f allocs/txn (budget %d)", best, tpccAllocBudgetMax)
 	if best > tpccAllocBudgetMax {
