@@ -301,6 +301,22 @@ func TestDifferentialPushdownVsCNSide(t *testing.T) {
 		}
 	}
 
+	// Aggregates nested inside scalar expressions, in outputs, HAVING and
+	// ORDER BY: both sides evaluate them as slot columns of the group row.
+	for trial := 0; trial < 30; trial++ {
+		q := rng.Int63n(100)
+		lo := rng.Int63n(400)
+		switch trial % 3 {
+		case 0:
+			runBoth(fmt.Sprintf("SELECT grp, COALESCE(SUM(qty), -1), ABS(MIN(qty) - %d) FROM push WHERE qty >= %d OR qty IS NULL GROUP BY grp ORDER BY grp", q, q), true, true)
+		case 1:
+			runBoth(fmt.Sprintf("SELECT w_id, COUNT(*) FROM push GROUP BY w_id HAVING SUM(qty) BETWEEN %d AND %d ORDER BY w_id", lo*3, lo*3+1500), true, true)
+		case 2:
+			runBoth(fmt.Sprintf("SELECT grp, MAX(qty) FROM push WHERE i_id > %d GROUP BY grp HAVING COUNT(*) IN (%d, %d) OR AVG(qty) > %d ORDER BY -SUM(qty), grp",
+				1+rng.Int63n(50), 1+rng.Int63n(12), 1+rng.Int63n(12), q), true, true)
+		}
+	}
+
 	// DISTINCT aggregates and float GROUP BY must NOT push down (no
 	// mergeable partial state / -0.0 vs +0.0 key ambiguity) — and still
 	// return identical results via the CN fallback.

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"globaldb"
 	"globaldb/gsql/fragment"
+	"globaldb/internal/keys"
 	"globaldb/internal/table"
 )
 
@@ -31,33 +31,6 @@ var (
 	_ reader = (*globaldb.Tx)(nil)
 	_ reader = (*globaldb.Query)(nil)
 )
-
-// rowEnv is the evaluation environment for one combined row (one row per
-// FROM table; the inner row is nil while planning inner lookups) plus the
-// statement's bound parameter values.
-type rowEnv struct {
-	tables []*boundTable
-	rows   []table.Row
-	params []any
-}
-
-func (e *rowEnv) colValue(ref *ColRef) (any, error) {
-	ti, ci, err := resolveCol(ref, e.tables)
-	if err != nil {
-		return nil, err
-	}
-	if ti >= len(e.rows) || e.rows[ti] == nil {
-		return nil, fmt.Errorf("gsql: column %s references a row that is not bound yet", ref)
-	}
-	return e.rows[ti][ci], nil
-}
-
-func (e *rowEnv) paramValue(idx int) (any, error) {
-	if idx < 1 || idx > len(e.params) {
-		return nil, fmt.Errorf("gsql: statement references parameter $%d but %d were bound", idx, len(e.params))
-	}
-	return e.params[idx-1], nil
-}
 
 // execSelect runs a planned SELECT against a reader. Plans with a pushed
 // aggregation run DN-partial/CN-final: data nodes fold matching rows into
@@ -108,14 +81,13 @@ func execPushedAgg(ctx context.Context, r reader, p *boundPlan) (res *Result, ok
 	}
 	s := p.outer
 	sch := s.tab.schema
-	env := &rowEnv{tables: p.tables, params: p.params}
-	opts := globaldb.ScanOpts{Range: scanRange(s, env), Pushdown: bf}
+	opts := globaldb.ScanOpts{Range: scanRange(s, &p.x.outer, nil), Pushdown: bf}
 	var rows *globaldb.Rows
 	switch s.kind {
 	case accessFull:
 		rows, err = r.ScanTableRows(ctx, sch.Name, opts)
 	case accessPKPrefix:
-		keyVals, keyErr := scanKey(s, env)
+		keyVals, keyErr := scanKey(s, &p.x.outer, nil)
 		if keyErr != nil {
 			return nil, true, keyErr
 		}
@@ -129,27 +101,27 @@ func execPushedAgg(ctx context.Context, r reader, p *boundPlan) (res *Result, ok
 	defer rows.Close()
 
 	ngroup := len(pp.groupCols)
-	var groups []finishedGroup
+	states := make([]fragment.AggState, len(p.x.aggs))
+	var groups [][]any
 	for rows.Next() {
 		row := rows.Row()
-		if len(row) != ngroup+len(p.aggs) {
-			return nil, true, fmt.Errorf("gsql: partial aggregate row has %d values, want %d", len(row), ngroup+len(p.aggs))
+		if len(row) != ngroup+len(states) {
+			return nil, true, fmt.Errorf("gsql: partial aggregate row has %d values, want %d", len(row), ngroup+len(states))
 		}
-		// Rebuild a representative row from the group key so group-column
-		// references in outputs, HAVING and ORDER BY resolve.
-		rep := make(table.Row, len(sch.Columns))
-		for i, ci := range pp.groupCols {
-			rep[ci] = row[i]
-		}
-		vals := make(map[string]any, len(p.aggs))
-		for i := range p.aggs {
+		for i := range states {
 			st, isState := row[ngroup+i].(fragment.AggState)
 			if !isState {
 				return nil, true, fmt.Errorf("gsql: partial aggregate slot %d holds %T", i, row[ngroup+i])
 			}
-			vals[p.aggKeys[i]] = st.Final(pp.frag.Aggs[i].Kind)
+			states[i] = st
 		}
-		groups = append(groups, finishedGroup{rep: []table.Row{rep}, vals: vals})
+		// The group row carries the group-key values at their columns, so
+		// group-column references in outputs, HAVING and ORDER BY resolve.
+		g := p.groupRow(nil, states)
+		for i, ci := range pp.groupCols {
+			g[ci] = row[i]
+		}
+		groups = append(groups, g)
 	}
 	if err := rows.Err(); err != nil {
 		return nil, true, err
@@ -157,11 +129,7 @@ func execPushedAgg(ctx context.Context, r reader, p *boundPlan) (res *Result, ok
 	// A global aggregate over zero rows still yields one output row, with
 	// the same empty-state results as CN-side aggregation.
 	if len(groups) == 0 && len(p.groupBy) == 0 {
-		vals := make(map[string]any, len(p.aggs))
-		for i, fn := range p.aggs {
-			vals[p.aggKeys[i]] = newAggState(fn).result()
-		}
-		groups = append(groups, finishedGroup{rep: nil, vals: vals})
+		groups = append(groups, p.groupRow(nil, make([]fragment.AggState, len(p.x.aggs))))
 	}
 	res, err = finishAggGroups(p, groups)
 	if err != nil {
@@ -206,8 +174,7 @@ func finishSelect(ctx context.Context, p *boundPlan, it blockIter, orderDone boo
 		}
 		return out, nil
 	}
-	env := rowEnv{tables: p.tables, params: p.params}
-	var scr [2]table.Row
+	scr := p.rowScratch()
 	// ORDER BY: with a LIMIT (and no DISTINCT, which dedups after the
 	// sort), keep only the top limit+offset rows in a bounded heap —
 	// O(N log k) comparisons and O(k) memory instead of materializing and
@@ -216,7 +183,7 @@ func finishSelect(ctx context.Context, p *boundPlan, it blockIter, orderDone boo
 	// whose sum overflows (MaxInt64 LIMITs are a common "no limit"
 	// idiom); those take the drain path, which never sums them.
 	if p.limit >= 0 && !p.distinct && p.limit+p.offset >= 0 {
-		top := newTopN(p.orderBy, p.limit+p.offset)
+		top := newTopN(p.orderBy, p.x.orderBy, p.limit+p.offset)
 		for {
 			blk, err := it.NextBlock(ctx)
 			if err != nil {
@@ -226,15 +193,15 @@ func finishSelect(ctx context.Context, p *boundPlan, it blockIter, orderDone boo
 				break
 			}
 			for i, n := 0, blk.n(); i < n; i++ {
-				env.rows = blk.row(i, scr[:])
-				keys, admit, err := top.tryAdmitKeys(&env)
+				row := blk.flat(i, scr)
+				keys, admit, err := top.tryAdmitKeys(row)
 				if err != nil {
 					return nil, err
 				}
 				if !admit {
 					continue
 				}
-				outRow, err := projectEnv(p, &env)
+				outRow, err := project(p, row)
 				if err != nil {
 					return nil, err
 				}
@@ -267,19 +234,15 @@ func finishSelect(ctx context.Context, p *boundPlan, it blockIter, orderDone boo
 			break
 		}
 		for i, n := 0, blk.n(); i < n; i++ {
-			env.rows = blk.row(i, scr[:])
-			outRow, err := projectEnv(p, &env)
+			row := blk.flat(i, scr)
+			outRow, err := project(p, row)
 			if err != nil {
 				return nil, err
 			}
 			out.Rows = append(out.Rows, outRow)
-			keys := make([]any, len(p.orderBy))
-			for i, o := range p.orderBy {
-				v, err := evalExpr(o.Expr, &env)
-				if err != nil {
-					return nil, err
-				}
-				keys[i] = v
+			keys := make([]any, len(p.x.orderBy))
+			if err := evalInto(p.x.orderBy, row, keys); err != nil {
+				return nil, err
 			}
 			sortKeys = append(sortKeys, keys)
 		}
@@ -290,18 +253,13 @@ func finishSelect(ctx context.Context, p *boundPlan, it blockIter, orderDone boo
 	return out, nil
 }
 
-// projectEnv evaluates the output expressions over the environment's
-// current combined row. The environment is reused across rows; only the
-// output row is freshly allocated (it outlives the pipeline in the
-// Result).
-func projectEnv(p *boundPlan, env *rowEnv) ([]any, error) {
-	outRow := make([]any, len(p.outExprs))
-	for i, e := range p.outExprs {
-		v, err := evalExpr(e, env)
-		if err != nil {
-			return nil, err
-		}
-		outRow[i] = v
+// project evaluates the output expressions over one combined (or group)
+// row. Only the output row is allocated: it outlives the pipeline in the
+// Result.
+func project(p *boundPlan, row []any) ([]any, error) {
+	outRow := make([]any, len(p.x.out))
+	if err := evalInto(p.x.out, row, outRow); err != nil {
+		return nil, err
 	}
 	return outRow, nil
 }
@@ -317,60 +275,44 @@ func joinRows(ctx context.Context, r reader, p *boundPlan) ([][]table.Row, error
 		len(p.orderBy) == 0 && !p.distinct && p.offset == 0 {
 		pushLimit = int(p.limit)
 	}
-	outerRows, err := scanOne(ctx, r, p, p.outer, nil, pushLimit)
+	outerRows, err := scanOne(ctx, r, p, p.outer, &p.x.outer, nil, pushLimit)
 	if err != nil {
 		return nil, err
 	}
+	scr := p.rowScratch()
 	var combined [][]table.Row
 	for _, orow := range outerRows {
 		if p.inner == nil {
-			cr := []table.Row{orow}
-			ok, err := passes(p.filter, p.tables, cr, p.params)
+			ok, err := fragment.EvalCond(p.x.filter, orow)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				combined = append(combined, cr)
+				combined = append(combined, []table.Row{orow})
 			}
 			continue
 		}
-		innerRows, err := scanOne(ctx, r, p, p.inner, orow, 0)
+		innerRows, err := scanOne(ctx, r, p, p.inner, &p.x.inner, orow, 0)
 		if err != nil {
 			return nil, err
 		}
 		for _, irow := range innerRows {
-			cr := []table.Row{orow, irow}
-			ok, err := passes(p.filter, p.tables, cr, p.params)
+			ok, err := fragment.EvalCond(p.x.filter, append(append(scr[:0], orow...), irow...))
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				combined = append(combined, cr)
+				combined = append(combined, []table.Row{orow, irow})
 			}
 		}
 	}
 	return combined, nil
 }
 
-func passes(filter Expr, tables []*boundTable, rows []table.Row, params []any) (bool, error) {
-	if filter == nil {
-		return true, nil
-	}
-	v, err := evalExpr(filter, &rowEnv{tables: tables, rows: rows, params: params})
-	if err != nil {
-		return false, err
-	}
-	return truthy(v)
-}
-
 // scanOne executes one table scan. outerRow, when non-nil, binds outer
 // column references in the scan's key expressions (join inner lookups).
-func scanOne(ctx context.Context, r reader, p *boundPlan, s *tableScan, outerRow table.Row, limit int) ([]table.Row, error) {
-	env := &rowEnv{tables: p.tables, params: p.params}
-	if outerRow != nil {
-		env.rows = []table.Row{outerRow}
-	}
-	keyVals, err := scanKey(s, env)
+func scanOne(ctx context.Context, r reader, p *boundPlan, s *tableScan, se *scanExprs, outerRow table.Row, limit int) ([]table.Row, error) {
+	keyVals, err := scanKey(s, se, outerRow)
 	if err != nil {
 		return nil, err
 	}
@@ -402,11 +344,12 @@ func findIndex(sch *table.Schema, name string) (table.Index, error) {
 	return table.Index{}, fmt.Errorf("gsql: table %s has no index %q", sch.Name, name)
 }
 
-// scanKey evaluates a scan's key expressions under env and coerces each value
-// to the kind of the key column it binds (int64 literals bind to DOUBLE
-// columns, etc.): the leading primary-key columns for point and PK-prefix
-// access, the leading index columns for index access. A full scan has no key.
-func scanKey(s *tableScan, env *rowEnv) ([]any, error) {
+// scanKey evaluates a scan's key expressions over the outer row (nil
+// outside a join's inner lookups) and coerces each value to the kind of the
+// key column it binds (int64 literals bind to DOUBLE columns, etc.): the
+// leading primary-key columns for point and PK-prefix access, the leading
+// index columns for index access. A full scan has no key.
+func scanKey(s *tableScan, se *scanExprs, outerRow []any) ([]any, error) {
 	sch := s.tab.schema
 	cols := sch.PK
 	if s.kind == accessIndex {
@@ -416,9 +359,9 @@ func scanKey(s *tableScan, env *rowEnv) ([]any, error) {
 		}
 		cols = ix.Cols
 	}
-	keyVals := make([]any, len(s.keyExprs))
-	for i, e := range s.keyExprs {
-		v, err := evalExpr(e, env)
+	keyVals := make([]any, len(se.key))
+	for i := range se.key {
+		v, err := fragment.Eval(&se.key[i], outerRow)
 		if err != nil {
 			return nil, err
 		}
@@ -431,252 +374,51 @@ func scanKey(s *tableScan, env *rowEnv) ([]any, error) {
 
 // coerceValue converts v to the kind of the schema column, or fails.
 func coerceValue(sch *table.Schema, col int, v any) (any, error) {
-	if v == nil {
-		return nil, nil
-	}
 	kind := sch.Columns[col].Kind
-	switch kind {
-	case table.Int64:
-		if x, ok := v.(int64); ok {
-			return x, nil
-		}
-		if f, ok := v.(float64); ok && f == float64(int64(f)) {
-			return int64(f), nil
-		}
-	case table.Float64:
-		if x, ok := v.(float64); ok {
-			return x, nil
-		}
-		if x, ok := v.(int64); ok {
-			return float64(x), nil
-		}
-	case table.String:
-		if x, ok := v.(string); ok {
-			return x, nil
-		}
-	case table.Bytes:
-		if x, ok := v.([]byte); ok {
-			return x, nil
-		}
-		if x, ok := v.(string); ok {
-			return []byte(x), nil
-		}
-	case table.Bool:
-		if x, ok := v.(bool); ok {
-			return x, nil
-		}
+	cv, err := fragment.CoerceKey(kind, v)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %T for %s column %s", ErrType, v, kind, sch.Columns[col].Name)
 	}
-	return nil, fmt.Errorf("%w: %T for %s column %s", ErrType, v, kind, sch.Columns[col].Name)
+	return cv, nil
 }
 
 // ---- Aggregation ----
 
-// aggState accumulates one aggregate function over a group.
-type aggState struct {
-	fn       *FuncExpr
-	count    int64
-	sumI     int64
-	sumF     float64
-	isFloat  bool
-	min, max any
-	distinct map[string]bool
-}
-
-func newAggState(fn *FuncExpr) *aggState {
-	st := &aggState{fn: fn}
-	if fn.Distinct {
-		st.distinct = make(map[string]bool)
+// groupRow builds the row a group's HAVING, outputs and ORDER BY keys are
+// evaluated over: a representative combined row (nil: all NULL), then each
+// aggregate slot's final value.
+func (p *boundPlan) groupRow(rep []any, states []fragment.AggState) []any {
+	row := make([]any, p.width+len(states))
+	copy(row, rep)
+	for i, spec := range p.x.aggs {
+		row[p.width+i] = states[i].Final(spec.Kind)
 	}
-	return st
-}
-
-func (st *aggState) add(env evalEnv) error {
-	if len(st.fn.Args) == 1 {
-		if _, isStar := st.fn.Args[0].(*Star); isStar {
-			if st.fn.Name != "COUNT" {
-				return fmt.Errorf("gsql: %s(*) is not valid", st.fn.Name)
-			}
-			st.count++
-			return nil
-		}
-	}
-	if len(st.fn.Args) != 1 {
-		return fmt.Errorf("gsql: %s takes one argument", st.fn.Name)
-	}
-	v, err := evalExpr(st.fn.Args[0], env)
-	if err != nil {
-		return err
-	}
-	if v == nil {
-		return nil // SQL aggregates skip NULLs
-	}
-	if st.distinct != nil {
-		key := fmt.Sprintf("%T:%v", v, v)
-		if st.distinct[key] {
-			return nil
-		}
-		st.distinct[key] = true
-	}
-	st.count++
-	switch st.fn.Name {
-	case "COUNT":
-		return nil
-	case "SUM", "AVG":
-		switch x := v.(type) {
-		case int64:
-			st.sumI += x
-			st.sumF += float64(x)
-		case float64:
-			st.isFloat = true
-			st.sumF += x
-		default:
-			return fmt.Errorf("%w: %s(%T)", ErrType, st.fn.Name, v)
-		}
-		return nil
-	case "MIN":
-		if st.min == nil {
-			st.min = v
-			return nil
-		}
-		c, err := compare(v, st.min)
-		if err != nil {
-			return err
-		}
-		if c < 0 {
-			st.min = v
-		}
-		return nil
-	case "MAX":
-		if st.max == nil {
-			st.max = v
-			return nil
-		}
-		c, err := compare(v, st.max)
-		if err != nil {
-			return err
-		}
-		if c > 0 {
-			st.max = v
-		}
-		return nil
-	default:
-		return fmt.Errorf("gsql: unknown aggregate %q", st.fn.Name)
-	}
-}
-
-func (st *aggState) result() any {
-	switch st.fn.Name {
-	case "COUNT":
-		return st.count
-	case "SUM":
-		if st.count == 0 {
-			return nil
-		}
-		if st.isFloat {
-			return st.sumF
-		}
-		return st.sumI
-	case "AVG":
-		if st.count == 0 {
-			return nil
-		}
-		return st.sumF / float64(st.count)
-	case "MIN":
-		return st.min
-	case "MAX":
-		return st.max
-	default:
-		return nil
-	}
-}
-
-// aggEnv evaluates final expressions with aggregate slots substituted and
-// group keys resolvable through a representative row.
-type aggEnv struct {
-	base *rowEnv
-	vals map[string]any // FuncExpr.String() -> aggregate result
-}
-
-func (e *aggEnv) colValue(ref *ColRef) (any, error) { return e.base.colValue(ref) }
-func (e *aggEnv) paramValue(idx int) (any, error)   { return e.base.paramValue(idx) }
-
-// evalWithAggs evaluates e, substituting aggregate results.
-func evalWithAggs(e Expr, env *aggEnv) (any, error) {
-	if f, ok := e.(*FuncExpr); ok && aggregateFuncs[f.Name] {
-		v, ok := env.vals[f.String()]
-		if !ok {
-			return nil, fmt.Errorf("gsql: aggregate %s has no computed slot", f)
-		}
-		return v, nil
-	}
-	switch x := e.(type) {
-	case *BinaryExpr:
-		if x.Op == "AND" || x.Op == "OR" {
-			// Rebuild with substituted children; cheap and correct.
-			lv, err := evalWithAggs(x.Left, env)
-			if err != nil {
-				return nil, err
-			}
-			rv, err := evalWithAggs(x.Right, env)
-			if err != nil {
-				return nil, err
-			}
-			return evalBinary(&BinaryExpr{Op: x.Op, Left: &Literal{Val: lv}, Right: &Literal{Val: rv}}, env)
-		}
-		lv, err := evalWithAggs(x.Left, env)
-		if err != nil {
-			return nil, err
-		}
-		rv, err := evalWithAggs(x.Right, env)
-		if err != nil {
-			return nil, err
-		}
-		return evalBinary(&BinaryExpr{Op: x.Op, Left: &Literal{Val: lv}, Right: &Literal{Val: rv}}, env)
-	case *UnaryExpr:
-		v, err := evalWithAggs(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		return evalExpr(&UnaryExpr{Op: x.Op, X: &Literal{Val: v}}, env)
-	case *IsNullExpr:
-		v, err := evalWithAggs(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		return (v == nil) != x.Neg, nil
-	default:
-		return evalExpr(e, env)
-	}
-}
-
-// finishedGroup is one group ready for the CN-final phase: a
-// representative row for group-key references and the computed aggregate
-// values keyed by the aggregate call's text. Both the CN-side aggregation
-// and the DN-partial merge path converge on this shape, so HAVING, output
-// evaluation, ORDER BY and LIMIT are shared verbatim between them.
-type finishedGroup struct {
-	rep  []table.Row
-	vals map[string]any
+	return row
 }
 
 // aggregateRows groups the combined-row block stream and computes
-// aggregate outputs — the CN-side aggregation path. The hash probe is a
-// true row edge: each block's rows feed the group map one at a time
-// through a reused environment, but the pipeline below still moves whole
-// blocks. Aggregation is a pipeline breaker — it consumes the stream to
-// the end — but still holds only per-group state, never the input rows
-// (each group retains one cloned representative row).
+// aggregate outputs — the CN-side aggregation path. It folds the same slot
+// specs into the same fragment.AggState a data node folds when the
+// aggregation is pushed down, so pushing it changes where it runs, never
+// what it computes. The hash probe is a true row edge, one row at a time;
+// aggregation is a pipeline breaker that holds per-group state only (each
+// group keeps one representative row), never the input rows.
 func aggregateRows(ctx context.Context, p *boundPlan, it blockIter) (*Result, error) {
 	type group struct {
-		rep    []table.Row // representative row for group-key evaluation
-		states []*aggState
+		rep    []any
+		states []fragment.AggState
+		seen   []map[string]bool // per DISTINCT slot: argument values folded
 	}
-	groups := map[string]*group{}
-	var order []string
-
-	env := rowEnv{tables: p.tables, params: p.params}
-	var scr [2]table.Row
-	keyVals := make([]any, len(p.groupBy))
+	index := map[string]*group{}
+	var groups []*group
+	newGroup := func(rep []any) *group {
+		g := &group{rep: append([]any(nil), rep...), states: make([]fragment.AggState, len(p.x.aggs))}
+		groups = append(groups, g)
+		return g
+	}
+	scr := p.rowScratch()
+	keyVals := make([]any, len(p.x.groupBy))
+	var keyEnc, argEnc keys.Encoder
 	for {
 		blk, err := it.NextBlock(ctx)
 		if err != nil {
@@ -686,26 +428,48 @@ func aggregateRows(ctx context.Context, p *boundPlan, it blockIter) (*Result, er
 			break
 		}
 		for i, n := 0, blk.n(); i < n; i++ {
-			env.rows = blk.row(i, scr[:])
-			for gi, g := range p.groupBy {
-				v, err := evalExpr(g, &env)
+			row := blk.flat(i, scr)
+			if err := evalInto(p.x.groupBy, row, keyVals); err != nil {
+				return nil, err
+			}
+			key, err := distinctKey(&keyEnc, keyVals)
+			if err != nil {
+				return nil, err
+			}
+			g := index[string(key)]
+			if g == nil {
+				g = newGroup(row)
+				index[string(key)] = g
+			}
+			for si, spec := range p.x.aggs {
+				if !p.aggDistinct[si] {
+					if err := g.states[si].Accumulate(spec, row); err != nil {
+						return nil, err
+					}
+					continue
+				}
+				v, err := fragment.Eval(spec.Arg, row)
 				if err != nil {
 					return nil, err
 				}
-				keyVals[gi] = v
-			}
-			key := distinctKey(keyVals)
-			grp, ok := groups[key]
-			if !ok {
-				grp = &group{rep: append([]table.Row(nil), env.rows...)}
-				for _, fn := range p.aggs {
-					grp.states = append(grp.states, newAggState(fn))
+				if v == nil {
+					continue // SQL aggregates skip NULLs
 				}
-				groups[key] = grp
-				order = append(order, key)
-			}
-			for _, st := range grp.states {
-				if err := st.add(&env); err != nil {
+				vkey, err := distinctKey(&argEnc, []any{v})
+				if err != nil {
+					return nil, err
+				}
+				if g.seen == nil {
+					g.seen = make([]map[string]bool, len(p.x.aggs))
+				}
+				if g.seen[si] == nil {
+					g.seen[si] = map[string]bool{}
+				}
+				if g.seen[si][string(vkey)] {
+					continue
+				}
+				g.seen[si][string(vkey)] = true
+				if err := g.states[si].Fold(spec.Kind, v); err != nil {
 					return nil, err
 				}
 			}
@@ -714,64 +478,39 @@ func aggregateRows(ctx context.Context, p *boundPlan, it blockIter) (*Result, er
 
 	// A global aggregate over zero rows still yields one output row.
 	if len(groups) == 0 && len(p.groupBy) == 0 {
-		grp := &group{rep: nil}
-		for _, fn := range p.aggs {
-			grp.states = append(grp.states, newAggState(fn))
-		}
-		groups[""] = grp
-		order = append(order, "")
+		newGroup(nil)
 	}
-
-	finished := make([]finishedGroup, 0, len(order))
-	for _, key := range order {
-		grp := groups[key]
-		vals := make(map[string]any, len(grp.states))
-		for i, st := range grp.states {
-			vals[p.aggKeys[i]] = st.result()
-		}
-		finished = append(finished, finishedGroup{rep: grp.rep, vals: vals})
+	rows := make([][]any, len(groups))
+	for i, g := range groups {
+		rows[i] = p.groupRow(g.rep, g.states)
 	}
-	return finishAggGroups(p, finished)
+	return finishAggGroups(p, rows)
 }
 
-// finishAggGroups runs the CN-final phase over computed groups: HAVING,
-// output expressions with aggregate slots substituted, ORDER BY keys, then
-// sort/DISTINCT/OFFSET/LIMIT.
-func finishAggGroups(p *boundPlan, groups []finishedGroup) (*Result, error) {
+// finishAggGroups runs the CN-final phase over group rows: HAVING, output
+// expressions and ORDER BY keys over each group row, then
+// sort/DISTINCT/OFFSET/LIMIT. The CN-side aggregation and the DN-partial
+// merge path both end here.
+func finishAggGroups(p *boundPlan, groups [][]any) (*Result, error) {
 	out := &Result{Columns: p.outCols}
 	var sortKeys [][]any
-	for _, grp := range groups {
-		env := &aggEnv{base: &rowEnv{tables: p.tables, rows: grp.rep, params: p.params}, vals: grp.vals}
-		if p.having != nil {
-			hv, err := evalWithAggs(p.having, env)
-			if err != nil {
-				return nil, err
-			}
-			ok, err := truthy(hv)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
+	for _, g := range groups {
+		ok, err := fragment.EvalCond(p.x.having, g)
+		if err != nil {
+			return nil, err
 		}
-		outRow := make([]any, len(p.outExprs))
-		for i, e := range p.outExprs {
-			v, err := evalWithAggs(e, env)
-			if err != nil {
-				return nil, err
-			}
-			outRow[i] = v
+		if !ok {
+			continue
+		}
+		outRow, err := project(p, g)
+		if err != nil {
+			return nil, err
 		}
 		out.Rows = append(out.Rows, outRow)
-		if len(p.orderBy) > 0 {
-			keys := make([]any, len(p.orderBy))
-			for i, o := range p.orderBy {
-				v, err := evalWithAggs(o.Expr, env)
-				if err != nil {
-					return nil, err
-				}
-				keys[i] = v
+		if len(p.x.orderBy) > 0 {
+			keys := make([]any, len(p.x.orderBy))
+			if err := evalInto(p.x.orderBy, g, keys); err != nil {
+				return nil, err
 			}
 			sortKeys = append(sortKeys, keys)
 		}
@@ -820,13 +559,17 @@ func sortAndLimit(p *boundPlan, res *Result, sortKeys [][]any) error {
 	}
 	if p.distinct {
 		seen := make(map[string]bool, len(res.Rows))
+		var enc keys.Encoder
 		kept := res.Rows[:0]
 		for _, row := range res.Rows {
-			key := distinctKey(row)
-			if seen[key] {
+			key, err := distinctKey(&enc, row)
+			if err != nil {
+				return err
+			}
+			if seen[string(key)] {
 				continue
 			}
-			seen[key] = true
+			seen[string(key)] = true
 			kept = append(kept, row)
 		}
 		res.Rows = kept
@@ -844,17 +587,20 @@ func sortAndLimit(p *boundPlan, res *Result, sortKeys [][]any) error {
 	return nil
 }
 
-// distinctKey builds a collision-free dedup key for DISTINCT rows and
-// GROUP BY tuples: each value is type-tagged (so NULL never merges with
-// the text "<nil>") and length-prefixed (so no embedded byte in a TEXT
-// value can shift tuple boundaries and make distinct tuples collide).
-func distinctKey(row []any) string {
-	var sb strings.Builder
+// distinctKey encodes a tuple for DISTINCT, GROUP BY and the value sets of
+// DISTINCT aggregates with the memcomparable key encoding data nodes group
+// by and the hash join keys on. Each value is type-tagged (NULL never
+// merges with a TEXT value, BIGINT 1 never with DOUBLE 1.0, -0.0 never with
+// 0.0) and self-delimiting (no byte inside a TEXT value can shift tuple
+// boundaries). The key aliases enc's buffer until enc's next use.
+func distinctKey(enc *keys.Encoder, row []any) ([]byte, error) {
+	enc.Reset()
 	for _, v := range row {
-		part := fmt.Sprintf("%T:%v", v, v)
-		fmt.Fprintf(&sb, "%d:%s;", len(part), part)
+		if err := fragment.AppendKeyValue(enc, v); err != nil {
+			return nil, err
+		}
 	}
-	return sb.String()
+	return enc.Bytes(), nil
 }
 
 // compareNullable orders values with NULLs first.
@@ -867,5 +613,5 @@ func compareNullable(a, b any) (int, error) {
 	case b == nil:
 		return 1, nil
 	}
-	return compare(a, b)
+	return fragment.Compare(a, b)
 }

@@ -3,11 +3,14 @@ package gsql
 import (
 	"context"
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"globaldb"
+	"globaldb/internal/keys"
 	"globaldb/internal/ts"
 )
 
@@ -666,5 +669,117 @@ func TestOrderByLimitTopN(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestExecAggregatesInScalarContext covers aggregates nested inside scalar
+// expressions — in outputs, HAVING and ORDER BY — which lower to slot
+// columns of the group row. Each query runs with pushdown on (partial
+// aggregation on the data nodes) and off (aggregation at the CN).
+func TestExecAggregatesInScalarContext(t *testing.T) {
+	s := openSQL(t)
+	loadOrders(t, s)
+	// Sums per warehouse: w1 = 112.75 (3 orders), w2 = 150 (2), w3 = 5 (1).
+	cases := []struct {
+		sql  string
+		want string
+	}{
+		{"SELECT w_id, COALESCE(SUM(amount), 0) FROM orders GROUP BY w_id ORDER BY w_id",
+			"[[1 112.75] [2 150] [3 5]]"},
+		{"SELECT w_id FROM orders GROUP BY w_id HAVING SUM(amount) BETWEEN 10 AND 120 ORDER BY w_id",
+			"[[1]]"},
+		{"SELECT w_id, COUNT(*) FROM orders GROUP BY w_id HAVING COUNT(*) IN (1, 2) ORDER BY w_id",
+			"[[2 2] [3 1]]"},
+		{"SELECT w_id, ABS(SUM(amount) - 100) FROM orders GROUP BY w_id ORDER BY w_id",
+			"[[1 12.75] [2 50] [3 95]]"},
+		{"SELECT w_id FROM orders GROUP BY w_id ORDER BY -SUM(amount)",
+			"[[2] [1] [3]]"},
+		{"SELECT COALESCE(MAX(amount), -1), COUNT(*) + 1 FROM orders WHERE w_id = 99",
+			"[[-1 1]]"},
+	}
+	for _, pushdown := range []bool{true, false} {
+		s.SetPushdown(pushdown)
+		for _, c := range cases {
+			if got := fmt.Sprint(exec(t, s, c.sql).Rows); got != c.want {
+				t.Errorf("pushdown=%v %s:\n got  %s\n want %s", pushdown, c.sql, got, c.want)
+			}
+		}
+	}
+}
+
+// TestDistinctKeyTupleEquality pins the tuple equality DISTINCT, GROUP BY
+// and DISTINCT aggregates use: NULL is its own value (not the text
+// 'NULL'), bytes inside TEXT values cannot shift tuple boundaries, -0.0 and
+// 0.0 stay apart, and a BIGINT never equals a DOUBLE of the same value.
+// Every query returns the same rows with pushdown on and off.
+func TestDistinctKeyTupleEquality(t *testing.T) {
+	var enc keys.Encoder
+	key := func(row ...any) string {
+		k, err := distinctKey(&enc, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(k)
+	}
+	for _, pair := range [][2][]any{
+		{{nil}, {"NULL"}},
+		{{nil}, {""}},
+		{{"a;b", "c"}, {"a", "b;c"}},
+		{{"a\x00", "b"}, {"a", "\x00b"}},
+		{{"3:a;", ""}, {"", "3:a;"}},
+		{{math.Copysign(0, -1)}, {0.0}},
+		{{int64(1)}, {1.0}},
+		{{"x"}, {[]byte("x")}},
+	} {
+		if key(pair[0]...) == key(pair[1]...) {
+			t.Errorf("%q and %q share a tuple key", pair[0], pair[1])
+		}
+	}
+	if key("a", nil, 1.5) != key("a", nil, 1.5) {
+		t.Error("equal tuples encode differently")
+	}
+
+	s := openSQL(t)
+	exec(t, s, `CREATE TABLE dk (k BIGINT, a TEXT, b TEXT, d DOUBLE, i BIGINT, PRIMARY KEY (k))`)
+	exec(t, s, `INSERT INTO dk VALUES
+		(1, NULL, 'x', 0.0, 1),
+		(2, 'NULL', 'x', -0.0, 1),
+		(3, 'a;b', 'c', NULL, 1),
+		(4, 'a', 'b;c', 1.0, 2),
+		(5, 'a;b', 'c', 0.0, NULL),
+		(6, NULL, 'x', NULL, 2)`)
+	if res := exec(t, s, "SELECT d FROM dk WHERE k = 2"); !math.Signbit(res.Rows[0][0].(float64)) {
+		t.Fatalf("-0.0 did not survive the round trip: %v", res.Rows)
+	}
+	cases := []struct {
+		sql  string
+		rows int
+	}{
+		{"SELECT DISTINCT a, b FROM dk", 4},
+		{"SELECT a, COUNT(*) FROM dk GROUP BY a", 4},
+		{"SELECT d, COUNT(*) FROM dk GROUP BY d", 4},
+		{"SELECT COUNT(DISTINCT d), COUNT(DISTINCT a) FROM dk", 1},
+		{"SELECT DISTINCT COALESCE(d, i) FROM dk", 5},
+	}
+	for _, c := range cases {
+		var got [2][]string
+		for i, pushdown := range []bool{true, false} {
+			s.SetPushdown(pushdown)
+			res := exec(t, s, c.sql)
+			if len(res.Rows) != c.rows {
+				t.Fatalf("pushdown=%v %s: %d rows, want %d: %v", pushdown, c.sql, len(res.Rows), c.rows, res.Rows)
+			}
+			got[i] = make([]string, len(res.Rows))
+			for j, r := range res.Rows {
+				got[i][j] = fmt.Sprintf("%#v", r)
+			}
+			sort.Strings(got[i])
+		}
+		if fmt.Sprint(got[0]) != fmt.Sprint(got[1]) {
+			t.Fatalf("%s: pushdown on %v, off %v", c.sql, got[0], got[1])
+		}
+	}
+	if res := exec(t, s, "SELECT COUNT(DISTINCT d), COUNT(DISTINCT a) FROM dk"); fmt.Sprint(res.Rows) != "[[3 3]]" {
+		t.Fatalf("distinct counts = %v, want [[3 3]] (-0.0, 0.0, 1.0; 'NULL', 'a;b', 'a')", res.Rows)
 	}
 }

@@ -3,19 +3,29 @@ package gsql
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
-	"globaldb/internal/table"
+	"globaldb/gsql/fragment"
 )
 
-// litEnv evaluates expressions with no columns in scope.
-var litEnv = &rowEnv{}
+// lowerEval parses `SELECT <exprSQL> FROM t`, lowers the expression with no
+// columns in scope and evaluates it with the fragment evaluator — the path
+// every expression takes at the computing node and on data nodes.
+func lowerEval(t *testing.T, exprSQL string) (any, error) {
+	t.Helper()
+	sel := mustParse(t, "SELECT "+exprSQL+" FROM t").(*Select)
+	e, err := lowerExpr(sel.Items[0].Expr, &layout{})
+	if err != nil {
+		t.Fatalf("lower(%q): %v", exprSQL, err)
+	}
+	return fragment.Eval(&e, nil)
+}
 
 func evalSQL(t *testing.T, exprSQL string) any {
 	t.Helper()
-	sel := mustParse(t, "SELECT "+exprSQL+" FROM t").(*Select)
-	v, err := evalExpr(sel.Items[0].Expr, litEnv)
+	v, err := lowerEval(t, exprSQL)
 	if err != nil {
 		t.Fatalf("eval(%q): %v", exprSQL, err)
 	}
@@ -44,12 +54,10 @@ func TestEvalArithmetic(t *testing.T) {
 }
 
 func TestEvalDivisionByZero(t *testing.T) {
-	sel := mustParse(t, "SELECT 1 / 0 FROM t").(*Select)
-	if _, err := evalExpr(sel.Items[0].Expr, litEnv); err == nil {
+	if _, err := lowerEval(t, "1 / 0"); err == nil {
 		t.Fatal("integer division by zero must fail")
 	}
-	sel2 := mustParse(t, "SELECT 1.0 / 0.0 FROM t").(*Select)
-	if _, err := evalExpr(sel2.Items[0].Expr, litEnv); err == nil {
+	if _, err := lowerEval(t, "1.0 / 0.0"); err == nil {
 		t.Fatal("float division by zero must fail")
 	}
 }
@@ -145,8 +153,7 @@ func TestEvalScalarFuncs(t *testing.T) {
 
 func TestEvalTypeErrors(t *testing.T) {
 	for _, src := range []string{"1 + 'x'", "'a' < 1", "NOT 5", "TRUE AND 3", "ABS('x')"} {
-		sel := mustParse(t, "SELECT "+src+" FROM t").(*Select)
-		if _, err := evalExpr(sel.Items[0].Expr, litEnv); !errors.Is(err, ErrType) {
+		if _, err := lowerEval(t, src); !errors.Is(err, ErrType) {
 			t.Errorf("%s: err = %v, want ErrType", src, err)
 		}
 	}
@@ -155,8 +162,8 @@ func TestEvalTypeErrors(t *testing.T) {
 func TestCompareProperties(t *testing.T) {
 	// Antisymmetry and totality over int64/float64 mixes.
 	f := func(a, b int64) bool {
-		c1, err1 := compare(a, b)
-		c2, err2 := compare(b, a)
+		c1, err1 := fragment.Compare(a, b)
+		c2, err2 := fragment.Compare(b, a)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -169,8 +176,8 @@ func TestCompareProperties(t *testing.T) {
 		if math.IsNaN(b) {
 			return true // NaN never enters storage (no NaN literals)
 		}
-		c1, err1 := compare(a, b)
-		c2, err2 := compare(b, a)
+		c1, err1 := fragment.Compare(a, b)
+		c2, err2 := fragment.Compare(b, a)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -184,7 +191,7 @@ func TestCompareProperties(t *testing.T) {
 func TestArithIntFloatProperties(t *testing.T) {
 	// int64+int64 stays integral; mixing with float64 promotes.
 	f := func(a, b int32) bool {
-		v, err := arith("+", int64(a), int64(b))
+		v, err := fragment.Arith("+", int64(a), int64(b))
 		if err != nil {
 			return false
 		}
@@ -195,7 +202,7 @@ func TestArithIntFloatProperties(t *testing.T) {
 		t.Error(err)
 	}
 	g := func(a int32, b float32) bool {
-		v, err := arith("*", int64(a), float64(b))
+		v, err := fragment.Arith("*", int64(a), float64(b))
 		if err != nil {
 			return false
 		}
@@ -207,45 +214,60 @@ func TestArithIntFloatProperties(t *testing.T) {
 	}
 }
 
-func TestRowEnvResolution(t *testing.T) {
-	sch := &table.Schema{
-		ID:   1,
-		Name: "t",
-		Columns: []table.Column{
-			{Name: "a", Kind: table.Int64},
-			{Name: "b", Kind: table.String},
-		},
-		PK: []int{0},
+// TestLowerResolvesColumns checks column references lower to positions in
+// the flat combined row — outer columns, then inner columns — and that
+// references the planner cannot resolve fail at plan time, before any row
+// is evaluated.
+func TestLowerResolvesColumns(t *testing.T) {
+	p := plan(t, "SELECT o.amount, l.item, o.w_id FROM orders o JOIN lines l ON l.w_id = o.w_id AND l.o_id = o.o_id")
+	row := []any{int64(1), int64(2), int64(10), 7.5, int64(1), int64(2), int64(3), "widget"}
+	if p.width != len(row) {
+		t.Fatalf("combined width = %d, want %d", p.width, len(row))
 	}
-	env := &rowEnv{
-		tables: []*boundTable{{ref: TableRef{Table: "t", Alias: "t"}, schema: sch}},
-		rows:   []table.Row{{int64(7), "x"}},
+	out := make([]any, len(p.x.out))
+	if err := evalInto(p.x.out, row, out); err != nil {
+		t.Fatal(err)
 	}
-	v, err := evalExpr(&ColRef{Name: "a"}, env)
-	if err != nil || v != int64(7) {
-		t.Fatalf("bare ref: %v %v", v, err)
+	if out[0] != 7.5 || out[1] != "widget" || out[2] != int64(1) {
+		t.Fatalf("outputs = %v", out)
 	}
-	v, err = evalExpr(&ColRef{Table: "t", Name: "b"}, env)
-	if err != nil || v != "x" {
-		t.Fatalf("qualified ref: %v %v", v, err)
+	// The inner lookup's keys bind the outer row alone.
+	key := make([]any, len(p.x.inner.key))
+	if err := evalInto(p.x.inner.key, row[:4], key); err != nil || key[0] != int64(1) || key[1] != int64(2) {
+		t.Fatalf("inner key = %v, %v", key, err)
 	}
-	if _, err := evalExpr(&ColRef{Name: "nope"}, env); err == nil {
-		t.Fatal("unknown column must fail")
+	for _, sql := range []string{
+		"SELECT nope FROM orders",
+		"SELECT u.w_id FROM orders",
+		"SELECT w_id FROM orders o JOIN lines l ON l.w_id = o.w_id",
+		"SELECT amount FROM orders WHERE SUM(amount) > 1",
+		"SELECT ABS(amount, 1) FROM orders",
+		"SELECT SUM(*) FROM orders",
+	} {
+		if _, err := planSelect(testCatalog(), mustParse(t, sql).(*Select)); err == nil {
+			t.Errorf("%s: planned, want an error", sql)
+		}
 	}
-	if _, err := evalExpr(&ColRef{Table: "u", Name: "a"}, env); err == nil {
-		t.Fatal("unknown table must fail")
+	// With no columns in scope (INSERT values) any reference fails.
+	if _, err := lowerExpr(&ColRef{Name: "a"}, &layout{}); err == nil || !strings.Contains(err.Error(), "unknown column") {
+		t.Fatalf("reference with no table in scope: %v", err)
+	}
+	// A data-node fragment sees the outer table only.
+	outerOnly := &layout{tables: p.tables, scope: 1}
+	if _, err := lowerExpr(&ColRef{Table: "l", Name: "item"}, outerOnly); err == nil {
+		t.Fatal("inner column lowered into an outer-only fragment")
 	}
 }
 
 func TestLikePatternCache(t *testing.T) {
 	// Same pattern twice exercises the cache path.
 	for i := 0; i < 2; i++ {
-		ok, err := likeMatch("abc", "a%")
+		ok, err := fragment.LikeMatch("abc", "a%")
 		if err != nil || !ok {
 			t.Fatalf("likeMatch: %v %v", ok, err)
 		}
 	}
-	if _, err := likeMatch("x", "[("); err != nil {
+	if _, err := fragment.LikeMatch("x", "[("); err != nil {
 		// Metacharacters are quoted, so this is a literal non-match.
 		t.Fatalf("quoted pattern: %v", err)
 	}

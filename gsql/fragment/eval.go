@@ -10,19 +10,19 @@ import (
 	"sync"
 )
 
-// This file is the data-node-side evaluator. Its semantics match gsql's
-// scalar evaluation (globaldb/gsql/expr.go) operator for operator —
-// three-valued logic, NULL propagation, mixed int/float numeric
-// comparison, LIKE translation — because a predicate pushed to a data node
-// must accept exactly the rows the computing node's residual filter would
-// have. The scalar kernel (Compare, Arith, LikeMatch, ErrType) is defined
-// here and gsql's evaluator delegates to it, so the two evaluators cannot
-// drift; gsql's differential tests additionally run every generated query
-// through both and require byte-identical results.
+// This file is the one expression evaluator. Data nodes run it on pushed
+// fragments next to the data; the computing node runs it on the trees gsql
+// lowers every SQL expression to at plan time — residual filters,
+// projections, sort and group keys, DML values, HAVING and final
+// aggregation. Its semantics are SQL's: three-valued logic, NULL
+// propagation, mixed int/float numeric comparison, LIKE with % and _. With
+// one evaluator a pushed predicate cannot accept different rows than the
+// same predicate evaluated at the computing node; gsql's differential tests
+// still run every generated query both ways and require byte-identical
+// results.
 
-// ErrType is returned when an expression combines incompatible values. It
-// is the same sentinel gsql's evaluator wraps (gsql.ErrType aliases it),
-// so errors.Is works across the CN/DN split.
+// ErrType is returned when an expression combines incompatible values
+// (gsql.ErrType aliases it).
 var ErrType = errors.New("gsql: type error")
 
 // Eval evaluates an expression against one decoded row.
@@ -36,7 +36,7 @@ func Eval(e *Expr, row []any) (any, error) {
 		}
 		return row[e.Col], nil
 	case OpParam:
-		return nil, fmt.Errorf("fragment: unbound parameter $%d reached the data node", e.Col)
+		return nil, fmt.Errorf("fragment: unbound parameter $%d", e.Col)
 	case OpAnd:
 		return evalAndOr(e, row, true)
 	case OpOr:
@@ -264,13 +264,14 @@ func evalAndOr(e *Expr, row []any, isAnd bool) (any, error) {
 	return lb || rb, nil
 }
 
-// FilterRow reports whether the fragment's filter accepts the row (a nil
-// filter accepts everything; NULL results drop the row, as in SQL).
-func (f *Fragment) FilterRow(row []any) (bool, error) {
-	if f.Filter == nil {
+// EvalCond evaluates e as a condition: only TRUE passes, NULL does not (as
+// in SQL), and any other value is a type error. A nil condition passes
+// every row.
+func EvalCond(e *Expr, row []any) (bool, error) {
+	if e == nil {
 		return true, nil
 	}
-	v, err := Eval(f.Filter, row)
+	v, err := Eval(e, row)
 	if err != nil {
 		return false, err
 	}
@@ -283,6 +284,10 @@ func (f *Fragment) FilterRow(row []any) (bool, error) {
 		return false, fmt.Errorf("%w: %T used as a condition", ErrType, v)
 	}
 }
+
+// FilterRow reports whether the fragment's filter accepts the row (a nil
+// filter accepts everything; NULL results drop the row, as in SQL).
+func (f *Fragment) FilterRow(row []any) (bool, error) { return EvalCond(f.Filter, row) }
 
 // ---- Batch evaluation ----
 //
@@ -433,8 +438,7 @@ func EvalBatch(e *Expr, b *RowBatch, sel []int, out []any) error {
 }
 
 // Compare orders two non-nil SQL values: mixed int64/float64 compare
-// numerically; otherwise both sides must share a type. This is the single
-// comparison kernel for both the CN and DN evaluators.
+// numerically; otherwise both sides must share a type.
 func Compare(a, b any) (int, error) {
 	switch x := a.(type) {
 	case int64:
@@ -490,9 +494,8 @@ func cmpFloat(x, y float64) int {
 	}
 }
 
-// Arith applies +, -, *, /, % to two non-nil values — the shared
-// arithmetic kernel for both evaluators. String concatenation via + is a
-// convenience extension.
+// Arith applies +, -, *, /, % to two non-nil values. String concatenation
+// via + is a convenience extension.
 func Arith(op string, a, b any) (any, error) {
 	ai, aIsInt := a.(int64)
 	bi, bIsInt := b.(int64)
@@ -560,11 +563,10 @@ func toFloat(v any) (float64, bool) {
 	}
 }
 
-// likeCache memoizes compiled LIKE patterns, shared by both evaluators.
+// likeCache memoizes compiled LIKE patterns.
 var likeCache sync.Map // string -> *regexp.Regexp
 
-// LikeMatch implements SQL LIKE with % and _ wildcards — the shared
-// pattern kernel for both evaluators.
+// LikeMatch implements SQL LIKE with % and _ wildcards.
 func LikeMatch(s, pattern string) (bool, error) {
 	if cached, ok := likeCache.Load(pattern); ok {
 		return cached.(*regexp.Regexp).MatchString(s), nil
@@ -592,9 +594,10 @@ func LikeMatch(s, pattern string) (bool, error) {
 
 // ---- Partial aggregate states ----
 
-// AggState is one aggregate slot's partial state over one group on one
-// shard. States from different shards merge commutatively and
-// associatively, which is what lets the coordinator combine them in
+// AggState is one aggregate slot's state over one group: a data node's
+// partial state over its shard, or the computing node's own when it
+// aggregates rows itself. States from different shards merge commutatively
+// and associatively, which is what lets the coordinator combine them in
 // whatever order the cross-shard merge delivers groups. AVG is carried as
 // SumF+Count (the classic sum+count decomposition).
 type AggState struct {
@@ -701,9 +704,8 @@ func (st *AggState) Merge(o AggState) error {
 	return nil
 }
 
-// Final computes the aggregate's SQL result from the merged state,
-// matching gsql's CN-side aggregation exactly (SUM and AVG over zero rows
-// are NULL; COUNT is 0).
+// Final computes the aggregate's SQL result from the merged state (SUM
+// and AVG over zero rows are NULL; COUNT is 0).
 func (st AggState) Final(kind AggKind) any {
 	switch kind {
 	case AggCount:

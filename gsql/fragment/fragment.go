@@ -7,11 +7,12 @@
 // it at the request's snapshot timestamp, on the read-write path and the
 // read-on-replica path alike.
 //
-// The evaluator (eval.go) mirrors gsql's scalar expression semantics
-// exactly — SQL three-valued logic, mixed int/float comparison, LIKE — so a
-// predicate evaluated on a data node accepts precisely the rows the
-// computing node's own filter would have accepted. The differential tests
-// in gsql assert this byte-for-byte.
+// Expr is also the only expression form the system evaluates: gsql lowers
+// every SQL expression to an Expr at plan time, and the computing node runs
+// its residual filters, projections, sort and group keys and final
+// aggregation with the same evaluator (eval.go) the data nodes run on pushed
+// fragments. A predicate therefore accepts the same rows wherever it runs;
+// the differential tests in gsql assert this byte-for-byte.
 //
 // Aggregation is split DN-partial / CN-final: data nodes fold matching rows
 // into per-group AggStates (COUNT/SUM/MIN/MAX, with AVG carried as
@@ -612,66 +613,113 @@ func validateExpr(e *Expr, ncols int) error {
 // with unresolved parameters). The receiver is not modified, so one planned
 // fragment template serves every execution of a prepared statement.
 func (f *Fragment) Bind(params []any) (*Fragment, error) {
-	out := &Fragment{Kinds: f.Kinds, Project: f.Project, GroupBy: f.GroupBy}
-	if f.Filter != nil {
-		e, err := bindExpr(*f.Filter, params)
+	out := *f
+	var err error
+	if out.Filter, err = BindExpr(f.Filter, params); err != nil {
+		return nil, err
+	}
+	if out.Aggs, err = BindAggs(f.Aggs, params); err != nil {
+		return nil, err
+	}
+	if f.Lookup != nil {
+		keyExprs, changed, err := bindList(f.Lookup.KeyExprs, params)
 		if err != nil {
 			return nil, err
 		}
-		out.Filter = &e
-	}
-	for _, a := range f.Aggs {
-		spec := AggSpec{Kind: a.Kind, Star: a.Star}
-		if a.Arg != nil {
-			e, err := bindExpr(*a.Arg, params)
-			if err != nil {
-				return nil, err
-			}
-			spec.Arg = &e
+		if changed {
+			lk := *f.Lookup
+			lk.KeyExprs = keyExprs
+			out.Lookup = &lk
 		}
-		out.Aggs = append(out.Aggs, spec)
 	}
-	if f.Lookup != nil {
-		lk := &Lookup{Prefix: f.Lookup.Prefix, KeyKinds: f.Lookup.KeyKinds,
-			Kinds: f.Lookup.Kinds, Project: f.Lookup.Project}
-		lk.KeyExprs = make([]Expr, len(f.Lookup.KeyExprs))
-		for i := range f.Lookup.KeyExprs {
-			e, err := bindExpr(f.Lookup.KeyExprs[i], params)
-			if err != nil {
-				return nil, err
-			}
-			lk.KeyExprs[i] = e
+	return &out, nil
+}
+
+// BindExpr substitutes parameter values for the OpParam nodes of e. The
+// receiver is not modified, and a tree without parameters comes back as
+// is, so binding a parameter-free expression allocates nothing.
+func BindExpr(e *Expr, params []any) (*Expr, error) {
+	if e == nil {
+		return nil, nil
+	}
+	b, changed, err := bindExpr(*e, params)
+	if err != nil || !changed {
+		return e, err
+	}
+	bound := b // escapes only on this path
+	return &bound, nil
+}
+
+// BindExprs is BindExpr over a list; the list itself comes back as is when
+// no element holds a parameter.
+func BindExprs(es []Expr, params []any) ([]Expr, error) {
+	out, _, err := bindList(es, params)
+	return out, err
+}
+
+// BindAggs is BindExpr over aggregate arguments; the specs come back as is
+// when no argument holds a parameter.
+func BindAggs(specs []AggSpec, params []any) ([]AggSpec, error) {
+	var out []AggSpec
+	for i, a := range specs {
+		arg, err := BindExpr(a.Arg, params)
+		if err != nil {
+			return nil, err
 		}
-		out.Lookup = lk
+		if arg != a.Arg && out == nil {
+			out = append([]AggSpec(nil), specs...)
+		}
+		if out != nil {
+			out[i].Arg = arg
+		}
+	}
+	if out == nil {
+		return specs, nil
 	}
 	return out, nil
 }
 
-func bindExpr(e Expr, params []any) (Expr, error) {
+func bindExpr(e Expr, params []any) (Expr, bool, error) {
 	if e.Op == OpParam {
 		if e.Col < 1 || e.Col > len(params) {
-			return Expr{}, fmt.Errorf("fragment: parameter $%d with %d bound", e.Col, len(params))
+			return Expr{}, false, fmt.Errorf("fragment: parameter $%d with %d bound", e.Col, len(params))
 		}
 		v := params[e.Col-1]
 		switch v.(type) {
 		case nil, int64, float64, string, []byte, bool:
-			return Expr{Op: OpConst, Val: v}, nil
+			return Expr{Op: OpConst, Val: v}, true, nil
 		default:
-			return Expr{}, fmt.Errorf("fragment: parameter $%d has unsupported type %T", e.Col, v)
+			return Expr{}, false, fmt.Errorf("fragment: parameter $%d has unsupported type %T", e.Col, v)
 		}
 	}
-	if len(e.Args) == 0 {
-		return e, nil
+	args, changed, err := bindList(e.Args, params)
+	if err != nil || !changed {
+		return e, false, err
 	}
-	args := make([]Expr, len(e.Args))
-	for i := range e.Args {
-		a, err := bindExpr(e.Args[i], params)
+	e.Args = args
+	return e, true, nil
+}
+
+// bindList binds each expression, copying the list only once an element
+// actually changes.
+func bindList(es []Expr, params []any) ([]Expr, bool, error) {
+	var out []Expr
+	for i := range es {
+		b, changed, err := bindExpr(es[i], params)
 		if err != nil {
-			return Expr{}, err
+			return nil, false, err
 		}
-		args[i] = a
+		if changed && out == nil {
+			out = append([]Expr(nil), es...)
+		}
+		if out != nil {
+			out[i] = b
+		}
 	}
-	return Expr{Op: e.Op, Col: e.Col, Val: e.Val, Args: args}, nil
+	if out == nil {
+		return es, false, nil
+	}
+	return out, true, nil
 }
 
 // ---- Row codec helpers ----

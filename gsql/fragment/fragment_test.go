@@ -123,6 +123,49 @@ func TestBindSubstitutesParams(t *testing.T) {
 	}
 }
 
+// TestBindParamFreeAllocatesNothing checks that binding shares every
+// subtree without a parameter: a parameter-free filter binds with zero
+// allocations and comes back as the very same tree, and a tree with one
+// parameter copies only the path down to it.
+func TestBindParamFreeAllocatesNothing(t *testing.T) {
+	filter := bin(OpAnd,
+		*bin(OpGe, col(0), Expr{Op: OpConst, Val: int64(90)}),
+		Expr{Op: OpLike, Args: []Expr{col(1), {Op: OpConst, Val: "t%"}}})
+	params := []any{int64(7)}
+	var bound *Expr
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if bound, err = BindExpr(filter, params); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("binding a parameter-free filter allocated %.0f times, want 0", allocs)
+	}
+	if bound != filter {
+		t.Fatal("a parameter-free filter was copied")
+	}
+	if list, _ := BindExprs(filter.Args, params); &list[0] != &filter.Args[0] {
+		t.Fatal("a parameter-free list was copied")
+	}
+	specs := []AggSpec{{Kind: AggCount, Star: true}, {Kind: AggSum, Arg: &filter.Args[0].Args[0]}}
+	if got, _ := BindAggs(specs, params); &got[0] != &specs[0] {
+		t.Fatal("parameter-free aggregate specs were copied")
+	}
+
+	withParam := bin(OpAnd, filter.Args[0], *bin(OpEq, col(2), Expr{Op: OpParam, Col: 1}))
+	b, err := BindExpr(withParam, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &b.Args[0].Args[0] != &withParam.Args[0].Args[0] {
+		t.Fatal("the parameter-free operand was copied")
+	}
+	if b.Args[1].Args[1].Op != OpConst || b.Args[1].Args[1].Val != int64(7) || withParam.Args[1].Args[1].Op != OpParam {
+		t.Fatalf("bound %+v from template %+v", b.Args[1], withParam.Args[1])
+	}
+}
+
 // TestAggStateMergeCommutes checks that partial states merge to the same
 // final values regardless of how rows are split across shards — the
 // property the cross-shard CN-final merge depends on.

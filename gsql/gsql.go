@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"globaldb"
+	"globaldb/gsql/fragment"
 	"globaldb/internal/obs"
 	"globaldb/internal/table"
 )
@@ -535,7 +536,7 @@ func (s *Session) execInsert(ctx context.Context, ins *Insert, params []any) (*R
 		}
 		row := make(globaldb.Row, len(sch.Columns))
 		for i, e := range exprRow {
-			v, err := evalExpr(e, &rowEnv{params: params}) // constants and parameters only: no columns in scope
+			v, err := evalConst(e, params) // constants and parameters only: no columns in scope
 			if err != nil {
 				return nil, err
 			}
@@ -561,9 +562,9 @@ func (s *Session) execInsert(ctx context.Context, ins *Insert, params []any) (*R
 	return &Result{Affected: n, Msg: fmt.Sprintf("INSERT %d", n)}, nil
 }
 
-// matchingRows plans and evaluates a single-table WHERE for UPDATE/DELETE,
-// returning full rows at the transaction's snapshot.
-func matchingRows(ctx context.Context, s *Session, tx *globaldb.Tx, tableName string, where Expr, params []any) ([]table.Row, *boundPlan, error) {
+// planDML plans the single-table WHERE of an UPDATE/DELETE as a SELECT *
+// and binds it.
+func (s *Session) planDML(tableName string, where Expr, params []any) (*boundPlan, error) {
 	sel := &Select{
 		Items: []SelectItem{{Expr: &Star{}}},
 		From:  TableRef{Table: tableName, Alias: tableName},
@@ -572,46 +573,48 @@ func matchingRows(ctx context.Context, s *Session, tx *globaldb.Tx, tableName st
 	}
 	p, err := planSelect(s, sel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	bp, err := p.bind(params)
+	return p.bind(params)
+}
+
+// matchingRows evaluates a planned UPDATE/DELETE WHERE, returning full rows
+// at the transaction's snapshot.
+func matchingRows(ctx context.Context, tx *globaldb.Tx, p *boundPlan) ([]table.Row, error) {
+	combined, err := joinRows(ctx, tx, p)
 	if err != nil {
-		return nil, nil, err
-	}
-	combined, err := joinRows(ctx, tx, bp)
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rows := make([]table.Row, len(combined))
 	for i, c := range combined {
 		rows[i] = c[0]
 	}
-	return rows, bp, nil
+	return rows, nil
 }
 
 func (s *Session) execUpdate(ctx context.Context, u *Update, params []any) (*Result, error) {
-	sch, err := s.db.Schema(u.Table)
+	p, err := s.planDML(u.Table, u.Where, params)
 	if err != nil {
 		return nil, err
 	}
+	sch := p.outer.tab.schema
 	// Reject PK and indexed-column updates (index entries are rewritten in
 	// place, not migrated — the same restriction GaussDB's distribution
 	// keys have).
 	frozen := map[int]bool{}
-	for _, p := range sch.PK {
-		frozen[p] = true
+	for _, c := range sch.PK {
+		frozen[c] = true
 	}
 	for _, ix := range sch.Indexes {
 		for _, c := range ix.Cols {
 			frozen[c] = true
 		}
 	}
-	type binding struct {
-		col  int
-		expr Expr
-	}
-	var bindings []binding
-	for _, a := range u.Set {
+	// SET values are lowered over the old row and bound once.
+	row := &layout{tables: p.tables, scope: 1}
+	cols := make([]int, len(u.Set))
+	vals := make([]fragment.Expr, len(u.Set))
+	for i, a := range u.Set {
 		ci := sch.ColIndex(a.Col)
 		if ci < 0 {
 			return nil, fmt.Errorf("gsql: table %s has no column %q", u.Table, a.Col)
@@ -619,27 +622,29 @@ func (s *Session) execUpdate(ctx context.Context, u *Update, params []any) (*Res
 		if frozen[ci] {
 			return nil, fmt.Errorf("gsql: cannot update primary-key or indexed column %q", a.Col)
 		}
-		bindings = append(bindings, binding{col: ci, expr: a.Expr})
+		cols[i] = ci
+		if vals[i], err = lowerExpr(a.Expr, row); err != nil {
+			return nil, err
+		}
+	}
+	if vals, err = fragment.BindExprs(vals, params); err != nil {
+		return nil, err
 	}
 	n, err := s.withWriteTxn(ctx, func(tx *globaldb.Tx) (int, error) {
-		rows, p, err := matchingRows(ctx, s, tx, u.Table, u.Where, params)
+		rows, err := matchingRows(ctx, tx, p)
 		if err != nil {
 			return 0, err
 		}
 		for _, row := range rows {
-			updated := make(globaldb.Row, len(row))
-			copy(updated, row)
-			env := &rowEnv{tables: p.tables, rows: []table.Row{row}, params: params}
-			for _, b := range bindings {
-				v, err := evalExpr(b.expr, env)
+			updated := append(globaldb.Row(nil), row...)
+			for i, ci := range cols {
+				v, err := fragment.Eval(&vals[i], row)
 				if err != nil {
 					return 0, err
 				}
-				cv, err := coerceValue(sch, b.col, v)
-				if err != nil {
+				if updated[ci], err = coerceValue(sch, ci, v); err != nil {
 					return 0, err
 				}
-				updated[b.col] = cv
 			}
 			if err := tx.Update(ctx, u.Table, updated); err != nil {
 				return 0, err
@@ -654,8 +659,12 @@ func (s *Session) execUpdate(ctx context.Context, u *Update, params []any) (*Res
 }
 
 func (s *Session) execDelete(ctx context.Context, d *Delete, params []any) (*Result, error) {
+	p, err := s.planDML(d.Table, d.Where, params)
+	if err != nil {
+		return nil, err
+	}
 	n, err := s.withWriteTxn(ctx, func(tx *globaldb.Tx) (int, error) {
-		rows, _, err := matchingRows(ctx, s, tx, d.Table, d.Where, params)
+		rows, err := matchingRows(ctx, tx, p)
 		if err != nil {
 			return 0, err
 		}

@@ -36,14 +36,28 @@ func (b *rowBlock) n() int {
 	return len(b.tabs[0])
 }
 
-// row copies combined row i into scratch, the bridge to row-at-a-time
-// expression evaluation.
-func (b *rowBlock) row(i int, scratch []table.Row) []table.Row {
-	out := scratch[:len(b.tabs)]
+// flat returns combined row i as the one flat row lowered expressions
+// evaluate over: a single-table block's row itself, or the FROM rows'
+// columns copied back to back into scratch (see selectPlan.rowScratch).
+func (b *rowBlock) flat(i int, scratch []any) []any {
+	if len(b.tabs) == 1 {
+		return b.tabs[0][i]
+	}
+	out := scratch[:0]
 	for t := range b.tabs {
-		out[t] = b.tabs[t][i]
+		out = append(out, b.tabs[t][i]...)
 	}
 	return out
+}
+
+// rowScratch returns the buffer a joined plan copies each combined row
+// into, sized once per execution; single-table plans evaluate on the table
+// row itself and need none.
+func (p *selectPlan) rowScratch() []any {
+	if len(p.tables) == 1 {
+		return nil
+	}
+	return make([]any, 0, p.width)
 }
 
 // blockIter is a batch-native volcano operator: NextBlock returns the next
@@ -130,13 +144,8 @@ func (s *scanIter) Close() {
 // by re-allocating rows.
 type filterIter struct {
 	child  blockIter
-	filter Expr
-	env    rowEnv
-	scr    [2]table.Row
-}
-
-func newFilterIter(child blockIter, filter Expr, tables []*boundTable, params []any) *filterIter {
-	return &filterIter{child: child, filter: filter, env: rowEnv{tables: tables, params: params}}
+	filter *fragment.Expr
+	scr    []any
 }
 
 func (f *filterIter) NextBlock(ctx context.Context) (*rowBlock, error) {
@@ -148,12 +157,7 @@ func (f *filterIter) NextBlock(ctx context.Context) (*rowBlock, error) {
 		n := blk.n()
 		keep := 0
 		for i := 0; i < n; i++ {
-			f.env.rows = blk.row(i, f.scr[:])
-			v, err := evalExpr(f.filter, &f.env)
-			if err != nil {
-				return nil, err
-			}
-			pass, err := truthy(v)
+			pass, err := fragment.EvalCond(f.filter, blk.flat(i, f.scr))
 			if err != nil {
 				return nil, err
 			}
@@ -244,27 +248,23 @@ func (j *nestedLoopIter) Close() {
 	j.outer.Close()
 }
 
-// openScan builds the streaming scan operator for one table. outerRow, when
-// non-nil, binds outer column references in the scan's key and range
-// expressions (join inner lookups). fetchLimit > 0 caps the rows the scan
-// requests from storage (a fully pushed LIMIT); pageHint > 0 sizes the
-// first fetched page (early-terminating consumers); prefetch is the
+// openScan builds the streaming scan operator for one table, with se its
+// bound key and range expressions. outerRow, when non-nil, binds outer
+// column references in them (join inner lookups). fetchLimit > 0 caps the
+// rows the scan requests from storage (a fully pushed LIMIT); pageHint > 0
+// sizes the first fetched page (early-terminating consumers); prefetch is the
 // pages-ahead window hint passed to the shard cursors (< 0 disables
 // background prefetching for scans the executor expects to stop early).
 // frag, when non-nil, is the bound DN-side fragment attached to the scan's
 // pages; totals, when non-nil, accumulates the scan's per-layer row counts
 // at Close.
-func openScan(ctx context.Context, r reader, p *boundPlan, s *tableScan, outerRow table.Row, fetchLimit, pageHint, prefetch int, frag *fragment.Fragment, totals *scanTotals) (blockIter, error) {
-	env := &rowEnv{tables: p.tables, params: p.params}
-	if outerRow != nil {
-		env.rows = []table.Row{outerRow}
-	}
-	keyVals, err := scanKey(s, env)
+func openScan(ctx context.Context, r reader, s *tableScan, se *scanExprs, outerRow table.Row, fetchLimit, pageHint, prefetch int, frag *fragment.Fragment, totals *scanTotals) (blockIter, error) {
+	keyVals, err := scanKey(s, se, outerRow)
 	if err != nil {
 		return nil, err
 	}
 	name := s.tab.schema.Name
-	opts := globaldb.ScanOpts{Limit: fetchLimit, PageSize: pageHint, Prefetch: prefetch, Range: scanRange(s, env), Pushdown: frag}
+	opts := globaldb.ScanOpts{Limit: fetchLimit, PageSize: pageHint, Prefetch: prefetch, Range: scanRange(s, se, outerRow), Pushdown: frag}
 	var rows *globaldb.Rows
 	switch s.kind {
 	case accessPoint:
@@ -288,28 +288,29 @@ func openScan(ctx context.Context, r reader, p *boundPlan, s *tableScan, outerRo
 	return &scanIter{rows: rows, totals: totals}, nil
 }
 
-// scanRange evaluates a scan's pushed range bounds. A bound whose value is
-// NULL or fails to coerce to the column kind is dropped — the residual
-// filter still holds the conjunct, so dropping only widens the scan.
-func scanRange(s *tableScan, env *rowEnv) *globaldb.ScanRange {
-	if s.rangeCol < 0 || (s.rangeLo == nil && s.rangeHi == nil) {
+// scanRange evaluates a scan's pushed range bounds over the outer row. A
+// bound whose value is NULL or fails to coerce to the column kind is
+// dropped — the residual filter still holds the conjunct, so dropping only
+// widens the scan.
+func scanRange(s *tableScan, se *scanExprs, outerRow []any) *globaldb.ScanRange {
+	if s.rangeCol < 0 || (se.lo == nil && se.hi == nil) {
 		return nil
 	}
-	rng := &globaldb.ScanRange{LoExcl: s.loExcl, HiExcl: s.hiExcl}
-	if s.rangeLo != nil {
-		if v, err := evalExpr(s.rangeLo, env); err == nil && v != nil {
-			if cv, err := coerceValue(s.tab.schema, s.rangeCol, v); err == nil {
-				rng.Lo = cv
-			}
+	bound := func(e *fragment.Expr) any {
+		if e == nil {
+			return nil
 		}
-	}
-	if s.rangeHi != nil {
-		if v, err := evalExpr(s.rangeHi, env); err == nil && v != nil {
-			if cv, err := coerceValue(s.tab.schema, s.rangeCol, v); err == nil {
-				rng.Hi = cv
-			}
+		v, err := fragment.Eval(e, outerRow)
+		if err != nil {
+			return nil
 		}
+		cv, err := coerceValue(s.tab.schema, s.rangeCol, v)
+		if err != nil {
+			return nil
+		}
+		return cv
 	}
+	rng := &globaldb.ScanRange{Lo: bound(se.lo), Hi: bound(se.hi), LoExcl: s.loExcl, HiExcl: s.hiExcl}
 	if rng.Lo == nil && rng.Hi == nil {
 		return nil
 	}
@@ -338,13 +339,13 @@ func buildPipeline(ctx context.Context, r reader, p *boundPlan) (it blockIter, o
 	// optimization, not a dependency. A pushed lookup join binds its own
 	// fragment (outer scan + inner lookup fused); a bind failure there
 	// falls back to the nested loop the same way.
-	filter := p.filter
+	filter := p.x.filter
 	var frag *fragment.Fragment
 	lookupOn := false
 	if strategy == joinLookup {
 		if bf, bindErr := p.join.lookup.frag.Bind(p.params); bindErr == nil {
 			frag = bf
-			filter = p.join.lookup.cnFilter
+			filter = p.x.lookupFilter
 			lookupOn = true
 		} else {
 			strategy = joinNestLoop
@@ -353,7 +354,7 @@ func buildPipeline(ctx context.Context, r reader, p *boundPlan) (it blockIter, o
 	if !lookupOn && p.push != nil && !p.push.agg && !p.noPushdown {
 		if bf, bindErr := p.push.frag.Bind(p.params); bindErr == nil {
 			frag = bf
-			filter = p.push.cnFilter
+			filter = p.x.pushFilter
 		}
 	}
 
@@ -398,7 +399,7 @@ func buildPipeline(ctx context.Context, r reader, p *boundPlan) (it blockIter, o
 		it = &lookupJoinIter{rows: rows, totals: totals,
 			outerW: len(p.tables[0].schema.Columns)}
 	} else {
-		scan, err := openScan(ctx, r, p, p.outer, nil, fetchLimit, pageHint, prefetch, frag, totals)
+		scan, err := openScan(ctx, r, p.outer, &p.x.outer, nil, fetchLimit, pageHint, prefetch, frag, totals)
 		if err != nil {
 			return nil, false, nil, err
 		}
@@ -414,13 +415,13 @@ func buildPipeline(ctx context.Context, r reader, p *boundPlan) (it blockIter, o
 					// closed immediately — there is no consumption to overlap a
 					// prefetch with, so keep them on the synchronous path
 					// rather than paying a goroutine + channel per outer row.
-					return openScan(ctx, r, p, p.inner, outerRow, 0, 0, -1, nil, totals)
+					return openScan(ctx, r, p.inner, &p.x.inner, outerRow, 0, 0, -1, nil, totals)
 				},
 			}
 		}
 	}
 	if filter != nil {
-		it = newFilterIter(it, filter, p.tables, p.params)
+		it = &filterIter{child: it, filter: filter, scr: p.rowScratch()}
 	}
 	if p.inner != nil {
 		p.chosenJoin = strategy

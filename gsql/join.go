@@ -177,13 +177,10 @@ func analyzeLookupJoin(p *selectPlan) *lookupJoin {
 		return nil
 	}
 
-	keyExprs := make([]fragment.Expr, len(inner.keyExprs))
-	for i, e := range inner.keyExprs {
-		fe, ok := compilePushExpr(e, p.tables)
-		if !ok {
-			return nil
-		}
-		keyExprs[i] = *fe
+	outerOnly := &layout{tables: p.tables, scope: 1}
+	keyExprs, err := lowerList(inner.keyExprs, outerOnly)
+	if err != nil {
+		return nil
 	}
 
 	// The ON conjuncts whose equality the encoded key enforces leave the
@@ -219,14 +216,14 @@ func analyzeLookupJoin(p *selectPlan) *lookupJoin {
 
 	// Split the rest of the filter: outer-only conjuncts run DN-side in
 	// the fragment; everything else stays on the CN over joined rows.
-	var pushed []*fragment.Expr
+	var pushed []fragment.Expr
 	var pushedSrc []Expr
 	var residual []Expr
 	for _, c := range conjuncts(p.filter) {
 		if consumed[c] {
 			continue
 		}
-		if fe, ok := compilePushExpr(c, p.tables); ok {
+		if fe, err := lowerExpr(c, outerOnly); err == nil {
 			pushed = append(pushed, fe)
 			pushedSrc = append(pushedSrc, c)
 		} else {
@@ -524,12 +521,11 @@ func (jp *joinPlan) describe(p *selectPlan) []string {
 // width then full inner width) decoded by the fragment's JoinedDecoder.
 func openLookupRows(ctx context.Context, r reader, p *boundPlan, fetchLimit, pageHint, prefetch int, frag *fragment.Fragment) (*globaldb.Rows, error) {
 	s := p.outer
-	env := &rowEnv{tables: p.tables, params: p.params}
 	opts := globaldb.ScanOpts{Limit: fetchLimit, PageSize: pageHint, Prefetch: prefetch,
-		Range: scanRange(s, env), Pushdown: frag}
+		Range: scanRange(s, &p.x.outer, nil), Pushdown: frag}
 	switch s.kind {
 	case accessPKPrefix:
-		keyVals, err := scanKey(s, env)
+		keyVals, err := scanKey(s, &p.x.outer, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -617,7 +613,7 @@ type hashJoinIter struct {
 // referenced from blocks are retainable by contract (fresh slab per
 // batch), so the table holds row references, not copies.
 func (h *hashJoinIter) build(ctx context.Context) error {
-	scan, err := openScan(ctx, h.r, h.p, h.hj.build, nil, 0, 0, 0, nil, h.totals)
+	scan, err := openScan(ctx, h.r, h.hj.build, &h.p.x.build, nil, 0, 0, 0, nil, h.totals)
 	if err != nil {
 		return err
 	}

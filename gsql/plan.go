@@ -114,15 +114,15 @@ type selectPlan struct {
 	outExprs []Expr   // one per output column (aggregates allowed)
 
 	// Aggregation.
-	grouped  bool
-	aggs     []*FuncExpr // unique aggregate calls, in slot order
-	aggKeys  []string    // String() of each agg, aligned with aggs
-	groupBy  []Expr
-	having   Expr
-	orderBy  []OrderItem
-	limit    int64
-	offset   int64
-	distinct bool
+	grouped     bool
+	aggs        []*FuncExpr // unique aggregate calls, in slot order
+	aggDistinct []bool      // per slot: fold each distinct argument value once
+	groupBy     []Expr
+	having      Expr
+	orderBy     []OrderItem
+	limit       int64
+	offset      int64
+	distinct    bool
 
 	// push is the DN-partial execution phase, when any part of the plan
 	// can run on data nodes (see pushdown.go); nil otherwise. Execution
@@ -134,6 +134,11 @@ type selectPlan struct {
 	// join.go): which physical strategies beyond nested-loop this plan can
 	// execute with, precompiled. nil when only nested-loop applies.
 	join *joinPlan
+
+	// x holds every expression above lowered to the evaluator's form (see
+	// expr.go); width is the number of columns in the combined row.
+	x     planExprs
+	width int
 }
 
 // describe renders the plan for EXPLAIN.
@@ -187,6 +192,9 @@ func (p *selectPlan) describe() []string {
 type boundPlan struct {
 	*selectPlan
 	params []any
+	// x shadows the plan's lowered expressions with this execution's
+	// parameter values bound.
+	x      planExprs
 	limit  int64
 	offset int64
 	// noPushdown forces CN-side evaluation for this execution (session
@@ -207,6 +215,10 @@ type boundPlan struct {
 // not modified, so it can be rebound with fresh values on every call.
 func (p *selectPlan) bind(params []any) (*boundPlan, error) {
 	bp := &boundPlan{selectPlan: p, params: params, limit: p.limit, offset: p.offset}
+	var err error
+	if bp.x, err = p.x.bind(params); err != nil {
+		return nil, err
+	}
 	if e := p.stmt.LimitExpr; e != nil {
 		n, err := resolveCount(e, params, "LIMIT")
 		if err != nil {
@@ -227,7 +239,7 @@ func (p *selectPlan) bind(params []any) (*boundPlan, error) {
 // resolveCount evaluates a parameterized LIMIT/OFFSET to a non-negative
 // count.
 func resolveCount(e Expr, params []any, what string) (int64, error) {
-	v, err := evalExpr(e, &rowEnv{params: params})
+	v, err := evalConst(e, params)
 	if err != nil {
 		return 0, err
 	}
@@ -349,11 +361,9 @@ func planSelect(cat catalog, sel *Select) (*selectPlan, error) {
 		seen := map[string]bool{}
 		collect := func(e Expr) {
 			for _, f := range collectAggs(e) {
-				k := f.String()
-				if !seen[k] {
+				if k := f.String(); !seen[k] {
 					seen[k] = true
 					p.aggs = append(p.aggs, f)
-					p.aggKeys = append(p.aggKeys, k)
 				}
 			}
 		}
@@ -370,12 +380,18 @@ func planSelect(cat catalog, sel *Select) (*selectPlan, error) {
 		if err := p.checkGrouping(); err != nil {
 			return nil, err
 		}
+		if err := p.lowerAggs(); err != nil {
+			return nil, err
+		}
 	}
 
 	// Split the plan into DN-partial and CN-final phases where possible.
 	p.push = analyzePushdown(p)
 	// Decide which physical join strategies the plan can execute with.
 	p.join = analyzeJoin(p)
+	if err := p.lower(); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 

@@ -52,13 +52,14 @@ func analyzePushdown(p *selectPlan) *pushPlan {
 		kinds[i] = c.Kind
 	}
 
-	// Split the residual filter: conjuncts that compile against the outer
+	// Split the residual filter: conjuncts that lower against the outer
 	// table alone run on the data nodes; the rest stay on the CN.
-	var pushed []*fragment.Expr
+	outerOnly := &layout{tables: p.tables, scope: 1}
+	var pushed []fragment.Expr
 	var pushedSrc []Expr
 	var residual []Expr
 	for _, c := range conjuncts(p.filter) {
-		if fe, ok := compilePushExpr(c, p.tables); ok {
+		if fe, err := lowerExpr(c, outerOnly); err == nil {
 			pushed = append(pushed, fe)
 			pushedSrc = append(pushedSrc, c)
 		} else {
@@ -93,9 +94,11 @@ func analyzePushdown(p *selectPlan) *pushPlan {
 
 // analyzeAggPushdown upgrades the fragment to DN-partial aggregation when
 // the whole plan qualifies: single table, fully pushed filter, plain
-// column GROUP BY, and only mergeable aggregates. Float group columns are
-// excluded: the CN groups by value (where -0 and +0 coincide) while group
-// keys are ordered bytes (where they differ), and the two must agree.
+// column GROUP BY, and only mergeable aggregates; the data nodes then fold
+// the very slot specs the CN folds when it aggregates itself. Float group
+// columns are excluded: the CN groups by value (where -0 and +0 coincide)
+// while group keys are ordered bytes (where they differ), and the two must
+// agree.
 func analyzeAggPushdown(p *selectPlan, pp *pushPlan, residual []Expr) bool {
 	if !p.grouped || p.inner != nil || len(residual) > 0 {
 		return false
@@ -118,13 +121,11 @@ func analyzeAggPushdown(p *selectPlan, pp *pushPlan, residual []Expr) bool {
 		groupCols = append(groupCols, ci)
 		groupSet[ci] = true
 	}
-	specs := make([]fragment.AggSpec, 0, len(p.aggs))
+	// DISTINCT aggregates have no mergeable partial state.
 	for _, fn := range p.aggs {
-		spec, ok := compileAggSpec(fn, p.tables)
-		if !ok {
+		if fn.Distinct {
 			return false
 		}
-		specs = append(specs, spec)
 	}
 	// Everything evaluated after the merge — outputs, HAVING, ORDER BY —
 	// may only touch group columns (reconstructable from the group key)
@@ -143,51 +144,11 @@ func analyzeAggPushdown(p *selectPlan, pp *pushPlan, residual []Expr) bool {
 		}
 	}
 	pp.frag.GroupBy = groupCols
-	pp.frag.Aggs = specs
+	pp.frag.Aggs = p.x.aggs
 	pp.agg = true
 	pp.groupCols = groupCols
 	pp.cnFilter = nil
 	return true
-}
-
-// compileAggSpec translates one gsql aggregate call into a partial
-// aggregate slot. DISTINCT aggregates are not mergeable across shards and
-// stay on the CN.
-func compileAggSpec(fn *FuncExpr, tables []*boundTable) (fragment.AggSpec, bool) {
-	if fn.Distinct {
-		return fragment.AggSpec{}, false
-	}
-	var kind fragment.AggKind
-	switch fn.Name {
-	case "COUNT":
-		kind = fragment.AggCount
-	case "SUM":
-		kind = fragment.AggSum
-	case "AVG":
-		kind = fragment.AggAvg
-	case "MIN":
-		kind = fragment.AggMin
-	case "MAX":
-		kind = fragment.AggMax
-	default:
-		return fragment.AggSpec{}, false
-	}
-	if len(fn.Args) == 1 {
-		if _, isStar := fn.Args[0].(*Star); isStar {
-			if fn.Name != "COUNT" {
-				return fragment.AggSpec{}, false
-			}
-			return fragment.AggSpec{Kind: kind, Star: true}, true
-		}
-	}
-	if len(fn.Args) != 1 {
-		return fragment.AggSpec{}, false
-	}
-	arg, ok := compilePushExpr(fn.Args[0], tables)
-	if !ok {
-		return fragment.AggSpec{}, false
-	}
-	return fragment.AggSpec{Kind: kind, Arg: arg}, true
 }
 
 // refsWithinGroup reports whether every column reference in e (outside
@@ -312,156 +273,16 @@ func collectOuterCols(e Expr, tables []*boundTable, into map[int]bool) {
 	}
 }
 
-// compilePushExpr translates a gsql expression into a serializable
-// fragment expression over the outer table's storage positions. It fails
-// (ok=false) on anything the DN evaluator does not mirror — references to
-// other tables, aggregates, stars — keeping the translation conservative:
-// a conjunct that does not compile simply stays on the CN.
-func compilePushExpr(e Expr, tables []*boundTable) (*fragment.Expr, bool) {
-	switch x := e.(type) {
-	case *Literal:
-		switch x.Val.(type) {
-		case nil, int64, float64, string, []byte, bool:
-			return &fragment.Expr{Op: fragment.OpConst, Val: x.Val}, true
-		}
-		return nil, false
-	case *Placeholder:
-		return &fragment.Expr{Op: fragment.OpParam, Col: x.Idx}, true
-	case *ColRef:
-		ti, ci, err := resolveCol(x, tables)
-		if err != nil || ti != 0 {
-			return nil, false
-		}
-		return &fragment.Expr{Op: fragment.OpCol, Col: ci}, true
-	case *BinaryExpr:
-		op, ok := binaryOps[x.Op]
-		if !ok {
-			return nil, false
-		}
-		l, ok := compilePushExpr(x.Left, tables)
-		if !ok {
-			return nil, false
-		}
-		r, ok := compilePushExpr(x.Right, tables)
-		if !ok {
-			return nil, false
-		}
-		return &fragment.Expr{Op: op, Args: []fragment.Expr{*l, *r}}, true
-	case *UnaryExpr:
-		arg, ok := compilePushExpr(x.X, tables)
-		if !ok {
-			return nil, false
-		}
-		switch x.Op {
-		case "NOT":
-			return &fragment.Expr{Op: fragment.OpNot, Args: []fragment.Expr{*arg}}, true
-		case "-":
-			return &fragment.Expr{Op: fragment.OpNeg, Args: []fragment.Expr{*arg}}, true
-		}
-		return nil, false
-	case *IsNullExpr:
-		arg, ok := compilePushExpr(x.X, tables)
-		if !ok {
-			return nil, false
-		}
-		op := fragment.OpIsNull
-		if x.Neg {
-			op = fragment.OpNotNull
-		}
-		return &fragment.Expr{Op: op, Args: []fragment.Expr{*arg}}, true
-	case *InExpr:
-		probe, ok := compilePushExpr(x.X, tables)
-		if !ok {
-			return nil, false
-		}
-		args := []fragment.Expr{*probe}
-		for _, it := range x.List {
-			fe, ok := compilePushExpr(it, tables)
-			if !ok {
-				return nil, false
-			}
-			args = append(args, *fe)
-		}
-		op := fragment.OpIn
-		if x.Neg {
-			op = fragment.OpNotIn
-		}
-		return &fragment.Expr{Op: op, Args: args}, true
-	case *BetweenExpr:
-		v, ok := compilePushExpr(x.X, tables)
-		if !ok {
-			return nil, false
-		}
-		lo, ok := compilePushExpr(x.Lo, tables)
-		if !ok {
-			return nil, false
-		}
-		hi, ok := compilePushExpr(x.Hi, tables)
-		if !ok {
-			return nil, false
-		}
-		op := fragment.OpBetween
-		if x.Neg {
-			op = fragment.OpNotBetween
-		}
-		return &fragment.Expr{Op: op, Args: []fragment.Expr{*v, *lo, *hi}}, true
-	case *FuncExpr:
-		if aggregateFuncs[x.Name] {
-			return nil, false
-		}
-		op, ok := scalarOps[x.Name]
-		if !ok {
-			return nil, false
-		}
-		if x.Name == "COALESCE" {
-			var args []fragment.Expr
-			for _, a := range x.Args {
-				fe, ok := compilePushExpr(a, tables)
-				if !ok {
-					return nil, false
-				}
-				args = append(args, *fe)
-			}
-			return &fragment.Expr{Op: op, Args: args}, true
-		}
-		if len(x.Args) != 1 {
-			return nil, false
-		}
-		arg, ok := compilePushExpr(x.Args[0], tables)
-		if !ok {
-			return nil, false
-		}
-		return &fragment.Expr{Op: op, Args: []fragment.Expr{*arg}}, true
-	default:
-		return nil, false
-	}
-}
-
-var binaryOps = map[string]fragment.Op{
-	"=": fragment.OpEq, "<>": fragment.OpNe,
-	"<": fragment.OpLt, "<=": fragment.OpLe,
-	">": fragment.OpGt, ">=": fragment.OpGe,
-	"AND": fragment.OpAnd, "OR": fragment.OpOr,
-	"+": fragment.OpAdd, "-": fragment.OpSub, "*": fragment.OpMul,
-	"/": fragment.OpDiv, "%": fragment.OpMod,
-	"LIKE": fragment.OpLike,
-}
-
-var scalarOps = map[string]fragment.Op{
-	"ABS": fragment.OpAbs, "LOWER": fragment.OpLower, "UPPER": fragment.OpUpper,
-	"LENGTH": fragment.OpLength, "COALESCE": fragment.OpCoalesce,
-}
-
-// andAll folds compiled conjuncts into one fragment expression.
-func andAll(conjs []*fragment.Expr) *fragment.Expr {
+// andAll folds lowered conjuncts into one fragment expression.
+func andAll(conjs []fragment.Expr) *fragment.Expr {
 	if len(conjs) == 0 {
 		return nil
 	}
 	acc := conjs[0]
 	for _, c := range conjs[1:] {
-		acc = &fragment.Expr{Op: fragment.OpAnd, Args: []fragment.Expr{*acc, *c}}
+		acc = fragment.Expr{Op: fragment.OpAnd, Args: []fragment.Expr{acc, c}}
 	}
-	return acc
+	return &acc
 }
 
 // andAll2 folds gsql conjuncts back into one residual expression.

@@ -6,7 +6,7 @@ import (
 	"fmt"
 
 	"globaldb"
-	"globaldb/internal/table"
+	"globaldb/internal/keys"
 )
 
 // ErrNotSelect is returned by the Query entry points when the statement is
@@ -36,9 +36,9 @@ type Rows struct {
 	it      blockIter
 	blk     *rowBlock
 	bi      int
-	env     rowEnv
-	scr     [2]table.Row
+	scr     []any           // joined plans' combined-row buffer
 	seen    map[string]bool // DISTINCT filter
+	enc     keys.Encoder    // DISTINCT keys
 	skipped int64
 	yielded int64
 
@@ -103,19 +103,23 @@ func (r *Rows) Next() bool {
 			}
 			r.blk, r.bi = blk, 0
 		}
-		r.env.rows = r.blk.row(r.bi, r.scr[:])
+		row := r.blk.flat(r.bi, r.scr)
 		r.bi++
-		out, err := projectEnv(r.bp, &r.env)
+		out, err := project(r.bp, row)
 		if err != nil {
 			r.err = err
 			return false
 		}
 		if r.seen != nil {
-			key := distinctKey(out)
-			if r.seen[key] {
+			key, err := distinctKey(&r.enc, out)
+			if err != nil {
+				r.err = err
+				return false
+			}
+			if r.seen[string(key)] {
 				continue
 			}
-			r.seen[key] = true
+			r.seen[string(key)] = true
 		}
 		if r.skipped < r.bp.offset {
 			r.skipped++
@@ -213,8 +217,7 @@ func (s *Session) queryRows(ctx context.Context, sel *Select, plan *selectPlan, 
 // output order; Next applies projection, DISTINCT, OFFSET and LIMIT as it
 // steps through them.
 func newStreamRows(ctx context.Context, bp *boundPlan, it blockIter) *Rows {
-	rows := &Rows{ctx: ctx, cols: bp.outCols, bp: bp, it: it,
-		env: rowEnv{tables: bp.tables, params: bp.params}}
+	rows := &Rows{ctx: ctx, cols: bp.outCols, bp: bp, it: it, scr: bp.rowScratch()}
 	if bp.distinct {
 		rows.seen = make(map[string]bool)
 	}

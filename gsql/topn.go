@@ -1,6 +1,10 @@
 package gsql
 
-import "sort"
+import (
+	"sort"
+
+	"globaldb/gsql/fragment"
+)
 
 // topN retains the k rows that order first under an ORDER BY, replacing
 // the drain-and-fully-sort path when a LIMIT bounds the result: admission
@@ -12,6 +16,7 @@ import "sort"
 // never displaces an earlier row.
 type topN struct {
 	orderBy []OrderItem
+	exprs   []fragment.Expr // the ORDER BY keys, lowered and bound
 	k       int64
 
 	// Parallel heap arrays, max-heap ordered: heap[0] is the worst
@@ -23,11 +28,11 @@ type topN struct {
 	nextSeq int64
 }
 
-func newTopN(orderBy []OrderItem, k int64) *topN {
+func newTopN(orderBy []OrderItem, exprs []fragment.Expr, k int64) *topN {
 	if k < 0 {
 		k = 0
 	}
-	return &topN{orderBy: orderBy, k: k}
+	return &topN{orderBy: orderBy, exprs: exprs, k: k}
 }
 
 // cmp orders two entries by the ORDER BY keys, breaking exact ties by
@@ -55,22 +60,18 @@ func (t *topN) cmp(ka []any, sa int64, kb []any, sb int64) (int, error) {
 	return 0, nil
 }
 
-// tryAdmitKeys evaluates the ORDER BY keys for the environment's current
-// row and reports whether the row belongs in the top k: always while the
-// heap is filling, and only when it orders strictly before the current
-// worst survivor once full. Rejected rows are never projected, which is
+// tryAdmitKeys evaluates the ORDER BY keys over one combined row and
+// reports whether the row belongs in the top k: always while the heap is
+// filling, and only when it orders strictly before the current worst
+// survivor once full. Rejected rows are never projected, which is
 // what makes the scan-side work per dropped row O(keys) only.
-func (t *topN) tryAdmitKeys(env *rowEnv) ([]any, bool, error) {
+func (t *topN) tryAdmitKeys(row []any) ([]any, bool, error) {
 	if t.k == 0 {
 		return nil, false, nil
 	}
-	keys := make([]any, len(t.orderBy))
-	for i, o := range t.orderBy {
-		v, err := evalExpr(o.Expr, env)
-		if err != nil {
-			return nil, false, err
-		}
-		keys[i] = v
+	keys := make([]any, len(t.exprs))
+	if err := evalInto(t.exprs, row, keys); err != nil {
+		return nil, false, err
 	}
 	if int64(len(t.rows)) < t.k {
 		return keys, true, nil
