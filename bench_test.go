@@ -1,8 +1,7 @@
-// Macro-benchmarks: one per table/figure in the paper's evaluation
-// (Sec. V). Each runs the corresponding experiment at Quick parameters and
-// reports throughput via b.ReportMetric, so `go test -bench=.` regenerates
-// every figure's data. EXPERIMENTS.md records paper-vs-measured shapes;
-// `cmd/globaldb-bench -full` runs the longer sweeps.
+// Scan-pipeline benchmarks: per-layer row counters for pushdown, and the
+// wall-clock comparison of the synchronous paged cursor against the
+// prefetcher. Paper figures come from `cmd/globaldb-bench`, wall-clock
+// claims about the system from the benchmark under bench/.
 package globaldb_test
 
 import (
@@ -14,150 +13,7 @@ import (
 
 	"globaldb"
 	"globaldb/gsql"
-	"globaldb/internal/experiments"
-	"globaldb/internal/harness"
-	"globaldb/internal/rcp"
-	"globaldb/internal/ror"
-	"globaldb/internal/ts"
 )
-
-// benchParams shrinks Quick further so the full -bench=. pass stays fast.
-func benchParams() experiments.Params {
-	p := experiments.Quick()
-	p.Clients = 16
-	p.Duration = 300 * time.Millisecond
-	p.Warmup = 100 * time.Millisecond
-	p.RTTs = []time.Duration{0, 100 * time.Millisecond}
-	p.TPCC.Warehouses = 4
-	p.TPCC.Districts = 3
-	p.TPCC.CustomersPerDistrict = 12
-	p.TPCC.Items = 30
-	p.TPCC.InitialOrdersPerDistrict = 6
-	p.Sysbench.Tables = 3
-	p.Sysbench.RowsPerTable = 90
-	p.Shards = 4
-	return p
-}
-
-func reportSeries(b *testing.B, s harness.Series) {
-	b.Helper()
-	b.Log(s.Table())
-	if len(s.Results) > 0 {
-		last := s.Results[len(s.Results)-1]
-		b.ReportMetric(last.Throughput, "tx/s@maxRTT")
-	}
-}
-
-// BenchmarkFig1aTPCCDegradation regenerates Fig. 1a: baseline TPC-C
-// throughput versus cluster round-trip latency.
-func BenchmarkFig1aTPCCDegradation(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig1a(context.Background(), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, s)
-	}
-}
-
-// BenchmarkFig6aTPCCSync regenerates Fig. 6a: TPC-C under synchronous
-// replication, One-Region vs Three-City, baseline vs GlobalDB.
-func BenchmarkFig6aTPCCSync(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig6a(context.Background(), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Log(s.Table())
-		if len(s.Results) == 4 {
-			b.ReportMetric(s.Results[3].Throughput, "globaldb-3city-tx/s")
-			b.ReportMetric(s.Results[2].Throughput, "baseline-3city-tx/s")
-		}
-	}
-}
-
-// BenchmarkFig6bTPCCAsync regenerates Fig. 6b: TPC-C with asynchronous
-// replication over the RTT sweep, baseline vs GlobalDB.
-func BenchmarkFig6bTPCCAsync(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig6b(context.Background(), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range series {
-			b.Log(s.Table())
-		}
-		if len(series) == 2 {
-			base := series[0].Results[len(series[0].Results)-1].Throughput
-			gdb := series[1].Results[len(series[1].Results)-1].Throughput
-			b.ReportMetric(gdb/base, "speedup@maxRTT")
-		}
-	}
-}
-
-// BenchmarkFig6cTPCCReadOnly regenerates Fig. 6c: the modified read-only
-// TPC-C (Order-Status + Stock-Level, 50% multi-shard).
-func BenchmarkFig6cTPCCReadOnly(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig6c(context.Background(), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range series {
-			b.Log(s.Table())
-		}
-		if len(series) == 2 {
-			base := series[0].Results[len(series[0].Results)-1].Throughput
-			gdb := series[1].Results[len(series[1].Results)-1].Throughput
-			b.ReportMetric(gdb/base, "speedup@maxRTT")
-		}
-	}
-}
-
-// BenchmarkFig6dSysbenchPointSelect regenerates Fig. 6d: Sysbench point
-// select with 2/3 remote tuples.
-func BenchmarkFig6dSysbenchPointSelect(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig6d(context.Background(), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range series {
-			b.Log(s.Table())
-		}
-		if len(series) == 2 {
-			base := series[0].Results[len(series[0].Results)-1].Throughput
-			gdb := series[1].Results[len(series[1].Results)-1].Throughput
-			b.ReportMetric(gdb/base, "speedup@maxRTT")
-		}
-	}
-}
-
-// BenchmarkTransitionUnderLoad regenerates the Sec. III-A zero-downtime
-// demonstration: TPC-C throughput sampled across a GTM→GClock→GTM cycle.
-func BenchmarkTransitionUnderLoad(b *testing.B) {
-	p := benchParams()
-	p.Clients = 8
-	for i := 0; i < b.N; i++ {
-		counts, err := experiments.TransitionTimeline(context.Background(), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		min := counts[0]
-		for _, c := range counts {
-			if c < min {
-				min = c
-			}
-		}
-		b.Logf("per-window commits: %v", counts)
-		b.ReportMetric(float64(min), "min-window-commits")
-	}
-}
 
 // ---- Streaming scan pipeline benchmarks ----
 //
@@ -591,42 +447,4 @@ func BenchmarkScanLatencyThreeCityMerged(b *testing.B) {
 	// consumes shard runs one after another; a deeper window lets idle
 	// shards pipeline further ahead while an earlier shard drains.
 	b.Run("prefetch-window3", func(b *testing.B) { benchScanLatency(b, true, 3) })
-}
-
-// BenchmarkRCPCompute measures the Fig. 4 RCP calculation over a large
-// replica set — the operation the designated CN performs on every poll.
-func BenchmarkRCPCompute(b *testing.B) {
-	perShard := make(map[int][]ts.Timestamp, 64)
-	for shard := 0; shard < 64; shard++ {
-		for r := 0; r < 3; r++ {
-			perShard[shard] = append(perShard[shard], ts.Timestamp(shard*1000+r))
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := rcp.ComputeRCP(perShard); got == 0 {
-			b.Fatal("rcp must be non-zero")
-		}
-	}
-}
-
-// BenchmarkSkylineSelect measures Fig. 5 node selection over a realistic
-// candidate set — executed per shard access on the ROR path.
-func BenchmarkSkylineSelect(b *testing.B) {
-	var cands []ror.Candidate
-	for i := 0; i < 12; i++ {
-		cands = append(cands, ror.Candidate{
-			Node:      fmt.Sprintf("n%d", i),
-			Staleness: time.Duration(i) * time.Millisecond,
-			Latency:   time.Duration(12-i) * time.Millisecond,
-			Load:      int64(i % 4),
-			Healthy:   i%7 != 6,
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := ror.Select(cands, 50*time.Millisecond); !ok {
-			b.Fatal("selection failed")
-		}
-	}
 }

@@ -136,24 +136,26 @@ func (c *CN) rcpStaleness(rcpTS ts.Timestamp) time.Duration {
 		}
 		return now.Sub(rcpTS)
 	}
-	return c.estimateCounterStaleness(rcpTS)
+	c.trackerMu.Lock()
+	maxSeen := c.lastMaxTS
+	c.trackerMu.Unlock()
+	return c.counterStaleness(maxSeen, rcpTS)
 }
 
-// estimateCounterStaleness converts a counter gap into time using the
-// observed issue rate.
-func (c *CN) estimateCounterStaleness(rcpTS ts.Timestamp) time.Duration {
-	c.trackerMu.Lock()
-	defer c.trackerMu.Unlock()
-	maxSeen := c.lastMaxTS
-	if rcpTS >= maxSeen {
+// counterStaleness converts the GTM counter gap from t up to maxSeen, the
+// newest commit timestamp seen at any node, into time at the observed issue
+// rate.
+func (c *CN) counterStaleness(maxSeen, t ts.Timestamp) time.Duration {
+	if t >= maxSeen {
 		return 0
 	}
-	gap := float64(maxSeen - rcpTS)
+	c.trackerMu.Lock()
 	rate := c.gtmRate
+	c.trackerMu.Unlock()
 	if rate <= 0 {
 		rate = 1
 	}
-	return time.Duration(gap / rate * float64(time.Second))
+	return time.Duration(float64(maxSeen-t) / rate * float64(time.Second))
 }
 
 // maybeRefreshTracker pulls fresh replica statuses from the collector into
@@ -165,7 +167,6 @@ func (c *CN) maybeRefreshTracker() {
 		return
 	}
 	c.lastRefresh = time.Now()
-	prevMax, prevAt := c.lastMaxTS, c.lastMaxAt
 	c.trackerMu.Unlock()
 
 	statuses := c.Collector().Statuses()
@@ -190,7 +191,7 @@ func (c *CN) maybeRefreshTracker() {
 				staleness = now.Sub(st.MaxCommitTS)
 			}
 		default:
-			staleness = c.counterGapToTime(maxSeen, st.MaxCommitTS, prevMax, prevAt)
+			staleness = c.counterStaleness(maxSeen, st.MaxCommitTS)
 		}
 		c.Tracker().UpdateStatus(st.Node, staleness, st.Load, st.Healthy)
 	}
@@ -209,19 +210,4 @@ func (c *CN) maybeRefreshTracker() {
 		c.lastMaxAt = time.Now()
 	}
 	c.trackerMu.Unlock()
-}
-
-func (c *CN) counterGapToTime(maxSeen, nodeTS, prevMax ts.Timestamp, prevAt time.Time) time.Duration {
-	if nodeTS >= maxSeen {
-		return 0
-	}
-	c.trackerMu.Lock()
-	rate := c.gtmRate
-	c.trackerMu.Unlock()
-	if rate <= 0 {
-		rate = 1
-	}
-	_ = prevMax
-	_ = prevAt
-	return time.Duration(float64(maxSeen-nodeTS) / rate * float64(time.Second))
 }

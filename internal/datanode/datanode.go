@@ -906,16 +906,6 @@ func (c *Client) Read(ctx context.Context, node string, key []byte, snap ts.Time
 	return r.Value, r.Found, nil
 }
 
-// ScanPage fetches one page of a resumable range scan.
-func (c *Client) ScanPage(ctx context.Context, node string, start, end []byte, snap ts.Timestamp,
-	limit, maxPage int, txn uint64) (kvs []mvcc.KV, next []byte, more bool, err error) {
-	resp, err := c.ScanPageFrag(ctx, node, start, end, snap, limit, maxPage, nil, txn)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return resp.KVs, resp.Next, resp.More, nil
-}
-
 // ScanPageFrag fetches one page of a resumable range scan, optionally
 // shipping an encoded execution fragment for the data node to evaluate.
 // The returned response includes how many storage rows the node examined,

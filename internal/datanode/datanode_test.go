@@ -168,15 +168,15 @@ func TestScanOnPrimaryAndReplica(t *testing.T) {
 func scanAll(c *Client, node string, start, end []byte, snap ts.Timestamp, limit int) ([]mvcc.KV, error) {
 	var out []mvcc.KV
 	for {
-		kvs, next, more, err := c.ScanPage(bg, node, start, end, snap, limit-len(out), 0, 0)
+		resp, err := c.ScanPageFrag(bg, node, start, end, snap, limit-len(out), 0, nil, 0)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, kvs...)
-		if !more || (limit > 0 && len(out) >= limit) {
+		out = append(out, resp.KVs...)
+		if !resp.More || (limit > 0 && len(out) >= limit) {
 			return out, nil
 		}
-		start = next
+		start = resp.Next
 	}
 }
 

@@ -47,7 +47,7 @@ type Params struct {
 	Bandwidth float64
 }
 
-// Quick returns parameters sized for CI and go test -bench: a full figure
+// Quick returns the parameters globaldb-bench runs by default: a full figure
 // regenerates in a few seconds.
 func Quick() Params {
 	tc := tpcc.DefaultConfig()
@@ -156,7 +156,8 @@ func Fig1a(ctx context.Context, p Params) (harness.Series, error) {
 // runTPCCPoint measures one TPC-C data point. When remoteFromGTM is true,
 // terminals bind only to warehouses whose region differs from the GTM
 // server's — the paper's "throughput of a node that is not co-located with
-// the GTM server" (Sec. V-A).
+// the GTM server" (Sec. V-A). After the run it checks the TPC-C cross-table
+// invariants, so a point never counts commits that broke them.
 func runTPCCPoint(ctx context.Context, p Params, cfg globaldb.Config, sys system, name string, remoteFromGTM bool) (harness.Result, error) {
 	db, d, err := openTPCC(ctx, cfg, sys, p)
 	if err != nil {
@@ -176,6 +177,9 @@ func runTPCCPoint(ctx context.Context, p Params, cfg globaldb.Config, sys system
 		func(ctx context.Context, client int) error {
 			return d.TerminalAt(client, homes[client%len(homes)])(ctx)
 		})
+	if err := d.ConsistencyCheck(ctx); err != nil {
+		return res, fmt.Errorf("experiments: %s/%s: %w", sys.name, name, err)
+	}
 	return res, nil
 }
 

@@ -1,9 +1,11 @@
 // Package obs is GlobalDB's observability core: a metrics registry whose
 // instruments are safe for concurrent use and allocation-free on the hot
-// path (atomic counters, gauges, and log-bucketed latency histograms), and
+// path (atomic counters, gauges, and log-linear latency histograms), and
 // a lightweight per-query span tracer (trace.go) that attributes a query's
 // wall time across parse/plan/bind, per-shard scan RPCs, DN-side execute
-// time, and commit fan-out.
+// time, and commit fan-out. Histogram is the repository's only latency
+// histogram: the registry's instruments, the benchmark harness's per-run
+// percentiles and the Stats wire frame all read quantiles from it.
 //
 // Instruments are looked up by name once — at construction of the
 // component that updates them — and then updated with plain atomic
@@ -16,6 +18,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -54,29 +57,53 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// histBuckets is the number of logarithmic latency buckets: bucket i holds
-// observations whose nanosecond count has bit length i, i.e. durations in
-// [2^(i-1), 2^i) ns. 64 buckets cover every possible time.Duration, from
-// sub-nanosecond (bucket 0) to ~292 years.
-const histBuckets = 64
+// Histogram buckets are log-linear: each power-of-two octave of nanoseconds
+// [2^e, 2^(e+1)) is split into subBuckets equal-width buckets, so the largest
+// duration in a bucket is less than 1+1/subBuckets times the smallest.
+// Durations below 2·subBuckets ns get one bucket per nanosecond. histBuckets
+// covers every non-negative time.Duration (below 2^63 ns, ~292 years).
+const (
+	subBits     = 3
+	subBuckets  = 1 << subBits
+	histBuckets = (64 - subBits) * subBuckets
+)
 
-// Histogram is a log-bucketed latency histogram. Observe is wait-free and
-// allocation-free: one atomic add into the duration's power-of-two bucket
-// plus count and sum, so it can sit on per-statement and per-page paths.
-// Quantiles are resolved from a Snapshot with at most 2x (one octave)
-// resolution error — ample for p50/p95/p99 reporting.
+// Histogram is a log-linear latency histogram. Observe is wait-free and
+// allocation-free: one atomic add into the duration's bucket plus count and
+// sum, so it can sit on per-statement and per-page paths. A quantile read
+// from a Snapshot is never below the true nearest-rank sample and at most
+// 1/subBuckets (12.5 %) above it.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds
 	buckets [histBuckets]atomic.Int64
 }
 
-// bucketFor maps a duration to its bucket index.
+// bucketFor maps a duration to its bucket index. A duration of bit length
+// n > subBits keeps its top subBits+1 bits m ∈ [subBuckets, 2·subBuckets)
+// after dropping shift = n-1-subBits low bits, and lands in bucket
+// shift·subBuckets + m; shorter durations are their own index.
 func bucketFor(d time.Duration) int {
 	if d <= 0 {
 		return 0
 	}
-	return bits.Len64(uint64(d)) - 1
+	v := uint64(d)
+	if v < subBuckets {
+		return int(v)
+	}
+	shift := bits.Len64(v) - 1 - subBits
+	return shift<<subBits + int(v>>uint(shift))
+}
+
+// bucketMax is the largest duration bucketFor maps to bucket i: the value a
+// quantile in that bucket reports.
+func bucketMax(i int) time.Duration {
+	if i < subBuckets {
+		return time.Duration(i)
+	}
+	shift := uint(i>>subBits - 1)
+	m := uint64(i&(subBuckets-1) | subBuckets)
+	return time.Duration((m+1)<<shift - 1)
 }
 
 // Observe records one duration sample.
@@ -131,13 +158,14 @@ func (s HistSnapshot) Sub(o HistSnapshot) HistSnapshot {
 	return out
 }
 
-// Quantile returns the q-th quantile (0 < q <= 1) as the upper bound of
-// the bucket holding the nearest-rank sample. Zero with no samples.
+// Quantile returns the q-th quantile (0 < q <= 1) as the largest duration
+// of the bucket holding the nearest-rank sample, the ⌈q·Count⌉-th smallest.
+// Zero with no samples.
 func (s HistSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
 	}
-	rank := int64(q * float64(s.Count))
+	rank := int64(math.Ceil(q * float64(s.Count)))
 	if rank < 1 {
 		rank = 1
 	}
@@ -148,7 +176,7 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 	for i, n := range s.Buckets {
 		seen += n
 		if seen >= rank {
-			return time.Duration(uint64(1) << uint(i+1)) // bucket upper bound
+			return bucketMax(i)
 		}
 	}
 	return time.Duration(s.SumNanos) // unreachable unless counts raced; cap at sum

@@ -2,43 +2,133 @@ package obs
 
 import (
 	"context"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestHistogramBuckets pins the bucket mapping: each observation lands in
-// the bucket whose range [2^(i-1), 2^i) ns contains it.
+// TestHistogramBuckets pins the log-linear mapping: below 2·subBuckets ns
+// every nanosecond has its own bucket; above, each octave [2^e, 2^(e+1))
+// splits into subBuckets buckets of width 2^(e-subBits), and bucketMax is
+// the last duration of each.
 func TestHistogramBuckets(t *testing.T) {
 	cases := []struct {
 		d    time.Duration
 		want int
+		max  time.Duration
 	}{
-		{0, 0},
-		{-5, 0},
-		{1, 0},
-		{2, 1},
-		{3, 1},
-		{4, 2},
-		{time.Microsecond, 9},        // 1000ns, bits.Len64=10
-		{time.Millisecond, 19},       // 1e6 ns
-		{time.Second, 29},            // 1e9 ns
-		{512 * time.Millisecond, 28}, // exactly 2^29 ns? 512e6 < 2^29=536870912 → len=29 → 28
-		{time.Hour, 41},              // 3.6e12 ns
+		{-5, 0, 0},
+		{0, 0, 0},
+		{1, 1, 1},
+		{7, 7, 7},
+		{8, 8, 8},
+		{15, 15, 15},
+		{16, 16, 17}, // octave [16,32): width 2
+		{17, 16, 17},
+		{31, 23, 31},                       // last bucket of the octave
+		{32, 24, 35},                       // octave [32,64): width 4
+		{1000, 63, 1023},                   // 1µs: shift 6, top bits 0b1111
+		{time.Millisecond, 143, 1_048_575}, // shift 16, top bits 0b1111
+		{time.Second, 222, 1_006_632_959},  // shift 26, top bits 0b1110
+		{time.Duration(1<<63 - 1), histBuckets - 1, time.Duration(1<<63 - 1)},
 	}
 	for _, c := range cases {
-		if got := bucketFor(c.d); got != c.want {
-			t.Errorf("bucketFor(%v) = %d, want %d", c.d, got, c.want)
+		got := bucketFor(c.d)
+		if got != c.want {
+			t.Errorf("bucketFor(%d) = %d, want %d", c.d, got, c.want)
+			continue
+		}
+		if m := bucketMax(got); m != c.max {
+			t.Errorf("bucketMax(%d) = %d, want %d", got, m, c.max)
+		}
+	}
+	// Buckets tile the durations: each starts one past the previous max.
+	for i := 1; i < histBuckets; i++ {
+		lo := bucketMax(i-1) + 1
+		if bucketFor(lo) != i || bucketFor(bucketMax(i)) != i {
+			t.Fatalf("bucket %d does not cover [%d, %d]", i, lo, bucketMax(i))
+		}
+		if (bucketMax(i)-lo)*subBuckets >= lo {
+			t.Fatalf("bucket %d [%d, %d] wider than 1/%d of its floor", i, lo, bucketMax(i), subBuckets)
 		}
 	}
 }
 
-// TestHistogramQuantiles checks nearest-rank quantiles resolve to the
-// upper bound of the correct bucket.
+// nearestRank is the oracle Quantile approximates: the ⌈q·n⌉-th smallest
+// sample.
+func nearestRank(samples []time.Duration, q float64) time.Duration {
+	sorted := append([]time.Duration(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	if rank < 1 {
+		rank = 1
+	}
+	return sorted[min(rank, len(sorted))-1]
+}
+
+// TestHistogramQuantilesMatchNearestRank checks Quantile against the
+// sort-based oracle on random samples spanning 10 ns to 10 s: never below
+// the exact nearest-rank sample, at most 12.5 % above it.
+func TestHistogramQuantilesMatchNearestRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	lo, hi := math.Log(10), math.Log(float64(10*time.Second))
+	for trial := 0; trial < 200; trial++ {
+		var h Histogram
+		samples := make([]time.Duration, 1+rng.Intn(500))
+		for i := range samples {
+			samples[i] = time.Duration(math.Exp(lo + rng.Float64()*(hi-lo)))
+			h.Observe(samples[i])
+		}
+		s := h.Snapshot()
+		for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 1.0} {
+			exact, got := nearestRank(samples, q), s.Quantile(q)
+			if got < exact || float64(got) > 1.125*float64(exact) {
+				t.Fatalf("trial %d, n=%d: q%v = %v, exact %v", trial, len(samples), q, got, exact)
+			}
+		}
+	}
+}
+
+// TestHistogramQuantileRoundsRankUp pins nearest-rank: the rank is
+// ⌈q·Count⌉, so a tail sample that is the only one above q still answers q.
+func TestHistogramQuantileRoundsRankUp(t *testing.T) {
+	within := func(got, want time.Duration) bool {
+		return got >= want && float64(got) <= 1.125*float64(want)
+	}
+	var two Histogram
+	two.Observe(time.Millisecond)
+	two.Observe(40 * time.Millisecond)
+	s := two.Snapshot()
+	if !within(s.P95(), 40*time.Millisecond) || !within(s.P99(), 40*time.Millisecond) {
+		t.Errorf("{1ms, 40ms}: p95 = %v, p99 = %v, want ≈ 40ms", s.P95(), s.P99())
+	}
+	var tail Histogram
+	for i := 0; i < 19; i++ {
+		tail.Observe(time.Millisecond)
+	}
+	tail.Observe(100 * time.Millisecond)
+	s = tail.Snapshot()
+	if !within(s.P99(), 100*time.Millisecond) {
+		t.Errorf("19×1ms + 100ms: p99 = %v, want ≈ 100ms", s.P99())
+	}
+	if !within(s.P95(), time.Millisecond) {
+		t.Errorf("19×1ms + 100ms: p95 = %v, want ≈ 1ms", s.P95())
+	}
+}
+
+// TestHistogramQuantiles checks quantiles resolve to the last duration of
+// the bucket holding the nearest-rank sample, and that an empty snapshot
+// reports zeros.
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
-	// 90 fast samples (~1µs), 9 medium (~1ms), 1 slow (~1s).
+	if s := h.Snapshot(); s.P50() != 0 || s.Mean() != 0 {
+		t.Fatalf("empty histogram: p50 = %v, mean = %v", s.P50(), s.Mean())
+	}
+	// 90 fast samples (1µs), 9 medium (1ms), 1 slow (1s).
 	for i := 0; i < 90; i++ {
 		h.Observe(time.Microsecond)
 	}
@@ -51,24 +141,33 @@ func TestHistogramQuantiles(t *testing.T) {
 	if s.Count != 100 {
 		t.Fatalf("count = %d, want 100", s.Count)
 	}
-	// p50 falls in the 1µs bucket (index 9, upper bound 2^10 ns).
-	if got, want := s.P50(), time.Duration(1<<10); got != want {
-		t.Errorf("p50 = %v, want %v", got, want)
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{
+		{0.50, bucketMax(bucketFor(time.Microsecond))},
+		{0.95, bucketMax(bucketFor(time.Millisecond))},
+		{0.99, bucketMax(bucketFor(time.Millisecond))}, // rank 99: the last 1ms sample
+		{1.00, bucketMax(bucketFor(time.Second))},
+	} {
+		if got := s.Quantile(c.q); got != c.want {
+			t.Errorf("q%v = %v, want %v", c.q, got, c.want)
+		}
 	}
-	// p95 lands among the 1ms samples (bucket 19, upper bound 2^20 ns).
-	if got, want := s.P95(), time.Duration(1<<20); got != want {
-		t.Errorf("p95 = %v, want %v", got, want)
+	if want := (90*time.Microsecond + 9*time.Millisecond + time.Second) / 100; s.Mean() != want {
+		t.Errorf("mean = %v, want %v", s.Mean(), want)
 	}
-	// p99 is rank 99 — still the last 1ms sample.
-	if got, want := s.P99(), time.Duration(1<<20); got != want {
-		t.Errorf("p99 = %v, want %v", got, want)
-	}
-	// The max sample pushes quantile 1.0 into the 1s bucket.
-	if got, want := s.Quantile(1.0), time.Duration(1<<30); got != want {
-		t.Errorf("q100 = %v, want %v", got, want)
-	}
-	if s.Mean() <= 0 {
-		t.Errorf("mean = %v, want > 0", s.Mean())
+}
+
+// TestHistogramObserveAllocFree keeps Observe fit for per-statement paths.
+func TestHistogramObserveAllocFree(t *testing.T) {
+	var h Histogram
+	d := time.Duration(1)
+	if n := testing.AllocsPerRun(1000, func() {
+		h.Observe(d)
+		d = d*3 + 7
+	}); n != 0 {
+		t.Fatalf("Observe allocates %v times per call", n)
 	}
 }
 

@@ -30,11 +30,11 @@ func (m Mode) String() string {
 // Manager owns a primary's shippers and implements commit-time durability
 // waits plus log truncation below the slowest reader of the log.
 type Manager struct {
-	log  *redo.Log
-	mode Mode
+	log    *redo.Log
+	mode   Mode
+	quorum int
 
 	mu       sync.Mutex
-	quorum   int
 	shippers []*Shipper
 	tailers  []func() uint64 // see AddTailer
 	waiters  []chan struct{}
@@ -51,22 +51,6 @@ func NewManager(log *redo.Log, mode Mode, quorum int) *Manager {
 
 // Mode returns the replication mode.
 func (m *Manager) Mode() Mode { return m.mode }
-
-// SetMode switches between async and sync replication at runtime.
-func (m *Manager) SetMode(mode Mode, quorum int) {
-	m.mu.Lock()
-	m.mode = mode
-	if quorum >= 1 {
-		m.quorum = quorum
-	}
-	waiters := m.waiters
-	m.waiters = nil
-	m.mu.Unlock()
-	// Wake waiters so they re-evaluate under the new mode.
-	for _, w := range waiters {
-		close(w)
-	}
-}
 
 // AddShipper attaches a started-elsewhere shipper. The manager hooks its
 // acknowledgements to wake quorum waiters; callers must create the shipper
@@ -100,7 +84,7 @@ func (m *Manager) AckHook() func(uint64) {
 }
 
 // ackCount reports how many shippers have acknowledged at least lsn.
-func (m *Manager) ackCount(lsn uint64) (int, Mode, int) {
+func (m *Manager) ackCount(lsn uint64) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
@@ -109,7 +93,7 @@ func (m *Manager) ackCount(lsn uint64) (int, Mode, int) {
 			n++
 		}
 	}
-	return n, m.mode, m.quorum
+	return n
 }
 
 // WaitDurable blocks until the commit record at lsn satisfies the
@@ -127,12 +111,11 @@ func (m *Manager) WaitReplicated(ctx context.Context, lsn uint64) error {
 }
 
 func (m *Manager) waitDurable(ctx context.Context, lsn uint64, force bool) error {
+	if m.mode == Async && !force {
+		return nil
+	}
 	for {
-		n, mode, quorum := m.ackCount(lsn)
-		if force {
-			mode = SyncQuorum
-		}
-		if mode == Async || n >= quorum || quorum > m.shipperCount() {
+		if m.ackCount(lsn) >= m.quorum || m.quorum > m.shipperCount() {
 			return nil
 		}
 		m.mu.Lock()
@@ -141,7 +124,7 @@ func (m *Manager) waitDurable(ctx context.Context, lsn uint64, force bool) error
 		m.mu.Unlock()
 		// Re-check: an ack may have landed between the check and the wait
 		// registration.
-		if n, mode, quorum := m.ackCount(lsn); (!force && mode == Async) || n >= quorum {
+		if m.ackCount(lsn) >= m.quorum {
 			return nil
 		}
 		select {

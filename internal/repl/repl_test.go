@@ -392,27 +392,6 @@ func TestAsyncDoesNotWait(t *testing.T) {
 	}
 }
 
-func TestSetModeWakesWaiters(t *testing.T) {
-	r := newShipRig(t, time.Hour, 0, DefaultShipperConfig(), SyncQuorum) // effectively unreachable
-	writeTxn(r.log, 1, 10, map[string]string{"k": "v"})
-	errCh := make(chan error, 1)
-	go func() { errCh <- r.mgr.WaitDurable(bg, r.log.LastLSN()) }()
-	select {
-	case err := <-errCh:
-		t.Fatalf("WaitDurable returned early: %v", err)
-	case <-time.After(30 * time.Millisecond):
-	}
-	r.mgr.SetMode(Async, 1)
-	select {
-	case err := <-errCh:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("mode switch did not wake the waiter")
-	}
-}
-
 func TestShipperRecoversFromReplicaOutage(t *testing.T) {
 	r := newShipRig(t, 10*time.Millisecond, 0, DefaultShipperConfig(), Async)
 	writeTxn(r.log, 1, 10, map[string]string{"a": "1"})

@@ -1,13 +1,10 @@
-// Package stats provides the measurement primitives the benchmark harness
-// uses — latency histograms with percentiles and exponential moving
-// averages — plus the per-query scan counters that make execution-pushdown
-// wins observable at runtime.
+// Package stats holds the per-query scan counters that make
+// execution-pushdown wins observable at runtime, the commit-path and server
+// snapshots read from the obs registry, and the metric names those
+// instruments are registered under. Latency histograms live in obs.
 package stats
 
 import (
-	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -140,92 +137,4 @@ func (s ScanSnapshot) Add(o ScanSnapshot) ScanSnapshot {
 		PrefetchHits:   s.PrefetchHits + o.PrefetchHits,
 		WANWait:        s.WANWait + o.WANWait,
 	}
-}
-
-// Histogram collects duration samples and reports percentiles. It is safe
-// for concurrent use.
-type Histogram struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	sorted  bool
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
-
-// Record adds a sample.
-func (h *Histogram) Record(d time.Duration) {
-	h.mu.Lock()
-	h.samples = append(h.samples, d)
-	h.sorted = false
-	h.mu.Unlock()
-}
-
-// Merge folds another histogram's samples into h.
-func (h *Histogram) Merge(other *Histogram) {
-	other.mu.Lock()
-	s := append([]time.Duration(nil), other.samples...)
-	other.mu.Unlock()
-	h.mu.Lock()
-	h.samples = append(h.samples, s...)
-	h.sorted = false
-	h.mu.Unlock()
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
-
-func (h *Histogram) ensureSortedLocked() {
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100) using
-// nearest-rank. Zero with no samples.
-func (h *Histogram) Percentile(p float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.ensureSortedLocked()
-	rank := int(math.Ceil(p / 100 * float64(len(h.samples))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(h.samples) {
-		rank = len(h.samples)
-	}
-	return h.samples[rank-1]
-}
-
-// Mean returns the average sample.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range h.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(h.samples))
-}
-
-// Max returns the largest sample.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.ensureSortedLocked()
-	return h.samples[len(h.samples)-1]
 }

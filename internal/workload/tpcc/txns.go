@@ -422,6 +422,7 @@ func (d *Driver) ReadOnlyTerminal(client int, multiShardPct int, useROR bool, bo
 // ConsistencyCheck verifies cross-table invariants after a run: for every
 // district, d_next_o_id-1 equals the maximum order ID, and order-line
 // counts match o_ol_cnt — catching lost updates or torn multi-row commits.
+// It reads each district's orders and order lines with one scan apiece.
 func (d *Driver) ConsistencyCheck(ctx context.Context) error {
 	sess, err := d.session(d.HomeRegion(1))
 	if err != nil {
@@ -442,17 +443,20 @@ func (d *Driver) ConsistencyCheck(ctx context.Context) error {
 			if err != nil {
 				return abortOn(ctx, tx, err)
 			}
+			lines, err := tx.ScanPK(ctx, TOrderLine, []any{w, dd}, 0)
+			if err != nil {
+				return abortOn(ctx, tx, err)
+			}
+			linesOf := make(map[int64]int64, len(orders))
+			for _, l := range lines {
+				linesOf[l[2].(int64)]++
+			}
 			var maxO int64
 			for _, o := range orders {
-				if oid := o[2].(int64); oid > maxO {
-					maxO = oid
-				}
-				lines, err := tx.ScanPK(ctx, TOrderLine, []any{w, dd, o[2].(int64)}, 0)
-				if err != nil {
-					return abortOn(ctx, tx, err)
-				}
-				if int64(len(lines)) != o[5].(int64) {
-					return abortOn(ctx, tx, fmt.Errorf("tpcc: order %v has %d lines, o_ol_cnt=%v", o[2], len(lines), o[5]))
+				oid := o[2].(int64)
+				maxO = max(maxO, oid)
+				if linesOf[oid] != o[5].(int64) {
+					return abortOn(ctx, tx, fmt.Errorf("tpcc: order %d has %d lines, o_ol_cnt=%v", oid, linesOf[oid], o[5]))
 				}
 			}
 			if maxO != nextO-1 {
