@@ -5,55 +5,45 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"globaldb/internal/obs"
 )
 
-func TestHistogramPercentiles(t *testing.T) {
-	h := NewHistogram()
-	for i := 1; i <= 100; i++ {
-		h.Record(time.Duration(i) * time.Millisecond)
-	}
-	if got := h.Percentile(50); got != 50*time.Millisecond {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := h.Percentile(99); got != 99*time.Millisecond {
-		t.Fatalf("p99 = %v", got)
-	}
-	if got := h.Percentile(100); got != 100*time.Millisecond {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := h.Max(); got != 100*time.Millisecond {
-		t.Fatalf("max = %v", got)
-	}
-	if got := h.Mean(); got != 50500*time.Microsecond {
-		t.Fatalf("mean = %v", got)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
-}
+// The commit-latency quantiles ReadCommitPath reports come from the obs
+// histogram registered under MetricCommitLatency; these tests drive that
+// histogram the way the commit path does.
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram()
-	if h.Percentile(50) != 0 || h.Mean() != 0 || h.Max() != 0 {
-		t.Fatal("empty histogram must report zeros")
+	s := ReadCommitPath(obs.NewRegistry())
+	if s.Commits != 0 || s.CommitP50 != 0 || s.CommitP95 != 0 || s.CommitMean != 0 {
+		t.Fatalf("empty commit histogram must report zeros: %+v", s)
+	}
+	if s.FsyncsPerCommit() != 0 {
+		t.Fatalf("fsyncs/commit = %v with no commits", s.FsyncsPerCommit())
 	}
 }
 
 func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	a.Record(time.Millisecond)
-	b.Record(3 * time.Millisecond)
-	a.Merge(b)
-	if a.Count() != 2 {
-		t.Fatalf("count = %d", a.Count())
+	// Two coordinators, each with its own registry, fold their commit
+	// histograms into one cluster-wide view.
+	a, b := obs.NewRegistry(), obs.NewRegistry()
+	a.Histogram(MetricCommitLatency).Observe(time.Millisecond)
+	b.Histogram(MetricCommitLatency).Observe(3 * time.Millisecond)
+	m := a.Histogram(MetricCommitLatency).Snapshot().Add(b.Histogram(MetricCommitLatency).Snapshot())
+	if m.Count != 2 {
+		t.Fatalf("count = %d", m.Count)
 	}
-	if a.Mean() != 2*time.Millisecond {
-		t.Fatalf("mean = %v", a.Mean())
+	if m.Mean() != 2*time.Millisecond {
+		t.Fatalf("mean = %v", m.Mean())
+	}
+	if got, one := m.P95(), b.Histogram(MetricCommitLatency).Snapshot().P95(); got != one {
+		t.Fatalf("merged p95 = %v, want the 3ms sample's bucket %v", got, one)
 	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram()
+	reg := obs.NewRegistry()
+	h := reg.Histogram(MetricCommitLatency)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -61,15 +51,15 @@ func TestHistogramConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 1000; i++ {
-				h.Record(time.Duration(rng.Intn(1000)) * time.Microsecond)
+				h.Observe(time.Duration(rng.Intn(1000)) * time.Microsecond)
 				if i%100 == 0 {
-					_ = h.Percentile(95)
+					_ = ReadCommitPath(reg).CommitP95
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if h.Count() != 8000 {
-		t.Fatalf("count = %d", h.Count())
+	if got := ReadCommitPath(reg).Commits; got != 8000 {
+		t.Fatalf("commits = %d", got)
 	}
 }
