@@ -178,9 +178,10 @@ func main() {
 }
 
 // reportResult prints a statement's result table plus, for reads, where it
-// was served and the per-layer scan counters. It is shared by the ad-hoc
-// and prepared execution paths, so `\exec` reports the same
-// storage/DN-filtered/WAN numbers an ad-hoc SELECT does.
+// was served, and for reads and UPDATE/DELETE row searches the per-layer
+// scan counters. It is shared by the ad-hoc and prepared execution paths,
+// so `\exec` reports the same storage/DN-filtered/WAN numbers an ad-hoc
+// SELECT does.
 func reportResult(w io.Writer, res *gsql.Result, elapsed time.Duration, commits stats.CommitPathSnapshot) {
 	fmt.Fprint(w, gsql.FormatTable(res))
 	// Write statements report their slice of the commit path: how many
@@ -193,24 +194,22 @@ func reportResult(w io.Writer, res *gsql.Result, elapsed time.Duration, commits 
 			commits.Commits, commits.OneMessageCommits, commits.Fsyncs, commits.FsyncsPerCommit(),
 			commits.FsyncsSaved, commits.AsyncResolves)
 	}
-	if len(res.Columns) == 0 {
-		printTrace(w, res) // a traced write: its commit span says which path ran
-		return
-	}
-	where := "primaries"
-	if res.OnReplicas {
-		where = "replicas (RCP snapshot)"
-	}
-	fmt.Fprintf(w, "read from %s — %v\n", where, elapsed.Round(time.Microsecond))
-	// Joins name the physical strategy the engine picked (AUTO resolves
-	// per statement) and, for pushed lookup joins, how many inner rows the
-	// data nodes read locally instead of shipping.
-	if res.JoinStrategy != "" {
-		fmt.Fprintf(w, "join: strategy=%s", res.JoinStrategy)
-		if res.Scan.LookupRows > 0 {
-			fmt.Fprintf(w, ", dn-lookup rows=%d", res.Scan.LookupRows)
+	if len(res.Columns) > 0 {
+		where := "primaries"
+		if res.OnReplicas {
+			where = "replicas (RCP snapshot)"
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "read from %s — %v\n", where, elapsed.Round(time.Microsecond))
+		// Joins name the physical strategy the engine picked (AUTO resolves
+		// per statement) and, for pushed lookup joins, how many inner rows the
+		// data nodes read locally instead of shipping.
+		if res.JoinStrategy != "" {
+			fmt.Fprintf(w, "join: strategy=%s", res.JoinStrategy)
+			if res.Scan.LookupRows > 0 {
+				fmt.Fprintf(w, ", dn-lookup rows=%d", res.Scan.LookupRows)
+			}
+			fmt.Fprintln(w)
+		}
 	}
 	// The two counter lines share one gate so they always appear as a
 	// pair: the per-layer row counters, then WAN latency observability —
@@ -218,7 +217,8 @@ func reportResult(w io.Writer, res *gsql.Result, elapsed time.Duration, commits 
 	// for them (round trips hidden behind consumption) with the hit rate,
 	// and the total time actually spent blocked on the network as a share
 	// of the statement's wall time. An empty scan (zero storage rows)
-	// still pays at least one page RPC and reports it.
+	// still pays at least one page RPC and reports it. An UPDATE/DELETE
+	// reports its row search here too; a point get scans nothing.
 	if sc := res.Scan; sc.StorageRows > 0 || sc.PagesFetched > 0 {
 		fmt.Fprintf(w, "scan: storage=%d rows, filtered at DN=%d, shipped over WAN=%d\n",
 			sc.StorageRows, sc.DNFilteredRows, sc.WANRows)
@@ -236,7 +236,7 @@ func reportResult(w io.Writer, res *gsql.Result, elapsed time.Duration, commits 
 		fmt.Fprintf(w, "wan: pages=%d, prefetch-hits=%d (%.0f%% hit rate), wait=%v (%.0f%% of wall)\n",
 			sc.PagesFetched, sc.PrefetchHits, hitRate, sc.WANWait.Round(time.Microsecond), waitPct)
 	}
-	printTrace(w, res)
+	printTrace(w, res) // on a traced write, the commit span says which path ran
 }
 
 // printTrace prints the span tree `\trace` attached to a result, if any.

@@ -203,6 +203,7 @@ INSERT INTO kv VALUES (1, 'hello'), (2, 'world');
 SELECT v FROM kv WHERE k >= 2;
 \prepare get SELECT v FROM kv WHERE k < ?
 \exec get 2
+UPDATE kv SET v = 'bye' WHERE v = 'hello';
 \q
 `
 	var out strings.Builder
@@ -214,6 +215,9 @@ SELECT v FROM kv WHERE k >= 2;
 		"prepared get (1 parameters)",
 		"hello",          // prepared execution bound its arg remotely
 		"scan: storage=", // Done-frame counters feed the report line
+		// An UPDATE's row search reports its counters through the Done
+		// frame too: two rows read, one dropped by the pushed filter.
+		"UPDATE 1\n", "scan: storage=2 rows, filtered at DN=1, shipped over WAN=1",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("network shell output missing %q:\n%s", want, got)

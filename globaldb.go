@@ -39,9 +39,8 @@
 //	err := rows.Err()
 //
 // ScanTableRows merges per-shard cursors and yields rows in global
-// primary-key order; the materializing ScanPK/ScanIndex/ScanTable helpers
-// remain as thin wrappers that drain the corresponding iterator (ScanTable
-// keeps its historical shard-by-shard order).
+// primary-key order; the materializing ScanPK/ScanIndex helpers remain as
+// thin wrappers that drain the corresponding iterator.
 //
 // # Latency hiding
 //
@@ -441,7 +440,7 @@ type snapshotSource interface {
 	ScanCursors(ctx context.Context, shards int, spec coordinator.ScanSpec) []coordinator.BatchCursor
 }
 
-// readCore is the typed read API — Get and the six scans — written once over
+// readCore is the typed read API — Get and the five scans — written once over
 // a snapshotSource. Tx and Query both embed it (its methods are theirs, and
 // documented as such), so they differ only in how they are constructed
 // (Session.Begin, Session.ReadOnly) and in Tx's write methods.
@@ -499,17 +498,6 @@ func (c *readCore) ScanPK(ctx context.Context, tableName string, pkPrefix []any,
 // a streaming ScanIndexRows iterator.
 func (c *readCore) ScanIndex(ctx context.Context, tableName, indexName string, prefix []any, limit int) ([]Row, error) {
 	r, err := c.ScanIndexRows(ctx, tableName, indexName, prefix, ScanOpts{Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	return drainRows(r)
-}
-
-// ScanTable scans every row of a table across all shards, in shard order
-// then key order within each shard. It is the access path of last resort
-// (an unsharded full scan); limit <= 0 means no limit.
-func (c *readCore) ScanTable(ctx context.Context, tableName string, limit int) ([]Row, error) {
-	r, err := c.tableRows(ctx, tableName, ScanOpts{Limit: limit}, false)
 	if err != nil {
 		return nil, err
 	}

@@ -10,15 +10,16 @@ import (
 // statements collapse whole workloads onto a handful of entries.
 const defaultPlanCacheCap = 256
 
-// preparedStatement is one parsed (and, for SELECT, planned) statement.
-// version records the catalog DDL version the plan was built against; a
-// mismatch at lookup time forces a replan, so cached plans never outlive a
-// CREATE/DROP that could have changed the schemas they reference.
+// preparedStatement is one parsed (and, for SELECT, UPDATE and DELETE,
+// planned) statement. version records the catalog DDL version the plan was
+// built against; a mismatch at lookup time forces a replan, so cached plans
+// never outlive a CREATE/DROP that could have changed the schemas they
+// reference.
 type preparedStatement struct {
 	text      string
 	stmt      Statement
 	numParams int
-	plan      *selectPlan // non-nil for SELECT
+	plan      *selectPlan // non-nil for SELECT, and for UPDATE/DELETE the plan of their row search
 	version   uint64      // catalog DDL version at plan time
 }
 
@@ -95,14 +96,15 @@ func (s *Session) cachedStatement(sql string) (*preparedStatement, error) {
 	return cs, nil
 }
 
-// prepareText parses sql and plans it when it is a SELECT.
+// prepareText parses sql and plans it when it reads rows: a SELECT, or the
+// row search of an UPDATE/DELETE.
 func (s *Session) prepareText(sql string, version uint64) (*preparedStatement, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
 	cs := &preparedStatement{text: sql, stmt: stmt, numParams: CountParams(stmt), version: version}
-	if sel, ok := stmt.(*Select); ok {
+	if sel := planTarget(stmt); sel != nil {
 		if cs.plan, err = planSelect(s, sel); err != nil {
 			return nil, err
 		}

@@ -71,8 +71,8 @@ func TestDifferentialAccessPaths(t *testing.T) {
 }
 
 // TestDifferentialStreamingVsMaterializing runs randomized queries through
-// the streaming operator pipeline (execSelect) and the legacy
-// drain-everything path (execSelectMaterialized) and requires identical
+// the streaming operator pipeline (execSelect) and the materializing oracle
+// (execSelectMaterialized, oracle_test.go) and requires identical
 // results. The query generator covers every access path the planner can
 // pick, pushed range bounds, residual filters, joins, aggregates, DISTINCT,
 // ORDER BY, LIMIT and OFFSET — the full surface the refactor touched.

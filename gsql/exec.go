@@ -13,18 +13,14 @@ import (
 
 // reader is the read surface shared by read-write transactions and
 // read-only (replica) queries. Both globaldb.Tx and globaldb.Query
-// implement it. The Rows variants stream pages on demand and are what the
-// operator pipeline runs on; the materializing variants remain for the
-// legacy drain path (kept as the differential-testing oracle and for
-// UPDATE/DELETE row collection).
+// implement it. Point gets and the streaming scans, which pull pages on
+// demand, are all the operator pipeline runs on — for SELECT and for the
+// UPDATE/DELETE row search alike.
 type reader interface {
 	Get(ctx context.Context, tableName string, pkVals []any) (globaldb.Row, bool, error)
 	ScanPKRows(ctx context.Context, tableName string, pkPrefix []any, o globaldb.ScanOpts) (*globaldb.Rows, error)
 	ScanIndexRows(ctx context.Context, tableName, indexName string, prefix []any, o globaldb.ScanOpts) (*globaldb.Rows, error)
 	ScanTableRows(ctx context.Context, tableName string, o globaldb.ScanOpts) (*globaldb.Rows, error)
-	ScanPK(ctx context.Context, tableName string, pkPrefix []any, limit int) ([]globaldb.Row, error)
-	ScanIndex(ctx context.Context, tableName, indexName string, prefix []any, limit int) ([]globaldb.Row, error)
-	ScanTable(ctx context.Context, tableName string, limit int) ([]globaldb.Row, error)
 }
 
 var (
@@ -139,17 +135,6 @@ func execPushedAgg(ctx context.Context, r reader, p *boundPlan) (res *Result, ok
 	return res, true, nil
 }
 
-// execSelectMaterialized is the legacy drain-everything path: every scan
-// materializes before the next stage runs. It is retained as the oracle the
-// differential tests compare the streaming pipeline against.
-func execSelectMaterialized(ctx context.Context, r reader, p *boundPlan) (*Result, error) {
-	rows, err := joinRows(ctx, r, p)
-	if err != nil {
-		return nil, err
-	}
-	return finishSelect(ctx, p, newSliceBlocks(rows, len(p.tables)), false)
-}
-
 // finishSelect consumes the combined-row block stream and produces the
 // result: aggregation or projection, then ordering, DISTINCT, OFFSET and
 // LIMIT. When there is no ORDER BY — or orderDone says the stream already
@@ -262,77 +247,6 @@ func project(p *boundPlan, row []any) ([]any, error) {
 		return nil, err
 	}
 	return outRow, nil
-}
-
-// joinRows produces the combined (outer[, inner]) rows passing the filter,
-// materializing every scan — the legacy path (differential oracle, and row
-// collection for UPDATE/DELETE which must materialize before writing).
-func joinRows(ctx context.Context, r reader, p *boundPlan) ([][]table.Row, error) {
-	// A limit can be pushed into the outer scan only when nothing after it
-	// can drop or reorder rows.
-	pushLimit := 0
-	if p.limit >= 0 && p.filter == nil && p.inner == nil && !p.grouped &&
-		len(p.orderBy) == 0 && !p.distinct && p.offset == 0 {
-		pushLimit = int(p.limit)
-	}
-	outerRows, err := scanOne(ctx, r, p, p.outer, &p.x.outer, nil, pushLimit)
-	if err != nil {
-		return nil, err
-	}
-	scr := p.rowScratch()
-	var combined [][]table.Row
-	for _, orow := range outerRows {
-		if p.inner == nil {
-			ok, err := fragment.EvalCond(p.x.filter, orow)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				combined = append(combined, []table.Row{orow})
-			}
-			continue
-		}
-		innerRows, err := scanOne(ctx, r, p, p.inner, &p.x.inner, orow, 0)
-		if err != nil {
-			return nil, err
-		}
-		for _, irow := range innerRows {
-			ok, err := fragment.EvalCond(p.x.filter, append(append(scr[:0], orow...), irow...))
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				combined = append(combined, []table.Row{orow, irow})
-			}
-		}
-	}
-	return combined, nil
-}
-
-// scanOne executes one table scan. outerRow, when non-nil, binds outer
-// column references in the scan's key expressions (join inner lookups).
-func scanOne(ctx context.Context, r reader, p *boundPlan, s *tableScan, se *scanExprs, outerRow table.Row, limit int) ([]table.Row, error) {
-	keyVals, err := scanKey(s, se, outerRow)
-	if err != nil {
-		return nil, err
-	}
-	name := s.tab.schema.Name
-	switch s.kind {
-	case accessPoint:
-		row, found, err := r.Get(ctx, name, keyVals)
-		if err != nil || !found {
-			return nil, err
-		}
-		return []table.Row{row}, nil
-	case accessPKPrefix:
-		return r.ScanPK(ctx, name, keyVals, limit)
-	case accessIndex:
-		return r.ScanIndex(ctx, name, s.index, keyVals, limit)
-	case accessFull:
-		return r.ScanTable(ctx, name, limit)
-	default:
-		return nil, fmt.Errorf("gsql: unknown access kind %v", s.kind)
-	}
 }
 
 func findIndex(sch *table.Schema, name string) (table.Index, error) {

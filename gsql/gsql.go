@@ -25,10 +25,10 @@ type Result struct {
 	// OnReplicas reports whether a SELECT was served from asynchronous
 	// replicas at the RCP (read-on-replica) rather than shard primaries.
 	OnReplicas bool
-	// Scan reports the SELECT's per-layer scan row counts: rows read from
-	// storage by data nodes, rows dropped DN-side (pushed filters and
-	// partial aggregation), and rows shipped over the WAN — the pushdown
-	// win, observable per query.
+	// Scan reports the per-layer scan row counts of a SELECT, or of an
+	// UPDATE/DELETE row search: rows read from storage by data nodes, rows
+	// dropped DN-side (pushed filters and partial aggregation), and rows
+	// shipped over the WAN — the pushdown win, observable per statement.
 	Scan globaldb.ScanStats
 	// Trace is the rendered span tree of this statement's execution, set
 	// when session tracing is on (SetTrace / the shell's \trace toggle).
@@ -79,7 +79,7 @@ type Session struct {
 	trace    bool
 	curTrace *obs.Trace
 
-	plans *planCache // statement text -> parsed statement + SELECT plan
+	plans *planCache // statement text -> parsed statement + plan
 }
 
 // SetTrace toggles per-statement span tracing for the session. While on,
@@ -129,7 +129,7 @@ func (s *Session) Schema(name string) (*table.Schema, error) { return s.db.Schem
 func (s *Session) SetPushdown(on bool) { s.pushdownOff = !on }
 
 // Exec runs one SQL statement with the given parameter values bound to its
-// `?`/`$n` placeholders. Parsed statements and SELECT plans are cached per
+// `?`/`$n` placeholders. Parsed statements and their plans are cached per
 // session, keyed by the SQL text and invalidated when the catalog's DDL
 // version changes, so repeating a statement skips the parser and planner.
 func (s *Session) Exec(ctx context.Context, sql string, args ...any) (*Result, error) {
@@ -165,8 +165,8 @@ func (s *Session) ExecScript(ctx context.Context, sql string) (*Result, error) {
 }
 
 // ExecStmt runs one parsed statement with the given parameter values. It
-// plans SELECTs afresh on every call; Exec and Prepare are the cached
-// entry points.
+// plans SELECTs and UPDATE/DELETE row searches afresh on every call; Exec
+// and Prepare are the cached entry points.
 func (s *Session) ExecStmt(ctx context.Context, stmt Statement, args ...any) (*Result, error) {
 	params, err := bindArgs(CountParams(stmt), args)
 	if err != nil {
@@ -176,9 +176,9 @@ func (s *Session) ExecStmt(ctx context.Context, stmt Statement, args ...any) (*R
 }
 
 // dispatch runs one statement. plan, when non-nil, is the cached plan of a
-// SELECT statement; a nil plan makes SELECT plan on the spot. With session
-// tracing on it brackets the statement in a fresh trace and attaches the
-// rendered span tree to the result.
+// SELECT, or of an UPDATE/DELETE row search; a nil plan makes those plan on
+// the spot. With session tracing on it brackets the statement in a fresh
+// trace and attaches the rendered span tree to the result.
 func (s *Session) dispatch(ctx context.Context, stmt Statement, plan *selectPlan, params []any) (*Result, error) {
 	if !s.trace || s.curTrace != nil {
 		return s.dispatchStmt(ctx, stmt, plan, params)
@@ -212,9 +212,9 @@ func (s *Session) dispatchStmt(ctx context.Context, stmt Statement, plan *select
 	case *Insert:
 		return s.execInsert(ctx, st, params)
 	case *Update:
-		return s.execUpdate(ctx, st, params)
+		return s.execUpdate(ctx, st, plan, params)
 	case *Delete:
-		return s.execDelete(ctx, st, params)
+		return s.execDelete(ctx, st, plan, params)
 	case *CreateTable:
 		return s.execCreateTable(ctx, st)
 	case *DropTable:
@@ -410,11 +410,12 @@ func (s *Session) execSelect(ctx context.Context, sel *Select, plan *selectPlan,
 	return res, nil
 }
 
-// bindForExec plans sel unless a cached plan is supplied, binds params and
-// copies the session's execution settings (SET PUSHDOWN, SET JOIN) into the
-// bound plan. Both SELECT entry points go through it — Exec's execSelect and
-// the streaming queryRows behind Session.Query, the wire server and the
-// database/sql driver — so a setting cannot reach one and miss the other.
+// bindForExec plans stmt's planTarget unless a cached plan is supplied,
+// binds params and copies the session's execution settings (SET PUSHDOWN,
+// SET JOIN) into the bound plan. Every statement that reads rows goes
+// through it — Exec's execSelect, the streaming queryRows behind
+// Session.Query, the wire server and the database/sql driver, and the
+// UPDATE/DELETE row search — so a setting cannot reach one and miss another.
 //
 // rowEst is deliberately not set here: execSelect hands the catalog's row
 // estimates to the join chooser and queryRows does not. Passing them on the
@@ -422,12 +423,12 @@ func (s *Session) execSelect(ctx context.Context, sel *Select, plan *selectPlan,
 // co-located, 10 inner rows against 20 000) from nested loop to hash and moves
 // that workload's read_p95_ms and read_ops_per_s — a plan-choice change that
 // belongs in a PR that names it (see ROADMAP).
-func (s *Session) bindForExec(sel *Select, plan *selectPlan, params []any) (*boundPlan, error) {
+func (s *Session) bindForExec(stmt Statement, plan *selectPlan, params []any) (*boundPlan, error) {
 	root := s.curTrace.Root() // nil outside a traced Exec: the spans are no-ops
 	planSp := root.Child("plan")
 	if plan == nil {
 		var err error
-		if plan, err = planSelect(s, sel); err != nil {
+		if plan, err = planSelect(s, planTarget(stmt)); err != nil {
 			return nil, err
 		}
 	} else {
@@ -562,38 +563,58 @@ func (s *Session) execInsert(ctx context.Context, ins *Insert, params []any) (*R
 	return &Result{Affected: n, Msg: fmt.Sprintf("INSERT %d", n)}, nil
 }
 
-// planDML plans the single-table WHERE of an UPDATE/DELETE as a SELECT *
-// and binds it.
-func (s *Session) planDML(tableName string, where Expr, params []any) (*boundPlan, error) {
-	sel := &Select{
+// planTarget returns the SELECT a statement reads its rows with: a SELECT
+// itself, or for an UPDATE/DELETE its row search, the single-table
+// SELECT * of its WHERE. nil for statements that read no rows.
+func planTarget(stmt Statement) *Select {
+	switch st := stmt.(type) {
+	case *Select:
+		return st
+	case *Update:
+		return rowSearch(st.Table, st.Where)
+	case *Delete:
+		return rowSearch(st.Table, st.Where)
+	}
+	return nil
+}
+
+// rowSearch builds an UPDATE/DELETE row search. SELECT * keeps the rows
+// full width: a plan that needs every column never projects.
+func rowSearch(tableName string, where Expr) *Select {
+	return &Select{
 		Items: []SelectItem{{Expr: &Star{}}},
 		From:  TableRef{Table: tableName, Alias: tableName},
 		Where: where,
 		Limit: -1,
 	}
-	p, err := planSelect(s, sel)
-	if err != nil {
-		return nil, err
-	}
-	return p.bind(params)
 }
 
-// matchingRows evaluates a planned UPDATE/DELETE WHERE, returning full rows
-// at the transaction's snapshot.
-func matchingRows(ctx context.Context, tx *globaldb.Tx, p *boundPlan) ([]table.Row, error) {
-	combined, err := joinRows(ctx, tx, p)
+// matchingRows runs an UPDATE/DELETE row search by draining the SELECT
+// pipeline over the transaction, so the search gets the pushed range, the
+// DN-side filter and the prefetch a SELECT gets. It returns the matching
+// full-width rows and what the search read. The scans flush the
+// transaction's buffered writes before the first page, so the search sees
+// them; the pipeline is closed, joining its prefetch goroutines, before
+// matchingRows returns, so the caller's writes start after the last read.
+func matchingRows(ctx context.Context, tx *globaldb.Tx, p *boundPlan) ([]table.Row, globaldb.ScanStats, error) {
+	it, _, totals, err := buildPipeline(ctx, tx, p)
 	if err != nil {
-		return nil, err
+		return nil, globaldb.ScanStats{}, err
 	}
-	rows := make([]table.Row, len(combined))
-	for i, c := range combined {
-		rows[i] = c[0]
+	var rows []table.Row
+	for {
+		var blk *rowBlock
+		if blk, err = it.NextBlock(ctx); blk == nil || err != nil {
+			break
+		}
+		rows = append(rows, blk.tabs[0]...)
 	}
-	return rows, nil
+	it.Close()
+	return rows, totals.s, err
 }
 
-func (s *Session) execUpdate(ctx context.Context, u *Update, params []any) (*Result, error) {
-	p, err := s.planDML(u.Table, u.Where, params)
+func (s *Session) execUpdate(ctx context.Context, u *Update, plan *selectPlan, params []any) (*Result, error) {
+	p, err := s.bindForExec(u, plan, params)
 	if err != nil {
 		return nil, err
 	}
@@ -630,9 +651,10 @@ func (s *Session) execUpdate(ctx context.Context, u *Update, params []any) (*Res
 	if vals, err = fragment.BindExprs(vals, params); err != nil {
 		return nil, err
 	}
+	var scan globaldb.ScanStats
 	n, err := s.withWriteTxn(ctx, func(tx *globaldb.Tx) (int, error) {
-		rows, err := matchingRows(ctx, tx, p)
-		if err != nil {
+		rows, st, err := matchingRows(ctx, tx, p)
+		if scan = st; err != nil {
 			return 0, err
 		}
 		for _, row := range rows {
@@ -655,17 +677,18 @@ func (s *Session) execUpdate(ctx context.Context, u *Update, params []any) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Affected: n, Msg: fmt.Sprintf("UPDATE %d", n)}, nil
+	return &Result{Affected: n, Msg: fmt.Sprintf("UPDATE %d", n), Scan: scan}, nil
 }
 
-func (s *Session) execDelete(ctx context.Context, d *Delete, params []any) (*Result, error) {
-	p, err := s.planDML(d.Table, d.Where, params)
+func (s *Session) execDelete(ctx context.Context, d *Delete, plan *selectPlan, params []any) (*Result, error) {
+	p, err := s.bindForExec(d, plan, params)
 	if err != nil {
 		return nil, err
 	}
+	var scan globaldb.ScanStats
 	n, err := s.withWriteTxn(ctx, func(tx *globaldb.Tx) (int, error) {
-		rows, err := matchingRows(ctx, tx, p)
-		if err != nil {
+		rows, st, err := matchingRows(ctx, tx, p)
+		if scan = st; err != nil {
 			return 0, err
 		}
 		for _, row := range rows {
@@ -678,7 +701,7 @@ func (s *Session) execDelete(ctx context.Context, d *Delete, params []any) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Affected: n, Msg: fmt.Sprintf("DELETE %d", n)}, nil
+	return &Result{Affected: n, Msg: fmt.Sprintf("DELETE %d", n), Scan: scan}, nil
 }
 
 // sqlKinds maps normalized SQL type names to column kinds.

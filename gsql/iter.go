@@ -67,41 +67,26 @@ type blockIter interface {
 	Close()
 }
 
-// sliceBlocks yields one pre-materialized row set as a single block. It
-// backs point-get results and the materializing legacy path used as a
-// differential oracle.
-type sliceBlocks struct {
+// pointRow yields a point get's result: one block of one row, or nothing
+// when the key was not found.
+type pointRow struct {
+	row  [1]table.Row
+	tabs [1][]table.Row
 	blk  rowBlock
 	done bool
 }
 
-// newSliceBlocks converts row-major combined rows into one block.
-func newSliceBlocks(rows [][]table.Row, ntabs int) *sliceBlocks {
-	s := &sliceBlocks{}
-	if len(rows) == 0 {
-		s.done = true
-		return s
-	}
-	s.blk.tabs = make([][]table.Row, ntabs)
-	for t := 0; t < ntabs; t++ {
-		col := make([]table.Row, len(rows))
-		for i, r := range rows {
-			col[i] = r[t]
-		}
-		s.blk.tabs[t] = col
-	}
-	return s
-}
-
-func (s *sliceBlocks) NextBlock(context.Context) (*rowBlock, error) {
-	if s.done {
+func (p *pointRow) NextBlock(context.Context) (*rowBlock, error) {
+	if p.done {
 		return nil, nil
 	}
-	s.done = true
-	return &s.blk, nil
+	p.done = true
+	p.tabs[0] = p.row[:]
+	p.blk.tabs = p.tabs[:]
+	return &p.blk, nil
 }
 
-func (s *sliceBlocks) Close() {}
+func (p *pointRow) Close() {}
 
 // scanTotals accumulates per-layer scan row counts across every scan a
 // query opens (outer plus join inners), surfaced on the Result so pushdown
@@ -270,9 +255,9 @@ func openScan(ctx context.Context, r reader, s *tableScan, se *scanExprs, outerR
 	case accessPoint:
 		row, found, err := r.Get(ctx, name, keyVals)
 		if err != nil || !found {
-			return &sliceBlocks{done: true}, err
+			return &pointRow{done: true}, err
 		}
-		return newSliceBlocks([][]table.Row{{row}}, 1), nil
+		return &pointRow{row: [1]table.Row{row}}, nil
 	case accessPKPrefix:
 		rows, err = r.ScanPKRows(ctx, name, keyVals, opts)
 	case accessIndex:

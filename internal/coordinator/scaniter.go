@@ -559,55 +559,6 @@ func (m *MergedCursor) Close() {
 	}
 }
 
-// ChainedCursor concatenates batch streams, draining each in turn — the
-// legacy shard-order traversal (shard 0's keys, then shard 1's, ...).
-// Prefetching children overlap across the chain too: while shard i drains,
-// shard i+1's first pages are already traveling.
-type ChainedCursor struct {
-	children []BatchCursor
-	i        int
-	err      error
-}
-
-// ChainCursors concatenates cursors in the given order.
-func ChainCursors(children ...BatchCursor) *ChainedCursor {
-	return &ChainedCursor{children: children}
-}
-
-// NextBatch implements BatchCursor.
-func (c *ChainedCursor) NextBatch(ctx context.Context) bool {
-	if c.err != nil {
-		return false
-	}
-	for c.i < len(c.children) {
-		child := c.children[c.i]
-		if child.NextBatch(ctx) {
-			return true
-		}
-		if err := child.Err(); err != nil {
-			c.err = err
-			return false
-		}
-		c.i++
-	}
-	return false
-}
-
-// Batch implements BatchCursor.
-func (c *ChainedCursor) Batch() []mvcc.KV {
-	return c.children[c.i].Batch()
-}
-
-// Err implements BatchCursor.
-func (c *ChainedCursor) Err() error { return c.err }
-
-// Close implements BatchCursor.
-func (c *ChainedCursor) Close() {
-	for _, child := range c.children {
-		child.Close()
-	}
-}
-
 // AggMergeCursor coalesces runs of equal keys in an already key-ordered
 // batch stream, combining their values with a caller-supplied merge
 // function. This is the coordinator's CN-final half of aggregate pushdown:

@@ -23,7 +23,6 @@ type typedReads interface {
 	Get(ctx context.Context, tableName string, pkVals []any) (Row, bool, error)
 	ScanPK(ctx context.Context, tableName string, pkPrefix []any, limit int) ([]Row, error)
 	ScanIndex(ctx context.Context, tableName, indexName string, prefix []any, limit int) ([]Row, error)
-	ScanTable(ctx context.Context, tableName string, limit int) ([]Row, error)
 	ScanPKRows(ctx context.Context, tableName string, pkPrefix []any, o ScanOpts) (*Rows, error)
 	ScanIndexRows(ctx context.Context, tableName, indexName string, prefix []any, o ScanOpts) (*Rows, error)
 	ScanTableRows(ctx context.Context, tableName string, o ScanOpts) (*Rows, error)
@@ -144,9 +143,8 @@ func TestReadCoreSameThroughTxAndQuery(t *testing.T) {
 			return drainStats(r.ScanTableRows(bg, "items",
 				ScanOpts{Range: &ScanRange{Lo: int64(2)}, Limit: 15, PageSize: 4, Prefetch: -1}))
 		}},
-		{"table scan slice (shard order)", 60, func(r typedReads) ([]Row, ScanStats, error) {
-			rows, err := r.ScanTable(bg, "items", 0)
-			return rows, ScanStats{}, err
+		{"table scan, whole table", 60, func(r typedReads) ([]Row, ScanStats, error) {
+			return drainStats(r.ScanTableRows(bg, "items", ScanOpts{}))
 		}},
 		{"pushed filter + projection", 15, func(r typedReads) ([]Row, ScanStats, error) {
 			return drainStats(r.ScanTableRows(bg, "items", ScanOpts{

@@ -432,18 +432,12 @@ func (st *scanSetup) spec(start, end []byte, o ScanOpts) coordinator.ScanSpec {
 	}
 }
 
-// combine merges per-shard cursors — in global key order, or shard after
-// shard for the legacy ScanTable — adding the CN-final partial-aggregate
-// merge when the scan's fragment aggregates.
-func (st *scanSetup) combine(curs []coordinator.BatchCursor, keyOrder bool, o ScanOpts) coordinator.BatchCursor {
-	var cur coordinator.BatchCursor
-	switch {
-	case len(curs) == 1:
-		cur = curs[0]
-	case keyOrder:
+// combine merges per-shard cursors in global key order, adding the
+// CN-final partial-aggregate merge when the scan's fragment aggregates.
+func (st *scanSetup) combine(curs []coordinator.BatchCursor, o ScanOpts) coordinator.BatchCursor {
+	cur := curs[0]
+	if len(curs) > 1 {
 		cur = coordinator.MergeCursors(curs...)
-	default:
-		cur = coordinator.ChainCursors(curs...)
 	}
 	if o.Pushdown != nil && o.Pushdown.HasAggs() {
 		cur = coordinator.MergeAggregates(cur, fragment.MergeEncodedStates)
@@ -518,7 +512,7 @@ func (c *readCore) ScanPKRows(ctx context.Context, tableName string, pkPrefix []
 	if err != nil {
 		return nil, err
 	}
-	cur := st.combine([]coordinator.BatchCursor{c.src.ScanCursor(ctx, shard, st.spec(start, end, o))}, true, o)
+	cur := st.combine([]coordinator.BatchCursor{c.src.ScanCursor(ctx, shard, st.spec(start, end, o))}, o)
 	return newRows(ctx, sch, cur, o.Limit, st), nil
 }
 
@@ -553,13 +547,8 @@ func (c *readCore) ScanIndexRows(ctx context.Context, tableName, indexName strin
 }
 
 // ScanTableRows streams every row of a table, merging per-shard paged
-// cursors so rows arrive in global primary-key order (unlike the legacy
-// ScanTable, which concatenates shards).
+// cursors so rows arrive in global primary-key order.
 func (c *readCore) ScanTableRows(ctx context.Context, tableName string, o ScanOpts) (*Rows, error) {
-	return c.tableRows(ctx, tableName, o, true)
-}
-
-func (c *readCore) tableRows(ctx context.Context, tableName string, o ScanOpts, keyOrder bool) (*Rows, error) {
 	sch, err := c.sess.schemaOf(tableName)
 	if err != nil {
 		return nil, err
@@ -581,5 +570,5 @@ func (c *readCore) tableRows(ctx context.Context, tableName string, o ScanOpts, 
 	// first pages are issued concurrently and the cross-shard scan's setup
 	// costs one round trip, not one per shard.
 	curs := c.src.ScanCursors(ctx, c.sess.db.c.Shards(), st.spec(start, end, o))
-	return newRows(ctx, sch, st.combine(curs, keyOrder, o), o.Limit, st), nil
+	return newRows(ctx, sch, st.combine(curs, o), o.Limit, st), nil
 }

@@ -197,11 +197,6 @@ func TestRowsIteratorTableKeyOrderMerge(t *testing.T) {
 			t.Fatalf("row %d out of PK order: %v after %v", i, b, a)
 		}
 	}
-	// The legacy wrapper still returns the same multiset of rows.
-	legacy, err := tx.ScanTable(bg, "orders", 0)
-	if err != nil || len(legacy) != 20 {
-		t.Fatalf("ScanTable: %d rows err=%v", len(legacy), err)
-	}
 }
 
 func TestRowsIteratorReadOnlyQuery(t *testing.T) {
