@@ -266,6 +266,19 @@ func (s *Session) ReadOnly(ctx context.Context, bound time.Duration, tables ...s
 	return &Query{readCore: readCore{sess: s, src: ro}, ro: ro}, nil
 }
 
+// ReadOnce starts a query for one point read, Get, on a shard primary. Under
+// GClock its snapshot skips the invocation wait a Begin or a primary-served
+// ReadOnly pays: a single read sees every commit acknowledged before it
+// began, and the wait only keeps a snapshot stable for a second read. So the
+// query refuses a second Get, and any scan, with an error.
+func (s *Session) ReadOnce(ctx context.Context) (*Query, error) {
+	ro, err := s.cn.ReadOnce(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &Query{readCore: readCore{sess: s, src: ro}, ro: ro}, nil
+}
+
 // schemaOf resolves a table name.
 func (s *Session) schemaOf(name string) (*Schema, error) {
 	return s.db.c.Catalog.Get(name)

@@ -390,23 +390,25 @@ func (s *Session) execSelect(ctx context.Context, sel *Select, plan *selectPlan,
 	// goroutines (per-shard scan-page spans) and the autocommit
 	// transaction's commit fan-out.
 	ctx = obs.WithSpan(ctx, execSp)
-	r, onReplicas, finish, err := s.openReadContext(ctx, sel)
+	rc, err := s.openReadContext(ctx, sel, bp)
 	if err != nil {
 		execSp.End()
 		return nil, err
 	}
-	res, err := execSelect(ctx, r, bp)
-	if ferr := finish(err == nil); err == nil {
+	res, err := execSelect(ctx, rc.r, bp)
+	if ferr := rc.finish(err == nil); err == nil {
 		err = ferr
 	}
 	if res != nil && res.JoinStrategy != "" {
-		execSp.Tag("join=%s", res.JoinStrategy)
+		execSp.Tag("read=%s join=%s", rc.kind, res.JoinStrategy)
+	} else {
+		execSp.Tag("read=%s", rc.kind)
 	}
 	execSp.End()
 	if err != nil {
 		return nil, err
 	}
-	res.OnReplicas = onReplicas
+	res.OnReplicas = rc.onReplicas
 	return res, nil
 }
 
@@ -446,29 +448,72 @@ func (s *Session) bindForExec(stmt Statement, plan *selectPlan, params []any) (*
 	return bp, nil
 }
 
-// openReadContext picks where a SELECT reads — the session's open
-// transaction, an autocommit transaction on shard primaries (fresh read),
-// or a replica query under the session/statement staleness setting — and
-// returns a finish callback that settles the autocommit transaction once
-// the result has been consumed. Both the materializing Exec path and the
-// streaming Query path dispatch through here.
-func (s *Session) openReadContext(ctx context.Context, sel *Select) (r reader, onReplicas bool, finish func(ok bool) error, err error) {
-	noop := func(bool) error { return nil }
+// readKind names the context a SELECT read through; the traced execute span
+// is tagged with it.
+type readKind uint8
+
+const (
+	// readTxn is the session's open transaction.
+	readTxn readKind = iota
+	// readAutocommit is an autocommit transaction on shard primaries.
+	readAutocommit
+	// readOneRead is a one-read context on a shard primary
+	// (globaldb.Session.ReadOnce): no invocation wait.
+	readOneRead
+	// readReplica is a read-only query under a staleness setting: replicas
+	// at the RCP, or primaries when the bound or the DDL gate rules them out.
+	readReplica
+)
+
+func (k readKind) String() string {
+	return [...]string{"txn", "autocommit", "one-read", "replica"}[k]
+}
+
+// readContext is where a SELECT reads, and finish settles it once the
+// result has been consumed.
+type readContext struct {
+	r          reader
+	kind       readKind
+	onReplicas bool
+	finish     func(ok bool) error
+}
+
+func noFinish(bool) error { return nil }
+
+// openReadContext picks where a SELECT reads: the session's open
+// transaction; a one-read context on a primary for an autocommit fresh read
+// of one key; an autocommit transaction on shard primaries for any other
+// fresh read; or a replica query under the session/statement staleness
+// setting. Both the materializing Exec path and the streaming Query path
+// dispatch through here.
+//
+// The one-read context skips the GClock invocation wait. That is safe only
+// for a plan that reads once: a single-table point get, whose one r.Get
+// (openScan) is the whole of its storage access. A second read would have
+// no stable snapshot, and the context refuses it.
+func (s *Session) openReadContext(ctx context.Context, sel *Select, bp *boundPlan) (readContext, error) {
 	switch {
 	case s.tx != nil:
 		// The explicit transaction's lifecycle belongs to COMMIT/ROLLBACK.
-		return s.tx, false, noop, nil
+		return readContext{r: s.tx, kind: readTxn, finish: noFinish}, nil
 	case sel.Staleness == 0 && s.mode == readPrimary:
+		if bp.inner == nil && bp.outer.kind == accessPoint {
+			q, err := s.sess.ReadOnce(ctx)
+			if err != nil {
+				return readContext{}, err
+			}
+			return readContext{r: q, kind: readOneRead, finish: noFinish}, nil
+		}
 		tx, err := s.sess.Begin(ctx)
 		if err != nil {
-			return nil, false, nil, err
+			return readContext{}, err
 		}
-		return tx, false, func(ok bool) error {
+		return readContext{r: tx, kind: readAutocommit, finish: func(ok bool) error {
 			if !ok {
 				return tx.Abort(ctx)
 			}
 			return tx.Commit(ctx)
-		}, nil
+		}}, nil
 	default:
 		bound := globaldb.AnyStaleness
 		switch {
@@ -483,9 +528,9 @@ func (s *Session) openReadContext(ctx context.Context, sel *Select) (r reader, o
 		}
 		q, err := s.sess.ReadOnly(ctx, bound, tables...)
 		if err != nil {
-			return nil, false, nil, err
+			return readContext{}, err
 		}
-		return q, q.OnReplicas(), noop, nil
+		return readContext{r: q, kind: readReplica, onReplicas: q.OnReplicas(), finish: noFinish}, nil
 	}
 }
 

@@ -177,15 +177,15 @@ func (s *Session) Query(ctx context.Context, sql string, args ...any) (*Rows, er
 }
 
 // queryRows opens the read context for a SELECT (session transaction,
-// autocommit primary read, or replica read) and hangs a streaming Rows off
-// the operator pipeline.
+// one-read or autocommit primary read, or replica read) and hangs a
+// streaming Rows off the operator pipeline.
 func (s *Session) queryRows(ctx context.Context, sel *Select, plan *selectPlan, params []any) (*Rows, error) {
 	bp, err := s.bindForExec(sel, plan, params)
 	if err != nil {
 		return nil, err
 	}
 
-	r, onReplicas, finish, err := s.openReadContext(ctx, sel)
+	rc, err := s.openReadContext(ctx, sel, bp)
 	if err != nil {
 		return nil, err
 	}
@@ -193,23 +193,23 @@ func (s *Session) queryRows(ctx context.Context, sel *Select, plan *selectPlan, 
 		// Pipeline breaker: run to completion (through the DN-partial
 		// aggregate path when the plan pushes down), then iterate the
 		// materialized result.
-		res, err := execSelect(ctx, r, bp)
-		ferr := finish(err == nil)
+		res, err := execSelect(ctx, rc.r, bp)
+		ferr := rc.finish(err == nil)
 		if err != nil {
 			return nil, err
 		}
 		if ferr != nil {
 			return nil, ferr
 		}
-		return &Rows{cols: res.Columns, onReplicas: onReplicas, mat: res.Rows, matScan: res.Scan}, nil
+		return &Rows{cols: res.Columns, onReplicas: rc.onReplicas, mat: res.Rows, matScan: res.Scan}, nil
 	}
-	it, _, totals, err := buildPipeline(ctx, r, bp)
+	it, _, totals, err := buildPipeline(ctx, rc.r, bp)
 	if err != nil {
-		_ = finish(false)
+		_ = rc.finish(false)
 		return nil, err
 	}
 	rows := newStreamRows(ctx, bp, it)
-	rows.onReplicas, rows.totals, rows.finish = onReplicas, totals, finish
+	rows.onReplicas, rows.totals, rows.finish = rc.onReplicas, totals, rc.finish
 	return rows, nil
 }
 

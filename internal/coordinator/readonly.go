@@ -3,6 +3,7 @@ package coordinator
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"globaldb/internal/storage/mvcc"
@@ -13,9 +14,14 @@ import (
 // RCP currently offers.
 const AnyStaleness = time.Duration(-1)
 
+// ErrOneRead is returned by a one-read context (CN.ReadOnce) asked for a
+// second Get, or for a scan: its snapshot is only valid for one read.
+var ErrOneRead = errors.New("coordinator: a one-read context answers exactly one Get")
+
 // ROTxn is a read-only query context. Reads are served from replicas at the
 // RCP snapshot when the staleness bound and the DDL gate allow it, and fall
-// back to primaries at a fresh snapshot otherwise (Sec. IV).
+// back to primaries at a fresh snapshot otherwise (Sec. IV). A one-read
+// context (ReadOnce) reads primaries at an unwaited snapshot, once.
 type ROTxn struct {
 	cn    *CN
 	snap  ts.Timestamp
@@ -23,6 +29,9 @@ type ROTxn struct {
 	// replicaMode is decided once at creation so every read in the query
 	// sees one snapshot on one class of nodes (no torn mixed reads).
 	replicaMode bool
+	// oneRead marks a ReadOnce context; read flips at its one Get.
+	oneRead bool
+	read    atomic.Bool
 }
 
 // ReadOnly starts a read-only query with a staleness bound. tableIDs are
@@ -48,9 +57,22 @@ func (c *CN) ReadOnly(ctx context.Context, bound time.Duration, tableIDs ...uint
 		c.maybeRefreshTracker()
 		return &ROTxn{cn: c, snap: rcpTS, bound: bound, replicaMode: true}, nil
 	}
-	// Fresh snapshot on primaries: the single-shard fast path
-	// (SnapshotNoWait) applies under GClock; centralized modes fetch from
-	// the GTM server.
+	// Fresh snapshot on primaries. The query may read many times, so it
+	// takes the waited snapshot a read-write transaction takes: stable
+	// against commits that land after its first read.
+	snap, err := c.oracle.Begin(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &ROTxn{cn: c, snap: snap.Snap, bound: bound}, nil
+}
+
+// ReadOnce starts a context for one point read on a shard primary. Under
+// GClock its snapshot skips the invocation wait (tso.SnapshotNoWait), which
+// is safe because nothing reads at that snapshot a second time: the context
+// answers one Get and refuses everything after it, and every scan, with
+// ErrOneRead. Centralized modes take Begin's snapshot, as a transaction does.
+func (c *CN) ReadOnce(ctx context.Context) (*ROTxn, error) {
 	snap := c.oracle.SnapshotNoWait()
 	if snap.Snap == 0 {
 		tt, err := c.oracle.Begin(ctx)
@@ -59,7 +81,7 @@ func (c *CN) ReadOnly(ctx context.Context, bound time.Duration, tableIDs ...uint
 		}
 		snap = tt
 	}
-	return &ROTxn{cn: c, snap: snap.Snap, bound: bound}, nil
+	return &ROTxn{cn: c, snap: snap.Snap, oneRead: true}, nil
 }
 
 // Snapshot returns the query's snapshot timestamp.
@@ -70,6 +92,12 @@ func (r *ROTxn) OnReplicas() bool { return r.replicaMode }
 
 // Get reads one key.
 func (r *ROTxn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, error) {
+	if r.oneRead {
+		if r.read.Swap(true) {
+			return nil, false, ErrOneRead
+		}
+		return r.cn.readPrimary(ctx, shard, key, r.snap, 0)
+	}
 	node, replica, err := r.pick(shard)
 	if err != nil {
 		return nil, false, err

@@ -400,6 +400,9 @@ func (t *Txn) ScanCursors(ctx context.Context, shards int, spec ScanSpec) []Batc
 // snapshot, so replica execution at the RCP is identical to primary
 // execution. ctx bounds the cursor's background prefetching.
 func (r *ROTxn) ScanCursor(ctx context.Context, shard int, spec ScanSpec) *ScanCursor {
+	if r.oneRead {
+		return &ScanCursor{err: ErrOneRead} // a scan may read many times
+	}
 	return newScanCursor(ctx, spec.Start, spec.Limit, spec.PageSize, spec.window(), spec.Counters,
 		func(ctx context.Context, from []byte, remaining, page int) ([]mvcc.KV, []byte, bool, error) {
 			node, replica, err := r.pick(shard)

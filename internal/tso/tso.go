@@ -9,6 +9,9 @@
 //	         a network round trip (the baseline's bottleneck).
 //	GClock — read the local synchronized clock: TS = Tclock + Terr, wait at
 //	         invocation, commit-wait before acknowledging. No round trip.
+//	         A statement that reads one key once skips the invocation wait
+//	         (SnapshotNoWait): the wait only keeps a snapshot stable across
+//	         reads, and such a statement has no second read.
 //	DUAL   — transition bridge: obtain a clock reading, exchange it with
 //	         the GTM server for TS_DUAL = max(TS_GTM, TS_GClock)+1, and
 //	         honor the server-prescribed wait (Figs. 2–3).
@@ -26,6 +29,10 @@
 // transition controller's snapshot of ClockState() is guaranteed to cover
 // every timestamp this node issued before it switched modes — the property
 // that lets the GTM floor be computed without quiescing the cluster.
+//
+// Both GClock waits are observable: Begin records its invocation wait in
+// the tso_invocation_wait_seconds histogram and the commit wait (Commit's
+// finish, Adopt) lands in tso_commit_wait_seconds, both on obs.Default.
 package tso
 
 import (
@@ -36,7 +43,23 @@ import (
 
 	"globaldb/internal/clock"
 	"globaldb/internal/gtm"
+	"globaldb/internal/obs"
 	"globaldb/internal/ts"
+)
+
+// Metric names of the two GClock waits.
+const (
+	// MetricInvocationWait is the time Begin spends in the GClock
+	// invocation wait (seconds).
+	MetricInvocationWait = "tso_invocation_wait_seconds"
+	// MetricCommitWait is the time a GClock commit spends in the commit wait
+	// before it may be acknowledged (seconds).
+	MetricCommitWait = "tso_commit_wait_seconds"
+)
+
+var (
+	metricInvocationWait = obs.Default.Histogram(MetricInvocationWait)
+	metricCommitWait     = obs.Default.Histogram(MetricCommitWait)
 )
 
 // TxnTS is the timestamp state a transaction carries from begin.
@@ -174,7 +197,7 @@ func (o *Oracle) Begin(ctx context.Context) (TxnTS, error) {
 		// "Invocation: wait until Tclock > TS_GClock and begin" — by the
 		// time work starts, true time has passed the snapshot, making
 		// concurrent writers' eventual commit timestamps exceed it.
-		if err := o.clock.WaitUntilAfter(ctx, t); err != nil {
+		if err := waitObserved(ctx, o.clock, t, metricInvocationWait); err != nil {
 			return TxnTS{}, err
 		}
 		return TxnTS{Snap: t, Mode: ts.ModeGClock}, nil
@@ -188,9 +211,14 @@ func (o *Oracle) Begin(ctx context.Context) (TxnTS, error) {
 }
 
 // SnapshotNoWait returns a read snapshot without the invocation wait or any
-// network round trip. Callers must pair it with a data-node-local freshness
-// floor (the "single shard queries bypass this wait by using the node's last
-// committed transaction timestamp" fast path of Sec. III).
+// network round trip — Sec. III's "single shard queries bypass this wait".
+// The snapshot is valid for exactly one read of one key. Tclock + Terr is at
+// least true time, which is above every acknowledged commit (the commit
+// wait saw to that), so the one read sees every commit acknowledged before
+// it began. But nothing keeps the snapshot stable: a commit whose timestamp
+// a trailing clock issues below it may still land after the read, so a
+// second read at the same snapshot could see a state the first did not.
+// Anything that may read twice uses Begin.
 func (o *Oracle) SnapshotNoWait() TxnTS {
 	if t, _, ok := o.issueLocal(0); ok {
 		return TxnTS{Snap: t, Mode: ts.ModeGClock}
@@ -213,7 +241,9 @@ func (o *Oracle) Commit(ctx context.Context, beginMode ts.Mode) (ts.Timestamp, f
 			return 0, nil, gtm.ErrOldModeAborted
 		}
 		o.report(t, iv.Err)
-		finish := func(fctx context.Context) error { return o.clock.WaitUntilAfter(fctx, t) }
+		finish := func(fctx context.Context) error {
+			return waitObserved(fctx, o.clock, t, metricCommitWait)
+		}
 		return t, finish, nil
 	}
 	// Centralized path: GTM-begun transactions identify themselves so a
@@ -239,7 +269,16 @@ func (o *Oracle) Adopt(ctx context.Context, t ts.Timestamp) error {
 	// t is already an upper bound; the issuer's error bound reaches the
 	// server through the issuer's own ClockState.
 	o.report(t, 0)
-	return o.clock.WaitUntilAfter(ctx, t)
+	return waitObserved(ctx, o.clock, t, metricCommitWait)
+}
+
+// waitObserved waits until clk's lower bound passes t and records how long
+// that took in h.
+func waitObserved(ctx context.Context, clk *clock.Node, t ts.Timestamp, h *obs.Histogram) error {
+	start := time.Now()
+	err := clk.WaitUntilAfter(ctx, t)
+	h.Observe(time.Since(start))
+	return err
 }
 
 // report forwards a GClock commit timestamp to the GTM server while

@@ -149,6 +149,45 @@ func TestSnapshotNoWait(t *testing.T) {
 	}
 }
 
+// TestWaitHistograms: each GClock invocation wait and commit wait (Commit's
+// finish, Adopt) is one sample in its histogram; a GTM-mode Begin and
+// SnapshotNoWait record none.
+func TestWaitHistograms(t *testing.T) {
+	r := newRig(t, 1)
+	o := r.oracles[0]
+	invocations := func() int64 { return metricInvocationWait.Snapshot().Count }
+	commitWaits := func() int64 { return metricCommitWait.Snapshot().Count }
+	inv, cw := invocations(), commitWaits()
+	if _, err := o.Begin(bg); err != nil {
+		t.Fatal(err)
+	}
+	o.SetMode(ts.ModeGClock)
+	o.SnapshotNoWait()
+	if got := invocations() - inv; got != 0 {
+		t.Fatalf("a GTM Begin and SnapshotNoWait recorded %d invocation waits, want 0", got)
+	}
+	b, err := o.Begin(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := invocations() - inv; got != 1 {
+		t.Fatalf("a GClock Begin recorded %d invocation waits, want 1", got)
+	}
+	c, finish, err := o.Commit(bg, b.Mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := finish(bg); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Adopt(bg, c); err != nil {
+		t.Fatal(err)
+	}
+	if got := commitWaits() - cw; got != 2 {
+		t.Fatalf("a commit wait and an Adopt recorded %d commit waits, want 2", got)
+	}
+}
+
 func TestDualModeWaitsAndMonotonicity(t *testing.T) {
 	r := newRig(t, 1)
 	o := r.oracles[0]
