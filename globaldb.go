@@ -270,7 +270,9 @@ func (s *Session) ReadOnly(ctx context.Context, bound time.Duration, tables ...s
 // GClock its snapshot skips the invocation wait a Begin or a primary-served
 // ReadOnly pays: a single read sees every commit acknowledged before it
 // began, and the wait only keeps a snapshot stable for a second read. So the
-// query refuses a second Get, and any scan, with an error.
+// query refuses a second Get, and any scan, with an error. The Get instead
+// waits, if need be, until the clock has passed the commit of the version it
+// returns, so every read that starts after it sees that version too.
 func (s *Session) ReadOnce(ctx context.Context) (*Query, error) {
 	ro, err := s.cn.ReadOnce(ctx)
 	if err != nil {

@@ -490,7 +490,8 @@ func noFinish(bool) error { return nil }
 // The one-read context skips the GClock invocation wait. That is safe only
 // for a plan that reads once: a single-table point get, whose one r.Get
 // (openScan) is the whole of its storage access. A second read would have
-// no stable snapshot, and the context refuses it.
+// no stable snapshot, and the context refuses it. The one Get waits out the
+// commit of the version it returns, which is rarely a wait at all.
 func (s *Session) openReadContext(ctx context.Context, sel *Select, bp *boundPlan) (readContext, error) {
 	switch {
 	case s.tx != nil:

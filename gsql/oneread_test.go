@@ -213,6 +213,70 @@ func TestPointSelectSeesCommitAckedOnAnotherCN(t *testing.T) {
 	}
 }
 
+// TestPointSelectsKeepRealTimeOrder runs point SELECTs on a CN whose clock
+// sits at +bound and on one at -bound while a third session commits
+// increasing balances to the row they read. No SELECT may return a balance
+// older than one any SELECT had returned before it started. A commit is
+// visible at the primary before its commit wait ends, and for that while the
+// faster CN's unwaited snapshot covers it and the slower CN's does not.
+func TestPointSelectsKeepRealTimeOrder(t *testing.T) {
+	db, fast, slow := openOneReadSQL(t)
+	bound := globaldb.OneRegion(0).Clock.SyncRTT
+	c := db.Cluster()
+	c.CN(db.Regions()[0]).Oracle().Clock().SetFaultSkew(bound)
+	c.CN(db.Regions()[1]).Oracle().Clock().SetFaultSkew(-bound)
+	writer, err := Connect(db, db.Regions()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen atomic.Int64 // highest balance any SELECT has returned
+	var stop atomic.Bool
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for bal := int64(101); !stop.Load(); bal++ {
+			if _, err := writer.Exec(bg, "UPDATE acct SET bal = ? WHERE id = 1", bal); err != nil {
+				t.Errorf("update: %v", err)
+				return
+			}
+		}
+	}()
+	for _, s := range []*Session{fast, slow} {
+		go func() {
+			defer wg.Done()
+			st, err := s.Prepare(bg, "SELECT bal FROM acct WHERE id = ?")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for !stop.Load() {
+				floor := seen.Load()
+				res, err := st.Exec(bg, int64(1))
+				if err != nil {
+					t.Errorf("point select: %v", err)
+					return
+				}
+				got := res.Rows[0][0].(int64)
+				if got < floor {
+					t.Errorf("point select returned balance %d, but %d had already been returned", got, floor)
+					return
+				}
+				for cur := seen.Load(); got > cur && !seen.CompareAndSwap(cur, got); cur = seen.Load() {
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	time.Sleep(300 * time.Millisecond)
+	stop.Store(true)
+	wg.Wait()
+	if reads.Load() == 0 || seen.Load() <= 100 {
+		t.Fatalf("%d reads saw balances up to %d, want reads of committed updates", reads.Load(), seen.Load())
+	}
+}
+
 // TestPointSelectsAcrossTransitions runs point SELECTs in one region while
 // another commits increasing balances to the same row, through a switch to
 // GTM and back to GClock. No SELECT may return a balance older than one

@@ -473,18 +473,19 @@ func (t *Txn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, err
 			return op.Value, !op.Delete, nil
 		}
 	}
-	return t.cn.readPrimary(ctx, shard, key, t.ts.Snap, t.id)
+	r, err := t.cn.readPrimary(ctx, shard, key, t.ts.Snap, t.id)
+	return r.Value, r.Found, err
 }
 
 // readPrimary reads key at snap from the shard's primary, as transaction
 // txn (zero for none), and counts the read for the stats and the placement
 // advisor.
-func (c *CN) readPrimary(ctx context.Context, shard int, key []byte, snap ts.Timestamp, txn uint64) ([]byte, bool, error) {
+func (c *CN) readPrimary(ctx context.Context, shard int, key []byte, snap ts.Timestamp, txn uint64) (datanode.ReadResp, error) {
 	c.primaryReads.Add(1)
 	if tr := c.placement; tr != nil {
 		tr.RecordRead(shard, c.region)
 	}
-	return c.client.Read(ctx, c.routing.Primary(shard), key, snap, txn)
+	return c.client.ReadVersion(ctx, c.routing.Primary(shard), key, snap, txn)
 }
 
 // Commit finishes the transaction: each participant receives its buffered

@@ -29,8 +29,11 @@ type ROTxn struct {
 	// replicaMode is decided once at creation so every read in the query
 	// sees one snapshot on one class of nodes (no torn mixed reads).
 	replicaMode bool
-	// oneRead marks a ReadOnce context; read flips at its one Get.
+	// oneRead marks a ReadOnce context; read flips at its one Get. A Get
+	// that returns a version committed at or above settled waits out its
+	// commit (tso.Oracle.SettleRead); ts.Max when the snapshot was waited.
 	oneRead bool
+	settled ts.Timestamp
 	read    atomic.Bool
 }
 
@@ -71,17 +74,19 @@ func (c *CN) ReadOnly(ctx context.Context, bound time.Duration, tableIDs ...uint
 // GClock its snapshot skips the invocation wait (tso.SnapshotNoWait), which
 // is safe because nothing reads at that snapshot a second time: the context
 // answers one Get and refuses everything after it, and every scan, with
-// ErrOneRead. Centralized modes take Begin's snapshot, as a transaction does.
+// ErrOneRead. The Get returns only once the clock has passed the commit of
+// the version it read, so a read that starts after it, on any CN, sees that
+// version too. Centralized modes take Begin's snapshot, as a transaction
+// does.
 func (c *CN) ReadOnce(ctx context.Context) (*ROTxn, error) {
-	snap := c.oracle.SnapshotNoWait()
-	if snap.Snap == 0 {
-		tt, err := c.oracle.Begin(ctx)
-		if err != nil {
-			return nil, err
-		}
-		snap = tt
+	if snap, settled := c.oracle.SnapshotNoWait(); snap.Snap != 0 {
+		return &ROTxn{cn: c, snap: snap.Snap, oneRead: true, settled: settled}, nil
 	}
-	return &ROTxn{cn: c, snap: snap.Snap, oneRead: true}, nil
+	snap, err := c.oracle.Begin(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &ROTxn{cn: c, snap: snap.Snap, oneRead: true, settled: ts.Max}, nil
 }
 
 // Snapshot returns the query's snapshot timestamp.
@@ -96,7 +101,14 @@ func (r *ROTxn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, e
 		if r.read.Swap(true) {
 			return nil, false, ErrOneRead
 		}
-		return r.cn.readPrimary(ctx, shard, key, r.snap, 0)
+		resp, err := r.cn.readPrimary(ctx, shard, key, r.snap, 0)
+		if err == nil && resp.CommitTS >= r.settled {
+			err = r.cn.oracle.SettleRead(ctx, resp.CommitTS)
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		return resp.Value, resp.Found, nil
 	}
 	node, replica, err := r.pick(shard)
 	if err != nil {

@@ -94,6 +94,10 @@ type (
 	ReadResp struct {
 		Value []byte
 		Found bool
+		// CommitTS is the commit timestamp of the version that answered, a
+		// deletion's included; zero when none did or the reader's own write
+		// did. A reader at an unwaited snapshot waits it out (ROTxn.Get).
+		CommitTS ts.Timestamp
 	}
 
 	// ScanPageReq is one page of a resumable range scan. MaxPage caps the
@@ -523,11 +527,7 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 		}
 		return netsim.Message{Payload: resp, Size: 24}, nil
 	case ReadReq:
-		v, found, err := p.store.Get(ctx, req.Key, req.SnapTS, mvcc.TxnID(req.Txn))
-		if err != nil {
-			return netsim.Message{}, err
-		}
-		return netsim.Message{Payload: ReadResp{Value: v, Found: found}, Size: len(v) + 8}, nil
+		return serveRead(ctx, p.store, req, mvcc.TxnID(req.Txn))
 	case ScanPageReq:
 		resp, err := servePage(ctx, p.store, req, mvcc.TxnID(req.Txn))
 		if err != nil {
@@ -707,6 +707,19 @@ func (p *Primary) waitAcked(ctx context.Context, lsn uint64, sync bool) error {
 	return p.mgr.WaitDurable(ctx, lsn)
 }
 
+// serveRead answers one point read, naming the version that answered it.
+func serveRead(ctx context.Context, store *mvcc.Store, req ReadReq, reader mvcc.TxnID) (netsim.Message, error) {
+	v, ok, err := store.GetVersion(ctx, req.Key, req.SnapTS, reader)
+	if err != nil {
+		return netsim.Message{}, err
+	}
+	resp := ReadResp{Found: ok && !v.Deleted, CommitTS: v.CommitTS}
+	if resp.Found {
+		resp.Value = v.Value
+	}
+	return netsim.Message{Payload: resp, Size: len(resp.Value) + 16}, nil
+}
+
 // servePage dispatches one paged-scan request: a raw MVCC page when no
 // fragment is attached, or DN-side fragment execution otherwise. Raw scans
 // report Examined = rows shipped (nothing is dropped node-side).
@@ -796,11 +809,7 @@ func (r *Replica) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 	store := r.applier.Store()
 	switch req := m.Payload.(type) {
 	case ReadReq:
-		v, found, err := store.Get(ctx, req.Key, req.SnapTS, 0)
-		if err != nil {
-			return netsim.Message{}, err
-		}
-		return netsim.Message{Payload: ReadResp{Value: v, Found: found}, Size: len(v) + 8}, nil
+		return serveRead(ctx, store, req, 0)
 	case ScanPageReq:
 		resp, err := servePage(ctx, store, req, 0)
 		if err != nil {
@@ -898,12 +907,18 @@ func (c *Client) Write(ctx context.Context, node string, txn uint64, snap ts.Tim
 
 // Read performs a point read.
 func (c *Client) Read(ctx context.Context, node string, key []byte, snap ts.Timestamp, txn uint64) ([]byte, bool, error) {
+	r, err := c.ReadVersion(ctx, node, key, snap, txn)
+	return r.Value, r.Found, err
+}
+
+// ReadVersion is Read returning the whole response, with the commit
+// timestamp of the version that answered.
+func (c *Client) ReadVersion(ctx context.Context, node string, key []byte, snap ts.Timestamp, txn uint64) (ReadResp, error) {
 	p, err := c.call(ctx, node, ReadReq{Key: key, SnapTS: snap, Txn: txn}, len(key)+24)
 	if err != nil {
-		return nil, false, err
+		return ReadResp{}, err
 	}
-	r := p.(ReadResp)
-	return r.Value, r.Found, nil
+	return p.(ReadResp), nil
 }
 
 // ScanPageFrag fetches one page of a resumable range scan, optionally

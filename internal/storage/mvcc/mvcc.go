@@ -529,6 +529,18 @@ func (s *Store) fence(snapTS ts.Timestamp) error {
 // block until those transactions resolve, per Sec. IV-A. A snapTS below the
 // prune floor fails with ErrSnapshotTooOld.
 func (s *Store) Get(ctx context.Context, key []byte, snapTS ts.Timestamp, reader TxnID) ([]byte, bool, error) {
+	v, ok, err := s.GetVersion(ctx, key, snapTS, reader)
+	if err != nil || !ok || v.Deleted {
+		return nil, false, err
+	}
+	return v.Value, true, nil
+}
+
+// GetVersion is Get reporting which version answered: the newest committed
+// version at or below snapTS, a deletion's tombstone included, or the
+// reader's own intent, whose CommitTS is zero. ok is false when there is
+// neither.
+func (s *Store) GetVersion(ctx context.Context, key []byte, snapTS ts.Timestamp, reader TxnID) (Version, bool, error) {
 	for {
 		var it *intent
 		var versions []Version
@@ -537,10 +549,7 @@ func (s *Store) Get(ctx context.Context, key []byte, snapTS ts.Timestamp, reader
 		}
 		if it != nil {
 			if reader != 0 && it.txn == reader {
-				if it.deleted {
-					return nil, false, nil
-				}
-				return it.value, true, nil
+				return Version{Value: it.value, Deleted: it.deleted}, true, nil
 			}
 			state, ok, done := s.stateAndDone(it.txn)
 			switch {
@@ -555,20 +564,17 @@ func (s *Store) Get(ctx context.Context, key []byte, snapTS ts.Timestamp, reader
 				case <-done:
 					continue // re-evaluate with the resolved chain
 				case <-ctx.Done():
-					return nil, false, ctx.Err()
+					return Version{}, false, ctx.Err()
 				}
 			}
 			// Active intent: invisible; fall through to committed versions.
 		}
 		// A missing chain is fenced too: it may be a pruned tombstone's.
 		if err := s.fence(snapTS); err != nil {
-			return nil, false, err
+			return Version{}, false, err
 		}
 		v, found := visible(versions, snapTS)
-		if !found || v.Deleted {
-			return nil, false, nil
-		}
-		return v.Value, true, nil
+		return v, found, nil
 	}
 }
 

@@ -84,6 +84,38 @@ func TestDeleteTombstone(t *testing.T) {
 	}
 }
 
+// TestGetVersionNamesTheAnsweringVersion: GetVersion reports the commit
+// timestamp of the version that answered, a tombstone's included, and zero
+// for the reader's own intent or when nothing is visible.
+func TestGetVersionNamesTheAnsweringVersion(t *testing.T) {
+	s := NewStore()
+	mustPut(t, s, 1, "k", "v", 0)
+	s.Commit(1, 10)
+	if err := s.Delete(2, []byte("k"), 15); err != nil {
+		t.Fatal(err)
+	}
+	s.Commit(2, 20)
+	mustPut(t, s, 3, "k", "mine", 25)
+	for _, c := range []struct {
+		snap    ts.Timestamp
+		reader  TxnID
+		ok      bool
+		deleted bool
+		commit  ts.Timestamp
+	}{
+		{snap: 5},
+		{snap: 15, ok: true, commit: 10},
+		{snap: 25, ok: true, deleted: true, commit: 20},
+		{snap: 25, reader: 3, ok: true},
+	} {
+		v, ok, err := s.GetVersion(bg, []byte("k"), c.snap, c.reader)
+		if err != nil || ok != c.ok || v.Deleted != c.deleted || v.CommitTS != c.commit {
+			t.Fatalf("GetVersion at %v as %d = %+v %v %v, want ok %v deleted %v commit %v",
+				c.snap, c.reader, v, ok, err, c.ok, c.deleted, c.commit)
+		}
+	}
+}
+
 func TestWriteWriteConflictIntent(t *testing.T) {
 	s := NewStore()
 	mustPut(t, s, 1, "k", "a", 100)

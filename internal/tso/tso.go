@@ -11,7 +11,11 @@
 //	         invocation, commit-wait before acknowledging. No round trip.
 //	         A statement that reads one key once skips the invocation wait
 //	         (SnapshotNoWait): the wait only keeps a snapshot stable across
-//	         reads, and such a statement has no second read.
+//	         reads, and such a statement has no second read. It waits
+//	         instead, after its read, until the clock passes the commit of
+//	         the version it returns (SettleRead) — and not at all for the
+//	         usual version, one below the clock's lower bound at the
+//	         snapshot.
 //	DUAL   — transition bridge: obtain a clock reading, exchange it with
 //	         the GTM server for TS_DUAL = max(TS_GTM, TS_GClock)+1, and
 //	         honor the server-prescribed wait (Figs. 2–3).
@@ -30,9 +34,10 @@
 // every timestamp this node issued before it switched modes — the property
 // that lets the GTM floor be computed without quiescing the cluster.
 //
-// Both GClock waits are observable: Begin records its invocation wait in
-// the tso_invocation_wait_seconds histogram and the commit wait (Commit's
-// finish, Adopt) lands in tso_commit_wait_seconds, both on obs.Default.
+// The GClock waits are observable: Begin records its invocation wait in
+// the tso_invocation_wait_seconds histogram, the commit wait (Commit's
+// finish, Adopt) lands in tso_commit_wait_seconds and SettleRead's wait in
+// tso_read_wait_seconds, all on obs.Default.
 package tso
 
 import (
@@ -55,11 +60,15 @@ const (
 	// MetricCommitWait is the time a GClock commit spends in the commit wait
 	// before it may be acknowledged (seconds).
 	MetricCommitWait = "tso_commit_wait_seconds"
+	// MetricReadWait is the time a read at a SnapshotNoWait snapshot spends
+	// waiting out the commit of the version it returns (seconds).
+	MetricReadWait = "tso_read_wait_seconds"
 )
 
 var (
 	metricInvocationWait = obs.Default.Histogram(MetricInvocationWait)
 	metricCommitWait     = obs.Default.Histogram(MetricCommitWait)
+	metricReadWait       = obs.Default.Histogram(MetricReadWait)
 )
 
 // TxnTS is the timestamp state a transaction carries from begin.
@@ -212,20 +221,39 @@ func (o *Oracle) Begin(ctx context.Context) (TxnTS, error) {
 
 // SnapshotNoWait returns a read snapshot without the invocation wait or any
 // network round trip — Sec. III's "single shard queries bypass this wait".
-// The snapshot is valid for exactly one read of one key. Tclock + Terr is at
-// least true time, which is above every acknowledged commit (the commit
-// wait saw to that), so the one read sees every commit acknowledged before
-// it began. But nothing keeps the snapshot stable: a commit whose timestamp
-// a trailing clock issues below it may still land after the read, so a
-// second read at the same snapshot could see a state the first did not.
-// Anything that may read twice uses Begin.
-func (o *Oracle) SnapshotNoWait() TxnTS {
-	if t, _, ok := o.issueLocal(0); ok {
-		return TxnTS{Snap: t, Mode: ts.ModeGClock}
+// The snapshot is valid for exactly one read of one key, and that read ends
+// with SettleRead unless the version it returns sits below settled, the
+// clock's lower bound when the snapshot was read: true time had passed it
+// then already.
+//
+// Tclock + Terr is at least true time, which is above every acknowledged
+// commit (the commit wait saw to that), so the read sees every commit
+// acknowledged before it began. That alone does not order it against later
+// reads: a primary makes a commit visible before its commit wait ends, so
+// the read may return a version whose timestamp true time has not reached
+// yet, and a read that starts afterwards on a slower clock could take a
+// snapshot below that timestamp and miss a version already returned.
+// SettleRead waits until true time has passed the returned version, so every
+// snapshot taken after the read returns covers it.
+//
+// Nothing keeps the snapshot itself stable: a commit whose timestamp a
+// trailing clock issues below it may still land after the read, so a second
+// read at the same snapshot could see a state the first did not. Anything
+// that may read twice uses Begin.
+func (o *Oracle) SnapshotNoWait() (snap TxnTS, settled ts.Timestamp) {
+	if t, iv, ok := o.issueLocal(0); ok {
+		return TxnTS{Snap: t, Mode: ts.ModeGClock}, iv.Lower()
 	}
 	// Centralized modes have no local clock notion; the caller falls back
 	// to Begin.
-	return TxnTS{Mode: o.Mode()}
+	return TxnTS{Mode: o.Mode()}, 0
+}
+
+// SettleRead finishes a read at a SnapshotNoWait snapshot that returned a
+// version committed at t: it waits until the clock's lower bound passes t,
+// the reader's half of the commit wait.
+func (o *Oracle) SettleRead(ctx context.Context, t ts.Timestamp) error {
+	return waitObserved(ctx, o.clock, t, metricReadWait)
 }
 
 // Commit obtains a commit timestamp for a transaction begun under

@@ -138,20 +138,23 @@ func TestSnapshotNoWait(t *testing.T) {
 	r := newRig(t, 1)
 	o := r.oracles[0]
 	o.SetMode(ts.ModeGClock)
-	s := o.SnapshotNoWait()
-	if s.Mode != ts.ModeGClock || s.Snap == 0 {
-		t.Fatalf("SnapshotNoWait = %+v", s)
+	s, settled := o.SnapshotNoWait()
+	if s.Mode != ts.ModeGClock || s.Snap == 0 || settled == 0 || settled >= s.Snap {
+		t.Fatalf("SnapshotNoWait = %+v, settled below %v", s, settled)
+	}
+	if lower := o.Clock().Now().Lower(); lower < settled {
+		t.Fatalf("settled %v is above a later lower bound %v", settled, lower)
 	}
 	o.SetMode(ts.ModeGTM)
-	s = o.SnapshotNoWait()
+	s, _ = o.SnapshotNoWait()
 	if s.Snap != 0 {
 		t.Fatal("centralized modes must signal fallback with a zero snapshot")
 	}
 }
 
-// TestWaitHistograms: each GClock invocation wait and commit wait (Commit's
-// finish, Adopt) is one sample in its histogram; a GTM-mode Begin and
-// SnapshotNoWait record none.
+// TestWaitHistograms: each GClock invocation wait, commit wait (Commit's
+// finish, Adopt) and read wait (SettleRead) is one sample in its histogram;
+// a GTM-mode Begin and SnapshotNoWait record none.
 func TestWaitHistograms(t *testing.T) {
 	r := newRig(t, 1)
 	o := r.oracles[0]
@@ -185,6 +188,22 @@ func TestWaitHistograms(t *testing.T) {
 	}
 	if got := commitWaits() - cw; got != 2 {
 		t.Fatalf("a commit wait and an Adopt recorded %d commit waits, want 2", got)
+	}
+
+	// SettleRead has its own histogram and leaves the clock past t.
+	rw := metricReadWait.Snapshot().Count
+	s, _ := o.SnapshotNoWait()
+	if err := o.SettleRead(bg, s.Snap); err != nil {
+		t.Fatal(err)
+	}
+	if lower := o.Clock().Now().Lower(); lower <= s.Snap {
+		t.Fatalf("SettleRead(%v) returned with the clock's lower bound at %v", s.Snap, lower)
+	}
+	if got := metricReadWait.Snapshot().Count - rw; got != 1 {
+		t.Fatalf("a SettleRead recorded %d read waits, want 1", got)
+	}
+	if commitWaits()-cw != 2 || invocations()-inv != 1 {
+		t.Fatal("a SettleRead counted as a commit or invocation wait")
 	}
 }
 
