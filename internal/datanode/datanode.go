@@ -775,7 +775,7 @@ func NewReplica(n *netsim.Network, id, region string, shard int) *Replica {
 func NewReplicaFromStore(n *netsim.Network, id, region string, shard int, store *mvcc.Store) *Replica {
 	r := &Replica{id: id, region: region, shard: shard, applier: repl.NewApplier(store)}
 	r.ep = n.Register(id, region, r.handle)
-	r.replEp = repl.ServeApplier(n, ReplEndpointName(id), region, r.applier, repl.Flate{})
+	r.replEp = repl.ServeApplier(n, ReplEndpointName(id), region, r.applier)
 	return r
 }
 

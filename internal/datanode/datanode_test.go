@@ -469,7 +469,7 @@ func TestReplicaPendingCommitLockDuringLag(t *testing.T) {
 
 	// Replay only the prefix (heap + pending) to the replica.
 	recs, _ := p.Log().ReadFrom(1, 0)
-	if _, err := rep.Applier().ApplyParallel(recs); err != nil {
+	if _, err := rep.Applier().Apply(recs); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan string, 1)
@@ -486,7 +486,7 @@ func TestReplicaPendingCommitLockDuringLag(t *testing.T) {
 	p.Store().Commit(1, 99)
 	p.Log().Append(redo.Record{Type: redo.TypeCommit, Txn: 1, TS: 99})
 	recs, _ = p.Log().ReadFrom(3, 0)
-	if _, err := rep.Applier().ApplyParallel(recs); err != nil {
+	if _, err := rep.Applier().Apply(recs); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -33,35 +33,28 @@ func buildWorkload(txns, writesPerTxn, keyspace int) []redo.Record {
 	return recs
 }
 
-// BenchmarkReplaySequential is the ablation baseline: single-threaded redo
-// replay.
-func BenchmarkReplaySequential(b *testing.B) {
+// BenchmarkReplay times redo replay through Applier.Apply, the one path
+// replicas, WAL recovery and the benchmark's repl.apply_ns_per_record probe
+// share. The stream is fed in 5-record batches, about what the cluster
+// ships (one to six records per batch), and in one batch.
+func BenchmarkReplay(b *testing.B) {
 	recs := buildWorkload(500, 12, 4096)
-	b.SetBytes(recBytes(recs))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		a := NewApplier(mvcc.NewStore())
-		b.StartTimer()
-		if _, err := a.Apply(recs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReplayParallel measures the paper's parallel replay ("applies
-// Redo logs in parallel which significantly improves log replay speed").
-func BenchmarkReplayParallel(b *testing.B) {
-	recs := buildWorkload(500, 12, 4096)
-	b.SetBytes(recBytes(recs))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		a := NewApplier(mvcc.NewStore())
-		b.StartTimer()
-		if _, err := a.ApplyParallel(recs); err != nil {
-			b.Fatal(err)
-		}
+	for _, batch := range []int{5, len(recs)} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			b.SetBytes(recBytes(recs))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				a := NewApplier(mvcc.NewStore())
+				b.StartTimer()
+				for j := 0; j < len(recs); j += batch {
+					if _, err := a.Apply(recs[j:min(j+batch, len(recs))]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+		})
 	}
 }
 

@@ -126,6 +126,45 @@ func TestShipperCoalescesBehindABatchInFlight(t *testing.T) {
 	}
 }
 
+// TestEndpointReplaysEitherCompressor: the endpoint decodes a batch by its
+// Compressed flag alone, so a baseline (Noop) shipper and a default (Flate)
+// shipper replay through the same endpoint. The first ships half the log
+// raw; the second takes over from LSN 1, the applier drops what it already
+// has, and the rest arrives compressed.
+func TestEndpointReplaysEitherCompressor(t *testing.T) {
+	n := netsim.New(netsim.Config{TimeScale: 0.2})
+	n.SetLink("primary", "replica", time.Millisecond, 0)
+	log := redo.NewLog()
+	applier := NewApplier(mvcc.NewStore())
+	ServeApplier(n, "ep", "replica", applier)
+	value := bytes.Repeat([]byte("redo "), 200)
+	ship := func(cfg ShipperConfig, from, to int) ShipperStats {
+		for i := from; i < to; i++ {
+			writeTxn(log, uint64(i+1), ts.Timestamp((i+1)*10), map[string]string{fmt.Sprintf("k%d", i): string(value)})
+		}
+		sh := NewShipper(cfg, n, "primary", "ep", log, nil)
+		sh.Start()
+		defer sh.Stop()
+		last := log.LastLSN()
+		waitFor(t, "ack", 5*time.Second, func() bool { return sh.AckedLSN() == last })
+		return sh.Stats()
+	}
+	if st := ship(BaselineShipperConfig(), 0, 10); st.WireBytes != st.RawBytes {
+		t.Fatalf("baseline shipper compressed: %+v", st)
+	}
+	if st := ship(DefaultShipperConfig(), 10, 20); st.WireBytes >= st.RawBytes/2 {
+		t.Fatalf("default shipper did not compress: %+v", st)
+	}
+	if applier.AppliedLSN() != log.LastLSN() || applier.MaxCommitTS() != 200 {
+		t.Fatalf("applied LSN %d of %d, watermark %v", applier.AppliedLSN(), log.LastLSN(), applier.MaxCommitTS())
+	}
+	for i := 0; i < 20; i++ {
+		if v, ok, err := applier.Store().Get(bg, []byte(fmt.Sprintf("k%d", i)), ts.Max, 0); err != nil || !ok || !bytes.Equal(v, value) {
+			t.Fatalf("k%d: found=%v err=%v, %d bytes", i, ok, err, len(v))
+		}
+	}
+}
+
 // TestShipperSmallBatchSkipsCompressor: under compressMinBytes a batch goes
 // out raw; a large one is compressed and replays to the same records.
 func TestShipperSmallBatchSkipsCompressor(t *testing.T) {
@@ -133,7 +172,7 @@ func TestShipperSmallBatchSkipsCompressor(t *testing.T) {
 	n.SetLink("primary", "replica", time.Millisecond, 0)
 	log := redo.NewLog()
 	applier := NewApplier(mvcc.NewStore())
-	ServeApplier(n, "inner", "replica", applier, Flate{})
+	ServeApplier(n, "inner", "replica", applier)
 	var seen []Batch
 	var mu sync.Mutex
 	n.Register("tap", "replica", func(ctx context.Context, m netsim.Message) (netsim.Message, error) {

@@ -203,9 +203,8 @@ func TestApplierHeartbeatAndDDL(t *testing.T) {
 	}
 }
 
-// TestApplierNotifyApplied: the channel is closed by the next replay, by
-// either entry point, and a waiter that takes it before checking the
-// watermark cannot miss one.
+// TestApplierNotifyApplied: the channel is closed by the next replay, and a
+// waiter that takes it before checking the watermark cannot miss one.
 func TestApplierNotifyApplied(t *testing.T) {
 	a := NewApplier(mvcc.NewStore())
 	closed := func(ch <-chan struct{}) bool {
@@ -228,67 +227,125 @@ func TestApplierNotifyApplied(t *testing.T) {
 	if closed(ch) {
 		t.Fatal("a channel taken after a replay waits for the next one")
 	}
-	a.ApplyParallel([]redo.Record{{LSN: 2, Type: redo.TypeHeartbeat, TS: 6}})
+	a.Apply([]redo.Record{{LSN: 2, Type: redo.TypeHeartbeat, TS: 6}})
 	if !closed(ch) || a.AppliedLSN() != 2 {
-		t.Fatal("ApplyParallel must close the channel")
+		t.Fatal("a second Apply must close the channel taken after the first")
 	}
 }
 
-func TestApplyParallelMatchesSequential(t *testing.T) {
-	// Build a large interleaved workload, replay it via Apply on one store
-	// and ApplyParallel on another, and compare visible states.
-	rng := rand.New(rand.NewSource(11))
+// streamKeys is the keyspace randomStream writes.
+const streamKeys = 40
+
+// randomStream builds a redo stream the way a primary logs one: up to three
+// transactions open at once on disjoint keys (the primary refuses a foreign
+// intent, so a key is free again only once its holder resolved), each
+// resolved by COMMIT, PREPARE then COMMIT PREPARED, PREPARE then ABORT
+// PREPARED, or ABORT, with heartbeats between. Later transactions rewrite
+// and delete keys earlier ones committed.
+func randomStream(rng *rand.Rand, txns int) []redo.Record {
 	log := redo.NewLog()
+	held := map[string]uint64{} // key -> open transaction holding its intent
+	var open []uint64
 	var commitTS ts.Timestamp = 10
-	for txn := uint64(1); txn <= 200; txn++ {
-		kv := map[string]string{}
-		for i := 0; i < 1+rng.Intn(20); i++ {
-			kv[fmt.Sprintf("key-%03d", rng.Intn(100))] = fmt.Sprintf("v-%d-%d", txn, i)
-		}
-		if rng.Intn(10) == 0 {
+	for next := uint64(1); next <= uint64(txns) || len(open) > 0; {
+		if next <= uint64(txns) && (len(open) == 0 || len(open) < 3 && rng.Intn(2) == 0) {
+			txn := next
+			next++
 			var recs []redo.Record
-			for k, v := range kv {
-				recs = append(recs, redo.Record{Type: redo.TypeHeapUpdate, Txn: txn, Key: []byte(k), Value: []byte(v)})
+			for i := 0; i < 1+rng.Intn(8); i++ {
+				k := fmt.Sprintf("key-%03d", rng.Intn(streamKeys))
+				if h, ok := held[k]; ok && h != txn {
+					continue
+				}
+				held[k] = txn
+				r := redo.Record{Type: redo.TypeHeapUpdate, Txn: txn, Key: []byte(k), Value: []byte(fmt.Sprintf("v-%d-%d", txn, i))}
+				if rng.Intn(6) == 0 {
+					r.Type, r.Value = redo.TypeHeapDelete, nil
+				}
+				recs = append(recs, r)
 			}
-			recs = append(recs, redo.Record{Type: redo.TypeAbort, Txn: txn})
-			log.AppendBatch(recs)
+			if len(recs) > 0 {
+				log.AppendBatch(recs)
+			}
+			open = append(open, txn)
 			continue
 		}
+		i := rng.Intn(len(open))
+		txn := open[i]
+		open = append(open[:i], open[i+1:]...)
+		for k, h := range held {
+			if h == txn {
+				delete(held, k)
+			}
+		}
 		commitTS += ts.Timestamp(1 + rng.Intn(5))
-		writeTxn(log, txn, commitTS, kv)
+		switch rng.Intn(10) {
+		case 0:
+			log.Append(redo.Record{Type: redo.TypeAbort, Txn: txn})
+		case 1:
+			log.AppendBatch([]redo.Record{{Type: redo.TypePrepare, Txn: txn}, {Type: redo.TypeAbortPrepared, Txn: txn}})
+		case 2, 3:
+			log.AppendBatch([]redo.Record{{Type: redo.TypePrepare, Txn: txn}, {Type: redo.TypeCommitPrepared, Txn: txn, TS: commitTS}})
+		default:
+			log.AppendBatch([]redo.Record{{Type: redo.TypePendingCommit, Txn: txn}, {Type: redo.TypeCommit, Txn: txn, TS: commitTS}})
+		}
+		if rng.Intn(5) == 0 {
+			log.Append(redo.Record{Type: redo.TypeHeartbeat, TS: commitTS})
+		}
 	}
 	recs, _ := log.ReadFrom(1, 0)
+	return recs
+}
 
-	seq := NewApplier(mvcc.NewStore())
-	if _, err := seq.Apply(recs); err != nil {
+// TestChunkedReplayMatchesOneBatch: a replica sees the stream in batches,
+// and not once each. The shipper resends unacked batches (at-least-once),
+// and the endpoint's reorder stash replays parked batches that overlap what
+// it has applied since, so every chunk here repeats part of the previous
+// one; now and then the chunk after it arrives first and must be refused
+// untouched. Fed that way, Apply reaches the same versions, watermark and
+// open intents as one Apply of the whole stream.
+func TestChunkedReplayMatchesOneBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	recs := randomStream(rng, 300)
+
+	whole := NewApplier(mvcc.NewStore())
+	if _, err := whole.Apply(recs); err != nil {
 		t.Fatal(err)
 	}
-	// Feed the parallel applier in random-sized chunks.
-	par := NewApplier(mvcc.NewStore())
+
+	chunked := NewApplier(mvcc.NewStore())
+	prev := 0
 	for i := 0; i < len(recs); {
-		n := 1 + rng.Intn(64)
-		if i+n > len(recs) {
-			n = len(recs) - i
+		n := min(1+rng.Intn(32), len(recs)-i)
+		if j := i + n; j < len(recs) && rng.Intn(4) == 0 {
+			if applied, err := chunked.Apply(recs[j:min(j+8, len(recs))]); err == nil || applied != uint64(i) {
+				t.Fatalf("early chunk at LSN %d: applied %d, err %v; want a gap error at %d", j+1, applied, err, i)
+			}
 		}
-		if _, err := par.ApplyParallel(recs[i : i+n]); err != nil {
-			t.Fatal(err)
+		from := i - rng.Intn(prev+1)
+		if applied, err := chunked.Apply(recs[from : i+n]); err != nil || applied != uint64(i+n) {
+			t.Fatalf("chunk [%d, %d): applied %d, err %v", from+1, i+n+1, applied, err)
 		}
+		prev = n
 		i += n
 	}
 
-	if seq.MaxCommitTS() != par.MaxCommitTS() {
-		t.Fatalf("watermarks differ: %v vs %v", seq.MaxCommitTS(), par.MaxCommitTS())
+	if whole.AppliedLSN() != chunked.AppliedLSN() || whole.MaxCommitTS() != chunked.MaxCommitTS() {
+		t.Fatalf("watermarks differ: LSN %d vs %d, commit %v vs %v",
+			whole.AppliedLSN(), chunked.AppliedLSN(), whole.MaxCommitTS(), chunked.MaxCommitTS())
 	}
-	for i := 0; i < 100; i++ {
+	if a, b := whole.Store().Stats(), chunked.Store().Stats(); a.ActiveTxns != b.ActiveTxns || a.Versions != b.Versions {
+		t.Fatalf("stores differ: %+v vs %+v", a, b)
+	}
+	for i := 0; i < streamKeys; i++ {
 		key := []byte(fmt.Sprintf("key-%03d", i))
-		a := seq.Store().Versions(key)
-		b := par.Store().Versions(key)
+		a, b := whole.Store().Versions(key), chunked.Store().Versions(key)
 		if len(a) != len(b) {
 			t.Fatalf("%s: %d vs %d versions", key, len(a), len(b))
 		}
 		for j := range a {
-			if a[j].CommitTS != b[j].CommitTS || !bytes.Equal(a[j].Value, b[j].Value) {
-				t.Fatalf("%s version %d differs", key, j)
+			if a[j].CommitTS != b[j].CommitTS || a[j].Deleted != b[j].Deleted || !bytes.Equal(a[j].Value, b[j].Value) {
+				t.Fatalf("%s version %d differs: %+v vs %+v", key, j, a[j], b[j])
 			}
 		}
 	}
@@ -311,7 +368,7 @@ func newShipRig(t *testing.T, rtt time.Duration, bw float64, cfg ShipperConfig, 
 	n.SetLink("primary", "replica", rtt, bw)
 	r := &shipRig{net: n, log: redo.NewLog(), applier: NewApplier(mvcc.NewStore())}
 	r.mgr = NewManager(r.log, mode, 1)
-	r.ep = ServeApplier(n, "repl-ep", "replica", r.applier, Flate{})
+	r.ep = ServeApplier(n, "repl-ep", "replica", r.applier)
 	r.shipper = NewShipper(cfg, n, "primary", "repl-ep", r.log, r.mgr.AckHook())
 	r.mgr.AddShipper(r.shipper)
 	r.shipper.Start()

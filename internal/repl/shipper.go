@@ -17,10 +17,9 @@ type Batch struct {
 	From uint64
 	// Count is the number of records in Data.
 	Count int
-	// Compressed marks Data as codec-encoded.
+	// Compressed marks Data as Flate-encoded, the only compressor that
+	// shrinks a batch (Noop never does, so it never sets the flag).
 	Compressed bool
-	// Codec names the compressor used.
-	Codec string
 	// Data holds the marshaled (and possibly compressed) records.
 	Data []byte
 }
@@ -331,7 +330,7 @@ func (s *Shipper) run(ctx context.Context) {
 				wire, compressed = enc, true
 			}
 		}
-		batch := Batch{From: recs[0].LSN, Count: len(recs), Compressed: compressed, Codec: s.cfg.Compressor.Name(), Data: wire}
+		batch := Batch{From: recs[0].LSN, Count: len(recs), Compressed: compressed, Data: wire}
 
 		s.mu.Lock()
 		s.stats.Batches++
@@ -362,18 +361,16 @@ func (s *Shipper) run(ctx context.Context) {
 const applierStashMax = 64
 
 // ServeApplier registers a replication endpoint that replays incoming
-// batches into applier and acknowledges the applied LSN. It returns the
-// endpoint for failure injection.
+// batches into applier with Apply and acknowledges the applied LSN. It
+// returns the endpoint for failure injection. Replay runs on the endpoint's
+// handler, beside the replica's readers, one batch at a time.
 //
 // Pipelined shippers put several batches on the wire at once and the
 // simulated network preserves no ordering between them, so batch N+1 can
 // arrive before batch N. A bounded reorder stash parks such early arrivals
 // and replays them the moment the gap fills, instead of rejecting them and
 // forcing a rewind round trip.
-func ServeApplier(n *netsim.Network, name, region string, applier *Applier, comp Compressor) *netsim.Endpoint {
-	if comp == nil {
-		comp = Flate{}
-	}
+func ServeApplier(n *netsim.Network, name, region string, applier *Applier) *netsim.Endpoint {
 	var (
 		stashMu sync.Mutex
 		stash   = map[uint64][]redo.Record{} // batch From -> decoded records
@@ -389,7 +386,7 @@ func ServeApplier(n *netsim.Network, name, region string, applier *Applier, comp
 		data := batch.Data
 		if batch.Compressed {
 			var err error
-			if data, err = comp.Decompress(data); err != nil {
+			if data, err = (Flate{}).Decompress(data); err != nil {
 				return netsim.Message{}, err
 			}
 		}
@@ -407,7 +404,7 @@ func ServeApplier(n *netsim.Network, name, region string, applier *Applier, comp
 			}
 			return ack()
 		}
-		if _, err := applier.ApplyParallel(recs); err != nil {
+		if _, err := applier.Apply(recs); err != nil {
 			return ack() // overlap raced another apply; shipper rewinds
 		}
 		// The gap may have filled: replay every stashed batch that is now
@@ -425,7 +422,7 @@ func ServeApplier(n *netsim.Network, name, region string, applier *Applier, comp
 			}
 			parked := stash[ready]
 			delete(stash, ready)
-			if _, err := applier.ApplyParallel(parked); err != nil {
+			if _, err := applier.Apply(parked); err != nil {
 				break
 			}
 		}

@@ -319,61 +319,6 @@ func (s *Store) write(txn TxnID, key, value []byte, deleted bool, snapTS ts.Time
 	return nil
 }
 
-// StagedOp is one replay mutation for StageOp.
-type StagedOp struct {
-	Txn     TxnID
-	Key     []byte
-	Value   []byte
-	Deleted bool
-}
-
-// StageOp stages one replay intent. Unlike Put/Delete it skips snapshot
-// conflict checks (the primary already serialized the stream). When it
-// encounters a foreign intent it waits for that transaction to resolve.
-//
-// Callers must preserve per-key log order across StageOp calls (the
-// parallel applier partitions records by key hash, so each key's ops
-// arrive in log order). Under that discipline a foreign intent always
-// belongs to a transaction whose resolution record precedes this op in
-// the log, so the replay coordinator is guaranteed to apply it.
-//
-// The key registers in the transaction table immediately — before the
-// caller advances its replay watermark — so a commit replayed later can
-// never miss it.
-func (s *Store) StageOp(op StagedOp) error {
-	c := s.getChain(op.Key, true)
-	for {
-		c.mu.Lock()
-		if c.dead {
-			// Lost a race with removeChainIfEmpty (an abort of the key's
-			// only writer unlinked the chain); fetch the live chain.
-			c.mu.Unlock()
-			c = s.getChain(op.Key, true)
-			continue
-		}
-		if c.intent == nil || c.intent.txn == op.Txn {
-			break
-		}
-		holder := c.intent.txn
-		c.mu.Unlock()
-		if _, ok, done := s.stateAndDone(holder); ok {
-			<-done // the holder resolves on the replay coordinator
-		} else {
-			runtime.Gosched() // resolved between reads; re-check
-		}
-	}
-	firstWrite := c.intent == nil
-	c.intent = &intent{txn: op.Txn, value: bytes.Clone(op.Value), deleted: op.Deleted}
-	c.mu.Unlock()
-	if firstWrite {
-		s.txnMu.Lock()
-		m := s.txnLocked(op.Txn)
-		m.keys = append(m.keys, bytes.Clone(op.Key))
-		s.txnMu.Unlock()
-	}
-	return nil
-}
-
 // MarkPending transitions txn's intents to the Pending state. Primaries call
 // it when writing the PENDING COMMIT record, before fetching the commit
 // timestamp; replicas call it when that record replays.
