@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"sync"
 
 	"globaldb/internal/ts"
@@ -106,24 +107,40 @@ var (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendRecord encodes r onto buf as a length-prefixed, CRC-protected frame
-// and returns the extended buffer.
+// and returns the extended buffer. The frame is written in place: the 8-byte
+// header is reserved, the payload appended after it, and the length and CRC
+// patched in last, so a buffer with room for the frame is not reallocated.
 func AppendRecord(buf []byte, r Record) []byte {
-	var payload []byte
-	payload = append(payload, byte(r.Type))
-	payload = binary.AppendUvarint(payload, r.LSN)
-	payload = binary.AppendUvarint(payload, r.Txn)
-	payload = binary.AppendVarint(payload, int64(r.TS))
-	payload = binary.AppendUvarint(payload, uint64(len(r.Key)))
-	payload = append(payload, r.Key...)
-	payload = binary.AppendUvarint(payload, uint64(len(r.Value)))
-	payload = append(payload, r.Value...)
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	buf = append(buf, byte(r.Type))
+	buf = binary.AppendUvarint(buf, r.LSN)
+	buf = binary.AppendUvarint(buf, r.Txn)
+	buf = binary.AppendVarint(buf, int64(r.TS))
+	buf = binary.AppendUvarint(buf, uint64(len(r.Key)))
+	buf = append(buf, r.Key...)
+	buf = binary.AppendUvarint(buf, uint64(len(r.Value)))
+	buf = append(buf, r.Value...)
 
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	payload := buf[start+8:]
+	binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.Checksum(payload, crcTable))
+	return buf
 }
+
+// frameSize is the exact length of r's frame as AppendRecord writes it.
+func frameSize(r Record) int {
+	zigzag := uint64(r.TS) << 1
+	if r.TS < 0 {
+		zigzag = ^zigzag
+	}
+	return 8 + 1 + uvarintLen(r.LSN) + uvarintLen(r.Txn) + uvarintLen(zigzag) +
+		uvarintLen(uint64(len(r.Key))) + len(r.Key) +
+		uvarintLen(uint64(len(r.Value))) + len(r.Value)
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // DecodeRecord parses one frame from buf, returning the record and the
 // remaining bytes.
@@ -186,9 +203,13 @@ func DecodeRecord(buf []byte) (Record, []byte, error) {
 	return r, rest, nil
 }
 
-// Marshal encodes a batch of records into one byte stream.
+// Marshal encodes a batch of records into one byte stream, sized once.
 func Marshal(recs []Record) []byte {
-	var buf []byte
+	n := 0
+	for _, r := range recs {
+		n += frameSize(r)
+	}
+	buf := make([]byte, 0, n)
 	for _, r := range recs {
 		buf = AppendRecord(buf, r)
 	}

@@ -1,6 +1,7 @@
 package redo
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -44,6 +45,45 @@ func TestRecordRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMarshalGoldenFrame pins the frame layout byte for byte: replicas, the
+// WAL on disk and recovery all read what this encoder writes.
+func TestMarshalGoldenFrame(t *testing.T) {
+	recs := []Record{
+		{LSN: 1, Type: TypeHeapInsert, Txn: 7, TS: 0, Key: []byte("k1"), Value: []byte("v1")},
+		{LSN: 300, Type: TypeCommit, Txn: 1 << 40, TS: -5},
+		{LSN: 301, Type: TypeHeapUpdate, Txn: 9, TS: 1234567890123, Key: []byte("order/0042"), Value: []byte("hello redo")},
+	}
+	const want = "0a000000d98eb8e401010700026b310276310c00000085dc53b505ac02808080808020" +
+		"090000200000004c23e7e402ad02099693d89fee470a6f726465722f303034320a68656c6c6f207265646f"
+	if got := hex.EncodeToString(Marshal(recs)); got != want {
+		t.Fatalf("frames changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestMarshalSizesOnce: Marshal computes the exact stream length up front,
+// so a batch costs one allocation however many records it holds.
+func TestMarshalSizesOnce(t *testing.T) {
+	f := func(lsn, txn uint64, tsv int64, key, value []byte) bool {
+		recs := []Record{
+			{LSN: lsn, Type: TypeHeapUpdate, Txn: txn, TS: ts.Timestamp(tsv), Key: key, Value: value},
+			{LSN: lsn + 1, Type: TypeCommit, Txn: txn, TS: ts.Timestamp(-tsv)},
+		}
+		buf := Marshal(recs)
+		return len(buf) == cap(buf)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	for i := 0; i < 10; i++ {
+		recs = append(recs, Record{LSN: uint64(i + 1), Type: TypeHeapUpdate, Txn: 42,
+			Key: []byte(fmt.Sprintf("stock/%04d", i)), Value: make([]byte, 120)})
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = Marshal(recs) }); n != 1 {
+		t.Fatalf("Marshal of a 10-record batch made %v allocations, want 1", n)
 	}
 }
 

@@ -66,23 +66,53 @@ func recBytes(recs []redo.Record) int64 {
 	return n
 }
 
-// BenchmarkCompressRedoBatch measures the LZ-style compression ablation:
-// how much a realistic redo batch shrinks and at what CPU cost.
-func BenchmarkCompressRedoBatch(b *testing.B) {
+// redoBatches are the compression benchmarks' inputs: a 5-record batch,
+// about what the cluster ships (one to six records per batch), and the
+// redo of 64 transactions of 12 writes each in one batch.
+func redoBatches() map[string][]byte {
 	recs := buildWorkload(64, 12, 512)
-	raw := redo.Marshal(recs)
-	for _, comp := range []Compressor{Noop{}, Flate{}} {
-		b.Run(comp.Name(), func(b *testing.B) {
+	return map[string][]byte{
+		"records=5":                          redo.Marshal(recs[:5]),
+		fmt.Sprintf("records=%d", len(recs)): redo.Marshal(recs),
+	}
+}
+
+// BenchmarkCompressRedoBatch measures the compression ablation: how much a
+// redo batch shrinks and at what CPU cost, per shipper (each replica's
+// shipper compresses its own copy).
+func BenchmarkCompressRedoBatch(b *testing.B) {
+	for size, raw := range redoBatches() {
+		for _, comp := range []Compressor{Noop{}, LZ4{}} {
+			b.Run(size+"/"+comp.Name(), func(b *testing.B) {
+				b.SetBytes(int64(len(raw)))
+				b.ReportAllocs()
+				var wire []byte
+				for i := 0; i < b.N; i++ {
+					var err error
+					wire, err = comp.Compress(raw)
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(raw))/float64(len(wire)), "compression-ratio")
+			})
+		}
+	}
+}
+
+// BenchmarkDecompressRedoBatch measures the replica side, which decodes
+// every compressed batch once per replica.
+func BenchmarkDecompressRedoBatch(b *testing.B) {
+	for size, raw := range redoBatches() {
+		wire, _ := LZ4{}.Compress(raw)
+		b.Run(size+"/lz4", func(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
-			var wire []byte
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var err error
-				wire, err = comp.Compress(raw)
-				if err != nil {
+				if _, err := (LZ4{}).Decompress(wire); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(raw))/float64(len(wire)), "compression-ratio")
 		})
 	}
 }

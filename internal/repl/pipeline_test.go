@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -127,7 +128,7 @@ func TestShipperCoalescesBehindABatchInFlight(t *testing.T) {
 }
 
 // TestEndpointReplaysEitherCompressor: the endpoint decodes a batch by its
-// Compressed flag alone, so a baseline (Noop) shipper and a default (Flate)
+// Compressed flag alone, so a baseline (Noop) shipper and a default (LZ4)
 // shipper replay through the same endpoint. The first ships half the log
 // raw; the second takes over from LSN 1, the applier drops what it already
 // has, and the rest arrives compressed.
@@ -207,5 +208,68 @@ func TestShipperSmallBatchSkipsCompressor(t *testing.T) {
 	st := sh.Stats()
 	if st.WireBytes >= st.RawBytes || st.RawBytes < 4096+150 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestEndpointRejectsCorruptBatch: a compressed batch that does not decode
+// gets an error reply and leaves the replica as it was; the shipper counts a
+// send failure, re-ships, and the intact copy replays.
+func TestEndpointRejectsCorruptBatch(t *testing.T) {
+	n := netsim.New(netsim.Config{TimeScale: 0.2})
+	n.SetLink("primary", "replica", time.Millisecond, 0)
+	log := redo.NewLog()
+	applier := NewApplier(mvcc.NewStore())
+	ServeApplier(n, "inner", "replica", applier)
+	var (
+		mu        sync.Mutex
+		corrupted bool
+		replyErr  error
+	)
+	n.Register("tap", "replica", func(ctx context.Context, m netsim.Message) (netsim.Message, error) {
+		b := m.Payload.(Batch)
+		mu.Lock()
+		first := b.Compressed && !corrupted
+		corrupted = corrupted || first
+		mu.Unlock()
+		if !first {
+			return n.Call(ctx, "replica", "inner", m)
+		}
+		garbage := make([]byte, len(b.Data))
+		rand.New(rand.NewSource(1)).Read(garbage)
+		b.Data = garbage
+		resp, err := n.Call(ctx, "replica", "inner", netsim.Message{Payload: b, Size: m.Size})
+		mu.Lock()
+		replyErr = err
+		mu.Unlock()
+		if err == nil {
+			t.Errorf("garbage batch acked at LSN %d", resp.Payload.(Ack).AppliedLSN)
+		}
+		if lsn := applier.AppliedLSN(); lsn != 0 {
+			t.Errorf("garbage batch moved the applied LSN to %d", lsn)
+		}
+		if _, ok, _ := applier.Store().Get(ctx, []byte("k"), ts.Max, 0); ok {
+			t.Error("garbage batch wrote to the store")
+		}
+		return resp, err
+	})
+	sh := NewShipper(DefaultShipperConfig(), n, "primary", "tap", log, nil)
+	sh.Start()
+	defer sh.Stop()
+
+	value := bytes.Repeat([]byte("redo "), 200)
+	writeTxn(log, 1, 10, map[string]string{"k": string(value)})
+	last := log.LastLSN()
+	waitFor(t, "ack", 5*time.Second, func() bool { return sh.AckedLSN() == last })
+
+	mu.Lock()
+	defer mu.Unlock()
+	if !corrupted || replyErr == nil {
+		t.Fatalf("corrupted=%v reply error=%v", corrupted, replyErr)
+	}
+	if st := sh.Stats(); st.SendFailures != 1 {
+		t.Fatalf("send failures = %d, want 1", st.SendFailures)
+	}
+	if v, ok, err := applier.Store().Get(bg, []byte("k"), ts.Max, 0); err != nil || !ok || !bytes.Equal(v, value) {
+		t.Fatalf("k after the re-ship: found=%v err=%v", ok, err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"globaldb/internal/netsim"
@@ -17,42 +16,6 @@ import (
 )
 
 var bg = context.Background()
-
-func TestCompressorsRoundTrip(t *testing.T) {
-	payload := bytes.Repeat([]byte("redo record payload "), 100)
-	for _, c := range []Compressor{Noop{}, Flate{}} {
-		enc, err := c.Compress(payload)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		dec, err := c.Decompress(enc)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		if !bytes.Equal(dec, payload) {
-			t.Fatalf("%s: round trip mismatch", c.Name())
-		}
-	}
-	// Flate must actually shrink repetitive redo traffic.
-	enc, _ := Flate{}.Compress(payload)
-	if len(enc) >= len(payload)/2 {
-		t.Fatalf("flate only got %d/%d bytes", len(enc), len(payload))
-	}
-}
-
-func TestFlateRoundTripProperty(t *testing.T) {
-	f := func(b []byte) bool {
-		enc, err := Flate{}.Compress(b)
-		if err != nil {
-			return false
-		}
-		dec, err := Flate{}.Decompress(enc)
-		return err == nil && bytes.Equal(dec, b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // writeTxn appends a transaction's records to a log: heap writes, PENDING
 // COMMIT, then COMMIT.

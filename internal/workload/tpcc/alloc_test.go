@@ -21,12 +21,14 @@ import (
 // shipping falls inside. What is left beside the transaction — the
 // group-commit syncer and the clock-sync tickers — is worth ±3. The driver's
 // seed fixes the sequence of orders, and the reported figure is the cheapest
-// of the five measured. Twenty runs of one binary on go1.24:
-// min 803, median 803, max 806 (812–833 under -race, where sync.Pool drops
-// items at random); with the collector running PR 19 read 367…1273 for the
-// same statistic. The ceiling is the measured max + 15 %: one leaked allocation
-// per row op is +25/txn, so five of them fail the test.
-const tpccAllocBudgetMax = 925
+// of the five measured. Twenty runs of one binary on go1.24, after redo
+// frames came to be written in place and shipped as LZ4 blocks:
+// min 515, median 515, max 515 (ten runs under -race: 515 each; DEFLATE's
+// pooled writers, which -race's sync.Pool dropped at random, are gone). With
+// DEFLATE the same statistic read 726–728. The ceiling is the measured max
+// + 15 %: one leaked allocation per row op is +25/txn, so four of them fail
+// the test.
+const tpccAllocBudgetMax = 592
 
 // TestTPCCAllocBudget is the write-path analogue of the root package's
 // TestAllocBudget: a hard allocation gate on the warm New-Order path.
