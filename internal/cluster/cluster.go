@@ -11,7 +11,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"io"
+	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -73,24 +73,25 @@ type Config struct {
 	Clock clock.NodeConfig
 	// RCP configures the collector.
 	RCP rcp.Config
-	// CN configures computing nodes.
-	CN coordinator.Config
 
-	// WALDir, when non-empty, makes every shard primary archive its redo
+	// WALDir, when non-empty, makes every shard primary write its redo
 	// stream to an on-disk WAL under <WALDir>/shard-<n> (GaussDB's XLOG
-	// durability), and commit acks then wait for WAL durability. Recovery
-	// tooling replays it with datanode.RecoverPrimary.
+	// durability) as it appends it, and commit acks then wait for WAL
+	// durability. Open starts each shard's WAL empty, removing what an
+	// earlier cluster left there; recovery tooling replays a WAL with
+	// datanode.RecoverPrimary.
 	WALDir string
 	// WALSync selects the WAL fsync policy (default wal.SyncGroup via
 	// baseConfig: concurrent commits coalesce into one fsync).
+	// wal.SyncEveryBatch is the fsync-per-commit baseline: every append
+	// fsyncs inside the primary's mutex, as a database without group commit
+	// does.
 	WALSync wal.SyncPolicy
-	// WALLinger / WALFsyncDelay / WALArchiveBatch tune group commit: the
-	// coalescing window, a simulated device-sync latency (tmpfs hides the
-	// real cost), and the archiver's records-per-append cap (1 = the
-	// fsync-per-commit baseline). Zero values use the wal defaults.
-	WALLinger       time.Duration
-	WALFsyncDelay   time.Duration
-	WALArchiveBatch int
+	// WALLinger / WALFsyncDelay tune group commit: the coalescing window and
+	// a simulated device-sync latency (tmpfs hides the real cost). Zero
+	// values use the wal defaults.
+	WALLinger     time.Duration
+	WALFsyncDelay time.Duration
 }
 
 // ThreeCity returns the paper's geo-distributed topology: Xi'an, Langzhong
@@ -132,7 +133,6 @@ func baseConfig() Config {
 		Mode:             ts.ModeGClock,
 		Clock:            clock.DefaultNodeConfig(),
 		RCP:              rcp.DefaultConfig(),
-		CN:               coordinator.DefaultConfig(),
 		WALSync:          wal.SyncGroup,
 	}
 }
@@ -164,7 +164,7 @@ type Cluster struct {
 	// primary; a promotion replaces it.
 	primaryClockStops []func()
 	devices           map[string]*clock.Device
-	walClosers        []io.Closer
+	walWriters        []*wal.Writer
 	closed            bool
 	gc                gcState
 }
@@ -213,16 +213,22 @@ func Open(cfg Config) (*Cluster, error) {
 		pRegion := cfg.Regions[shard%len(cfg.Regions)]
 		p := datanode.NewPrimary(c.Net, fmt.Sprintf("dn%d", shard), pRegion, shard, cfg.ReplMode, cfg.Quorum)
 		if cfg.WALDir != "" {
-			closer, err := p.AttachWALOptions(wal.Options{
-				Dir:        filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%d", shard)),
+			dir := filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%d", shard))
+			// The primary's log starts empty, so a WAL an earlier cluster left
+			// here holds another stream: start it over rather than continue it.
+			if err := os.RemoveAll(dir); err != nil {
+				return nil, fmt.Errorf("cluster: shard %d WAL: %w", shard, err)
+			}
+			w, err := p.AttachWAL(wal.Options{
+				Dir:        dir,
 				Sync:       cfg.WALSync,
 				Linger:     cfg.WALLinger,
 				FsyncDelay: cfg.WALFsyncDelay,
-			}, cfg.WALArchiveBatch)
+			})
 			if err != nil {
 				return nil, fmt.Errorf("cluster: shard %d WAL: %w", shard, err)
 			}
-			c.walClosers = append(c.walClosers, closer)
+			c.walWriters = append(c.walWriters, w)
 		}
 		c.primaries = append(c.primaries, p)
 		c.Routing.SetPrimary(shard, p.ID())
@@ -265,7 +271,7 @@ func Open(cfg Config) (*Cluster, error) {
 		c.oracles = append(c.oracles, oracle)
 		nodes = append(nodes, oracle)
 
-		cn := coordinator.New(cfg.CN, oracle.Name(), r, uint64(i+1),
+		cn := coordinator.New(oracle.Name(), r, uint64(i+1),
 			datanode.NewClient(c.Net, r), oracle, c.Routing, c.Catalog)
 		c.cns[r] = cn
 	}
@@ -665,7 +671,7 @@ func (c *Cluster) Close() {
 	for _, stop := range c.primaryClockStops {
 		stop()
 	}
-	for _, w := range c.walClosers {
+	for _, w := range c.walWriters {
 		_ = w.Close()
 	}
 }

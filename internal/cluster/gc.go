@@ -31,7 +31,7 @@ const (
 	MetricGCWatermarkAge = "gc_watermark_age_ns"
 	// MetricRedoRetained is the number of records a shard primary's in-memory
 	// redo log holds, labeled shard="<n>". It grows while a replica of the
-	// shard is down or the WAL archiver is behind.
+	// shard is down or behind.
 	MetricRedoRetained = "redo_retained_records"
 )
 
@@ -80,7 +80,8 @@ type gcState struct {
 // timestamps alike (a transition keeps them monotonic across the switch).
 //
 // Redo: every primary's in-memory log is truncated below what its slowest
-// replica has acknowledged and its WAL archiver has read.
+// replica has acknowledged. Its WAL needs nothing kept: every record is in
+// the WAL from the moment it is in the log.
 func (c *Cluster) PruneOnce() int {
 	c.gc.mu.Lock()
 	defer c.gc.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -307,8 +308,9 @@ func TestGCRefusesQueryOlderThanHorizon(t *testing.T) {
 // TestGCBankSumAtRCP: transfers between accounts on every shard, most of them
 // two-phase commits, run against queries that sum every balance at the RCP
 // while GC prunes and truncates every two milliseconds. A sum is either the
-// invariant total or a refusal; the redo logs end up truncated and every
-// replica still catches up (nothing a shipper needed was dropped).
+// invariant total or a refusal; the redo logs end up truncated, every
+// replica still catches up (nothing a shipper needed was dropped), and every
+// shard's WAL holds its whole stream.
 func TestGCBankSumAtRCP(t *testing.T) {
 	cfg := smallCfg()
 	cfg.WALDir = t.TempDir()
@@ -451,9 +453,16 @@ func TestGCBankSumAtRCP(t *testing.T) {
 	if pruned == 0 {
 		t.Fatal("GC pruned nothing on any primary")
 	}
-	for _, w := range c.walClosers {
-		if err := w.(*wal.Archiver).Err(); err != nil {
-			t.Fatalf("WAL archiver stopped: %v", err)
+	// Closing the writers ends the run: each shard's WAL must hold its whole
+	// stream, the records truncated from the log included.
+	c.Close()
+	for shard, p := range c.Primaries() {
+		recs, err := wal.Recover(filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%d", shard)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := uint64(len(recs)); n != p.Log().LastLSN() || n > 0 && recs[n-1].LSN != n {
+			t.Fatalf("shard %d: WAL holds %d records, the log appended %d", shard, n, p.Log().LastLSN())
 		}
 	}
 }

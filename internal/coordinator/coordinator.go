@@ -114,24 +114,16 @@ type Stats struct {
 	RORFallbacks int64
 }
 
-// Config tunes a CN.
-type Config struct {
-	// TrackerRefresh is how often ROR metrics are refreshed from the
-	// collector's statuses.
-	TrackerRefresh time.Duration
-	// GTMRatePerSec estimates timestamp growth for staleness estimation in
-	// GTM mode (Sec. IV-B); measured dynamically once traffic flows.
-	GTMRatePerSec float64
-}
+// trackerRefresh is how often ROR metrics are refreshed from the
+// collector's statuses.
+const trackerRefresh = 2 * time.Millisecond
 
-// DefaultConfig returns CN defaults.
-func DefaultConfig() Config {
-	return Config{TrackerRefresh: 2 * time.Millisecond, GTMRatePerSec: 10000}
-}
+// gtmRateSeed is the timestamp growth, per second, that staleness estimation
+// in GTM mode assumes (Sec. IV-B) until traffic has measured the real rate.
+const gtmRateSeed = 10000
 
 // CN is one computing node.
 type CN struct {
-	cfg     Config
 	name    string
 	region  string
 	cnID    uint64
@@ -177,19 +169,13 @@ type CN struct {
 // transaction IDs). The RCP collector and ROR tracker are installed
 // afterwards with SetCollector and SetTracker once the cluster topology is
 // known.
-func New(cfg Config, name, region string, cnID uint64, client *datanode.Client, oracle *tso.Oracle,
+func New(name, region string, cnID uint64, client *datanode.Client, oracle *tso.Oracle,
 	routing *Routing, catalog *table.Catalog) *CN {
-	if cfg.TrackerRefresh <= 0 {
-		cfg.TrackerRefresh = 2 * time.Millisecond
-	}
-	if cfg.GTMRatePerSec <= 0 {
-		cfg.GTMRatePerSec = 10000
-	}
 	return &CN{
-		cfg: cfg, name: name, region: region, cnID: cnID,
+		name: name, region: region, cnID: cnID,
 		client: client, oracle: oracle, routing: routing,
 		tracker: ror.NewTracker(), catalog: catalog,
-		gtmRate: cfg.GTMRatePerSec,
+		gtmRate: gtmRateSeed,
 		pins:    snapshotPins{held: make(map[uint64]snapshotPin)},
 	}
 }

@@ -51,7 +51,7 @@ func newSkewRig(t *testing.T) *skewRig {
 	routing.SetPrimary(0, p.ID())
 	client := datanode.NewClient(net, "east")
 	cn := func(name string, driftPPM float64) *CN {
-		c := New(DefaultConfig(), name, "east", 1, client, oracle(name, driftPPM), routing, table.NewCatalog())
+		c := New(name, "east", 1, client, oracle(name, driftPPM), routing, table.NewCatalog())
 		// A collector that never runs keeps the RCP at zero, so every
 		// ReadOnly with a zero staleness bound falls back to the primary.
 		c.SetCollector(rcp.NewCollector(rcp.Config{}, client, rcp.Topology{}, nil))

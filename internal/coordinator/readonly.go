@@ -116,6 +116,12 @@ func (r *ROTxn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, e
 	}
 	start := time.Now()
 	v, found, err := r.cn.client.Read(ctx, node, key, r.snap, 0)
+	if err != nil && ctx.Err() != nil {
+		// The caller gave up (cancel or deadline), which says nothing about
+		// the node; and a retry on the primary would run on the same dead
+		// context. The scan path keeps the same rule.
+		return nil, false, err
+	}
 	r.observe(node, replica, start, err)
 	if nodeFailed(err) && replica {
 		// One retry on the primary: the replica crashed mid-query.
@@ -199,10 +205,10 @@ func (c *CN) counterStaleness(maxSeen, t ts.Timestamp) time.Duration {
 }
 
 // maybeRefreshTracker pulls fresh replica statuses from the collector into
-// the ROR tracker, rate-limited to cfg.TrackerRefresh.
+// the ROR tracker, rate-limited to trackerRefresh.
 func (c *CN) maybeRefreshTracker() {
 	c.trackerMu.Lock()
-	if time.Since(c.lastRefresh) < c.cfg.TrackerRefresh {
+	if time.Since(c.lastRefresh) < trackerRefresh {
 		c.trackerMu.Unlock()
 		return
 	}

@@ -1,8 +1,21 @@
 package coordinator
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
+	"time"
+
+	"globaldb/internal/clock"
+	"globaldb/internal/datanode"
+	"globaldb/internal/netsim"
+	"globaldb/internal/rcp"
+	"globaldb/internal/repl"
+	"globaldb/internal/ror"
+	"globaldb/internal/table"
+	"globaldb/internal/ts"
+	"globaldb/internal/tso"
 )
 
 func TestRoutingSetAndGet(t *testing.T) {
@@ -83,9 +96,41 @@ func TestStatsZeroValue(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigSane(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.TrackerRefresh <= 0 || cfg.GTMRatePerSec <= 0 {
-		t.Fatalf("defaults: %+v", cfg)
+// TestCanceledReplicaGetBlamesNoNode: a replica point read whose context is
+// already dead says nothing about the replica. Get returns the context's
+// error, leaves the replica healthy in the tracker and does not retry the
+// primary on the same dead context — the rule the scan path keeps.
+func TestCanceledReplicaGetBlamesNoNode(t *testing.T) {
+	net := netsim.New(netsim.Config{TimeScale: 0.02})
+	net.AddRegion("east")
+	p := datanode.NewPrimary(net, "dn0", "east", 0, repl.Async, 1)
+	rep := datanode.NewReplica(net, "dn0r0", "east", 0)
+	routing := NewRouting(1)
+	routing.SetPrimary(0, p.ID())
+	routing.AddReplica(0, rep.ID())
+	client := datanode.NewClient(net, "east")
+	oracle := tso.New("cn-east", clock.NewNode(clock.DefaultNodeConfig(), clock.Real(), clock.NewDevice("east", clock.Real())), nil)
+	oracle.SetMode(ts.ModeGClock)
+	cn := New(oracle.Name(), "east", 1, client, oracle, routing, table.NewCatalog())
+	cn.SetCollector(rcp.NewCollector(rcp.Config{}, client, rcp.Topology{}, nil))
+	tr := ror.NewTracker()
+	tr.AddNode(0, p.ID(), "east", true, 10*time.Millisecond)
+	tr.AddNode(0, rep.ID(), "east", false, time.Millisecond)
+	cn.SetTracker(tr)
+
+	q := &ROTxn{cn: cn, snap: 1, bound: time.Hour, replicaMode: true}
+	if node, replica, err := q.pick(0); err != nil || !replica || node != rep.ID() {
+		t.Fatalf("pick = %s %v %v, want the replica", node, replica, err)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	if _, _, err := q.Get(ctx, 0, []byte("k")); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Get on a canceled context: %v, want context.Canceled", err)
+	}
+	if cand, ok := tr.Node(rep.ID()); !ok || !cand.Healthy {
+		t.Fatalf("replica %+v marked failed by a canceled read", cand)
+	}
+	if st := cn.Stats(); st.PrimaryReads != 0 {
+		t.Fatalf("%d primary reads: a canceled read was retried on the primary", st.PrimaryReads)
 	}
 }

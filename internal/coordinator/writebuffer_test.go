@@ -69,7 +69,7 @@ func (r *geoRig) cn(t *testing.T, region string) *CN {
 	t.Helper()
 	r.seq++
 	oracle := r.gclockOracle("cn-"+region, gtm.NewClient(r.net, region))
-	cn := New(DefaultConfig(), oracle.Name(), region, r.seq, datanode.NewClient(r.net, region), oracle, r.routing, table.NewCatalog())
+	cn := New(oracle.Name(), region, r.seq, datanode.NewClient(r.net, region), oracle, r.routing, table.NewCatalog())
 	tr := ror.NewTracker()
 	for shard, p := range r.primaries {
 		oneWay, err := r.net.OneWay(region, p.Region(), 0)

@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -297,9 +296,10 @@ type Primary struct {
 	log   *redo.Log
 	mgr   *repl.Manager
 
-	// walW, when set by AttachWAL, makes commit and prepare acks durable:
-	// the handler parks on the writer's group-commit watermark before
-	// responding. Atomic because AttachWAL may race in-flight requests.
+	// walW, when set by AttachWAL, receives every redo append under the
+	// same hold of mu that appends it to log, and makes commit and prepare
+	// acks durable: the handler parks on the writer's group-commit watermark
+	// before responding. Atomic because those waits load it outside mu.
 	walW atomic.Pointer[wal.Writer]
 
 	// oracle, when set by SetOracle, issues ThenCommit's timestamps from
@@ -354,6 +354,23 @@ func (p *Primary) resolveTxn(txn uint64, committed bool, commitTS ts.Timestamp) 
 	p.tmu.Unlock()
 }
 
+// appendLocked is every redo append of the request path: it appends recs to
+// the log and, with a WAL attached, writes them to the WAL as well — both
+// under the caller's hold of p.mu, so the WAL holds exactly the log's
+// records, and a record is in the WAL file the moment it is in the log. It
+// returns the LSN of the last record. A WAL write error is fail-stop: it
+// returns to this request, and the writer fails every durability wait from
+// then on, so the primary acknowledges nothing after a lost write.
+func (p *Primary) appendLocked(recs ...redo.Record) (uint64, error) {
+	lsn := p.log.AppendBatch(recs)
+	if w := p.walW.Load(); w != nil {
+		if err := w.Append(recs); err != nil {
+			return lsn, err
+		}
+	}
+	return lsn, nil
+}
+
 // waitWAL parks until lsn is durable, when a WAL is attached.
 func (p *Primary) waitWAL(ctx context.Context, lsn uint64) error {
 	if w := p.walW.Load(); w != nil && lsn > 0 {
@@ -393,31 +410,45 @@ func NewPrimaryFromStore(n *netsim.Network, id, region string, shard int, store 
 	return p
 }
 
-// AttachWAL starts archiving this primary's redo log to an on-disk WAL in
-// dir, giving the node crash durability (GaussDB's XLOG). Returns a closer
-// that drains and closes the WAL.
-func (p *Primary) AttachWAL(dir string) (io.Closer, error) {
-	return p.AttachWALOptions(wal.Options{Dir: dir}, 0)
-}
-
-// AttachWALOptions attaches a WAL with explicit writer options and archive
-// batch size (0 = default). Once attached, commit and prepare acks wait for
-// WAL durability — under wal.SyncGroup that wait is what group commit
-// coalesces. The returned archiver's Close drains and closes the WAL.
-func (p *Primary) AttachWALOptions(opts wal.Options, archiveBatch int) (*wal.Archiver, error) {
+// AttachWAL opens a WAL with opts and makes it this primary's durability
+// layer (GaussDB's XLOG): from then on every redo append writes the WAL in
+// the same hold of the node mutex that writes the log, and commit and
+// prepare acks wait for WAL durability — under wal.SyncGroup that wait is
+// what group commit coalesces. Records the log holds beyond the WAL's end are
+// written first, under that hold, so the WAL is attached before any later
+// ack. It refuses a WAL that ends where the log no longer reaches: truncated
+// past its next LSN, or short of it. Closing the returned writer ends
+// durability; every append after that fails.
+func (p *Primary) AttachWAL(opts wal.Options) (*wal.Writer, error) {
 	w, err := wal.Open(opts)
 	if err != nil {
 		return nil, err
 	}
-	p.attachWriter(w)
-	return wal.NewArchiverBatched(p.log, w, archiveBatch), nil
+	p.mu.Lock()
+	err = p.appendBacklogLocked(w)
+	if err == nil {
+		p.walW.Store(w)
+	}
+	p.mu.Unlock()
+	if err != nil {
+		w.Close()
+		return nil, err
+	}
+	return w, nil
 }
 
-// attachWriter makes w the WAL that acks wait on, and holds redo truncation
-// back to what the archiver feeding it has yet to read from the log.
-func (p *Primary) attachWriter(w *wal.Writer) {
-	p.walW.Store(w)
-	p.mgr.AddTailer(w.NextLSN)
+// appendBacklogLocked writes to w the log's records from w's next LSN on.
+// Caller holds p.mu.
+func (p *Primary) appendBacklogLocked(w *wal.Writer) error {
+	next := w.NextLSN()
+	if last := p.log.LastLSN(); next > last+1 {
+		return fmt.Errorf("datanode: WAL continues at LSN %d, past the log's last %d", next, last)
+	}
+	backlog, err := p.log.ReadFrom(next, 0)
+	if err != nil {
+		return fmt.Errorf("datanode: attach WAL: %w", err)
+	}
+	return w.Append(backlog)
 }
 
 // WAL exposes the attached WAL writer (nil when none), for commit-path
@@ -436,22 +467,16 @@ func (p *Primary) SetOracle(o *tso.Oracle) { p.oracle.Store(o) }
 // Oracle returns the oracle set by SetOracle, or nil.
 func (p *Primary) Oracle() *tso.Oracle { return p.oracle.Load() }
 
-// RecoverPrimary rebuilds a crashed primary from its WAL directory: the
-// surviving redo stream is replayed into a fresh store (the same replay
-// path replicas use), the in-memory log is re-seeded with identical LSNs so
-// replica shippers resume where they left off, and archiving continues into
-// the same directory. The returned closer stops the WAL.
-func RecoverPrimary(n *netsim.Network, id, region string, shard int, dir string, mode repl.Mode, quorum int) (*Primary, io.Closer, error) {
-	return RecoverPrimaryOptions(n, id, region, shard, wal.Options{Dir: dir}, mode, quorum, 0)
-}
-
-// RecoverPrimaryOptions is RecoverPrimary with explicit WAL writer options
-// and archive batch size. Besides replaying the store, it rebuilds the 2PC
-// bookkeeping: prepare records whose resolution never made it to the WAL
-// re-enter the in-doubt set (with the anchor logged at prepare time), and
-// resolved decisions re-enter the outcome cache so other recovering
-// participants can query them.
-func RecoverPrimaryOptions(n *netsim.Network, id, region string, shard int, opts wal.Options, mode repl.Mode, quorum int, archiveBatch int) (*Primary, *wal.Archiver, error) {
+// RecoverPrimary rebuilds a crashed primary from the WAL in opts.Dir: the
+// surviving redo stream is replayed into a fresh store (the same replay path
+// replicas use), the in-memory log is re-seeded with identical LSNs so
+// replica shippers resume where they left off, and the WAL, reopened with
+// opts, takes the primary's appends from there. Besides the store it
+// rebuilds the 2PC bookkeeping: prepare records whose resolution never made
+// it to the WAL re-enter the in-doubt set (with the anchor logged at prepare
+// time), and resolved decisions re-enter the outcome cache so other
+// recovering participants can query them.
+func RecoverPrimary(n *netsim.Network, id, region string, shard int, opts wal.Options, mode repl.Mode, quorum int) (*Primary, *wal.Writer, error) {
 	recs, err := wal.Recover(opts.Dir)
 	if err != nil {
 		return nil, nil, err
@@ -473,16 +498,21 @@ func RecoverPrimaryOptions(n *netsim.Network, id, region string, shard int, opts
 		}
 	}
 	// A fresh log assigns LSNs from 1; re-appending the recovered records
-	// reproduces their original contiguous LSNs.
-	p.log.AppendBatch(recs)
-	p.mgr = repl.NewManager(p.log, mode, quorum)
-	p.ep = n.Register(id, region, p.handle)
-	w, err := wal.Open(opts)
+	// reproduces their original contiguous LSNs. With no WAL attached yet,
+	// this writes the log only.
+	p.mu.Lock()
+	_, err = p.appendLocked(recs...)
+	p.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}
-	p.attachWriter(w)
-	return p, wal.NewArchiverBatched(p.log, w, archiveBatch), nil
+	p.mgr = repl.NewManager(p.log, mode, quorum)
+	w, err := p.AttachWAL(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	p.ep = n.Register(id, region, p.handle)
+	return p, w, nil
 }
 
 // ID returns the node's endpoint name.
@@ -540,13 +570,7 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 		}
 		return netsim.Message{Payload: GenericResp{}, Size: 8}, nil
 	case AbortReq:
-		p.mu.Lock()
-		err := p.store.Abort(mvcc.TxnID(req.Txn))
-		if err == nil {
-			p.log.Append(redo.Record{Type: redo.TypeAbort, Txn: req.Txn})
-		}
-		p.mu.Unlock()
-		if err != nil && !errors.Is(err, mvcc.ErrTxnNotFound) {
+		if err := p.abort(req.Txn, redo.TypeAbort); err != nil {
 			return netsim.Message{}, err
 		}
 		return netsim.Message{Payload: GenericResp{}, Size: 8}, nil
@@ -556,13 +580,7 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 		}
 		return netsim.Message{Payload: GenericResp{}, Size: 8}, nil
 	case AbortPreparedReq:
-		p.mu.Lock()
-		err := p.store.Abort(mvcc.TxnID(req.Txn))
-		if err == nil {
-			p.log.Append(redo.Record{Type: redo.TypeAbortPrepared, Txn: req.Txn})
-		}
-		p.mu.Unlock()
-		if err != nil && !errors.Is(err, mvcc.ErrTxnNotFound) {
+		if err := p.abort(req.Txn, redo.TypeAbortPrepared); err != nil {
 			return netsim.Message{}, err
 		}
 		p.resolveTxn(req.Txn, false, 0)
@@ -584,17 +602,9 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 		p.tmu.Unlock()
 		return netsim.Message{Payload: InDoubtResp{Txns: txns}, Size: 16 + 24*len(txns)}, nil
 	case HeartbeatReq:
-		p.mu.Lock()
-		p.log.Append(redo.Record{Type: redo.TypeHeartbeat, TS: req.TS})
-		p.store.AdvanceCommitWatermark(req.TS)
-		p.mu.Unlock()
-		return netsim.Message{Payload: GenericResp{}, Size: 8}, nil
+		return p.logWatermark(redo.Record{Type: redo.TypeHeartbeat, TS: req.TS})
 	case DDLReq:
-		p.mu.Lock()
-		p.log.Append(redo.Record{Type: redo.TypeDDL, Txn: req.Table, TS: req.TS, Value: req.Schema})
-		p.store.AdvanceCommitWatermark(req.TS)
-		p.mu.Unlock()
-		return netsim.Message{Payload: GenericResp{}, Size: 8}, nil
+		return p.logWatermark(redo.Record{Type: redo.TypeDDL, Txn: req.Table, TS: req.TS, Value: req.Schema})
 	default:
 		return netsim.Message{}, fmt.Errorf("%w: %T", ErrBadRequest, m.Payload)
 	}
@@ -653,7 +663,10 @@ func (p *Primary) execWrite(ctx context.Context, req WriteReq) (WriteResp, error
 	}
 	var lsn uint64
 	if len(recs) > 0 {
-		lsn = p.log.AppendBatch(recs)
+		var werr error
+		if lsn, werr = p.appendLocked(recs...); err == nil {
+			err = werr
+		}
 	}
 	p.mu.Unlock()
 	switch {
@@ -672,6 +685,35 @@ func (p *Primary) execWrite(ctx context.Context, req WriteReq) (WriteResp, error
 	return resp, nil
 }
 
+// abort rolls txn back and logs typ (ABORT or ABORT PREPARED). A transaction
+// the store does not know is already gone: nothing is logged, and the abort
+// succeeds.
+func (p *Primary) abort(txn uint64, typ redo.Type) error {
+	p.mu.Lock()
+	err := p.store.Abort(mvcc.TxnID(txn))
+	if err == nil {
+		_, err = p.appendLocked(redo.Record{Type: typ, Txn: txn})
+	}
+	p.mu.Unlock()
+	if errors.Is(err, mvcc.ErrTxnNotFound) {
+		return nil
+	}
+	return err
+}
+
+// logWatermark logs a heartbeat or DDL record and advances the commit
+// watermark to its timestamp, in one hold of p.mu.
+func (p *Primary) logWatermark(r redo.Record) (netsim.Message, error) {
+	p.mu.Lock()
+	_, err := p.appendLocked(r)
+	p.store.AdvanceCommitWatermark(r.TS)
+	p.mu.Unlock()
+	if err != nil {
+		return netsim.Message{}, err
+	}
+	return netsim.Message{Payload: GenericResp{}, Size: 8}, nil
+}
+
 // commit applies the commit and, under synchronous replication (cluster
 // mode or per-table sync), waits for the quorum before returning
 // (Sec. II-A).
@@ -680,7 +722,7 @@ func (p *Primary) commit(ctx context.Context, txn uint64, commitTS ts.Timestamp,
 	err := p.store.Commit(mvcc.TxnID(txn), commitTS)
 	var lsn uint64
 	if err == nil {
-		lsn = p.log.Append(redo.Record{Type: typ, Txn: txn, TS: commitTS})
+		lsn, err = p.appendLocked(redo.Record{Type: typ, Txn: txn, TS: commitTS})
 	}
 	p.mu.Unlock()
 	if err != nil {

@@ -137,7 +137,7 @@ func TestFusedPrepareAckIsDurable(t *testing.T) {
 	n := netsim.New(netsim.Config{TimeScale: 0.2})
 	n.SetLink("east", "west", 2*time.Millisecond, 0)
 	p := NewPrimary(n, "dn0", "east", 0, repl.Async, 1)
-	arch, err := p.AttachWALOptions(wal.Options{Dir: dir, Sync: wal.SyncGroup}, 0)
+	w, err := p.AttachWAL(wal.Options{Dir: dir, Sync: wal.SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,15 +146,15 @@ func TestFusedPrepareAckIsDurable(t *testing.T) {
 	if err := c.WriteThen(bg, "dn0", 7, ts.Max, ops, ThenPrepare, "dn-anchor"); err != nil {
 		t.Fatal(err)
 	}
-	if err := arch.Kill(); err != nil { // crash right after the ack
+	if err := w.Close(); err != nil { // crash right after the ack
 		t.Fatal(err)
 	}
 	p.Endpoint().SetDown(true)
 
 	n2 := netsim.New(netsim.Config{TimeScale: 0.2})
 	n2.SetLink("east", "west", 2*time.Millisecond, 0)
-	p2, closer, err := RecoverPrimaryOptions(n2, "dn0", "east", 0,
-		wal.Options{Dir: dir, Sync: wal.SyncGroup}, repl.Async, 1, 0)
+	p2, closer, err := RecoverPrimary(n2, "dn0", "east", 0,
+		wal.Options{Dir: dir, Sync: wal.SyncGroup}, repl.Async, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,8 +321,7 @@ func TestThenCommitConflictLeavesTxnUnmarked(t *testing.T) {
 	}
 }
 
-// TestThenCommitAckIsDurable: an acked ThenCommit survives a crash that does
-// not drain the archiver; and a WAL whose tail was cut after the PENDING
+// TestThenCommitAckIsDurable: an acked ThenCommit survives a crash; and a WAL whose tail was cut after the PENDING
 // COMMIT record — the crash that today falls between the two messages —
 // recovers the transaction pending and unresolved, exactly as a crash after
 // separate Write and Pending messages does.
@@ -336,12 +335,12 @@ func TestThenCommitAckIsDurable(t *testing.T) {
 		n.AddRegion("east")
 		p := NewPrimary(n, "dn0", "east", 0, repl.Async, 1)
 		p.SetOracle(gclockOracle("dn0", clock.Real()))
-		arch, err := p.AttachWALOptions(wal.Options{Dir: dir, Sync: wal.SyncGroup}, 0)
+		w, err := p.AttachWAL(wal.Options{Dir: dir, Sync: wal.SyncGroup})
 		if err != nil {
 			t.Fatal(err)
 		}
 		commitTS := write(t, p, NewClient(n, "east"))
-		if err := arch.Kill(); err != nil { // crash right after the ack
+		if err := w.Close(); err != nil { // crash right after the ack
 			t.Fatal(err)
 		}
 		p.Endpoint().SetDown(true)
@@ -359,8 +358,8 @@ func TestThenCommitAckIsDurable(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		p2, closer, err := RecoverPrimaryOptions(netsim.New(netsim.Config{TimeScale: 0.2}), "dn0", "east", 0,
-			wal.Options{Dir: dir, Sync: wal.SyncGroup}, repl.Async, 1, 0)
+		p2, closer, err := RecoverPrimary(netsim.New(netsim.Config{TimeScale: 0.2}), "dn0", "east", 0,
+			wal.Options{Dir: dir, Sync: wal.SyncGroup}, repl.Async, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,8 +396,8 @@ func TestThenCommitAckIsDurable(t *testing.T) {
 			if err := c.Pending(bg, "dn0", 7); err != nil {
 				t.Fatal(err)
 			}
-			// Pending's ack promises no durability; let the records reach the
-			// WAL so the crash happens after them, not before.
+			// Pending's ack promises no durability; wait for the records to be
+			// durable so the crash happens after them, not before.
 			if err := p.WAL().WaitDurable(bg, p.Log().LastLSN()); err != nil {
 				t.Fatal(err)
 			}

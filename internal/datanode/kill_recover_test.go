@@ -2,7 +2,10 @@ package datanode
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -15,20 +18,20 @@ import (
 )
 
 // TestKillAndRecoverAckedCommitsDurable is the group-commit durability
-// contract end to end: commits acked under wal.SyncGroup must survive a
-// crash that does NOT drain the archiver (Archiver.Kill). Concurrent
-// committers hammer one primary; every ack the client observed must be
-// visible after WAL replay.
+// contract end to end: commits acked under wal.SyncGroup must survive the
+// primary's crash, here the close of its WAL writer right after the last
+// ack. Concurrent committers hammer one primary; every ack the client
+// observed must be visible after WAL replay.
 func TestKillAndRecoverAckedCommitsDurable(t *testing.T) {
 	dir := t.TempDir()
 	n := netsim.New(netsim.Config{TimeScale: 0.2})
 	n.SetLink("east", "west", 2*time.Millisecond, 0)
 	p := NewPrimary(n, "dn0", "east", 0, repl.Async, 1)
-	arch, err := p.AttachWALOptions(wal.Options{
+	w, err := p.AttachWAL(wal.Options{
 		Dir:    dir,
 		Sync:   wal.SyncGroup,
 		Linger: 200 * time.Microsecond,
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +75,14 @@ func TestKillAndRecoverAckedCommitsDurable(t *testing.T) {
 	if st.Fsyncs >= int64(committers*rounds) {
 		t.Fatalf("fsyncs=%d for %d commits: group commit not coalescing", st.Fsyncs, committers*rounds)
 	}
-	if err := arch.Kill(); err != nil { // crash: no drain, no final sync
+	if err := w.Close(); err != nil { // crash
 		t.Fatal(err)
 	}
 	p.Endpoint().SetDown(true)
 
 	n2 := netsim.New(netsim.Config{TimeScale: 0.2})
-	p2, closer2, err := RecoverPrimaryOptions(n2, "dn0", "east", 0,
-		wal.Options{Dir: dir, Sync: wal.SyncGroup}, repl.Async, 1, 0)
+	p2, closer2, err := RecoverPrimary(n2, "dn0", "east", 0,
+		wal.Options{Dir: dir, Sync: wal.SyncGroup}, repl.Async, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func TestRecoverRebuildsInDoubtState(t *testing.T) {
 	n := netsim.New(netsim.Config{TimeScale: 0.2})
 	n.SetLink("east", "west", 2*time.Millisecond, 0)
 	p := NewPrimary(n, "dn0", "east", 0, repl.Async, 1)
-	arch, err := p.AttachWALOptions(wal.Options{Dir: dir, Sync: wal.SyncGroup}, 0)
+	w, err := p.AttachWAL(wal.Options{Dir: dir, Sync: wal.SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +133,15 @@ func TestRecoverRebuildsInDoubtState(t *testing.T) {
 	if err := c.Prepare(bg, "dn0", 2, "dn-anchor"); err != nil {
 		t.Fatal(err)
 	}
-	if err := arch.Kill(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	p.Endpoint().SetDown(true)
 
 	n2 := netsim.New(netsim.Config{TimeScale: 0.2})
 	n2.SetLink("east", "west", 2*time.Millisecond, 0)
-	_, closer2, err := RecoverPrimaryOptions(n2, "dn0", "east", 0,
-		wal.Options{Dir: dir, Sync: wal.SyncGroup}, repl.Async, 1, 0)
+	_, closer2, err := RecoverPrimary(n2, "dn0", "east", 0,
+		wal.Options{Dir: dir, Sync: wal.SyncGroup}, repl.Async, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,23 +166,23 @@ func TestRecoverRebuildsInDoubtState(t *testing.T) {
 	}
 }
 
-// TestTruncationWaitsForWALArchiver: redo truncation must not outrun the WAL
-// archiver, which tails the same in-memory log as the shippers. A replica in
-// the primary's own region acknowledges at once while a slowed device sync
-// holds the archiver back, heartbeats (which no ack waits for) keep the log
-// running ahead of it, and a truncation round runs every millisecond. With
-// only the shippers consulted the archiver's next read finds its records
-// gone, which is terminal, and durability ends without a sound.
-func TestTruncationWaitsForWALArchiver(t *testing.T) {
+// TestTruncationKeepsAckedCommitsInWAL: every acked commit is in the
+// recovered WAL while redo truncation runs every millisecond. A replica in
+// the primary's own region acknowledges at once, so truncation follows the
+// log's head closely, while a slowed device sync makes every append slow and
+// heartbeats (which no ack waits for) keep the log moving. Truncation drops
+// records only from the in-memory log: each was written to the WAL when it
+// was appended.
+func TestTruncationKeepsAckedCommitsInWAL(t *testing.T) {
 	dir := t.TempDir()
 	n := netsim.New(netsim.Config{TimeScale: 0.2})
 	n.AddRegion("east")
 	p := NewPrimary(n, "dn0", "east", 0, repl.Async, 1)
-	arch, err := p.AttachWALOptions(wal.Options{
+	w, err := p.AttachWAL(wal.Options{
 		Dir:        dir,
 		Sync:       wal.SyncEveryBatch,
 		FsyncDelay: 2 * time.Millisecond,
-	}, 16)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +242,7 @@ func TestTruncationWaitsForWALArchiver(t *testing.T) {
 					return
 				}
 				if err := c.Commit(ctx, "dn0", txn, commitTS, false); err != nil {
-					t.Errorf("commit (archiver error: %v): %v", arch.Err(), err)
+					t.Errorf("commit: %v", err)
 					return
 				}
 				mu.Lock()
@@ -251,13 +254,10 @@ func TestTruncationWaitsForWALArchiver(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	bgWork.Wait()
-	if err := arch.Err(); err != nil {
-		t.Fatalf("archiver stopped: %v", err)
-	}
 	if p.Log().Retained() >= int(p.Log().LastLSN()) {
 		t.Fatalf("nothing was truncated: %d of %d records retained", p.Log().Retained(), p.Log().LastLSN())
 	}
-	if err := arch.Kill(); err != nil { // crash: no drain
+	if err := w.Close(); err != nil { // crash
 		t.Fatal(err)
 	}
 	p.Endpoint().SetDown(true)
@@ -276,5 +276,113 @@ func TestTruncationWaitsForWALArchiver(t *testing.T) {
 		if !committed[a.ts] {
 			t.Fatalf("acked commit of %s at %v is not in the recovered WAL", a.key, a.ts)
 		}
+	}
+}
+
+// TestFailedWALAppendAcksNothingAfter: a WAL write error is fail-stop. The
+// request whose append failed gets the error, and so does every later
+// commit on that primary — promptly, not at its deadline — while a commit
+// acked before the failure stays acked. The write fails because a directory
+// sits where the next segment file must be created.
+func TestFailedWALAppendAcksNothingAfter(t *testing.T) {
+	dir := t.TempDir()
+	n := netsim.New(netsim.Config{TimeScale: 0.2})
+	n.AddRegion("east")
+	p := NewPrimary(n, "dn0", "east", 0, repl.Async, 1)
+	// A one-byte segment limit makes every append open a new segment.
+	w, err := p.AttachWAL(wal.Options{Dir: dir, Sync: wal.SyncGroup, SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	c := NewClient(n, "east")
+	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+	defer cancel()
+	put := func(txn uint64) error {
+		return c.Write(ctx, "dn0", txn, ts.Max, []WriteOp{{Key: []byte(fmt.Sprint("k", txn)), Value: []byte("v")}})
+	}
+	if err := put(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Commit(ctx, "dn0", 1, 100, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := put(2); err != nil {
+		t.Fatal(err)
+	}
+	// Segment files are named after their first LSN (wal.Segments).
+	next := fmt.Sprintf("wal-%020d.log", p.Log().LastLSN()+1)
+	if err := os.Mkdir(filepath.Join(dir, next), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Commit(ctx, "dn0", 2, 200, false); err == nil {
+		t.Fatal("the commit whose WAL append failed was acked")
+	}
+	if err := w.WaitDurable(ctx, p.Log().LastLSN()); err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("durability wait past the lost write: %v, want the write error", err)
+	}
+	if err := put(3); err == nil {
+		t.Fatal("a write after the lost one was acked")
+	}
+	if err := c.Commit(ctx, "dn0", 3, 300, false); err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("commit after the lost write: %v, want the write error", err)
+	}
+	if err := w.WaitDurable(ctx, 2); err != nil {
+		t.Fatalf("the commit acked before the failure: %v", err)
+	}
+}
+
+// TestAttachWALWritesBacklogFirst: a WAL attached to a primary that has
+// already logged records starts with that backlog, so the WAL holds the log
+// from LSN 1; a WAL whose next LSN the log no longer holds, or has not
+// reached, is refused.
+func TestAttachWALWritesBacklogFirst(t *testing.T) {
+	n := netsim.New(netsim.Config{TimeScale: 0.2})
+	n.AddRegion("east")
+	p := NewPrimary(n, "dn0", "east", 0, repl.Async, 1)
+	c := NewClient(n, "east")
+	runTxns(t, c, "dn0", 5, 1, 100)
+	backlog := p.Log().LastLSN()
+
+	dir := t.TempDir()
+	w, err := p.AttachWAL(wal.Options{Dir: dir, Sync: wal.SyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.NextLSN() != backlog+1 {
+		t.Fatalf("WAL continues at %d after attach, want %d", w.NextLSN(), backlog+1)
+	}
+	runTxns(t, c, "dn0", 5, 10, 200)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged, err := p.Log().ReadFrom(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(logged) || len(recs) <= int(backlog) {
+		t.Fatalf("WAL holds %d records, the log %d", len(recs), len(logged))
+	}
+	for i, r := range recs {
+		if r.LSN != logged[i].LSN || r.Type != logged[i].Type || r.Txn != logged[i].Txn || r.TS != logged[i].TS {
+			t.Fatalf("WAL record %v, log record %v", r, logged[i])
+		}
+	}
+
+	// The log of a second primary, truncated past LSN 1, no longer holds
+	// what a fresh WAL needs; the first primary's WAL runs past the second's
+	// log.
+	q := NewPrimary(n, "dn1", "east", 1, repl.Async, 1)
+	runTxns(t, c, "dn1", 2, 1, 100)
+	q.Log().Truncate(3)
+	if _, err := q.AttachWAL(wal.Options{Dir: t.TempDir()}); err == nil {
+		t.Fatal("attached a WAL that misses the truncated records")
+	}
+	if _, err := q.AttachWAL(wal.Options{Dir: dir}); err == nil {
+		t.Fatal("attached a WAL that ends past the log")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"globaldb/internal/netsim"
 	"globaldb/internal/repl"
 	"globaldb/internal/ts"
+	"globaldb/internal/wal"
 )
 
 // runTxns pushes n committed single-shard transactions through the client.
@@ -36,14 +37,14 @@ func TestPrimaryCrashRecoveryFromWAL(t *testing.T) {
 	n := netsim.New(netsim.Config{TimeScale: 0.2})
 	n.SetLink("east", "west", 10*time.Millisecond, 0)
 	p := NewPrimary(n, "dn0", "east", 0, repl.Async, 1)
-	closer, err := p.AttachWAL(dir)
+	w, err := p.AttachWAL(wal.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewClient(n, "east")
 	runTxns(t, c, "dn0", 50, 1, 1000)
 	before := p.Store().LastCommitTS()
-	if err := closer.Close(); err != nil { // drain + "crash"
+	if err := w.Close(); err != nil { // "crash"
 		t.Fatal(err)
 	}
 	p.Endpoint().SetDown(true) // the crashed node stops answering
@@ -51,7 +52,7 @@ func TestPrimaryCrashRecoveryFromWAL(t *testing.T) {
 	// Recover into a new node on a fresh network.
 	n2 := netsim.New(netsim.Config{TimeScale: 0.2})
 	n2.SetLink("east", "west", 10*time.Millisecond, 0)
-	p2, closer2, err := RecoverPrimary(n2, "dn0", "east", 0, dir, repl.Async, 1)
+	p2, closer2, err := RecoverPrimary(n2, "dn0", "east", 0, wal.Options{Dir: dir}, repl.Async, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +81,13 @@ func TestRecoveredPrimaryServesReplicas(t *testing.T) {
 	n := netsim.New(netsim.Config{TimeScale: 0.2})
 	n.SetLink("east", "west", 10*time.Millisecond, 0)
 	p := NewPrimary(n, "dn0", "east", 0, repl.Async, 1)
-	closer, err := p.AttachWAL(dir)
+	w, err := p.AttachWAL(wal.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewClient(n, "east")
 	runTxns(t, c, "dn0", 20, 1, 500)
-	if err := closer.Close(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -94,7 +95,7 @@ func TestRecoveredPrimaryServesReplicas(t *testing.T) {
 	// re-seeded log must ship the full history from LSN 1.
 	n2 := netsim.New(netsim.Config{TimeScale: 0.2})
 	n2.SetLink("east", "west", 10*time.Millisecond, 0)
-	p2, closer2, err := RecoverPrimary(n2, "dn0", "east", 0, dir, repl.Async, 1)
+	p2, closer2, err := RecoverPrimary(n2, "dn0", "east", 0, wal.Options{Dir: dir}, repl.Async, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,24 +114,26 @@ func TestRecoveredPrimaryServesReplicas(t *testing.T) {
 	}
 }
 
-func TestWALArchiverKeepsUpUnderLoad(t *testing.T) {
+// TestWALHoldsEveryRecordUnderLoad: after a run of commits, the WAL holds
+// every record the log appended.
+func TestWALHoldsEveryRecordUnderLoad(t *testing.T) {
 	dir := t.TempDir()
 	n := netsim.New(netsim.Config{TimeScale: 0.2})
 	n.SetLink("east", "west", 10*time.Millisecond, 0)
 	p := NewPrimary(n, "dn0", "east", 0, repl.Async, 1)
-	closer, err := p.AttachWAL(dir)
+	w, err := p.AttachWAL(wal.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewClient(n, "east")
 	runTxns(t, c, "dn0", 200, 1, 100)
-	if err := closer.Close(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Every appended record must be durable after Close.
+	// Every appended record is in the WAL.
 	n2 := netsim.New(netsim.Config{TimeScale: 0.2})
 	n2.SetLink("east", "west", 10*time.Millisecond, 0)
-	p2, closer2, err := RecoverPrimary(n2, "dn0", "east", 0, dir, repl.Async, 1)
+	p2, closer2, err := RecoverPrimary(n2, "dn0", "east", 0, wal.Options{Dir: dir}, repl.Async, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,10 +232,10 @@ func (w *Writer) groupSync() (released int, synced bool, err error) {
 		return 0, false, nil
 	}
 	if !w.waiterCovered(upTo) {
-		// Nobody needs these records durable yet: either no one is parked, or
-		// every waiter's record is still on its way here (the archiver
-		// appends behind the committer's wait). WaitDurable kicks after
-		// parking and every append kicks, so skipping cannot strand a commit.
+		// Nobody needs these records durable yet: no one is parked, or every
+		// waiter parked on a record appended after upTo was read. WaitDurable
+		// kicks after parking, and an append kicks while anyone is parked, so
+		// skipping cannot strand a commit.
 		return 0, false, nil
 	}
 	if err := w.fsyncTimed(f); err != nil {
@@ -319,8 +319,8 @@ func (w *Writer) AppendAssign(recs []redo.Record) (uint64, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return 0, ErrClosed
+	if err := w.appendableLocked(); err != nil {
+		return 0, err
 	}
 	for i := range recs {
 		recs[i].LSN = w.nextLSN + uint64(i)

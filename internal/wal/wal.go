@@ -2,11 +2,15 @@
 // GaussDB's XLOG durability layer. The in-memory redo.Log remains the
 // replication source of truth; the WAL makes the stream durable so a
 // primary can crash-recover by replaying it (the same replay path replicas
-// use, Sec. II-A). Commit durability is batch-native: under the SyncGroup
-// policy a committer goroutine coalesces concurrent appenders' fsyncs into
-// group commits (group.go), and callers observe durability through a
-// monotone watermark (DurableLSN / WaitDurable) rather than per-append
-// fsync returns.
+// use, Sec. II-A). As in XLOG, the request that produces records writes
+// them itself — a primary appends to its WAL under the same hold of its
+// mutex that appends them to its log — and only the flush is shared: under
+// the SyncGroup policy a committer goroutine coalesces concurrent
+// appenders' fsyncs into group commits (group.go), and callers observe
+// durability through a monotone watermark (DurableLSN / WaitDurable) rather
+// than per-append fsync returns. A failed write or fsync is fail-stop: the
+// writer refuses every later append and fails every durability wait it has
+// not already met.
 //
 // Layout: a directory of segment files named wal-<startLSN>.log, each a
 // concatenation of the redo package's length-prefixed, CRC32C-protected
@@ -194,8 +198,8 @@ func (w *Writer) Append(recs []redo.Record) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
+	if err := w.appendableLocked(); err != nil {
+		return err
 	}
 	for i, r := range recs {
 		if r.LSN != w.nextLSN+uint64(i) {
@@ -205,9 +209,27 @@ func (w *Writer) Append(recs []redo.Record) error {
 	return w.writeLocked(recs)
 }
 
+// appendableLocked reports why the writer takes no more appends: it was
+// closed, or an earlier write or fsync failed. Caller holds w.mu.
+func (w *Writer) appendableLocked() error {
+	if w.closed {
+		return ErrClosed
+	}
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	return w.werr
+}
+
 // writeLocked frames and writes a contiguous, validated batch, then applies
-// the sync policy. Caller holds w.mu.
-func (w *Writer) writeLocked(recs []redo.Record) error {
+// the sync policy. An error is terminal: the writer fails its waiters and
+// every later append with it, so nothing after a lost record is ever
+// reported durable. Caller holds w.mu.
+func (w *Writer) writeLocked(recs []redo.Record) (err error) {
+	defer func() {
+		if err != nil {
+			w.failWaiters(err)
+		}
+	}()
 	if w.file == nil || w.size >= w.opts.SegmentBytes {
 		if err := w.rotateLocked(recs[0].LSN); err != nil {
 			return err
@@ -232,12 +254,13 @@ func (w *Writer) writeLocked(recs []redo.Record) error {
 		// callers do not park forever on a policy that never syncs.
 		w.advanceDurable(last)
 	case SyncGroup:
-		// The kick wakes the syncer, but fsyncs are demand-driven: the
-		// syncer skips groups with no parked WaitDurable caller, so
-		// intent-only appends cost no fsync of their own. The kick still
-		// matters for waiters parked on an LSN this append just produced
-		// (the archiver appends behind the committer's wait).
-		w.kickSyncer()
+		// Fsyncs are demand-driven: a committer kicks the syncer when it
+		// parks in WaitDurable, so an append wakes it only for committers
+		// already parked — one may wait on an LSN this append produced —
+		// and intent-only appends cost neither an fsync nor a wakeup.
+		if w.waitersParked() > 0 {
+			w.kickSyncer()
+		}
 	}
 	return nil
 }
@@ -286,11 +309,6 @@ func (w *Writer) Sync() error {
 	return nil
 }
 
-// Stats reports appended record and fsync counts.
-func (w *Writer) Stats() (appended, syncs int64) {
-	return w.appends.Load(), w.syncs.Load()
-}
-
 // Close stops the group committer (if any), syncs, and closes the active
 // segment. Every record appended before Close is durable afterwards, so
 // parked WaitDurable futures resolve successfully (or with the sync error).
@@ -324,10 +342,13 @@ func (w *Writer) Close() error {
 }
 
 // Recover reads every valid record from the directory's segments, in LSN
-// order. A corrupt or out-of-sequence frame ends recovery at the last good
-// record (torn tail truncation); the damaged tail is physically truncated
-// so a subsequent writer continues from a clean stream. Records from a
-// segment whose frames precede an already-recovered LSN are deduplicated.
+// order. A corrupt frame (a torn write during a crash) or a gap in the LSNs
+// (a lost segment tail) ends recovery at the last good record, and
+// everything from there on is discarded on disk: the damaged segment is
+// truncated and the segments after it are removed, so a second Recover
+// returns the same records and nothing of the lost stream can resurface
+// behind what a reopened writer appends. Records from a segment whose
+// frames precede an already-recovered LSN are deduplicated.
 func Recover(dir string) ([]redo.Record, error) {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
@@ -352,8 +373,7 @@ func Recover(dir string) ([]redo.Record, error) {
 	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
 
 	var out []redo.Record
-	var lastLSN uint64
-	for _, sg := range segs {
+	for i, sg := range segs {
 		path := filepath.Join(dir, sg.name)
 		buf, err := os.ReadFile(path)
 		if err != nil {
@@ -362,32 +382,26 @@ func Recover(dir string) ([]redo.Record, error) {
 		offset := int64(0)
 		for len(buf) > 0 {
 			r, rest, err := redo.DecodeRecord(buf)
-			if err != nil {
-				// Torn tail: truncate the damage and stop recovery here.
-				if terr := os.Truncate(path, offset); terr != nil {
-					return nil, fmt.Errorf("wal: truncate torn tail: %w", terr)
+			switch {
+			case err == nil && (len(out) == 0 || r.LSN == out[len(out)-1].LSN+1):
+				out = append(out, r)
+			case err == nil && r.LSN <= out[len(out)-1].LSN:
+				// Duplicate from an overlapping segment; skip.
+			default:
+				// A torn or corrupt frame, or a gap where a lost segment
+				// tail was: nothing from here on is usable.
+				if err := os.Truncate(path, offset); err != nil {
+					return nil, fmt.Errorf("wal: truncate damaged tail: %w", err)
+				}
+				for _, later := range segs[i+1:] {
+					if err := os.Remove(filepath.Join(dir, later.name)); err != nil {
+						return nil, fmt.Errorf("wal: remove segment after damage: %w", err)
+					}
 				}
 				return out, nil
 			}
-			frameLen := int64(len(buf) - len(rest))
-			if lastLSN != 0 && r.LSN != lastLSN+1 {
-				if r.LSN <= lastLSN {
-					// Duplicate from an overlapping segment; skip.
-					buf = rest
-					offset += frameLen
-					continue
-				}
-				// A gap means the tail of a previous segment was lost;
-				// everything from here on is unusable.
-				if terr := os.Truncate(path, offset); terr != nil {
-					return nil, fmt.Errorf("wal: truncate after gap: %w", terr)
-				}
-				return out, nil
-			}
-			out = append(out, r)
-			lastLSN = r.LSN
+			offset += int64(len(buf) - len(rest))
 			buf = rest
-			offset += frameLen
 		}
 	}
 	return out, nil

@@ -308,14 +308,14 @@ func TestSyncPolicies(t *testing.T) {
 		if err := w.Append(genRecords(10, 9)); err != nil {
 			t.Fatal(err)
 		}
-		appended, syncs := w.Stats()
-		if appended != 10 {
-			t.Fatalf("appended = %d", appended)
+		st := w.GroupStats()
+		if st.Appended != 10 {
+			t.Fatalf("appended = %d", st.Appended)
 		}
-		if policy == SyncEveryBatch && syncs == 0 {
+		if policy == SyncEveryBatch && st.Fsyncs == 0 {
 			t.Fatal("SyncEveryBatch must fsync")
 		}
-		if policy == SyncNever && syncs != 0 {
+		if policy == SyncNever && st.Fsyncs != 0 {
 			t.Fatal("SyncNever must not fsync on append")
 		}
 		if err := w.Sync(); err != nil {

@@ -51,10 +51,9 @@ func benchTPCCMix(b *testing.B, terminals int, group bool) {
 	cfg.WALFsyncDelay = benchFsyncDelay
 	cfg.WALLinger = 500 * time.Microsecond
 	if !group {
-		// The pre-group-commit write path: every commit's records are
-		// archived alone and fsynced alone.
+		// The pre-group-commit write path: every append fsyncs alone,
+		// inside the primary's mutex.
 		cfg.WALSync = wal.SyncEveryBatch
-		cfg.WALArchiveBatch = 1
 	}
 	db, err := globaldb.Open(cfg)
 	if err != nil {
@@ -136,8 +135,8 @@ func BenchmarkTPCCNewOrderPayment8(b *testing.B) {
 }
 
 // BenchmarkTPCCNewOrderPaymentFsyncPerCommit is the pre-PR baseline: the
-// same mix with the WAL fsyncing each commit's records alone
-// (SyncEveryBatch, archive batch 1). The tpmC gap against
+// same mix with the WAL fsyncing each append alone, inside the primary's
+// mutex (SyncEveryBatch). The tpmC gap against
 // BenchmarkTPCCNewOrderPayment is the group-commit + async-2PC win.
 func BenchmarkTPCCNewOrderPaymentFsyncPerCommit(b *testing.B) {
 	benchTPCCMix(b, benchTerminals, false)
