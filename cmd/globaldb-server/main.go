@@ -1,7 +1,7 @@
 // Command globaldb-server runs an in-process GlobalDB cluster behind the
 // wire-protocol network server, turning the single-process reproduction
 // into something clients connect to like a real database: gsql -connect,
-// or database/sql with a tcp:// DSN through the driver's connection pool.
+// or database/sql with a tcp:// DSN through the globaldb driver.
 //
 // Usage:
 //
@@ -81,8 +81,8 @@ func main() {
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
 		// Both the server's own registry (statement latencies, connection
-		// counters) and the process-wide default (scan totals, driver pool
-		// gauges) appear on one scrape.
+		// counters) and the process-wide default (scan totals, driver
+		// connection gauges) appear on one scrape.
 		mux.Handle("/metrics", obs.MetricsHandler(srv.Metrics(), obs.Default))
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

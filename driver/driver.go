@@ -13,12 +13,22 @@
 //	driver.Register("prod", db)
 //	sqldb, _ := sql.Open("globaldb", "prod?region=dongguan&staleness=50ms")
 //
-// Over the network, a tcp:// DSN dials a server (package server) through a
-// bounded connection pool — idle connections are reused warmest-first,
-// every checkout health-checks the socket, and dials beyond maxconns block
-// until a connection frees:
+// Over the network, a tcp:// DSN dials a server (package server). Each
+// database/sql connection is one TCP socket, and database/sql's own pool is
+// the only pool: it reuses idle connections, and before it hands one out
+// again the driver probes the socket, so a connection whose server went
+// away is replaced by a fresh dial instead of failing the next statement.
+// maxconns bounds the sockets a connector holds open at once; a dial
+// beyond it blocks until a connection closes:
 //
 //	sqldb, _ := sql.Open("globaldb", "tcp://127.0.0.1:7687?region=xian&maxconns=128")
+//
+// A connection database/sql closes is gone, not parked: the next one dials
+// afresh. database/sql closes a returned connection when more are idle
+// than SetMaxIdleConns allows (2 by default) or when SetConnMaxLifetime
+// expires it, so a caller who wants warm sockets raises SetMaxIdleConns.
+// Every round trip honours its context: a deadline or cancellation cuts a
+// blocked read or write and drops the connection.
 //
 // Both DSN forms (and Config) carry the connection's home region and its
 // replica staleness bound. `staleness=any` routes out-of-transaction
@@ -36,6 +46,7 @@ import (
 	"context"
 	"database/sql"
 	sqldriver "database/sql/driver"
+	"errors"
 	"fmt"
 	"net/url"
 	"strconv"
@@ -45,6 +56,7 @@ import (
 
 	"globaldb"
 	"globaldb/gsql"
+	"globaldb/internal/obs"
 )
 
 func init() { sql.Register("globaldb", Driver{}) }
@@ -60,14 +72,10 @@ type Config struct {
 	// Staleness bounds replica reads: at most this far behind the
 	// primaries. A positive value implies ReplicaReads.
 	Staleness time.Duration
-	// MaxConns bounds the TCP transport's connection pool; checkouts
-	// beyond it block until a connection frees. Zero means
-	// DefaultMaxConns. Ignored in process.
+	// MaxConns bounds how many TCP connections a NetConnector holds open
+	// at once; a Connect beyond it blocks until one closes or its context
+	// ends. Zero means DefaultMaxConns. Ignored in process.
 	MaxConns int
-	// MaxIdle caps how many idle TCP connections the pool keeps for
-	// reuse. Zero (or a value above MaxConns) keeps up to MaxConns.
-	// Ignored in process.
-	MaxIdle int
 }
 
 // registry maps DSN cluster names to open DBs.
@@ -95,8 +103,8 @@ func (d Driver) Open(dsn string) (sqldriver.Conn, error) {
 }
 
 // OpenConnector parses the DSN once and returns a reusable connector. A
-// "tcp://host:port?opts" DSN dials a network server through the driver's
-// bounded connection pool; anything else names a Registered in-process
+// "tcp://host:port?opts" DSN dials a network server, at most maxconns
+// connections at once; anything else names a Registered in-process
 // cluster.
 func (d Driver) OpenConnector(dsn string) (sqldriver.Connector, error) {
 	if addr, ok := strings.CutPrefix(dsn, "tcp://"); ok {
@@ -152,12 +160,6 @@ func parseDSN(dsn string) (name string, cfg Config, err error) {
 				return "", cfg, fmt.Errorf("globaldb driver: bad maxconns %q", v)
 			}
 			cfg.MaxConns = n
-		case "maxidle":
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 {
-				return "", cfg, fmt.Errorf("globaldb driver: bad maxidle %q", v)
-			}
-			cfg.MaxIdle = n
 		default:
 			return "", cfg, fmt.Errorf("globaldb driver: unknown DSN option %q", key)
 		}
@@ -210,37 +212,86 @@ func Open(db *globaldb.DB, cfg Config) *sql.DB {
 	return sql.OpenDB(NewConnector(db, cfg))
 }
 
-// NetConnector produces TCP connections to a network server through the
-// driver's bounded connection pool. Use with sql.OpenDB; sql.DB.Close
-// closes the pool.
+// DefaultMaxConns bounds a NetConnector's open connections when the DSN
+// names no maxconns.
+const DefaultMaxConns = 64
+
+// TCP connection figures exported on obs.Default, summed over every
+// NetConnector in the process.
+var (
+	poolInUse       = obs.Default.Gauge("driver_pool_in_use")
+	poolWaits       = obs.Default.Counter("driver_pool_wait_total")
+	poolHealthFails = obs.Default.Counter("driver_pool_health_check_failures_total")
+)
+
+var errConnectorClosed = errors.New("globaldb driver: connector is closed")
+
+// NetConnector produces TCP connections to a network server, one socket
+// per database/sql connection, at most MaxConns open at once. Use with
+// sql.OpenDB; sql.DB.Close closes the connector.
 type NetConnector struct {
-	pool *connPool
+	addr string
+	cfg  Config
+	// slots holds one token per open connection; a Connect that finds it
+	// full waits for a netConn to Close.
+	slots     chan struct{}
+	closed    chan struct{}
+	closeOnce sync.Once
 }
 
 // NewNetConnector wires a server address ("host:port") to database/sql
-// with the given session options and pool bounds.
+// with the given session options and connection bound.
 func NewNetConnector(addr string, cfg Config) *NetConnector {
-	return &NetConnector{pool: newConnPool(addr, cfg)}
+	n := cfg.MaxConns
+	if n <= 0 {
+		n = DefaultMaxConns
+	}
+	return &NetConnector{addr: addr, cfg: cfg, slots: make(chan struct{}, n), closed: make(chan struct{})}
 }
 
-// Connect checks a wire connection out of the pool — reusing an idle one
-// that passes the health check, dialing under the maxconns bound, or
-// blocking until a connection frees.
+// Connect dials one wire connection, first waiting for a free slot when
+// MaxConns connections are open. It fails once the connector is closed.
 func (c *NetConnector) Connect(ctx context.Context) (sqldriver.Conn, error) {
-	wc, err := c.pool.get(ctx)
+	select {
+	case c.slots <- struct{}{}:
+	default:
+		poolWaits.Inc()
+		select {
+		case c.slots <- struct{}{}:
+		case <-c.closed:
+			return nil, errConnectorClosed
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	select {
+	case <-c.closed:
+		<-c.slots
+		return nil, errConnectorClosed
+	default:
+	}
+	wc, err := dialWire(ctx, c.addr, c.cfg)
 	if err != nil {
+		<-c.slots
 		return nil, err
 	}
-	return &netConn{pool: c.pool, wc: wc}, nil
+	poolInUse.Inc()
+	return &netConn{connector: c, wc: wc}, nil
+}
+
+// release closes one connection's socket and frees its slot.
+func (c *NetConnector) release(wc *wireClient) {
+	wc.close()
+	poolInUse.Dec()
+	<-c.slots
 }
 
 // Driver returns the underlying Driver.
 func (c *NetConnector) Driver() sqldriver.Driver { return Driver{} }
 
-// Close shuts the connection pool down; sql.DB.Close calls it.
-func (c *NetConnector) Close() error { return c.pool.Close() }
-
-// PoolStats snapshots the connector's pool: in-use/idle occupancy plus
-// lifetime wait and health-check-failure counts. The same figures feed
-// the driver_pool_* gauges on the process-wide metrics registry.
-func (c *NetConnector) PoolStats() PoolStats { return c.pool.Stats() }
+// Close fails every blocked and later Connect; sql.DB.Close calls it after
+// closing its connections.
+func (c *NetConnector) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return nil
+}

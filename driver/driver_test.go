@@ -30,7 +30,7 @@ func openCluster(t *testing.T) *globaldb.DB {
 // with bound parameters, a prepared SELECT with IN-list and LIMIT
 // placeholders, row streaming, and transaction commit/rollback. It runs
 // unchanged against both transports: in process and over TCP through the
-// wire server and the driver's connection pool.
+// wire server and the driver's network connector.
 func TestSQLConformance(t *testing.T) {
 	forEachTransport(t, testSQLConformance)
 }

@@ -10,13 +10,13 @@ import (
 	"net"
 	"strconv"
 	"syscall"
+	"time"
 
 	"globaldb/server/wire"
 )
 
 // wireClient is one TCP connection to a GlobalDB server, speaking the
-// server/wire protocol. It is the pooled unit: the connection pool hands
-// wireClients out to netConns and takes them back on close.
+// server/wire protocol.
 type wireClient struct {
 	nc net.Conn
 	br *bufio.Reader
@@ -24,10 +24,11 @@ type wireClient struct {
 	w  *bufio.Writer
 
 	// broken marks a connection whose framing can no longer be trusted
-	// (I/O error, protocol violation). The pool discards it on checkin.
+	// (I/O error, protocol violation, a round trip cut by its context).
+	// database/sql drops it through IsValid.
 	broken bool
 	// inTxn mirrors the server session's transaction state, reported by
-	// every Done frame; the pool resets non-clean connections on checkin.
+	// every Done frame; ResetSession rolls back a transaction left open.
 	inTxn bool
 	// stmtSeq numbers client-generated prepared-statement names.
 	stmtSeq int
@@ -38,7 +39,8 @@ type wireClient struct {
 }
 
 // dialWire connects and runs the handshake, carrying the Config's region
-// and staleness the same way the in-process connector applies them.
+// and staleness the same way the in-process connector applies them. ctx
+// bounds the handshake as well as the TCP connect.
 func dialWire(ctx context.Context, addr string, cfg Config) (*wireClient, error) {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", addr)
@@ -48,12 +50,12 @@ func dialWire(ctx context.Context, addr string, cfg Config) (*wireClient, error)
 	br := bufio.NewReader(nc)
 	wc := &wireClient{nc: nc, br: br, rd: wire.NewReader(br), w: bufio.NewWriter(nc)}
 	hello := &wire.Hello{Version: wire.ProtocolVersion, Region: cfg.Region, Staleness: cfg.stalenessOption()}
-	if err := wc.send(hello); err != nil {
-		nc.Close()
-		return nil, err
+	end := wc.bound(ctx)
+	var m wire.Message
+	if err = wc.send(hello); err == nil {
+		m, err = wc.recv()
 	}
-	m, err := wc.recv()
-	if err != nil {
+	if err = end(err); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -85,15 +87,34 @@ func (cfg Config) stalenessOption() string {
 
 func (wc *wireClient) close() error { return wc.nc.Close() }
 
-// healthy reports whether a checked-out idle connection is still usable.
-// An idle connection must have no pending bytes, so a non-blocking
-// MSG_PEEK distinguishes the three cases without consuming anything:
-// EAGAIN means the peer is quiet and alive, readable data means framing is
-// already violated, and EOF/error means the server closed or died.
-func (wc *wireClient) healthy() bool {
-	if wc.broken {
-		return false
+// bound lets ctx cut one round trip: if ctx ends while the round trip
+// runs, a past deadline on the socket fails the blocked read or write at
+// once. The returned end disarms it. When the context cut the round trip,
+// or raced its finish, end marks the connection broken — its place in the
+// frame stream is unknown — and returns ctx.Err() in place of err. A
+// context that cannot end arms nothing.
+func (wc *wireClient) bound(ctx context.Context) (end func(err error) error) {
+	if ctx.Done() == nil {
+		return sameErr
 	}
+	stop := context.AfterFunc(ctx, func() { wc.nc.SetDeadline(time.Unix(1, 0)) })
+	return func(err error) error {
+		if stop() {
+			return err
+		}
+		wc.broken = true
+		return ctx.Err()
+	}
+}
+
+func sameErr(err error) error { return err }
+
+// healthy reports whether an idle connection is still usable. An idle
+// connection must have no pending bytes, so a non-blocking MSG_PEEK
+// distinguishes the three cases without consuming anything: EAGAIN means
+// the peer is quiet and alive, readable data means framing is already
+// violated, and EOF/error means the server closed or died.
+func (wc *wireClient) healthy() bool {
 	if wc.br.Buffered() > 0 {
 		wc.broken = true
 		return false
@@ -282,12 +303,13 @@ func (wc *wireClient) reset() error {
 	return nil
 }
 
-// netConn is one database/sql connection over TCP. Like the in-process
-// conn it relies on database/sql's per-connection serialization; one
-// wireClient never sees concurrent statements.
+// netConn is one database/sql connection over TCP, owning its socket. Like
+// the in-process conn it relies on database/sql's per-connection
+// serialization; one wireClient never sees concurrent statements.
 type netConn struct {
-	pool *connPool
-	wc   *wireClient
+	connector *NetConnector
+	wc        *wireClient
+	closed    bool
 }
 
 var (
@@ -308,17 +330,20 @@ func (c *netConn) Prepare(query string) (sqldriver.Stmt, error) {
 func (c *netConn) PrepareContext(ctx context.Context, query string) (sqldriver.Stmt, error) {
 	c.wc.stmtSeq++
 	name := "s" + strconv.Itoa(c.wc.stmtSeq)
+	end := c.wc.bound(ctx)
 	n, err := c.wc.parse(name, query)
-	if err != nil {
+	if err = end(err); err != nil {
 		return nil, err
 	}
 	return &netStmt{conn: c, name: name, numParams: n}, nil
 }
 
-// Close returns the wire connection to the pool (or discards it when
-// broken); the TCP socket usually outlives this database/sql connection.
+// Close closes the socket and frees the connector slot.
 func (c *netConn) Close() error {
-	c.pool.put(c.wc)
+	if !c.closed {
+		c.closed = true
+		c.connector.release(c.wc)
+	}
 	return nil
 }
 
@@ -335,10 +360,12 @@ func (c *netConn) BeginTx(ctx context.Context, opts sqldriver.TxOptions) (sqldri
 	if opts.ReadOnly {
 		return nil, fmt.Errorf("globaldb driver: read-only transactions are not supported; use a staleness-configured connection for replica reads")
 	}
-	if _, _, _, err := c.wc.collect(&wire.Query{SQL: "BEGIN"}); err != nil {
+	end := c.wc.bound(ctx)
+	_, _, _, err := c.wc.collect(&wire.Query{SQL: "BEGIN"})
+	if err = end(err); err != nil {
 		return nil, err
 	}
-	return &netTx{conn: c}, nil
+	return &netTx{ctx: ctx, wc: c.wc}, nil
 }
 
 func (c *netConn) ExecContext(ctx context.Context, query string, args []sqldriver.NamedValue) (sqldriver.Result, error) {
@@ -346,8 +373,9 @@ func (c *netConn) ExecContext(ctx context.Context, query string, args []sqldrive
 	if err != nil {
 		return nil, err
 	}
+	end := c.wc.bound(ctx)
 	done, _, _, err := c.wc.collect(&wire.Query{SQL: query, Args: vals})
-	if err != nil {
+	if err = end(err); err != nil {
 		return nil, err
 	}
 	return result{affected: done.Affected}, nil
@@ -358,24 +386,35 @@ func (c *netConn) QueryContext(ctx context.Context, query string, args []sqldriv
 	if err != nil {
 		return nil, err
 	}
+	end := c.wc.bound(ctx)
 	hdr, err := c.wc.startStream(&wire.Query{SQL: query, Args: vals})
-	if err != nil {
+	if err = end(err); err != nil {
 		return nil, err
 	}
 	return &wireRows{ctx: ctx, wc: c.wc, cols: hdr.Columns}, nil
 }
 
 func (c *netConn) Ping(ctx context.Context) error {
+	end := c.wc.bound(ctx)
 	_, err := roundTrip[*wire.Pong](c.wc, &wire.Ping{})
-	return err
+	return end(err)
 }
 
+// ResetSession readies an idle connection before database/sql hands it out
+// again: a socket whose server went away returns ErrBadConn, so
+// database/sql retries on a fresh dial instead of failing the statement,
+// and a transaction the previous user abandoned is rolled back.
 func (c *netConn) ResetSession(ctx context.Context) error {
 	if c.wc.broken {
 		return sqldriver.ErrBadConn
 	}
+	if !c.wc.healthy() {
+		poolHealthFails.Inc()
+		return sqldriver.ErrBadConn
+	}
 	if c.wc.inTxn {
-		if err := c.wc.reset(); err != nil {
+		end := c.wc.bound(ctx)
+		if err := end(c.wc.reset()); err != nil {
 			return sqldriver.ErrBadConn
 		}
 	}
@@ -424,8 +463,9 @@ func (s *netStmt) ExecContext(ctx context.Context, args []sqldriver.NamedValue) 
 	if err != nil {
 		return nil, err
 	}
+	end := s.conn.wc.bound(ctx)
 	done, _, _, err := s.conn.wc.collect(&wire.Execute{Name: s.name, Args: vals})
-	if err != nil {
+	if err = end(err); err != nil {
 		return nil, err
 	}
 	return result{affected: done.Affected}, nil
@@ -436,26 +476,30 @@ func (s *netStmt) QueryContext(ctx context.Context, args []sqldriver.NamedValue)
 	if err != nil {
 		return nil, err
 	}
+	end := s.conn.wc.bound(ctx)
 	hdr, err := s.conn.wc.startStream(&wire.Execute{Name: s.name, Args: vals})
-	if err != nil {
+	if err = end(err); err != nil {
 		return nil, err
 	}
 	return &wireRows{ctx: ctx, wc: s.conn.wc, cols: hdr.Columns}, nil
 }
 
-// netTx adapts the server session's explicit transaction.
+// netTx adapts the server session's explicit transaction. database/sql
+// keeps BeginTx's context for the transaction's lifetime, so it bounds
+// Commit and Rollback too.
 type netTx struct {
-	conn *netConn
+	ctx context.Context
+	wc  *wireClient
 }
 
-func (t *netTx) Commit() error {
-	_, _, _, err := t.conn.wc.collect(&wire.Query{SQL: "COMMIT"})
-	return err
-}
+func (t *netTx) Commit() error { return t.finish("COMMIT") }
 
-func (t *netTx) Rollback() error {
-	_, _, _, err := t.conn.wc.collect(&wire.Query{SQL: "ROLLBACK"})
-	return err
+func (t *netTx) Rollback() error { return t.finish("ROLLBACK") }
+
+func (t *netTx) finish(sql string) error {
+	end := t.wc.bound(t.ctx)
+	_, _, _, err := t.wc.collect(&wire.Query{SQL: sql})
+	return end(err)
 }
 
 // wireRows streams a statement's response frames. Rows arrive in batches;
@@ -489,8 +533,9 @@ func (r *wireRows) Next(dest []sqldriver.Value) error {
 		if r.done {
 			return io.EOF
 		}
+		end := r.wc.bound(r.ctx)
 		m, err := r.wc.recv()
-		if err != nil {
+		if err = end(err); err != nil {
 			return err
 		}
 		switch m := m.(type) {

@@ -1,13 +1,20 @@
 package driver
 
 import (
+	"bufio"
 	"context"
 	"database/sql"
+	sqldriver "database/sql/driver"
+	"errors"
+	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"globaldb"
 	"globaldb/server"
+	"globaldb/server/wire"
 )
 
 // startServer runs a wire server over a fast one-region cluster and
@@ -22,8 +29,15 @@ func startServer(t *testing.T) (*globaldb.DB, *server.Server, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(db.Close)
+	srv := serve(t, db, "127.0.0.1:0")
+	return db, srv, srv.Addr().String()
+}
+
+// serve starts a wire server over db on addr, shut down with the test.
+func serve(t *testing.T, db *globaldb.DB, addr string) *server.Server {
+	t.Helper()
 	srv := server.New(db, server.Options{})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
+	if err := srv.Start(addr); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
@@ -31,12 +45,36 @@ func startServer(t *testing.T) (*globaldb.DB, *server.Server, string) {
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	return db, srv, srv.Addr().String()
+	return srv
 }
 
-// TestPoolBoundsAndReuse pins the pool's contract: checkouts beyond
-// maxconns block until a checkin, idle connections are reused rather than
-// redialed, and a waiter's context cancellation unblocks it.
+// shutdown drains srv now, closing every connection it holds.
+func shutdown(t *testing.T, srv *server.Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(bg, 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// connectAsync runs Connect on its own goroutine; the returned channel
+// yields its error, closing the connection it got.
+func connectAsync(ctx context.Context, nc *NetConnector) <-chan error {
+	got := make(chan error, 1)
+	go func() {
+		c, err := nc.Connect(ctx)
+		if err == nil {
+			c.Close()
+		}
+		got <- err
+	}()
+	return got
+}
+
+// TestPoolBoundsAndReuse pins the maxconns bound: a Connect beyond it
+// blocks until a connection closes, a blocked Connect returns its
+// context's error, and closing the connector fails a blocked Connect.
 func TestPoolBoundsAndReuse(t *testing.T) {
 	_, _, addr := startServer(t)
 	nc := NewNetConnector(addr, Config{MaxConns: 2})
@@ -50,107 +88,98 @@ func TestPoolBoundsAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if open, idle := nc.pool.stats(); open != 2 || idle != 0 {
-		t.Fatalf("pool after 2 checkouts: open=%d idle=%d", open, idle)
-	}
+	defer c2.Close()
 
-	// A third checkout must block on the maxconns bound...
-	got := make(chan error, 1)
-	go func() {
-		c3, err := nc.Connect(bg)
-		if err == nil {
-			c3.Close()
-		}
-		got <- err
-	}()
+	// A third Connect must block on the maxconns bound...
+	got := connectAsync(bg, nc)
 	select {
 	case err := <-got:
-		t.Fatalf("third checkout did not block on maxconns=2 (err=%v)", err)
+		t.Fatalf("third Connect did not block on maxconns=2 (err=%v)", err)
 	case <-time.After(100 * time.Millisecond):
 	}
-	// ...until a connection checks back in.
-	wc1 := c1.(*netConn).wc
+	// ...until a connection closes. Closing twice frees one slot.
+	c1.Close()
 	c1.Close()
 	select {
 	case err := <-got:
 		if err != nil {
-			t.Fatalf("blocked checkout failed after checkin: %v", err)
+			t.Fatalf("blocked Connect failed after a close: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("checkout still blocked after a checkin")
+		t.Fatal("Connect still blocked after a connection closed")
+	}
+	if n := len(nc.slots); n != 1 {
+		t.Fatalf("%d slots held with one connection open", n)
 	}
 
-	// Idle reuse: the wire connection handed back is the one reused, no
-	// fresh dial.
-	c4, err := nc.Connect(bg)
+	// A blocked Connect returns when its context ends.
+	c3, err := nc.Connect(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c4.(*netConn).wc != wc1 {
-		t.Fatal("idle connection was not reused")
-	}
-	c4.Close()
-	c2.Close()
-	if open, idle := nc.pool.stats(); open != 2 || idle != 2 {
-		t.Fatalf("pool after checkins: open=%d idle=%d", open, idle)
-	}
-
-	// A waiter bails out when its context is canceled.
-	c5, _ := nc.Connect(bg)
-	c6, _ := nc.Connect(bg)
+	defer c3.Close()
 	ctx, cancel := context.WithTimeout(bg, 50*time.Millisecond)
 	defer cancel()
 	if _, err := nc.Connect(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("canceled waiter got %v, want context.DeadlineExceeded", err)
+		t.Fatalf("blocked Connect got %v, want context.DeadlineExceeded", err)
 	}
-	c5.Close()
-	c6.Close()
+
+	// Closing the connector fails a blocked Connect and every later one.
+	got = connectAsync(bg, nc)
+	select {
+	case err := <-got:
+		t.Fatalf("Connect did not block at the bound (err=%v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	nc.Close()
+	select {
+	case err := <-got:
+		if err != errConnectorClosed {
+			t.Fatalf("blocked Connect got %v after Close, want %v", err, errConnectorClosed)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not fail a blocked Connect")
+	}
+	c3.Close()
+	if _, err := nc.Connect(bg); err != errConnectorClosed {
+		t.Fatalf("Connect after Close got %v, want %v", err, errConnectorClosed)
+	}
 }
 
-// TestPoolHealthCheck pins the checkout health check: idle connections
-// whose server died are detected and discarded, not handed to the caller.
+// TestPoolHealthCheck pins the health check on reuse: a connection left
+// idle in database/sql's pool while its server restarts is found dead
+// before its next use, so the next query succeeds on a fresh dial instead
+// of failing with EOF.
 func TestPoolHealthCheck(t *testing.T) {
-	_, srv, addr := startServer(t)
-	nc := NewNetConnector(addr, Config{MaxConns: 2})
-	defer nc.Close()
-
-	c, err := nc.Connect(bg)
-	if err != nil {
+	db, srv, addr := startServer(t)
+	sqldb := openDB(t, NewNetConnector(addr, Config{}))
+	var mode string
+	if err := sqldb.QueryRowContext(bg, "SHOW STALENESS").Scan(&mode); err != nil {
 		t.Fatal(err)
 	}
-	c.Close() // park it idle
-	if _, idle := nc.pool.stats(); idle != 1 {
-		t.Fatalf("idle=%d, want 1", idle)
+	if st := sqldb.Stats(); st.Idle != 1 {
+		t.Fatalf("database/sql holds %d idle connections, want 1", st.Idle)
 	}
 
-	// Kill the server. The parked connection is now a dead socket.
-	ctx, cancel := context.WithTimeout(bg, 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	shutdown(t, srv)
+	serve(t, db, addr)
 
-	// Checkout must notice (peek sees EOF), discard, and fail the redial
-	// against the closed listener rather than hand out a dead connection.
-	if _, err := nc.Connect(bg); err == nil {
-		t.Fatal("checkout against a dead server must fail")
-	}
-	if open, idle := nc.pool.stats(); open != 0 || idle != 0 {
-		t.Fatalf("dead connection not discarded: open=%d idle=%d", open, idle)
+	if err := sqldb.QueryRowContext(bg, "SHOW STALENESS").Scan(&mode); err != nil {
+		t.Fatalf("query after a server restart: %v", err)
 	}
 }
 
-// TestPoolStatsGauges pins the pool's exported observability: PoolStats
-// tracks in-use/idle occupancy and lifetime wait and health-check-failure
-// counts, and the same movements reach the process-wide driver_pool_*
-// gauges as deltas (so several pools aggregate exactly).
+// TestPoolStatsGauges pins the driver's process-wide metrics:
+// driver_pool_in_use counts open wire connections, driver_pool_wait_total
+// counts Connects that blocked on maxconns, and
+// driver_pool_health_check_failures_total counts ResetSession probes that
+// found a dead socket.
 func TestPoolStatsGauges(t *testing.T) {
 	_, srv, addr := startServer(t)
 	nc := NewNetConnector(addr, Config{MaxConns: 2})
 	defer nc.Close()
 
 	baseInUse := poolInUse.Value()
-	baseIdle := poolIdle.Value()
 	baseWaits := poolWaits.Value()
 	baseHealth := poolHealthFails.Value()
 
@@ -162,26 +191,16 @@ func TestPoolStatsGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := nc.PoolStats(); st.InUse != 2 || st.Idle != 0 {
-		t.Fatalf("PoolStats after 2 checkouts: %+v", st)
-	}
 	if got := poolInUse.Value() - baseInUse; got != 2 {
 		t.Fatalf("driver_pool_in_use delta = %d, want 2", got)
 	}
 
-	// A blocked checkout ticks the wait counter once it is enqueued.
-	got := make(chan error, 1)
-	go func() {
-		c3, err := nc.Connect(bg)
-		if err == nil {
-			c3.Close()
-		}
-		got <- err
-	}()
+	// A blocked Connect ticks the wait counter.
+	got := connectAsync(bg, nc)
 	deadline := time.Now().Add(10 * time.Second)
-	for nc.PoolStats().WaitCount == 0 {
+	for poolWaits.Value() == baseWaits {
 		if time.Now().After(deadline) {
-			t.Fatal("blocked checkout never counted as a wait")
+			t.Fatal("blocked Connect never counted as a wait")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -193,41 +212,26 @@ func TestPoolStatsGauges(t *testing.T) {
 		t.Fatalf("driver_pool_wait_total delta = %d, want 1", w)
 	}
 
+	// Kill the server: the probe before reuse finds the socket dead.
+	shutdown(t, srv)
+	if err := c2.(sqldriver.SessionResetter).ResetSession(bg); err != sqldriver.ErrBadConn {
+		t.Fatalf("ResetSession on a dead socket = %v, want ErrBadConn", err)
+	}
+	if h := poolHealthFails.Value() - baseHealth; h != 1 {
+		t.Fatalf("driver_pool_health_check_failures_total delta = %d, want 1", h)
+	}
 	c2.Close()
-	if st := nc.PoolStats(); st.InUse != 0 || st.Idle != 2 {
-		t.Fatalf("PoolStats after checkins: %+v", st)
-	}
-	if got := poolIdle.Value() - baseIdle; got != 2 {
-		t.Fatalf("driver_pool_idle delta = %d, want 2", got)
-	}
-
-	// Kill the server: the next checkout health-checks the parked
-	// connections, finds them dead, and counts the failures.
-	ctx, cancel := context.WithTimeout(bg, 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nc.Connect(bg); err == nil {
-		t.Fatal("checkout against a dead server must fail")
-	}
-	if st := nc.PoolStats(); st.HealthCheckFailures == 0 {
-		t.Fatalf("health-check failures not counted: %+v", st)
-	}
-	if h := poolHealthFails.Value() - baseHealth; h == 0 {
-		t.Fatal("driver_pool_health_check_failures_total did not move")
-	}
-	// The discarded connections left the gauges balanced.
-	if st := nc.PoolStats(); st.InUse != 0 || st.Idle != 0 {
-		t.Fatalf("gauges unbalanced after discard: %+v", st)
+	if got := poolInUse.Value() - baseInUse; got != 0 {
+		t.Fatalf("driver_pool_in_use delta = %d after every close, want 0", got)
 	}
 }
 
 // TestTCPDSN drives the tcp:// DSN end to end: sql.Open dials the server,
-// the handshake applies region and staleness, and pool options parse.
+// the handshake applies region and staleness, maxconns parses, and
+// unknown options are refused.
 func TestTCPDSN(t *testing.T) {
 	_, _, addr := startServer(t)
-	sqldb, err := sql.Open("globaldb", "tcp://"+addr+"?staleness=any&maxconns=3&maxidle=2")
+	sqldb, err := sql.Open("globaldb", "tcp://"+addr+"?staleness=any&maxconns=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,6 +246,9 @@ func TestTCPDSN(t *testing.T) {
 	if _, err := sql.Open("globaldb", "tcp://"+addr+"?maxconns=zero"); err == nil {
 		t.Fatal("bad maxconns must fail at Open")
 	}
+	if _, err := sql.Open("globaldb", "tcp://"+addr+"?maxidle=2"); err == nil || !strings.Contains(err.Error(), "unknown DSN option") {
+		t.Fatalf("maxidle must be refused as an unknown option, got %v", err)
+	}
 	// An unreachable server fails at first use, not at Open.
 	bad, err := sql.Open("globaldb", "tcp://127.0.0.1:1?region=x")
 	if err != nil {
@@ -250,5 +257,126 @@ func TestTCPDSN(t *testing.T) {
 	defer bad.Close()
 	if err := bad.PingContext(bg); err == nil {
 		t.Fatal("ping against nothing must fail")
+	}
+}
+
+// silentServer listens on a loopback port and speaks just enough of the
+// wire protocol to leave clients waiting: it answers Hello (when hello is
+// set) and Parse, and never answers anything else. It returns the address.
+func silentServer(t *testing.T, hello bool) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+		wg    sync.WaitGroup
+	)
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rd, w := wire.NewReader(bufio.NewReader(c)), bufio.NewWriter(c)
+				for {
+					m, err := rd.ReadMessage()
+					if err != nil {
+						return
+					}
+					var reply wire.Message
+					switch m.(type) {
+					case *wire.Hello:
+						if hello {
+							reply = &wire.HelloOK{Region: "xian", Mode: "gclock"}
+						}
+					case *wire.Parse:
+						reply = &wire.ParseOK{}
+					}
+					if reply != nil {
+						wire.WriteMessage(w, reply)
+						w.Flush()
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestContextBoundsRoundTrip pins that a context bounds every wire round
+// trip, not only the TCP connect: against a server that never answers,
+// Exec, Query, Ping, a prepared Exec and the handshake itself each return
+// the context's error promptly.
+func TestContextBoundsRoundTrip(t *testing.T) {
+	within := func(t *testing.T, name string, op func(ctx context.Context) error) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(bg, 100*time.Millisecond)
+		defer cancel()
+		got := make(chan error, 1)
+		go func() { got <- op(ctx) }()
+		select {
+		case err := <-got:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%s returned %v, want context.DeadlineExceeded", name, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s still blocked a second after its 100ms deadline", name)
+		}
+	}
+
+	sqldb := openDB(t, NewNetConnector(silentServer(t, true), Config{}))
+	within(t, "Exec", func(ctx context.Context) error {
+		_, err := sqldb.ExecContext(ctx, "DELETE FROM t")
+		return err
+	})
+	within(t, "Query", func(ctx context.Context) error {
+		rows, err := sqldb.QueryContext(ctx, "SELECT k FROM t")
+		if err == nil {
+			rows.Close()
+		}
+		return err
+	})
+	within(t, "Ping", sqldb.PingContext)
+	stmt, err := sqldb.PrepareContext(bg, "DELETE FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stmt.Close()
+	within(t, "prepared Exec", func(ctx context.Context) error {
+		_, err := stmt.ExecContext(ctx)
+		return err
+	})
+
+	nc := NewNetConnector(silentServer(t, false), Config{MaxConns: 1})
+	defer nc.Close()
+	within(t, "Connect", func(ctx context.Context) error {
+		c, err := nc.Connect(ctx)
+		if err == nil {
+			c.Close()
+		}
+		return err
+	})
+	if n := len(nc.slots); n != 0 {
+		t.Fatalf("a failed Connect kept its slot (%d held)", n)
 	}
 }

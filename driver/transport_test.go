@@ -126,3 +126,40 @@ func TestQueryContextCancelMidStream(t *testing.T) {
 		res.Close()
 	})
 }
+
+// TestAbandonedTxnRolledBack pins session reset on both transports: a
+// connection handed back to database/sql with a raw BEGIN still open is
+// rolled back before its next user.
+func TestAbandonedTxnRolledBack(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, db *globaldb.DB, mk func(Config) sqldriver.Connector) {
+		sqldb := openDB(t, mk(Config{Region: "xian"}))
+		// One connection, so the next user gets the abandoned one.
+		sqldb.SetMaxOpenConns(1)
+		if _, err := sqldb.ExecContext(bg, "CREATE TABLE ab (k BIGINT, PRIMARY KEY (k))"); err != nil {
+			t.Fatal(err)
+		}
+		cn, err := sqldb.Conn(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cn.ExecContext(bg, "BEGIN"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cn.ExecContext(bg, "INSERT INTO ab VALUES (1)"); err != nil {
+			t.Fatal(err)
+		}
+		cn.Close()
+
+		// Inside the abandoned transaction the row would be visible.
+		var n int64
+		if err := sqldb.QueryRowContext(bg, "SELECT COUNT(*) FROM ab").Scan(&n); err != nil {
+			t.Fatal(err)
+		}
+		if n != 0 {
+			t.Fatalf("next user sees %d rows of an abandoned transaction", n)
+		}
+		if _, err := sqldb.ExecContext(bg, "BEGIN"); err != nil {
+			t.Fatalf("BEGIN on the reset connection: %v", err)
+		}
+	})
+}

@@ -8,6 +8,11 @@ import (
 	"time"
 )
 
+// ErrNotOneStatement is the error Parse wraps when the text holds no
+// statement or several: a caller that also takes scripts falls back to
+// ParseAll on it.
+var ErrNotOneStatement = errors.New("gsql: expected one statement")
+
 // Parse parses a single SQL statement (a trailing semicolon is allowed).
 func Parse(src string) (Statement, error) {
 	stmts, err := ParseAll(src)
@@ -15,7 +20,7 @@ func Parse(src string) (Statement, error) {
 		return nil, err
 	}
 	if len(stmts) != 1 {
-		return nil, fmt.Errorf("gsql: expected one statement, got %d", len(stmts))
+		return nil, fmt.Errorf("%w, got %d", ErrNotOneStatement, len(stmts))
 	}
 	return stmts[0], nil
 }

@@ -60,8 +60,9 @@ func (e *Encoder) Int64(v int64) *Encoder {
 	return e.Uint64(uint64(v) ^ (1 << 63))
 }
 
-// Float64 appends a float with total ordering (-Inf < ... < -0 = 0 < ... <
-// +Inf; NaN sorts first). IEEE 754 bits order correctly once negative
+// Float64 appends a float with total ordering (-Inf < ... < -0 < +0 < ... <
+// +Inf). -0 and +0 encode distinctly, -0 just below +0; a NaN sorts beyond
+// the infinity of its sign. IEEE 754 bits order correctly once negative
 // numbers have all bits flipped and positive ones have the sign bit set.
 func (e *Encoder) Float64(v float64) *Encoder {
 	bits := math.Float64bits(v)

@@ -222,7 +222,7 @@ func NewRegistry() *Registry {
 }
 
 // Default is the process-wide registry: cluster-side totals (scan pages,
-// rows by layer, commit counts) and client pool gauges land here; the
+// rows by layer, commit counts) and driver connection gauges land here; the
 // metrics endpoint serves it alongside any per-server registry.
 var Default = NewRegistry()
 

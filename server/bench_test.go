@@ -106,8 +106,9 @@ func runMixedLoad(sqldb *sql.DB, workers int, ops int64) error {
 
 // BenchmarkManyConnections measures server throughput as the number of
 // concurrent client connections grows: each sub-benchmark opens its own
-// TCP pool sized to the connection count and drives the mixed point-get /
-// streamed-scan load with one worker per connection.
+// driver connector and database/sql pool sized to the connection count and
+// drives the mixed point-get / streamed-scan load with one worker per
+// connection.
 func BenchmarkManyConnections(b *testing.B) {
 	db := newTestCluster(b)
 	seedBenchTable(b, db, benchKeys)
@@ -116,7 +117,7 @@ func BenchmarkManyConnections(b *testing.B) {
 
 	for _, conns := range []int{16, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
-			nc := driver.NewNetConnector(addr, driver.Config{MaxConns: conns, MaxIdle: conns})
+			nc := driver.NewNetConnector(addr, driver.Config{MaxConns: conns})
 			defer nc.Close()
 			sqldb := sql.OpenDB(nc)
 			defer sqldb.Close()
@@ -139,7 +140,7 @@ func BenchmarkManyConnections(b *testing.B) {
 // live TCP connection with its own server-side session — and runs the
 // mixed load across them. Its real assertion is the race detector: CI runs
 // this under -race to prove the per-connection goroutines, the drain
-// bookkeeping, and the client pool are data-race free at scale.
+// bookkeeping, and the client connections are data-race free at scale.
 func TestManyConnections(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-connection soak skipped in -short mode")
@@ -150,7 +151,7 @@ func TestManyConnections(t *testing.T) {
 	addr := srv.Addr().String()
 
 	const conns = 1024
-	nc := driver.NewNetConnector(addr, driver.Config{MaxConns: conns, MaxIdle: conns})
+	nc := driver.NewNetConnector(addr, driver.Config{MaxConns: conns})
 	defer nc.Close()
 	sqldb := sql.OpenDB(nc)
 	defer sqldb.Close()

@@ -303,25 +303,21 @@ var testHookQuery func(sql string)
 
 // runQuery answers a Query message: a streaming response for a single
 // SELECT, a materialized one for other statements and multi-statement
-// scripts (which take no arguments, mirroring ExecScript).
+// scripts (which take no arguments, mirroring ExecScript). The text is
+// parsed once, by Query; only text that is not one statement is parsed
+// again as a script.
 func (c *serverConn) runQuery(ctx context.Context, q *wire.Query) error {
 	if testHookQuery != nil {
 		testHookQuery(q.SQL)
 	}
-	if len(q.Args) == 0 {
-		stmts, err := gsql.ParseAll(q.SQL)
+	rows, err := c.sess.Query(ctx, q.SQL, q.Args...)
+	if len(q.Args) == 0 && errors.Is(err, gsql.ErrNotOneStatement) {
+		res, err := c.sess.ExecScript(ctx, q.SQL)
 		if err != nil {
 			return c.statementError(err)
 		}
-		if len(stmts) != 1 {
-			res, err := c.sess.ExecScript(ctx, q.SQL)
-			if err != nil {
-				return c.statementError(err)
-			}
-			return c.resultResponse(res)
-		}
+		return c.resultResponse(res)
 	}
-	rows, err := c.sess.Query(ctx, q.SQL, q.Args...)
 	if errors.Is(err, gsql.ErrNotSelect) {
 		res, err := c.sess.Exec(ctx, q.SQL, q.Args...)
 		if err != nil {

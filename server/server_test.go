@@ -265,6 +265,58 @@ func TestServerQueryAndPrepared(t *testing.T) {
 	}
 }
 
+// TestServerQueryShapes pins how a Query frame's text is dispatched: a
+// script runs every statement and answers with the last one's result, an
+// empty text answers "empty script", a statement that is not a SELECT
+// answers with its row count, with or without arguments, and a script
+// with arguments is a statement error.
+func TestServerQueryShapes(t *testing.T) {
+	db := newTestCluster(t)
+	srv := startTestServer(t, db, Options{})
+	c := dialTest(t, srv)
+	c.hello("", "")
+
+	_, _, fin := c.query("CREATE TABLE s (k BIGINT, PRIMARY KEY (k)); INSERT INTO s VALUES (1); INSERT INTO s VALUES (2), (3)")
+	if done := c.mustDone(fin); done.Affected != 2 {
+		t.Fatalf("script answered %+v, want the last statement's 2 rows", done)
+	}
+	_, rows, fin := c.query("SELECT COUNT(*) FROM s")
+	c.mustDone(fin)
+	if len(rows) != 1 || rows[0][0] != int64(3) {
+		t.Fatalf("script did not run every statement: %v", rows)
+	}
+
+	for _, empty := range []string{"", " ;; "} {
+		_, _, fin = c.query(empty)
+		if done := c.mustDone(fin); done.Msg != "empty script" {
+			t.Fatalf("empty query %q answered %+v", empty, done)
+		}
+	}
+
+	_, _, fin = c.query("DELETE FROM s WHERE k > 1")
+	if done := c.mustDone(fin); done.Affected != 2 {
+		t.Fatalf("DELETE answered %+v, want 2 rows", done)
+	}
+	_, _, fin = c.query("INSERT INTO s VALUES (?)", int64(9))
+	if done := c.mustDone(fin); done.Affected != 1 {
+		t.Fatalf("parameterized INSERT answered %+v, want 1 row", done)
+	}
+
+	_, _, fin = c.query("SELECT k FROM s WHERE k = ?; SELECT k FROM s", int64(1))
+	if e, ok := fin.(*wire.Error); !ok || e.Code != "statement" || !strings.Contains(e.Msg, "expected one statement") {
+		t.Fatalf("script with arguments answered %#v", fin)
+	}
+	_, _, fin = c.query("INSERT INTO s VALUES (20); SELEC k FROM s")
+	if e, ok := fin.(*wire.Error); !ok || e.Code != "statement" {
+		t.Fatalf("script with a syntax error answered %#v", fin)
+	}
+	_, rows, fin = c.query("SELECT COUNT(*) FROM s")
+	c.mustDone(fin)
+	if len(rows) != 1 || rows[0][0] != int64(2) {
+		t.Fatalf("a script that fails to parse ran a statement: %v", rows)
+	}
+}
+
 // TestServerHandshakeRejects pins the refusal paths: wrong protocol
 // version, a first frame that is not Hello, and bad handshake options all
 // answer with an Error frame and close the connection.
