@@ -34,6 +34,35 @@ const allocBudgetMax = 1800
 // budget. With the collector and GC loop running, twenty runs on go1.24 read
 // 223…232; quiet, ten runs read 223 every time.
 func TestAllocBudget(t *testing.T) {
+	db, s := openAllocBudgetItems(t)
+	ctx := context.Background()
+
+	const query = "SELECT * FROM items WHERE qty >= 90"
+	run := func() {
+		res, err := s.Exec(ctx, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != allocBudgetRows/10 {
+			t.Fatalf("rows = %d, want %d", len(res.Rows), allocBudgetRows/10)
+		}
+	}
+	run() // warm the plan cache, cursors and arenas
+
+	defer quiet(t, db)()
+	best := minAllocs(run)
+	t.Logf("warm filtered scan: %.0f allocs/op (budget %d)", best, allocBudgetMax)
+	if best > allocBudgetMax {
+		t.Fatalf("warm filtered-scan path allocated %.0f times, budget is %d — a batch-path regression reintroduced per-row allocations", best, allocBudgetMax)
+	}
+}
+
+// openAllocBudgetItems opens the two-shard zero-RTT cluster the budgets
+// measure on, with allocBudgetRows items over four warehouses: qty cycles
+// through 0..99 (a tenth of the rows have qty >= 90) and tag through five
+// values.
+func openAllocBudgetItems(t *testing.T) (*globaldb.DB, *gsql.Session) {
+	t.Helper()
 	cfg := globaldb.OneRegion(0)
 	cfg.TimeScale = 0.02
 	cfg.Shards = 2
@@ -41,7 +70,7 @@ func TestAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	t.Cleanup(func() { db.Close() })
 	s, err := gsql.Connect(db, cfg.Regions[0])
 	if err != nil {
 		t.Fatal(err)
@@ -63,25 +92,7 @@ func TestAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	const query = "SELECT * FROM items WHERE qty >= 90"
-	run := func() {
-		res, err := s.Exec(ctx, query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != allocBudgetRows/10 {
-			t.Fatalf("rows = %d, want %d", len(res.Rows), allocBudgetRows/10)
-		}
-	}
-	run() // warm the plan cache, cursors and arenas
-
-	defer quiet(t, db)()
-	best := minAllocs(run)
-	t.Logf("warm filtered scan: %.0f allocs/op (budget %d)", best, allocBudgetMax)
-	if best > allocBudgetMax {
-		t.Fatalf("warm filtered-scan path allocated %.0f times, budget is %d — a batch-path regression reintroduced per-row allocations", best, allocBudgetMax)
-	}
+	return db, s
 }
 
 // Hard ceilings on the warm join paths over allocBudgetRows outer rows.
@@ -105,25 +116,8 @@ const (
 // strategy via SET JOIN with the cluster quiet. Unquiet, the hash figure
 // read 240…249 over twenty runs on go1.24; quiet, 240 in each of ten.
 func TestAllocBudgetJoin(t *testing.T) {
-	cfg := globaldb.OneRegion(0)
-	cfg.TimeScale = 0.02
-	cfg.Shards = 2
-	db, err := globaldb.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s, err := gsql.Connect(db, cfg.Regions[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, s := openAllocBudgetItems(t)
 	ctx := context.Background()
-	if _, err := s.Exec(ctx, `CREATE TABLE items (
-		w_id BIGINT, i_id BIGINT, qty BIGINT, tag TEXT,
-		PRIMARY KEY (w_id, i_id)
-	) SHARD BY w_id`); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.Exec(ctx, `CREATE TABLE warehouses (
 		w_id BIGINT, name TEXT, PRIMARY KEY (w_id)
 	) SHARD BY w_id`); err != nil {
@@ -132,16 +126,6 @@ func TestAllocBudgetJoin(t *testing.T) {
 	if _, err := s.Exec(ctx,
 		"INSERT INTO warehouses VALUES (1, 'a'), (2, 'b'), (3, 'c'), (4, 'd')"); err != nil {
 		t.Fatal(err)
-	}
-	perWarehouse := allocBudgetRows / 4
-	for w := 1; w <= 4; w++ {
-		var vals []string
-		for i := 1; i <= perWarehouse; i++ {
-			vals = append(vals, fmt.Sprintf("(%d, %d, %d, 't%d')", w, i, (i*7)%100, i%5))
-		}
-		if _, err := s.Exec(ctx, "INSERT INTO items VALUES "+strings.Join(vals, ", ")); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	const query = "SELECT i.i_id, w.name FROM items i JOIN warehouses w ON w.w_id = i.w_id WHERE i.qty >= 90"
@@ -180,6 +164,46 @@ func TestAllocBudgetJoin(t *testing.T) {
 	}
 	if 2*hash > nestLoop {
 		t.Fatalf("hash join allocated %.0f times vs nested loop's %.0f — the >=2x reduction claim no longer holds", hash, nestLoop)
+	}
+}
+
+// allocBudgetAggMax caps allocations for one warm GROUP BY pushed to the
+// data nodes over allocBudgetRows rows: each node folds its rows into
+// per-group partial states, the coordinator merges the two shards' states
+// and decodes the five group keys. Measured quiet on go1.24 before the row
+// codec was written once: 1089 in every run of ten, and of three under
+// -race. The ceiling is the measured value + 15 %.
+const allocBudgetAggMax = 1252
+
+// TestAllocBudgetAgg gates the warm pushed-aggregate path: DN partial
+// aggregation, the CN state merge and group-key decode.
+func TestAllocBudgetAgg(t *testing.T) {
+	db, s := openAllocBudgetItems(t)
+	ctx := context.Background()
+	const query = "SELECT tag, COUNT(*), SUM(qty) FROM items GROUP BY tag"
+	run := func() {
+		res, err := s.Exec(ctx, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 5 {
+			t.Fatalf("groups = %d, want 5", len(res.Rows))
+		}
+		n := int64(0)
+		for _, row := range res.Rows {
+			n += row[1].(int64)
+		}
+		if n != allocBudgetRows {
+			t.Fatalf("counted %d rows, want %d", n, allocBudgetRows)
+		}
+	}
+	run() // warm the plan cache, cursors and arenas
+
+	defer quiet(t, db)()
+	best := minAllocs(run)
+	t.Logf("warm pushed aggregate: %.0f allocs/op (budget %d)", best, allocBudgetAggMax)
+	if best > allocBudgetAggMax {
+		t.Fatalf("warm pushed GROUP BY allocated %.0f times, budget is %d", best, allocBudgetAggMax)
 	}
 }
 

@@ -510,7 +510,7 @@ func sortAndLimit(p *boundPlan, res *Result, sortKeys [][]any) error {
 func distinctKey(enc *keys.Encoder, row []any) ([]byte, error) {
 	enc.Reset()
 	for _, v := range row {
-		if err := fragment.AppendKeyValue(enc, v); err != nil {
+		if err := table.AppendValue(enc, v); err != nil {
 			return nil, err
 		}
 	}

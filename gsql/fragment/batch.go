@@ -12,9 +12,12 @@ import (
 // reusable arena. A data node decodes one storage page into a RowBatch
 // exactly once, evaluates filters and aggregate arguments over it with the
 // batch entry points in eval.go (producing selection vectors rather than
-// copying survivors), and encodes the survivors for the wire. The arena
-// owns every backing slab, so steady-state page evaluation performs no
-// per-row allocations beyond the boxed values themselves.
+// copying survivors), and encodes the survivors for the wire with
+// AppendCols over the fragment's Layout (layout.go). Decoding a stored row
+// and encoding a shipped one both go through the table layer's one value
+// codec (table.DecodeValue, table.AppendValue). The arena owns every
+// backing slab, so steady-state page evaluation performs no per-row
+// allocations beyond the boxed values themselves.
 
 // RowBatch is a column-major batch of decoded rows. Column c's values live
 // in Col(c) (nil entries are SQL NULL), with a per-column validity bitmap
@@ -46,13 +49,26 @@ func (b *RowBatch) IsNull(c, r int) bool {
 // Schema.EncodeRow produces) into the batch's columns. The value is decoded
 // exactly once; every later expression reference reads the decoded column
 // vectors.
-func (b *RowBatch) AppendStored(val []byte) error {
+func (b *RowBatch) AppendStored(val []byte) error { return b.AppendStoredNeeded(val, nil) }
+
+// AppendStoredNeeded is AppendStored restricted to a column mask: columns
+// whose need entry is false are skipped byte-wise without materializing a
+// value (no boxing, no string copy) and read back as NULL. Callers must
+// guarantee that no evaluated expression or shipped column references a
+// skipped column — Fragment.NeededCols computes exactly that set. A nil
+// mask decodes every column.
+func (b *RowBatch) AppendStoredNeeded(val []byte, need []bool) error {
 	var d keys.Decoder
 	d.Reset(val)
 	r := b.n
 	for c, k := range b.kinds {
-		v, err := decodeKeyValue(&d, k)
-		if err != nil {
+		var v any
+		if need == nil || need[c] {
+			var err error
+			if v, err = table.DecodeValue(&d, k); err != nil {
+				return fmt.Errorf("fragment: column %d: %w", c, err)
+			}
+		} else if err := d.Skip(); err != nil {
 			return fmt.Errorf("fragment: column %d: %w", c, err)
 		}
 		b.cols[c] = append(b.cols[c], v)
@@ -67,40 +83,16 @@ func (b *RowBatch) AppendStored(val []byte) error {
 	return nil
 }
 
-// AppendStoredNeeded is AppendStored restricted to a column mask: columns
-// whose need entry is false are skipped byte-wise without materializing a
-// value (no boxing, no string copy) and read back as NULL. Callers must
-// guarantee that no evaluated expression or shipped projection references
-// a skipped column — Fragment.NeededCols computes exactly that set. A nil
-// mask decodes every column.
-func (b *RowBatch) AppendStoredNeeded(val []byte, need []bool) error {
-	if need == nil {
-		return b.AppendStored(val)
-	}
-	var d keys.Decoder
-	d.Reset(val)
-	r := b.n
-	for c := range b.kinds {
-		if !need[c] {
-			if err := d.Skip(); err != nil {
-				return fmt.Errorf("fragment: column %d: %w", c, err)
-			}
-			b.cols[c] = append(b.cols[c], nil)
-			continue
-		}
-		v, err := decodeKeyValue(&d, b.kinds[c])
-		if err != nil {
-			return fmt.Errorf("fragment: column %d: %w", c, err)
-		}
-		b.cols[c] = append(b.cols[c], v)
-		if v != nil {
-			b.valid[c][r>>6] |= 1 << (uint(r) & 63)
+// AppendCols encodes row r's values of the given columns onto enc, in
+// order: the one encoder of what a data node ships — projected rows, both
+// segments of joined rows (over Layout.OuterCols and InnerCols) and group
+// keys.
+func (b *RowBatch) AppendCols(enc *keys.Encoder, r int, cols []int) error {
+	for _, c := range cols {
+		if err := table.AppendValue(enc, b.cols[c][r]); err != nil {
+			return err
 		}
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("%w: trailing row bytes", ErrCorrupt)
-	}
-	b.n++
 	return nil
 }
 

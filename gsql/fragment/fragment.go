@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 
-	"globaldb/internal/keys"
 	"globaldb/internal/table"
 )
 
@@ -720,189 +719,4 @@ func bindList(es []Expr, params []any) ([]Expr, bool, error) {
 		return es, false, nil
 	}
 	return out, true, nil
-}
-
-// ---- Row codec helpers ----
-
-// DecodeStoredRow decodes a stored row value by the fragment's column
-// kinds — the data-node-side equivalent of Schema.DecodeRow.
-func (f *Fragment) DecodeStoredRow(val []byte) ([]any, error) {
-	return decodeRowByKinds(f.Kinds, val)
-}
-
-func decodeRowByKinds(kinds []table.Kind, val []byte) ([]any, error) {
-	d := keys.NewDecoder(val)
-	out := make([]any, len(kinds))
-	for i, k := range kinds {
-		v, err := decodeKeyValue(d, k)
-		if err != nil {
-			return nil, fmt.Errorf("fragment: column %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: trailing row bytes", ErrCorrupt)
-	}
-	return out, nil
-}
-
-func decodeKeyValue(d *keys.Decoder, k table.Kind) (any, error) {
-	if d.IsNull() {
-		return nil, nil
-	}
-	switch k {
-	case table.Int64:
-		return d.Int64()
-	case table.Float64:
-		return d.Float64()
-	case table.String:
-		return d.String()
-	case table.Bytes:
-		return d.RawBytes()
-	case table.Bool:
-		return d.Bool()
-	default:
-		return nil, fmt.Errorf("fragment: unknown kind %v", k)
-	}
-}
-
-func encodeKeyValue(e *keys.Encoder, v any) error {
-	switch x := v.(type) {
-	case nil:
-		e.Null()
-	case int64:
-		e.Int64(x)
-	case float64:
-		e.Float64(x)
-	case string:
-		e.String(x)
-	case []byte:
-		e.RawBytes(x)
-	case bool:
-		e.Bool(x)
-	default:
-		return fmt.Errorf("fragment: unsupported row value %T", v)
-	}
-	return nil
-}
-
-// EncodeProjected re-encodes the projected columns of a decoded row as the
-// shipped row value.
-func (f *Fragment) EncodeProjected(row []any) ([]byte, error) {
-	e := keys.NewEncoder(16 * len(f.Project))
-	for _, c := range f.Project {
-		if err := encodeKeyValue(e, row[c]); err != nil {
-			return nil, err
-		}
-	}
-	return e.Bytes(), nil
-}
-
-// AppendProjected encodes the projected columns of batch row r onto enc —
-// the batch form of EncodeProjected, producing identical bytes. Callers
-// encode a whole page of survivors into one buffer and slice per-row
-// values out of it instead of allocating an encoder per row.
-func (f *Fragment) AppendProjected(enc *keys.Encoder, b *RowBatch, r int) error {
-	for _, c := range f.Project {
-		if err := encodeKeyValue(enc, b.cols[c][r]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AppendGroupKey encodes batch row r's memcomparable group key onto enc —
-// the batch form of EncodeGroupKey, producing identical bytes.
-func (f *Fragment) AppendGroupKey(enc *keys.Encoder, b *RowBatch, r int) error {
-	for _, c := range f.GroupBy {
-		if err := encodeKeyValue(enc, b.cols[c][r]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ProjectedKinds returns the column kinds of the projected (shipped)
-// columns, in shipped order. Computing this once per scan lets the
-// receiving side batch-decode projected rows without rebuilding it per row.
-func (f *Fragment) ProjectedKinds() []table.Kind {
-	kinds := make([]table.Kind, len(f.Project))
-	for i, c := range f.Project {
-		kinds[i] = f.Kinds[c]
-	}
-	return kinds
-}
-
-// DecodeProjectedAppend decodes a projected row value, appending the
-// re-expanded full-width row (unshipped columns nil) to dst and returning
-// the extended slice. narrowKinds must be ProjectedKinds(). Batch consumers
-// decode a whole page into one backing slab this way.
-func (f *Fragment) DecodeProjectedAppend(narrowKinds []table.Kind, val []byte, dst []any) ([]any, error) {
-	var d keys.Decoder
-	d.Reset(val)
-	base := len(dst)
-	for i := 0; i < len(f.Kinds); i++ {
-		dst = append(dst, nil)
-	}
-	for i, k := range narrowKinds {
-		v, err := decodeKeyValue(&d, k)
-		if err != nil {
-			return nil, fmt.Errorf("fragment: column %d: %w", i, err)
-		}
-		dst[base+f.Project[i]] = v
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: trailing row bytes", ErrCorrupt)
-	}
-	return dst, nil
-}
-
-// DecodeProjected expands a projected row value back to full schema width,
-// leaving unshipped columns nil. The planner guarantees no surviving
-// expression references an unshipped column.
-func (f *Fragment) DecodeProjected(val []byte) ([]any, error) {
-	kinds := make([]table.Kind, len(f.Project))
-	for i, c := range f.Project {
-		kinds[i] = f.Kinds[c]
-	}
-	narrow, err := decodeRowByKinds(kinds, val)
-	if err != nil {
-		return nil, err
-	}
-	full := make([]any, len(f.Kinds))
-	for i, c := range f.Project {
-		full[c] = narrow[i]
-	}
-	return full, nil
-}
-
-// EncodeGroupKey builds the memcomparable group key for one row. Equal
-// group values always encode to equal bytes, and the encoding orders
-// exactly like the values, so per-shard group streams merge with the same
-// cursor machinery as row scans.
-func (f *Fragment) EncodeGroupKey(row []any) ([]byte, error) {
-	e := keys.NewEncoder(16 * len(f.GroupBy))
-	for _, c := range f.GroupBy {
-		if err := encodeKeyValue(e, row[c]); err != nil {
-			return nil, err
-		}
-	}
-	return e.Bytes(), nil
-}
-
-// DecodeGroupKey recovers the group column values from a group key.
-func (f *Fragment) DecodeGroupKey(key []byte) ([]any, error) {
-	d := keys.NewDecoder(key)
-	out := make([]any, len(f.GroupBy))
-	for i, c := range f.GroupBy {
-		v, err := decodeKeyValue(d, f.Kinds[c])
-		if err != nil {
-			return nil, fmt.Errorf("fragment: group key column %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: trailing group key bytes", ErrCorrupt)
-	}
-	return out, nil
 }

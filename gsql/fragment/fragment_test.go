@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"globaldb/internal/keys"
 	"globaldb/internal/table"
 )
 
@@ -224,6 +225,46 @@ func TestAggStateMergeCommutes(t *testing.T) {
 	}
 }
 
+// storedBatch decodes rows, encoded as stored values, into a batch — the
+// data node's view of a storage page.
+func storedBatch(t *testing.T, a *Arena, kinds []table.Kind, rows [][]any) *RowBatch {
+	t.Helper()
+	b := a.NewBatch(kinds, len(rows))
+	for _, row := range rows {
+		enc := keys.NewEncoder(32)
+		for _, v := range row {
+			if err := table.AppendValue(enc, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.AppendStored(enc.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// shipAndDecode encodes every row of b the way a data node ships it under
+// f's layout and decodes it the way the computing node does.
+func shipAndDecode(t *testing.T, f *Fragment, b *RowBatch) [][]any {
+	t.Helper()
+	lay := f.Layout()
+	dec := lay.Decoder()
+	var out [][]any
+	for r := 0; r < b.Len(); r++ {
+		enc := keys.NewEncoder(32)
+		if err := b.AppendCols(enc, r, lay.OuterCols()); err != nil {
+			t.Fatal(err)
+		}
+		row, err := dec.DecodeAppend(enc.Bytes(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
 // TestGroupKeyRoundTrip checks group keys decode back to the grouped
 // values, including NULLs.
 func TestGroupKeyRoundTrip(t *testing.T) {
@@ -232,22 +273,16 @@ func TestGroupKeyRoundTrip(t *testing.T) {
 		GroupBy: []int{1, 0},
 		Aggs:    []AggSpec{{Kind: AggCount, Star: true}},
 	}
-	for _, row := range [][]any{
+	rows := [][]any{
 		{int64(7), "xa", true},
 		{nil, "", false},
 		{int64(-1), nil, true},
-	} {
-		key, err := f.EncodeGroupKey(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals, err := f.DecodeGroupKey(key)
-		if err != nil {
-			t.Fatal(err)
-		}
+	}
+	got := shipAndDecode(t, f, storedBatch(t, NewArena(), f.Kinds, rows))
+	for i, row := range rows {
 		want := []any{row[1], row[0]}
-		if !reflect.DeepEqual(vals, want) {
-			t.Fatalf("group key of %v: got %v, want %v", row, vals, want)
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("group key of %v: got %v, want %v", row, got[i], want)
 		}
 	}
 }
@@ -257,20 +292,66 @@ func TestGroupKeyRoundTrip(t *testing.T) {
 func TestProjectionRoundTrip(t *testing.T) {
 	f := &Fragment{
 		Kinds:   []table.Kind{table.Int64, table.String, table.Float64, table.Bool},
-		Project: []int{0, 2},
+		Project: []int{2, 0},
 	}
-	row := []any{int64(9), "drop me", 2.5, true}
-	val, err := f.EncodeProjected(row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.DecodeProjected(val)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := [][]any{{int64(9), "drop me", 2.5, true}}
+	got := shipAndDecode(t, f, storedBatch(t, NewArena(), f.Kinds, rows))
 	want := []any{int64(9), nil, 2.5, nil}
+	if !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("projected round trip: got %v, want %v", got[0], want)
+	}
+}
+
+// TestJoinedRowRoundTrip checks joined rows decode to the outer width then
+// the inner width, including across the decoder's memo of the outer
+// segment: two matches of one outer row, then a match of another.
+func TestJoinedRowRoundTrip(t *testing.T) {
+	f := &Fragment{
+		Kinds:   []table.Kind{table.Int64, table.String, table.Bytes},
+		Project: []int{2, 0},
+		Lookup: &Lookup{
+			Prefix:   []byte{0x03},
+			KeyExprs: []Expr{col(0)},
+			KeyKinds: []table.Kind{table.Int64},
+			Kinds:    []table.Kind{table.Int64, table.Float64, table.String},
+			Project:  []int{2},
+		},
+	}
+	lay := f.Layout()
+	outer := storedBatch(t, NewArena(), f.Kinds, [][]any{
+		{int64(1), "o", []byte("ab")},
+		{int64(1), "o", nil},
+	})
+	inner := storedBatch(t, NewArena(), f.Lookup.Kinds, [][]any{
+		{int64(1), 0.5, "x"},
+		{int64(1), 1.5, nil},
+	})
+	dec := lay.Decoder()
+	var got [][]any
+	for _, m := range [][2]int{{0, 0}, {0, 1}, {1, 0}} {
+		enc := keys.NewEncoder(32)
+		if err := outer.AppendCols(enc, m[0], lay.OuterCols()); err != nil {
+			t.Fatal(err)
+		}
+		if err := inner.AppendCols(enc, m[1], lay.InnerCols()); err != nil {
+			t.Fatal(err)
+		}
+		row, err := dec.DecodeAppend(enc.Bytes(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, row)
+	}
+	want := [][]any{
+		{int64(1), nil, []byte("ab"), nil, nil, "x"},
+		{int64(1), nil, []byte("ab"), nil, nil, nil},
+		{int64(1), nil, nil, nil, nil, "x"},
+	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("projected round trip: got %v, want %v", got, want)
+		t.Fatalf("joined rows: got %v, want %v", got, want)
+	}
+	if _, err := dec.DecodeAppend([]byte{0xff}, nil); err == nil {
+		t.Fatal("corrupt joined row decoded")
 	}
 }
 

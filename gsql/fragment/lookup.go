@@ -1,11 +1,9 @@
 package fragment
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
-	"globaldb/internal/keys"
 	"globaldb/internal/table"
 )
 
@@ -31,83 +29,6 @@ type Lookup struct {
 	KeyKinds []table.Kind
 	Kinds    []table.Kind
 	Project  []int
-}
-
-// ShipCols resolves Project into the concrete list of shipped inner
-// columns (nil Project means every column).
-func (l *Lookup) ShipCols() []int {
-	if l.Project != nil {
-		return l.Project
-	}
-	all := make([]int, len(l.Kinds))
-	for i := range all {
-		all[i] = i
-	}
-	return all
-}
-
-// ShipKinds returns the kinds of the shipped inner columns, in shipped
-// order.
-func (l *Lookup) ShipKinds() []table.Kind {
-	ship := l.ShipCols()
-	kinds := make([]table.Kind, len(ship))
-	for i, c := range ship {
-		kinds[i] = l.Kinds[c]
-	}
-	return kinds
-}
-
-// DecodeInnerRowAppend decodes one stored inner-table row value into
-// dst[:0], reusing its backing array — the data node's per-match decode.
-func (l *Lookup) DecodeInnerRowAppend(val []byte, dst []any) ([]any, error) {
-	var d keys.Decoder
-	d.Reset(val)
-	dst = dst[:0]
-	for i, k := range l.Kinds {
-		v, err := decodeKeyValue(&d, k)
-		if err != nil {
-			return nil, fmt.Errorf("fragment: inner column %d: %w", i, err)
-		}
-		dst = append(dst, v)
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: trailing inner row bytes", ErrCorrupt)
-	}
-	return dst, nil
-}
-
-// AppendKeyValue encodes one coerced key value onto enc with the same
-// memcomparable encoding the table layer uses for primary keys, so a
-// data-node-built lookup key is byte-identical to the key the computing
-// node's own access path would have encoded.
-func AppendKeyValue(enc *keys.Encoder, v any) error {
-	return encodeKeyValue(enc, v)
-}
-
-// AppendInner encodes the shipped inner columns of one matched inner row
-// onto enc. ship must be ShipCols(), precomputed once per scan.
-func (l *Lookup) AppendInner(enc *keys.Encoder, inner []any, ship []int) error {
-	for _, c := range ship {
-		if err := encodeKeyValue(enc, inner[c]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AppendOuter encodes the outer half of a joined row — the fragment's
-// projected outer columns, or the full outer row when Project is nil —
-// onto enc.
-func (f *Fragment) AppendOuter(enc *keys.Encoder, b *RowBatch, r int) error {
-	if f.Project != nil {
-		return f.AppendProjected(enc, b, r)
-	}
-	for c := range f.Kinds {
-		if err := encodeKeyValue(enc, b.cols[c][r]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // CoerceKey coerces an outer-row value to an inner key column's kind. It
@@ -155,101 +76,6 @@ func CoerceKey(k table.Kind, v any) (any, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: cannot use %T as %v lookup key", ErrType, v, k)
-}
-
-// JoinedDecoder caches the per-scan layout needed to decode joined-row
-// values shipped by a lookup-join fragment: each value holds the outer
-// projected columns followed by the shipped inner columns, and decodes to
-// one combined row of full outer width followed by full inner width
-// (unshipped positions nil).
-type JoinedDecoder struct {
-	f          *Fragment
-	outerKinds []table.Kind // kinds of the shipped outer values, in order
-	ship       []int        // shipped inner columns
-	shipKinds  []table.Kind
-	outerW     int
-	innerW     int
-
-	// Joined rows arrive grouped by outer row, so consecutive values
-	// usually share a byte-identical outer segment. prevOuter/prevVals
-	// memoize the last decoded outer segment: on a byte match the cached
-	// boxed values are copied instead of re-decoded, collapsing the
-	// fan-out join's outer decode cost from O(matches) to O(outer rows).
-	// Sound because the encoding is deterministic and self-delimiting:
-	// equal leading bytes decode to equal outer values.
-	prevOuter []byte
-	prevVals  []any // full outer width, unshipped positions nil
-}
-
-// NewJoinedDecoder builds the decoder for a fragment with a Lookup.
-func (f *Fragment) NewJoinedDecoder() *JoinedDecoder {
-	jd := &JoinedDecoder{
-		f:         f,
-		ship:      f.Lookup.ShipCols(),
-		shipKinds: f.Lookup.ShipKinds(),
-		outerW:    len(f.Kinds),
-		innerW:    len(f.Lookup.Kinds),
-	}
-	if f.Project != nil {
-		jd.outerKinds = f.ProjectedKinds()
-	} else {
-		jd.outerKinds = f.Kinds
-	}
-	return jd
-}
-
-// Width returns the combined row width: outer columns then inner columns.
-func (jd *JoinedDecoder) Width() int { return jd.outerW + jd.innerW }
-
-// DecodeAppend decodes one joined row value, appending the combined
-// full-width row to dst and returning the extended slice.
-func (jd *JoinedDecoder) DecodeAppend(val []byte, dst []any) ([]any, error) {
-	var d keys.Decoder
-	base := len(dst)
-	for i := 0; i < jd.outerW+jd.innerW; i++ {
-		dst = append(dst, nil)
-	}
-	f := jd.f
-	if n := len(jd.prevOuter); n > 0 && n <= len(val) && bytes.Equal(val[:n], jd.prevOuter) {
-		copy(dst[base:base+jd.outerW], jd.prevVals)
-		d.Reset(val[n:])
-	} else {
-		d.Reset(val)
-		if f.Project != nil {
-			for i, k := range jd.outerKinds {
-				v, err := decodeKeyValue(&d, k)
-				if err != nil {
-					return nil, fmt.Errorf("fragment: joined outer column %d: %w", i, err)
-				}
-				dst[base+f.Project[i]] = v
-			}
-		} else {
-			for c, k := range jd.outerKinds {
-				v, err := decodeKeyValue(&d, k)
-				if err != nil {
-					return nil, fmt.Errorf("fragment: joined outer column %d: %w", c, err)
-				}
-				dst[base+c] = v
-			}
-		}
-		outerLen := len(val) - d.Remaining()
-		jd.prevOuter = append(jd.prevOuter[:0], val[:outerLen]...)
-		if jd.prevVals == nil {
-			jd.prevVals = make([]any, jd.outerW)
-		}
-		copy(jd.prevVals, dst[base:base+jd.outerW])
-	}
-	for i, c := range jd.ship {
-		v, err := decodeKeyValue(&d, jd.shipKinds[i])
-		if err != nil {
-			return nil, fmt.Errorf("fragment: joined inner column %d: %w", i, err)
-		}
-		dst[base+jd.outerW+c] = v
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: trailing joined row bytes", ErrCorrupt)
-	}
-	return dst, nil
 }
 
 // ---- Wire format ----

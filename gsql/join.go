@@ -518,7 +518,7 @@ func (jp *joinPlan) describe(p *selectPlan) []string {
 
 // openLookupRows opens the outer scan with the bound lookup fragment
 // attached: the returned Rows yield combined joined rows (full outer
-// width then full inner width) decoded by the fragment's JoinedDecoder.
+// width then full inner width) decoded by the fragment layout's RowDecoder.
 func openLookupRows(ctx context.Context, r reader, p *boundPlan, fetchLimit, pageHint, prefetch int, frag *fragment.Fragment) (*globaldb.Rows, error) {
 	s := p.outer
 	opts := globaldb.ScanOpts{Limit: fetchLimit, PageSize: pageHint, Prefetch: prefetch,
@@ -707,16 +707,7 @@ func appendHashKeyCols(enc *keys.Encoder, row table.Row, cols []int, float []boo
 			enc.Float64(f)
 			continue
 		}
-		switch x := v.(type) {
-		case int64:
-			enc.Int64(x)
-		case string:
-			enc.String(x)
-		case []byte:
-			enc.RawBytes(x)
-		case bool:
-			enc.Bool(x)
-		default:
+		if _, ok := v.(float64); ok || table.AppendValue(enc, v) != nil {
 			return false
 		}
 	}

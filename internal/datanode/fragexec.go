@@ -9,6 +9,7 @@ import (
 	"globaldb/gsql/fragment"
 	"globaldb/internal/keys"
 	"globaldb/internal/storage/mvcc"
+	"globaldb/internal/table"
 )
 
 // This file is the data-node side of GlobalDB's distributed execution
@@ -21,12 +22,18 @@ import (
 // semantics come for free from the store's MVCC ScanPage, so the same code
 // serves primaries (with read-own-writes and RCP replicas).
 //
-// Execution is batch-native: each storage page is decoded once into a
-// column-major fragment.RowBatch backed by a pooled arena, the filter runs
-// over the batch producing a selection vector, and survivors are either
-// encoded for the wire (rows / projections, into one page buffer) or
-// folded into per-group aggregate states — no per-row []any allocation
-// anywhere on the hot path.
+// Execution is batch-native, and storage is read in one place: pageWalk
+// fetches each storage page, decodes the columns the fragment needs once
+// into a column-major fragment.RowBatch backed by a pooled arena, and runs
+// the filter over it, producing a selection vector. Each shape then works
+// on the survivors under its own budget and resume rules: a plain scan
+// ships them (stored values as they are, projections re-encoded into one
+// page buffer), a lookup join reads their inner rows and ships joined rows,
+// an aggregate folds them into per-group states. What a shipped row
+// carries is the fragment's Layout, encoded with RowBatch.AppendCols — the
+// computing node decodes it with the same Layout — and every key or value
+// goes through table.AppendValue. No per-row []any allocation anywhere on
+// the hot path.
 
 const (
 	// fragScanBatch is how many storage rows the fragment executor pulls
@@ -52,8 +59,9 @@ const (
 // aliases arena memory. Shipped keys slice the immutable MVCC store, raw
 // and filtered values slice the store too, and projected values are
 // sliced out of a per-request encode buffer allocated in this call (see
-// finishFragPage). The arena only backs the decoded column batch used
-// transiently for filter/projection/aggregate evaluation.
+// finishFragPage). Arenas only back the decoded column batches — the
+// scanned page, and a lookup join's matched inner rows — used transiently
+// for filter/projection/aggregate evaluation and re-encoding.
 var arenaPool = sync.Pool{New: func() any { return fragment.NewArena() }}
 
 // execFragScanPage serves one paged scan request that carries a fragment.
@@ -66,68 +74,46 @@ func execFragScanPage(ctx context.Context, store *mvcc.Store, req ScanPageReq, r
 	}
 	arena := arenaPool.Get().(*fragment.Arena)
 	defer arenaPool.Put(arena)
-	if frag.HasAggs() {
-		return execFragAggregate(ctx, store, frag, arena, req, reader)
-	}
-	if frag.Lookup != nil {
-		return execFragLookupJoin(ctx, store, frag, arena, req, reader)
-	}
 	outBudget := pageLimit(req.Limit, req.MaxPage)
-	start := req.Start
+	w := &pageWalk{ctx: ctx, store: store, req: req, reader: reader, frag: frag, arena: arena,
+		need: frag.NeededCols(), start: req.Start, rows: fragScanBatch}
+	if frag.HasAggs() {
+		return execFragAggregate(w)
+	}
+	// The internal storage page starts near the output budget — a selective
+	// LIMIT then reads O(k) storage rows, not a full batch — and grows as
+	// the filter keeps dropping rows.
+	w.rows = min(max(outBudget, 16), fragScanBatch)
+	if frag.Lookup != nil {
+		return execFragLookupJoin(w, outBudget)
+	}
 	examined := 0
 	var out []mvcc.KV
 	// Projected page values are encoded into one buffer per page and sliced
 	// per row after the page settles (appends may relocate the buffer, so
-	// only offsets are recorded during the walk).
+	// only offsets are recorded during the walk). Without a projection the
+	// stored value itself is shipped.
 	var pageEnc *keys.Encoder
 	var valOffs []int
+	var cols []int
 	if frag.Project != nil {
 		pageEnc = keys.NewEncoder(0)
-	}
-	// Decode only the columns the fragment references; the rest are
-	// skipped byte-wise (no boxing, no string copies).
-	need := frag.NeededCols()
-	// The internal storage batch starts near the output budget — a
-	// selective LIMIT then reads O(k) storage rows, not a full batch — and
-	// grows geometrically when the filter keeps dropping rows, mirroring
-	// the coordinator cursor's adaptive page growth.
-	storageBatch := outBudget
-	if storageBatch < 16 {
-		storageBatch = 16
-	}
-	if storageBatch > fragScanBatch {
-		storageBatch = fragScanBatch
+		lay := frag.Layout()
+		cols = lay.OuterCols()
 	}
 	for {
-		kvs, next, more, err := store.ScanPage(ctx, start, req.End, req.SnapTS, storageBatch, reader)
-		if err != nil {
-			return ScanPageResp{}, err
-		}
-		if storageBatch < fragScanBatch {
-			storageBatch *= 4
-			if storageBatch > fragScanBatch {
-				storageBatch = fragScanBatch
-			}
-		}
-		// Decode the whole page once into the arena's column slabs.
-		batch := arena.NewBatch(frag.Kinds, len(kvs))
-		for i := range kvs {
-			if err := batch.AppendStoredNeeded(kvs[i].Value, need); err != nil {
-				return ScanPageResp{}, err
-			}
-		}
 		// Filter the batch, stopping exactly when the output budget is met
 		// so examined-row accounting matches row-at-a-time execution.
-		sel, evaluated, err := frag.FilterBatch(batch, 0, outBudget-len(out), arena.Sel(len(kvs)))
+		pg, err := w.next(outBudget - len(out))
 		if err != nil {
 			return ScanPageResp{}, err
 		}
-		examined += evaluated
-		for _, r := range sel {
-			kv := mvcc.KV{Key: kvs[r].Key, Value: kvs[r].Value}
-			if frag.Project != nil {
+		examined += pg.evaluated
+		for _, r := range pg.sel {
+			kv := mvcc.KV{Key: pg.kvs[r].Key, Value: pg.kvs[r].Value}
+			if pageEnc != nil {
 				valOffs = append(valOffs, len(pageEnc.Bytes()))
-				if err := frag.AppendProjected(pageEnc, batch, r); err != nil {
+				if err := pg.batch.AppendCols(pageEnc, r, cols); err != nil {
 					return ScanPageResp{}, err
 				}
 				kv.Value = nil // sliced out of the page buffer below
@@ -138,25 +124,74 @@ func execFragScanPage(ctx context.Context, store *mvcc.Store, req ScanPageReq, r
 			// The page is full mid-range: resume at the successor of the
 			// last shipped key (the same resume convention as
 			// mvcc.ScanPage).
-			last := evaluated - 1 // FilterBatch stops on the kept row
-			if last+1 < len(kvs) || more {
-				resume := append(bytes.Clone(kvs[last].Key), 0x00)
+			last := pg.evaluated - 1 // FilterBatch stops on the kept row
+			if last+1 < len(pg.kvs) || pg.more {
+				resume := append(bytes.Clone(pg.kvs[last].Key), 0x00)
 				if req.End == nil || bytes.Compare(resume, req.End) < 0 {
 					return finishFragPage(out, pageEnc, valOffs, resume, true, examined), nil
 				}
 			}
 			return finishFragPage(out, pageEnc, valOffs, nil, false, examined), nil
 		}
-		if !more {
+		if !pg.more {
 			return finishFragPage(out, pageEnc, valOffs, nil, false, examined), nil
 		}
-		start = next
 		if examined >= fragExamineBudget {
 			// Work budget exhausted with the output page still open: hand
 			// the resume key back so the next RPC continues the walk.
-			return finishFragPage(out, pageEnc, valOffs, next, true, examined), nil
+			return finishFragPage(out, pageEnc, valOffs, pg.next, true, examined), nil
 		}
 	}
+}
+
+// pageWalk is the one place a fragment request reads storage: it fetches
+// the next storage page, decodes the columns the fragment needs into the
+// arena's batch and runs the filter over it. Each shape applies its own
+// budget, resume and accounting rules to the pages it gets.
+type pageWalk struct {
+	ctx    context.Context
+	store  *mvcc.Store
+	req    ScanPageReq
+	reader mvcc.TxnID
+	frag   *fragment.Fragment
+	arena  *fragment.Arena
+	need   []bool // Fragment.NeededCols: the rest are skipped byte-wise
+	start  []byte // where the next page starts
+	rows   int    // storage rows the next page reads
+}
+
+// walkedPage is one storage page, decoded and filtered.
+type walkedPage struct {
+	kvs       []mvcc.KV
+	batch     *fragment.RowBatch // valid until the walk's next page
+	sel       []int              // rows the filter kept
+	evaluated int                // rows the filter evaluated
+	next      []byte             // resume key after this page
+	more      bool               // storage holds rows past next
+}
+
+// next reads, decodes and filters the next storage page, stopping once
+// maxKeep rows are kept (0 evaluates the whole page). The page size grows
+// fourfold per page up to fragScanBatch, mirroring the coordinator
+// cursor's adaptive page growth.
+func (w *pageWalk) next(maxKeep int) (walkedPage, error) {
+	kvs, next, more, err := w.store.ScanPage(w.ctx, w.start, w.req.End, w.req.SnapTS, w.rows, w.reader)
+	if err != nil {
+		return walkedPage{}, err
+	}
+	w.start = next
+	w.rows = min(4*w.rows, fragScanBatch)
+	batch := w.arena.NewBatch(w.frag.Kinds, len(kvs))
+	for i := range kvs {
+		if err := batch.AppendStoredNeeded(kvs[i].Value, w.need); err != nil {
+			return walkedPage{}, err
+		}
+	}
+	sel, evaluated, err := w.frag.FilterBatch(batch, 0, maxKeep, w.arena.Sel(len(kvs)))
+	if err != nil {
+		return walkedPage{}, err
+	}
+	return walkedPage{kvs: kvs, batch: batch, sel: sel, evaluated: evaluated, next: next, more: more}, nil
 }
 
 // finishFragPage slices projected values out of the settled page buffer
@@ -188,58 +223,36 @@ func finishFragPage(out []mvcc.KV, pageEnc *keys.Encoder, valOffs []int, next []
 // skipped) and Examined covers only the rows strictly before it, so
 // re-scanned rows are never double-counted. A page may therefore overshoot
 // the budget by one outer row's fan-out.
-func execFragLookupJoin(ctx context.Context, store *mvcc.Store, frag *fragment.Fragment, arena *fragment.Arena, req ScanPageReq, reader mvcc.TxnID) (ScanPageResp, error) {
-	lk := frag.Lookup
-	ship := lk.ShipCols()
-	outBudget := pageLimit(req.Limit, req.MaxPage)
-	start := req.Start
+func execFragLookupJoin(w *pageWalk, outBudget int) (ScanPageResp, error) {
+	frag, lk := w.frag, w.frag.Lookup
+	lay := frag.Layout()
+	outerCols, innerCols := lay.OuterCols(), lay.InnerCols()
+	// Matched inner rows decode into a batch of their own.
+	innerArena := arenaPool.Get().(*fragment.Arena)
+	defer arenaPool.Put(innerArena)
 	examined, looked := 0, 0
 	var out []mvcc.KV
 	pageEnc := keys.NewEncoder(0) // joined values are always re-encoded
 	var valOffs []int
 	keyEnc := keys.NewEncoder(64)
 	outerEnc := keys.NewEncoder(64)
-	var innerRow []any
 	keyVals := make([][]any, len(lk.KeyExprs))
 	coerced := make([]any, len(lk.KeyExprs))
-	need := frag.NeededCols()
-	storageBatch := outBudget
-	if storageBatch < 16 {
-		storageBatch = 16
-	}
-	if storageBatch > fragScanBatch {
-		storageBatch = fragScanBatch
-	}
 	for {
-		kvs, next, more, err := store.ScanPage(ctx, start, req.End, req.SnapTS, storageBatch, reader)
-		if err != nil {
-			return ScanPageResp{}, err
-		}
-		if storageBatch < fragScanBatch {
-			storageBatch *= 4
-			if storageBatch > fragScanBatch {
-				storageBatch = fragScanBatch
-			}
-		}
-		batch := arena.NewBatch(frag.Kinds, len(kvs))
-		for i := range kvs {
-			if err := batch.AppendStoredNeeded(kvs[i].Value, need); err != nil {
-				return ScanPageResp{}, err
-			}
-		}
 		// The budget applies to joined output rows, so the filter always
 		// evaluates the whole batch (no maxKeep).
-		sel, _, err := frag.FilterBatch(batch, 0, 0, arena.Sel(len(kvs)))
+		pg, err := w.next(0)
 		if err != nil {
 			return ScanPageResp{}, err
 		}
+		sel, kvs := pg.sel, pg.kvs
 		// Evaluate every key expression over the surviving rows at once.
 		for j := range lk.KeyExprs {
 			if cap(keyVals[j]) < len(sel) {
 				keyVals[j] = make([]any, len(sel))
 			}
 			keyVals[j] = keyVals[j][:len(sel)]
-			if err := fragment.EvalBatch(&lk.KeyExprs[j], batch, sel, keyVals[j]); err != nil {
+			if err := fragment.EvalBatch(&lk.KeyExprs[j], pg.batch, sel, keyVals[j]); err != nil {
 				return ScanPageResp{}, err
 			}
 		}
@@ -267,15 +280,17 @@ func execFragLookupJoin(ctx context.Context, store *mvcc.Store, frag *fragment.F
 			if nullKey {
 				continue
 			}
+			// The key is the inner table's primary-key prefix of the coerced
+			// values, encoded as the table layer encodes primary keys.
 			keyEnc.Reset()
 			keyEnc.AppendRaw(lk.Prefix)
 			for _, cv := range coerced {
-				if err := fragment.AppendKeyValue(keyEnc, cv); err != nil {
+				if err := table.AppendValue(keyEnc, cv); err != nil {
 					return ScanPageResp{}, err
 				}
 			}
 			innerKey := keyEnc.Bytes()
-			ikvs, err := store.Scan(ctx, innerKey, keys.PrefixEnd(innerKey), req.SnapTS, 0, reader)
+			ikvs, err := w.store.Scan(w.ctx, innerKey, keys.PrefixEnd(innerKey), w.req.SnapTS, 0, w.reader)
 			if err != nil {
 				return ScanPageResp{}, err
 			}
@@ -306,16 +321,17 @@ func execFragLookupJoin(ctx context.Context, store *mvcc.Store, frag *fragment.F
 			// row: encode it once and splice the bytes per joined row, so a
 			// high fan-out costs one outer encode, not one per match.
 			outerEnc.Reset()
-			if err := frag.AppendOuter(outerEnc, batch, r); err != nil {
+			if err := pg.batch.AppendCols(outerEnc, r, outerCols); err != nil {
 				return ScanPageResp{}, err
 			}
-			for _, ikv := range ikvs {
-				if innerRow, err = lk.DecodeInnerRowAppend(ikv.Value, innerRow); err != nil {
+			inner := innerArena.NewBatch(lk.Kinds, len(ikvs))
+			for m := range ikvs {
+				if err := inner.AppendStored(ikvs[m].Value); err != nil {
 					return ScanPageResp{}, err
 				}
 				valOffs = append(valOffs, len(pageEnc.Bytes()))
 				pageEnc.AppendRaw(outerEnc.Bytes())
-				if err := lk.AppendInner(pageEnc, innerRow, ship); err != nil {
+				if err := inner.AppendCols(pageEnc, m, innerCols); err != nil {
 					return ScanPageResp{}, err
 				}
 				out = append(out, mvcc.KV{Key: kvs[r].Key})
@@ -329,14 +345,13 @@ func execFragLookupJoin(ctx context.Context, store *mvcc.Store, frag *fragment.F
 			return resp, nil
 		}
 		examined += len(kvs)
-		if len(out) >= outBudget || !more {
-			resp := finishFragPage(out, pageEnc, valOffs, next, more, examined)
+		if len(out) >= outBudget || !pg.more {
+			resp := finishFragPage(out, pageEnc, valOffs, pg.next, pg.more, examined)
 			resp.Looked = looked
 			return resp, nil
 		}
-		start = next
 		if examined+looked >= fragExamineBudget {
-			resp := finishFragPage(out, pageEnc, valOffs, next, true, examined)
+			resp := finishFragPage(out, pageEnc, valOffs, pg.next, true, examined)
 			resp.Looked = looked
 			return resp, nil
 		}
@@ -349,39 +364,30 @@ func execFragLookupJoin(ctx context.Context, store *mvcc.Store, frag *fragment.F
 // over the WAN instead of O(matching rows). Group keys are memcomparable,
 // so the coordinator's cross-shard merge cursor sees equal groups from
 // different shards adjacent and combines their states.
-func execFragAggregate(ctx context.Context, store *mvcc.Store, frag *fragment.Fragment, arena *fragment.Arena, req ScanPageReq, reader mvcc.TxnID) (ScanPageResp, error) {
+func execFragAggregate(w *pageWalk) (ScanPageResp, error) {
 	type group struct {
 		key    []byte
 		states []fragment.AggState
 	}
+	frag := w.frag
+	lay := frag.Layout()
+	groupCols := lay.OuterCols()
 	groups := map[string]*group{}
 	gids := make([]*group, 0, fragScanBatch) // group of each selected row
 	keyEnc := keys.NewEncoder(64)
-	start := req.Start
 	examined := 0
-	need := frag.NeededCols()
 	for {
-		kvs, next, more, err := store.ScanPage(ctx, start, req.End, req.SnapTS, fragScanBatch, reader)
+		pg, err := w.next(0)
 		if err != nil {
 			return ScanPageResp{}, err
 		}
-		batch := arena.NewBatch(frag.Kinds, len(kvs))
-		for i := range kvs {
-			if err := batch.AppendStoredNeeded(kvs[i].Value, need); err != nil {
-				return ScanPageResp{}, err
-			}
-		}
-		sel, evaluated, err := frag.FilterBatch(batch, 0, 0, arena.Sel(len(kvs)))
-		if err != nil {
-			return ScanPageResp{}, err
-		}
-		examined += evaluated
+		examined += pg.evaluated
 		// Resolve each surviving row's group once: the key is encoded into
 		// a reused buffer and only cloned when a new group appears.
 		gids = gids[:0]
-		for _, r := range sel {
+		for _, r := range pg.sel {
 			keyEnc.Reset()
-			if err := frag.AppendGroupKey(keyEnc, batch, r); err != nil {
+			if err := pg.batch.AppendCols(keyEnc, r, groupCols); err != nil {
 				return ScanPageResp{}, err
 			}
 			g := groups[string(keyEnc.Bytes())]
@@ -401,8 +407,8 @@ func execFragAggregate(ctx context.Context, store *mvcc.Store, frag *fragment.Fr
 				}
 				continue
 			}
-			vals := arena.Out(len(sel))
-			if err := fragment.EvalBatch(spec.Arg, batch, sel, vals); err != nil {
+			vals := w.arena.Out(len(pg.sel))
+			if err := fragment.EvalBatch(spec.Arg, pg.batch, pg.sel, vals); err != nil {
 				return ScanPageResp{}, err
 			}
 			for i, g := range gids {
@@ -411,10 +417,9 @@ func execFragAggregate(ctx context.Context, store *mvcc.Store, frag *fragment.Fr
 				}
 			}
 		}
-		if !more {
+		if !pg.more {
 			break
 		}
-		start = next
 	}
 	out := make([]mvcc.KV, 0, len(groups))
 	for _, g := range groups {

@@ -50,6 +50,7 @@ func TestFragFilterPagedScan(t *testing.T) {
 	var got []int64
 	examined := 0
 	pages := 0
+	dec := frag.Layout().Decoder()
 	for {
 		resp, err := r.client.ScanPageFrag(bg, "dn0", start, end, ts.Timestamp(10), 0, 4, fb, 0)
 		if err != nil {
@@ -61,7 +62,7 @@ func TestFragFilterPagedScan(t *testing.T) {
 		}
 		examined += resp.Examined
 		for _, kv := range resp.KVs {
-			row, err := frag.DecodeStoredRow(kv.Value)
+			row, err := dec.DecodeAppend(kv.Value, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,8 +107,9 @@ func TestFragProjectionShrinksRows(t *testing.T) {
 	if len(resp.KVs) != 5 {
 		t.Fatalf("got %d rows, want 5", len(resp.KVs))
 	}
+	dec := frag.Layout().Decoder()
 	for i, kv := range resp.KVs {
-		row, err := frag.DecodeProjected(kv.Value)
+		row, err := dec.DecodeAppend(kv.Value, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,8 +158,9 @@ func TestFragAggregatePartials(t *testing.T) {
 		if resp.Examined != 100 {
 			t.Fatalf("%s: examined %d, want 100", node, resp.Examined)
 		}
+		dec := frag.Layout().Decoder()
 		for g, kv := range resp.KVs {
-			gvals, err := frag.DecodeGroupKey(kv.Key)
+			gvals, err := dec.DecodeAppend(kv.Key, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -164,7 +164,12 @@ func (s *Schema) checkRow(r Row) error {
 	return nil
 }
 
-func encodeValue(e *keys.Encoder, v any) error {
+// AppendValue encodes one column value onto e: the one value encoding of
+// the system. Row keys, index keys and stored rows use it, and so do the
+// rows and group keys data nodes ship, the lookup keys they build, and the
+// computing node's DISTINCT, GROUP BY and hash-join keys. The encoding is
+// memcomparable, type-tagged and self-delimiting.
+func AppendValue(e *keys.Encoder, v any) error {
 	switch x := v.(type) {
 	case nil:
 		e.Null()
@@ -184,6 +189,28 @@ func encodeValue(e *keys.Encoder, v any) error {
 	return nil
 }
 
+// DecodeValue decodes one value of kind k written by AppendValue. A NULL
+// decodes as nil whatever the kind.
+func DecodeValue(d *keys.Decoder, k Kind) (any, error) {
+	if d.IsNull() {
+		return nil, nil
+	}
+	switch k {
+	case Int64:
+		return d.Int64()
+	case Float64:
+		return d.Float64()
+	case String:
+		return d.String()
+	case Bytes:
+		return d.RawBytes()
+	case Bool:
+		return d.Bool()
+	default:
+		return nil, fmt.Errorf("%w: unknown column kind %v", keys.ErrCorrupt, k)
+	}
+}
+
 // PrimaryKey encodes the row's primary key: (tableID, pk columns...).
 func (s *Schema) PrimaryKey(r Row) ([]byte, error) {
 	if err := s.checkRow(r); err != nil {
@@ -201,7 +228,7 @@ func (s *Schema) PrimaryKeyFromValues(pkVals []any) ([]byte, error) {
 	e := keys.NewEncoder(16 + 16*len(pkVals))
 	e.Uint64(s.ID)
 	for _, v := range pkVals {
-		if err := encodeValue(e, v); err != nil {
+		if err := AppendValue(e, v); err != nil {
 			return nil, err
 		}
 	}
@@ -216,7 +243,7 @@ func (s *Schema) PrimaryKeyPrefix(vals []any) ([]byte, error) {
 	e := keys.NewEncoder(16 + 16*len(vals))
 	e.Uint64(s.ID)
 	for _, v := range vals {
-		if err := encodeValue(e, v); err != nil {
+		if err := AppendValue(e, v); err != nil {
 			return nil, err
 		}
 	}
@@ -236,12 +263,12 @@ func (s *Schema) IndexKey(ix Index, r Row) ([]byte, error) {
 	e := keys.NewEncoder(16 + 16*(len(ix.Cols)+len(s.PK)))
 	e.Uint64(ix.ID)
 	for _, v := range pick(r, ix.Cols) {
-		if err := encodeValue(e, v); err != nil {
+		if err := AppendValue(e, v); err != nil {
 			return nil, err
 		}
 	}
 	for _, v := range pick(r, s.PK) {
-		if err := encodeValue(e, v); err != nil {
+		if err := AppendValue(e, v); err != nil {
 			return nil, err
 		}
 	}
@@ -257,7 +284,7 @@ func (s *Schema) IndexPrefix(ix Index, vals []any) ([]byte, error) {
 	e := keys.NewEncoder(16 + 16*len(vals))
 	e.Uint64(ix.ID)
 	for _, v := range vals {
-		if err := encodeValue(e, v); err != nil {
+		if err := AppendValue(e, v); err != nil {
 			return nil, err
 		}
 	}
@@ -279,7 +306,7 @@ func (s *Schema) EncodeRow(r Row) ([]byte, error) {
 	}
 	e := keys.NewEncoder(32 * len(r))
 	for _, v := range r {
-		if err := encodeValue(e, v); err != nil {
+		if err := AppendValue(e, v); err != nil {
 			return nil, err
 		}
 	}
@@ -288,46 +315,21 @@ func (s *Schema) EncodeRow(r Row) ([]byte, error) {
 
 // DecodeRow parses a stored value back into a row.
 func (s *Schema) DecodeRow(b []byte) (Row, error) {
-	out, err := s.DecodeRowAppend(b, make([]any, 0, len(s.Columns)))
-	return Row(out), err
-}
-
-// DecodeRowAppend parses a stored value, appending the column values to dst
-// and returning the extended slice. Batch consumers decode many rows into
-// one backing slab this way, one slab allocation per page instead of one
-// Row allocation per row.
-func (s *Schema) DecodeRowAppend(b []byte, dst []any) ([]any, error) {
 	var d keys.Decoder
 	d.Reset(b)
+	row := make(Row, len(s.Columns))
 	for i := range s.Columns {
 		c := &s.Columns[i]
-		if d.IsNull() {
-			dst = append(dst, nil)
-			continue
-		}
-		var v any
-		var err error
-		switch c.Kind {
-		case Int64:
-			v, err = d.Int64()
-		case Float64:
-			v, err = d.Float64()
-		case String:
-			v, err = d.String()
-		case Bytes:
-			v, err = d.RawBytes()
-		case Bool:
-			v, err = d.Bool()
-		}
+		v, err := DecodeValue(&d, c.Kind)
 		if err != nil {
 			return nil, fmt.Errorf("table %s column %s: %w", s.Name, c.Name, err)
 		}
-		dst = append(dst, v)
+		row[i] = v
 	}
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("table %s: %w: trailing bytes", s.Name, keys.ErrCorrupt)
 	}
-	return dst, nil
+	return row, nil
 }
 
 // ColIndex returns the position of the named column, or -1.

@@ -133,12 +133,9 @@ func toScanStats(s stats.ScanSnapshot) ScanStats {
 // prefetch goroutines before returning.
 type Rows struct {
 	ctx       context.Context
-	sch       *table.Schema
 	cur       coordinator.BatchCursor
 	resolve   func(ctx context.Context, kv mvcc.KV) (Row, bool, error)
-	projFrag  *fragment.Fragment      // batch-decode of projected rows
-	narrow    []table.Kind            // projFrag.ProjectedKinds()
-	joined    *fragment.JoinedDecoder // batch-decode of lookup-joined rows
+	dec       fragment.RowDecoder // batch-decodes shipped rows when resolve is nil
 	ctrs      *stats.ScanCounters
 	remaining int // rows still to yield; < 0 means unlimited
 	batch     []Row
@@ -149,13 +146,12 @@ type Rows struct {
 	closed    bool
 }
 
-func newRows(ctx context.Context, sch *table.Schema, cur coordinator.BatchCursor, limit int, st *scanSetup) *Rows {
+func newRows(ctx context.Context, cur coordinator.BatchCursor, limit int, st *scanSetup) *Rows {
 	remaining := -1
 	if limit > 0 {
 		remaining = limit
 	}
-	return &Rows{ctx: ctx, sch: sch, cur: cur, resolve: st.resolve,
-		projFrag: st.projFrag, narrow: st.narrow, joined: st.joined, ctrs: st.ctrs, remaining: remaining}
+	return &Rows{ctx: ctx, cur: cur, resolve: st.resolve, dec: st.dec, ctrs: st.ctrs, remaining: remaining}
 }
 
 // ScanStats reports this scan's per-layer row counts so far: storage rows
@@ -198,42 +194,14 @@ func (r *Rows) fillBatch() bool {
 				}
 				rows = append(rows, row)
 			}
-		case r.joined != nil:
-			// Lookup-joined rows: each value decodes to one combined row of
-			// full outer width followed by full inner width.
-			w := r.joined.Width()
-			slab := make([]any, 0, w*n)
-			for i := range kvs {
-				var err error
-				slab, err = r.joined.DecodeAppend(kvs[i].Value, slab)
-				if err != nil {
-					r.err = err
-					return false
-				}
-			}
-			for i := 0; i < n; i++ {
-				rows = append(rows, Row(slab[i*w:(i+1)*w:(i+1)*w]))
-			}
-		case r.projFrag != nil:
-			w := len(r.projFrag.Kinds)
-			slab := make([]any, 0, w*n)
-			for i := range kvs {
-				var err error
-				slab, err = r.projFrag.DecodeProjectedAppend(r.narrow, kvs[i].Value, slab)
-				if err != nil {
-					r.err = err
-					return false
-				}
-			}
-			for i := 0; i < n; i++ {
-				rows = append(rows, Row(slab[i*w:(i+1)*w:(i+1)*w]))
-			}
 		default:
-			w := len(r.sch.Columns)
+			// Every shipped shape decodes the same way: one value per row,
+			// one slab per page.
+			w := r.dec.Width()
 			slab := make([]any, 0, w*n)
 			for i := range kvs {
 				var err error
-				slab, err = r.sch.DecodeRowAppend(kvs[i].Value, slab)
+				slab, err = r.dec.DecodeAppend(kvs[i].Value, slab)
 				if err != nil {
 					r.err = err
 					return false
@@ -357,15 +325,13 @@ func extendPrefix(prefix []any, v any) []any {
 
 // scanSetup carries the per-scan pieces a pushdown-aware scan shares
 // across its shard cursors: the fragment encoded once, the per-query
-// counters every cursor feeds, and either a per-pair resolve function or a
-// batch-decode mode that turns shipped pairs back into rows.
+// counters every cursor feeds, and either a per-pair resolve function or
+// the decoder of the rows the data nodes ship.
 type scanSetup struct {
-	frag     []byte
-	ctrs     *stats.ScanCounters
-	resolve  func(ctx context.Context, kv mvcc.KV) (Row, bool, error)
-	projFrag *fragment.Fragment
-	narrow   []table.Kind
-	joined   *fragment.JoinedDecoder
+	frag    []byte
+	ctrs    *stats.ScanCounters
+	resolve func(ctx context.Context, kv mvcc.KV) (Row, bool, error)
+	dec     fragment.RowDecoder
 }
 
 // setupScan validates a scan's pushdown fragment against the schema and
@@ -374,6 +340,11 @@ func setupScan(sch *table.Schema, o ScanOpts) (*scanSetup, error) {
 	st := &scanSetup{ctrs: &stats.ScanCounters{}}
 	p := o.Pushdown
 	if p == nil {
+		kinds := make([]table.Kind, len(sch.Columns))
+		for i, c := range sch.Columns {
+			kinds[i] = c.Kind
+		}
+		st.dec = (&fragment.Fragment{Kinds: kinds}).Layout().Decoder()
 		return st, nil
 	}
 	if len(p.Kinds) != len(sch.Columns) {
@@ -385,40 +356,32 @@ func setupScan(sch *table.Schema, o ScanOpts) (*scanSetup, error) {
 		return nil, err
 	}
 	st.frag = b
-	switch {
-	case p.HasAggs():
-		// Partial-aggregate rows: group values decoded from the
-		// memcomparable key, one fragment.AggState per aggregate slot.
-		st.resolve = func(_ context.Context, kv mvcc.KV) (Row, bool, error) {
-			gvals, err := p.DecodeGroupKey(kv.Key)
-			if err != nil {
-				return nil, false, err
-			}
-			states, err := fragment.DecodeStates(kv.Value)
-			if err != nil {
-				return nil, false, err
-			}
-			if len(states) != len(p.Aggs) {
-				return nil, false, fmt.Errorf("globaldb: partial row carries %d states for %d aggregates", len(states), len(p.Aggs))
-			}
-			row := make(Row, 0, len(gvals)+len(states))
-			row = append(row, gvals...)
-			for _, s := range states {
-				row = append(row, s)
-			}
-			return row, true, nil
+	// The fragment's layout says what each shipped row carries: a stored,
+	// projected or joined row (unshipped columns nil; the planner
+	// guarantees nothing downstream reads them), or a group key.
+	st.dec = p.Layout().Decoder()
+	if !p.HasAggs() {
+		return st, nil
+	}
+	// Partial-aggregate rows: the group values decoded from the key, then
+	// one fragment.AggState per aggregate slot.
+	dec := &st.dec
+	st.resolve = func(_ context.Context, kv mvcc.KV) (Row, bool, error) {
+		states, err := fragment.DecodeStates(kv.Value)
+		if err != nil {
+			return nil, false, err
 		}
-	case p.Lookup != nil:
-		// Lookup-joined rows: each shipped value carries the outer projected
-		// columns followed by the shipped inner columns, decoding to one
-		// combined row of outer width then inner width.
-		st.joined = p.NewJoinedDecoder()
-	case p.Project != nil:
-		// Projected rows batch-decode back to schema width with unshipped
-		// columns nil; the planner guarantees nothing downstream reads
-		// them. The narrow kinds are computed once per scan, not per row.
-		st.projFrag = p
-		st.narrow = p.ProjectedKinds()
+		if len(states) != len(p.Aggs) {
+			return nil, false, fmt.Errorf("globaldb: partial row carries %d states for %d aggregates", len(states), len(p.Aggs))
+		}
+		row, err := dec.DecodeAppend(kv.Key, make(Row, 0, dec.Width()+len(states)))
+		if err != nil {
+			return nil, false, err
+		}
+		for _, s := range states {
+			row = append(row, s)
+		}
+		return row, true, nil
 	}
 	return st, nil
 }
@@ -513,7 +476,7 @@ func (c *readCore) ScanPKRows(ctx context.Context, tableName string, pkPrefix []
 		return nil, err
 	}
 	cur := st.combine([]coordinator.BatchCursor{c.src.ScanCursor(ctx, shard, st.spec(start, end, o))}, o)
-	return newRows(ctx, sch, cur, o.Limit, st), nil
+	return newRows(ctx, cur, o.Limit, st), nil
 }
 
 // ScanIndexRows streams rows matched by a secondary-index prefix, resolving
@@ -543,7 +506,7 @@ func (c *readCore) ScanIndexRows(ctx context.Context, tableName, indexName strin
 		r, err := sch.DecodeRow(v)
 		return r, err == nil, err
 	}
-	return newRows(ctx, sch, cur, o.Limit, st), nil
+	return newRows(ctx, cur, o.Limit, st), nil
 }
 
 // ScanTableRows streams every row of a table, merging per-shard paged
@@ -570,5 +533,5 @@ func (c *readCore) ScanTableRows(ctx context.Context, tableName string, o ScanOp
 	// first pages are issued concurrently and the cross-shard scan's setup
 	// costs one round trip, not one per shard.
 	curs := c.src.ScanCursors(ctx, c.sess.db.c.Shards(), st.spec(start, end, o))
-	return newRows(ctx, sch, st.combine(curs, o), o.Limit, st), nil
+	return newRows(ctx, st.combine(curs, o), o.Limit, st), nil
 }
