@@ -286,7 +286,7 @@ func Open(cfg Config) (*Cluster, error) {
 		t, _, err := hbOracle.Commit(ctx, hbOracle.Mode())
 		return t, err
 	}
-	c.Collector = rcp.NewCollector(cfg.RCP, datanode.NewClient(c.Net, cfg.GTMRegion), topo, tsp)
+	c.Collector = rcp.NewCollector(cfg.RCP, datanode.NewClient(c.Net, cfg.GTMRegion), topo, tsp, 0)
 	for _, cn := range c.cns {
 		cn.SetCollector(c.Collector)
 	}
@@ -532,7 +532,7 @@ func (c *Cluster) PromoteReplica(ctx context.Context, shard, replicaIdx int) err
 	c.replicas[shard] = survivors
 
 	// Rebuild routing's replica list and the collector topology.
-	c.rebuildCollector()
+	c.rebuildCollector(promoted.Applier().MaxCommitTS())
 	c.wireTrackers()
 	return nil
 }
@@ -594,9 +594,17 @@ func (c *Cluster) MovePrimary(ctx context.Context, shard int, targetRegion strin
 	return c.PromoteReplica(ctx, shard, idx)
 }
 
-// rebuildCollector restarts the RCP collector with current topology.
-func (c *Cluster) rebuildCollector() {
+// rebuildCollector restarts the RCP collector with current topology. The new
+// collector starts from the old one's RCP when the promoted replica, whose
+// store every replica of its shard now starts from, has replayed that far
+// (a move promotes at parity, so it has); the other shards' replicas are
+// unchanged and already cover it.
+func (c *Cluster) rebuildCollector(promoted ts.Timestamp) {
 	c.Collector.Stop()
+	start := c.Collector.RCP()
+	if promoted < start {
+		start = 0
+	}
 	topo := rcp.Topology{Primaries: map[int]string{}, Replicas: map[int][]string{}}
 	primaries := make([]string, c.cfg.Shards)
 	replicas := make([][]string, c.cfg.Shards)
@@ -614,7 +622,7 @@ func (c *Cluster) rebuildCollector() {
 		t, _, err := hbOracle.Commit(ctx, hbOracle.Mode())
 		return t, err
 	}
-	c.Collector = rcp.NewCollector(c.cfg.RCP, datanode.NewClient(c.Net, c.cfg.GTMRegion), topo, tsp)
+	c.Collector = rcp.NewCollector(c.cfg.RCP, datanode.NewClient(c.Net, c.cfg.GTMRegion), topo, tsp, start)
 	for _, cn := range c.cns {
 		cn.SetCollector(c.Collector)
 	}

@@ -54,7 +54,7 @@ func newSkewRig(t *testing.T) *skewRig {
 		c := New(name, "east", 1, client, oracle(name, driftPPM), routing, table.NewCatalog())
 		// A collector that never runs keeps the RCP at zero, so every
 		// ReadOnly with a zero staleness bound falls back to the primary.
-		c.SetCollector(rcp.NewCollector(rcp.Config{}, client, rcp.Topology{}, nil))
+		c.SetCollector(rcp.NewCollector(rcp.Config{}, client, rcp.Topology{}, nil, 0))
 		return c
 	}
 	r := &skewRig{src: src, client: client, primary: p, cn: cn("cn-fast", +200), slow: cn("cn-slow", -200)}

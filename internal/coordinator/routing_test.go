@@ -112,7 +112,7 @@ func TestCanceledReplicaGetBlamesNoNode(t *testing.T) {
 	oracle := tso.New("cn-east", clock.NewNode(clock.DefaultNodeConfig(), clock.Real(), clock.NewDevice("east", clock.Real())), nil)
 	oracle.SetMode(ts.ModeGClock)
 	cn := New(oracle.Name(), "east", 1, client, oracle, routing, table.NewCatalog())
-	cn.SetCollector(rcp.NewCollector(rcp.Config{}, client, rcp.Topology{}, nil))
+	cn.SetCollector(rcp.NewCollector(rcp.Config{}, client, rcp.Topology{}, nil, 0))
 	tr := ror.NewTracker()
 	tr.AddNode(0, p.ID(), "east", true, 10*time.Millisecond)
 	tr.AddNode(0, rep.ID(), "east", false, time.Millisecond)

@@ -9,9 +9,11 @@
 // whichever replicas it is routed to, without waiting for replay. A replica
 // that is unreachable, or still catching up to the RCP after an outage, is
 // left out of the minimum and out of routing alike. The published value is
-// monotonic from the client's point of view, and a replacement collector
-// (after a CN failure) can never regress it because replica watermarks only
-// grow.
+// monotonic from the client's point of view. A replacement collector (after
+// a CN failure or a topology change) starts from the RCP its predecessor
+// published, so it cannot regress it either: replica watermarks only grow,
+// and until the new collector hears from a serving replica of every shard it
+// keeps the value it started with.
 //
 // Collection is a stream, not a batch: one watcher per node keeps a status
 // long poll parked at its replica (datanode.StatusReq), the replica answers
@@ -157,8 +159,10 @@ type Collector struct {
 }
 
 // NewCollector creates a collector calling through client (homed at the
-// designated CN's region).
-func NewCollector(cfg Config, client *datanode.Client, topo Topology, tsp TSProvider) *Collector {
+// designated CN's region) whose RCP starts at start: the RCP a replaced
+// collector published, when every replica it reads from has replayed that
+// far, so that readers are never handed less than before; zero otherwise.
+func NewCollector(cfg Config, client *datanode.Client, topo Topology, tsp TSProvider, start ts.Timestamp) *Collector {
 	c := &Collector{
 		cfg:      cfg,
 		client:   client,
@@ -167,6 +171,7 @@ func NewCollector(cfg Config, client *datanode.Client, topo Topology, tsp TSProv
 		lag:      make(map[string]replayLag),
 		statuses: make(map[string]ReplicaStatus),
 	}
+	c.rcp.Store(int64(start))
 	for _, nodes := range topo.Replicas {
 		for _, node := range nodes {
 			c.lag[node] = replayLag{

@@ -77,7 +77,7 @@ func newRig(t *testing.T) *rig {
 	tsp := func(context.Context) (ts.Timestamp, error) {
 		return ts.Timestamp(r.hbTS.Add(10)), nil
 	}
-	r.col = NewCollector(DefaultConfig(), datanode.NewClient(n, "east"), topo, tsp)
+	r.col = NewCollector(DefaultConfig(), datanode.NewClient(n, "east"), topo, tsp, 0)
 	return r
 }
 
@@ -171,15 +171,16 @@ func TestRunLoopAndTakeover(t *testing.T) {
 	old := r.col.RCP()
 	r.col.Stop()
 
-	// A takeover collector on another CN computes at least the old value:
-	// replica watermarks are monotonic, so the new RCP can't regress.
+	// A takeover collector on another CN starts from the old value, and
+	// polling only raises it: replica watermarks are monotonic, so the RCP
+	// can't regress, however slowly the replicas answer.
 	topo := Topology{Primaries: map[int]string{}, Replicas: map[int][]string{}}
 	for shard := 0; shard < 2; shard++ {
 		topo.Primaries[shard] = pname(shard)
 		topo.Replicas[shard] = []string{rname(shard, 0), rname(shard, 1)}
 	}
 	takeover := NewCollector(DefaultConfig(), datanode.NewClient(r.net, "west"), topo,
-		func(context.Context) (ts.Timestamp, error) { return ts.Timestamp(r.hbTS.Add(10)), nil })
+		func(context.Context) (ts.Timestamp, error) { return ts.Timestamp(r.hbTS.Add(10)), nil }, old)
 	if got := takeover.PollOnce(bg); got < old {
 		t.Fatalf("takeover RCP %v regressed below %v", got, old)
 	}

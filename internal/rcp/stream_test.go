@@ -21,7 +21,7 @@ func newStreamRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
 	r := newRig(t)
 	r.col = NewCollector(cfg, datanode.NewClient(r.net, "east"), rigTopology(2),
-		func(context.Context) (ts.Timestamp, error) { return ts.Timestamp(r.hbTS.Add(10)), nil })
+		func(context.Context) (ts.Timestamp, error) { return ts.Timestamp(r.hbTS.Add(10)), nil }, 0)
 	return r
 }
 
@@ -246,7 +246,7 @@ func TestStopCancelsParkedPolls(t *testing.T) {
 	}
 	topo := rigTopology(shards)
 	r.col = NewCollector(manualHeartbeats(time.Minute), datanode.NewClient(r.net, "east"), topo,
-		func(context.Context) (ts.Timestamp, error) { return ts.Timestamp(r.hbTS.Add(10)), nil })
+		func(context.Context) (ts.Timestamp, error) { return ts.Timestamp(r.hbTS.Add(10)), nil }, 0)
 
 	for round := 0; round < 2; round++ {
 		baseline := runtime.NumGoroutine()
@@ -335,7 +335,7 @@ func TestCollectorMetrics(t *testing.T) {
 // comes back behind the RCP is neither healthy nor a drag on the RCP until it
 // has caught up.
 func TestPublishTakesTheMinimumOverServingReplicas(t *testing.T) {
-	c := NewCollector(DefaultConfig(), nil, rigTopology(2), nil)
+	c := NewCollector(DefaultConfig(), nil, rigTopology(2), nil, 0)
 	at := func(node string, shard int, watermark ts.Timestamp) {
 		c.publish(shard, node, false, datanode.StatusResp{LastCommitTS: watermark}, nil)
 	}
