@@ -33,6 +33,9 @@ const (
 	// redo log holds, labeled shard="<n>". It grows while a replica of the
 	// shard is down or behind.
 	MetricRedoRetained = "redo_retained_records"
+	// MetricRedoRetainedBytes is the size of those records' frames, the
+	// heap the log holds, with the same label.
+	MetricRedoRetainedBytes = "redo_retained_bytes"
 )
 
 var (
@@ -43,6 +46,10 @@ var (
 
 func redoRetainedGauge(shard int) *obs.Gauge {
 	return obs.Default.Gauge(obs.LabeledName(MetricRedoRetained, "shard", strconv.Itoa(shard)))
+}
+
+func redoRetainedBytesGauge(shard int) *obs.Gauge {
+	return obs.Default.Gauge(obs.LabeledName(MetricRedoRetainedBytes, "shard", strconv.Itoa(shard)))
 }
 
 // gcState is the GC loop and what one round hands to the next.
@@ -104,6 +111,7 @@ func (c *Cluster) PruneOnce() int {
 		}
 		p.Repl().Truncate()
 		redoRetainedGauge(shard).Set(int64(p.Log().Retained()))
+		redoRetainedBytesGauge(shard).Set(int64(p.Log().RetainedBytes()))
 		newest = max(newest, p.Store().LastCommitTS())
 	}
 	if watermark > 0 {
@@ -162,8 +170,8 @@ func (c *Cluster) FormatGCStats() []string {
 		time.Duration(metricWatermarkAge.Value()), metricPruned.Value(), metricTooOld.Value())}
 	for shard, p := range c.primaries {
 		st := p.Store().Stats()
-		lines = append(lines, fmt.Sprintf("shard:   %d keys=%d versions=%d redo-retained-records=%d",
-			shard, st.Keys, st.Versions, redoRetainedGauge(shard).Value()))
+		lines = append(lines, fmt.Sprintf("shard:   %d keys=%d versions=%d redo-retained-records=%d redo-retained-bytes=%d",
+			shard, st.Keys, st.Versions, redoRetainedGauge(shard).Value(), redoRetainedBytesGauge(shard).Value()))
 	}
 	return lines
 }

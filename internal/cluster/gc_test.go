@@ -80,6 +80,25 @@ func TestPruneOnceBoundsVersionChains(t *testing.T) {
 	}
 }
 
+// TestPruneOnceSetsRedoRetainedGauges: a round publishes what each shard's
+// log holds after its truncation, in records and in frame bytes.
+func TestPruneOnceSetsRedoRetainedGauges(t *testing.T) {
+	c := open(t, smallCfg())
+	c.StopGC()
+	c.Collector.Stop() // no heartbeat appends between the round and the check
+	c.PruneOnce()
+	for shard, p := range c.Primaries() {
+		recs, bytes := redoRetainedGauge(shard).Value(), redoRetainedBytesGauge(shard).Value()
+		if recs != int64(p.Log().Retained()) || bytes != int64(p.Log().RetainedBytes()) {
+			t.Fatalf("shard %d: gauges %d records, %d bytes; log holds %d records, %d bytes",
+				shard, recs, bytes, p.Log().Retained(), p.Log().RetainedBytes())
+		}
+		if recs > 0 && bytes < 10*recs {
+			t.Fatalf("shard %d: %d bytes for %d records", shard, bytes, recs)
+		}
+	}
+}
+
 func TestStartGCLoop(t *testing.T) {
 	c := openGC(t, smallCfg(), 5*time.Millisecond)
 	cn := c.CN("xian")

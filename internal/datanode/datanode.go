@@ -354,17 +354,17 @@ func (p *Primary) resolveTxn(txn uint64, committed bool, commitTS ts.Timestamp) 
 	p.tmu.Unlock()
 }
 
-// appendLocked is every redo append of the request path: it appends recs to
-// the log and, with a WAL attached, writes them to the WAL as well — both
-// under the caller's hold of p.mu, so the WAL holds exactly the log's
-// records, and a record is in the WAL file the moment it is in the log. It
-// returns the LSN of the last record. A WAL write error is fail-stop: it
+// appendLocked is every redo append of the request path: the log frames recs
+// and, with a WAL attached, the WAL writes those frames — both under the
+// caller's hold of p.mu, so the WAL holds exactly the log's bytes, and a
+// record is in the WAL file the moment it is in the log. It returns the LSN
+// of the last record. A WAL write error is fail-stop: it
 // returns to this request, and the writer fails every durability wait from
 // then on, so the primary acknowledges nothing after a lost write.
 func (p *Primary) appendLocked(recs ...redo.Record) (uint64, error) {
-	lsn := p.log.AppendBatch(recs)
+	lsn, frames := p.log.AppendBatch(recs)
 	if w := p.walW.Load(); w != nil {
-		if err := w.Append(recs); err != nil {
+		if err := w.Append(frames); err != nil {
 			return lsn, err
 		}
 	}
@@ -381,17 +381,7 @@ func (p *Primary) waitWAL(ctx context.Context, lsn uint64) error {
 
 // NewPrimary creates a primary DN and registers its endpoint under id.
 func NewPrimary(n *netsim.Network, id, region string, shard int, mode repl.Mode, quorum int) *Primary {
-	p := &Primary{
-		id:     id,
-		region: region,
-		shard:  shard,
-		store:  mvcc.NewStore(),
-		log:    redo.NewLog(),
-	}
-	p.initTxnState()
-	p.mgr = repl.NewManager(p.log, mode, quorum)
-	p.ep = n.Register(id, region, p.handle)
-	return p
+	return NewPrimaryFromStore(n, id, region, shard, mvcc.NewStore(), mode, quorum)
 }
 
 func (p *Primary) initTxnState() {
@@ -437,14 +427,14 @@ func (p *Primary) AttachWAL(opts wal.Options) (*wal.Writer, error) {
 	return w, nil
 }
 
-// appendBacklogLocked writes to w the log's records from w's next LSN on.
+// appendBacklogLocked writes to w the log's frames from w's next LSN on.
 // Caller holds p.mu.
 func (p *Primary) appendBacklogLocked(w *wal.Writer) error {
 	next := w.NextLSN()
 	if last := p.log.LastLSN(); next > last+1 {
 		return fmt.Errorf("datanode: WAL continues at LSN %d, past the log's last %d", next, last)
 	}
-	backlog, err := p.log.ReadFrom(next, 0)
+	backlog, _, err := p.log.ReadFrom(next, 0)
 	if err != nil {
 		return fmt.Errorf("datanode: attach WAL: %w", err)
 	}
@@ -497,15 +487,9 @@ func RecoverPrimary(n *netsim.Network, id, region string, shard int, opts wal.Op
 			p.resolveTxn(r.Txn, false, 0)
 		}
 	}
-	// A fresh log assigns LSNs from 1; re-appending the recovered records
-	// reproduces their original contiguous LSNs. With no WAL attached yet,
-	// this writes the log only.
-	p.mu.Lock()
-	_, err = p.appendLocked(recs...)
-	p.mu.Unlock()
-	if err != nil {
-		return nil, nil, err
-	}
+	// A fresh log assigns LSNs from 1, so re-appending the recovered records
+	// reproduces their LSNs and their frames. No WAL is attached yet.
+	p.log.AppendBatch(recs)
 	p.mgr = repl.NewManager(p.log, mode, quorum)
 	w, err := p.AttachWAL(opts)
 	if err != nil {

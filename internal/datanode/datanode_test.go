@@ -463,13 +463,12 @@ func TestReplicaPendingCommitLockDuringLag(t *testing.T) {
 	cli := NewClient(n, "west")
 
 	p.Store().Put(1, []byte("k"), []byte("v"), 0)
-	p.Log().Append(redo.Record{Type: redo.TypeHeapUpdate, Txn: 1, Key: []byte("k"), Value: []byte("v")})
+	p.Log().AppendBatch([]redo.Record{redo.Record{Type: redo.TypeHeapUpdate, Txn: 1, Key: []byte("k"), Value: []byte("v")}})
 	p.Store().MarkPending(1)
-	p.Log().Append(redo.Record{Type: redo.TypePendingCommit, Txn: 1})
+	p.Log().AppendBatch([]redo.Record{redo.Record{Type: redo.TypePendingCommit, Txn: 1}})
 
 	// Replay only the prefix (heap + pending) to the replica.
-	recs, _ := p.Log().ReadFrom(1, 0)
-	if _, err := rep.Applier().Apply(recs); err != nil {
+	if _, err := rep.Applier().Apply(logFrom(t, p, 1)); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan string, 1)
@@ -484,9 +483,8 @@ func TestReplicaPendingCommitLockDuringLag(t *testing.T) {
 	}
 	// Now the commit record arrives.
 	p.Store().Commit(1, 99)
-	p.Log().Append(redo.Record{Type: redo.TypeCommit, Txn: 1, TS: 99})
-	recs, _ = p.Log().ReadFrom(3, 0)
-	if _, err := rep.Applier().Apply(recs); err != nil {
+	p.Log().AppendBatch([]redo.Record{redo.Record{Type: redo.TypeCommit, Txn: 1, TS: 99}})
+	if _, err := rep.Applier().Apply(logFrom(t, p, 3)); err != nil {
 		t.Fatal(err)
 	}
 	select {

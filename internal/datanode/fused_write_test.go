@@ -20,7 +20,11 @@ import (
 // logFrom returns the primary's redo records from LSN from on.
 func logFrom(t *testing.T, p *Primary, from uint64) []redo.Record {
 	t.Helper()
-	recs, err := p.Log().ReadFrom(from, 1<<20)
+	frames, _, err := p.Log().ReadFrom(from, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := redo.Unmarshal(frames)
 	if err != nil {
 		t.Fatal(err)
 	}

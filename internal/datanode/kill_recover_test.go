@@ -360,10 +360,7 @@ func TestAttachWALWritesBacklogFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logged, err := p.Log().ReadFrom(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	logged := logFrom(t, p, 1)
 	if len(recs) != len(logged) || len(recs) <= int(backlog) {
 		t.Fatalf("WAL holds %d records, the log %d", len(recs), len(logged))
 	}

@@ -87,11 +87,11 @@ func rname(shard, i int) string { return "r" + string(rune('0'+shard)) + string(
 // commitPlain writes one committed txn to a primary's store and log.
 func commitPlain(p *datanode.Primary, txn uint64, commitTS ts.Timestamp) {
 	p.Store().Put(mvcc.TxnID(txn), []byte("k"), []byte("v"), ts.Max)
-	p.Log().Append(redo.Record{Type: redo.TypeHeapUpdate, Txn: txn, Key: []byte("k"), Value: []byte("v")})
+	p.Log().AppendBatch([]redo.Record{redo.Record{Type: redo.TypeHeapUpdate, Txn: txn, Key: []byte("k"), Value: []byte("v")}})
 	p.Store().MarkPending(mvcc.TxnID(txn))
-	p.Log().Append(redo.Record{Type: redo.TypePendingCommit, Txn: txn})
+	p.Log().AppendBatch([]redo.Record{redo.Record{Type: redo.TypePendingCommit, Txn: txn}})
 	p.Store().Commit(mvcc.TxnID(txn), commitTS)
-	p.Log().Append(redo.Record{Type: redo.TypeCommit, Txn: txn, TS: commitTS})
+	p.Log().AppendBatch([]redo.Record{redo.Record{Type: redo.TypeCommit, Txn: txn, TS: commitTS}})
 }
 
 func TestPollOnceComputesMinOfMax(t *testing.T) {

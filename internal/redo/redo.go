@@ -6,8 +6,10 @@
 // fetched), COMMIT/ABORT, the two-phase-commit PREPARE and COMMIT/ABORT
 // PREPARED pair, DDL barriers, and heartbeats that advance idle replicas.
 //
-// Records are assigned contiguous LSNs. Shippers tail the log, batch and
-// optionally compress record frames, and stream them to replicas.
+// Records are assigned contiguous LSNs and framed once, when the log appends
+// them: the log holds those frames, the WAL writes them to disk, and
+// shippers tail the log and send byte ranges of it to replicas, LZ4-
+// compressed or as they are, so every copy of the stream is the same bytes.
 package redo
 
 import (
@@ -142,27 +144,37 @@ func frameSize(r Record) int {
 // uvarintLen is the number of bytes binary.AppendUvarint writes for x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
+// FrameLSN reads the LSN and the length of the frame at the start of buf
+// from its header, without checking the CRC or decoding the rest of the
+// payload: enough to check that already-framed records continue a stream.
+func FrameLSN(buf []byte) (lsn uint64, n int, err error) {
+	if len(buf) < 8 {
+		return 0, 0, fmt.Errorf("%w: short header", ErrCorrupt)
+	}
+	n = 8 + int(binary.LittleEndian.Uint32(buf))
+	if n < 10 || len(buf) < n {
+		return 0, 0, fmt.Errorf("%w: short payload", ErrCorrupt)
+	}
+	lsn, read := binary.Uvarint(buf[9:n])
+	if read <= 0 {
+		return 0, 0, ErrCorrupt
+	}
+	return lsn, n, nil
+}
+
 // DecodeRecord parses one frame from buf, returning the record and the
 // remaining bytes.
 func DecodeRecord(buf []byte) (Record, []byte, error) {
-	if len(buf) < 8 {
-		return Record{}, nil, fmt.Errorf("%w: short header", ErrCorrupt)
+	_, n, err := FrameLSN(buf)
+	if err != nil {
+		return Record{}, nil, err
 	}
-	n := binary.LittleEndian.Uint32(buf[0:4])
-	want := binary.LittleEndian.Uint32(buf[4:8])
-	if len(buf) < 8+int(n) {
-		return Record{}, nil, fmt.Errorf("%w: short payload", ErrCorrupt)
-	}
-	payload := buf[8 : 8+n]
-	if crc32.Checksum(payload, crcTable) != want {
+	payload, rest := buf[8:n], buf[n:]
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[4:8]) {
 		return Record{}, nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
-	rest := buf[8+n:]
 
 	var r Record
-	if len(payload) < 1 {
-		return Record{}, nil, ErrCorrupt
-	}
 	r.Type = Type(payload[0])
 	p := payload[1:]
 	var read int
@@ -203,7 +215,8 @@ func DecodeRecord(buf []byte) (Record, []byte, error) {
 	return r, rest, nil
 }
 
-// Marshal encodes a batch of records into one byte stream, sized once.
+// Marshal encodes a batch of records into one byte stream, sized once: the
+// bytes a Log holding the same records hands out.
 func Marshal(recs []Record) []byte {
 	n := 0
 	for _, r := range recs {
@@ -230,13 +243,19 @@ func Unmarshal(buf []byte) ([]Record, error) {
 	return out, nil
 }
 
-// Log is an in-memory append-only redo log with LSN assignment, tailing, and
-// truncation. It stands in for GaussDB's on-disk XLOG: the replication
-// protocol only needs ordered records with stable LSNs.
+// Log is an in-memory append-only redo log standing in for GaussDB's XLOG:
+// the frames of its records back to back, each written once by AppendRecord
+// when the record is appended, with an index from LSN to frame offset.
+//
+// Bytes the log has handed out are never written again. A view is capped at
+// its own length, so appending to it cannot reach the log's later frames,
+// and Truncate copies the retained frames into a new buffer rather than
+// moving them within the old one, which an in-flight batch may still hold.
 type Log struct {
 	mu       sync.Mutex
-	recs     []Record
-	startLSN uint64 // LSN of recs[0]
+	buf      []byte // the retained frames
+	offs     []int  // offs[i] is where the frame of LSN startLSN+i starts in buf
+	startLSN uint64 // LSN of the first retained frame
 	nextLSN  uint64
 	waiters  []chan struct{}
 }
@@ -246,41 +265,29 @@ func NewLog() *Log {
 	return &Log{startLSN: 1, nextLSN: 1}
 }
 
-// Append assigns the next LSN to r and appends it, waking tailing readers.
-func (l *Log) Append(r Record) uint64 {
-	l.mu.Lock()
-	r.LSN = l.nextLSN
-	l.nextLSN++
-	l.recs = append(l.recs, r)
-	waiters := l.waiters
-	l.waiters = nil
-	l.mu.Unlock()
-	for _, w := range waiters {
-		close(w)
-	}
-	return r.LSN
-}
-
-// AppendBatch appends several records atomically (one lock acquisition),
-// returning the LSN of the last record.
-func (l *Log) AppendBatch(recs []Record) uint64 {
+// AppendBatch assigns the next LSNs to recs and frames them onto the log in
+// one lock acquisition, waking tailing readers. It returns the LSN of the
+// last record and a view of the frames just appended.
+func (l *Log) AppendBatch(recs []Record) (uint64, []byte) {
 	if len(recs) == 0 {
-		return l.LastLSN()
+		return l.LastLSN(), nil
 	}
 	l.mu.Lock()
-	for i := range recs {
-		recs[i].LSN = l.nextLSN
+	start := len(l.buf)
+	for _, r := range recs {
+		r.LSN = l.nextLSN
 		l.nextLSN++
-		l.recs = append(l.recs, recs[i])
+		l.offs = append(l.offs, len(l.buf))
+		l.buf = AppendRecord(l.buf, r)
 	}
-	last := l.nextLSN - 1
+	last, frames := l.nextLSN-1, l.buf[start:len(l.buf):len(l.buf)]
 	waiters := l.waiters
 	l.waiters = nil
 	l.mu.Unlock()
 	for _, w := range waiters {
 		close(w)
 	}
-	return last
+	return last, frames
 }
 
 // LastLSN returns the LSN of the most recent record (0 when empty).
@@ -295,29 +302,35 @@ func (l *Log) LastLSN() uint64 {
 func (l *Log) Retained() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.recs)
+	return len(l.offs)
 }
 
-// ReadFrom returns up to max records starting at LSN from. It returns
-// ErrTruncated if from precedes the retained prefix. An empty result means
-// the log has no records at or beyond from yet.
-func (l *Log) ReadFrom(from uint64, max int) ([]Record, error) {
+// RetainedBytes returns the size of the frames the log holds in memory.
+func (l *Log) RetainedBytes() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.buf)
+}
+
+// ReadFrom returns a view of up to max whole frames (every retained one when
+// max <= 0) starting at LSN from, and how many frames it holds. It returns
+// ErrTruncated if from precedes the retained prefix. An empty view means the
+// log has no records at or beyond from yet.
+func (l *Log) ReadFrom(from uint64, max int) ([]byte, int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if from < l.startLSN {
-		return nil, fmt.Errorf("%w: want %d, retained from %d", ErrTruncated, from, l.startLSN)
+		return nil, 0, fmt.Errorf("%w: want %d, retained from %d", ErrTruncated, from, l.startLSN)
 	}
 	if from >= l.nextLSN {
-		return nil, nil
+		return nil, 0, nil
 	}
-	i := int(from - l.startLSN)
-	j := len(l.recs)
+	i, j, end := int(from-l.startLSN), len(l.offs), len(l.buf)
 	if max > 0 && j-i > max {
 		j = i + max
+		end = l.offs[j]
 	}
-	out := make([]Record, j-i)
-	copy(out, l.recs[i:j])
-	return out, nil
+	return l.buf[l.offs[i]:end:end], j - i, nil
 }
 
 // NotifyAppend returns a channel closed at the next append. Callers check
@@ -332,20 +345,23 @@ func (l *Log) NotifyAppend() <-chan struct{} {
 }
 
 // Truncate drops records with LSN < before, bounding memory. Replication
-// managers call it once every reader of the log is past the prefix.
+// managers call it once every reader of the log is past the prefix. The
+// retained frames move to a new buffer; views of the old one stay intact.
 func (l *Log) Truncate(before uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if before <= l.startLSN {
 		return
 	}
-	if before > l.nextLSN {
-		before = l.nextLSN
+	drop := int(min(before, l.nextLSN) - l.startLSN)
+	off := len(l.buf)
+	if drop < len(l.offs) {
+		off = l.offs[drop]
 	}
-	drop := int(before - l.startLSN)
-	if drop > len(l.recs) {
-		drop = len(l.recs)
+	offs := make([]int, len(l.offs)-drop)
+	for i, o := range l.offs[drop:] {
+		offs[i] = o - off
 	}
-	l.recs = append([]Record(nil), l.recs[drop:]...)
-	l.startLSN = before
+	l.buf, l.offs = append([]byte(nil), l.buf[off:]...), offs
+	l.startLSN += uint64(drop)
 }

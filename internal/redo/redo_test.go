@@ -108,47 +108,78 @@ func TestDecodeCorruption(t *testing.T) {
 	}
 }
 
+// appendOne appends r alone and returns its LSN.
+func appendOne(l *Log, r Record) uint64 {
+	lsn, _ := l.AppendBatch([]Record{r})
+	return lsn
+}
+
+// readRecs decodes the view l.ReadFrom(from, max) returns, requiring the
+// count it reports to match the frames in it.
+func readRecs(t testing.TB, l *Log, from uint64, max int) []Record {
+	t.Helper()
+	frames, n, err := l.ReadFrom(from, max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := Unmarshal(frames)
+	if err != nil || len(recs) != n {
+		t.Fatalf("ReadFrom(%d, %d): %d frames decode to %d records, %v", from, max, n, len(recs), err)
+	}
+	return recs
+}
+
 func TestLogAppendAndRead(t *testing.T) {
 	l := NewLog()
 	if l.LastLSN() != 0 {
 		t.Fatalf("empty log LastLSN = %d", l.LastLSN())
 	}
 	for i := 0; i < 10; i++ {
-		lsn := l.Append(Record{Type: TypeHeartbeat, TS: ts.Timestamp(i)})
+		lsn := appendOne(l, Record{Type: TypeHeartbeat, TS: ts.Timestamp(i)})
 		if lsn != uint64(i+1) {
 			t.Fatalf("LSN %d, want %d", lsn, i+1)
 		}
 	}
-	recs, err := l.ReadFrom(1, 0)
-	if err != nil || len(recs) != 10 {
-		t.Fatalf("ReadFrom(1): %d recs, %v", len(recs), err)
+	recs := readRecs(t, l, 1, 0)
+	if len(recs) != 10 {
+		t.Fatalf("ReadFrom(1): %d recs", len(recs))
 	}
 	for i, r := range recs {
-		if r.LSN != uint64(i+1) {
-			t.Fatalf("rec %d has LSN %d", i, r.LSN)
+		if r.LSN != uint64(i+1) || r.TS != ts.Timestamp(i) {
+			t.Fatalf("rec %d is %v", i, r)
 		}
 	}
-	recs, _ = l.ReadFrom(5, 3)
+	recs = readRecs(t, l, 5, 3)
 	if len(recs) != 3 || recs[0].LSN != 5 {
 		t.Fatalf("bounded read: %v", recs)
 	}
-	recs, _ = l.ReadFrom(11, 0)
-	if recs != nil {
-		t.Fatalf("read past end: %v", recs)
+	if frames, n, err := l.ReadFrom(11, 0); frames != nil || n != 0 || err != nil {
+		t.Fatalf("read past end: %d frames, %v", n, err)
+	}
+	if got, want := l.RetainedBytes(), len(Marshal(readRecs(t, l, 1, 0))); got != want {
+		t.Fatalf("RetainedBytes = %d, want %d", got, want)
 	}
 }
 
+// TestLogAppendBatch: a batch gets contiguous LSNs, and the view it returns
+// is exactly those records' frames.
 func TestLogAppendBatch(t *testing.T) {
 	l := NewLog()
-	batch := []Record{{Type: TypeHeapInsert}, {Type: TypeHeapInsert}, {Type: TypeCommit}}
-	last := l.AppendBatch(batch)
+	batch := []Record{{Type: TypeHeapInsert, Key: []byte("a")}, {Type: TypeHeapInsert}, {Type: TypeCommit, TS: 9}}
+	last, frames := l.AppendBatch(batch)
 	if last != 3 {
 		t.Fatalf("last LSN = %d", last)
 	}
-	if l.AppendBatch(nil) != 3 {
+	for i := range batch {
+		batch[i].LSN = uint64(i + 1)
+	}
+	if want := Marshal(batch); string(frames) != string(want) || cap(frames) != len(frames) {
+		t.Fatalf("batch frames %x (cap %d), want %x", frames, cap(frames), want)
+	}
+	if last, frames := l.AppendBatch(nil); last != 3 || frames != nil {
 		t.Fatal("empty batch must not advance LSN")
 	}
-	recs, _ := l.ReadFrom(1, 0)
+	recs := readRecs(t, l, 1, 0)
 	if len(recs) != 3 || recs[2].LSN != 3 {
 		t.Fatalf("batch read: %v", recs)
 	}
@@ -157,24 +188,127 @@ func TestLogAppendBatch(t *testing.T) {
 func TestLogTruncate(t *testing.T) {
 	l := NewLog()
 	for i := 0; i < 10; i++ {
-		l.Append(Record{Type: TypeHeartbeat})
+		appendOne(l, Record{Type: TypeHeartbeat})
 	}
 	l.Truncate(5)
-	if _, err := l.ReadFrom(4, 0); !errors.Is(err, ErrTruncated) {
+	if _, _, err := l.ReadFrom(4, 0); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("read of truncated LSN: %v", err)
 	}
-	recs, err := l.ReadFrom(5, 0)
-	if err != nil || len(recs) != 6 || recs[0].LSN != 5 {
-		t.Fatalf("read after truncate: %d recs err %v", len(recs), err)
+	recs := readRecs(t, l, 5, 0)
+	if len(recs) != 6 || recs[0].LSN != 5 || l.Retained() != 6 {
+		t.Fatalf("read after truncate: %d recs, %d retained", len(recs), l.Retained())
 	}
 	// Truncating backwards or past the end must be safe.
 	l.Truncate(2)
 	l.Truncate(100)
-	if l.LastLSN() != 10 {
-		t.Fatalf("LastLSN after truncate = %d", l.LastLSN())
+	if l.LastLSN() != 10 || l.Retained() != 0 || l.RetainedBytes() != 0 {
+		t.Fatalf("after truncating everything: LastLSN %d, %d records in %d bytes retained",
+			l.LastLSN(), l.Retained(), l.RetainedBytes())
 	}
-	if lsn := l.Append(Record{Type: TypeHeartbeat}); lsn != 11 {
+	if lsn := appendOne(l, Record{Type: TypeHeartbeat}); lsn != 11 {
 		t.Fatalf("append after truncate: LSN %d", lsn)
+	}
+	if recs := readRecs(t, l, 11, 0); len(recs) != 1 || recs[0].LSN != 11 {
+		t.Fatalf("read after truncating everything: %v", recs)
+	}
+}
+
+// TestLogViewsStayValid: a view the log hands out keeps its bytes while the
+// log grows through several reallocations and is truncated below, into and
+// above the view's LSNs, and appending to a view cannot reach the log.
+func TestLogViewsStayValid(t *testing.T) {
+	l := NewLog()
+	for i := 0; i < 4; i++ {
+		appendOne(l, Record{Type: TypeHeapUpdate, Txn: 1, Key: []byte(fmt.Sprintf("k%d", i)), Value: []byte("v")})
+	}
+	_, batch := l.AppendBatch([]Record{{Type: TypePendingCommit, Txn: 1}, {Type: TypeCommit, Txn: 1, TS: 7}})
+	read, n, err := l.ReadFrom(3, 2)
+	if err != nil || n != 2 {
+		t.Fatalf("ReadFrom(3, 2): %d frames, %v", n, err)
+	}
+	views := [][]byte{batch, read}
+	want := make([][]byte, len(views))
+	for i, v := range views {
+		want[i] = append([]byte(nil), v...)
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, v := range views {
+			if string(v) != string(want[i]) || cap(v) != len(v) {
+				t.Fatalf("%s: view %d is %x (cap %d), want %x", when, i, v, cap(v), want[i])
+			}
+		}
+	}
+	if grown := append(read, 0xff); &grown[0] == &read[0] {
+		t.Fatal("appending to a view wrote into the log")
+	}
+	readRecs(t, l, 5, 0) // the frames after the view still decode
+	check("after appending to a view")
+
+	reallocs := 0
+	for i := 0; reallocs < 5; i++ {
+		before := cap(l.buf)
+		appendOne(l, Record{Type: TypeHeapUpdate, Txn: 2, Key: []byte(fmt.Sprintf("grow-%d", i)), Value: make([]byte, 64)})
+		if cap(l.buf) != before {
+			reallocs++
+		}
+	}
+	check("after the log grew")
+	for _, before := range []uint64{2, 4, 6, 8, l.LastLSN() + 1} {
+		l.Truncate(before)
+		check(fmt.Sprintf("after Truncate(%d)", before))
+	}
+}
+
+// TestLogViewsUnderConcurrentTruncate: a reader holding views checks them
+// while an appender appends and truncates behind it (run with -race).
+func TestLogViewsUnderConcurrentTruncate(t *testing.T) {
+	l := NewLog()
+	const total = 3000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= total; i++ {
+			appendOne(l, Record{Type: TypeHeapUpdate, Txn: uint64(i), Key: []byte(fmt.Sprintf("k%d", i)), Value: make([]byte, i%97)})
+			if i%50 == 0 {
+				l.Truncate(uint64(i - 40))
+			}
+		}
+	}()
+	type held struct {
+		view, copy []byte
+		from       uint64
+	}
+	var views []held
+	next := uint64(1)
+	for next <= total {
+		frames, n, err := l.ReadFrom(next, 16)
+		if errors.Is(err, ErrTruncated) {
+			next = l.LastLSN() - uint64(l.Retained()) + 1
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			ch := l.NotifyAppend()
+			if _, n, _ := l.ReadFrom(next, 16); n == 0 {
+				<-ch
+			}
+			continue
+		}
+		recs, err := Unmarshal(frames)
+		if err != nil || len(recs) != n || recs[0].LSN != next || cap(frames) != len(frames) {
+			t.Fatalf("view at %d: %d frames, %d records, %v", next, n, len(recs), err)
+		}
+		views = append(views, held{frames, append([]byte(nil), frames...), next})
+		next += uint64(n)
+	}
+	<-done
+	for _, h := range views {
+		if string(h.view) != string(h.copy) {
+			t.Fatalf("view from LSN %d changed", h.from)
+		}
 	}
 }
 
@@ -186,7 +320,7 @@ func TestLogNotifyAppend(t *testing.T) {
 		t.Fatal("notified before append")
 	default:
 	}
-	l.Append(Record{Type: TypeHeartbeat})
+	appendOne(l, Record{Type: TypeHeartbeat})
 	select {
 	case <-ch:
 	default:
@@ -204,7 +338,7 @@ func TestLogConcurrentAppendersAndTailer(t *testing.T) {
 		go func(a int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				l.Append(Record{Type: TypeHeapInsert, Txn: uint64(a), Key: []byte(fmt.Sprintf("%d-%d", a, i))})
+				appendOne(l, Record{Type: TypeHeapInsert, Txn: uint64(a), Key: []byte(fmt.Sprintf("%d-%d", a, i))})
 			}
 		}(a)
 	}
@@ -215,17 +349,22 @@ func TestLogConcurrentAppendersAndTailer(t *testing.T) {
 		defer close(done)
 		next := uint64(1)
 		for seen < appenders*each {
-			recs, err := l.ReadFrom(next, 64)
+			frames, n, err := l.ReadFrom(next, 64)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if len(recs) == 0 {
+			if n == 0 {
 				ch := l.NotifyAppend()
-				if recs, _ := l.ReadFrom(next, 64); len(recs) == 0 {
+				if _, n, _ := l.ReadFrom(next, 64); n == 0 {
 					<-ch
 				}
 				continue
+			}
+			recs, err := Unmarshal(frames)
+			if err != nil || len(recs) != n {
+				t.Errorf("%d frames decode to %d records: %v", n, len(recs), err)
+				return
 			}
 			for _, r := range recs {
 				if r.LSN != next {

@@ -29,7 +29,7 @@ func buildWorkload(txns, writesPerTxn, keyspace int) []redo.Record {
 		recs = append(recs, redo.Record{Type: redo.TypeCommit, Txn: txn, TS: commitTS})
 		log.AppendBatch(recs)
 	}
-	recs, _ := log.ReadFrom(1, 0)
+	recs, _ := logRecords(log, 1, 0)
 	return recs
 }
 

@@ -11,7 +11,7 @@ const (
 	MetricBatches = "repl_batches_total"
 	// MetricRecords counts records inside those batches.
 	MetricRecords = "repl_records_total"
-	// MetricRawBytes counts marshaled record bytes before compression.
+	// MetricRawBytes counts framed record bytes before compression.
 	MetricRawBytes = "repl_raw_bytes_total"
 	// MetricWireBytes counts bytes that crossed the (simulated) WAN.
 	MetricWireBytes = "repl_wire_bytes_total"

@@ -91,7 +91,7 @@ func TestShipperIdleLinkSendsAtOnce(t *testing.T) {
 	r := newShipRig(t, 20*time.Millisecond, 0, lingerCfg(), Async) // x0.2: 4 ms round trip
 	for i := 1; i <= 3; i++ {
 		start := time.Now()
-		lsn := r.log.Append(redo.Record{Type: redo.TypeHeartbeat, TS: ts.Timestamp(100 * i)})
+		lsn := appendOne(r.log, redo.Record{Type: redo.TypeHeartbeat, TS: ts.Timestamp(100 * i)})
 		waitFor(t, "ack", 5*time.Second, func() bool { return r.shipper.AckedLSN() == lsn })
 		if took := time.Since(start); took > 100*time.Millisecond {
 			t.Fatalf("record %d on an idle link was acked after %v; FlushDelay is %v", i, took, time.Second)
@@ -107,12 +107,12 @@ func TestShipperIdleLinkSendsAtOnce(t *testing.T) {
 // which ends the linger early, or when FlushDelay runs out.
 func TestShipperCoalescesBehindABatchInFlight(t *testing.T) {
 	r := newShipRig(t, 400*time.Millisecond, 0, lingerCfg(), Async) // x0.2: 80 ms round trip
-	r.log.Append(redo.Record{Type: redo.TypeHeartbeat, TS: 100})
+	appendOne(r.log, redo.Record{Type: redo.TypeHeartbeat, TS: 100})
 	waitFor(t, "first batch on the wire", 5*time.Second, func() bool { return r.shipper.Stats().Batches == 1 })
 	const behind = 5
 	var last uint64
 	for i := 0; i < behind; i++ {
-		last = r.log.Append(redo.Record{Type: redo.TypeHeartbeat, TS: ts.Timestamp(200 + i)})
+		last = appendOne(r.log, redo.Record{Type: redo.TypeHeartbeat, TS: ts.Timestamp(200 + i)})
 	}
 	if st := r.shipper.Stats(); st.Batches != 1 || st.AckedLSN != 0 {
 		t.Fatalf("the first batch was acked before the rest were appended (%+v): nothing was in flight", st)
@@ -186,9 +186,9 @@ func TestShipperSmallBatchSkipsCompressor(t *testing.T) {
 	sh.Start()
 	defer sh.Stop()
 
-	small := log.Append(redo.Record{Type: redo.TypeHeapUpdate, Txn: 1, Key: []byte("k"), Value: bytes.Repeat([]byte("v"), 150)})
+	small := appendOne(log, redo.Record{Type: redo.TypeHeapUpdate, Txn: 1, Key: []byte("k"), Value: bytes.Repeat([]byte("v"), 150)})
 	waitFor(t, "small batch ack", 5*time.Second, func() bool { return sh.AckedLSN() == small })
-	big := log.Append(redo.Record{Type: redo.TypeHeapUpdate, Txn: 1, Key: []byte("k2"), Value: bytes.Repeat([]byte("w"), 4096)})
+	big := appendOne(log, redo.Record{Type: redo.TypeHeapUpdate, Txn: 1, Key: []byte("k2"), Value: bytes.Repeat([]byte("w"), 4096)})
 	waitFor(t, "big batch ack", 5*time.Second, func() bool { return sh.AckedLSN() == big })
 
 	mu.Lock()

@@ -20,7 +20,8 @@ type Batch struct {
 	// Compressed marks Data as an LZ4 block, the only compressor that
 	// shrinks a batch (Noop never does, so it never sets the flag).
 	Compressed bool
-	// Data holds the marshaled (and possibly compressed) records.
+	// Data holds the records' frames as the primary's log holds them, or an
+	// LZ4 block of them. Uncompressed, it is a view of the log: read-only.
 	Data []byte
 }
 
@@ -155,20 +156,10 @@ func (s *Shipper) Stats() ShipperStats {
 	return st
 }
 
-// Lag returns how many records the replica is behind the primary log.
-func (s *Shipper) Lag() uint64 {
-	last := s.log.LastLSN()
-	acked := s.acked.Load()
-	if acked >= last {
-		return 0
-	}
-	return last - acked
-}
-
 // stopDrainTimeout bounds how long Stop waits for in-flight batch acks.
 const stopDrainTimeout = 2 * time.Second
 
-// compressMinBytes is the marshaled size below which a batch skips the
+// compressMinBytes is the framed size below which a batch skips the
 // compressor.
 const compressMinBytes = 256
 
@@ -268,7 +259,7 @@ func (s *Shipper) run(ctx context.Context) {
 			}
 			continue
 		}
-		recs, err := s.log.ReadFrom(cursor, s.cfg.BatchMax)
+		frames, n, err := s.log.ReadFrom(cursor, s.cfg.BatchMax)
 		if err != nil {
 			// Truncated past our cursor: jump forward. In a production
 			// system this replica would need a full rebuild; the manager
@@ -277,9 +268,9 @@ func (s *Shipper) run(ctx context.Context) {
 			cursor = s.acked.Load() + 1
 			continue
 		}
-		if len(recs) == 0 {
+		if n == 0 {
 			notify := s.log.NotifyAppend()
-			if recs, _ = s.log.ReadFrom(cursor, s.cfg.BatchMax); len(recs) == 0 {
+			if frames, n, _ = s.log.ReadFrom(cursor, s.cfg.BatchMax); n == 0 {
 				select {
 				case <-notify:
 				case r := <-results:
@@ -295,7 +286,7 @@ func (s *Shipper) run(ctx context.Context) {
 		// record waiting is as often as not a heartbeat whose whole purpose is
 		// to reach the replicas now. Acks keep landing while we wait, and the
 		// last one ends the wait.
-		if s.cfg.FlushDelay > 0 && len(recs) < s.cfg.BatchMax && inflight > 0 {
+		if s.cfg.FlushDelay > 0 && n < s.cfg.BatchMax && inflight > 0 {
 			timer := time.NewTimer(s.cfg.FlushDelay)
 			for lingering := true; lingering && inflight > 0; {
 				select {
@@ -314,37 +305,37 @@ func (s *Shipper) run(ctx context.Context) {
 				// back here without a linger.
 				continue
 			}
-			if more, _ := s.log.ReadFrom(cursor, s.cfg.BatchMax); len(more) > len(recs) {
-				recs = more
+			if more, m, _ := s.log.ReadFrom(cursor, s.cfg.BatchMax); m > n {
+				frames, n = more, m
 			}
 		}
 
-		// A batch under compressMinBytes goes out as it is: a record or two
-		// holds no repeat for LZ4 to find (a 22-byte heartbeat encodes to 25
-		// bytes), so the call would only clear its 16 KB hash table and
+		// The batch is the log's own frames, sent as they are or as one LZ4
+		// block. A batch under compressMinBytes goes out as it is: a record or
+		// two holds no repeat for LZ4 to find (a 22-byte heartbeat encodes to
+		// 25 bytes), so the call would only clear its 16 KB hash table and
 		// allocate, and the idle cluster's traffic is exactly that — one
 		// heartbeat record per batch per replica.
-		raw := redo.Marshal(recs)
-		wire, compressed := raw, false
-		if len(raw) >= compressMinBytes {
-			if enc, err := s.cfg.Compressor.Compress(raw); err == nil && len(enc) < len(raw) {
+		wire, compressed := frames, false
+		if len(frames) >= compressMinBytes {
+			if enc, err := s.cfg.Compressor.Compress(frames); err == nil && len(enc) < len(frames) {
 				wire, compressed = enc, true
 			}
 		}
-		batch := Batch{From: recs[0].LSN, Count: len(recs), Compressed: compressed, Data: wire}
+		batch := Batch{From: cursor, Count: n, Compressed: compressed, Data: wire}
 
 		s.mu.Lock()
 		s.stats.Batches++
-		s.stats.Records += int64(len(recs))
-		s.stats.RawBytes += int64(len(raw))
+		s.stats.Records += int64(n)
+		s.stats.RawBytes += int64(len(frames))
 		s.stats.WireBytes += int64(len(wire))
 		s.mu.Unlock()
 		metricBatches.Inc()
-		metricRecords.Add(int64(len(recs)))
-		metricRawBytes.Add(int64(len(raw)))
+		metricRecords.Add(int64(n))
+		metricRawBytes.Add(int64(len(frames)))
 		metricWireBytes.Add(int64(len(wire)))
 
-		cursor = recs[len(recs)-1].LSN + 1
+		cursor += uint64(n)
 		inflight++
 		go func() {
 			resp, err := s.net.Call(sendCtx, s.from, s.endpoint, netsim.Message{Payload: batch, Size: len(wire) + 32})

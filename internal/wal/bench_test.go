@@ -23,15 +23,10 @@ func benchAppend(b *testing.B, policy SyncPolicy) {
 	}
 	defer w.Close()
 	recs := genRecords(64, 1)
-	next := uint64(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range recs {
-			recs[j].LSN = next + uint64(j)
-		}
-		next += uint64(len(recs))
-		if err := w.Append(recs); err != nil {
+		if _, err := w.AppendAssign(recs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +87,7 @@ func BenchmarkRecover(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := w.Append(genRecords(100000, 2)); err != nil {
+	if err := w.Append(redo.Marshal(genRecords(100000, 2))); err != nil {
 		b.Fatal(err)
 	}
 	w.Close()

@@ -35,7 +35,7 @@ func FuzzRecover(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i := range recs {
-		if err := w.Append(recs[i : i+1]); err != nil {
+		if err := w.Append(redo.Marshal(recs[i : i+1])); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func checkReopen(t *testing.T, dir string, got []redo.Record) {
 	for i := range fresh {
 		fresh[i].LSN = next + uint64(i)
 		fresh[i].Value = []byte(fmt.Sprintf("fresh-%d", i))
-		if err := w.Append(fresh[i : i+1]); err != nil {
+		if err := w.Append(redo.Marshal(fresh[i : i+1])); err != nil {
 			w.Close()
 			t.Fatal(err)
 		}

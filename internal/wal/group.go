@@ -322,11 +322,16 @@ func (w *Writer) AppendAssign(recs []redo.Record) (uint64, error) {
 	if err := w.appendableLocked(); err != nil {
 		return 0, err
 	}
+	// A stand-alone WAL has no log to take frames from, so it frames the
+	// records itself, into a buffer it reuses under w.mu.
+	w.frames = w.frames[:0]
 	for i := range recs {
 		recs[i].LSN = w.nextLSN + uint64(i)
+		w.frames = redo.AppendRecord(w.frames, recs[i])
 	}
-	if err := w.writeLocked(recs); err != nil {
+	last := recs[len(recs)-1].LSN
+	if err := w.writeLocked(w.frames, last); err != nil {
 		return 0, err
 	}
-	return recs[len(recs)-1].LSN, nil
+	return last, nil
 }

@@ -1,10 +1,10 @@
 // Package wal persists a data node's redo stream to disk, standing in for
-// GaussDB's XLOG durability layer. The in-memory redo.Log remains the
-// replication source of truth; the WAL makes the stream durable so a
-// primary can crash-recover by replaying it (the same replay path replicas
-// use, Sec. II-A). As in XLOG, the request that produces records writes
-// them itself — a primary appends to its WAL under the same hold of its
-// mutex that appends them to its log — and only the flush is shared: under
+// GaussDB's XLOG durability layer: it writes the frames a primary's redo.Log
+// made, the bytes the shippers send, so a primary can crash-recover by
+// replaying them (the same replay path replicas use, Sec. II-A). As in XLOG,
+// the request that produces records writes them itself — a primary appends
+// to its WAL under the same hold of its mutex that appends them to its log —
+// and only the flush is shared: under
 // the SyncGroup policy a committer goroutine coalesces concurrent
 // appenders' fsyncs into group commits (group.go), and callers observe
 // durability through a monotone watermark (DurableLSN / WaitDurable) rather
@@ -102,6 +102,7 @@ type Writer struct {
 	size    int64
 	nextLSN uint64
 	closed  bool
+	frames  []byte // AppendAssign's framing buffer, reused under mu
 
 	appends atomic.Int64
 	syncs   atomic.Int64
@@ -187,13 +188,13 @@ func (w *Writer) NextLSN() uint64 {
 	return w.nextLSN
 }
 
-// Append writes a batch of records, which must continue the stream
-// contiguously from NextLSN. The batch is framed and written to the active
-// segment. Under SyncEveryBatch it is fsynced before returning; under
-// SyncGroup the group committer fsyncs it shortly after (WaitDurable parks
-// until then); under SyncNever flushing is left to the OS.
-func (w *Writer) Append(recs []redo.Record) error {
-	if len(recs) == 0 {
+// Append writes whole redo frames, whose header LSNs must continue the
+// stream contiguously from NextLSN, to the active segment as they are. Under
+// SyncEveryBatch they are fsynced before returning; under SyncGroup the
+// group committer fsyncs them shortly after (WaitDurable parks until then);
+// under SyncNever flushing is left to the OS.
+func (w *Writer) Append(frames []byte) error {
+	if len(frames) == 0 {
 		return nil
 	}
 	w.mu.Lock()
@@ -201,12 +202,18 @@ func (w *Writer) Append(recs []redo.Record) error {
 	if err := w.appendableLocked(); err != nil {
 		return err
 	}
-	for i, r := range recs {
-		if r.LSN != w.nextLSN+uint64(i) {
-			return fmt.Errorf("%w: record %d has LSN %d, want %d", ErrGap, i, r.LSN, w.nextLSN+uint64(i))
+	next := w.nextLSN
+	for p := frames; len(p) > 0; next++ {
+		lsn, n, err := redo.FrameLSN(p)
+		if err != nil {
+			return err
 		}
+		if lsn != next {
+			return fmt.Errorf("%w: frame %d has LSN %d, want %d", ErrGap, next-w.nextLSN, lsn, next)
+		}
+		p = p[n:]
 	}
-	return w.writeLocked(recs)
+	return w.writeLocked(frames, next-1)
 }
 
 // appendableLocked reports why the writer takes no more appends: it was
@@ -220,29 +227,27 @@ func (w *Writer) appendableLocked() error {
 	return w.werr
 }
 
-// writeLocked frames and writes a contiguous, validated batch, then applies
-// the sync policy. An error is terminal: the writer fails its waiters and
-// every later append with it, so nothing after a lost record is ever
-// reported durable. Caller holds w.mu.
-func (w *Writer) writeLocked(recs []redo.Record) (err error) {
+// writeLocked writes a validated run of frames ending at LSN last, then
+// applies the sync policy. An error is terminal: the writer fails its
+// waiters and every later append with it, so nothing after a lost record is
+// ever reported durable. Caller holds w.mu.
+func (w *Writer) writeLocked(frames []byte, last uint64) (err error) {
 	defer func() {
 		if err != nil {
 			w.failWaiters(err)
 		}
 	}()
 	if w.file == nil || w.size >= w.opts.SegmentBytes {
-		if err := w.rotateLocked(recs[0].LSN); err != nil {
+		if err := w.rotateLocked(w.nextLSN); err != nil {
 			return err
 		}
 	}
-	buf := redo.Marshal(recs)
-	if _, err := w.file.Write(buf); err != nil {
+	if _, err := w.file.Write(frames); err != nil {
 		return fmt.Errorf("wal: write: %w", err)
 	}
-	w.size += int64(len(buf))
-	last := recs[len(recs)-1].LSN
+	w.size += int64(len(frames))
+	w.appends.Add(int64(last + 1 - w.nextLSN))
 	w.nextLSN = last + 1
-	w.appends.Add(int64(len(recs)))
 	switch w.opts.Sync {
 	case SyncEveryBatch:
 		if err := w.fsyncTimed(w.file); err != nil {

@@ -51,10 +51,10 @@ func TestWriterAppendAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := genRecords(100, 1)
-	if err := w.Append(recs[:40]); err != nil {
+	if err := w.Append(redo.Marshal(recs[:40])); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(recs[40:]); err != nil {
+	if err := w.Append(redo.Marshal(recs[40:])); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -82,15 +82,15 @@ func TestWriterRejectsGaps(t *testing.T) {
 	}
 	defer w.Close()
 	recs := genRecords(10, 2)
-	if err := w.Append(recs[:5]); err != nil {
+	if err := w.Append(redo.Marshal(recs[:5])); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(recs[6:]); !errors.Is(err, ErrGap) {
+	if err := w.Append(redo.Marshal(recs[6:])); !errors.Is(err, ErrGap) {
 		t.Fatalf("gap append: %v", err)
 	}
 	// Internal discontinuity is also rejected.
 	bad := []redo.Record{recs[5], recs[7]}
-	if err := w.Append(bad); !errors.Is(err, ErrGap) {
+	if err := w.Append(redo.Marshal(bad)); !errors.Is(err, ErrGap) {
 		t.Fatalf("discontinuous append: %v", err)
 	}
 }
@@ -101,7 +101,7 @@ func TestWriterClosedRejectsAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	if err := w.Append(genRecords(1, 3)); !errors.Is(err, ErrClosed) {
+	if err := w.Append(redo.Marshal(genRecords(1, 3))); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v", err)
 	}
 	if err := w.Close(); err != nil {
@@ -121,7 +121,7 @@ func TestWriterSegmentRotation(t *testing.T) {
 		if end > len(recs) {
 			end = len(recs)
 		}
-		if err := w.Append(recs[i:end]); err != nil {
+		if err := w.Append(redo.Marshal(recs[i:end])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestReopenContinuesStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(recs[:30]); err != nil {
+	if err := w.Append(redo.Marshal(recs[:30])); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -161,7 +161,7 @@ func TestReopenContinuesStream(t *testing.T) {
 	if w2.NextLSN() != 31 {
 		t.Fatalf("NextLSN = %d, want 31", w2.NextLSN())
 	}
-	if err := w2.Append(recs[30:]); err != nil {
+	if err := w2.Append(redo.Marshal(recs[30:])); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
@@ -191,7 +191,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := genRecords(50, 6)
-	if err := w.Append(recs); err != nil {
+	if err := w.Append(redo.Marshal(recs)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -218,7 +218,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 	if w2.NextLSN() != 50 {
 		t.Fatalf("NextLSN = %d, want 50", w2.NextLSN())
 	}
-	if err := w2.Append([]redo.Record{{LSN: 50, Type: redo.TypeHeartbeat, TS: 999}}); err != nil {
+	if err := w2.Append(redo.Marshal([]redo.Record{{LSN: 50, Type: redo.TypeHeartbeat, TS: 999}})); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
@@ -238,7 +238,7 @@ func TestRecoverStopsAtCorruptFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := genRecords(20, 7)
-	if err := w.Append(recs); err != nil {
+	if err := w.Append(redo.Marshal(recs)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -288,7 +288,7 @@ func TestRecoverIgnoresForeignFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(genRecords(5, 8)); err != nil {
+	if err := w.Append(redo.Marshal(genRecords(5, 8))); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -305,7 +305,7 @@ func TestSyncPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Append(genRecords(10, 9)); err != nil {
+		if err := w.Append(redo.Marshal(genRecords(10, 9))); err != nil {
 			t.Fatal(err)
 		}
 		st := w.GroupStats()
@@ -340,7 +340,7 @@ func TestCrashRecoveryRebuildsStore(t *testing.T) {
 		if end > len(recs) {
 			end = len(recs)
 		}
-		if err := w.Append(recs[i:end]); err != nil {
+		if err := w.Append(redo.Marshal(recs[i:end])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -386,7 +386,7 @@ func TestRecoverPrefixProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := genRecords(40, 11)
-	if err := w.Append(recs); err != nil {
+	if err := w.Append(redo.Marshal(recs)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

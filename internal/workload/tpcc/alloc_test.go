@@ -10,8 +10,9 @@ import (
 // tpccAllocBudgetMax caps allocations for one warm New-Order transaction
 // (single terminal, local warehouse, group-commit WAL attached): ~25 row
 // operations (reads, updates, order + order-line inserts) through
-// planning-free key paths, the commit's redo marshal and group-commit wait,
-// and the shipping of its redo to two replicas.
+// planning-free key paths, the commit's redo records, framed once by the
+// primary's log and written to the WAL as those bytes, the group-commit
+// wait, and the shipping of the same bytes to two replicas.
 //
 // The count is process-wide, so the test takes the cluster's own activity out
 // of the window: the RCP collector (status polls, heartbeats and the shipping
@@ -21,14 +22,12 @@ import (
 // shipping falls inside. What is left beside the transaction — the
 // group-commit syncer and the clock-sync tickers — is worth ±3. The driver's
 // seed fixes the sequence of orders, and the reported figure is the cheapest
-// of the five measured. Twenty runs of one binary on go1.24, after redo
-// frames came to be written in place and shipped as LZ4 blocks:
-// min 515, median 515, max 515 (ten runs under -race: 515 each; DEFLATE's
-// pooled writers, which -race's sync.Pool dropped at random, are gone). With
-// DEFLATE the same statistic read 726–728. The ceiling is the measured max
-// + 15 %: one leaked allocation per row op is +25/txn, so four of them fail
-// the test.
-const tpccAllocBudgetMax = 592
+// of the five measured. Twenty runs of one binary on go1.24, after the redo
+// log came to hold frames that the WAL and the shippers send as they are:
+// min 507, median 507, max 507. With DEFLATE the same statistic read
+// 726–728. The ceiling is the measured max + 15 %: one leaked allocation per
+// row op is +25/txn, so four of them fail the test.
+const tpccAllocBudgetMax = 583
 
 // TestTPCCAllocBudget is the write-path analogue of the root package's
 // TestAllocBudget: a hard allocation gate on the warm New-Order path.

@@ -57,7 +57,11 @@ func TestSyncReplicatedTable(t *testing.T) {
 	// The commit's records are the last ones that are not heartbeats: the
 	// collector appends one every few milliseconds, so any number may have
 	// landed behind the commit by now.
-	recs, err := p.Log().ReadFrom(1, 0)
+	frames, _, err := p.Log().ReadFrom(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := redo.Unmarshal(frames)
 	if err != nil {
 		t.Fatal(err)
 	}
