@@ -87,11 +87,11 @@ func rname(shard, i int) string { return "r" + string(rune('0'+shard)) + string(
 // commitPlain writes one committed txn to a primary's store and log.
 func commitPlain(p *datanode.Primary, txn uint64, commitTS ts.Timestamp) {
 	p.Store().Put(mvcc.TxnID(txn), []byte("k"), []byte("v"), ts.Max)
-	p.Log().AppendBatch([]redo.Record{redo.Record{Type: redo.TypeHeapUpdate, Txn: txn, Key: []byte("k"), Value: []byte("v")}})
+	p.Log().AppendBatch([]redo.Record{{Type: redo.TypeHeapUpdate, Txn: txn, Key: []byte("k"), Value: []byte("v")}})
 	p.Store().MarkPending(mvcc.TxnID(txn))
-	p.Log().AppendBatch([]redo.Record{redo.Record{Type: redo.TypePendingCommit, Txn: txn}})
+	p.Log().AppendBatch([]redo.Record{{Type: redo.TypePendingCommit, Txn: txn}})
 	p.Store().Commit(mvcc.TxnID(txn), commitTS)
-	p.Log().AppendBatch([]redo.Record{redo.Record{Type: redo.TypeCommit, Txn: txn, TS: commitTS}})
+	p.Log().AppendBatch([]redo.Record{{Type: redo.TypeCommit, Txn: txn, TS: commitTS}})
 }
 
 func TestPollOnceComputesMinOfMax(t *testing.T) {
@@ -173,7 +173,14 @@ func TestRunLoopAndTakeover(t *testing.T) {
 
 	// A takeover collector on another CN starts from the old value, and
 	// polling only raises it: replica watermarks are monotonic, so the RCP
-	// can't regress, however slowly the replicas answer.
+	// can't regress, however slowly the replicas answer. A commit above the
+	// old value on both shards checks that its polling reaches the replicas'
+	// watermarks rather than only keeping its start.
+	commitTS := old + 1000
+	for shard, p := range r.primaries {
+		commitPlain(p, uint64(10+shard), commitTS)
+		waitReplay(t, r, shard, commitTS)
+	}
 	topo := Topology{Primaries: map[int]string{}, Replicas: map[int][]string{}}
 	for shard := 0; shard < 2; shard++ {
 		topo.Primaries[shard] = pname(shard)
@@ -181,8 +188,11 @@ func TestRunLoopAndTakeover(t *testing.T) {
 	}
 	takeover := NewCollector(DefaultConfig(), datanode.NewClient(r.net, "west"), topo,
 		func(context.Context) (ts.Timestamp, error) { return ts.Timestamp(r.hbTS.Add(10)), nil }, old)
-	if got := takeover.PollOnce(bg); got < old {
-		t.Fatalf("takeover RCP %v regressed below %v", got, old)
+	if got := takeover.RCP(); got != old {
+		t.Fatalf("takeover starts at %v, want %v", got, old)
+	}
+	if got := takeover.PollOnce(bg); got < commitTS {
+		t.Fatalf("takeover RCP %v never reached the replicas' %v", got, commitTS)
 	}
 }
 

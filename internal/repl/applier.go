@@ -36,6 +36,8 @@ type Applier struct {
 	maxDDLTS   ts.Timestamp
 	ddlTS      map[uint64]ts.Timestamp // tableID (from DDL record Txn field) -> ts
 
+	onDDL func(r redo.Record) // optional catalog hook
+
 	// notifyMu guards applied, the channel NotifyApplied hands out. It is
 	// separate from mu so that registering never waits for a replay.
 	notifyMu sync.Mutex
@@ -49,6 +51,10 @@ func NewApplier(store *mvcc.Store) *Applier {
 		ddlTS: make(map[uint64]ts.Timestamp),
 	}
 }
+
+// SetDDLHook installs a callback invoked for every replayed DDL record,
+// letting the hosting node maintain a replica catalog.
+func (a *Applier) SetDDLHook(fn func(redo.Record)) { a.onDDL = fn }
 
 // AppliedLSN returns the LSN of the last applied record.
 func (a *Applier) AppliedLSN() uint64 {
@@ -146,6 +152,9 @@ func (a *Applier) applyOne(r redo.Record) {
 			a.ddlTS[r.Txn] = r.TS // DDL records carry the table ID in Txn
 		}
 		a.store.AdvanceCommitWatermark(r.TS)
+		if a.onDDL != nil {
+			a.onDDL(r)
+		}
 	case redo.TypeHeartbeat:
 		a.store.AdvanceCommitWatermark(r.TS)
 	}

@@ -163,6 +163,8 @@ func TestApplierTwoPhaseCommitRecords(t *testing.T) {
 
 func TestApplierHeartbeatAndDDL(t *testing.T) {
 	a := NewApplier(mvcc.NewStore())
+	var ddlSeen []redo.Record
+	a.SetDDLHook(func(r redo.Record) { ddlSeen = append(ddlSeen, r) })
 	a.Apply([]redo.Record{
 		{LSN: 1, Type: redo.TypeHeartbeat, TS: 500},
 		{LSN: 2, Type: redo.TypeDDL, Txn: 42, TS: 600, Key: []byte("tbl"), Value: []byte("schema")},
@@ -172,6 +174,9 @@ func TestApplierHeartbeatAndDDL(t *testing.T) {
 	}
 	if a.MaxDDLTS() != 600 {
 		t.Fatalf("MaxDDLTS = %v", a.MaxDDLTS())
+	}
+	if len(ddlSeen) != 1 || ddlSeen[0].Txn != 42 {
+		t.Fatalf("DDL hook: %v", ddlSeen)
 	}
 }
 
@@ -372,6 +377,9 @@ func TestShipperDeliversAndAcks(t *testing.T) {
 	st := r.shipper.Stats()
 	if st.Batches == 0 || st.Records != int64(last) {
 		t.Fatalf("stats: %+v", st)
+	}
+	if r.shipper.Lag() != 0 {
+		t.Fatalf("lag = %d", r.shipper.Lag())
 	}
 }
 

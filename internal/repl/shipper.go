@@ -156,6 +156,16 @@ func (s *Shipper) Stats() ShipperStats {
 	return st
 }
 
+// Lag returns how many records the replica is behind the primary log.
+func (s *Shipper) Lag() uint64 {
+	last := s.log.LastLSN()
+	acked := s.acked.Load()
+	if acked >= last {
+		return 0
+	}
+	return last - acked
+}
+
 // stopDrainTimeout bounds how long Stop waits for in-flight batch acks.
 const stopDrainTimeout = 2 * time.Second
 

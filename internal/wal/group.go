@@ -323,14 +323,14 @@ func (w *Writer) AppendAssign(recs []redo.Record) (uint64, error) {
 		return 0, err
 	}
 	// A stand-alone WAL has no log to take frames from, so it frames the
-	// records itself, into a buffer it reuses under w.mu.
-	w.frames = w.frames[:0]
+	// records itself.
+	var frames []byte
 	for i := range recs {
 		recs[i].LSN = w.nextLSN + uint64(i)
-		w.frames = redo.AppendRecord(w.frames, recs[i])
+		frames = redo.AppendRecord(frames, recs[i])
 	}
 	last := recs[len(recs)-1].LSN
-	if err := w.writeLocked(w.frames, last); err != nil {
+	if err := w.writeLocked(frames, last); err != nil {
 		return 0, err
 	}
 	return last, nil

@@ -102,7 +102,6 @@ type Writer struct {
 	size    int64
 	nextLSN uint64
 	closed  bool
-	frames  []byte // AppendAssign's framing buffer, reused under mu
 
 	appends atomic.Int64
 	syncs   atomic.Int64
