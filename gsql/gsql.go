@@ -381,7 +381,6 @@ func (s *Session) execSelect(ctx context.Context, sel *Select, plan *selectPlan,
 	if err != nil {
 		return nil, err
 	}
-	bp.rowEst = s.db.RowEstimate
 	// root is nil when tracing is off; every span call below is then a
 	// no-op pointer compare, keeping the hot path allocation-free.
 	root := s.curTrace.Root()
@@ -418,13 +417,6 @@ func (s *Session) execSelect(ctx context.Context, sel *Select, plan *selectPlan,
 // through it — Exec's execSelect, the streaming queryRows behind
 // Session.Query, the wire server and the database/sql driver, and the
 // UPDATE/DELETE row search — so a setting cannot reach one and miss another.
-//
-// rowEst is deliberately not set here: execSelect hands the catalog's row
-// estimates to the join chooser and queryRows does not. Passing them on the
-// streaming path too flips sql_front_local's join (acct JOIN grp_info, not
-// co-located, 10 inner rows against 20 000) from nested loop to hash and moves
-// that workload's read_p95_ms and read_ops_per_s — a plan-choice change that
-// belongs in a PR that names it (see ROADMAP).
 func (s *Session) bindForExec(stmt Statement, plan *selectPlan, params []any) (*boundPlan, error) {
 	root := s.curTrace.Root() // nil outside a traced Exec: the spans are no-ops
 	planSp := root.Child("plan")
@@ -445,6 +437,7 @@ func (s *Session) bindForExec(stmt Statement, plan *selectPlan, params []any) (*
 	}
 	bp.noPushdown = s.pushdownOff
 	bp.joinMode = s.joinMode
+	bp.rowEst = s.db
 	return bp, nil
 }
 

@@ -457,7 +457,7 @@ func (p *boundPlan) resolveJoin() joinStrategy {
 		if p.rowEst == nil {
 			return joinLookup
 		}
-		outerEst := p.rowEst(p.tables[0].schema.Name)
+		outerEst := p.rowEst.RowEstimate(p.tables[0].schema.Name)
 		if outerEst == 0 || outerEst > autoLookupPrefixOuter {
 			return joinLookup
 		}
@@ -471,8 +471,8 @@ func (p *boundPlan) resolveJoin() joinStrategy {
 			return joinHash
 		}
 		if p.rowEst != nil {
-			innerEst := p.rowEst(p.tables[1].schema.Name)
-			outerEst := p.rowEst(p.tables[0].schema.Name)
+			innerEst := p.rowEst.RowEstimate(p.tables[1].schema.Name)
+			outerEst := p.rowEst.RowEstimate(p.tables[0].schema.Name)
 			if innerEst > 0 && outerEst > 0 && innerEst <= outerEst*autoHashFanFactor {
 				return joinHash
 			}

@@ -203,9 +203,9 @@ type boundPlan struct {
 	// joinMode is the session's SET JOIN strategy request for this
 	// execution (joinAuto lets resolveJoin decide from estimates).
 	joinMode joinStrategy
-	// rowEst, when non-nil, returns a table's approximate row count for
-	// AUTO strategy selection. Advisory only.
-	rowEst func(tableName string) int64
+	// rowEst, when non-nil, gives a table's approximate row count for AUTO
+	// strategy selection. Advisory only.
+	rowEst interface{ RowEstimate(tableName string) int64 }
 	// chosenJoin records the strategy buildPipeline actually wired, so
 	// results and traces can report it.
 	chosenJoin joinStrategy
