@@ -71,11 +71,12 @@ func TestDifferentialAccessPaths(t *testing.T) {
 }
 
 // TestDifferentialStreamingVsMaterializing runs randomized queries through
-// the streaming operator pipeline (execSelect) and the materializing oracle
-// (execSelectMaterialized, oracle_test.go) and requires identical
-// results. The query generator covers every access path the planner can
-// pick, pushed range bounds, residual filters, joins, aggregates, DISTINCT,
-// ORDER BY, LIMIT and OFFSET — the full surface the refactor touched.
+// the SELECT pipeline (execPlan, and drained through Session.Query) and the
+// materializing oracle (execSelectMaterialized, oracle_test.go) and
+// requires identical results. The query generator covers every access path
+// the planner can pick, pushed range bounds, residual filters, joins,
+// aggregates, DISTINCT, ORDER BY, LIMIT and OFFSET — the full surface the
+// refactor touched.
 func TestDifferentialStreamingVsMaterializing(t *testing.T) {
 	s := openSQL(t)
 	exec(t, s, `CREATE TABLE stock (
@@ -118,7 +119,7 @@ func TestDifferentialStreamingVsMaterializing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream, err := execSelect(bg, tx, bp)
+		stream, err := execPlan(bg, tx, bp)
 		if err != nil {
 			t.Fatalf("streaming %q: %v", sql, err)
 		}
@@ -135,18 +136,25 @@ func TestDifferentialStreamingVsMaterializing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("materialized %q: %v", sql, err)
 		}
-		a := rowStrings(stream.Rows)
 		b := rowStrings(mat.Rows)
 		if !ordered {
-			sort.Strings(a)
 			sort.Strings(b)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("%q: streaming %d rows vs materialized %d\n stream: %v\n mat: %v", sql, len(a), len(b), a, b)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%q: row %d differs\n stream: %s\n mat:    %s", sql, i, a[i], b[i])
+		for _, run := range []struct {
+			name string
+			rows [][]any
+		}{{"streaming", stream.Rows}, {"query", queryAll(t, s, sql)}} {
+			a := rowStrings(run.rows)
+			if !ordered {
+				sort.Strings(a)
+			}
+			if len(a) != len(b) {
+				t.Fatalf("%q: %s %d rows vs materialized %d\n %s: %v\n mat: %v", sql, run.name, len(a), len(b), run.name, a, b)
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("%q: row %d differs\n %s: %s\n mat:    %s", sql, i, run.name, a[i], b[i])
+				}
 			}
 		}
 	}
@@ -182,6 +190,50 @@ func TestDifferentialStreamingVsMaterializing(t *testing.T) {
 			runBoth(fmt.Sprintf("SELECT DISTINCT grp FROM stock WHERE w_id = %d AND i_id > %d", w, lo), false)
 		}
 	}
+
+	// The shapes that run the sort and aggregate operators, or stop before
+	// the first row.
+	for trial := 0; trial < 20; trial++ {
+		w := 1 + rng.Int63n(4)
+		q := rng.Int63n(200)
+		switch trial % 5 {
+		case 0: // ORDER BY without LIMIT, single table and joined
+			runBoth(fmt.Sprintf("SELECT i_id, qty FROM stock WHERE w_id = %d ORDER BY qty DESC, i_id", w), true)
+			runBoth(fmt.Sprintf(`SELECT st.i_id, sp.rating FROM supplier sp JOIN stock st
+				ON st.w_id = sp.w_id WHERE sp.w_id = %d AND sp.s_id = %d ORDER BY st.qty, st.i_id`, w, 1+rng.Int63n(6)), true)
+		case 1: // DISTINCT + ORDER BY + LIMIT + OFFSET
+			runBoth(fmt.Sprintf("SELECT DISTINCT grp, tag FROM stock WHERE qty < %d ORDER BY grp, tag LIMIT %d OFFSET %d",
+				q, 1+rng.Int63n(6), rng.Int63n(4)), true)
+		case 2: // GROUP BY + HAVING + ORDER BY + LIMIT
+			runBoth(fmt.Sprintf("SELECT grp, COUNT(*), SUM(qty) FROM stock WHERE qty < %d GROUP BY grp HAVING COUNT(*) > 1 ORDER BY COUNT(*) DESC, grp LIMIT %d",
+				q, 1+rng.Int63n(4)), true)
+		case 3: // global aggregate over an empty range
+			runBoth(fmt.Sprintf("SELECT COUNT(*), SUM(qty), MIN(tag) FROM stock WHERE w_id = %d AND i_id > 1000", w), true)
+		case 4: // LIMIT 0, streamed and sorted
+			runBoth(fmt.Sprintf("SELECT * FROM stock WHERE w_id = %d LIMIT 0", w), true)
+			runBoth(fmt.Sprintf("SELECT i_id FROM stock WHERE qty < %d ORDER BY qty LIMIT 0", q), true)
+		}
+	}
+}
+
+// queryAll runs sql through Session.Query and drains it.
+func queryAll(t *testing.T, s *Session, sql string) [][]any {
+	t.Helper()
+	rows, err := s.Query(bg, sql)
+	if err != nil {
+		t.Fatalf("Query(%q): %v", sql, err)
+	}
+	var out [][]any
+	for rows.Next() {
+		out = append(out, rows.Row())
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatalf("Query(%q): %v", sql, err)
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatalf("Query(%q) close: %v", sql, err)
+	}
+	return out
 }
 
 // TestDifferentialPushdownVsCNSide runs randomly generated queries twice —
@@ -238,26 +290,38 @@ func TestDifferentialPushdownVsCNSide(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer tx.Abort(bg)
-			res, err := execSelect(bg, tx, bp)
+			res, err := execPlan(bg, tx, bp)
 			if err != nil {
 				t.Fatalf("%s (noPush=%v): %v", sql, noPush, err)
 			}
 			return res
 		}
+		query := func(noPush bool) [][]any {
+			t.Helper()
+			s.SetPushdown(!noPush)
+			defer s.SetPushdown(true)
+			return queryAll(t, s, sql)
+		}
 		pushed := run(false)
-		cnSide := run(true)
-		a := rowStrings(pushed.Rows)
-		b := rowStrings(cnSide.Rows)
+		b := rowStrings(run(true).Rows)
 		if !ordered {
-			sort.Strings(a)
 			sort.Strings(b)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("%q: pushed %d rows vs CN-side %d\n pushed: %v\n cn:     %v", sql, len(a), len(b), a, b)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%q: row %d differs\n pushed: %s\n cn:     %s", sql, i, a[i], b[i])
+		for _, other := range []struct {
+			name string
+			rows [][]any
+		}{{"pushed", pushed.Rows}, {"pushed query", query(false)}, {"cn query", query(true)}} {
+			a := rowStrings(other.rows)
+			if !ordered {
+				sort.Strings(a)
+			}
+			if len(a) != len(b) {
+				t.Fatalf("%q: %s %d rows vs CN-side %d\n %s: %v\n cn:     %v", sql, other.name, len(a), len(b), other.name, a, b)
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("%q: row %d differs\n %s: %s\n cn:     %s", sql, i, other.name, a[i], b[i])
+				}
 			}
 		}
 		// The pushed run must actually have saved WAN rows when a fragment
@@ -314,6 +378,27 @@ func TestDifferentialPushdownVsCNSide(t *testing.T) {
 		case 2:
 			runBoth(fmt.Sprintf("SELECT grp, MAX(qty) FROM push WHERE i_id > %d GROUP BY grp HAVING COUNT(*) IN (%d, %d) OR AVG(qty) > %d ORDER BY -SUM(qty), grp",
 				1+rng.Int63n(50), 1+rng.Int63n(12), 1+rng.Int63n(12), q), true, true)
+		}
+	}
+
+	// The shapes that run the sort and aggregate operators, or stop before
+	// the first row.
+	for trial := 0; trial < 20; trial++ {
+		q := rng.Int63n(100)
+		switch trial % 5 {
+		case 0: // ORDER BY without LIMIT
+			runBoth(fmt.Sprintf("SELECT i_id, qty FROM push WHERE qty >= %d ORDER BY qty DESC, i_id", q), true, true)
+		case 1: // DISTINCT + ORDER BY + LIMIT + OFFSET
+			runBoth(fmt.Sprintf("SELECT DISTINCT grp, tag FROM push WHERE qty < %d ORDER BY grp, tag LIMIT %d OFFSET %d",
+				q, 1+rng.Int63n(6), rng.Int63n(3)), true, true)
+		case 2: // GROUP BY + HAVING + ORDER BY + LIMIT
+			runBoth(fmt.Sprintf("SELECT grp, COUNT(*), SUM(qty) FROM push WHERE qty >= %d GROUP BY grp HAVING COUNT(*) > 2 ORDER BY SUM(qty) DESC, grp LIMIT %d",
+				q, 1+rng.Int63n(4)), true, true)
+		case 3: // global aggregate over an empty range
+			runBoth(fmt.Sprintf("SELECT COUNT(*), SUM(qty), AVG(qty), MAX(tag) FROM push WHERE w_id = %d AND i_id > 1000", 1+rng.Int63n(4)), true, true)
+		case 4: // LIMIT 0, streamed and aggregated
+			runBoth(fmt.Sprintf("SELECT i_id FROM push WHERE qty > %d LIMIT 0", q), true, true)
+			runBoth("SELECT grp, COUNT(*) FROM push GROUP BY grp ORDER BY grp LIMIT 0", true, true)
 		}
 	}
 

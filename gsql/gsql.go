@@ -370,51 +370,24 @@ func (s *Session) execShow(st *Show) (*Result, error) {
 	}
 }
 
-// execSelect runs a SELECT, planning it first unless a cached plan is
-// supplied. Inside an explicit transaction the query reads from shard
+// execSelect runs a SELECT for Exec: the Rows Query would stream, drained
+// into a Result. Inside an explicit transaction the query reads from shard
 // primaries at the transaction snapshot (and sees its own writes). Outside
 // a transaction it reads primaries at a fresh snapshot by default; SET
 // STALENESS or a per-statement AS OF STALENESS routes it to asynchronous
 // replicas at the RCP (read-on-replica).
 func (s *Session) execSelect(ctx context.Context, sel *Select, plan *selectPlan, params []any) (*Result, error) {
-	bp, err := s.bindForExec(sel, plan, params)
+	rows, err := s.queryRows(ctx, sel, plan, params)
 	if err != nil {
 		return nil, err
 	}
-	// root is nil when tracing is off; every span call below is then a
-	// no-op pointer compare, keeping the hot path allocation-free.
-	root := s.curTrace.Root()
-	execSp := root.Child("execute")
-	// The span rides the context into the scan cursors' prefetch
-	// goroutines (per-shard scan-page spans) and the autocommit
-	// transaction's commit fan-out.
-	ctx = obs.WithSpan(ctx, execSp)
-	rc, err := s.openReadContext(ctx, sel, bp)
-	if err != nil {
-		execSp.End()
-		return nil, err
-	}
-	res, err := execSelect(ctx, rc.r, bp)
-	if ferr := rc.finish(err == nil); err == nil {
-		err = ferr
-	}
-	if res != nil && res.JoinStrategy != "" {
-		execSp.Tag("read=%s join=%s", rc.kind, res.JoinStrategy)
-	} else {
-		execSp.Tag("read=%s", rc.kind)
-	}
-	execSp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.OnReplicas = rc.onReplicas
-	return res, nil
+	return rows.result()
 }
 
 // bindForExec plans stmt's planTarget unless a cached plan is supplied,
 // binds params and copies the session's execution settings (SET PUSHDOWN,
-// SET JOIN) into the bound plan. Every statement that reads rows goes
-// through it — Exec's execSelect, the streaming queryRows behind
+// SET JOIN, the catalog's row estimates) into the bound plan. Every
+// statement that reads rows goes through it — queryRows, behind Exec,
 // Session.Query, the wire server and the database/sql driver, and the
 // UPDATE/DELETE row search — so a setting cannot reach one and miss another.
 func (s *Session) bindForExec(stmt Statement, plan *selectPlan, params []any) (*boundPlan, error) {
@@ -477,8 +450,7 @@ func noFinish(bool) error { return nil }
 // transaction; a one-read context on a primary for an autocommit fresh read
 // of one key; an autocommit transaction on shard primaries for any other
 // fresh read; or a replica query under the session/statement staleness
-// setting. Both the materializing Exec path and the streaming Query path
-// dispatch through here.
+// setting. Every SELECT, through Exec or Query, dispatches through here.
 //
 // The one-read context skips the GClock invocation wait. That is safe only
 // for a plan that reads once: a single-table point get, whose one r.Get
@@ -636,7 +608,7 @@ func rowSearch(tableName string, where Expr) *Select {
 // them; the pipeline is closed, joining its prefetch goroutines, before
 // matchingRows returns, so the caller's writes start after the last read.
 func matchingRows(ctx context.Context, tx *globaldb.Tx, p *boundPlan) ([]table.Row, globaldb.ScanStats, error) {
-	it, _, totals, err := buildPipeline(ctx, tx, p)
+	it, totals, err := buildPipeline(ctx, tx, p)
 	if err != nil {
 		return nil, globaldb.ScanStats{}, err
 	}

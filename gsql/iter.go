@@ -17,13 +17,15 @@ import (
 // an inner block. Operators still fetch lazily, so a consumer that stops
 // early — a LIMIT, an aggregate short-circuit — stops the whole pipeline,
 // and the scan at the bottom stops requesting pages from storage. Rows
-// leave block form only at the true row edges: result assembly / driver
-// Rows.Next, and the aggregation hash probe.
+// leave block form only at the true row edges: Rows.Next, which every
+// SELECT's pipeline ends in, and the aggregation hash probe.
 
 // rowBlock is a batch of combined rows: tabs[t][i] is FROM-table t's row
 // in combined row i. All tabs have equal length. A block returned by
 // NextBlock is valid until the following NextBlock call; consumers may
-// retain the table.Rows inside it, but not the block or its slices.
+// retain the table.Rows inside it, but not the block or its slices. The
+// aggregate and sort operators yield single-table blocks whose rows are
+// group rows or flat combined rows, which evaluate the same way.
 type rowBlock struct {
 	tabs [][]table.Row
 }
@@ -302,28 +304,72 @@ func scanRange(s *tableScan, se *scanExprs, outerRow []any) *globaldb.ScanRange 
 	return rng
 }
 
-// buildPipeline assembles the batch-native operator tree for a planned
-// SELECT: scan(outer, with any DN-side fragment attached) -> [join(inner):
-// fused lookup-pushdown, hash, or nested-loop] -> residual filter.
-// orderDone reports whether the scan already delivers rows in the plan's
-// ORDER BY order (so the driver can skip the sort and terminate early on
-// LIMIT). The returned totals accumulate every scan's per-layer row counts
-// as iterators close.
-func buildPipeline(ctx context.Context, r reader, p *boundPlan) (it blockIter, orderDone bool, totals *scanTotals, err error) {
-	totals = &scanTotals{}
-	orderDone = scanSatisfiesOrder(p.selectPlan)
+// buildPipeline assembles the operator tree of a planned SELECT, the one
+// tree its Rows drains:
+//
+//	scan -> [join] -> [residual filter] -> [aggregate] -> [HAVING] -> [sort]
+//
+// The scan carries any DN-side fragment; the join is the fused
+// lookup-pushdown, hash or nested-loop strategy resolveJoin picks; the sort
+// runs only when the scan does not deliver ORDER BY order. A pushed
+// aggregation replaces everything below HAVING with one source that turns
+// the shards' partial-state rows into group rows. Rows.Next then projects
+// and applies DISTINCT, OFFSET and LIMIT. The returned totals accumulate
+// every scan's per-layer row counts as the iterators close.
+func buildPipeline(ctx context.Context, r reader, p *boundPlan) (blockIter, *scanTotals, error) {
+	totals := &scanTotals{}
+	orderDone := scanSatisfiesOrder(p.selectPlan)
+	// The DN-partial phase binds the fragment template with this
+	// execution's parameters. A bind failure (e.g. an exotic parameter
+	// type) falls back to CN-side evaluation: the fragment is an
+	// optimization, not a dependency.
+	if p.push != nil && p.push.agg && !p.noPushdown {
+		if bf, bindErr := p.push.frag.Bind(p.params); bindErr == nil {
+			scan, err := openScan(ctx, r, p.outer, &p.x.outer, nil, 0, 0, 0, bf, totals)
+			if err != nil {
+				return nil, nil, err
+			}
+			return p.aboveJoin(&pushedAggIter{child: scan, p: p}, true, orderDone), totals, nil
+		}
+	}
+	it, err := openRowSource(ctx, r, p, orderDone, totals)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.aboveJoin(it, false, orderDone), totals, nil
+}
 
+// aboveJoin stacks the operators above the combined-row stream: CN-side
+// aggregation unless groupRows says the source already yields group rows,
+// HAVING over the group rows, then the sort unless orderDone says the scan
+// already delivers ORDER BY order.
+func (p *boundPlan) aboveJoin(it blockIter, groupRows, orderDone bool) blockIter {
+	if p.grouped && !groupRows {
+		it = &aggregateIter{child: it, p: p}
+	}
+	if p.grouped && p.x.having != nil {
+		it = &filterIter{child: it, filter: p.x.having}
+	}
+	if len(p.orderBy) > 0 && !orderDone {
+		it = newSortIter(p, it)
+	}
+	return it
+}
+
+// openRowSource opens the combined-row stream of a SELECT: scan(outer,
+// with any DN-side fragment attached) -> [join(inner): fused
+// lookup-pushdown, hash, or nested-loop] -> residual filter. orderDone
+// reports whether the scan already delivers ORDER BY order, which lets an
+// early-terminating LIMIT size and cap the scan.
+func openRowSource(ctx context.Context, r reader, p *boundPlan, orderDone bool, totals *scanTotals) (blockIter, error) {
 	strategy := joinNestLoop
 	if p.inner != nil {
 		strategy = p.resolveJoin()
 	}
 
-	// The DN-partial phase: bind the fragment template with this
-	// execution's parameters. A bind failure (e.g. an exotic parameter
-	// type) falls back to CN-side evaluation — the fragment is an
-	// optimization, not a dependency. A pushed lookup join binds its own
-	// fragment (outer scan + inner lookup fused); a bind failure there
-	// falls back to the nested loop the same way.
+	// A pushed lookup join binds its own fragment (outer scan + inner
+	// lookup fused); a bind failure falls back to the nested loop, as any
+	// fragment bind failure falls back to CN-side evaluation.
 	filter := p.x.filter
 	var frag *fragment.Fragment
 	lookupOn := false
@@ -342,7 +388,6 @@ func buildPipeline(ctx context.Context, r reader, p *boundPlan) (it blockIter, o
 			filter = p.x.pushFilter
 		}
 	}
-
 	// A limit is pushed all the way into the outer scan only when nothing
 	// above it can drop, add or reorder rows. With the filter running
 	// DN-side the limit budgets qualifying rows, so `WHERE pushed LIMIT k`
@@ -376,33 +421,25 @@ func buildPipeline(ctx context.Context, r reader, p *boundPlan) (it blockIter, o
 			pageHint = 16
 		}
 	}
-	if lookupOn {
-		rows, err := openLookupRows(ctx, r, p, fetchLimit, pageHint, prefetch, frag)
-		if err != nil {
-			return nil, false, nil, err
-		}
-		it = &lookupJoinIter{rows: rows, totals: totals,
-			outerW: len(p.tables[0].schema.Columns)}
-	} else {
-		scan, err := openScan(ctx, r, p.outer, &p.x.outer, nil, fetchLimit, pageHint, prefetch, frag, totals)
-		if err != nil {
-			return nil, false, nil, err
-		}
-		it = scan
-		switch {
-		case p.inner != nil && strategy == joinHash:
-			it = &hashJoinIter{r: r, p: p, hj: p.join.hash, outer: it, totals: totals}
-		case p.inner != nil:
-			it = &nestedLoopIter{
-				outer: it,
-				openInner: func(outerRow table.Row) (blockIter, error) {
-					// Inner lookups are opened per outer row, drained, and
-					// closed immediately — there is no consumption to overlap a
-					// prefetch with, so keep them on the synchronous path
-					// rather than paying a goroutine + channel per outer row.
-					return openScan(ctx, r, p.inner, &p.x.inner, outerRow, 0, 0, -1, nil, totals)
-				},
-			}
+	it, err := openScan(ctx, r, p.outer, &p.x.outer, nil, fetchLimit, pageHint, prefetch, frag, totals)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case lookupOn:
+		it = &lookupJoinIter{child: it, outerW: len(p.tables[0].schema.Columns)}
+	case p.inner != nil && strategy == joinHash:
+		it = &hashJoinIter{r: r, p: p, hj: p.join.hash, outer: it, totals: totals}
+	case p.inner != nil:
+		it = &nestedLoopIter{
+			outer: it,
+			openInner: func(outerRow table.Row) (blockIter, error) {
+				// Inner lookups are opened per outer row, drained, and
+				// closed immediately — there is no consumption to overlap a
+				// prefetch with, so keep them on the synchronous path
+				// rather than paying a goroutine + channel per outer row.
+				return openScan(ctx, r, p.inner, &p.x.inner, outerRow, 0, 0, -1, nil, totals)
+			},
 		}
 	}
 	if filter != nil {
@@ -411,7 +448,7 @@ func buildPipeline(ctx context.Context, r reader, p *boundPlan) (it blockIter, o
 	if p.inner != nil {
 		p.chosenJoin = strategy
 	}
-	return it, orderDone, totals, nil
+	return it, nil
 }
 
 // scanSatisfiesOrder reports whether the streaming outer scan already

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"globaldb"
 	"globaldb/gsql/fragment"
 	"globaldb/internal/keys"
 	"globaldb/internal/table"
@@ -516,35 +515,14 @@ func (jp *joinPlan) describe(p *selectPlan) []string {
 
 // ---- Executor ----
 
-// openLookupRows opens the outer scan with the bound lookup fragment
-// attached: the returned Rows yield combined joined rows (full outer
-// width then full inner width) decoded by the fragment layout's RowDecoder.
-func openLookupRows(ctx context.Context, r reader, p *boundPlan, fetchLimit, pageHint, prefetch int, frag *fragment.Fragment) (*globaldb.Rows, error) {
-	s := p.outer
-	opts := globaldb.ScanOpts{Limit: fetchLimit, PageSize: pageHint, Prefetch: prefetch,
-		Range: scanRange(s, &p.x.outer, nil), Pushdown: frag}
-	switch s.kind {
-	case accessPKPrefix:
-		keyVals, err := scanKey(s, &p.x.outer, nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.ScanPKRows(ctx, s.tab.schema.Name, keyVals, opts)
-	case accessFull:
-		return r.ScanTableRows(ctx, s.tab.schema.Name, opts)
-	default:
-		return nil, fmt.Errorf("gsql: lookup join on unexpected outer access %v", s.kind)
-	}
-}
-
 // lookupJoinIter adapts the fused lookup-join scan into two-table blocks:
-// every combined row splits into its outer and inner views by
-// sub-slicing — no copying, both halves share the batch's backing slab.
+// the scan carries the bound lookup fragment, so each of its rows is a
+// combined joined row (full outer width, then full inner width), and every
+// one splits into its outer and inner views by sub-slicing — no copying,
+// both halves share the batch's backing slab.
 type lookupJoinIter struct {
-	rows    *globaldb.Rows
-	totals  *scanTotals
-	counted bool
-	outerW  int
+	child  blockIter
+	outerW int
 
 	blk  rowBlock
 	tabs [2][]table.Row
@@ -552,11 +530,12 @@ type lookupJoinIter struct {
 	icol []table.Row
 }
 
-func (s *lookupJoinIter) NextBlock(context.Context) (*rowBlock, error) {
-	if !s.rows.NextBatch() {
-		return nil, s.rows.Err()
+func (s *lookupJoinIter) NextBlock(ctx context.Context) (*rowBlock, error) {
+	blk, err := s.child.NextBlock(ctx)
+	if blk == nil || err != nil {
+		return nil, err
 	}
-	batch := s.rows.Batch()
+	batch := blk.tabs[0]
 	if cap(s.ocol) < len(batch) {
 		s.ocol = make([]table.Row, len(batch))
 		s.icol = make([]table.Row, len(batch))
@@ -571,15 +550,7 @@ func (s *lookupJoinIter) NextBlock(context.Context) (*rowBlock, error) {
 	return &s.blk, nil
 }
 
-func (s *lookupJoinIter) Close() {
-	if !s.counted {
-		s.counted = true
-		if s.totals != nil {
-			s.totals.s = s.totals.s.Add(s.rows.ScanStats())
-		}
-	}
-	_ = s.rows.Close()
-}
+func (s *lookupJoinIter) Close() { s.child.Close() }
 
 // hashJoinIter joins outer blocks against a hash table built once over
 // the materialized inner side. Probing is block-native: each outer batch

@@ -11,18 +11,32 @@ import (
 
 // This file is the differential oracle: a materializing executor that
 // drains every scan into a slice, then filters and joins row by row on the
-// computing node with no pushed fragment, range or prefetch. The streaming
-// pipeline (execSelect, and the UPDATE/DELETE row search in matchingRows)
-// must agree with it on every query.
+// computing node with no pushed fragment, range or prefetch. It shares only
+// the operators above the join with the SELECT pipeline (aggregate, HAVING,
+// sort, and Rows.Next's projection, DISTINCT, OFFSET and LIMIT). The
+// pipeline (execPlan, Session.Query, and the UPDATE/DELETE row search in
+// matchingRows) must agree with it on every query.
+
+// execPlan runs a bound SELECT on r through the one SELECT pipeline and
+// drains its Rows: what Exec does once the read context is open.
+func execPlan(ctx context.Context, r reader, p *boundPlan) (*Result, error) {
+	it, totals, err := buildPipeline(ctx, r, p)
+	if err != nil {
+		return nil, err
+	}
+	return newRows(ctx, p, it, totals).result()
+}
 
 // execSelectMaterialized runs a planned SELECT the drain-everything way:
-// every scan materializes before the next stage runs.
+// every scan materializes before the next stage runs, and the sort always
+// runs.
 func execSelectMaterialized(ctx context.Context, r reader, p *boundPlan) (*Result, error) {
 	rows, err := joinRows(ctx, r, p)
 	if err != nil {
 		return nil, err
 	}
-	return finishSelect(ctx, p, newRowsBlock(rows, len(p.tables)), false)
+	it := p.aboveJoin(newRowsBlock(rows, len(p.tables)), false, false)
+	return newRows(ctx, p, it, &scanTotals{}).result()
 }
 
 // joinRows produces the combined (outer[, inner]) rows passing the filter,

@@ -175,7 +175,7 @@ func TestQueryStreamsWithParams(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Aggregates run through the materialized fallback of the same API.
+	// Aggregates stream through the same API.
 	rows, err = s.Query(bg, "SELECT COUNT(*) FROM nums WHERE n <= ?", 10)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"globaldb"
 	"globaldb/internal/keys"
+	"globaldb/internal/obs"
 )
 
 // ErrNotSelect is returned by the Query entry points when the statement is
@@ -14,12 +15,14 @@ import (
 // driver) match it and fall back to Exec.
 var ErrNotSelect = errors.New("gsql: Query requires a SELECT statement")
 
-// Rows streams a SELECT's output rows. Rows wraps the volcano operator
-// pipeline directly: each Next pulls combined rows from the scans (which
-// fetch storage pages lazily) and projects them, so a consumer that stops
-// early never ships the rest of the table. Pipeline breakers — GROUP BY,
-// and ORDER BY the scan cannot satisfy — materialize their result up front
-// and then iterate it; everything else streams end to end.
+// Rows streams a SELECT's output rows. It is the one consumer of the
+// SELECT's operator pipeline (see buildPipeline): each Next pulls blocks
+// from the operator below (scans fetch storage pages lazily), projects the
+// next row and applies DISTINCT, OFFSET and LIMIT, so a consumer that stops
+// early never ships the rest of the table. Aggregation and an ORDER BY the
+// scan cannot satisfy are operators inside the pipeline: they drain their
+// input on the first Next and then stream their result. Exec drains a Rows
+// into a Result.
 //
 // A Rows must be Closed. Close also settles the autocommit read
 // transaction that backs an out-of-transaction primary read, so dropping a
@@ -29,9 +32,9 @@ type Rows struct {
 	cols       []string
 	onReplicas bool
 
-	// Streaming state: the batch-native pipeline below, with this Rows as
-	// the thin row adapter at the consumer edge (each Next steps through
-	// the current block; blocks are pulled on demand).
+	// The batch-native pipeline below, with this Rows as the thin row
+	// adapter at the consumer edge (each Next steps through the current
+	// block; blocks are pulled on demand).
 	bp      *boundPlan
 	it      blockIter
 	blk     *rowBlock
@@ -42,20 +45,14 @@ type Rows struct {
 	skipped int64
 	yielded int64
 
-	// Materialized fallback (grouped or sorted results).
-	mat [][]any
-	mi  int
-
-	// Scan counters: totals accumulates as the pipeline's scans close
-	// (streaming path); matScan carries the already-final counters of a
-	// materialized result.
-	totals  *scanTotals
-	matScan globaldb.ScanStats
+	// totals accumulates the scan counters as the pipeline's scans close.
+	totals *scanTotals
 
 	row    []any
 	err    error
 	closed bool
 	finish func(ok bool) error // settles the backing read context; nil after run
+	span   *obs.Span           // a traced Exec's execute span, ended at Close
 }
 
 // Columns names the output columns, available before the first Next.
@@ -65,31 +62,17 @@ func (r *Rows) Columns() []string { return r.cols }
 // replicas at the RCP rather than shard primaries.
 func (r *Rows) OnReplicas() bool { return r.onReplicas }
 
-// ScanStats reports the query's per-layer scan row counts — the same
-// counters Result.Scan carries on the materializing path. On a streaming
-// query the counters settle as the pipeline's scans close, so they are
-// final only after the Rows is drained or Closed; before that they report
-// the scans that have already finished.
-func (r *Rows) ScanStats() globaldb.ScanStats {
-	if r.totals != nil {
-		return r.totals.s
-	}
-	return r.matScan
-}
+// ScanStats reports the query's per-layer scan row counts, the counters
+// Result.Scan carries. They settle as the pipeline's scans close, so they
+// are final only after the Rows is Closed; before that they report the
+// scans that have already finished.
+func (r *Rows) ScanStats() globaldb.ScanStats { return r.totals.s }
 
 // Next advances to the following output row, returning false at the end of
 // the result or on error (check Err afterwards).
 func (r *Rows) Next() bool {
 	if r.closed || r.err != nil {
 		return false
-	}
-	if r.it == nil { // materialized result
-		if r.mi >= len(r.mat) {
-			return false
-		}
-		r.row = r.mat[r.mi]
-		r.mi++
-		return true
 	}
 	for r.bp.limit < 0 || r.yielded < r.bp.limit {
 		if r.blk == nil || r.bi >= r.blk.n() {
@@ -146,15 +129,35 @@ func (r *Rows) Close() error {
 		return nil
 	}
 	r.closed = true
-	if r.it != nil {
-		r.it.Close()
-	}
+	r.it.Close()
+	var err error
 	if r.finish != nil {
-		f := r.finish
+		err = r.finish(r.err == nil)
 		r.finish = nil
-		return f(r.err == nil)
 	}
-	return nil
+	r.span.End()
+	return err
+}
+
+// result drains the rows into a Result and closes them: what Exec returns
+// for a SELECT.
+func (r *Rows) result() (*Result, error) {
+	res := &Result{Columns: r.cols, OnReplicas: r.onReplicas}
+	for r.Next() {
+		res.Rows = append(res.Rows, r.row)
+	}
+	cerr := r.Close()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if cerr != nil {
+		return nil, cerr
+	}
+	res.Scan = r.totals.s
+	if r.bp.inner != nil {
+		res.JoinStrategy = r.bp.chosenJoin.String()
+	}
+	return res, nil
 }
 
 // Query runs a SELECT and streams its output rows, binding args to the
@@ -176,48 +179,50 @@ func (s *Session) Query(ctx context.Context, sql string, args ...any) (*Rows, er
 	return s.queryRows(ctx, sel, cs.plan, params)
 }
 
-// queryRows opens the read context for a SELECT (session transaction,
-// one-read or autocommit primary read, or replica read) and hangs a
-// streaming Rows off the operator pipeline.
+// queryRows binds a SELECT, opens its read context (session transaction,
+// one-read or autocommit primary read, or replica read) and hangs a Rows
+// off the operator pipeline. Query, prepared Query and Exec (which drains
+// the Rows) all run SELECTs through it.
 func (s *Session) queryRows(ctx context.Context, sel *Select, plan *selectPlan, params []any) (*Rows, error) {
 	bp, err := s.bindForExec(sel, plan, params)
 	if err != nil {
 		return nil, err
 	}
-
+	// The execute span exists only under a traced Exec (nil otherwise, and
+	// every span call is then a no-op pointer compare). It rides the
+	// context into the scan cursors' prefetch goroutines (per-shard
+	// scan-page spans) and the autocommit transaction's commit fan-out, and
+	// ends when the Rows closes.
+	sp := s.curTrace.Root().Child("execute")
+	ctx = obs.WithSpan(ctx, sp)
 	rc, err := s.openReadContext(ctx, sel, bp)
 	if err != nil {
+		sp.End()
 		return nil, err
 	}
-	if bp.grouped || (len(bp.orderBy) > 0 && !scanSatisfiesOrder(bp.selectPlan)) {
-		// Pipeline breaker: run to completion (through the DN-partial
-		// aggregate path when the plan pushes down), then iterate the
-		// materialized result.
-		res, err := execSelect(ctx, rc.r, bp)
-		ferr := rc.finish(err == nil)
-		if err != nil {
-			return nil, err
-		}
-		if ferr != nil {
-			return nil, ferr
-		}
-		return &Rows{cols: res.Columns, onReplicas: rc.onReplicas, mat: res.Rows, matScan: res.Scan}, nil
-	}
-	it, _, totals, err := buildPipeline(ctx, rc.r, bp)
+	it, totals, err := buildPipeline(ctx, rc.r, bp)
 	if err != nil {
 		_ = rc.finish(false)
+		sp.End()
 		return nil, err
 	}
-	rows := newStreamRows(ctx, bp, it)
-	rows.onReplicas, rows.totals, rows.finish = rc.onReplicas, totals, rc.finish
+	if sp != nil { // untraced, skip boxing Tag's arguments
+		if bp.inner != nil {
+			sp.Tag("read=%s join=%s", rc.kind, bp.chosenJoin)
+		} else {
+			sp.Tag("read=%s", rc.kind)
+		}
+	}
+	rows := newRows(ctx, bp, it, totals)
+	rows.onReplicas, rows.finish, rows.span = rc.onReplicas, rc.finish, sp
 	return rows, nil
 }
 
-// newStreamRows hangs a Rows off an open pipeline whose blocks arrive in
-// output order; Next applies projection, DISTINCT, OFFSET and LIMIT as it
-// steps through them.
-func newStreamRows(ctx context.Context, bp *boundPlan, it blockIter) *Rows {
-	rows := &Rows{ctx: ctx, cols: bp.outCols, bp: bp, it: it, scr: bp.rowScratch()}
+// newRows hangs a Rows off an open pipeline whose blocks arrive in output
+// order; Next applies projection, DISTINCT, OFFSET and LIMIT as it steps
+// through them.
+func newRows(ctx context.Context, bp *boundPlan, it blockIter, totals *scanTotals) *Rows {
+	rows := &Rows{ctx: ctx, cols: bp.outCols, bp: bp, it: it, scr: bp.rowScratch(), totals: totals}
 	if bp.distinct {
 		rows.seen = make(map[string]bool)
 	}
