@@ -251,6 +251,73 @@ func TestScanIndex(t *testing.T) {
 	tx2.Commit(bg)
 }
 
+// TestIndexScanMessagesPerPage counts the request messages an index scan
+// puts on the link from its city to a shard primary in another city.
+func TestIndexScanMessagesPerPage(t *testing.T) {
+	// The Xi'an->Dongguan link carries only this test's requests: no
+	// heartbeats to ship, the RCP collector sits in Langzhong, and the
+	// scanned shard keeps no replica in Xi'an whose acknowledgements would
+	// travel it.
+	cfg := fastCfg()
+	cfg.RCP.HeartbeatInterval = time.Hour
+	cfg.ReplicasPerShard = 1
+	cfg.Shards = 6 // shard 5: primary in Dongguan, replica in Langzhong
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	items := &Schema{
+		Name: "items",
+		Columns: []Column{
+			{Name: "w_id", Kind: Int64},
+			{Name: "i_id", Kind: Int64},
+			{Name: "cat", Kind: String},
+		},
+		PK:      []int{0, 1},
+		Indexes: []Index{{Name: "items_cat", Cols: []int{0, 2}}},
+	}
+	if err := db.CreateTable(bg, items); err != nil {
+		t.Fatal(err)
+	}
+	w := int64(1)
+	for db.Cluster().ShardOf(w) != 5 {
+		w++
+	}
+	if db.Cluster().Primaries()[5].Region() != "dongguan" || db.Cluster().Replicas(5)[0].Region() != "langzhong" {
+		t.Fatal("shard 5 is not placed in Dongguan with its replica in Langzhong")
+	}
+	const k = 5
+	sess, _ := db.Connect("xian")
+	load, _ := sess.Begin(bg)
+	for i := int64(1); i <= 2*k; i++ {
+		cat := "cold"
+		if i%2 == 0 {
+			cat = "hot"
+		}
+		if err := load.Insert(bg, "items", Row{w, i, cat}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := load.Commit(bg); err != nil {
+		t.Fatal(err)
+	}
+	tx, _ := sess.Begin(bg)
+	defer tx.Abort(bg)
+	sent := func() int64 { return db.Cluster().Net.LinkStats("xian", "dongguan").Messages }
+	before := sent()
+	rows, err := tx.ScanIndex(bg, "items", "items_cat", []any{w, "hot"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != k {
+		t.Fatalf("index scan read %d rows, want %d", len(rows), k)
+	}
+	if got := sent() - before; got != 1+k {
+		t.Fatalf("index scan of %d rows sent %d messages to Dongguan, want %d", k, got, 1+k)
+	}
+}
+
 func TestReadOnlyQueryOnReplicas(t *testing.T) {
 	db := openDB(t)
 	if err := db.CreateTable(bg, accountsSchema()); err != nil {
