@@ -170,10 +170,10 @@ func TestAllocBudgetJoin(t *testing.T) {
 // allocBudgetAggMax caps allocations for one warm GROUP BY pushed to the
 // data nodes over allocBudgetRows rows: each node folds its rows into
 // per-group partial states, the coordinator merges the two shards' states
-// and decodes the five group keys. Measured quiet on go1.24 before the row
-// codec was written once: 1089 in every run of ten, and of three under
-// -race. The ceiling is the measured value + 15 %.
-const allocBudgetAggMax = 1252
+// and decodes the five partial-aggregate rows. Measured quiet on go1.24
+// once every shipped shape decoded through one RowDecoder: 1083 in every
+// run of twenty (1084 before). The ceiling is the measured value + 15 %.
+const allocBudgetAggMax = 1245
 
 // TestAllocBudgetAgg gates the warm pushed-aggregate path: DN partial
 // aggregation, the CN state merge and group-key decode.
@@ -204,6 +204,52 @@ func TestAllocBudgetAgg(t *testing.T) {
 	t.Logf("warm pushed aggregate: %.0f allocs/op (budget %d)", best, allocBudgetAggMax)
 	if best > allocBudgetAggMax {
 		t.Fatalf("warm pushed GROUP BY allocated %.0f times, budget is %d", best, allocBudgetAggMax)
+	}
+}
+
+// allocBudgetIndexScanMax caps allocations for one warm index-prefix
+// SELECT over allocBudgetRows rows: the data node reads the 20 rows the
+// index entries name and runs the pushed filter and projection over them,
+// and the computing node decodes one page. Measured quiet on go1.24: 139
+// in every run of twenty; reading each row back from the computing node
+// with one Get per entry, as index scans did before, measured 165. The
+// ceiling is the measured maximum + 15 %.
+const allocBudgetIndexScanMax = 159
+
+// TestAllocBudgetIndexScan gates the warm index-scan path.
+func TestAllocBudgetIndexScan(t *testing.T) {
+	db, s := openAllocBudgetItems(t)
+	ctx := context.Background()
+	if _, err := s.Exec(ctx, `CREATE TABLE stock (
+		w_id BIGINT, i_id BIGINT, qty BIGINT, tag TEXT,
+		PRIMARY KEY (w_id, i_id), INDEX stock_tag (w_id, tag)
+	) SHARD BY w_id`); err != nil {
+		t.Fatal(err)
+	}
+	var vals []string
+	for i := 1; i <= allocBudgetRows/4; i++ {
+		vals = append(vals, fmt.Sprintf("(2, %d, %d, 't%d')", i, (i*7)%100, i%5))
+	}
+	if _, err := s.Exec(ctx, "INSERT INTO stock VALUES "+strings.Join(vals, ", ")); err != nil {
+		t.Fatal(err)
+	}
+	const query = "SELECT i_id, qty FROM stock WHERE w_id = 2 AND tag = 't3'"
+	run := func() {
+		res, err := s.Exec(ctx, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != allocBudgetRows/20 {
+			t.Fatalf("rows = %d, want %d", len(res.Rows), allocBudgetRows/20)
+		}
+	}
+	run() // warm the plan cache, cursors and arenas
+
+	defer quiet(t, db)()
+	best := minAllocs(run)
+	t.Logf("warm index scan: %.0f allocs/op (budget %d)", best, allocBudgetIndexScanMax)
+	if best > allocBudgetIndexScanMax {
+		t.Fatalf("warm index-prefix SELECT allocated %.0f times, budget is %d", best, allocBudgetIndexScanMax)
 	}
 }
 

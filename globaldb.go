@@ -40,7 +40,9 @@
 //
 // ScanTableRows merges per-shard cursors and yields rows in global
 // primary-key order; the materializing ScanPK/ScanIndex helpers remain as
-// thin wrappers that drain the corresponding iterator.
+// thin wrappers that drain the corresponding iterator. All three run a
+// ScanOpts.Pushdown fragment next to the data, and an index scan's data
+// node reads the rows its entries name: one round trip per page, not per row.
 //
 // # Latency hiding
 //

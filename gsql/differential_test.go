@@ -422,6 +422,52 @@ func TestDifferentialPushdownVsCNSide(t *testing.T) {
 		}
 		runBoth(sql, false, false)
 	}
+
+	// Index scans take fragments too: a copy of the rows under an index on
+	// (w_id, grp), which statements binding both columns scan.
+	exec(t, s, `CREATE TABLE pushix (
+		w_id BIGINT, i_id BIGINT, grp BIGINT, qty BIGINT, ratio DOUBLE, tag TEXT,
+		PRIMARY KEY (w_id, i_id), INDEX pushix_grp (w_id, grp)
+	) SHARD BY w_id`)
+	for _, r := range queryAll(t, s, "SELECT * FROM push") {
+		if _, err := s.Exec(bg, "INSERT INTO pushix VALUES ($1, $2, $3, $4, $5, $6)", r...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runIndex := func(sql string, ordered, wantLookup bool) {
+		t.Helper()
+		stmt, err := Parse(sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", sql, err)
+		}
+		p, err := planSelect(s, stmt.(*Select))
+		if err != nil {
+			t.Fatalf("plan %q: %v", sql, err)
+		}
+		if p.outer.kind != accessIndex {
+			t.Fatalf("%q: outer access %v, want an index scan", sql, p.outer.kind)
+		}
+		if wantLookup && (p.join == nil || p.join.lookup == nil) {
+			t.Fatalf("%q: expected a pushed lookup join", sql)
+		}
+		runBoth(sql, ordered, !wantLookup)
+	}
+	for trial := 0; trial < 40; trial++ {
+		w := 1 + rng.Int63n(4)
+		g := rng.Int63n(5)
+		q := rng.Int63n(100)
+		switch trial % 4 {
+		case 0: // pushed filter and projection
+			runIndex(fmt.Sprintf("SELECT i_id, qty FROM pushix WHERE w_id = %d AND grp = %d AND qty >= %d", w, g, q), false, false)
+		case 1: // GROUP BY
+			runIndex(fmt.Sprintf("SELECT tag, COUNT(*), SUM(qty), MAX(ratio) FROM pushix WHERE w_id = %d AND grp = %d GROUP BY tag ORDER BY tag", w, g), true, false)
+		case 2: // LIMIT, in index order
+			runIndex(fmt.Sprintf("SELECT i_id, tag FROM pushix WHERE w_id = %d AND grp = %d AND qty < %d LIMIT %d", w, g, q, 1+rng.Int63n(5)), true, false)
+		case 3: // lookup join whose outer side is the index scan
+			runIndex(fmt.Sprintf(`SELECT x.i_id, p.qty, p.tag FROM pushix x JOIN push p ON p.w_id = x.w_id AND p.i_id = x.i_id
+				WHERE x.w_id = %d AND x.grp = %d AND p.qty > %d`, w, g, q), false, true)
+		}
+	}
 }
 
 // TestExplainShowsPushdownSplit checks EXPLAIN renders the DN-partial /
@@ -430,7 +476,7 @@ func TestExplainShowsPushdownSplit(t *testing.T) {
 	s := openSQL(t)
 	exec(t, s, `CREATE TABLE exp (
 		w_id BIGINT, i_id BIGINT, grp BIGINT, qty BIGINT,
-		PRIMARY KEY (w_id, i_id)
+		PRIMARY KEY (w_id, i_id), INDEX exp_grp (w_id, grp)
 	) SHARD BY w_id`)
 	planText := func(sql string) string {
 		res := exec(t, s, "EXPLAIN "+sql)
@@ -450,6 +496,12 @@ func TestExplainShowsPushdownSplit(t *testing.T) {
 	for _, want := range []string{"dn-pushdown", "filter (qty > 5)", "project [", "cn-residual filter: none"} {
 		if !strings.Contains(filt, want) {
 			t.Fatalf("EXPLAIN filter plan missing %q:\n%s", want, filt)
+		}
+	}
+	ix := planText("SELECT i_id FROM exp WHERE w_id = 1 AND grp = 2 AND qty > 5")
+	for _, want := range []string{"index-scan on exp via index exp_grp", "dn-pushdown", "(qty > 5)", "project [", "cn-residual filter: none"} {
+		if !strings.Contains(ix, want) {
+			t.Fatalf("EXPLAIN index-scan plan missing %q:\n%s", want, ix)
 		}
 	}
 }

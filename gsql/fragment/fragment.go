@@ -157,6 +157,10 @@ type Fragment struct {
 	// joined rows (outer projected columns followed by the shipped inner
 	// columns). Mutually exclusive with Aggs.
 	Lookup *Lookup
+	// Index marks the scanned pairs as index entries whose value is the
+	// primary key of a row: the data node reads that row at the request's
+	// snapshot and runs the fragment over it, keeping the entry's key.
+	Index bool
 }
 
 // HasAggs reports whether the fragment produces partial-aggregate rows
@@ -416,6 +420,9 @@ func (f *Fragment) Encode() ([]byte, error) {
 	if b, err = appendLookup(b, f.Lookup); err != nil {
 		return nil, err
 	}
+	if f.Index {
+		b = append(b, 1) // one trailing byte, written only when set
+	}
 	return b, nil
 }
 
@@ -517,6 +524,9 @@ func Decode(b []byte) (*Fragment, error) {
 		default:
 			return nil, fmt.Errorf("%w: lookup flag %#x", ErrCorrupt, b[0])
 		}
+	}
+	if len(b) > 0 && b[0] == 1 {
+		f.Index, b = true, b[1:]
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrCorrupt)

@@ -256,7 +256,17 @@ func shipAndDecode(t *testing.T, f *Fragment, b *RowBatch) [][]any {
 		if err := b.AppendCols(enc, r, lay.OuterCols()); err != nil {
 			t.Fatal(err)
 		}
-		row, err := dec.DecodeAppend(enc.Bytes(), nil)
+		// A partial-aggregate row carries its group values in the key and
+		// its states, here fresh ones, in the value.
+		key, val := []byte(nil), enc.Bytes()
+		if f.HasAggs() {
+			states, err := EncodeStates(make([]AggState, len(f.Aggs)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			key, val = val, states
+		}
+		row, err := dec.DecodeAppend(key, val, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +276,7 @@ func shipAndDecode(t *testing.T, f *Fragment, b *RowBatch) [][]any {
 }
 
 // TestGroupKeyRoundTrip checks group keys decode back to the grouped
-// values, including NULLs.
+// values, including NULLs, followed by the row's aggregate states.
 func TestGroupKeyRoundTrip(t *testing.T) {
 	f := &Fragment{
 		Kinds:   []table.Kind{table.Int64, table.String, table.Bool},
@@ -280,7 +290,7 @@ func TestGroupKeyRoundTrip(t *testing.T) {
 	}
 	got := shipAndDecode(t, f, storedBatch(t, NewArena(), f.Kinds, rows))
 	for i, row := range rows {
-		want := []any{row[1], row[0]}
+		want := []any{row[1], row[0], AggState{}}
 		if !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("group key of %v: got %v, want %v", row, got[i], want)
 		}
@@ -336,7 +346,7 @@ func TestJoinedRowRoundTrip(t *testing.T) {
 		if err := inner.AppendCols(enc, m[1], lay.InnerCols()); err != nil {
 			t.Fatal(err)
 		}
-		row, err := dec.DecodeAppend(enc.Bytes(), nil)
+		row, err := dec.DecodeAppend(nil, enc.Bytes(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +360,7 @@ func TestJoinedRowRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("joined rows: got %v, want %v", got, want)
 	}
-	if _, err := dec.DecodeAppend([]byte{0xff}, nil); err == nil {
+	if _, err := dec.DecodeAppend(nil, []byte{0xff}, nil); err == nil {
 		t.Fatal("corrupt joined row decoded")
 	}
 }

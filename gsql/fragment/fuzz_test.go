@@ -60,6 +60,8 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 			Kinds:    []table.Kind{table.Bool, table.String},
 			Project:  []int{},
 		}},
+		// An index scan: the pairs are index entries naming rows.
+		{Kinds: kinds, Filter: &Expr{Op: OpNotNull, Args: []Expr{col(2)}}, Project: []int{2}, Index: true},
 	}
 	var out [][]byte
 	for _, f := range frags {

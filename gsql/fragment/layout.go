@@ -28,7 +28,8 @@ import (
 //   - a joined row: the outer columns (projected, or all), then the shipped
 //     inner columns, in a row of the outer width followed by the inner
 //     width;
-//   - a group key: the GROUP BY columns, in order.
+//   - a partial-aggregate row: the GROUP BY columns, in order, from the
+//     shipped key, then one AggState per slot from the shipped value.
 type Layout struct {
 	kinds      []table.Kind // column kinds of the scanned row
 	innerKinds []table.Kind // column kinds of the looked-up inner row
@@ -36,16 +37,17 @@ type Layout struct {
 	pos        []int        // position of each value in the decoded row
 	outer      int          // leading values read from the scanned row; the rest from the inner row
 	width      int          // decoded row width
+	aggs       int          // aggregate slots the value carries after the key's group values
 	joined     bool
 }
 
-// Layout returns the layout of the rows a data node ships for f: group
-// keys when f aggregates, joined rows when it carries a lookup, and
-// projected or stored rows otherwise.
+// Layout returns the layout of the rows a data node ships for f:
+// partial-aggregate rows when f aggregates, joined rows when it carries a
+// lookup, and projected or stored rows otherwise.
 func (f *Fragment) Layout() Layout {
 	if f.HasAggs() {
 		n := len(f.GroupBy)
-		return Layout{kinds: f.Kinds, cols: f.GroupBy, pos: allCols(n), outer: n, width: n}
+		return Layout{kinds: f.Kinds, cols: f.GroupBy, pos: allCols(n), outer: n, width: n + len(f.Aggs), aggs: len(f.Aggs)}
 	}
 	cols := f.Project
 	if cols == nil {
@@ -127,24 +129,28 @@ type RowDecoder struct {
 	prevVals  []any // the outer segment's values, in shipped order
 }
 
-// DecodeAppend decodes one shipped value, appending the decoded row —
+// DecodeAppend decodes one shipped pair, appending the decoded row —
 // Width values, unshipped positions nil — to dst and returning the
-// extended slice. Batch consumers decode a whole page into one slab this
-// way.
-func (rd *RowDecoder) DecodeAppend(val []byte, dst []any) ([]any, error) {
+// extended slice; only a partial-aggregate row reads the key. Batch
+// consumers decode a whole page into one slab this way.
+func (rd *RowDecoder) DecodeAppend(key, val []byte, dst []any) ([]any, error) {
 	base := len(dst)
 	for i := 0; i < rd.width; i++ {
 		dst = append(dst, nil)
 	}
 	row := dst[base:]
+	src := val
+	if rd.aggs > 0 {
+		src = key
+	}
 	var d keys.Decoder
-	d.Reset(val)
+	d.Reset(src)
 	memo := false
-	if n := len(rd.prevOuter); rd.joined && n > 0 && n <= len(val) && bytes.Equal(val[:n], rd.prevOuter) {
+	if n := len(rd.prevOuter); rd.joined && n > 0 && n <= len(src) && bytes.Equal(src[:n], rd.prevOuter) {
 		for i, v := range rd.prevVals {
 			row[rd.pos[i]] = v
 		}
-		d.Reset(val[n:])
+		d.Reset(src[n:])
 		memo = true
 	}
 	if !memo {
@@ -152,7 +158,7 @@ func (rd *RowDecoder) DecodeAppend(val []byte, dst []any) ([]any, error) {
 			return nil, err
 		}
 		if rd.joined {
-			rd.prevOuter = append(rd.prevOuter[:0], val[:len(val)-d.Remaining()]...)
+			rd.prevOuter = append(rd.prevOuter[:0], src[:len(src)-d.Remaining()]...)
 			rd.prevVals = rd.prevVals[:0]
 			for _, p := range rd.pos[:rd.outer] {
 				rd.prevVals = append(rd.prevVals, row[p])
@@ -164,6 +170,19 @@ func (rd *RowDecoder) DecodeAppend(val []byte, dst []any) ([]any, error) {
 	}
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: trailing row bytes", ErrCorrupt)
+	}
+	if rd.aggs == 0 {
+		return dst, nil
+	}
+	states, err := DecodeStates(val)
+	if err != nil {
+		return nil, err
+	}
+	if len(states) != rd.aggs {
+		return nil, fmt.Errorf("%w: %d states for %d aggregates", ErrCorrupt, len(states), rd.aggs)
+	}
+	for i, s := range states {
+		row[rd.outer+i] = s
 	}
 	return dst, nil
 }

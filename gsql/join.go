@@ -137,7 +137,8 @@ func analyzeJoin(p *selectPlan) *joinPlan {
 // qualifies: the inner side is a PK point/prefix lookup whose key
 // expressions compile to fragment expressions over the outer row, the
 // inner shard column is keyed by the outer table's shard column (same
-// kind), and the outer scan itself accepts fragments. The co-location
+// kind), and the outer scan is not a point get (every other scan accepts
+// fragments, an index scan included). The co-location
 // argument: shards hash the distribution value alone, so an inner row
 // whose shard value equals the outer row's lives on the same shard — the
 // data node serving the outer page can serve the lookup locally.
@@ -146,7 +147,7 @@ func analyzeLookupJoin(p *selectPlan) *lookupJoin {
 	if inner.kind != accessPoint && inner.kind != accessPKPrefix {
 		return nil
 	}
-	if outer.kind != accessFull && outer.kind != accessPKPrefix {
+	if outer.kind == accessPoint {
 		return nil
 	}
 	osch, isch := outer.tab.schema, inner.tab.schema

@@ -15,7 +15,8 @@ import (
 // residual filter, partial-state merge, HAVING, ORDER BY, DISTINCT,
 // LIMIT/OFFSET). Anything it cannot prove pushable stays on the computing
 // node, so the rewrite only ever narrows what crosses the WAN, never what
-// the query means.
+// the query means. Every outer scan but a point get takes the fragment; an
+// index scan's data node runs it over the rows its index entries name.
 
 // pushPlan records a SELECT's DN-partial phase.
 type pushPlan struct {
@@ -38,12 +39,12 @@ type pushPlan struct {
 }
 
 // analyzePushdown decides what part of the plan can run on data nodes.
-// Pushdown applies to the outer scan of PK-prefix and full-table access
-// paths: point gets ship one row anyway, and index scans stream index
-// entries (key + PK), which a data node cannot filter as rows.
+// Pushdown applies to every outer scan but a point get, which ships one
+// row anyway; an index scan's data node reads the rows its entries name
+// and runs the fragment over them.
 func analyzePushdown(p *selectPlan) *pushPlan {
 	s := p.outer
-	if s.kind != accessFull && s.kind != accessPKPrefix {
+	if s.kind == accessPoint {
 		return nil
 	}
 	sch := s.tab.schema

@@ -23,9 +23,10 @@ import (
 // serves primaries (with read-own-writes and RCP replicas).
 //
 // Execution is batch-native, and storage is read in one place: pageWalk
-// fetches each storage page, decodes the columns the fragment needs once
-// into a column-major fragment.RowBatch backed by a pooled arena, and runs
-// the filter over it, producing a selection vector. Each shape then works
+// fetches each storage page (on an index fragment, the rows its entries
+// name, read at the same snapshot), decodes the columns the fragment needs
+// once into a column-major fragment.RowBatch backed by a pooled arena, and
+// runs the filter over it, producing a selection vector. Each shape then works
 // on the survivors under its own budget and resume rules: a plain scan
 // ships them (stored values as they are, projections re-encoded into one
 // page buffer), a lookup join reads their inner rows and ships joined rows,
@@ -173,11 +174,27 @@ type walkedPage struct {
 // next reads, decodes and filters the next storage page, stopping once
 // maxKeep rows are kept (0 evaluates the whole page). The page size grows
 // fourfold per page up to fragScanBatch, mirroring the coordinator
-// cursor's adaptive page growth.
+// cursor's adaptive page growth. An index fragment's entries get the rows
+// their values (primary keys) name at the request's snapshot but keep
+// their keys, so resume keys stay in the index; an entry whose row is
+// missing is dropped.
 func (w *pageWalk) next(maxKeep int) (walkedPage, error) {
 	kvs, next, more, err := w.store.ScanPage(w.ctx, w.start, w.req.End, w.req.SnapTS, w.rows, w.reader)
 	if err != nil {
 		return walkedPage{}, err
+	}
+	if w.frag.Index {
+		rows := kvs[:0]
+		for _, kv := range kvs {
+			row, found, err := w.store.Get(w.ctx, kv.Value, w.req.SnapTS, w.reader)
+			if err != nil {
+				return walkedPage{}, err
+			}
+			if found {
+				rows = append(rows, mvcc.KV{Key: kv.Key, Value: row})
+			}
+		}
+		kvs = rows
 	}
 	w.start = next
 	w.rows = min(4*w.rows, fragScanBatch)

@@ -62,7 +62,7 @@ func TestFragFilterPagedScan(t *testing.T) {
 		}
 		examined += resp.Examined
 		for _, kv := range resp.KVs {
-			row, err := dec.DecodeAppend(kv.Value, nil)
+			row, err := dec.DecodeAppend(kv.Key, kv.Value, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func TestFragProjectionShrinksRows(t *testing.T) {
 	}
 	dec := frag.Layout().Decoder()
 	for i, kv := range resp.KVs {
-		row, err := dec.DecodeAppend(kv.Value, nil)
+		row, err := dec.DecodeAppend(kv.Key, kv.Value, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestFragAggregatePartials(t *testing.T) {
 		}
 		dec := frag.Layout().Decoder()
 		for g, kv := range resp.KVs {
-			gvals, err := dec.DecodeAppend(kv.Key, nil)
+			gvals, err := dec.DecodeAppend(kv.Key, kv.Value, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,15 +14,17 @@ import (
 
 // The golden-bytes test pins every byte the fragment path puts on the wire
 // for a fixed five-kind table: the encoded fragment of each shape, the data
-// node's pages of projected rows, joined rows and group keys with their
-// partial states, and the keys a data node builds for pushed lookups. A
-// refactor of the row codec must leave all of it unchanged.
+// node's pages of projected rows, index-scanned rows, joined rows and group
+// keys with their partial states, and the keys a data node builds for
+// pushed lookups. A refactor of the row codec must leave all of it
+// unchanged.
 
-// goldenOuter is the scanned table: one column of every kind.
+// goldenOuter is the scanned table: one column of every kind, indexed on
+// (e, c).
 var goldenOuter = &table.Schema{ID: 71, Name: "outer", Columns: []table.Column{
 	{Name: "a", Kind: table.Int64}, {Name: "b", Kind: table.Float64}, {Name: "c", Kind: table.String},
 	{Name: "d", Kind: table.Bytes}, {Name: "e", Kind: table.Bool},
-}, PK: []int{0}}
+}, PK: []int{0}, Indexes: []table.Index{{ID: 73, Name: "outer_e_c", Cols: []int{4, 2}}}}
 
 // goldenInner is the looked-up table, keyed (k BIGINT, t BYTEA).
 var goldenInner = &table.Schema{ID: 72, Name: "inner", Columns: []table.Column{
@@ -104,7 +106,15 @@ func goldenFragments() (proj, agg, join *fragment.Fragment) {
 	return proj, agg, join
 }
 
-// goldenRig loads both tables into a primary through the stored-row codec.
+// goldenIndexed returns proj scanning the entries of goldenOuter's index.
+func goldenIndexed(proj *fragment.Fragment) *fragment.Fragment {
+	f := *proj
+	f.Index = true
+	return &f
+}
+
+// goldenRig loads both tables, and the outer table's index entries, into a
+// primary through the stored-row codec.
 func goldenRig(t *testing.T) *rig {
 	t.Helper()
 	r := newRig(t, repl.Async)
@@ -122,12 +132,20 @@ func goldenRig(t *testing.T) *rig {
 				t.Fatal(err)
 			}
 			r.primary.Store().ApplyCommitted(key, val, false, ts.Timestamp(5))
+			for _, ix := range load.s.Indexes {
+				ik, err := load.s.IndexKey(ix, row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.primary.Store().ApplyCommitted(ik, key, false, ts.Timestamp(5))
+			}
 		}
 	}
 	return r
 }
 
-// goldenPage runs one fragment over the whole outer table and renders the
+// goldenPage runs one fragment over the whole outer table, or over its
+// whole index when the fragment scans index entries, and renders the
 // response: one "key value" hex line per shipped pair, then the counters.
 func goldenPage(t *testing.T, r *rig, f *fragment.Fragment) (string, error) {
 	t.Helper()
@@ -136,6 +154,9 @@ func goldenPage(t *testing.T, r *rig, f *fragment.Fragment) (string, error) {
 		t.Fatal(err)
 	}
 	start := goldenOuter.TablePrefix()
+	if f.Index {
+		start, _ = goldenOuter.IndexPrefix(goldenOuter.Indexes[0], nil)
+	}
 	end := append(append([]byte(nil), start...), 0xff)
 	resp, err := r.client.ScanPageFrag(bg, "dn0", start, end, ts.Timestamp(10), 0, 0, fb, 0)
 	if err != nil {
@@ -167,6 +188,7 @@ func TestGoldenFragmentBytes(t *testing.T) {
 		{"projection", proj, "01050102030405010a021604020000010100000000000000040001024023000000000000000100000b02050202020001030173000b0204020203000104010700040202040001050100010403010402000000"},
 		{"group by", agg, "010501020304050105020200000101000000000000000400000204010501010002000102000003000102010004000102020005000102030000"},
 		{"lookup join", join, "0105010203040501050202000001010000000000000004000103040002000001090300000000000000480202010002030001040501040203050103030204"},
+		{"index entries", goldenIndexed(proj), "01050102030405010a021604020000010100000000000000040001024023000000000000000100000b02050202020001030173000b020402020300010401070004020204000105010001040301040200000001"},
 	} {
 		b, err := c.f.Encode()
 		if err != nil {
@@ -177,7 +199,8 @@ func TestGoldenFragmentBytes(t *testing.T) {
 }
 
 // TestGoldenPageBytes pins the pages a data node ships for each shape:
-// projected rows, lookup-joined rows, and group keys with their states.
+// projected rows, index-scanned rows, lookup-joined rows, and group keys
+// with their states.
 func TestGoldenPageBytes(t *testing.T) {
 	r := goldenRig(t)
 	proj, agg, join := goldenFragments()
@@ -199,6 +222,13 @@ func TestGoldenPageBytes(t *testing.T) {
 		{"joined rows", join, "030000000000000047038000000000000001 0901038000000000000001076200010766697665000105bfd00000000000000901\n" +
 			"030000000000000047038000000000000002 0900038000000000000002070001077a65726f0001057fffffffffffffff01\n" +
 			"more=false examined=5 looked=2"},
+		// The projected rows of the filter above, in (e, c) order, each
+		// under its index entry's key.
+		{"index entries", goldenIndexed(proj), "03000000000000004901076e0001038000000000000003 086e00010101076e0001\n" +
+			"0300000000000000490900070001038000000000000002 080001057fffffffffffffff0900070001\n" +
+			"0300000000000000490900077a7a0001038000000000000005 0800ffff000105c01c0000000000000900077a7a0001\n" +
+			"030000000000000049090107620001038000000000000001 0862000105c014000000000000090107620001\n" +
+			"more=false examined=5 looked=0"},
 	} {
 		got, err := goldenPage(t, r, c.f)
 		if err != nil {

@@ -2,13 +2,17 @@ package globaldb
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"globaldb/gsql/fragment"
 	"globaldb/internal/coordinator"
+	"globaldb/internal/storage/mvcc"
 	"globaldb/internal/table"
 )
 
@@ -155,6 +159,15 @@ func TestReadCoreSameThroughTxAndQuery(t *testing.T) {
 				Pushdown: &fragment.Fragment{Kinds: kinds, GroupBy: []int{2},
 					Aggs: []fragment.AggSpec{{Kind: fragment.AggCount, Star: true}, {Kind: fragment.AggSum, Arg: &qty}}}}))
 		}},
+		{"index prefix, pushed filter + projection", 2, func(r typedReads) ([]Row, ScanStats, error) {
+			return drainStats(r.ScanIndexRows(bg, "items", "items_cat", []any{int64(3), "c1"}, ScanOpts{
+				Pushdown: &fragment.Fragment{Kinds: kinds, Filter: qtyOver30, Project: []int{1, 3}}}))
+		}},
+		{"index prefix, pushed partial aggregate", 1, func(r typedReads) ([]Row, ScanStats, error) {
+			return drainStats(r.ScanIndexRows(bg, "items", "items_cat", []any{int64(2), "c3"}, ScanOpts{
+				Pushdown: &fragment.Fragment{Kinds: kinds, GroupBy: []int{2},
+					Aggs: []fragment.AggSpec{{Kind: fragment.AggCount, Star: true}, {Kind: fragment.AggSum, Arg: &qty}}}}))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,4 +190,135 @@ func TestReadCoreSameThroughTxAndQuery(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestIndexScanOneSnapshot moves rows between two index values while
+// readers scan both: each move deletes a row under "a" and inserts it under
+// "b" (or back) in one transaction. Every read of the two index prefixes,
+// through a Tx on the primaries and through a Query on the replicas, must
+// see each row exactly once and under the value it holds: the data node
+// reads the row an entry names at the scan's own snapshot.
+func TestIndexScanOneSnapshot(t *testing.T) {
+	db := openDB(t)
+	items := &Schema{
+		Name: "items",
+		Columns: []Column{
+			{Name: "w_id", Kind: Int64},
+			{Name: "i_id", Kind: Int64},
+			{Name: "cat", Kind: String},
+		},
+		PK:      []int{0, 1},
+		Indexes: []Index{{Name: "items_cat", Cols: []int{0, 2}}},
+	}
+	if err := db.CreateTable(bg, items); err != nil {
+		t.Fatal(err)
+	}
+	const rows, moves = 16, 20
+	sess, _ := db.Connect("xian")
+	load, err := sess.Begin(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < rows; i++ {
+		if err := load.Insert(bg, "items", Row{int64(1), i, []string{"a", "b"}[i%2]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := load.Commit(bg); err != nil {
+		t.Fatal(err)
+	}
+	for db.Cluster().Collector.RCP() < load.CommitTS() {
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	// read scans both index values and checks what it sees.
+	read := func(who string, r typedReads) {
+		n := 0
+		for _, cat := range []string{"a", "b"} {
+			got, err := r.ScanIndex(bg, "items", "items_cat", []any{int64(1), cat}, 0)
+			if err != nil {
+				t.Errorf("%s: %v", who, err)
+				return
+			}
+			for _, row := range got {
+				if row[2] != cat {
+					t.Errorf("%s: row %v under index value %q", who, row, cat)
+				}
+			}
+			n += len(got)
+		}
+		if n != rows {
+			t.Errorf("%s: read %d rows across both index values, want %d", who, n, rows)
+		}
+	}
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(seed int64) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for m := 0; m < moves; m++ {
+				tx, err := sess.Begin(bg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				row, found, err := tx.Get(bg, "items", []any{int64(1), rng.Int63n(rows)})
+				if err != nil || !found {
+					t.Errorf("move: %v %v", found, err)
+					tx.Abort(bg)
+					return
+				}
+				moved := Row{row[0], row[1], map[any]string{"a": "b", "b": "a"}[row[2]]}
+				if err := tx.DeleteRow(bg, "items", row); err != nil {
+					t.Error(err)
+				}
+				if err := tx.Insert(bg, "items", moved); err != nil {
+					t.Error(err)
+				}
+				if err := tx.Commit(bg); err != nil && !errors.Is(err, mvcc.ErrWriteConflict) {
+					t.Errorf("move commit: %v", err)
+				}
+			}
+		}(int64(w))
+	}
+	reads := [2]int{}
+	for i, kind := range []string{"Tx", "Query"} {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if kind == "Tx" {
+					tx, err := sess.Begin(bg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					read(kind, tx)
+					tx.Abort(bg)
+				} else {
+					q, err := sess.ReadOnly(bg, AnyStaleness, "items")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					read(kind, q)
+				}
+				reads[i]++
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	if reads[0] == 0 || reads[1] == 0 {
+		t.Fatalf("reads during the moves: %d through a Tx, %d through a Query", reads[0], reads[1])
+	}
+	t.Logf("reads during the moves: %d through a Tx, %d through a Query", reads[0], reads[1])
 }

@@ -10,7 +10,6 @@ import (
 	"globaldb/internal/datanode"
 	"globaldb/internal/keys"
 	"globaldb/internal/stats"
-	"globaldb/internal/storage/mvcc"
 	"globaldb/internal/table"
 )
 
@@ -66,8 +65,9 @@ type ScanOpts struct {
 	// into per-group partial aggregates before crossing the WAN. With
 	// aggregates, the Rows yield one row per group shaped
 	// [group values..., fragment.AggState per slot...] with per-shard
-	// partial states already merged. Not supported on index scans (index
-	// entries carry primary keys, not rows).
+	// partial states already merged. All three scans accept it: on an
+	// index scan the data node runs it over the rows the index entries
+	// name.
 	Pushdown *fragment.Fragment
 }
 
@@ -134,8 +134,7 @@ func toScanStats(s stats.ScanSnapshot) ScanStats {
 type Rows struct {
 	ctx       context.Context
 	cur       coordinator.BatchCursor
-	resolve   func(ctx context.Context, kv mvcc.KV) (Row, bool, error)
-	dec       fragment.RowDecoder // batch-decodes shipped rows when resolve is nil
+	dec       fragment.RowDecoder // batch-decodes every shipped page
 	ctrs      *stats.ScanCounters
 	remaining int // rows still to yield; < 0 means unlimited
 	batch     []Row
@@ -144,14 +143,6 @@ type Rows struct {
 	row       Row
 	err       error
 	closed    bool
-}
-
-func newRows(ctx context.Context, cur coordinator.BatchCursor, limit int, st *scanSetup) *Rows {
-	remaining := -1
-	if limit > 0 {
-		remaining = limit
-	}
-	return &Rows{ctx: ctx, cur: cur, resolve: st.resolve, dec: st.dec, ctrs: st.ctrs, remaining: remaining}
 }
 
 // ScanStats reports this scan's per-layer row counts so far: storage rows
@@ -179,43 +170,23 @@ func (r *Rows) fillBatch() bool {
 		if len(kvs) == 0 {
 			continue
 		}
-		n := len(kvs)
-		rows := make([]Row, 0, n)
-		switch {
-		case r.resolve != nil:
-			for i := range kvs {
-				row, ok, err := r.resolve(r.ctx, kvs[i])
-				if err != nil {
-					r.err = err
-					return false
-				}
-				if !ok {
-					continue // row deleted with a stale index entry in-flight
-				}
-				rows = append(rows, row)
+		// Every shipped shape decodes the same way: one row per pair, one
+		// slab per page.
+		n, w := len(kvs), r.dec.Width()
+		slab := make([]any, 0, w*n)
+		for i := range kvs {
+			var err error
+			if slab, err = r.dec.DecodeAppend(kvs[i].Key, kvs[i].Value, slab); err != nil {
+				r.err = err
+				return false
 			}
-		default:
-			// Every shipped shape decodes the same way: one value per row,
-			// one slab per page.
-			w := r.dec.Width()
-			slab := make([]any, 0, w*n)
-			for i := range kvs {
-				var err error
-				slab, err = r.dec.DecodeAppend(kvs[i].Value, slab)
-				if err != nil {
-					r.err = err
-					return false
-				}
-			}
-			for i := 0; i < n; i++ {
-				rows = append(rows, Row(slab[i*w:(i+1)*w:(i+1)*w]))
-			}
+		}
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = Row(slab[i*w : (i+1)*w : (i+1)*w])
 		}
 		if r.remaining > 0 {
-			r.remaining -= len(rows)
-		}
-		if len(rows) == 0 {
-			continue
+			r.remaining -= n
 		}
 		r.batch, r.bpos = rows, 0
 		return true
@@ -325,63 +296,47 @@ func extendPrefix(prefix []any, v any) []any {
 
 // scanSetup carries the per-scan pieces a pushdown-aware scan shares
 // across its shard cursors: the fragment encoded once, the per-query
-// counters every cursor feeds, and either a per-pair resolve function or
-// the decoder of the rows the data nodes ship.
+// counters every cursor feeds, and the decoder of the rows the data nodes
+// ship.
 type scanSetup struct {
-	frag    []byte
-	ctrs    *stats.ScanCounters
-	resolve func(ctx context.Context, kv mvcc.KV) (Row, bool, error)
-	dec     fragment.RowDecoder
+	frag []byte
+	ctrs *stats.ScanCounters
+	dec  fragment.RowDecoder
 }
 
 // setupScan validates a scan's pushdown fragment against the schema and
-// prepares the shared scan state.
-func setupScan(sch *table.Schema, o ScanOpts) (*scanSetup, error) {
+// prepares the shared scan state. An index scan always ships a fragment,
+// marked Index, so the data node reads the rows its entries name; the
+// other scans ship one only when the caller pushes one down.
+func setupScan(sch *table.Schema, o ScanOpts, index bool) (*scanSetup, error) {
 	st := &scanSetup{ctrs: &stats.ScanCounters{}}
 	p := o.Pushdown
-	if p == nil {
+	switch {
+	case p == nil:
 		kinds := make([]table.Kind, len(sch.Columns))
 		for i, c := range sch.Columns {
 			kinds[i] = c.Kind
 		}
-		st.dec = (&fragment.Fragment{Kinds: kinds}).Layout().Decoder()
-		return st, nil
-	}
-	if len(p.Kinds) != len(sch.Columns) {
+		p = &fragment.Fragment{Kinds: kinds}
+	case len(p.Kinds) != len(sch.Columns):
 		return nil, fmt.Errorf("globaldb: pushdown fragment has %d column kinds for table %s with %d columns",
 			len(p.Kinds), sch.Name, len(sch.Columns))
 	}
-	b, err := p.Encode()
-	if err != nil {
-		return nil, err
-	}
-	st.frag = b
 	// The fragment's layout says what each shipped row carries: a stored,
 	// projected or joined row (unshipped columns nil; the planner
-	// guarantees nothing downstream reads them), or a group key.
+	// guarantees nothing downstream reads them), or group values followed
+	// by one fragment.AggState per aggregate slot.
 	st.dec = p.Layout().Decoder()
-	if !p.HasAggs() {
+	if index {
+		f := *p
+		f.Index = true
+		p = &f
+	} else if o.Pushdown == nil {
 		return st, nil
 	}
-	// Partial-aggregate rows: the group values decoded from the key, then
-	// one fragment.AggState per aggregate slot.
-	dec := &st.dec
-	st.resolve = func(_ context.Context, kv mvcc.KV) (Row, bool, error) {
-		states, err := fragment.DecodeStates(kv.Value)
-		if err != nil {
-			return nil, false, err
-		}
-		if len(states) != len(p.Aggs) {
-			return nil, false, fmt.Errorf("globaldb: partial row carries %d states for %d aggregates", len(states), len(p.Aggs))
-		}
-		row, err := dec.DecodeAppend(kv.Key, make(Row, 0, dec.Width()+len(states)))
-		if err != nil {
-			return nil, false, err
-		}
-		for _, s := range states {
-			row = append(row, s)
-		}
-		return row, true, nil
+	var err error
+	if st.frag, err = p.Encode(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -395,9 +350,10 @@ func (st *scanSetup) spec(start, end []byte, o ScanOpts) coordinator.ScanSpec {
 	}
 }
 
-// combine merges per-shard cursors in global key order, adding the
-// CN-final partial-aggregate merge when the scan's fragment aggregates.
-func (st *scanSetup) combine(curs []coordinator.BatchCursor, o ScanOpts) coordinator.BatchCursor {
+// open merges per-shard cursors in global key order, adding the CN-final
+// partial-aggregate merge when the scan's fragment aggregates, and streams
+// the result as Rows.
+func (st *scanSetup) open(ctx context.Context, curs []coordinator.BatchCursor, o ScanOpts) *Rows {
 	cur := curs[0]
 	if len(curs) > 1 {
 		cur = coordinator.MergeCursors(curs...)
@@ -405,7 +361,11 @@ func (st *scanSetup) combine(curs []coordinator.BatchCursor, o ScanOpts) coordin
 	if o.Pushdown != nil && o.Pushdown.HasAggs() {
 		cur = coordinator.MergeAggregates(cur, fragment.MergeEncodedStates)
 	}
-	return cur
+	r := &Rows{ctx: ctx, cur: cur, dec: st.dec, ctrs: st.ctrs, remaining: -1}
+	if o.Limit > 0 {
+		r.remaining = o.Limit
+	}
+	return r
 }
 
 // pkScanBounds computes the key range and shard of a PK-prefix scan. The
@@ -471,20 +431,18 @@ func (c *readCore) ScanPKRows(ctx context.Context, tableName string, pkPrefix []
 	if err != nil {
 		return nil, err
 	}
-	st, err := setupScan(sch, o)
+	st, err := setupScan(sch, o, false)
 	if err != nil {
 		return nil, err
 	}
-	cur := st.combine([]coordinator.BatchCursor{c.src.ScanCursor(ctx, shard, st.spec(start, end, o))}, o)
-	return newRows(ctx, cur, o.Limit, st), nil
+	return st.open(ctx, []coordinator.BatchCursor{c.src.ScanCursor(ctx, shard, st.spec(start, end, o))}, o), nil
 }
 
-// ScanIndexRows streams rows matched by a secondary-index prefix, resolving
-// each index entry to its row with a primary-key lookup on the same shard.
+// ScanIndexRows streams rows matched by a secondary-index prefix, in index
+// order. The scan is single-shard, and the data node serving it reads the
+// row each index entry names, so rows cross the WAN one page at a time as
+// in the other scans, and a Pushdown fragment runs over them there.
 func (c *readCore) ScanIndexRows(ctx context.Context, tableName, indexName string, prefix []any, o ScanOpts) (*Rows, error) {
-	if o.Pushdown != nil {
-		return nil, fmt.Errorf("globaldb: pushdown is not supported on index scans (index entries carry keys, not rows)")
-	}
 	sch, ix, err := indexOf(c.sess, tableName, indexName)
 	if err != nil {
 		return nil, err
@@ -493,20 +451,11 @@ func (c *readCore) ScanIndexRows(ctx context.Context, tableName, indexName strin
 	if err != nil {
 		return nil, err
 	}
-	st, err := setupScan(sch, o)
+	st, err := setupScan(sch, o, true)
 	if err != nil {
 		return nil, err
 	}
-	cur := c.src.ScanCursor(ctx, shard, st.spec(start, end, o))
-	st.resolve = func(ctx context.Context, kv mvcc.KV) (Row, bool, error) {
-		v, found, err := c.src.Get(ctx, shard, kv.Value) // index value = pk
-		if err != nil || !found {
-			return nil, false, err
-		}
-		r, err := sch.DecodeRow(v)
-		return r, err == nil, err
-	}
-	return newRows(ctx, cur, o.Limit, st), nil
+	return st.open(ctx, []coordinator.BatchCursor{c.src.ScanCursor(ctx, shard, st.spec(start, end, o))}, o), nil
 }
 
 // ScanTableRows streams every row of a table, merging per-shard paged
@@ -524,7 +473,7 @@ func (c *readCore) ScanTableRows(ctx context.Context, tableName string, o ScanOp
 	if err != nil {
 		return nil, err
 	}
-	st, err := setupScan(sch, o)
+	st, err := setupScan(sch, o, false)
 	if err != nil {
 		return nil, err
 	}
@@ -533,5 +482,5 @@ func (c *readCore) ScanTableRows(ctx context.Context, tableName string, o ScanOp
 	// first pages are issued concurrently and the cross-shard scan's setup
 	// costs one round trip, not one per shard.
 	curs := c.src.ScanCursors(ctx, c.sess.db.c.Shards(), st.spec(start, end, o))
-	return newRows(ctx, st.combine(curs, o), o.Limit, st), nil
+	return st.open(ctx, curs, o), nil
 }
