@@ -32,13 +32,12 @@ import (
 //     shipped key, then one AggState per slot from the shipped value.
 type Layout struct {
 	kinds      []table.Kind // column kinds of the scanned row
-	innerKinds []table.Kind // column kinds of the looked-up inner row
+	innerKinds []table.Kind // column kinds of the looked-up inner row; nil unless joined
 	cols       []int        // column each value is read from on the data node
 	pos        []int        // position of each value in the decoded row
 	outer      int          // leading values read from the scanned row; the rest from the inner row
 	width      int          // decoded row width
 	aggs       int          // aggregate slots the value carries after the key's group values
-	joined     bool
 }
 
 // Layout returns the layout of the rows a data node ships for f:
@@ -62,7 +61,7 @@ func (f *Fragment) Layout() Layout {
 	if inner == nil {
 		inner = allCols(len(lk.Kinds))
 	}
-	l.innerKinds, l.joined = lk.Kinds, true
+	l.innerKinds = lk.Kinds
 	n := len(cols) + len(inner)
 	buf := make([]int, 2*n)
 	l.cols = append(append(buf[:0:n], cols...), inner...)
@@ -146,7 +145,7 @@ func (rd *RowDecoder) DecodeAppend(key, val []byte, dst []any) ([]any, error) {
 	var d keys.Decoder
 	d.Reset(src)
 	memo := false
-	if n := len(rd.prevOuter); rd.joined && n > 0 && n <= len(src) && bytes.Equal(src[:n], rd.prevOuter) {
+	if n := len(rd.prevOuter); n > 0 && n <= len(src) && bytes.Equal(src[:n], rd.prevOuter) {
 		for i, v := range rd.prevVals {
 			row[rd.pos[i]] = v
 		}
@@ -157,7 +156,7 @@ func (rd *RowDecoder) DecodeAppend(key, val []byte, dst []any) ([]any, error) {
 		if err := rd.decode(&d, 0, rd.outer, rd.kinds, row); err != nil {
 			return nil, err
 		}
-		if rd.joined {
+		if rd.innerKinds != nil {
 			rd.prevOuter = append(rd.prevOuter[:0], src[:len(src)-d.Remaining()]...)
 			rd.prevVals = rd.prevVals[:0]
 			for _, p := range rd.pos[:rd.outer] {

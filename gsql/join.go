@@ -138,10 +138,10 @@ func analyzeJoin(p *selectPlan) *joinPlan {
 // expressions compile to fragment expressions over the outer row, the
 // inner shard column is keyed by the outer table's shard column (same
 // kind), and the outer scan is not a point get (every other scan accepts
-// fragments, an index scan included). The co-location
-// argument: shards hash the distribution value alone, so an inner row
-// whose shard value equals the outer row's lives on the same shard — the
-// data node serving the outer page can serve the lookup locally.
+// fragments, an index scan included). The co-location argument: shards
+// hash the distribution value alone, so an inner row whose shard value
+// equals the outer row's lives on the same shard — the data node serving
+// the outer page can serve the lookup locally.
 func analyzeLookupJoin(p *selectPlan) *lookupJoin {
 	inner, outer := p.inner, p.outer
 	if inner.kind != accessPoint && inner.kind != accessPKPrefix {
@@ -266,14 +266,6 @@ func analyzeLookupJoin(p *selectPlan) *lookupJoin {
 		iproj = sortedCols(ineed) // may be empty: semi-join shape
 	}
 
-	okinds := make([]table.Kind, len(osch.Columns))
-	for i, c := range osch.Columns {
-		okinds[i] = c.Kind
-	}
-	ikinds := make([]table.Kind, len(isch.Columns))
-	for i, c := range isch.Columns {
-		ikinds[i] = c.Kind
-	}
 	keyKinds := make([]table.Kind, len(boundPK))
 	keyCols := make([]string, len(boundPK))
 	for i, c := range boundPK {
@@ -282,14 +274,14 @@ func analyzeLookupJoin(p *selectPlan) *lookupJoin {
 	}
 
 	frag := &fragment.Fragment{
-		Kinds:   okinds,
+		Kinds:   osch.Kinds(),
 		Filter:  andAll(pushed),
 		Project: oproj,
 		Lookup: &fragment.Lookup{
 			Prefix:   isch.TablePrefix(),
 			KeyExprs: keyExprs,
 			KeyKinds: keyKinds,
-			Kinds:    ikinds,
+			Kinds:    isch.Kinds(),
 			Project:  iproj,
 		},
 	}

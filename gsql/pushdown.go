@@ -48,10 +48,7 @@ func analyzePushdown(p *selectPlan) *pushPlan {
 		return nil
 	}
 	sch := s.tab.schema
-	kinds := make([]table.Kind, len(sch.Columns))
-	for i, c := range sch.Columns {
-		kinds[i] = c.Kind
-	}
+	kinds := sch.Kinds()
 
 	// Split the residual filter: conjuncts that lower against the outer
 	// table alone run on the data nodes; the rest stay on the CN.

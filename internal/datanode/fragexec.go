@@ -174,27 +174,14 @@ type walkedPage struct {
 // next reads, decodes and filters the next storage page, stopping once
 // maxKeep rows are kept (0 evaluates the whole page). The page size grows
 // fourfold per page up to fragScanBatch, mirroring the coordinator
-// cursor's adaptive page growth. An index fragment's entries get the rows
-// their values (primary keys) name at the request's snapshot but keep
-// their keys, so resume keys stay in the index; an entry whose row is
-// missing is dropped.
+// cursor's adaptive page growth.
 func (w *pageWalk) next(maxKeep int) (walkedPage, error) {
 	kvs, next, more, err := w.store.ScanPage(w.ctx, w.start, w.req.End, w.req.SnapTS, w.rows, w.reader)
+	if err == nil && w.frag.Index {
+		kvs, err = w.rowsOf(kvs)
+	}
 	if err != nil {
 		return walkedPage{}, err
-	}
-	if w.frag.Index {
-		rows := kvs[:0]
-		for _, kv := range kvs {
-			row, found, err := w.store.Get(w.ctx, kv.Value, w.req.SnapTS, w.reader)
-			if err != nil {
-				return walkedPage{}, err
-			}
-			if found {
-				rows = append(rows, mvcc.KV{Key: kv.Key, Value: row})
-			}
-		}
-		kvs = rows
 	}
 	w.start = next
 	w.rows = min(4*w.rows, fragScanBatch)
@@ -209,6 +196,25 @@ func (w *pageWalk) next(maxKeep int) (walkedPage, error) {
 		return walkedPage{}, err
 	}
 	return walkedPage{kvs: kvs, batch: batch, sel: sel, evaluated: evaluated, next: next, more: more}, nil
+}
+
+// rowsOf replaces each index entry's value, a primary key, with the row it
+// names at the request's snapshot. The entry keeps its key, so resume keys
+// stay in the index; an entry whose row is missing is dropped. It is a
+// function of its own so that the walk's stack frame stays the size it is
+// for every other shape.
+func (w *pageWalk) rowsOf(kvs []mvcc.KV) ([]mvcc.KV, error) {
+	rows := kvs[:0]
+	for _, kv := range kvs {
+		row, found, err := w.store.Get(w.ctx, kv.Value, w.req.SnapTS, w.reader)
+		if err != nil {
+			return nil, err
+		}
+		if found {
+			rows = append(rows, mvcc.KV{Key: kv.Key, Value: row})
+		}
+	}
+	return rows, nil
 }
 
 // finishFragPage slices projected values out of the settled page buffer

@@ -332,6 +332,15 @@ func (s *Schema) DecodeRow(b []byte) (Row, error) {
 	return row, nil
 }
 
+// Kinds returns the column kinds in storage order.
+func (s *Schema) Kinds() []Kind {
+	kinds := make([]Kind, len(s.Columns))
+	for i, c := range s.Columns {
+		kinds[i] = c.Kind
+	}
+	return kinds
+}
+
 // ColIndex returns the position of the named column, or -1.
 func (s *Schema) ColIndex(name string) int {
 	for i, c := range s.Columns {

@@ -313,11 +313,7 @@ func setupScan(sch *table.Schema, o ScanOpts, index bool) (*scanSetup, error) {
 	p := o.Pushdown
 	switch {
 	case p == nil:
-		kinds := make([]table.Kind, len(sch.Columns))
-		for i, c := range sch.Columns {
-			kinds[i] = c.Kind
-		}
-		p = &fragment.Fragment{Kinds: kinds}
+		p = &fragment.Fragment{Kinds: sch.Kinds()}
 	case len(p.Kinds) != len(sch.Columns):
 		return nil, fmt.Errorf("globaldb: pushdown fragment has %d column kinds for table %s with %d columns",
 			len(p.Kinds), sch.Name, len(sch.Columns))
