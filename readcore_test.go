@@ -227,7 +227,11 @@ func TestIndexScanOneSnapshot(t *testing.T) {
 	if err := load.Commit(bg); err != nil {
 		t.Fatal(err)
 	}
+	deadline := time.Now().Add(10 * time.Second)
 	for db.Cluster().Collector.RCP() < load.CommitTS() {
+		if time.Now().After(deadline) {
+			t.Fatalf("RCP stuck at %v", db.Cluster().Collector.RCP())
+		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
