@@ -1,6 +1,8 @@
 package fragment
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -91,6 +93,50 @@ func TestDecodeRejectsBadArity(t *testing.T) {
 		}
 		if _, err := Decode(b); err == nil {
 			t.Fatalf("case %d: Decode accepted an invalid fragment %+v", i, f)
+		}
+	}
+}
+
+// TestMalformedValuesAreCorrupt pins that a bad value tag, a hostile
+// length or a truncated value inside a fragment constant or an aggregate
+// state bound fails with ErrCorrupt, whichever layer detects it.
+func TestMalformedValuesAreCorrupt(t *testing.T) {
+	hostile := []byte{0xff, 0xff, 0xff, 0xff, 0x0f} // uvarint above MaxInt32
+	// mutate locates the tagged string "MARK" in b and returns copies with
+	// its tag, its length or its payload damaged.
+	mutate := func(b []byte) map[string][]byte {
+		at := bytes.Index(b, []byte("MARK")) - 2 // tag, length 4, payload
+		if at < 0 {
+			t.Fatal("marker constant not found")
+		}
+		splice := func(from, to int, mid ...byte) []byte {
+			return append(append(append([]byte(nil), b[:from]...), mid...), b[to:]...)
+		}
+		return map[string][]byte{
+			"bad tag":         splice(at, at+1, 0xEE),
+			"hostile length":  splice(at+1, at+2, hostile...),
+			"length past end": splice(at+1, at+2, 0x7f),
+			"truncated int":   splice(at, len(b), 1, 0, 0),
+		}
+	}
+
+	f := &Fragment{Kinds: []table.Kind{table.String}, Filter: bin(OpEq, col(0), constant("MARK"))}
+	enc, err := f.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range mutate(enc) {
+		if _, err := Decode(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("fragment constant, %s: Decode error %v, want ErrCorrupt", name, err)
+		}
+	}
+	st, err := EncodeStates([]AggState{{Count: 1, Min: "MARK"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range mutate(st) {
+		if _, err := DecodeStates(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("state bound, %s: DecodeStates error %v, want ErrCorrupt", name, err)
 		}
 	}
 }

@@ -111,6 +111,37 @@ func TestMalformedFrames(t *testing.T) {
 	}
 }
 
+// TestMalformedValuesAreProtocolErrors pins that a bad value tag, a
+// hostile length or a truncated value inside a query argument or a result
+// row is ErrProtocol: the server closes the connection on it.
+func TestMalformedValuesAreProtocolErrors(t *testing.T) {
+	frame := func(payload ...byte) []byte {
+		b := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		return append(b, payload...)
+	}
+	hostile := []byte{0xff, 0xff, 0xff, 0xff, 0x0f} // uvarint above MaxInt32
+	cases := []struct {
+		name string
+		b    []byte
+	}{
+		{"query arg bad tag", frame(byte(MsgQuery), 1, 'x', 1, 0xEE)},
+		{"query arg hostile string length", frame(append([]byte{byte(MsgQuery), 1, 'x', 1, 3}, hostile...)...)},
+		{"execute arg string past end", frame(byte(MsgExecute), 1, 's', 1, 3, 0x7f, 'a')},
+		{"row bad tag", frame(byte(MsgRowBatch), 1, 1, 0xEE)},
+		{"row hostile bytes length", frame(append([]byte{byte(MsgRowBatch), 1, 1, 4}, hostile...)...)},
+		{"row truncated int", frame(byte(MsgRowBatch), 1, 1, 1, 0, 0)},
+		{"row truncated bool", frame(byte(MsgRowBatch), 1, 1, 5)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewReader(bytes.NewReader(tc.b)).ReadMessage()
+			if !errors.Is(err, ErrProtocol) {
+				t.Fatalf("error %v, want ErrProtocol", err)
+			}
+		})
+	}
+}
+
 // TestValueEncodeRejectsUnknownTypes pins that unsupported Go types fail at
 // encode time instead of producing undecodable bytes.
 func TestValueEncodeRejectsUnknownTypes(t *testing.T) {
