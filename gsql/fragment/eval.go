@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+
+	"globaldb/internal/table"
 )
 
 // This file is the one expression evaluator. Data nodes run it on pushed
@@ -761,12 +763,12 @@ func EncodeStates(states []AggState) ([]byte, error) {
 		b = binary.BigEndian.AppendUint64(b, math.Float64bits(st.SumF))
 		var err error
 		if st.Min != nil {
-			if b, err = appendValue(b, st.Min); err != nil {
+			if b, err = table.AppendTagged(b, st.Min); err != nil {
 				return nil, err
 			}
 		}
 		if st.Max != nil {
-			if b, err = appendValue(b, st.Max); err != nil {
+			if b, err = table.AppendTagged(b, st.Max); err != nil {
 				return nil, err
 			}
 		}
@@ -791,13 +793,13 @@ func DecodeStates(b []byte) ([]AggState, error) {
 		b = b[25:]
 		var err error
 		if flags&stHasMin != 0 {
-			if st.Min, b, err = decodeValue(b); err != nil {
-				return nil, err
+			if st.Min, b, err = table.DecodeTagged(b); err != nil {
+				return nil, corrupt(err)
 			}
 		}
 		if flags&stHasMax != 0 {
-			if st.Max, b, err = decodeValue(b); err != nil {
-				return nil, err
+			if st.Max, b, err = table.DecodeTagged(b); err != nil {
+				return nil, corrupt(err)
 			}
 		}
 		out = append(out, st)

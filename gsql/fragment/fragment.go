@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"globaldb/internal/table"
 )
@@ -223,98 +222,20 @@ var ErrCorrupt = errors.New("fragment: corrupt encoding")
 // ---- Wire format ----
 //
 // The codec is a compact hand-rolled binary format (version byte, uvarint
-// lengths, type-tagged values). It exists to make the fragment genuinely
+// lengths, and constants in the tagged value codec of internal/table, which
+// the client wire shares). It exists to make the fragment genuinely
 // serializable at the RPC boundary rather than a shared in-process pointer:
 // the data node reconstructs the fragment from bytes on every request.
 
 const wireVersion = 1
 
-// Value type tags for constants and aggregate bounds.
-const (
-	valNil byte = iota
-	valInt
-	valFloat
-	valString
-	valBytes
-	valBool
-)
-
-func appendValue(b []byte, v any) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(b, valNil), nil
-	case int64:
-		b = append(b, valInt)
-		return binary.BigEndian.AppendUint64(b, uint64(x)), nil
-	case float64:
-		b = append(b, valFloat)
-		return binary.BigEndian.AppendUint64(b, math.Float64bits(x)), nil
-	case string:
-		b = append(b, valString)
-		b = binary.AppendUvarint(b, uint64(len(x)))
-		return append(b, x...), nil
-	case []byte:
-		b = append(b, valBytes)
-		b = binary.AppendUvarint(b, uint64(len(x)))
-		return append(b, x...), nil
-	case bool:
-		if x {
-			return append(b, valBool, 1), nil
-		}
-		return append(b, valBool, 0), nil
-	default:
-		return nil, fmt.Errorf("fragment: unsupported value type %T", v)
+// corrupt returns err as an ErrCorrupt, wrapping it once if it comes from
+// the shared codec (table.ErrMalformed).
+func corrupt(err error) error {
+	if errors.Is(err, ErrCorrupt) {
+		return err
 	}
-}
-
-func decodeValue(b []byte) (any, []byte, error) {
-	if len(b) == 0 {
-		return nil, nil, ErrCorrupt
-	}
-	tag, b := b[0], b[1:]
-	switch tag {
-	case valNil:
-		return nil, b, nil
-	case valInt:
-		if len(b) < 8 {
-			return nil, nil, ErrCorrupt
-		}
-		return int64(binary.BigEndian.Uint64(b[:8])), b[8:], nil
-	case valFloat:
-		if len(b) < 8 {
-			return nil, nil, ErrCorrupt
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(b[:8])), b[8:], nil
-	case valString:
-		n, b, err := decodeLen(b)
-		if err != nil || len(b) < n {
-			return nil, nil, ErrCorrupt
-		}
-		return string(b[:n]), b[n:], nil
-	case valBytes:
-		n, b, err := decodeLen(b)
-		if err != nil || len(b) < n {
-			return nil, nil, ErrCorrupt
-		}
-		return append([]byte(nil), b[:n]...), b[n:], nil
-	case valBool:
-		if len(b) < 1 {
-			return nil, nil, ErrCorrupt
-		}
-		return b[0] != 0, b[1:], nil
-	default:
-		return nil, nil, fmt.Errorf("%w: value tag %#x", ErrCorrupt, tag)
-	}
-}
-
-func decodeLen(b []byte) (int, []byte, error) {
-	v, n := binary.Uvarint(b)
-	// Reject lengths that do not fit a non-negative int32: a hostile
-	// uvarint must never reach make() as a huge or negative length.
-	if n <= 0 || v > math.MaxInt32 {
-		return 0, nil, ErrCorrupt
-	}
-	return int(v), b[n:], nil
+	return fmt.Errorf("%w: %w", ErrCorrupt, err)
 }
 
 func appendExpr(b []byte, e *Expr) ([]byte, error) {
@@ -322,7 +243,7 @@ func appendExpr(b []byte, e *Expr) ([]byte, error) {
 	var err error
 	switch e.Op {
 	case OpConst:
-		if b, err = appendValue(b, e.Val); err != nil {
+		if b, err = table.AppendTagged(b, e.Val); err != nil {
 			return nil, err
 		}
 	case OpCol, OpParam:
@@ -346,17 +267,17 @@ func decodeExpr(b []byte) (Expr, []byte, error) {
 	var err error
 	switch e.Op {
 	case OpConst:
-		if e.Val, b, err = decodeValue(b); err != nil {
+		if e.Val, b, err = table.DecodeTagged(b); err != nil {
 			return Expr{}, nil, err
 		}
 	case OpCol, OpParam:
 		var n int
-		if n, b, err = decodeLen(b); err != nil {
+		if n, b, err = table.DecodeLen(b); err != nil {
 			return Expr{}, nil, err
 		}
 		e.Col = n
 	}
-	nargs, b, err := decodeLen(b)
+	nargs, b, err := table.DecodeLen(b)
 	if err != nil || nargs > len(b) { // each arg takes >= 1 byte
 		return Expr{}, nil, ErrCorrupt
 	}
@@ -426,14 +347,20 @@ func (f *Fragment) Encode() ([]byte, error) {
 	return b, nil
 }
 
-// Decode reconstructs a fragment from its wire bytes.
-func Decode(b []byte) (*Fragment, error) {
+// Decode reconstructs a fragment from its wire bytes. Malformed bytes fail
+// with ErrCorrupt.
+func Decode(b []byte) (_ *Fragment, err error) {
+	defer func() {
+		if err != nil {
+			err = corrupt(err)
+		}
+	}()
 	if len(b) == 0 || b[0] != wireVersion {
 		return nil, fmt.Errorf("%w: bad version", ErrCorrupt)
 	}
 	b = b[1:]
 	f := &Fragment{}
-	nk, b, err := decodeLen(b)
+	nk, b, err := table.DecodeLen(b)
 	if err != nil || nk > len(b) {
 		return nil, ErrCorrupt
 	}
@@ -463,7 +390,7 @@ func Decode(b []byte) (*Fragment, error) {
 	b = b[1:]
 	if hasProj {
 		var np int
-		if np, b, err = decodeLen(b); err != nil {
+		if np, b, err = table.DecodeLen(b); err != nil {
 			return nil, err
 		}
 		if np > len(b) { // each position takes >= 1 byte; bound before allocating
@@ -471,13 +398,13 @@ func Decode(b []byte) (*Fragment, error) {
 		}
 		f.Project = make([]int, np)
 		for i := 0; i < np; i++ {
-			if f.Project[i], b, err = decodeLen(b); err != nil {
+			if f.Project[i], b, err = table.DecodeLen(b); err != nil {
 				return nil, err
 			}
 		}
 	}
 	// Group by.
-	ng, b, err := decodeLen(b)
+	ng, b, err := table.DecodeLen(b)
 	if err != nil {
 		return nil, err
 	}
@@ -486,12 +413,12 @@ func Decode(b []byte) (*Fragment, error) {
 	}
 	f.GroupBy = make([]int, ng)
 	for i := 0; i < ng; i++ {
-		if f.GroupBy[i], b, err = decodeLen(b); err != nil {
+		if f.GroupBy[i], b, err = table.DecodeLen(b); err != nil {
 			return nil, err
 		}
 	}
 	// Aggregates.
-	na, b, err := decodeLen(b)
+	na, b, err := table.DecodeLen(b)
 	if err != nil {
 		return nil, err
 	}

@@ -121,13 +121,13 @@ func appendLookup(b []byte, l *Lookup) ([]byte, error) {
 
 func decodeLookup(b []byte) (*Lookup, []byte, error) {
 	l := &Lookup{}
-	np, b, err := decodeLen(b)
+	np, b, err := table.DecodeLen(b)
 	if err != nil || np > len(b) {
 		return nil, nil, ErrCorrupt
 	}
 	l.Prefix = append([]byte(nil), b[:np]...)
 	b = b[np:]
-	nk, b, err := decodeLen(b)
+	nk, b, err := table.DecodeLen(b)
 	if err != nil || nk > len(b) { // each expr takes >= 1 byte
 		return nil, nil, ErrCorrupt
 	}
@@ -145,7 +145,7 @@ func decodeLookup(b []byte) (*Lookup, []byte, error) {
 		l.KeyKinds[i] = table.Kind(b[i])
 	}
 	b = b[nk:]
-	ni, b, err := decodeLen(b)
+	ni, b, err := table.DecodeLen(b)
 	if err != nil || ni > len(b) {
 		return nil, nil, ErrCorrupt
 	}
@@ -164,7 +164,7 @@ func decodeLookup(b []byte) (*Lookup, []byte, error) {
 	b = b[1:]
 	if hasProj {
 		var npr int
-		if npr, b, err = decodeLen(b); err != nil {
+		if npr, b, err = table.DecodeLen(b); err != nil {
 			return nil, nil, err
 		}
 		if npr > len(b) {
@@ -172,7 +172,7 @@ func decodeLookup(b []byte) (*Lookup, []byte, error) {
 		}
 		l.Project = make([]int, npr)
 		for i := 0; i < npr; i++ {
-			if l.Project[i], b, err = decodeLen(b); err != nil {
+			if l.Project[i], b, err = table.DecodeLen(b); err != nil {
 				return nil, nil, err
 			}
 		}

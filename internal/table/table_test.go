@@ -297,3 +297,34 @@ func TestSchemaMarshalRoundTrip(t *testing.T) {
 		t.Fatal("bad JSON must fail")
 	}
 }
+
+// TestTaggedRoundTrip pins the tagged codec: every value kind decodes back
+// to itself with nothing left over (an empty BYTEA as a nil []byte), and a
+// bad tag, a hostile length or a truncated value is ErrMalformed.
+func TestTaggedRoundTrip(t *testing.T) {
+	vals := []any{nil, int64(-1 << 40), 2.5, "", "héllo", []byte{}, []byte{0x00, 0xff}, true, false}
+	for _, v := range vals {
+		b, err := AppendTagged(nil, v)
+		if err != nil {
+			t.Fatalf("%#v: %v", v, err)
+		}
+		got, rest, err := DecodeTagged(b)
+		if want, ok := v.([]byte); ok && len(want) == 0 {
+			v = []byte(nil)
+		}
+		if err != nil || len(rest) != 0 || !reflect.DeepEqual(got, v) {
+			t.Fatalf("%#v decoded as %#v (rest %x, err %v)", v, got, rest, err)
+		}
+	}
+	if _, err := AppendTagged(nil, int32(1)); !errors.Is(err, ErrSchemaMismatch) {
+		t.Fatalf("int32 encoded: %v", err)
+	}
+	for _, b := range [][]byte{
+		{}, {0xEE}, {1, 0, 0}, {2}, {5},
+		{3, 0xff, 0xff, 0xff, 0xff, 0x0f}, {4, 2, 'x'},
+	} {
+		if _, _, err := DecodeTagged(b); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%x: error %v, want ErrMalformed", b, err)
+		}
+	}
+}

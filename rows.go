@@ -3,7 +3,6 @@ package globaldb
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"globaldb/gsql/fragment"
 	"globaldb/internal/coordinator"
@@ -71,47 +70,11 @@ type ScanOpts struct {
 	Pushdown *fragment.Fragment
 }
 
-// ScanStats reports one scan's per-layer row counts: rows read from MVCC
-// storage by data nodes, rows those nodes dropped locally (pushed filter
-// or partial aggregation), and rows that crossed the simulated WAN. The
+// ScanStats reports one scan's per-layer row counts and its page and
+// prefetch observability, as the scan counters' snapshot. The
 // StorageRows-to-WANRows gap is the pushdown win, observable per query at
 // runtime rather than only in benchmarks.
-type ScanStats struct {
-	StorageRows    int64
-	DNFilteredRows int64
-	WANRows        int64
-	// LookupRows counts inner-table rows data nodes read while executing
-	// pushed lookup joins — the join's inner side served next to the data.
-	// Also included in StorageRows.
-	LookupRows int64
-	// PagesFetched counts scan-page RPCs; PrefetchHits counts the pages
-	// that were already fetched (or in flight and complete) when the
-	// consumer asked for them — WAN round trips fully hidden behind
-	// consumption. WANWait is the cumulative wall time the consumer spent
-	// blocked waiting on the network; with an effective prefetch window it
-	// approaches one round trip per shard instead of one per page.
-	PagesFetched int64
-	PrefetchHits int64
-	WANWait      time.Duration
-}
-
-// Add returns the element-wise sum of two stats.
-func (s ScanStats) Add(o ScanStats) ScanStats {
-	return ScanStats{
-		StorageRows:    s.StorageRows + o.StorageRows,
-		DNFilteredRows: s.DNFilteredRows + o.DNFilteredRows,
-		WANRows:        s.WANRows + o.WANRows,
-		LookupRows:     s.LookupRows + o.LookupRows,
-		PagesFetched:   s.PagesFetched + o.PagesFetched,
-		PrefetchHits:   s.PrefetchHits + o.PrefetchHits,
-		WANWait:        s.WANWait + o.WANWait,
-	}
-}
-
-func toScanStats(s stats.ScanSnapshot) ScanStats {
-	return ScanStats{StorageRows: s.StorageRows, DNFilteredRows: s.DNFilteredRows, WANRows: s.WANRows,
-		LookupRows: s.LookupRows, PagesFetched: s.PagesFetched, PrefetchHits: s.PrefetchHits, WANWait: s.WANWait}
-}
+type ScanStats = stats.ScanSnapshot
 
 // Rows is a streaming scan result. It is batch-native inside: the cursor
 // below it yields whole data-node pages, and each page is decoded in one
@@ -149,7 +112,7 @@ type Rows struct {
 // examined by data nodes, rows dropped node-side, and rows shipped over
 // the WAN. Valid at any point during iteration; final once the scan is
 // drained or closed.
-func (r *Rows) ScanStats() ScanStats { return toScanStats(r.ctrs.Snapshot()) }
+func (r *Rows) ScanStats() ScanStats { return r.ctrs.Snapshot() }
 
 // fillBatch decodes the cursor's next non-empty batch into r.batch. Rows
 // are backed by one fresh slab per batch, never reused, so a caller may

@@ -14,10 +14,10 @@
 // where length counts the type byte plus the payload. Lengths of zero or
 // above MaxFrameSize are rejected before any payload allocation, so a
 // hostile peer cannot make the reader allocate unbounded memory. Payloads
-// use the same hand-rolled primitives as the plan-fragment codec: uvarint
-// lengths, type-tagged SQL values, explicit bounds checks everywhere —
-// malformed bytes must yield ErrProtocol, never a panic (the fuzz targets
-// in this package hold the codec to that).
+// carry SQL values in the tagged codec plan fragments use too
+// (internal/table): uvarint lengths, type-tagged values, explicit bounds
+// checks everywhere — malformed bytes must yield ErrProtocol, never a panic
+// (the fuzz targets in this package hold the codec to that).
 //
 // A statement's response is always the same frame sequence:
 //
@@ -36,10 +36,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"globaldb"
+	"globaldb/internal/table"
 )
 
 // ProtocolVersion is the wire protocol version carried in the handshake.
@@ -285,96 +285,10 @@ func (*StatsResult) Type() MsgType { return MsgStatsResult }
 
 // ---- Payload primitives ----
 //
-// The same shapes as the fragment codec: uvarint lengths guarded against
-// hostile values, type-tagged SQL values, explicit remaining-bytes checks.
-
-// Value type tags.
-const (
-	valNil byte = iota
-	valInt
-	valFloat
-	valString
-	valBytes
-	valBool
-)
-
-func appendValue(b []byte, v any) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(b, valNil), nil
-	case int64:
-		b = append(b, valInt)
-		return binary.BigEndian.AppendUint64(b, uint64(x)), nil
-	case float64:
-		b = append(b, valFloat)
-		return binary.BigEndian.AppendUint64(b, math.Float64bits(x)), nil
-	case string:
-		b = append(b, valString)
-		b = binary.AppendUvarint(b, uint64(len(x)))
-		return append(b, x...), nil
-	case []byte:
-		b = append(b, valBytes)
-		b = binary.AppendUvarint(b, uint64(len(x)))
-		return append(b, x...), nil
-	case bool:
-		if x {
-			return append(b, valBool, 1), nil
-		}
-		return append(b, valBool, 0), nil
-	default:
-		return nil, fmt.Errorf("wire: unsupported value type %T", v)
-	}
-}
-
-func decodeValue(b []byte) (any, []byte, error) {
-	if len(b) == 0 {
-		return nil, nil, ErrProtocol
-	}
-	tag, b := b[0], b[1:]
-	switch tag {
-	case valNil:
-		return nil, b, nil
-	case valInt:
-		if len(b) < 8 {
-			return nil, nil, ErrProtocol
-		}
-		return int64(binary.BigEndian.Uint64(b[:8])), b[8:], nil
-	case valFloat:
-		if len(b) < 8 {
-			return nil, nil, ErrProtocol
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(b[:8])), b[8:], nil
-	case valString:
-		n, b, err := decodeLen(b)
-		if err != nil || len(b) < n {
-			return nil, nil, ErrProtocol
-		}
-		return string(b[:n]), b[n:], nil
-	case valBytes:
-		n, b, err := decodeLen(b)
-		if err != nil || len(b) < n {
-			return nil, nil, ErrProtocol
-		}
-		return append([]byte(nil), b[:n]...), b[n:], nil
-	case valBool:
-		if len(b) < 1 {
-			return nil, nil, ErrProtocol
-		}
-		return b[0] != 0, b[1:], nil
-	default:
-		return nil, nil, fmt.Errorf("%w: value tag %#x", ErrProtocol, tag)
-	}
-}
-
-// decodeLen reads a uvarint length, rejecting values that do not fit a
-// non-negative int32 so a hostile length never reaches make().
-func decodeLen(b []byte) (int, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 || v > math.MaxInt32 {
-		return 0, nil, ErrProtocol
-	}
-	return int(v), b[n:], nil
-}
+// Uvarint lengths guarded against hostile values and type-tagged SQL values
+// come from the tagged codec of internal/table, which plan fragments share;
+// its errors become ErrProtocol in DecodePayload. The rest are explicit
+// remaining-bytes checks.
 
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -382,7 +296,7 @@ func appendString(b []byte, s string) []byte {
 }
 
 func decodeString(b []byte) (string, []byte, error) {
-	n, b, err := decodeLen(b)
+	n, b, err := table.DecodeLen(b)
 	if err != nil || len(b) < n {
 		return "", nil, ErrProtocol
 	}
@@ -407,7 +321,7 @@ func appendValues(b []byte, vals []any) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(vals)))
 	var err error
 	for _, v := range vals {
-		if b, err = appendValue(b, v); err != nil {
+		if b, err = table.AppendTagged(b, v); err != nil {
 			return nil, err
 		}
 	}
@@ -415,7 +329,7 @@ func appendValues(b []byte, vals []any) ([]byte, error) {
 }
 
 func decodeValues(b []byte) ([]any, []byte, error) {
-	n, b, err := decodeLen(b)
+	n, b, err := table.DecodeLen(b)
 	if err != nil || n > len(b) { // each value takes >= 1 byte
 		return nil, nil, ErrProtocol
 	}
@@ -424,7 +338,7 @@ func decodeValues(b []byte) ([]any, []byte, error) {
 	}
 	vals := make([]any, n)
 	for i := 0; i < n; i++ {
-		if vals[i], b, err = decodeValue(b); err != nil {
+		if vals[i], b, err = table.DecodeTagged(b); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -440,7 +354,7 @@ func (m *Hello) append(b []byte) ([]byte, error) {
 }
 
 func decodeHello(b []byte) (*Hello, []byte, error) {
-	v, b, err := decodeLen(b)
+	v, b, err := table.DecodeLen(b)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -510,7 +424,7 @@ func (m *ParseOK) append(b []byte) ([]byte, error) {
 }
 
 func decodeParseOK(b []byte) (*ParseOK, []byte, error) {
-	n, b, err := decodeLen(b)
+	n, b, err := table.DecodeLen(b)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -561,7 +475,7 @@ func (m *RowHeader) append(b []byte) ([]byte, error) {
 }
 
 func decodeRowHeader(b []byte) (*RowHeader, []byte, error) {
-	n, b, err := decodeLen(b)
+	n, b, err := table.DecodeLen(b)
 	if err != nil || n > len(b) { // each column name takes >= 1 byte
 		return nil, nil, ErrProtocol
 	}
@@ -592,7 +506,7 @@ func (m *RowBatch) append(b []byte) ([]byte, error) {
 }
 
 func decodeRowBatch(b []byte) (*RowBatch, []byte, error) {
-	n, b, err := decodeLen(b)
+	n, b, err := table.DecodeLen(b)
 	if err != nil || n > len(b) { // each row takes >= 1 byte
 		return nil, nil, ErrProtocol
 	}
@@ -717,7 +631,7 @@ func decodeStatsResult(b []byte) (*StatsResult, []byte, error) {
 			return nil, nil, err
 		}
 	}
-	n, b, err := decodeLen(b)
+	n, b, err := table.DecodeLen(b)
 	if err != nil || n > len(b) { // each entry takes >= 6 bytes
 		return nil, nil, ErrProtocol
 	}
@@ -768,7 +682,8 @@ func WriteMessage(w io.Writer, m Message) error {
 }
 
 // DecodePayload decodes one message from its type byte and payload. The
-// payload must be consumed exactly; trailing bytes are a protocol error.
+// payload must be consumed exactly; trailing bytes and any other malformed
+// contents are ErrProtocol.
 func DecodePayload(t MsgType, b []byte) (Message, error) {
 	var (
 		m    Message
@@ -814,6 +729,9 @@ func DecodePayload(t MsgType, b []byte) (Message, error) {
 		return nil, fmt.Errorf("%w: unknown message type %d", ErrProtocol, t)
 	}
 	if err != nil {
+		if !errors.Is(err, ErrProtocol) { // the shared codec's table.ErrMalformed
+			err = fmt.Errorf("%w: %w", ErrProtocol, err)
+		}
 		return nil, err
 	}
 	if len(rest) != 0 {
