@@ -44,8 +44,9 @@ func clientResult(done *wire.Done, hdr *wire.RowHeader, rows [][]any) *gsql.Resu
 // multi-statement script when args is empty — and materializes the (last)
 // result.
 func (s *ClientSession) ExecScript(ctx context.Context, sql string, args ...any) (*gsql.Result, error) {
+	end := s.wc.bound(ctx)
 	done, hdr, rows, err := s.wc.collect(&wire.Query{SQL: sql, Args: args})
-	if err != nil {
+	if err = end(err); err != nil {
 		return nil, err
 	}
 	return clientResult(done, hdr, rows), nil
@@ -55,8 +56,9 @@ func (s *ClientSession) ExecScript(ctx context.Context, sql string, args ...any)
 func (s *ClientSession) Prepare(ctx context.Context, sql string) (*ClientStmt, error) {
 	s.wc.stmtSeq++
 	name := "c" + strconv.Itoa(s.wc.stmtSeq)
+	end := s.wc.bound(ctx)
 	n, err := s.wc.parse(name, sql)
-	if err != nil {
+	if err = end(err); err != nil {
 		return nil, err
 	}
 	return &ClientStmt{sess: s, name: name, numParams: n}, nil
@@ -90,8 +92,9 @@ func (st *ClientStmt) NumParams() int { return st.numParams }
 
 // Exec runs the prepared statement and materializes its result.
 func (st *ClientStmt) Exec(ctx context.Context, args ...any) (*gsql.Result, error) {
+	end := st.sess.wc.bound(ctx)
 	done, hdr, rows, err := st.sess.wc.collect(&wire.Execute{Name: st.name, Args: args})
-	if err != nil {
+	if err = end(err); err != nil {
 		return nil, err
 	}
 	return clientResult(done, hdr, rows), nil

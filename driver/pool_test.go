@@ -262,8 +262,9 @@ func TestTCPDSN(t *testing.T) {
 
 // silentServer listens on a loopback port and speaks just enough of the
 // wire protocol to leave clients waiting: it answers Hello (when hello is
-// set) and Parse, and never answers anything else. It returns the address.
-func silentServer(t *testing.T, hello bool) string {
+// set) and Parse (when parse is set), and never answers anything else. It
+// returns the address.
+func silentServer(t *testing.T, hello, parse bool) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -310,7 +311,9 @@ func silentServer(t *testing.T, hello bool) string {
 							reply = &wire.HelloOK{Region: "xian", Mode: "gclock"}
 						}
 					case *wire.Parse:
-						reply = &wire.ParseOK{}
+						if parse {
+							reply = &wire.ParseOK{}
+						}
 					}
 					if reply != nil {
 						wire.WriteMessage(w, reply)
@@ -323,28 +326,31 @@ func silentServer(t *testing.T, hello bool) string {
 	return ln.Addr().String()
 }
 
+// within runs op under a 100ms deadline against a server that never
+// answers it and fails unless op returns context.DeadlineExceeded within a
+// second.
+func within(t *testing.T, name string, op func(ctx context.Context) error) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(bg, 100*time.Millisecond)
+	defer cancel()
+	got := make(chan error, 1)
+	go func() { got <- op(ctx) }()
+	select {
+	case err := <-got:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s returned %v, want context.DeadlineExceeded", name, err)
+		}
+	case <-time.After(time.Second):
+		t.Fatalf("%s still blocked a second after its 100ms deadline", name)
+	}
+}
+
 // TestContextBoundsRoundTrip pins that a context bounds every wire round
 // trip, not only the TCP connect: against a server that never answers,
 // Exec, Query, Ping, a prepared Exec and the handshake itself each return
 // the context's error promptly.
 func TestContextBoundsRoundTrip(t *testing.T) {
-	within := func(t *testing.T, name string, op func(ctx context.Context) error) {
-		t.Helper()
-		ctx, cancel := context.WithTimeout(bg, 100*time.Millisecond)
-		defer cancel()
-		got := make(chan error, 1)
-		go func() { got <- op(ctx) }()
-		select {
-		case err := <-got:
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("%s returned %v, want context.DeadlineExceeded", name, err)
-			}
-		case <-time.After(time.Second):
-			t.Fatalf("%s still blocked a second after its 100ms deadline", name)
-		}
-	}
-
-	sqldb := openDB(t, NewNetConnector(silentServer(t, true), Config{}))
+	sqldb := openDB(t, NewNetConnector(silentServer(t, true, true), Config{}))
 	within(t, "Exec", func(ctx context.Context) error {
 		_, err := sqldb.ExecContext(ctx, "DELETE FROM t")
 		return err
@@ -367,7 +373,7 @@ func TestContextBoundsRoundTrip(t *testing.T) {
 		return err
 	})
 
-	nc := NewNetConnector(silentServer(t, false), Config{MaxConns: 1})
+	nc := NewNetConnector(silentServer(t, false, true), Config{MaxConns: 1})
 	defer nc.Close()
 	within(t, "Connect", func(ctx context.Context) error {
 		c, err := nc.Connect(ctx)
@@ -379,4 +385,39 @@ func TestContextBoundsRoundTrip(t *testing.T) {
 	if n := len(nc.slots); n != 0 {
 		t.Fatalf("a failed Connect kept its slot (%d held)", n)
 	}
+}
+
+// TestClientSessionContextBounds pins that the shell's network session
+// honours its contexts the way the database/sql connection does: against a
+// server that never answers, ExecScript, Prepare and a prepared Exec each
+// return the context's error promptly.
+func TestClientSessionContextBounds(t *testing.T) {
+	dial := func(t *testing.T, addr string) *ClientSession {
+		t.Helper()
+		s, err := Dial(bg, addr, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	parsing, mute := silentServer(t, true, true), silentServer(t, true, false)
+	s := dial(t, parsing)
+	within(t, "ExecScript", func(ctx context.Context) error {
+		_, err := s.ExecScript(ctx, "DELETE FROM t")
+		return err
+	})
+	s = dial(t, mute)
+	within(t, "Prepare", func(ctx context.Context) error {
+		_, err := s.Prepare(ctx, "DELETE FROM t")
+		return err
+	})
+	stmt, err := dial(t, parsing).Prepare(bg, "DELETE FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	within(t, "prepared Exec", func(ctx context.Context) error {
+		_, err := stmt.Exec(ctx)
+		return err
+	})
 }
