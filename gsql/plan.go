@@ -629,12 +629,6 @@ func refsOnly(e Expr, tables []*boundTable, allowed map[int]bool) bool {
 	return ok
 }
 
-// eqBinding is column = expr extracted from a conjunct.
-type eqBinding struct {
-	col  int // column position in the target schema
-	expr Expr
-}
-
 // extractEq pulls equality bindings for target from the conjunct list.
 // outer, when non-nil, allows the value side to reference the outer table
 // (join lookups); otherwise the value side must be constant.

@@ -42,8 +42,6 @@ var (
 var (
 	// ErrTxnDone means the transaction already committed or aborted.
 	ErrTxnDone = errors.New("coordinator: transaction already finished")
-	// ErrNoReplica means no node qualified to serve a replica read.
-	ErrNoReplica = errors.New("coordinator: no node qualifies for replica read")
 )
 
 // Routing maps shards to node endpoints. It is shared by every CN and
@@ -520,10 +518,14 @@ func (t *Txn) Commit(ctx context.Context) error {
 		case commitTS != 0:
 			finish = func(ctx context.Context) error { return t.cn.oracle.Adopt(ctx, commitTS) }
 			metricOneMsgCommits.Inc()
-			sp.Tag("shard=%d node=%s ops=%d path=one-message floor-bump=%v", shard, node, len(ops), resp.FloorBump)
+			if sp != nil { // untraced, skip boxing Tag's arguments
+				sp.Tag("shard=%d node=%s ops=%d path=one-message floor-bump=%v", shard, node, len(ops), resp.FloorBump)
+			}
 		default:
 			// The centralized path: fetch the timestamp here, send it over.
-			sp.Tag("shard=%d node=%s ops=%d path=two-message", shard, node, len(ops))
+			if sp != nil {
+				sp.Tag("shard=%d node=%s ops=%d path=two-message", shard, node, len(ops))
+			}
 			if commitTS, finish, err = t.cn.oracle.Commit(ctx, t.ts.Mode); err != nil {
 				break
 			}

@@ -110,10 +110,7 @@ func (r *ROTxn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, e
 		}
 		return resp.Value, resp.Found, nil
 	}
-	node, replica, err := r.pick(shard)
-	if err != nil {
-		return nil, false, err
-	}
+	node, replica := r.pick(shard)
 	start := time.Now()
 	v, found, err := r.cn.client.Read(ctx, node, key, r.snap, 0)
 	if err != nil && ctx.Err() != nil {
@@ -132,9 +129,9 @@ func (r *ROTxn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, e
 }
 
 // pick chooses the serving node for a shard.
-func (r *ROTxn) pick(shard int) (node string, replica bool, err error) {
+func (r *ROTxn) pick(shard int) (node string, replica bool) {
 	if !r.replicaMode {
-		return r.cn.routing.Primary(shard), false, nil
+		return r.cn.routing.Primary(shard), false
 	}
 	r.cn.maybeRefreshTracker()
 	// Pure skyline cost selection (Fig. 5): the primary competes with the
@@ -144,9 +141,9 @@ func (r *ROTxn) pick(shard int) (node string, replica bool, err error) {
 	best, ok := r.cn.Tracker().Pick(shard, r.bound, false)
 	if !ok {
 		// Everything is dark; the primary is the last resort.
-		return r.cn.routing.Primary(shard), false, nil
+		return r.cn.routing.Primary(shard), false
 	}
-	return best.Node, !best.Primary, nil
+	return best.Node, !best.Primary
 }
 
 func (r *ROTxn) observe(node string, replica bool, start time.Time, err error) {

@@ -348,7 +348,9 @@ func (t *Txn) ScanCursor(ctx context.Context, shard int, spec ScanSpec) *ScanCur
 			}
 			node := t.cn.routing.Primary(shard)
 			rpc := obs.SpanFrom(ctx).Child("scan-page")
-			rpc.Tag("shard=%d node=%s", shard, node)
+			if rpc != nil { // untraced, skip boxing Tag's arguments
+				rpc.Tag("shard=%d node=%s", shard, node)
+			}
 			resp, err := t.cn.client.ScanPageFrag(ctx, node, from, spec.End, t.ts.Snap, remaining, page, spec.Frag, t.id)
 			rpc.AddDNExec(time.Duration(resp.ExecNanos))
 			rpc.End()
@@ -405,13 +407,12 @@ func (r *ROTxn) ScanCursor(ctx context.Context, shard int, spec ScanSpec) *ScanC
 	}
 	return newScanCursor(ctx, spec.Start, spec.Limit, spec.PageSize, spec.window(), spec.Counters,
 		func(ctx context.Context, from []byte, remaining, page int) ([]mvcc.KV, []byte, bool, error) {
-			node, replica, err := r.pick(shard)
-			if err != nil {
-				return nil, nil, false, err
-			}
+			node, replica := r.pick(shard)
 			t0 := time.Now()
 			rpc := obs.SpanFrom(ctx).Child("scan-page")
-			rpc.Tag("shard=%d node=%s", shard, node)
+			if rpc != nil { // untraced, skip boxing Tag's arguments
+				rpc.Tag("shard=%d node=%s", shard, node)
+			}
 			resp, err := r.cn.client.ScanPageFrag(ctx, node, from, spec.End, r.snap, remaining, page, spec.Frag, 0)
 			if err != nil && ctx.Err() != nil {
 				rpc.End()
@@ -426,7 +427,9 @@ func (r *ROTxn) ScanCursor(ctx context.Context, shard int, spec ScanSpec) *ScanC
 			if nodeFailed(err) && replica {
 				r.cn.primaryReads.Add(1)
 				primary := r.cn.routing.Primary(shard)
-				rpc.Tag("shard=%d node=%s (replica %s failed)", shard, primary, node)
+				if rpc != nil {
+					rpc.Tag("shard=%d node=%s (replica %s failed)", shard, primary, node)
+				}
 				resp, err = r.cn.client.ScanPageFrag(ctx, primary, from, spec.End, r.snap, remaining, page, spec.Frag, 0)
 			}
 			rpc.AddDNExec(time.Duration(resp.ExecNanos))

@@ -25,9 +25,11 @@ import (
 // of the five measured. Twenty runs of one binary on go1.24, after the redo
 // log came to hold frames that the WAL and the shippers send as they are:
 // min 507, median 507, max 507. With DEFLATE the same statistic read
-// 726–728. The ceiling is the measured max + 15 %: one leaked allocation per
-// row op is +25/txn, so four of them fail the test.
-const tpccAllocBudgetMax = 583
+// 726–728. The ceiling was the measured max + 15 %: one leaked allocation
+// per row op is +25/txn, so four of them fail the test. An untraced
+// single-shard commit no longer formats its span tag: 506 in 19 of twenty
+// runs (508 once), and the ceiling came down by the same 1.
+const tpccAllocBudgetMax = 582
 
 // TestTPCCAllocBudget is the write-path analogue of the root package's
 // TestAllocBudget: a hard allocation gate on the warm New-Order path.
