@@ -76,13 +76,16 @@ func TestMessageRoundTrip(t *testing.T) {
 }
 
 // TestMalformedFrames pins the rejection paths: bad lengths, unknown
-// types, truncated and trailing payload bytes must error (never panic) and
-// identify a protocol error where framing sync is lost.
+// types, truncated and trailing payload bytes, and a bad tag, a hostile
+// length or a truncated value inside a query argument or a result row must
+// error (never panic). All but a stream cut short are ErrProtocol: the
+// server closes the connection on it.
 func TestMalformedFrames(t *testing.T) {
 	frame := func(payload ...byte) []byte {
 		b := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
 		return append(b, payload...)
 	}
+	hostile := []byte{0xff, 0xff, 0xff, 0xff, 0x0f} // uvarint above MaxInt32
 	cases := []struct {
 		name string
 		b    []byte
@@ -97,34 +100,6 @@ func TestMalformedFrames(t *testing.T) {
 		{"query bad arg tag", frame(byte(MsgQuery), 1, 'x', 1, 0xEE)},
 		{"done truncated", frame(byte(MsgDone), 2)},
 		{"batch hostile row count", frame(byte(MsgRowBatch), 0xff, 0xff, 0xff, 0xff, 0x07)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewReader(bytes.NewReader(tc.b)).ReadMessage()
-			if err == nil {
-				t.Fatal("malformed frame accepted")
-			}
-			if errors.Is(err, io.EOF) && tc.name != "truncated header" {
-				t.Fatalf("malformed frame read as clean EOF: %v", err)
-			}
-		})
-	}
-}
-
-// TestMalformedValuesAreProtocolErrors pins that a bad value tag, a
-// hostile length or a truncated value inside a query argument or a result
-// row is ErrProtocol: the server closes the connection on it.
-func TestMalformedValuesAreProtocolErrors(t *testing.T) {
-	frame := func(payload ...byte) []byte {
-		b := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
-		return append(b, payload...)
-	}
-	hostile := []byte{0xff, 0xff, 0xff, 0xff, 0x0f} // uvarint above MaxInt32
-	cases := []struct {
-		name string
-		b    []byte
-	}{
-		{"query arg bad tag", frame(byte(MsgQuery), 1, 'x', 1, 0xEE)},
 		{"query arg hostile string length", frame(append([]byte{byte(MsgQuery), 1, 'x', 1, 3}, hostile...)...)},
 		{"execute arg string past end", frame(byte(MsgExecute), 1, 's', 1, 3, 0x7f, 'a')},
 		{"row bad tag", frame(byte(MsgRowBatch), 1, 1, 0xEE)},
@@ -135,7 +110,13 @@ func TestMalformedValuesAreProtocolErrors(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := NewReader(bytes.NewReader(tc.b)).ReadMessage()
-			if !errors.Is(err, ErrProtocol) {
+			if err == nil {
+				t.Fatal("malformed frame accepted")
+			}
+			if errors.Is(err, io.EOF) && tc.name != "truncated header" {
+				t.Fatalf("malformed frame read as clean EOF: %v", err)
+			}
+			if cut := tc.name == "truncated header" || tc.name == "truncated payload"; !cut && !errors.Is(err, ErrProtocol) {
 				t.Fatalf("error %v, want ErrProtocol", err)
 			}
 		})
