@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"globaldb"
 	"globaldb/internal/keys"
@@ -604,13 +605,30 @@ func TestExecSyncReplicatedTableDDL(t *testing.T) {
 
 func TestFormatTable(t *testing.T) {
 	res := &Result{
-		Columns: []string{"id", "name"},
-		Rows:    [][]any{{int64(1), "alice"}, {int64(2), nil}},
+		Columns: []string{"id", "name", "raw"},
+		Rows: [][]any{
+			{int64(1), "alice", []byte("x")},
+			{int64(2), nil, nil},
+			{int64(3), "héllo", []byte{0xab, 0x01}},
+		},
 	}
 	text := FormatTable(res)
-	for _, want := range []string{"| id | name", "| 1  | alice |", "NULL", "(2 rows)"} {
+	for _, want := range []string{
+		"| id | name  | raw    |",
+		"| 1  | alice | \\x78   |",
+		"| 2  | NULL  | NULL   |",
+		"| 3  | héllo | \\xab01 |",
+		"(3 rows)",
+	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("formatted table lacks %q:\n%s", want, text)
+		}
+	}
+	// Every line of the grid is as wide as its border, in runes.
+	lines := strings.Split(text, "\n")
+	for _, line := range lines[:len(lines)-2] {
+		if n, border := utf8.RuneCountInString(line), utf8.RuneCountInString(lines[0]); n != border {
+			t.Fatalf("line %q is %d runes wide, the border %d:\n%s", line, n, border, text)
 		}
 	}
 	msg := FormatTable(&Result{Msg: "CREATE TABLE t"})

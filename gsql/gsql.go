@@ -2,9 +2,11 @@ package gsql
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"globaldb"
 	"globaldb/gsql/fragment"
@@ -789,26 +791,33 @@ func (s *Session) execDropTable(ctx context.Context, dt *DropTable) (*Result, er
 	return &Result{Msg: "DROP TABLE " + dt.Name}, nil
 }
 
-// FormatTable renders a result as an aligned text table for CLIs.
+// FormatTable renders a result as an aligned text table for CLIs. Cells are
+// padded by rune count, and BYTES values print as \x and lowercase hex, as
+// PostgreSQL prints bytea.
 func FormatTable(res *Result) string {
 	if len(res.Columns) == 0 {
 		return res.Msg + "\n"
 	}
 	widths := make([]int, len(res.Columns))
 	for i, c := range res.Columns {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	cells := make([][]string, len(res.Rows))
 	for ri, row := range res.Rows {
 		cells[ri] = make([]string, len(row))
 		for ci, v := range row {
-			txt := "NULL"
-			if v != nil {
-				txt = fmt.Sprintf("%v", v)
+			var txt string
+			switch v := v.(type) {
+			case nil:
+				txt = "NULL"
+			case []byte:
+				txt = `\x` + hex.EncodeToString(v)
+			default:
+				txt = fmt.Sprint(v)
 			}
 			cells[ri][ci] = txt
-			if ci < len(widths) && len(txt) > widths[ci] {
-				widths[ci] = len(txt)
+			if n := utf8.RuneCountInString(txt); ci < len(widths) && n > widths[ci] {
+				widths[ci] = n
 			}
 		}
 	}
@@ -816,7 +825,7 @@ func FormatTable(res *Result) string {
 	writeRow := func(vals []string) {
 		sb.WriteString("|")
 		for i, v := range vals {
-			sb.WriteString(" " + v + strings.Repeat(" ", widths[i]-len(v)) + " |")
+			sb.WriteString(" " + v + strings.Repeat(" ", widths[i]-utf8.RuneCountInString(v)) + " |")
 		}
 		sb.WriteString("\n")
 	}
