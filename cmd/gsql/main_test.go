@@ -132,19 +132,26 @@ SELECT * FROM ord WHERE w_id = 1;
 // TestShellCommitPathLine pins the write-path reporting: a committing
 // statement prints a commit: line with the interval's WAL fsync cost and the
 // one-message share, and a pure read does not; under \trace a write prints
-// its span tree, whose commit span names the path that ran.
+// its span tree, whose commit span names the path that ran: one-write for
+// an autocommit point UPDATE, one-message for the same UPDATE inside BEGIN.
 func TestShellCommitPathLine(t *testing.T) {
 	script := `CREATE TABLE kv (k BIGINT, v BIGINT, PRIMARY KEY (k)) SHARD BY k;
 INSERT INTO kv VALUES (1, 10), (2, 20);
 \trace
 UPDATE kv SET v = 11 WHERE k = 1;
+BEGIN;
+UPDATE kv SET v = 21 WHERE k = 2;
+COMMIT;
 \trace
 SELECT * FROM kv WHERE v >= 10;
 \q
 `
 	out := runShell(t, script)
-	if !strings.Contains(out, "commit: n=1 (one-message=1)") || !strings.Contains(out, "path=one-message floor-bump=") {
-		t.Fatalf("single-row UPDATE did not report the one-message commit path:\n%s", out)
+	if !strings.Contains(out, "commit: n=1 (one-message=1)") || !strings.Contains(out, "path=one-write floor-bump=") {
+		t.Fatalf("autocommit single-row UPDATE did not report the one-write commit path:\n%s", out)
+	}
+	if !strings.Contains(out, "path=one-message floor-bump=") {
+		t.Fatalf("single-row UPDATE inside BEGIN did not report the one-message commit path:\n%s", out)
 	}
 	var commitLines, afterSelect int
 	sawSelect := false

@@ -455,17 +455,19 @@ func noFinish(bool) error { return nil }
 // setting. Every SELECT, through Exec or Query, dispatches through here.
 //
 // The one-read context skips the GClock invocation wait. That is safe only
-// for a plan that reads once: a single-table point get, whose one r.Get
-// (openScan) is the whole of its storage access. A second read would have
-// no stable snapshot, and the context refuses it. The one Get waits out the
-// commit of the version it returns, which is rarely a wait at all.
+// for a plan that reads once (selectPlan.readsOnce): a single-table point
+// get, whose one r.Get (openScan) is the whole of its storage access. A
+// second read would have no stable snapshot, and the context refuses it. The
+// one Get waits out the commit of the version it returns, which is rarely a
+// wait at all. An autocommit UPDATE or DELETE whose row search passes the
+// same test skips the wait as well, in a one-write context (withWriteTxn).
 func (s *Session) openReadContext(ctx context.Context, sel *Select, bp *boundPlan) (readContext, error) {
 	switch {
 	case s.tx != nil:
 		// The explicit transaction's lifecycle belongs to COMMIT/ROLLBACK.
 		return readContext{r: s.tx, kind: readTxn, finish: noFinish}, nil
 	case sel.Staleness == 0 && s.mode == readPrimary:
-		if bp.inner == nil && bp.outer.kind == accessPoint {
+		if bp.readsOnce() {
 			q, err := s.sess.ReadOnce(ctx)
 			if err != nil {
 				return readContext{}, err
@@ -503,12 +505,22 @@ func (s *Session) openReadContext(ctx context.Context, sel *Select, bp *boundPla
 }
 
 // withWriteTxn runs fn inside the session transaction, or an autocommit
-// transaction when none is open.
-func (s *Session) withWriteTxn(ctx context.Context, fn func(tx *globaldb.Tx) (int, error)) (int, error) {
+// transaction when none is open. search is the statement's row search, nil
+// for an INSERT. When it reads once (selectPlan.readsOnce) the autocommit
+// transaction is a one-write context (globaldb.Session.WriteOnce): no GClock
+// invocation wait, and a commit the primary refuses unless the row is still
+// at the version the search read.
+func (s *Session) withWriteTxn(ctx context.Context, search *boundPlan, fn func(tx *globaldb.Tx) (int, error)) (int, error) {
 	if s.tx != nil {
 		return fn(s.tx)
 	}
-	tx, err := s.sess.Begin(ctx)
+	var tx *globaldb.Tx
+	var err error
+	if search != nil && search.readsOnce() {
+		tx, err = s.sess.WriteOnce(ctx)
+	} else {
+		tx, err = s.sess.Begin(ctx)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -562,7 +574,7 @@ func (s *Session) execInsert(ctx context.Context, ins *Insert, params []any) (*R
 		}
 		rows = append(rows, row)
 	}
-	n, err := s.withWriteTxn(ctx, func(tx *globaldb.Tx) (int, error) {
+	n, err := s.withWriteTxn(ctx, nil, func(tx *globaldb.Tx) (int, error) {
 		for _, row := range rows {
 			if err := tx.Insert(ctx, ins.Table, row); err != nil {
 				return 0, err
@@ -665,7 +677,7 @@ func (s *Session) execUpdate(ctx context.Context, u *Update, plan *selectPlan, p
 		return nil, err
 	}
 	var scan globaldb.ScanStats
-	n, err := s.withWriteTxn(ctx, func(tx *globaldb.Tx) (int, error) {
+	n, err := s.withWriteTxn(ctx, p, func(tx *globaldb.Tx) (int, error) {
 		rows, st, err := matchingRows(ctx, tx, p)
 		if scan = st; err != nil {
 			return 0, err
@@ -699,7 +711,7 @@ func (s *Session) execDelete(ctx context.Context, d *Delete, plan *selectPlan, p
 		return nil, err
 	}
 	var scan globaldb.ScanStats
-	n, err := s.withWriteTxn(ctx, func(tx *globaldb.Tx) (int, error) {
+	n, err := s.withWriteTxn(ctx, p, func(tx *globaldb.Tx) (int, error) {
 		rows, st, err := matchingRows(ctx, tx, p)
 		if scan = st; err != nil {
 			return 0, err

@@ -118,9 +118,10 @@ func TestPointSelectSkipsInvocationWait(t *testing.T) {
 }
 
 // TestOtherReadsKeepTheWait: everything that may read more than once — a
-// range, an aggregate, a join, a LIMIT scan, UPDATE's row search — still
-// opens a waited snapshot, and a SELECT inside BEGIN reads at the
-// transaction's own, waited, snapshot.
+// range, an aggregate, a join, a LIMIT scan, a range UPDATE's row search —
+// still opens a waited snapshot, and a SELECT or a point UPDATE inside BEGIN
+// runs at the transaction's own, waited, snapshot. (An autocommit point
+// UPDATE skips the wait: TestPointWritesSkipInvocationWait.)
 func TestOtherReadsKeepTheWait(t *testing.T) {
 	_, s, _ := openOneReadSQL(t)
 	s.SetTrace(true)
@@ -141,17 +142,18 @@ func TestOtherReadsKeepTheWait(t *testing.T) {
 	}
 
 	before := invocationWaits()
-	exec(t, s, "UPDATE acct SET bal = 301 WHERE id = 3")
+	exec(t, s, "UPDATE acct SET bal = bal + 1 WHERE id BETWEEN 2 AND 5")
 	if waits := invocationWaits() - before; waits != 1 {
-		t.Errorf("UPDATE: %d invocation waits, want 1", waits)
+		t.Errorf("range UPDATE: %d invocation waits, want 1", waits)
 	}
 
 	before = invocationWaits()
 	exec(t, s, "BEGIN")
 	res := exec(t, s, "SELECT bal FROM acct WHERE id = 3")
+	exec(t, s, "UPDATE acct SET bal = 301 WHERE id = 3")
 	exec(t, s, "COMMIT")
 	if waits := invocationWaits() - before; waits != 1 {
-		t.Errorf("BEGIN; point SELECT; COMMIT: %d invocation waits, want 1 (at BEGIN)", waits)
+		t.Errorf("BEGIN; point SELECT; point UPDATE; COMMIT: %d invocation waits, want 1 (at BEGIN)", waits)
 	}
 	if tag := readTag(t, res); tag != "txn" {
 		t.Errorf("point SELECT inside BEGIN read through %q, want txn", tag)

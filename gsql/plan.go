@@ -141,6 +141,13 @@ type selectPlan struct {
 	width int
 }
 
+// readsOnce reports whether the plan's whole storage access is one point get
+// on one table: the one r.Get of openScan. Such a plan may run at a snapshot
+// that is valid for one read only (openReadContext, withWriteTxn).
+func (p *selectPlan) readsOnce() bool {
+	return p.inner == nil && p.outer.kind == accessPoint
+}
+
 // describe renders the plan for EXPLAIN.
 func (p *selectPlan) describe() []string {
 	out := []string{"select"}

@@ -34,6 +34,7 @@ var (
 	metricPrepareLatency = obs.Default.Histogram(stats.MetricPrepareLatency)
 	metricDecideLatency  = obs.Default.Histogram(stats.MetricDecideLatency)
 	metricOneMsgCommits  = obs.Default.Counter(stats.MetricOneMessageCommits)
+	metricOneWrites      = obs.Default.Counter(stats.MetricOneWriteStatements)
 	metricAsyncResolves  = obs.Default.Counter(stats.MetricAsyncResolves)
 	metricResolveFails   = obs.Default.Counter(stats.MetricResolveFailures)
 )
@@ -303,11 +304,16 @@ func (c *CN) Begin(ctx context.Context) (*Txn, error) {
 	if err != nil {
 		return nil, err
 	}
+	return c.newTxn(tt), nil
+}
+
+// newTxn registers a transaction at snapshot tt and pins its snapshot.
+func (c *CN) newTxn(tt tso.TxnTS) *Txn {
 	id := c.cnID<<40 | c.txnSeq.Add(1)
 	c.pins.mu.Lock()
 	c.pins.held[id] = snapshotPin{snap: tt.Snap, since: time.Now()}
 	c.pins.mu.Unlock()
-	return &Txn{cn: c, id: id, ts: tt, writes: make(map[int]*shardWrites)}, nil
+	return &Txn{cn: c, id: id, ts: tt, writes: make(map[int]*shardWrites)}
 }
 
 // unpin releases the transaction's hold on the GC watermark. It runs when
@@ -340,6 +346,15 @@ type Txn struct {
 	done     atomic.Bool
 	sync     bool // wait for replica acknowledgement at commit
 	commitTS ts.Timestamp
+	// oneWrite marks a WriteOnce context, read flips at its one Get, and
+	// readTS is the version that Get returned from readShard, which its
+	// commit message carries for the primary to check. settled is as in
+	// ROTxn.
+	oneWrite  bool
+	read      bool
+	readShard int
+	readTS    ts.Timestamp
+	settled   ts.Timestamp
 }
 
 // CommitTS returns the transaction's commit timestamp, or zero before a
@@ -413,6 +428,11 @@ func (t *Txn) WriteBatch(ctx context.Context, shard int, ops []datanode.WriteOp)
 // lookup joins run on the data node and must see them) and when the buffer
 // fills. A write-write conflict surfaces here.
 func (t *Txn) flush(ctx context.Context, shard int) error {
+	if t.oneWrite {
+		// Its writes go only with the commit that checks them; and the
+		// scans that flush may read many times.
+		return ErrOneRead
+	}
 	w := t.writes[shard]
 	if w == nil || len(w.ops) == 0 {
 		return nil
@@ -451,6 +471,15 @@ func (t *Txn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, err
 	if t.done.Load() {
 		return nil, false, ErrTxnDone
 	}
+	if t.oneWrite {
+		if t.read || len(t.writes) > 0 {
+			return nil, false, ErrOneRead
+		}
+		t.read, t.readShard = true, shard
+		r, err := t.cn.readPrimary(ctx, shard, key, t.ts.Snap, 0)
+		t.readTS = r.CommitTS
+		return r.Value, r.Found, err
+	}
 	if w := t.writes[shard]; w != nil {
 		if i, ok := w.latest[string(key)]; ok {
 			op := w.ops[i]
@@ -485,7 +514,16 @@ func (t *Txn) Commit(ctx context.Context) error {
 	defer t.unpin()
 	shards := t.shards()
 	if len(shards) == 0 {
+		if t.oneWrite && t.readTS >= t.settled {
+			// Nothing written: the read ends as a one-read context's does.
+			return t.cn.oracle.SettleRead(ctx, t.readTS)
+		}
 		return nil // read-only: nothing to resolve
+	}
+	if t.oneWrite && (len(shards) > 1 || shards[0] != t.readShard || t.readTS == 0) {
+		// Only a version read can be checked, on the shard it was read from;
+		// nothing was sent.
+		return ErrOneRead
 	}
 
 	sp := obs.SpanFrom(ctx).Child("commit")
@@ -506,8 +544,10 @@ func (t *Txn) Commit(ctx context.Context) error {
 		// timestamp fetch either way (Sec. IV-A).
 		var resp datanode.WriteResp
 		var err error
-		if t.ts.Mode != ts.ModeGTM && t.cn.oracle.Mode() == ts.ModeGClock {
-			resp, err = t.cn.client.WriteCommit(ctx, node, t.id, t.ts.Snap, ops, t.sync)
+		// A one-write statement always asks, so that its version check
+		// travels with its writes; its snapshot was taken under GClock.
+		if t.oneWrite || (t.ts.Mode != ts.ModeGTM && t.cn.oracle.Mode() == ts.ModeGClock) {
+			resp, err = t.cn.client.WriteCommit(ctx, node, t.id, t.ts.Snap, ops, t.sync, t.readTS)
 		} else {
 			err = t.cn.client.WriteThen(ctx, node, t.id, t.ts.Snap, ops, datanode.ThenPending, "")
 		}
@@ -519,7 +559,11 @@ func (t *Txn) Commit(ctx context.Context) error {
 			finish = func(ctx context.Context) error { return t.cn.oracle.Adopt(ctx, commitTS) }
 			metricOneMsgCommits.Inc()
 			if sp != nil { // untraced, skip boxing Tag's arguments
-				sp.Tag("shard=%d node=%s ops=%d path=one-message floor-bump=%v", shard, node, len(ops), resp.FloorBump)
+				path := "one-message"
+				if t.oneWrite {
+					path = "one-write"
+				}
+				sp.Tag("shard=%d node=%s ops=%d path=%s floor-bump=%v", shard, node, len(ops), path, resp.FloorBump)
 			}
 		default:
 			// The centralized path: fetch the timestamp here, send it over.

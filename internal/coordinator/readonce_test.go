@@ -10,6 +10,7 @@ import (
 	"globaldb/internal/netsim"
 	"globaldb/internal/rcp"
 	"globaldb/internal/repl"
+	"globaldb/internal/storage/mvcc"
 	"globaldb/internal/table"
 	"globaldb/internal/ts"
 	"globaldb/internal/tso"
@@ -71,7 +72,7 @@ func (r *skewRig) commit(t *testing.T, key, value string) ts.Timestamp {
 	t.Helper()
 	r.txn++
 	resp, err := r.client.WriteCommit(bg, r.primary.ID(), r.txn, ts.Max,
-		[]datanode.WriteOp{{Key: []byte(key), Value: []byte(value)}}, false)
+		[]datanode.WriteOp{{Key: []byte(key), Value: []byte(value)}}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,4 +243,94 @@ func TestReadOnceOrdersReadsAcrossCNs(t *testing.T) {
 	if v, _ := r.get(t, slow, "k"); v != "v1" {
 		t.Fatalf("slow CN at snapshot %v read %q after the fast CN returned v1 committed at %v", slow.Snapshot(), v, late)
 	}
+}
+
+// TestWriteOnceChecksTheVersionItRead is the lost update an unwaited snapshot
+// would let through. The fast CN's one-write context opens without the
+// invocation wait and reads k. A commit whose timestamp the primary's slower
+// clock issues below that snapshot then lands on k. The context's write must
+// fail with a write-write conflict: the snapshot check alone admits it, since
+// the late version sits under the snapshot. A fresh context reads the late
+// version and commits above it, with one commit wait; one that writes nothing
+// ends its read as a one-read context does.
+func TestWriteOnceChecksTheVersionItRead(t *testing.T) {
+	r := newSkewRig(t)
+	r.commit(t, "k", "v0")
+	r.src.Advance(time.Millisecond)
+
+	start := r.src.Now()
+	tx, err := r.cn.WriteOnce(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.src.Now().Equal(start) {
+		t.Fatalf("WriteOnce waited for the clock to move %v", r.src.Now().Sub(start))
+	}
+	if v, found, err := tx.Get(bg, 0, []byte("k")); err != nil || !found || string(v) != "v0" {
+		t.Fatalf("Get = %q %v %v, want v0", v, found, err)
+	}
+	late := r.commit(t, "k", "v1")
+	if late > tx.Snapshot() {
+		t.Fatalf("rig: the late commit %v is above the fast snapshot %v", late, tx.Snapshot())
+	}
+	if err := tx.Put(bg, 0, []byte("k"), []byte("v0+1")); err != nil {
+		t.Fatal(err)
+	}
+	// Under run: a commit that got through would wait for the clock.
+	r.run(t, func() error { err = tx.Commit(bg); return nil })
+	if !errors.Is(err, mvcc.ErrWriteConflict) {
+		t.Fatalf("write after a version read below the late commit %v: err = %v, want a write-write conflict", late, err)
+	}
+
+	tx = r.openTxn(t)
+	if v, found, err := tx.Get(bg, 0, []byte("k")); err != nil || !found || string(v) != "v1" {
+		t.Fatalf("Get = %q %v %v, want v1", v, found, err)
+	}
+	if _, _, err := tx.Get(bg, 0, []byte("k")); !errors.Is(err, ErrOneRead) {
+		t.Fatalf("second Get: err = %v, want ErrOneRead", err)
+	}
+	if err := tx.Put(bg, 0, []byte("k"), []byte("v1+1")); err != nil {
+		t.Fatal(err)
+	}
+	if moved := r.run(t, func() error { return tx.Commit(bg) }); moved == 0 {
+		t.Fatal("the commit returned without its commit wait")
+	}
+	if tx.CommitTS() <= late {
+		t.Fatalf("commit timestamp %v not above the version read, %v", tx.CommitTS(), late)
+	}
+
+	// Nothing written: the read of a version inside its commit wait waits it
+	// out at Commit.
+	inWait := r.commit(t, "k", "v2")
+	tx = r.openTxn(t)
+	if v, _, err := tx.Get(bg, 0, []byte("k")); err != nil || string(v) != "v2" {
+		t.Fatalf("Get = %q %v, want v2 committed at %v", v, err, inWait)
+	}
+	if moved := r.run(t, func() error { return tx.Commit(bg) }); moved == 0 {
+		t.Fatalf("a read of the version at %v, inside its commit wait, ended without waiting", inWait)
+	}
+
+	// Scans, flushes and a write that no read vouches for are refused.
+	tx = r.openTxn(t)
+	cur := tx.ScanCursor(bg, 0, ScanSpec{Start: []byte("a"), End: []byte("z")})
+	defer cur.Close()
+	if cur.NextBatch(bg) || !errors.Is(cur.Err(), ErrOneRead) {
+		t.Fatalf("scan on a one-write context: err = %v, want ErrOneRead", cur.Err())
+	}
+	if err := tx.Put(bg, 0, []byte("blind"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(bg); !errors.Is(err, ErrOneRead) {
+		t.Fatalf("a write with no read: err = %v, want ErrOneRead", err)
+	}
+}
+
+// openTxn opens a one-write context on the fast CN.
+func (r *skewRig) openTxn(t *testing.T) *Txn {
+	t.Helper()
+	tx, err := r.cn.WriteOnce(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tx
 }

@@ -14,9 +14,11 @@ import (
 // RCP currently offers.
 const AnyStaleness = time.Duration(-1)
 
-// ErrOneRead is returned by a one-read context (CN.ReadOnce) asked for a
-// second Get, or for a scan: its snapshot is only valid for one read.
-var ErrOneRead = errors.New("coordinator: a one-read context answers exactly one Get")
+// ErrOneRead is returned by a one-read context (CN.ReadOnce) or a one-write
+// context (CN.WriteOnce) asked for a second Get, or for a scan: its snapshot
+// is only valid for one read. A one-write context also returns it from a
+// Commit whose writes its one read cannot vouch for.
+var ErrOneRead = errors.New("coordinator: a one-read or one-write context answers exactly one Get")
 
 // ROTxn is a read-only query context. Reads are served from replicas at the
 // RCP snapshot when the staleness bound and the DDL gate allow it, and fall
@@ -87,6 +89,32 @@ func (c *CN) ReadOnce(ctx context.Context) (*ROTxn, error) {
 		return nil, err
 	}
 	return &ROTxn{cn: c, snap: snap.Snap, oneRead: true, settled: ts.Max}, nil
+}
+
+// WriteOnce starts a transaction for one statement that reads one key on a
+// shard primary once and then writes only that row and its index entries: an
+// autocommit point UPDATE or DELETE. Under GClock its snapshot skips the
+// invocation wait (tso.SnapshotNoWait). That snapshot is not stable: a commit
+// a trailing clock timestamps below it may land after the read. So the Get
+// records the version it returned, and the commit message carries it: the
+// primary refuses the writes with mvcc.ErrWriteConflict unless that version
+// is still the newest of every key written, checked under the hold that
+// issues the commit timestamp above it. The read and the writes then act as
+// one step at the commit timestamp, and the commit wait (Adopt) orders it
+// after everything it read. A Commit with nothing to write ends the read as
+// ReadOnce's Get does (SettleRead). The context refuses a second Get, every
+// scan and every flush with ErrOneRead, and a Commit whose writes span
+// shards or follow a read that found no version. In the centralized modes it
+// is an ordinary Begin transaction.
+func (c *CN) WriteOnce(ctx context.Context) (*Txn, error) {
+	snap, settled := c.oracle.SnapshotNoWait()
+	if snap.Snap == 0 {
+		return c.Begin(ctx)
+	}
+	metricOneWrites.Inc()
+	t := c.newTxn(snap)
+	t.oneWrite, t.settled = true, settled
+	return t, nil
 }
 
 // Snapshot returns the query's snapshot timestamp.

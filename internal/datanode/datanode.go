@@ -66,6 +66,12 @@ type (
 		// Sync (ThenCommit) forces a replica-quorum wait before the ack, as
 		// CommitReq.Sync does.
 		Sync bool
+		// ReadTS, when non-zero, is the version a one-write statement read at
+		// its unwaited snapshot (ReadResp.CommitTS). Staging then refuses
+		// with mvcc.ErrWriteConflict unless it is still the newest committed
+		// version of every key written (mvcc.Store.Unchanged): a row's index
+		// entries are written with the row, so they carry its version.
+		ReadTS ts.Timestamp
 	}
 	// WriteResp acknowledges staged intents (and the Then step).
 	WriteResp struct {
@@ -598,9 +604,11 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 // intents and, when all of them staged, applies req.Then — everything under
 // a single hold of p.mu, so the log reads heap records then the PENDING
 // COMMIT / PREPARE record (then, for a ThenCommit this node can finish, the
-// COMMIT record) with nothing of another transaction's in between. A staging
-// failure (write-write conflict) leaves the already-staged intents logged and
-// the transaction unmarked; the coordinator aborts it.
+// COMMIT record) with nothing of another transaction's in between. The same
+// hold covers a one-write statement's version check (req.ReadTS), so no
+// commit lands between the check and the commit timestamp it precedes. A
+// staging failure (write-write conflict) leaves the already-staged intents
+// logged and the transaction unmarked; the coordinator aborts it.
 func (p *Primary) execWrite(ctx context.Context, req WriteReq) (WriteResp, error) {
 	p.mu.Lock()
 	txn := mvcc.TxnID(req.Txn)
@@ -608,6 +616,11 @@ func (p *Primary) execWrite(ctx context.Context, req WriteReq) (WriteResp, error
 	var resp WriteResp
 	var err error
 	for _, op := range req.Ops {
+		if req.ReadTS != 0 {
+			if err = p.store.Unchanged(op.Key, req.ReadTS); err != nil {
+				break
+			}
+		}
 		if op.Delete {
 			if err = p.store.Delete(txn, op.Key, req.SnapTS); err != nil {
 				break
@@ -920,10 +933,11 @@ func (c *Client) WriteThen(ctx context.Context, node string, txn uint64, snap ts
 
 // WriteCommit stages ops on node for txn and asks the primary to finish the
 // single-shard commit in the same message (ThenCommit); sync as in Commit. A
-// zero WriteResp.CommitTS means the primary left the transaction pending and
-// the caller owes it a timestamp and a Commit.
-func (c *Client) WriteCommit(ctx context.Context, node string, txn uint64, snap ts.Timestamp, ops []WriteOp, sync bool) (WriteResp, error) {
-	return c.write(ctx, node, WriteReq{Txn: txn, SnapTS: snap, Ops: ops, Then: ThenCommit, Sync: sync})
+// non-zero readTS is a one-write statement's version check (see
+// WriteReq.ReadTS). A zero WriteResp.CommitTS means the primary left the
+// transaction pending and the caller owes it a timestamp and a Commit.
+func (c *Client) WriteCommit(ctx context.Context, node string, txn uint64, snap ts.Timestamp, ops []WriteOp, sync bool, readTS ts.Timestamp) (WriteResp, error) {
+	return c.write(ctx, node, WriteReq{Txn: txn, SnapTS: snap, Ops: ops, Then: ThenCommit, Sync: sync, ReadTS: readTS})
 }
 
 // Write stages ops on node for txn.

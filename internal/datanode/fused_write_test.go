@@ -226,7 +226,7 @@ func TestThenCommitLogsTheSameStreamAsSeparateMessages(t *testing.T) {
 		return commitTS
 	})
 	fused := commit(2, func() ts.Timestamp {
-		resp, err := r.client.WriteCommit(bg, "dn0", 2, ts.Max, ops, false)
+		resp, err := r.client.WriteCommit(bg, "dn0", 2, ts.Max, ops, false, 0)
 		if err != nil || resp.CommitTS == 0 {
 			t.Fatalf("ThenCommit under GClock: %+v %v, want a commit timestamp", resp, err)
 		}
@@ -272,7 +272,7 @@ func TestThenCommitFallsBackToPending(t *testing.T) {
 		txn := uint64(i + 1)
 		from := r.primary.Log().LastLSN() + 1
 		key := []byte{'k', byte('0' + i)}
-		resp, err := r.client.WriteCommit(bg, "dn0", txn, ts.Max, []WriteOp{{Key: key, Value: []byte("v")}}, false)
+		resp, err := r.client.WriteCommit(bg, "dn0", txn, ts.Max, []WriteOp{{Key: key, Value: []byte("v")}}, false, 0)
 		if err != nil || resp.CommitTS != 0 {
 			t.Fatalf("case %d: ThenCommit = %+v %v, want no timestamp", i, resp, err)
 		}
@@ -304,7 +304,7 @@ func TestThenCommitConflictLeavesTxnUnmarked(t *testing.T) {
 	from := r.primary.Log().LastLSN() + 1
 	watermark := r.primary.Store().LastCommitTS()
 	ops := []WriteOp{{Key: []byte("free"), Value: []byte("y")}, {Key: []byte("held"), Value: []byte("y")}}
-	resp, err := r.client.WriteCommit(bg, "dn0", 2, ts.Max, ops, false)
+	resp, err := r.client.WriteCommit(bg, "dn0", 2, ts.Max, ops, false, 0)
 	if !errors.Is(err, mvcc.ErrWriteConflict) || resp.CommitTS != 0 {
 		t.Fatalf("ThenCommit over a held key: %+v %v", resp, err)
 	}
@@ -371,7 +371,7 @@ func TestThenCommitAckIsDurable(t *testing.T) {
 		return p2, commitTS
 	}
 	thenCommit := func(t *testing.T, _ *Primary, c *Client) ts.Timestamp {
-		resp, err := c.WriteCommit(bg, "dn0", 7, ts.Max, ops, false)
+		resp, err := c.WriteCommit(bg, "dn0", 7, ts.Max, ops, false, 0)
 		if err != nil || resp.CommitTS == 0 {
 			t.Fatalf("ThenCommit: %+v %v", resp, err)
 		}
@@ -462,7 +462,7 @@ func TestThenCommitWatermarkFloor(t *testing.T) {
 		t.Fatalf("rig: heartbeat %v vs primary clock upper %v (err %v): want the primary behind by less than its bound",
 			hbTS, reading.Upper(), reading.Err)
 	}
-	resp, err := r.client.WriteCommit(bg, "dn0", 1, ts.Max, []WriteOp{{Key: []byte("k"), Value: []byte("v")}}, false)
+	resp, err := r.client.WriteCommit(bg, "dn0", 1, ts.Max, []WriteOp{{Key: []byte("k"), Value: []byte("v")}}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestThenCommitWatermarkFloor(t *testing.T) {
 	}
 	// Once the clock has passed the watermark it wins and nothing is bumped.
 	src.Advance(time.Millisecond)
-	resp2, err := r.client.WriteCommit(bg, "dn0", 2, ts.Max, []WriteOp{{Key: []byte("k"), Value: []byte("w")}}, false)
+	resp2, err := r.client.WriteCommit(bg, "dn0", 2, ts.Max, []WriteOp{{Key: []byte("k"), Value: []byte("w")}}, false, 0)
 	if err != nil || resp2.CommitTS <= resp.CommitTS || resp2.FloorBump != 0 {
 		t.Fatalf("second ThenCommit = %+v %v, want a clock timestamp above %v", resp2, err, resp.CommitTS)
 	}

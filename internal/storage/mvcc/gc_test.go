@@ -241,3 +241,36 @@ func TestCloneCarriesFloorAndQueue(t *testing.T) {
 		t.Fatalf("clone Prune(45) removed %d, want 2", removed)
 	}
 }
+
+// TestUnchangedRefusesAnyOtherVersion: a one-write statement's check passes
+// only while the version it read is the key's newest. A version installed
+// since fails it, even one under the writer's snapshot, and so does a chain
+// Prune unlinked after a deletion, even though the writer's snapshot sits
+// above the prune floor and its snapshot check alone would admit the write.
+func TestUnchangedRefusesAnyOtherVersion(t *testing.T) {
+	s := NewStore()
+	s.ApplyCommitted([]byte("k"), []byte("v"), false, 10)
+	if err := s.Unchanged([]byte("k"), 10); err != nil {
+		t.Fatalf("newest version read: %v", err)
+	}
+	s.ApplyCommitted([]byte("k"), []byte("w"), false, 12)
+	if err := s.Unchanged([]byte("k"), 10); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("a version installed after the read: %v, want ErrWriteConflict", err)
+	}
+	if err := s.Delete(1, []byte("k"), ts.Max); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(1, 20); err != nil {
+		t.Fatal(err)
+	}
+	s.Prune(30)
+	if err := s.Put(2, []byte("k"), []byte("lost-update"), 40); err != nil {
+		t.Fatalf("rig: the snapshot check refused the write: %v", err)
+	}
+	if err := s.Abort(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Unchanged([]byte("k"), 12); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("a chain unlinked after its deletion: %v, want ErrWriteConflict", err)
+	}
+}

@@ -319,6 +319,26 @@ func (s *Store) write(txn TxnID, key, value []byte, deleted bool, snapTS ts.Time
 	return nil
 }
 
+// Unchanged fails with ErrWriteConflict unless key's newest committed
+// version is the one committed at read: a version installed since, or a chain
+// GC unlinked after a deletion, fails it. A primary checks it for each key of
+// a one-write statement, under the hold that stages the statement's writes,
+// so its read and its writes act as one step at the commit timestamp.
+func (s *Store) Unchanged(key []byte, read ts.Timestamp) error {
+	var newest ts.Timestamp
+	if c := s.getChain(key, false); c != nil {
+		c.mu.Lock()
+		if n := len(c.versions); n > 0 && !c.dead {
+			newest = c.versions[n-1].CommitTS
+		}
+		c.mu.Unlock()
+	}
+	if newest != read {
+		return fmt.Errorf("%w: key %q has version %v, %v was read", ErrWriteConflict, key, newest, read)
+	}
+	return nil
+}
+
 // MarkPending transitions txn's intents to the Pending state. Primaries call
 // it when writing the PENDING COMMIT record, before fetching the commit
 // timestamp; replicas call it when that record replays.

@@ -15,7 +15,12 @@
 //	         instead, after its read, until the clock passes the commit of
 //	         the version it returns (SettleRead) — and not at all for the
 //	         usual version, one below the clock's lower bound at the
-//	         snapshot.
+//	         snapshot. A statement that reads one row once and then writes
+//	         it (an autocommit point UPDATE or DELETE) skips the wait too:
+//	         its shard primary commits the write only if the version read
+//	         is still the row's newest, checked where it issues the commit
+//	         timestamp (IssueAbove), so the read and the write act as one
+//	         step at that timestamp. Its commit wait (Adopt) stays.
 //	DUAL   — transition bridge: obtain a clock reading, exchange it with
 //	         the GTM server for TS_DUAL = max(TS_GTM, TS_GClock)+1, and
 //	         honor the server-prescribed wait (Figs. 2–3).
@@ -239,7 +244,12 @@ func (o *Oracle) Begin(ctx context.Context) (TxnTS, error) {
 // Nothing keeps the snapshot itself stable: a commit whose timestamp a
 // trailing clock issues below it may still land after the read, so a second
 // read at the same snapshot could see a state the first did not. Anything
-// that may read twice uses Begin.
+// that may read twice uses Begin. A statement that writes what it read once
+// may use this snapshot too, if its write is checked against the version
+// it read (coordinator.CN.WriteOnce): such a late commit fails that check,
+// where the snapshot's own check would admit it, since it sits below the
+// snapshot. The write's commit wait then covers the read, so SettleRead is
+// owed only when nothing is written.
 func (o *Oracle) SnapshotNoWait() (snap TxnTS, settled ts.Timestamp) {
 	if t, iv, ok := o.issueLocal(0); ok {
 		return TxnTS{Snap: t, Mode: ts.ModeGClock}, iv.Lower()
