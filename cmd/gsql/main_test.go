@@ -179,8 +179,8 @@ SELECT * FROM kv WHERE v >= 10;
 
 // TestShellOverNetwork runs the REPL against a wire server on a real
 // socket — the `gsql -connect host:port` path — and requires ad-hoc
-// statements, prepared statements, and the scan-counter reporting to
-// round-trip exactly as they do in process.
+// statements, prepared statements, the scan-counter reporting and the join
+// line to round-trip exactly as they do in process.
 func TestShellOverNetwork(t *testing.T) {
 	db := openShellCluster(t)
 	srv := server.New(db, server.Options{})
@@ -211,11 +211,21 @@ SELECT v FROM kv WHERE k >= 2;
 \prepare get SELECT v FROM kv WHERE k < ?
 \exec get 2
 UPDATE kv SET v = 'bye' WHERE v = 'hello';
-\q
+` + shellJoinScript + `\q
 `
 	var out strings.Builder
 	runREPL(ctx, netBackend{cs}, cs.Region(), strings.NewReader(script), &out)
 	got := out.String()
+
+	// The Done frame carries the join strategy and the DN-side lookup rows,
+	// so the join line reads as it does in process.
+	local := runShell(t, shellJoinScript+"\\q\n")
+	if want, line := joinLine(local), joinLine(got); want == "" || line != want {
+		t.Fatalf("join line over the network %q, in process %q:\n%s", line, want, got)
+	}
+	if !strings.Contains(got, "join: strategy=lookup-pushdown, dn-lookup rows=") {
+		t.Fatalf("network shell output missing the pushed-lookup join line:\n%s", got)
+	}
 
 	for _, want := range []string{
 		"world", // ad-hoc SELECT round-tripped the socket
@@ -230,6 +240,25 @@ UPDATE kv SET v = 'bye' WHERE v = 'hello';
 			t.Fatalf("network shell output missing %q:\n%s", want, got)
 		}
 	}
+}
+
+// shellJoinScript makes TestShellJoinStrategyLine's two tables and runs its
+// lookup join.
+const shellJoinScript = `CREATE TABLE ord (w_id BIGINT, o_id BIGINT, amt BIGINT, PRIMARY KEY (w_id, o_id)) SHARD BY w_id;
+CREATE TABLE wh (w_id BIGINT, name TEXT, PRIMARY KEY (w_id)) SHARD BY w_id;
+INSERT INTO wh VALUES (1, 'a'), (2, 'b');
+INSERT INTO ord VALUES (1, 1, 10), (1, 2, 20), (2, 1, 30);
+SELECT o.o_id, w.name FROM ord o JOIN wh w ON w.w_id = o.w_id;
+`
+
+// joinLine returns the first join: line the shell printed, or "".
+func joinLine(out string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "join: ") {
+			return line
+		}
+	}
+	return ""
 }
 
 // TestShellTrace toggles \trace on a local session and requires the next

@@ -31,12 +31,13 @@ func Dial(ctx context.Context, addr string, cfg Config) (*ClientSession, error) 
 // observability in-process callers see.
 func clientResult(done *wire.Done, hdr *wire.RowHeader, rows [][]any) *gsql.Result {
 	return &gsql.Result{
-		Columns:    hdr.Columns,
-		Rows:       rows,
-		Affected:   int(done.Affected),
-		Msg:        done.Msg,
-		OnReplicas: hdr.OnReplicas,
-		Scan:       done.Stats,
+		Columns:      hdr.Columns,
+		Rows:         rows,
+		Affected:     int(done.Affected),
+		Msg:          done.Msg,
+		OnReplicas:   hdr.OnReplicas,
+		Scan:         done.Stats,
+		JoinStrategy: done.JoinStrategy,
 	}
 }
 

@@ -268,32 +268,22 @@ func (s *Session) ReadOnly(ctx context.Context, bound time.Duration, tables ...s
 	return &Query{readCore: readCore{sess: s, src: ro}, ro: ro}, nil
 }
 
-// ReadOnce starts a query for one point read, Get, on a shard primary. Under
-// GClock its snapshot skips the invocation wait a Begin or a primary-served
-// ReadOnly pays: a single read sees every commit acknowledged before it
-// began, and the wait only keeps a snapshot stable for a second read. So the
-// query refuses a second Get, and any scan, with an error. The Get instead
-// waits, if need be, until the clock has passed the commit of the version it
-// returns, so every read that starts after it sees that version too. A
-// statement that writes the row it reads once uses WriteOnce instead.
-func (s *Session) ReadOnce(ctx context.Context) (*Query, error) {
-	ro, err := s.cn.ReadOnce(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Query{readCore: readCore{sess: s, src: ro}, ro: ro}, nil
-}
-
-// WriteOnce starts a transaction for one statement that reads one row with
-// Get and then rewrites or deletes that row: an autocommit point UPDATE or
-// DELETE. Under GClock it skips the invocation wait Begin pays. Commit then
-// fails with a write-write conflict (mvcc.ErrWriteConflict) unless the
-// version the Get returned is still the row's newest, so the read and the
-// write act as one step at the commit timestamp. The transaction refuses a
-// second Get, every scan, and writes to another shard, with an error. In the
+// ReadOnce starts a transaction for one statement that reads one row once
+// with Get, on its shard primary, and then writes at most that row: an
+// autocommit point SELECT, UPDATE or DELETE. Under GClock its snapshot skips
+// the invocation wait a Begin or a primary-served ReadOnly pays: a single
+// read sees every commit acknowledged before it began, and the wait only
+// keeps a snapshot stable for a second read. So the transaction refuses a
+// second Get, every scan, and writes to another shard, with an error. A
+// Commit that writes fails with a write-write conflict
+// (mvcc.ErrWriteConflict) unless the version the Get returned is still the
+// row's newest, so the read and the write act as one step at the commit
+// timestamp. A Commit that writes nothing returns only once the clock has
+// passed the commit of the version the Get returned, so every read that
+// starts after it sees that version too: end the read with Commit. In the
 // centralized modes it is an ordinary Begin transaction.
-func (s *Session) WriteOnce(ctx context.Context) (*Tx, error) {
-	t, err := s.cn.WriteOnce(ctx)
+func (s *Session) ReadOnce(ctx context.Context) (*Tx, error) {
+	t, err := s.cn.ReadOnce(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -425,7 +425,7 @@ const (
 	readTxn readKind = iota
 	// readAutocommit is an autocommit transaction on shard primaries.
 	readAutocommit
-	// readOneRead is a one-read context on a shard primary
+	// readOneRead is an autocommit one-read context on a shard primary
 	// (globaldb.Session.ReadOnce): no invocation wait.
 	readOneRead
 	// readReplica is a read-only query under a staleness setting: replicas
@@ -437,53 +437,41 @@ func (k readKind) String() string {
 	return [...]string{"txn", "autocommit", "one-read", "replica"}[k]
 }
 
-// readContext is where a SELECT reads, and finish settles it once the
-// result has been consumed.
+// readContext is where a SELECT reads. tx is the statement's own autocommit
+// transaction, which Rows.Close commits or aborts; nil when the SELECT reads
+// in the session's transaction or in a read-only query.
 type readContext struct {
 	r          reader
 	kind       readKind
 	onReplicas bool
-	finish     func(ok bool) error
+	tx         *globaldb.Tx
 }
 
-func noFinish(bool) error { return nil }
-
 // openReadContext picks where a SELECT reads: the session's open
-// transaction; a one-read context on a primary for an autocommit fresh read
-// of one key; an autocommit transaction on shard primaries for any other
-// fresh read; or a replica query under the session/statement staleness
-// setting. Every SELECT, through Exec or Query, dispatches through here.
+// transaction; an autocommit transaction on shard primaries for a fresh read
+// (beginAutocommit: a one-read context when the plan reads once); or a
+// replica query under the session/statement staleness setting. Every SELECT,
+// through Exec or Query, dispatches through here.
 //
-// The one-read context skips the GClock invocation wait. That is safe only
-// for a plan that reads once (selectPlan.readsOnce): a single-table point
-// get, whose one r.Get (openScan) is the whole of its storage access. A
-// second read would have no stable snapshot, and the context refuses it. The
-// one Get waits out the commit of the version it returns, which is rarely a
-// wait at all. An autocommit UPDATE or DELETE whose row search passes the
-// same test skips the wait as well, in a one-write context (withWriteTxn).
+// The autocommit transaction ends when the Rows closes, and a streamed Rows
+// settles there: a one-read SELECT's Commit returns only once the clock has
+// passed the commit of the version its one Get returned, which is rarely a
+// wait at all.
 func (s *Session) openReadContext(ctx context.Context, sel *Select, bp *boundPlan) (readContext, error) {
 	switch {
 	case s.tx != nil:
 		// The explicit transaction's lifecycle belongs to COMMIT/ROLLBACK.
-		return readContext{r: s.tx, kind: readTxn, finish: noFinish}, nil
+		return readContext{r: s.tx, kind: readTxn}, nil
 	case sel.Staleness == 0 && s.mode == readPrimary:
+		kind := readAutocommit
 		if bp.readsOnce() {
-			q, err := s.sess.ReadOnce(ctx)
-			if err != nil {
-				return readContext{}, err
-			}
-			return readContext{r: q, kind: readOneRead, finish: noFinish}, nil
+			kind = readOneRead
 		}
-		tx, err := s.sess.Begin(ctx)
+		tx, err := s.beginAutocommit(ctx, bp)
 		if err != nil {
 			return readContext{}, err
 		}
-		return readContext{r: tx, kind: readAutocommit, finish: func(ok bool) error {
-			if !ok {
-				return tx.Abort(ctx)
-			}
-			return tx.Commit(ctx)
-		}}, nil
+		return readContext{r: tx, kind: kind, tx: tx}, nil
 	default:
 		bound := globaldb.AnyStaleness
 		switch {
@@ -500,27 +488,33 @@ func (s *Session) openReadContext(ctx context.Context, sel *Select, bp *boundPla
 		if err != nil {
 			return readContext{}, err
 		}
-		return readContext{r: q, kind: readReplica, onReplicas: q.OnReplicas(), finish: noFinish}, nil
+		return readContext{r: q, kind: readReplica, onReplicas: q.OnReplicas()}, nil
 	}
 }
 
-// withWriteTxn runs fn inside the session transaction, or an autocommit
-// transaction when none is open. search is the statement's row search, nil
-// for an INSERT. When it reads once (selectPlan.readsOnce) the autocommit
-// transaction is a one-write context (globaldb.Session.WriteOnce): no GClock
-// invocation wait, and a commit the primary refuses unless the row is still
-// at the version the search read.
+// beginAutocommit starts the transaction an autocommit statement runs in.
+// search is the statement's row search: a SELECT's plan, an UPDATE's or a
+// DELETE's WHERE, nil for an INSERT. When it reads once
+// (selectPlan.readsOnce), a single-table point get whose one Get is the whole
+// of its storage access, the transaction is a one-read context
+// (globaldb.Session.ReadOnce): no GClock invocation wait, a second read
+// refused, and a write the primary refuses unless the row is still at the
+// version the search read. Any other search gets an ordinary Begin.
+func (s *Session) beginAutocommit(ctx context.Context, search *boundPlan) (*globaldb.Tx, error) {
+	if search != nil && search.readsOnce() {
+		return s.sess.ReadOnce(ctx)
+	}
+	return s.sess.Begin(ctx)
+}
+
+// withWriteTxn runs fn inside the session transaction, or else in an
+// autocommit transaction (beginAutocommit) that it commits. search is the
+// statement's row search, nil for an INSERT.
 func (s *Session) withWriteTxn(ctx context.Context, search *boundPlan, fn func(tx *globaldb.Tx) (int, error)) (int, error) {
 	if s.tx != nil {
 		return fn(s.tx)
 	}
-	var tx *globaldb.Tx
-	var err error
-	if search != nil && search.readsOnce() {
-		tx, err = s.sess.WriteOnce(ctx)
-	} else {
-		tx, err = s.sess.Begin(ctx)
-	}
+	tx, err := s.beginAutocommit(ctx, search)
 	if err != nil {
 		return 0, err
 	}

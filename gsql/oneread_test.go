@@ -279,6 +279,72 @@ func TestPointSelectsKeepRealTimeOrder(t *testing.T) {
 	}
 }
 
+// TestPointSelectStreamedSettlesAtClose: a streamed point SELECT ends its
+// one-read context at Rows.Close, and that is where it waits out the commit
+// of the version it returned. With the clocks of TestPointSelectsKeepRealTimeOrder,
+// the fast CN streams a point SELECT, reads the row and closes the Rows; a
+// point SELECT that starts on the slow CN afterwards must return that
+// balance or a later one, while a writer keeps committing new balances.
+func TestPointSelectStreamedSettlesAtClose(t *testing.T) {
+	db, fast, slow := openOneReadSQL(t)
+	bound := globaldb.OneRegion(0).Clock.SyncRTT
+	c := db.Cluster()
+	c.CN(db.Regions()[0]).Oracle().Clock().SetFaultSkew(bound)
+	c.CN(db.Regions()[1]).Oracle().Clock().SetFaultSkew(-bound)
+	writer, err := Connect(db, db.Regions()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for bal := int64(101); !stop.Load(); bal++ {
+			if _, err := writer.Exec(bg, "UPDATE acct SET bal = ? WHERE id = 1", bal); err != nil {
+				t.Errorf("update: %v", err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	streamed, err := fast.Prepare(bg, "SELECT bal FROM acct WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := slow.Prepare(bg, "SELECT bal FROM acct WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := 0
+	for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); reads++ {
+		rows, err := streamed.Query(bg, int64(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Next() {
+			t.Fatalf("streamed point select returned no row: %v", rows.Err())
+		}
+		got := rows.Row()[0].(int64)
+		if err := rows.Close(); err != nil {
+			t.Fatalf("closing the streamed point select: %v", err)
+		}
+		res, err := after.Exec(bg, int64(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if later := res.Rows[0][0].(int64); later < got {
+			t.Fatalf("point select on the slow CN returned balance %d after a closed streamed select returned %d", later, got)
+		}
+	}
+	if reads == 0 {
+		t.Fatal("no reads")
+	}
+}
+
 // TestPointSelectsAcrossTransitions runs point SELECTs in one region while
 // another commits increasing balances to the same row, through a switch to
 // GTM and back to GClock. No SELECT may return a balance older than one

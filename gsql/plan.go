@@ -143,7 +143,7 @@ type selectPlan struct {
 
 // readsOnce reports whether the plan's whole storage access is one point get
 // on one table: the one r.Get of openScan. Such a plan may run at a snapshot
-// that is valid for one read only (openReadContext, withWriteTxn).
+// that is valid for one read only (beginAutocommit).
 func (p *selectPlan) readsOnce() bool {
 	return p.inner == nil && p.outer.kind == accessPoint
 }

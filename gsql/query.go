@@ -24,9 +24,9 @@ var ErrNotSelect = errors.New("gsql: Query requires a SELECT statement")
 // input on the first Next and then stream their result. Exec drains a Rows
 // into a Result.
 //
-// A Rows must be Closed. Close also settles the autocommit read
-// transaction that backs an out-of-transaction primary read, so dropping a
-// Rows without closing leaks that transaction.
+// A Rows must be Closed. Close also ends the autocommit transaction that
+// backs an out-of-transaction primary read, so dropping a Rows without
+// closing leaks that transaction.
 type Rows struct {
 	ctx        context.Context
 	cols       []string
@@ -51,8 +51,8 @@ type Rows struct {
 	row    []any
 	err    error
 	closed bool
-	finish func(ok bool) error // settles the backing read context; nil after run
-	span   *obs.Span           // a traced Exec's execute span, ended at Close
+	tx     *globaldb.Tx // the statement's autocommit transaction; nil once Closed
+	span   *obs.Span    // a traced Exec's execute span, ended at Close
 }
 
 // Columns names the output columns, available before the first Next.
@@ -67,6 +67,15 @@ func (r *Rows) OnReplicas() bool { return r.onReplicas }
 // are final only after the Rows is Closed; before that they report the
 // scans that have already finished.
 func (r *Rows) ScanStats() globaldb.ScanStats { return r.totals.s }
+
+// JoinStrategy names the join strategy a two-table SELECT runs with, the
+// one Result.JoinStrategy reports; empty for a single-table SELECT.
+func (r *Rows) JoinStrategy() string {
+	if r.bp.inner == nil {
+		return ""
+	}
+	return r.bp.chosenJoin.String()
+}
 
 // Next advances to the following output row, returning false at the end of
 // the result or on error (check Err afterwards).
@@ -122,8 +131,10 @@ func (r *Rows) Row() []any { return r.row }
 // Err returns the first error encountered while streaming, or nil.
 func (r *Rows) Err() error { return r.err }
 
-// Close stops the pipeline, releasing scan cursors and settling the
-// backing read transaction. Idempotent.
+// Close stops the pipeline, releasing scan cursors, and ends the
+// statement's autocommit transaction: Commit when every Next succeeded,
+// Abort otherwise. A point SELECT's Commit returns once the clock has passed
+// the version it read, so a streamed point SELECT settles here. Idempotent.
 func (r *Rows) Close() error {
 	if r.closed {
 		return nil
@@ -131,9 +142,13 @@ func (r *Rows) Close() error {
 	r.closed = true
 	r.it.Close()
 	var err error
-	if r.finish != nil {
-		err = r.finish(r.err == nil)
-		r.finish = nil
+	if tx := r.tx; tx != nil {
+		r.tx = nil
+		if r.err != nil {
+			err = tx.Abort(r.ctx)
+		} else {
+			err = tx.Commit(r.ctx)
+		}
 	}
 	r.span.End()
 	return err
@@ -153,10 +168,7 @@ func (r *Rows) result() (*Result, error) {
 	if cerr != nil {
 		return nil, cerr
 	}
-	res.Scan = r.totals.s
-	if r.bp.inner != nil {
-		res.JoinStrategy = r.bp.chosenJoin.String()
-	}
+	res.Scan, res.JoinStrategy = r.totals.s, r.JoinStrategy()
 	return res, nil
 }
 
@@ -202,7 +214,9 @@ func (s *Session) queryRows(ctx context.Context, sel *Select, plan *selectPlan, 
 	}
 	it, totals, err := buildPipeline(ctx, rc.r, bp)
 	if err != nil {
-		_ = rc.finish(false)
+		if rc.tx != nil {
+			_ = rc.tx.Abort(ctx)
+		}
 		sp.End()
 		return nil, err
 	}
@@ -214,7 +228,7 @@ func (s *Session) queryRows(ctx context.Context, sel *Select, plan *selectPlan, 
 		}
 	}
 	rows := newRows(ctx, bp, it, totals)
-	rows.onReplicas, rows.finish, rows.span = rc.onReplicas, rc.finish, sp
+	rows.onReplicas, rows.tx, rows.span = rc.onReplicas, rc.tx, sp
 	return rows, nil
 }
 

@@ -313,7 +313,7 @@ func (c *CN) newTxn(tt tso.TxnTS) *Txn {
 	c.pins.mu.Lock()
 	c.pins.held[id] = snapshotPin{snap: tt.Snap, since: time.Now()}
 	c.pins.mu.Unlock()
-	return &Txn{cn: c, id: id, ts: tt, writes: make(map[int]*shardWrites)}
+	return &Txn{cn: c, id: id, ts: tt}
 }
 
 // unpin releases the transaction's hold on the GC watermark. It runs when
@@ -337,7 +337,8 @@ type Txn struct {
 	id uint64
 	ts tso.TxnTS
 	// writes holds every shard the transaction wrote to — its commit
-	// participants — with the mutations still buffered for each.
+	// participants — with the mutations still buffered for each. It is made
+	// at the first write, so a transaction that only reads allocates none.
 	writes map[int]*shardWrites
 	// done flips once at Commit/Abort. It is atomic because scan-cursor
 	// prefetch goroutines check it while issuing page RPCs in the
@@ -346,11 +347,12 @@ type Txn struct {
 	done     atomic.Bool
 	sync     bool // wait for replica acknowledgement at commit
 	commitTS ts.Timestamp
-	// oneWrite marks a WriteOnce context, read flips at its one Get, and
+	// oneRead marks a ReadOnce context, read flips at its one Get, and
 	// readTS is the version that Get returned from readShard, which its
-	// commit message carries for the primary to check. settled is as in
-	// ROTxn.
-	oneWrite  bool
+	// commit message carries for the primary to check. A read of a version
+	// committed at or above settled is waited out at a Commit that writes
+	// nothing (tso.Oracle.SettleRead).
+	oneRead   bool
 	read      bool
 	readShard int
 	readTS    ts.Timestamp
@@ -403,6 +405,9 @@ func (t *Txn) WriteBatch(ctx context.Context, shard int, ops []datanode.WriteOp)
 	}
 	w := t.writes[shard]
 	if w == nil {
+		if t.writes == nil {
+			t.writes = make(map[int]*shardWrites)
+		}
 		w = &shardWrites{latest: make(map[string]int, len(ops))}
 		t.writes[shard] = w
 	}
@@ -428,7 +433,7 @@ func (t *Txn) WriteBatch(ctx context.Context, shard int, ops []datanode.WriteOp)
 // lookup joins run on the data node and must see them) and when the buffer
 // fills. A write-write conflict surfaces here.
 func (t *Txn) flush(ctx context.Context, shard int) error {
-	if t.oneWrite {
+	if t.oneRead {
 		// Its writes go only with the commit that checks them; and the
 		// scans that flush may read many times.
 		return ErrOneRead
@@ -471,7 +476,7 @@ func (t *Txn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, err
 	if t.done.Load() {
 		return nil, false, ErrTxnDone
 	}
-	if t.oneWrite {
+	if t.oneRead {
 		if t.read || len(t.writes) > 0 {
 			return nil, false, ErrOneRead
 		}
@@ -514,13 +519,14 @@ func (t *Txn) Commit(ctx context.Context) error {
 	defer t.unpin()
 	shards := t.shards()
 	if len(shards) == 0 {
-		if t.oneWrite && t.readTS >= t.settled {
-			// Nothing written: the read ends as a one-read context's does.
+		if t.oneRead && t.readTS >= t.settled {
+			// Nothing written: the clock must pass the version read before
+			// the statement completes.
 			return t.cn.oracle.SettleRead(ctx, t.readTS)
 		}
 		return nil // read-only: nothing to resolve
 	}
-	if t.oneWrite && (len(shards) > 1 || shards[0] != t.readShard || t.readTS == 0) {
+	if t.oneRead && (len(shards) > 1 || shards[0] != t.readShard || t.readTS == 0) {
 		// Only a version read can be checked, on the shard it was read from;
 		// nothing was sent.
 		return ErrOneRead
@@ -546,7 +552,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 		var err error
 		// A one-write statement always asks, so that its version check
 		// travels with its writes; its snapshot was taken under GClock.
-		if t.oneWrite || (t.ts.Mode != ts.ModeGTM && t.cn.oracle.Mode() == ts.ModeGClock) {
+		if t.oneRead || (t.ts.Mode != ts.ModeGTM && t.cn.oracle.Mode() == ts.ModeGClock) {
 			resp, err = t.cn.client.WriteCommit(ctx, node, t.id, t.ts.Snap, ops, t.sync, t.readTS)
 		} else {
 			err = t.cn.client.WriteThen(ctx, node, t.id, t.ts.Snap, ops, datanode.ThenPending, "")
@@ -558,11 +564,12 @@ func (t *Txn) Commit(ctx context.Context) error {
 		case commitTS != 0:
 			finish = func(ctx context.Context) error { return t.cn.oracle.Adopt(ctx, commitTS) }
 			metricOneMsgCommits.Inc()
+			path := "one-message"
+			if t.oneRead {
+				path = "one-write"
+				metricOneWrites.Inc()
+			}
 			if sp != nil { // untraced, skip boxing Tag's arguments
-				path := "one-message"
-				if t.oneWrite {
-					path = "one-write"
-				}
 				sp.Tag("shard=%d node=%s ops=%d path=%s floor-bump=%v", shard, node, len(ops), path, resp.FloorBump)
 			}
 		default:

@@ -122,7 +122,7 @@ func (r *skewRig) open(t *testing.T, begin func() (*ROTxn, error)) *ROTxn {
 
 // get reads k through q under run and returns the value and how far the
 // clock had to move before the read returned.
-func (r *skewRig) get(t *testing.T, q *ROTxn, k string) (string, time.Duration) {
+func (r *skewRig) get(t *testing.T, q *Txn, k string) (string, time.Duration) {
 	t.Helper()
 	var v []byte
 	var found bool
@@ -174,33 +174,33 @@ func TestReadOnlyPrimaryFallbackSnapshotIsStable(t *testing.T) {
 // invocation wait (the manual clock does not have to move), its snapshot is
 // the faster clock's Tclock + Terr, so its Get sees every commit already
 // made, a version below the clock's lower bound at the snapshot costs its
-// Get no wait either, and the context refuses a second Get and any scan
-// with ErrOneRead.
+// Get and Commit no wait either, and the context refuses a second Get and
+// any scan with ErrOneRead.
 func TestReadOnceSkipsTheWaitAndReadsOnce(t *testing.T) {
 	r := newSkewRig(t)
 	committed := r.commit(t, "k", "v0")
 	r.src.Advance(time.Millisecond)
 
 	start := r.src.Now()
-	q := r.open(t, func() (*ROTxn, error) { return r.cn.ReadOnce(bg) })
+	q := r.openTxn(t)
 	if !r.src.Now().Equal(start) {
 		t.Fatalf("ReadOnce waited for the clock to move %v", r.src.Now().Sub(start))
 	}
 	if q.Snapshot() <= committed {
 		t.Fatalf("unwaited snapshot %v not above the committed %v", q.Snapshot(), committed)
 	}
-	if q.OnReplicas() {
-		t.Fatal("a one-read context reads the primary")
-	}
-	if v, moved := r.get(t, q, "k"); v != "v0" || moved != 0 {
-		t.Fatalf("Get = %q after the clock moved %v, want v0 with no wait", v, moved)
-	}
+	v, moved := r.get(t, q, "k")
 	if _, _, err := q.Get(bg, 0, []byte("k")); !errors.Is(err, ErrOneRead) {
 		t.Fatalf("second Get: err = %v, want ErrOneRead", err)
 	}
+	moved += r.run(t, func() error { return q.Commit(bg) })
+	if v != "v0" || moved != 0 {
+		t.Fatalf("Get = %q after the clock moved %v over Get and Commit, want v0 with no wait", v, moved)
+	}
 
 	// A scan is refused outright, even before any Get: it may read many times.
-	q = r.open(t, func() (*ROTxn, error) { return r.cn.ReadOnce(bg) })
+	q = r.openTxn(t)
+	defer q.Abort(bg)
 	cur := q.ScanCursor(bg, 0, ScanSpec{Start: []byte("a"), End: []byte("z")})
 	defer cur.Close()
 	if cur.NextBatch(bg) || !errors.Is(cur.Err(), ErrOneRead) {
@@ -218,8 +218,8 @@ func TestReadOnceSkipsTheWaitAndReadsOnce(t *testing.T) {
 // commit wait. The fast CN's snapshot covers the commit, so its read returns
 // it; a read that starts afterwards on the slow CN must return it too, even
 // though that CN's unwaited snapshot would sit below the commit's timestamp.
-// The fast read holds it off by waiting until its clock has passed the
-// timestamp of the version it returns.
+// The fast read holds it off: its Commit waits until its clock has passed
+// the timestamp of the version it returned.
 func TestReadOnceOrdersReadsAcrossCNs(t *testing.T) {
 	r := newSkewRig(t)
 	r.commit(t, "k", "v0")
@@ -230,16 +230,17 @@ func TestReadOnceOrdersReadsAcrossCNs(t *testing.T) {
 		t.Fatalf("rig: the slow CN's snapshot %v already covers the commit at %v", s, late)
 	}
 
-	fast := r.open(t, func() (*ROTxn, error) { return r.cn.ReadOnce(bg) })
+	fast := r.openOn(t, r.cn)
 	v, moved := r.get(t, fast, "k")
 	if v != "v1" {
 		t.Fatalf("fast CN at snapshot %v read %q, want v1 committed at %v", fast.Snapshot(), v, late)
 	}
-	if moved == 0 {
+	if moved += r.run(t, func() error { return fast.Commit(bg) }); moved == 0 {
 		t.Fatal("the fast read returned a version inside its commit wait without waiting")
 	}
 
-	slow := r.open(t, func() (*ROTxn, error) { return r.slow.ReadOnce(bg) })
+	slow := r.openOn(t, r.slow)
+	defer slow.Abort(bg)
 	if v, _ := r.get(t, slow, "k"); v != "v1" {
 		t.Fatalf("slow CN at snapshot %v read %q after the fast CN returned v1 committed at %v", slow.Snapshot(), v, late)
 	}
@@ -259,7 +260,7 @@ func TestWriteOnceChecksTheVersionItRead(t *testing.T) {
 	r.src.Advance(time.Millisecond)
 
 	start := r.src.Now()
-	tx, err := r.cn.WriteOnce(bg)
+	tx, err := r.cn.ReadOnce(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,12 +326,16 @@ func TestWriteOnceChecksTheVersionItRead(t *testing.T) {
 	}
 }
 
-// openTxn opens a one-write context on the fast CN.
-func (r *skewRig) openTxn(t *testing.T) *Txn {
+// openTxn opens a one-read context on the fast CN.
+func (r *skewRig) openTxn(t *testing.T) *Txn { return r.openOn(t, r.cn) }
+
+// openOn opens a one-read context on cn under run.
+func (r *skewRig) openOn(t *testing.T, cn *CN) *Txn {
 	t.Helper()
-	tx, err := r.cn.WriteOnce(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var tx *Txn
+	r.run(t, func() (err error) {
+		tx, err = cn.ReadOnce(bg)
+		return err
+	})
 	return tx
 }

@@ -3,7 +3,6 @@ package coordinator
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"globaldb/internal/storage/mvcc"
@@ -14,16 +13,15 @@ import (
 // RCP currently offers.
 const AnyStaleness = time.Duration(-1)
 
-// ErrOneRead is returned by a one-read context (CN.ReadOnce) or a one-write
-// context (CN.WriteOnce) asked for a second Get, or for a scan: its snapshot
-// is only valid for one read. A one-write context also returns it from a
-// Commit whose writes its one read cannot vouch for.
-var ErrOneRead = errors.New("coordinator: a one-read or one-write context answers exactly one Get")
+// ErrOneRead is returned by a one-read context (CN.ReadOnce) asked for a
+// second Get, or for a scan or a flush: its snapshot is only valid for one
+// read. The context also returns it from a Commit whose writes its one read
+// cannot vouch for.
+var ErrOneRead = errors.New("coordinator: a one-read context answers exactly one Get")
 
 // ROTxn is a read-only query context. Reads are served from replicas at the
 // RCP snapshot when the staleness bound and the DDL gate allow it, and fall
-// back to primaries at a fresh snapshot otherwise (Sec. IV). A one-read
-// context (ReadOnce) reads primaries at an unwaited snapshot, once.
+// back to primaries at a fresh snapshot otherwise (Sec. IV).
 type ROTxn struct {
 	cn    *CN
 	snap  ts.Timestamp
@@ -31,12 +29,6 @@ type ROTxn struct {
 	// replicaMode is decided once at creation so every read in the query
 	// sees one snapshot on one class of nodes (no torn mixed reads).
 	replicaMode bool
-	// oneRead marks a ReadOnce context; read flips at its one Get. A Get
-	// that returns a version committed at or above settled waits out its
-	// commit (tso.Oracle.SettleRead); ts.Max when the snapshot was waited.
-	oneRead bool
-	settled ts.Timestamp
-	read    atomic.Bool
 }
 
 // ReadOnly starts a read-only query with a staleness bound. tableIDs are
@@ -72,48 +64,32 @@ func (c *CN) ReadOnly(ctx context.Context, bound time.Duration, tableIDs ...uint
 	return &ROTxn{cn: c, snap: snap.Snap, bound: bound}, nil
 }
 
-// ReadOnce starts a context for one point read on a shard primary. Under
-// GClock its snapshot skips the invocation wait (tso.SnapshotNoWait), which
-// is safe because nothing reads at that snapshot a second time: the context
-// answers one Get and refuses everything after it, and every scan, with
-// ErrOneRead. The Get returns only once the clock has passed the commit of
-// the version it read, so a read that starts after it, on any CN, sees that
-// version too. Centralized modes take Begin's snapshot, as a transaction
-// does.
-func (c *CN) ReadOnce(ctx context.Context) (*ROTxn, error) {
-	if snap, settled := c.oracle.SnapshotNoWait(); snap.Snap != 0 {
-		return &ROTxn{cn: c, snap: snap.Snap, oneRead: true, settled: settled}, nil
-	}
-	snap, err := c.oracle.Begin(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &ROTxn{cn: c, snap: snap.Snap, oneRead: true, settled: ts.Max}, nil
-}
-
-// WriteOnce starts a transaction for one statement that reads one key on a
-// shard primary once and then writes only that row and its index entries: an
-// autocommit point UPDATE or DELETE. Under GClock its snapshot skips the
-// invocation wait (tso.SnapshotNoWait). That snapshot is not stable: a commit
-// a trailing clock timestamps below it may land after the read. So the Get
-// records the version it returned, and the commit message carries it: the
-// primary refuses the writes with mvcc.ErrWriteConflict unless that version
-// is still the newest of every key written, checked under the hold that
-// issues the commit timestamp above it. The read and the writes then act as
-// one step at the commit timestamp, and the commit wait (Adopt) orders it
-// after everything it read. A Commit with nothing to write ends the read as
-// ReadOnce's Get does (SettleRead). The context refuses a second Get, every
-// scan and every flush with ErrOneRead, and a Commit whose writes span
-// shards or follow a read that found no version. In the centralized modes it
-// is an ordinary Begin transaction.
-func (c *CN) WriteOnce(ctx context.Context) (*Txn, error) {
+// ReadOnce starts a transaction for one statement that reads one key on a
+// shard primary once and then writes at most that row and its index entries:
+// an autocommit point SELECT, UPDATE or DELETE. Under GClock its snapshot
+// skips the invocation wait (tso.SnapshotNoWait), which is safe because
+// nothing reads at that snapshot a second time: the context answers one Get
+// and refuses a second, every scan and every flush with ErrOneRead.
+//
+// That snapshot is not stable: a commit a trailing clock timestamps below it
+// may land after the read. So the Get records the version it returned. A
+// Commit that writes carries it in the commit message, and the primary
+// refuses the writes with mvcc.ErrWriteConflict unless that version is still
+// the newest of every key written, checked under the hold that issues the
+// commit timestamp above it; the read and the writes then act as one step at
+// the commit timestamp, and the commit wait (Adopt) orders it after
+// everything it read. A Commit with nothing to write returns only once the
+// clock has passed the commit of the version read (SettleRead), so a read
+// that starts after it, on any CN, sees that version too. Commit also refuses
+// writes that span shards or follow a read that found no version. In the
+// centralized modes it is an ordinary Begin transaction.
+func (c *CN) ReadOnce(ctx context.Context) (*Txn, error) {
 	snap, settled := c.oracle.SnapshotNoWait()
 	if snap.Snap == 0 {
 		return c.Begin(ctx)
 	}
-	metricOneWrites.Inc()
 	t := c.newTxn(snap)
-	t.oneWrite, t.settled = true, settled
+	t.oneRead, t.settled = true, settled
 	return t, nil
 }
 
@@ -125,19 +101,6 @@ func (r *ROTxn) OnReplicas() bool { return r.replicaMode }
 
 // Get reads one key.
 func (r *ROTxn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, error) {
-	if r.oneRead {
-		if r.read.Swap(true) {
-			return nil, false, ErrOneRead
-		}
-		resp, err := r.cn.readPrimary(ctx, shard, key, r.snap, 0)
-		if err == nil && resp.CommitTS >= r.settled {
-			err = r.cn.oracle.SettleRead(ctx, resp.CommitTS)
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		return resp.Value, resp.Found, nil
-	}
 	node, replica := r.pick(shard)
 	start := time.Now()
 	v, found, err := r.cn.client.Read(ctx, node, key, r.snap, 0)

@@ -26,10 +26,12 @@ const (
 	// mode, issued the commit timestamp from its own clock. Single-shard
 	// commits outside this count took a second message (GTM/DUAL mode).
 	MetricOneMessageCommits = "cn_commit_one_message_total"
-	// MetricOneWriteStatements counts autocommit point UPDATEs and DELETEs
-	// that ran in a one-write context (CN.WriteOnce): at a GClock snapshot
-	// taken without the invocation wait, their commit checked against the
-	// version they read. Those that wrote are in the one-message count too.
+	// MetricOneWriteStatements counts commits on the one-write path: an
+	// autocommit point UPDATE or DELETE that read in a one-read context
+	// (CN.ReadOnce), at a GClock snapshot taken without the invocation wait,
+	// and wrote, its commit checked against the version it read. A point
+	// SELECT, or an UPDATE that matched no row, commits nothing and is not
+	// counted. Every one is in the one-message count too.
 	MetricOneWriteStatements = "cn_one_write_statements_total"
 	// MetricAsyncResolves counts commits whose phase two completed in the
 	// background after the client was acked.

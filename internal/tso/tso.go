@@ -9,18 +9,19 @@
 //	         a network round trip (the baseline's bottleneck).
 //	GClock — read the local synchronized clock: TS = Tclock + Terr, wait at
 //	         invocation, commit-wait before acknowledging. No round trip.
-//	         A statement that reads one key once skips the invocation wait
-//	         (SnapshotNoWait): the wait only keeps a snapshot stable across
-//	         reads, and such a statement has no second read. It waits
-//	         instead, after its read, until the clock passes the commit of
-//	         the version it returns (SettleRead) — and not at all for the
-//	         usual version, one below the clock's lower bound at the
-//	         snapshot. A statement that reads one row once and then writes
-//	         it (an autocommit point UPDATE or DELETE) skips the wait too:
-//	         its shard primary commits the write only if the version read
-//	         is still the row's newest, checked where it issues the commit
-//	         timestamp (IssueAbove), so the read and the write act as one
-//	         step at that timestamp. Its commit wait (Adopt) stays.
+//	         A statement that reads one key once — an autocommit point
+//	         SELECT, UPDATE or DELETE, in one read-once context — skips the
+//	         invocation wait (SnapshotNoWait): the wait only keeps a
+//	         snapshot stable across reads, and such a statement has no
+//	         second read. If it writes, its shard primary commits the write
+//	         only if the version read is still the row's newest, checked
+//	         where it issues the commit timestamp (IssueAbove), so the read
+//	         and the write act as one step at that timestamp; its commit
+//	         wait (Adopt) stays. If it writes nothing, its commit waits
+//	         instead until the clock passes the commit of the version it
+//	         returned (SettleRead) — and not at all for the usual version,
+//	         one below the clock's lower bound at the snapshot. A streamed
+//	         point SELECT commits, and so settles, when its rows close.
 //	DUAL   — transition bridge: obtain a clock reading, exchange it with
 //	         the GTM server for TS_DUAL = max(TS_GTM, TS_GClock)+1, and
 //	         honor the server-prescribed wait (Figs. 2–3).
@@ -96,14 +97,12 @@ type Oracle struct {
 	maxIssued ts.Timestamp // largest local GClock timestamp issued here
 
 	reporting atomic.Bool // also forward GClock commits to the GTM server
-
-	sleep func(ctx context.Context, d time.Duration) error
 }
 
 // New returns an oracle in GTM mode. client may be nil for a node that never
 // calls Begin or Commit and never reports.
 func New(name string, clk *clock.Node, client *gtm.Client) *Oracle {
-	return &Oracle{name: name, clock: clk, gtm: client, mode: ts.ModeGTM, sleep: sleepCtx}
+	return &Oracle{name: name, clock: clk, gtm: client, mode: ts.ModeGTM}
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -244,12 +243,13 @@ func (o *Oracle) Begin(ctx context.Context) (TxnTS, error) {
 // Nothing keeps the snapshot itself stable: a commit whose timestamp a
 // trailing clock issues below it may still land after the read, so a second
 // read at the same snapshot could see a state the first did not. Anything
-// that may read twice uses Begin. A statement that writes what it read once
-// may use this snapshot too, if its write is checked against the version
-// it read (coordinator.CN.WriteOnce): such a late commit fails that check,
-// where the snapshot's own check would admit it, since it sits below the
-// snapshot. The write's commit wait then covers the read, so SettleRead is
-// owed only when nothing is written.
+// that may read twice uses Begin. The one context that takes this snapshot
+// (coordinator.CN.ReadOnce) serves a point SELECT, UPDATE or DELETE: a
+// write it makes is checked against the version it read, so such a late
+// commit fails that check, where the snapshot's own check would admit it,
+// since it sits below the snapshot. The write's commit wait then covers the
+// read, so SettleRead is owed only when nothing is written, at the commit
+// of a read that wrote nothing.
 func (o *Oracle) SnapshotNoWait() (snap TxnTS, settled ts.Timestamp) {
 	if t, iv, ok := o.issueLocal(0); ok {
 		return TxnTS{Snap: t, Mode: ts.ModeGClock}, iv.Lower()
@@ -344,7 +344,7 @@ func (o *Oracle) callGTM(ctx context.Context, mode ts.Mode) (gtm.Response, error
 		return gtm.Response{}, err
 	}
 	if resp.Wait > 0 {
-		if err := o.sleep(ctx, resp.Wait); err != nil {
+		if err := sleepCtx(ctx, resp.Wait); err != nil {
 			return gtm.Response{}, err
 		}
 	}

@@ -408,7 +408,7 @@ func (c *serverConn) streamResponse(rows *gsql.Rows) error {
 	c.srv.counters.ObserveStatement(sent + int64(len(batch)))
 	if canceled {
 		c.srv.counters.ObserveCancel()
-		return c.finish(&wire.Done{InTxn: c.sess.InTxn(), Canceled: true, Stats: rows.ScanStats()})
+		return c.finish(&wire.Done{InTxn: c.sess.InTxn(), Canceled: true, Stats: rows.ScanStats(), JoinStrategy: rows.JoinStrategy()})
 	}
 	if streamErr == nil {
 		streamErr = closeErr
@@ -423,7 +423,7 @@ func (c *serverConn) streamResponse(rows *gsql.Rows) error {
 			return err
 		}
 	}
-	return c.finish(&wire.Done{InTxn: c.sess.InTxn(), Stats: rows.ScanStats()})
+	return c.finish(&wire.Done{InTxn: c.sess.InTxn(), Stats: rows.ScanStats(), JoinStrategy: rows.JoinStrategy()})
 }
 
 // resultResponse ships an already-materialized result (writes, DDL, SHOW,
@@ -444,7 +444,7 @@ func (c *serverConn) resultResponse(res *gsql.Result) error {
 	c.srv.counters.ObserveStatement(int64(len(res.Rows)))
 	return c.finish(&wire.Done{
 		Affected: int64(res.Affected), Msg: res.Msg,
-		InTxn: c.sess.InTxn(), Stats: res.Scan,
+		InTxn: c.sess.InTxn(), Stats: res.Scan, JoinStrategy: res.JoinStrategy,
 	})
 }
 

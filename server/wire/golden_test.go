@@ -3,8 +3,10 @@ package wire
 import (
 	"encoding/hex"
 	"math"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"globaldb"
 )
@@ -12,7 +14,7 @@ import (
 // goldenFrames are the frames TestWireGoldenBytes pins: the two that carry
 // tagged SQL values (query arguments and result rows) with every kind and
 // its edge cases, a prepared-statement execution, and a Done with every
-// scan counter set.
+// scan counter and a join strategy set.
 func goldenFrames() []struct {
 	name string
 	m    Message
@@ -29,8 +31,9 @@ func goldenFrames() []struct {
 		}}},
 		{"execute", &Execute{Name: "s1", Args: []any{int64(42), "k"}}},
 		{"done", &Done{Affected: 3, Msg: "SELECT 2", InTxn: true, Canceled: true,
-			Stats: globaldb.ScanStats{StorageRows: 2000, DNFilteredRows: 1800, WANRows: 200,
-				PagesFetched: 8, PrefetchHits: 7, WANWait: 1500 * time.Microsecond}}},
+			Stats: globaldb.ScanStats{StorageRows: 2000, DNFilteredRows: 1800, WANRows: 200, LookupRows: 40,
+				PagesFetched: 8, PrefetchHits: 7, WANWait: 1500 * time.Microsecond},
+			JoinStrategy: "lookup-pushdown"}},
 	}
 }
 
@@ -42,7 +45,7 @@ func TestWireGoldenBytes(t *testing.T) {
 		"query":     "00000026020853454c454354203f06000100000000000000070240040000000000000301730401ab0501",
 		"row batch": "0000003b0b02050001fffffffde78ee600028000000000000000027ff8000000000001027ff0000000000000050300030668c3a96c6c6f0402007f05010500",
 		"execute":   "00000011040273310201000000000000002a03016b",
-		"done":      "000000190c060853454c45435420320101a01f901c9003100ec08db701",
+		"done":      "0000002a0c060853454c45435420320101a01f901c900350100ec08db7010f6c6f6f6b75702d70757368646f776e",
 	}
 	for _, g := range goldenFrames() {
 		b, err := AppendFrame(nil, g.m)
@@ -51,6 +54,22 @@ func TestWireGoldenBytes(t *testing.T) {
 		}
 		if got := hex.EncodeToString(b); got != want[g.name] {
 			t.Errorf("%s frame:\n got  %s\n want %s", g.name, got, want[g.name])
+		}
+	}
+}
+
+// TestDoneCountersCoverScanSnapshot: the Done frame's counter table names
+// every field of stats.ScanSnapshot, in field order, so a counter added to
+// the record cannot be left off the wire.
+func TestDoneCountersCoverScanSnapshot(t *testing.T) {
+	var s globaldb.ScanStats
+	v := reflect.ValueOf(&s).Elem()
+	if len(doneCounters) != v.NumField() {
+		t.Fatalf("Done carries %d scan counters, ScanSnapshot has %d fields", len(doneCounters), v.NumField())
+	}
+	for i, field := range doneCounters {
+		if got, want := unsafe.Pointer(field(&s)), v.Field(i).Addr().UnsafePointer(); got != want {
+			t.Errorf("Done counter %d is not ScanSnapshot.%s", i, v.Type().Field(i).Name)
 		}
 	}
 }

@@ -25,9 +25,10 @@
 //	... Error                        (failure, possibly mid-stream)
 //
 // Rows are flushed per batch, not per row, and the final Done frame carries
-// the per-layer scan counters (storage / DN-filtered / WAN rows, page and
-// prefetch observability) so network clients see the same pushdown
-// observability in-process callers get from Result.Scan.
+// every per-layer scan counter (storage / DN-filtered / WAN / DN lookup
+// rows, page and prefetch observability) and the join strategy, so network
+// clients see the same pushdown observability in-process callers get from
+// Result.Scan and Result.JoinStrategy.
 package wire
 
 import (
@@ -36,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"globaldb"
 	"globaldb/internal/table"
@@ -44,7 +44,7 @@ import (
 
 // ProtocolVersion is the wire protocol version carried in the handshake.
 // A server refuses hellos with a version it does not speak.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // MaxFrameSize bounds one frame's declared length (type byte + payload).
 // Readers reject larger declarations before allocating.
@@ -89,7 +89,7 @@ const (
 	// MsgRowBatch carries one batch of result rows.
 	MsgRowBatch
 	// MsgDone ends a statement's response: rows affected, the statement
-	// message, transaction state, and the scan counters.
+	// message, transaction state, the scan counters and the join strategy.
 	MsgDone
 	// MsgError reports a statement or protocol failure.
 	MsgError
@@ -219,6 +219,9 @@ type Done struct {
 	Canceled bool
 	// Stats carries the statement's per-layer scan counters.
 	Stats globaldb.ScanStats
+	// JoinStrategy names the join strategy a two-table SELECT ran with;
+	// empty for every other statement.
+	JoinStrategy string
 }
 
 // Error reports a failure. A statement error leaves the connection usable;
@@ -527,12 +530,23 @@ func (m *Done) append(b []byte) ([]byte, error) {
 	b = appendString(b, m.Msg)
 	b = appendBool(b, m.InTxn)
 	b = appendBool(b, m.Canceled)
-	b = binary.AppendVarint(b, m.Stats.StorageRows)
-	b = binary.AppendVarint(b, m.Stats.DNFilteredRows)
-	b = binary.AppendVarint(b, m.Stats.WANRows)
-	b = binary.AppendVarint(b, m.Stats.PagesFetched)
-	b = binary.AppendVarint(b, m.Stats.PrefetchHits)
-	return binary.AppendVarint(b, int64(m.Stats.WANWait)), nil
+	for _, field := range doneCounters {
+		b = binary.AppendVarint(b, *field(&m.Stats))
+	}
+	return appendString(b, m.JoinStrategy), nil
+}
+
+// doneCounters are the Done frame's scan counters, one varint each, in
+// stats.ScanSnapshot's field order: the one table its encoder and its
+// decoder walk.
+var doneCounters = [...]func(*globaldb.ScanStats) *int64{
+	func(s *globaldb.ScanStats) *int64 { return &s.StorageRows },
+	func(s *globaldb.ScanStats) *int64 { return &s.DNFilteredRows },
+	func(s *globaldb.ScanStats) *int64 { return &s.WANRows },
+	func(s *globaldb.ScanStats) *int64 { return &s.LookupRows },
+	func(s *globaldb.ScanStats) *int64 { return &s.PagesFetched },
+	func(s *globaldb.ScanStats) *int64 { return &s.PrefetchHits },
+	func(s *globaldb.ScanStats) *int64 { return (*int64)(&s.WANWait) },
 }
 
 func decodeVarint(b []byte) (int64, []byte, error) {
@@ -558,26 +572,14 @@ func decodeDone(b []byte) (*Done, []byte, error) {
 	if m.Canceled, b, err = decodeBool(b); err != nil {
 		return nil, nil, err
 	}
-	if m.Stats.StorageRows, b, err = decodeVarint(b); err != nil {
+	for _, field := range doneCounters {
+		if *field(&m.Stats), b, err = decodeVarint(b); err != nil {
+			return nil, nil, err
+		}
+	}
+	if m.JoinStrategy, b, err = decodeString(b); err != nil {
 		return nil, nil, err
 	}
-	if m.Stats.DNFilteredRows, b, err = decodeVarint(b); err != nil {
-		return nil, nil, err
-	}
-	if m.Stats.WANRows, b, err = decodeVarint(b); err != nil {
-		return nil, nil, err
-	}
-	if m.Stats.PagesFetched, b, err = decodeVarint(b); err != nil {
-		return nil, nil, err
-	}
-	if m.Stats.PrefetchHits, b, err = decodeVarint(b); err != nil {
-		return nil, nil, err
-	}
-	var wait int64
-	if wait, b, err = decodeVarint(b); err != nil {
-		return nil, nil, err
-	}
-	m.Stats.WANWait = time.Duration(wait)
 	return m, b, nil
 }
 
