@@ -425,8 +425,10 @@ const (
 	readTxn readKind = iota
 	// readAutocommit is an autocommit transaction on shard primaries.
 	readAutocommit
-	// readOneRead is an autocommit one-read context on a shard primary
-	// (globaldb.Session.ReadOnce): no invocation wait.
+	// readOneRead is an autocommit transaction opened with
+	// globaldb.Session.ReadOnce for a plan that reads once: under GClock a
+	// one-read context on a shard primary, without the invocation wait; in
+	// the centralized modes the CN's ordinary Begin.
 	readOneRead
 	// readReplica is a read-only query under a staleness setting: replicas
 	// at the RCP, or primaries when the bound or the DDL gate rules them out.
@@ -453,21 +455,17 @@ type readContext struct {
 // replica query under the session/statement staleness setting. Every SELECT,
 // through Exec or Query, dispatches through here.
 //
-// The autocommit transaction ends when the Rows closes, and a streamed Rows
-// settles there: a one-read SELECT's Commit returns only once the clock has
-// passed the commit of the version its one Get returned, which is rarely a
-// wait at all.
+// The autocommit transaction ends when the Rows closes, a one-read context
+// before the Rows is returned (queryRows). Its Commit returns only once the
+// clock has passed the commit of the version its one Get returned, which is
+// rarely a wait at all.
 func (s *Session) openReadContext(ctx context.Context, sel *Select, bp *boundPlan) (readContext, error) {
 	switch {
 	case s.tx != nil:
 		// The explicit transaction's lifecycle belongs to COMMIT/ROLLBACK.
 		return readContext{r: s.tx, kind: readTxn}, nil
 	case sel.Staleness == 0 && s.mode == readPrimary:
-		kind := readAutocommit
-		if bp.readsOnce() {
-			kind = readOneRead
-		}
-		tx, err := s.beginAutocommit(ctx, bp)
+		tx, kind, err := s.beginAutocommit(ctx, bp)
 		if err != nil {
 			return readContext{}, err
 		}
@@ -499,12 +497,15 @@ func (s *Session) openReadContext(ctx context.Context, sel *Select, bp *boundPla
 // of its storage access, the transaction is a one-read context
 // (globaldb.Session.ReadOnce): no GClock invocation wait, a second read
 // refused, and a write the primary refuses unless the row is still at the
-// version the search read. Any other search gets an ordinary Begin.
-func (s *Session) beginAutocommit(ctx context.Context, search *boundPlan) (*globaldb.Tx, error) {
+// version the search read. Any other search gets an ordinary Begin. kind
+// names which of the two it opened.
+func (s *Session) beginAutocommit(ctx context.Context, search *boundPlan) (tx *globaldb.Tx, kind readKind, err error) {
 	if search != nil && search.readsOnce() {
-		return s.sess.ReadOnce(ctx)
+		tx, err = s.sess.ReadOnce(ctx)
+		return tx, readOneRead, err
 	}
-	return s.sess.Begin(ctx)
+	tx, err = s.sess.Begin(ctx)
+	return tx, readAutocommit, err
 }
 
 // withWriteTxn runs fn inside the session transaction, or else in an
@@ -514,7 +515,7 @@ func (s *Session) withWriteTxn(ctx context.Context, search *boundPlan, fn func(t
 	if s.tx != nil {
 		return fn(s.tx)
 	}
-	tx, err := s.beginAutocommit(ctx, search)
+	tx, _, err := s.beginAutocommit(ctx, search)
 	if err != nil {
 		return 0, err
 	}

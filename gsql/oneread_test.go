@@ -279,13 +279,26 @@ func TestPointSelectsKeepRealTimeOrder(t *testing.T) {
 	}
 }
 
-// TestPointSelectStreamedSettlesAtClose: a streamed point SELECT ends its
-// one-read context at Rows.Close, and that is where it waits out the commit
-// of the version it returned. With the clocks of TestPointSelectsKeepRealTimeOrder,
-// the fast CN streams a point SELECT, reads the row and closes the Rows; a
-// point SELECT that starts on the slow CN afterwards must return that
-// balance or a later one, while a writer keeps committing new balances.
+// TestPointSelectStreamedSettlesAtClose: a streamed point SELECT waits out
+// the commit of the version it returned before it completes. With the clocks
+// of TestPointSelectsKeepRealTimeOrder, the fast CN streams a point SELECT,
+// reads the row and closes the Rows; a point SELECT that starts on the slow
+// CN afterwards must return that balance or a later one, while a writer
+// keeps committing new balances.
 func TestPointSelectStreamedSettlesAtClose(t *testing.T) {
+	testStreamedPointSelectSettles(t, true)
+}
+
+// TestPointSelectStreamedSettlesBeforeClose: as
+// TestPointSelectStreamedSettlesAtClose, but the point SELECT on the slow CN
+// starts once Next has returned the row, before the streamed Rows closes. A
+// caller may pass the row on before Close (the wire server flushes a batch of
+// one row before it), so the wait must be over by then.
+func TestPointSelectStreamedSettlesBeforeClose(t *testing.T) {
+	testStreamedPointSelectSettles(t, false)
+}
+
+func testStreamedPointSelectSettles(t *testing.T, closeFirst bool) {
 	db, fast, slow := openOneReadSQL(t)
 	bound := globaldb.OneRegion(0).Clock.SyncRTT
 	c := db.Cluster()
@@ -329,15 +342,25 @@ func TestPointSelectStreamedSettlesAtClose(t *testing.T) {
 			t.Fatalf("streamed point select returned no row: %v", rows.Err())
 		}
 		got := rows.Row()[0].(int64)
-		if err := rows.Close(); err != nil {
-			t.Fatalf("closing the streamed point select: %v", err)
+		if closeFirst {
+			if err := rows.Close(); err != nil {
+				t.Fatalf("closing the streamed point select: %v", err)
+			}
 		}
 		res, err := after.Exec(bg, int64(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if later := res.Rows[0][0].(int64); later < got {
-			t.Fatalf("point select on the slow CN returned balance %d after a closed streamed select returned %d", later, got)
+			t.Fatalf("point select on the slow CN returned balance %d after a streamed select returned %d (closed first: %v)", later, got, closeFirst)
+		}
+		if !closeFirst {
+			if rows.Next() {
+				t.Fatal("streamed point select returned a second row")
+			}
+			if err := rows.Close(); err != nil || rows.Err() != nil {
+				t.Fatalf("closing the streamed point select: %v, %v", err, rows.Err())
+			}
 		}
 	}
 	if reads == 0 {

@@ -51,7 +51,7 @@ type Rows struct {
 	row    []any
 	err    error
 	closed bool
-	tx     *globaldb.Tx // the statement's autocommit transaction; nil once Closed
+	tx     *globaldb.Tx // the statement's autocommit transaction while it is open
 	span   *obs.Span    // a traced Exec's execute span, ended at Close
 }
 
@@ -133,8 +133,8 @@ func (r *Rows) Err() error { return r.err }
 
 // Close stops the pipeline, releasing scan cursors, and ends the
 // statement's autocommit transaction: Commit when every Next succeeded,
-// Abort otherwise. A point SELECT's Commit returns once the clock has passed
-// the version it read, so a streamed point SELECT settles here. Idempotent.
+// Abort otherwise. A point SELECT's one-read context has ended before its
+// first row (queryRows). Idempotent.
 func (r *Rows) Close() error {
 	if r.closed {
 		return nil
@@ -213,6 +213,14 @@ func (s *Session) queryRows(ctx context.Context, sel *Select, plan *selectPlan, 
 		return nil, err
 	}
 	it, totals, err := buildPipeline(ctx, rc.r, bp)
+	if err == nil && rc.kind == readOneRead {
+		// Building the pipeline made the plan's one Get (openScan). End the
+		// context now, before a row can leave: its Commit settles the read.
+		if err = rc.tx.Commit(ctx); err != nil {
+			it.Close()
+		}
+		rc.tx = nil
+	}
 	if err != nil {
 		if rc.tx != nil {
 			_ = rc.tx.Abort(ctx)

@@ -309,17 +309,24 @@ func (c *CN) Begin(ctx context.Context) (*Txn, error) {
 
 // newTxn registers a transaction at snapshot tt and pins its snapshot.
 func (c *CN) newTxn(tt tso.TxnTS) *Txn {
-	id := c.cnID<<40 | c.txnSeq.Add(1)
+	id := c.nextTxnID()
 	c.pins.mu.Lock()
 	c.pins.held[id] = snapshotPin{snap: tt.Snap, since: time.Now()}
 	c.pins.mu.Unlock()
 	return &Txn{cn: c, id: id, ts: tt}
 }
 
+// nextTxnID returns a cluster-wide transaction ID.
+func (c *CN) nextTxnID() uint64 { return c.cnID<<40 | c.txnSeq.Add(1) }
+
 // unpin releases the transaction's hold on the GC watermark. It runs when
 // Commit or Abort returns, not when it starts: the writes a commit flushes
-// are checked against the snapshot too.
+// are checked against the snapshot too. A one-read context holds none
+// (CN.ReadOnce).
 func (t *Txn) unpin() {
+	if t.oneRead {
+		return
+	}
 	t.cn.pins.mu.Lock()
 	delete(t.cn.pins.held, t.id)
 	t.cn.pins.mu.Unlock()

@@ -81,16 +81,19 @@ func (c *CN) ReadOnly(ctx context.Context, bound time.Duration, tableIDs ...uint
 // everything it read. A Commit with nothing to write returns only once the
 // clock has passed the commit of the version read (SettleRead), so a read
 // that starts after it, on any CN, sees that version too. Commit also refuses
-// writes that span shards or follow a read that found no version. In the
-// centralized modes it is an ordinary Begin transaction.
+// writes that span shards or follow a read that found no version.
+//
+// The context holds no pin on version GC: like a read-only query, it reads
+// and writes for one statement at a snapshot fresher than the watermark a GC
+// round may raise to (cluster.PruneOnce), and a store refuses a read or a
+// write below its floor. In the centralized modes it is an ordinary Begin
+// transaction.
 func (c *CN) ReadOnce(ctx context.Context) (*Txn, error) {
 	snap, settled := c.oracle.SnapshotNoWait()
 	if snap.Snap == 0 {
 		return c.Begin(ctx)
 	}
-	t := c.newTxn(snap)
-	t.oneRead, t.settled = true, settled
-	return t, nil
+	return &Txn{cn: c, id: c.nextTxnID(), ts: snap, oneRead: true, settled: settled}, nil
 }
 
 // Snapshot returns the query's snapshot timestamp.

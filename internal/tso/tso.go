@@ -21,7 +21,7 @@
 //	         instead until the clock passes the commit of the version it
 //	         returned (SettleRead) — and not at all for the usual version,
 //	         one below the clock's lower bound at the snapshot. A streamed
-//	         point SELECT commits, and so settles, when its rows close.
+//	         point SELECT commits, and so settles, before its row leaves.
 //	DUAL   — transition bridge: obtain a clock reading, exchange it with
 //	         the GTM server for TS_DUAL = max(TS_GTM, TS_GClock)+1, and
 //	         honor the server-prescribed wait (Figs. 2–3).
