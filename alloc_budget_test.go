@@ -314,8 +314,8 @@ func quiet(t *testing.T, db *globaldb.DB) (resume func()) {
 // autocommit point SELECT through gsql on the zero-RTT cluster, streamed the
 // way the wire server and the database/sql driver stream it: bind, a one-read
 // context (a transaction, with no write map and no GC pin) at an unwaited
-// snapshot, one Read RPC to the primary, row decode and projection, and the
-// Commit at the first Next that settles the read. Measured quiet on go1.24: 20 in every run of
+// snapshot, one Read RPC to the primary, the Commit that settles the read,
+// and row decode and projection. Measured quiet on go1.24: 20 in every run of
 // ten, and of five under -race; the same statement through an autocommit
 // transaction (Begin, Get, Commit) read 22. The ceiling is that measured
 // value + 15 %. Since the point SELECT shares the point UPDATE's context it
