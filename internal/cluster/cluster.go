@@ -13,6 +13,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -281,18 +282,31 @@ func Open(cfg Config) (*Cluster, error) {
 
 	// RCP collector, designated at the GTM region's CN; shared by all CNs
 	// (the in-process analogue of the designated CN distributing the RCP).
-	hbOracle := c.cns[cfg.GTMRegion].Oracle()
-	tsp := func(ctx context.Context) (ts.Timestamp, error) {
-		t, _, err := hbOracle.Commit(ctx, hbOracle.Mode())
-		return t, err
-	}
-	c.Collector = rcp.NewCollector(cfg.RCP, datanode.NewClient(c.Net, cfg.GTMRegion), topo, tsp, 0)
+	c.Collector = c.newCollector(topo, 0)
 	for _, cn := range c.cns {
 		cn.SetCollector(c.Collector)
 	}
 	c.Collector.Start()
 	c.StartGC()
 	return c, nil
+}
+
+// newCollector builds the RCP collector over topo at the GTM region's CN,
+// starting from start. Under GClock each of today's primaries stamps its own
+// heartbeats; a later promotion builds a new collector over the new ones.
+// Under GTM and DUAL the heartbeat timestamps come from that CN's oracle.
+func (c *Cluster) newCollector(topo rcp.Topology, start ts.Timestamp) *rcp.Collector {
+	hbOracle := c.cns[c.cfg.GTMRegion].Oracle()
+	tsp := func(ctx context.Context) (ts.Timestamp, error) {
+		t, _, err := hbOracle.Commit(ctx, hbOracle.Mode())
+		return t, err
+	}
+	primaries := slices.Clone(c.primaries)
+	topo.Stamp = func(shard int) bool {
+		_, ok := primaries[shard].StampHeartbeat()
+		return ok
+	}
+	return rcp.NewCollector(c.cfg.RCP, datanode.NewClient(c.Net, c.cfg.GTMRegion), topo, tsp, start)
 }
 
 // givePrimaryOracle starts a node clock for p on its region's time device and
@@ -617,12 +631,7 @@ func (c *Cluster) rebuildCollector(promoted ts.Timestamp) {
 		}
 	}
 	c.Routing.Reset(primaries, replicas)
-	hbOracle := c.cns[c.cfg.GTMRegion].Oracle()
-	tsp := func(ctx context.Context) (ts.Timestamp, error) {
-		t, _, err := hbOracle.Commit(ctx, hbOracle.Mode())
-		return t, err
-	}
-	c.Collector = rcp.NewCollector(c.cfg.RCP, datanode.NewClient(c.Net, c.cfg.GTMRegion), topo, tsp, start)
+	c.Collector = c.newCollector(topo, start)
 	for _, cn := range c.cns {
 		cn.SetCollector(c.Collector)
 	}

@@ -202,17 +202,13 @@ type (
 	// InDoubtResp carries the in-doubt set.
 	InDoubtResp struct{ Txns []InDoubtTxn }
 
-	// StatusReq asks a node for its health/freshness metrics. The zero value
-	// is answered at once. With Wait set it is a long poll: a replica holds
-	// the request until its applied watermark passes After or Wait runs out,
-	// whichever is first, so a watcher that sends its last seen watermark
-	// hears of the next one a one-way trip after it is replayed instead of
-	// half a poll period later, and an idle replica costs one message pair
-	// per Wait. A primary's watermark is not what the RCP is made of; it
-	// ignores both fields.
+	// StatusReq asks a node for its health/freshness metrics, answered at
+	// once: a probe. PushTo, when set, names the endpoint a replica pushes
+	// its watermark advances to from then on (see StatusPush); it replaces
+	// the one an earlier probe named. A primary's watermark is not what the
+	// RCP is made of; it ignores PushTo.
 	StatusReq struct {
-		After ts.Timestamp
-		Wait  time.Duration
+		PushTo string
 	}
 	// StatusResp reports them.
 	StatusResp struct {
@@ -222,10 +218,18 @@ type (
 		// of its redo log, which is what a replica's position trails.
 		AppliedLSN uint64
 		// Load is the number of reads and writes in flight at the node. Status
-		// requests, parked or not, are not load.
+		// requests are not load.
 		Load int64
 		// Primary reports the node role.
 		Primary bool
+	}
+
+	// StatusPush is a replica's status sent unasked, one way, to the endpoint
+	// the last probe named, once for every advance of its applied watermark:
+	// the batch replay that moved it sends it. Nothing answers it.
+	StatusPush struct {
+		Node   string
+		Status StatusResp
 	}
 
 	// GenericResp acknowledges control operations.
@@ -255,12 +259,14 @@ const (
 	// does and returns the timestamp in WriteResp.CommitTS.
 	//
 	// The timestamp is max(Tclock + Terr, LastCommitTS + 1). The second term
-	// is the watermark floor: heartbeat and DDL timestamps come from a CN's
-	// clock without a commit wait, so one may sit in this log up to twice
-	// the error bound ahead of true time, and a replica that replayed it
-	// reports the shard complete up to it. A commit below it could be
-	// skipped by an RCP snapshot; the handlers that advance the watermark
-	// hold the same mutex, so the floor is exact.
+	// is the watermark floor: a DDL timestamp, or a heartbeat's sent in a
+	// HeartbeatReq (the collector's, under GTM and DUAL), comes from another
+	// node without a commit wait, so one may sit in this log up to twice the
+	// error bound ahead of true time, and a replica that replayed it reports
+	// the shard complete up to it. A commit below it could be skipped by an
+	// RCP snapshot; the handlers that advance the watermark hold the same
+	// mutex, so the floor is exact. A heartbeat the primary stamps itself
+	// (StampHeartbeat) is a lower bound and never raises the floor.
 	//
 	// With the primary's oracle in GTM or DUAL mode, or none wired, the step
 	// stops after PENDING COMMIT — it is ThenPending — and WriteResp.CommitTS
@@ -702,13 +708,51 @@ func (p *Primary) abort(txn uint64, typ redo.Type) error {
 // watermark to its timestamp, in one hold of p.mu.
 func (p *Primary) logWatermark(r redo.Record) (netsim.Message, error) {
 	p.mu.Lock()
-	_, err := p.appendLocked(r)
-	p.store.AdvanceCommitWatermark(r.TS)
+	err := p.logWatermarkLocked(r)
 	p.mu.Unlock()
 	if err != nil {
 		return netsim.Message{}, err
 	}
 	return netsim.Message{Payload: GenericResp{}, Size: 8}, nil
+}
+
+// logWatermarkLocked is logWatermark under the caller's hold of p.mu.
+func (p *Primary) logWatermarkLocked(r redo.Record) error {
+	_, err := p.appendLocked(r)
+	p.store.AdvanceCommitWatermark(r.TS)
+	return err
+}
+
+// StampHeartbeat logs a heartbeat stamped by the primary's own clock, with no
+// message: under p.mu it reads the oracle's lower bound (tso.Oracle.
+// LowerBound) and logs it as a HeartbeatReq's stamp is logged. It returns
+// the stamp and true. It returns false, and logs nothing, when the oracle is
+// not in GClock mode or none is set: a primary has no GTM timestamps of its
+// own, so the collector then sends a HeartbeatReq. A primary whose endpoint
+// is down stamps nothing and returns true: a crashed node's timer does not
+// fire, and its shard just lags. A failed WAL write is not reported here;
+// it fails every later durability wait.
+//
+// The lower bound keeps the stamp below every commit timestamp issued after
+// it, by this primary's clock or by a coordinator's: each of those is an
+// upper bound read later. Tclock + Terr would not be, since a coordinator
+// whose clock trails could prepare here right after the stamp and commit
+// below it, behind the back of an RCP snapshot the stamp let through.
+func (p *Primary) StampHeartbeat() (ts.Timestamp, bool) {
+	o := p.oracle.Load()
+	if o == nil {
+		return 0, false
+	}
+	if p.ep.Down() {
+		return 0, true
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t, ok := o.LowerBound()
+	if ok {
+		_ = p.logWatermarkLocked(redo.Record{Type: redo.TypeHeartbeat, TS: t})
+	}
+	return t, ok
 }
 
 // commit applies the commit and, under synchronous replication (cluster
@@ -793,10 +837,13 @@ type Replica struct {
 	shard  int
 
 	applier *repl.Applier
+	net     *netsim.Network
 	ep      *netsim.Endpoint
 	replEp  *netsim.Endpoint
 
 	inflight atomic.Int64
+	pushTo   atomic.Pointer[string] // set by a probe's PushTo
+	pushed   atomic.Int64           // the last watermark pushed, a ts.Timestamp
 }
 
 // ReplEndpointName returns the replication endpoint name for a replica id.
@@ -812,7 +859,8 @@ func NewReplica(n *netsim.Network, id, region string, shard int) *Replica {
 // re-seeding after a promotion); the applier expects the new primary's
 // fresh log from LSN 1.
 func NewReplicaFromStore(n *netsim.Network, id, region string, shard int, store *mvcc.Store) *Replica {
-	r := &Replica{id: id, region: region, shard: shard, applier: repl.NewApplier(store)}
+	r := &Replica{id: id, region: region, shard: shard, applier: repl.NewApplier(store), net: n}
+	r.applier.SetAppliedHook(r.push)
 	r.ep = n.Register(id, region, r.handle)
 	r.replEp = repl.ServeApplier(n, ReplEndpointName(id), region, r.applier)
 	return r
@@ -841,7 +889,10 @@ func (r *Replica) SetDown(down bool) {
 
 func (r *Replica) handle(ctx context.Context, m netsim.Message) (netsim.Message, error) {
 	if req, ok := m.Payload.(StatusReq); ok {
-		return r.status(ctx, req) // not load, however long it parks
+		if to := r.pushTo.Load(); req.PushTo != "" && (to == nil || *to != req.PushTo) {
+			r.pushTo.Store(&req.PushTo)
+		}
+		return netsim.Message{Payload: r.status(), Size: 32}, nil // not load
 	}
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
@@ -860,32 +911,37 @@ func (r *Replica) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 	}
 }
 
-// status answers a StatusReq, parking it first when it is a long poll whose
-// After the applied watermark has not passed yet.
-func (r *Replica) status(ctx context.Context, req StatusReq) (netsim.Message, error) {
-	if req.Wait > 0 {
-		timeout := time.NewTimer(req.Wait)
-		defer timeout.Stop()
-	park:
-		for {
-			applied := r.applier.NotifyApplied()
-			if r.applier.MaxCommitTS() > req.After {
-				break
-			}
-			select {
-			case <-applied:
-			case <-timeout.C:
-				break park
-			case <-ctx.Done():
-				return netsim.Message{}, ctx.Err()
-			}
-		}
-	}
-	return netsim.Message{Payload: StatusResp{
+// status is the replica's answer to a probe, and what it pushes.
+func (r *Replica) status() StatusResp {
+	return StatusResp{
 		LastCommitTS: r.applier.MaxCommitTS(),
 		AppliedLSN:   r.applier.AppliedLSN(),
 		Load:         r.inflight.Load(),
-	}, Size: 32}, nil
+	}
+}
+
+// push runs after every batch replay (the applier's hook). When the applied
+// watermark has moved past the last one pushed, it sends the endpoint the
+// last probe named one StatusPush: one one-way message per advance, none for
+// a batch that committed nothing, none before a probe has named an endpoint
+// and none while the replica is down. A push the network refuses is not
+// retried; the collector's probe covers it.
+func (r *Replica) push() {
+	to := r.pushTo.Load()
+	if to == nil || r.ep.Down() {
+		return
+	}
+	st := r.status()
+	for {
+		last := r.pushed.Load()
+		if int64(st.LastCommitTS) <= last {
+			return
+		}
+		if r.pushed.CompareAndSwap(last, int64(st.LastCommitTS)) {
+			break
+		}
+	}
+	_ = r.net.Send(r.region, *to, netsim.Message{Payload: StatusPush{Node: r.id, Status: st}, Size: 32 + len(r.id)})
 }
 
 // Client is a typed RPC client for data nodes, homed in a region.
@@ -1047,12 +1103,27 @@ func (c *Client) DDL(ctx context.Context, node string, tableID uint64, t ts.Time
 	return err
 }
 
-// Status fetches a node's metrics; req's zero value asks for them now (see
-// StatusReq for the long poll).
+// Status probes a node for its metrics; a non-empty req.PushTo subscribes a
+// replica's pushes (see StatusReq).
 func (c *Client) Status(ctx context.Context, node string, req StatusReq) (StatusResp, error) {
-	p, err := c.call(ctx, node, req, 24)
+	p, err := c.call(ctx, node, req, 24+len(req.PushTo))
 	if err != nil {
 		return StatusResp{}, err
 	}
 	return p.(StatusResp), nil
+}
+
+// ServePushes registers name in the client's region as the endpoint that
+// replicas subscribed with StatusReq.PushTo push to, and hands every
+// StatusPush that lands there to fn, on the delivering goroutine. A later
+// registration of the same name replaces this one.
+func (c *Client) ServePushes(name string, fn func(StatusPush)) {
+	c.net.Register(name, c.region, func(_ context.Context, m netsim.Message) (netsim.Message, error) {
+		push, ok := m.Payload.(StatusPush)
+		if !ok {
+			return netsim.Message{}, fmt.Errorf("%w: %T", ErrBadRequest, m.Payload)
+		}
+		fn(push)
+		return netsim.Message{}, nil
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"globaldb/internal/clock"
 	"globaldb/internal/netsim"
 	"globaldb/internal/redo"
 	"globaldb/internal/repl"
@@ -300,95 +301,155 @@ func TestStatusLoadAndRole(t *testing.T) {
 	}
 }
 
-// TestStatusLongPollAnswersOnAdvance: a status request with Wait parks at the
-// replica until replay passes After, is not load while it is parked, and is
-// answered with the new watermark the moment the batch is applied.
-func TestStatusLongPollAnswersOnAdvance(t *testing.T) {
-	r := newRig(t, repl.Async)
-	if err := r.client.Heartbeat(bg, "dn0", 500); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "first heartbeat replay", func() bool { return r.replica.Applier().MaxCommitTS() == 500 })
+// pushSink registers a push endpoint in the client's region and returns the
+// channel its pushes land on.
+func (r *rig) pushSink(name string) <-chan StatusPush {
+	got := make(chan StatusPush, 16)
+	r.client.ServePushes(name, func(p StatusPush) { got <- p })
+	return got
+}
 
-	type answer struct {
-		st  StatusResp
-		err error
-	}
-	parked := make(chan answer, 1)
-	go func() {
-		st, err := r.client.Status(bg, "dn0r0", StatusReq{After: 500, Wait: time.Minute})
-		parked <- answer{st, err}
-	}()
-	// A plain status overtakes the parked one and does not see it as load.
-	st, err := r.client.Status(bg, "dn0r0", StatusReq{})
-	if err != nil || st.LastCommitTS != 500 || st.Load != 0 {
-		t.Fatalf("plain status beside a parked one: %+v %v", st, err)
-	}
+// noPush fails if a push lands on got within a few round trips.
+func noPush(t *testing.T, got <-chan StatusPush, after string) {
+	t.Helper()
 	select {
-	case a := <-parked:
-		t.Fatalf("long poll answered with nothing new: %+v %v", a.st, a.err)
-	default:
-	}
-
-	if err := r.client.Heartbeat(bg, "dn0", 600); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case a := <-parked:
-		if a.err != nil || a.st.LastCommitTS != 600 || a.st.AppliedLSN != r.primary.Log().LastLSN() {
-			t.Fatalf("long poll answer: %+v %v", a.st, a.err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("long poll still parked after the watermark passed After")
-	}
-
-	// Already past After: answered at once, Wait or not.
-	start := time.Now()
-	if st, err := r.client.Status(bg, "dn0r0", StatusReq{After: 500, Wait: time.Minute}); err != nil || st.LastCommitTS != 600 {
-		t.Fatalf("status past After: %+v %v", st, err)
-	}
-	if e := time.Since(start); e > time.Second {
-		t.Fatalf("status past After took %v", e)
+	case p := <-got:
+		t.Fatalf("%s: pushed %+v", after, p)
+	case <-time.After(30 * time.Millisecond):
 	}
 }
 
-// TestStatusLongPollRunsOutAndCancels: with nothing to report the replica
-// answers when Wait runs out, with the watermark it has; a cancelled caller
-// is released at once; and a primary does not park at all.
-func TestStatusLongPollRunsOutAndCancels(t *testing.T) {
+// TestReplicaPushesEachAdvance: once a probe has named an endpoint, a replica
+// sends it one StatusPush for every batch that moves its applied watermark,
+// carrying the new watermark and replay position; a batch that commits
+// nothing sends none, and neither does a replica that is down or that no
+// probe has subscribed.
+func TestReplicaPushesEachAdvance(t *testing.T) {
 	r := newRig(t, repl.Async)
-	const wait = 30 * time.Millisecond
-	start := time.Now()
-	st, err := r.client.Status(bg, "dn0r0", StatusReq{After: 0, Wait: wait})
-	if err != nil || st.LastCommitTS != 0 {
-		t.Fatalf("timed-out long poll: %+v %v", st, err)
+	got := r.pushSink("sink")
+	heartbeat := func(stamp ts.Timestamp) {
+		t.Helper()
+		if err := r.client.Heartbeat(bg, "dn0", stamp); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "heartbeat replay", func() bool { return r.replica.Applier().MaxCommitTS() == stamp })
 	}
-	if e := time.Since(start); e < wait {
-		t.Fatalf("long poll with nothing to report answered after %v, before Wait (%v) ran out", e, wait)
-	}
+	heartbeat(500)
+	noPush(t, got, "an advance before any probe subscribed")
 
-	ctx, cancel := context.WithCancel(bg)
-	done := make(chan error, 1)
-	go func() {
-		_, err := r.client.Status(ctx, "dn0r0", StatusReq{After: 0, Wait: time.Minute})
-		done <- err
-	}()
-	cancel()
+	st, err := r.client.Status(bg, "dn0r0", StatusReq{PushTo: "sink"})
+	if err != nil || st.LastCommitTS != 500 {
+		t.Fatalf("subscribing probe: %+v %v", st, err)
+	}
+	heartbeat(600)
 	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled long poll: %v", err)
+	case p := <-got:
+		if p.Node != "dn0r0" || p.Status.LastCommitTS != 600 || p.Status.AppliedLSN != r.primary.Log().LastLSN() {
+			t.Fatalf("push %+v, want dn0r0 at 600, LSN %d", p, r.primary.Log().LastLSN())
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled long poll still parked")
+		t.Fatal("no push for an advance")
+	}
+	noPush(t, got, "one advance")
+
+	// Staged intents replay without moving the watermark.
+	if err := r.client.Write(bg, "dn0", 1, 0, []WriteOp{{Key: []byte("k"), Value: []byte("v")}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "write replay", func() bool { return r.replica.Applier().AppliedLSN() == r.primary.Log().LastLSN() })
+	noPush(t, got, "a batch that committed nothing")
+
+	// Down for readers (and status) while replay goes on: a crashed node
+	// tells nobody anything.
+	r.replica.Endpoint().SetDown(true)
+	heartbeat(700)
+	noPush(t, got, "an advance while down")
+	r.replica.Endpoint().SetDown(false)
+	heartbeat(800)
+	if p := <-got; p.Status.LastCommitTS != 800 {
+		t.Fatalf("push after the restart: %+v", p)
+	}
+}
+
+// TestStatusProbeAnswersAtOnce: a probe never parks, a replica or a primary;
+// a later probe's PushTo replaces the endpoint an earlier one named, a probe
+// without one leaves it as it is, and a primary, whose watermark the RCP
+// does not use, pushes nothing.
+func TestStatusProbeAnswersAtOnce(t *testing.T) {
+	r := newRig(t, repl.Async)
+	first, second := r.pushSink("first"), r.pushSink("second")
+	for _, node := range []string{"dn0r0", "dn0"} {
+		start := time.Now()
+		if _, err := r.client.Status(bg, node, StatusReq{PushTo: "first"}); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("a probe of %s took %v", node, took)
+		}
+	}
+	for i, probe := range []StatusReq{{PushTo: "second"}, {}} {
+		if _, err := r.client.Status(bg, "dn0r0", probe); err != nil {
+			t.Fatal(err)
+		}
+		stamp := ts.Timestamp(100 * (i + 1))
+		if err := r.client.Heartbeat(bg, "dn0", stamp); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case p := <-second:
+			if p.Node != "dn0r0" || p.Status.LastCommitTS != stamp {
+				t.Fatalf("push %+v, want dn0r0 at %v", p, stamp)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("probe %d: no push to the endpoint the last PushTo named", i)
+		}
+	}
+	noPush(t, first, "a replaced subscription (or a primary)")
+}
+
+// TestStampHeartbeat: under GClock a primary stamps its own log, with no
+// message, at its clock's lower bound, and a ThenCommit right after it
+// commits above the stamp by its clock alone. Without an oracle in GClock
+// mode it stamps nothing and says so; a crashed primary stamps nothing.
+func TestStampHeartbeat(t *testing.T) {
+	r := newRig(t, repl.Async)
+	if _, ok := r.primary.StampHeartbeat(); ok {
+		t.Fatal("a primary without an oracle stamped a heartbeat")
+	}
+	oracle := gclockOracle("dn0", clock.Real())
+	r.primary.SetOracle(oracle)
+	for _, mode := range []ts.Mode{ts.ModeGTM, ts.ModeDUAL} {
+		oracle.SetMode(mode)
+		if _, ok := r.primary.StampHeartbeat(); ok {
+			t.Fatalf("stamped a heartbeat in %v mode", mode)
+		}
+	}
+	if n := r.primary.Log().LastLSN(); n != 0 {
+		t.Fatalf("%d records logged without a stamp", n)
+	}
+	oracle.SetMode(ts.ModeGClock)
+
+	shipped, local := r.net.LinkStats("east", "west").Messages, r.net.LinkStats("east", "east").Messages
+	stamp, ok := r.primary.StampHeartbeat()
+	if !ok || stamp > ts.FromTime(time.Now()) {
+		t.Fatalf("StampHeartbeat = %v %v, want a stamp true time has passed", stamp, ok)
+	}
+	if typ, _ := r.primary.Log().TypeAt(1); typ != redo.TypeHeartbeat || r.primary.Store().LastCommitTS() != stamp {
+		t.Fatalf("logged %v, watermark %v; want a heartbeat at %v", typ, r.primary.Store().LastCommitTS(), stamp)
+	}
+	waitFor(t, "stamp replay", func() bool { return r.replica.Applier().MaxCommitTS() == stamp })
+	if ships := r.net.LinkStats("east", "west").Messages - shipped; ships != 1 || r.net.LinkStats("east", "east").Messages != local {
+		t.Fatalf("%d messages went to the replica, want the one redo batch, and none to the primary", ships)
+	}
+	resp, err := r.client.WriteCommit(bg, "dn0", 1, ts.Max, []WriteOp{{Key: []byte("k"), Value: []byte("v")}}, false, 0)
+	if err != nil || resp.CommitTS <= stamp || resp.FloorBump != 0 {
+		t.Fatalf("ThenCommit after the stamp: %+v %v, want above %v with no floor bump", resp, err, stamp)
 	}
 
-	start = time.Now()
-	if st, err := r.client.Status(bg, "dn0", StatusReq{After: ts.Max, Wait: time.Minute}); err != nil || !st.Primary {
-		t.Fatalf("primary status: %+v %v", st, err)
-	}
-	if e := time.Since(start); e > time.Second {
-		t.Fatalf("a primary parked a status request for %v", e)
+	r.primary.Endpoint().SetDown(true)
+	last := r.primary.Log().LastLSN()
+	if _, ok := r.primary.StampHeartbeat(); !ok || r.primary.Log().LastLSN() != last {
+		t.Fatal("a crashed primary stamped its log, or asked for a HeartbeatReq")
 	}
 }
 

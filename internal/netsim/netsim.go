@@ -328,3 +328,33 @@ func (n *Network) Call(ctx context.Context, fromRegion, name string, req Message
 	}
 	return resp, nil
 }
+
+// Send puts a one-way message from fromRegion on the wire to the named
+// endpoint and returns at once: the message is counted on the link now and
+// handed to the endpoint's handler after the one-way delay, on a goroutine
+// of its own, whose response goes nowhere. Nothing travels back, so the
+// sender learns nothing of delivery, and an endpoint that is down when the
+// message lands drops it. Send fails, and puts nothing on the wire, only
+// for an unknown endpoint or a link that is partitioned or missing.
+func (n *Network) Send(fromRegion, name string, m Message) error {
+	n.mu.RLock()
+	ep := n.eps[name]
+	n.mu.RUnlock()
+	if ep == nil {
+		return fmt.Errorf("%w: %q", ErrUnknownEndpoint, name)
+	}
+	d, err := n.OneWay(fromRegion, ep.region, m.Size)
+	if err != nil {
+		return err
+	}
+	n.count(fromRegion, ep.region, m.Size)
+	time.AfterFunc(d, func() {
+		ep.mu.RLock()
+		down, h := ep.down, ep.handler
+		ep.mu.RUnlock()
+		if !down {
+			_, _ = h(context.Background(), m)
+		}
+	})
+	return nil
+}

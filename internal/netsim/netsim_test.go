@@ -207,3 +207,59 @@ func TestLinkStatsCountPerDirection(t *testing.T) {
 		t.Fatalf("a refused message was counted: %d", got)
 	}
 }
+
+// TestSendIsOneWay: a sent message is one message on the link, none comes
+// back, the sender does not wait for the delay, and the handler sees it one
+// one-way delay later. A down endpoint drops it; a partition refuses it
+// without counting it.
+func TestSendIsOneWay(t *testing.T) {
+	n := threeCity(0.1) // xian->dongguan: 2.75 ms one way
+	got := make(chan time.Duration, 2)
+	var sent time.Time
+	ep := n.Register("sink", "dongguan", func(_ context.Context, m Message) (Message, error) {
+		got <- time.Since(sent)
+		return Message{Size: 999}, nil
+	})
+	sent = time.Now()
+	if err := n.Send("xian", "sink", Message{Size: 32}); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(sent); took > time.Millisecond {
+		t.Fatalf("Send blocked for %v", took)
+	}
+	select {
+	case d := <-got:
+		if d < 2750*time.Microsecond {
+			t.Fatalf("delivered after %v, before the one-way delay", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("never delivered")
+	}
+	if st := n.LinkStats("xian", "dongguan"); st != (LinkStats{Messages: 1, Bytes: 32}) {
+		t.Fatalf("forward link: %+v", st)
+	}
+	if st := n.LinkStats("dongguan", "xian"); st != (LinkStats{}) {
+		t.Fatalf("a one-way message came back: %+v", st)
+	}
+
+	ep.SetDown(true)
+	sent = time.Now()
+	if err := n.Send("xian", "sink", Message{Size: 32}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got:
+		t.Fatal("a down endpoint handled a message")
+	case <-time.After(20 * time.Millisecond):
+	}
+	n.SetPartitioned("xian", "dongguan", true)
+	if err := n.Send("xian", "sink", Message{Size: 32}); !errors.Is(err, ErrPartitioned) {
+		t.Fatalf("partitioned send: %v", err)
+	}
+	if err := n.Send("xian", "nowhere", Message{}); !errors.Is(err, ErrUnknownEndpoint) {
+		t.Fatalf("send to an unknown endpoint: %v", err)
+	}
+	if st := n.LinkStats("xian", "dongguan"); st.Messages != 2 {
+		t.Fatalf("messages on the link = %d, want 2 (the refused one is not counted)", st.Messages)
+	}
+}

@@ -15,19 +15,27 @@
 // and until the new collector hears from a serving replica of every shard it
 // keeps the value it started with.
 //
-// Collection is a stream, not a batch: one watcher per node keeps a status
-// long poll parked at its replica (datanode.StatusReq), the replica answers
-// the moment it has replayed past the watermark the watcher last saw, and
-// every answer is published on arrival. The RCP therefore trails a replica's
-// watermark by one one-way trip rather than by a poll period plus a round
-// trip, an idle replica costs one message pair per PollInterval, and readers
-// never wait for the collector: RCP is an atomic load, Statuses copies a map
-// under a mutex that is never held across I/O.
+// Collection is a stream, not a batch: every replica pushes each advance of
+// its applied watermark to the collector as one one-way message
+// (datanode.StatusPush) from the batch replay that made it, and every push
+// is published on arrival. The RCP therefore trails a replica's watermark by
+// one one-way trip, with nothing to re-arm between two advances. One watcher
+// per node probes it (datanode.StatusReq) only when it has been silent for
+// PollInterval: that keeps health and load fresh, notices a replica that
+// died, and its first probe tells the replica where to push. Readers never
+// wait for the collector: RCP is an atomic load, Statuses copies a map under
+// a mutex that is never held across I/O.
 //
-// Heartbeat transactions keep idle shards moving: the collector
-// periodically stamps every primary's log with a fresh commit timestamp so
-// "a replica node's maximum timestamp could lag behind when it does not
-// receive any transactions to replay" never pins the RCP.
+// Heartbeat transactions keep idle shards moving: every HeartbeatInterval
+// every primary's log is stamped with a fresh commit timestamp so "a replica
+// node's maximum timestamp could lag behind when it does not receive any
+// transactions to replay" never pins the RCP. Under GClock each primary
+// stamps its own log with its clock's lower bound (Stamper), and no message
+// is sent: the collector's ticker stands in for per-primary timers aligned
+// to the synchronized clock. Under GTM and DUAL a primary has no timestamps
+// of its own, so the collector fetches one GTM timestamp per tick
+// (TSProvider) and sends it to every primary in a HeartbeatReq: the
+// centralized mode's message that remains.
 package rcp
 
 import (
@@ -73,6 +81,10 @@ type Topology struct {
 	Primaries map[int]string
 	// Replicas maps shard -> replica endpoint names.
 	Replicas map[int][]string
+	// Stamp, when set, has a shard's primary stamp its own heartbeats; a
+	// primary it cannot stamp, or every one when it is nil, is sent a
+	// HeartbeatReq instead.
+	Stamp Stamper
 }
 
 // each calls fn for every replica and every primary of the topology.
@@ -87,19 +99,29 @@ func (t Topology) each(fn func(shard int, node string, primary bool)) {
 	}
 }
 
-// TSProvider supplies fresh commit timestamps for heartbeat transactions.
+// TSProvider supplies fresh commit timestamps for heartbeat transactions
+// sent to primaries that cannot stamp their own (see Stamper).
 type TSProvider func(ctx context.Context) (ts.Timestamp, error)
+
+// Stamper has shard's primary stamp a heartbeat into its own log from its own
+// clock, with no message (datanode.Primary.StampHeartbeat). It returns false
+// when the primary cannot — its oracle is not in GClock mode — and the
+// collector then sends it a HeartbeatReq carrying a TSProvider timestamp.
+type Stamper func(shard int) bool
 
 // Config tunes the collector.
 type Config struct {
-	// PollInterval is how long a replica may hold a status long poll with
-	// nothing new to report, and how often a primary is asked: every node's
-	// health and load are at most this old (plus a round trip), while a
-	// replica's watermark is reported as soon as it moves.
+	// PollInterval is how long a node may stay silent before the collector
+	// probes it: every node's health and load are at most this old (plus a
+	// round trip). A replica's push counts as an answer, so a replica whose
+	// watermark moves more often than this is never probed, while its
+	// watermark is reported as soon as it moves.
 	PollInterval time.Duration
-	// HeartbeatInterval is how often heartbeat transactions are issued.
+	// HeartbeatInterval is how often every primary's log is stamped with a
+	// heartbeat: by the primary itself under GClock, by a HeartbeatReq under
+	// GTM and DUAL.
 	HeartbeatInterval time.Duration
-	// PollTimeout bounds each status RPC (beyond the time it may park).
+	// PollTimeout bounds each status probe and heartbeat RPC.
 	PollTimeout time.Duration
 }
 
@@ -115,18 +137,21 @@ func DefaultConfig() Config {
 // Collector metric names on obs.Default. They total every collector in the
 // process, and the per-replica gauges are labeled node="<endpoint>".
 const (
-	// MetricLag is how far the RCP trails the heartbeat clock, set at every
-	// heartbeat: the staleness a replica read opening now would see. The
-	// unit is the timestamp domain's — nanoseconds under GClock.
+	// MetricLag is how far the RCP trails the collector's wall clock, set at
+	// every RCP raise and every heartbeat tick: the staleness a replica read
+	// opening now would see, in nanoseconds. GClock timestamps are wall-clock
+	// nanoseconds; under GTM the timestamps count rather than tell time.
 	MetricLag = "rcp_lag_ns"
 	// MetricReplicaLagTS is how far a replica's applied watermark trails its
-	// primary's, in the same unit, as of the replica's last answer.
+	// primary's, in the timestamp domain's unit (nanoseconds under GClock),
+	// as of the replica's last answer.
 	MetricReplicaLagTS = "rcp_replica_lag_ns"
 	// MetricReplicaLagLSN is the same distance in redo records.
 	MetricReplicaLagLSN = "rcp_replica_lag_lsn"
-	// MetricStatusReplies counts answers to replica long polls by
-	// cause="advance" (the watermark moved: the useful ones), "timeout"
-	// (PollInterval ran out first) or "error" (crash, partition).
+	// MetricStatusReplies counts what the collector hears from replicas by
+	// cause="advance" (a push: the watermark moved), "timeout" (the answer to
+	// a probe, sent because the replica was silent for PollInterval) or
+	// "error" (a probe failed: crash, partition).
 	MetricStatusReplies = "rcp_status_replies_total"
 )
 
@@ -143,13 +168,16 @@ type replayLag struct{ ts, lsn *obs.Gauge }
 // Collector computes the RCP. It is shared by every CN in the cluster —
 // the in-process analogue of the designated CN distributing the RCP.
 type Collector struct {
-	cfg    Config
-	client *datanode.Client
-	topo   Topology
-	tsp    TSProvider
-	lag    map[string]replayLag // by replica; fixed at construction
+	cfg      Config
+	client   *datanode.Client
+	topo     Topology
+	tsp      TSProvider
+	endpoint string               // where replicas push: "rcp:<region>"; set by Start
+	shardOf  map[string]int       // replica -> shard; fixed at construction
+	lag      map[string]replayLag // by replica; fixed at construction
 
-	rcp atomic.Int64 // a ts.Timestamp; raised only under mu
+	rcp     atomic.Int64 // a ts.Timestamp; raised only under mu
+	running atomic.Bool  // between Start and Stop: pushes are published
 
 	mu       sync.Mutex // never held across I/O
 	statuses map[string]ReplicaStatus
@@ -162,18 +190,22 @@ type Collector struct {
 // designated CN's region) whose RCP starts at start: the RCP a replaced
 // collector published, when every replica it reads from has replayed that
 // far, so that readers are never handed less than before; zero otherwise.
+// tsp supplies the heartbeat timestamps of the primaries that topo.Stamp
+// cannot stamp.
 func NewCollector(cfg Config, client *datanode.Client, topo Topology, tsp TSProvider, start ts.Timestamp) *Collector {
 	c := &Collector{
 		cfg:      cfg,
 		client:   client,
 		topo:     topo,
 		tsp:      tsp,
+		shardOf:  make(map[string]int),
 		lag:      make(map[string]replayLag),
 		statuses: make(map[string]ReplicaStatus),
 	}
 	c.rcp.Store(int64(start))
-	for _, nodes := range topo.Replicas {
+	for shard, nodes := range topo.Replicas {
 		for _, node := range nodes {
+			c.shardOf[node] = shard
 			c.lag[node] = replayLag{
 				ts:  obs.Default.Gauge(obs.LabeledName(MetricReplicaLagTS, "node", node)),
 				lsn: obs.Default.Gauge(obs.LabeledName(MetricReplicaLagLSN, "node", node)),
@@ -183,10 +215,15 @@ func NewCollector(cfg Config, client *datanode.Client, topo Topology, tsp TSProv
 	return c
 }
 
-// Start launches the heartbeat loop and one watcher per node.
+// Start registers the collector's push endpoint, taking it over from any
+// earlier collector in the same region, and launches the heartbeat loop and
+// one watcher per node.
 func (c *Collector) Start() {
 	ctx, cancel := context.WithCancel(context.Background())
 	c.cancel = cancel
+	c.running.Store(true)
+	c.endpoint = "rcp:" + c.client.Region()
+	c.client.ServePushes(c.endpoint, c.onPush)
 	c.wg.Add(1)
 	go c.heartbeats(ctx)
 	c.topo.each(func(shard int, node string, primary bool) {
@@ -195,10 +232,12 @@ func (c *Collector) Start() {
 	})
 }
 
-// Stop ends the heartbeats and the watchers — parked long polls are
-// cancelled, not waited out — and returns once they have exited. A stopped
-// collector keeps its RCP and statuses and may be started again.
+// Stop ends the heartbeats and the watchers — a probe in flight is cancelled,
+// not waited out — and returns once they have exited; pushes that land after
+// it are dropped. A stopped collector keeps its RCP and statuses and may be
+// started again.
 func (c *Collector) Stop() {
+	c.running.Store(false)
 	if c.cancel != nil {
 		c.cancel()
 		c.wg.Wait()
@@ -221,8 +260,8 @@ func (c *Collector) Statuses() map[string]ReplicaStatus {
 }
 
 // FormatStats renders the collector's instruments as human-readable lines
-// for the CLI stats surfaces: the RCP with its lag and the long poll's
-// answers by cause, then one line per replica.
+// for the CLI stats surfaces: the RCP with its lag and what replicas were
+// heard saying by cause, then one line per replica.
 func (c *Collector) FormatStats() []string {
 	lines := []string{fmt.Sprintf("rcp:     %v lag=%v status-replies: advance=%d timeout=%d error=%d",
 		c.RCP(), time.Duration(metricLag.Value()),
@@ -260,7 +299,7 @@ func (c *Collector) PollOnce(ctx context.Context) ts.Timestamp {
 // ask is one status round trip, published on arrival unless ctx ended first
 // (a cancelled call says nothing about the node).
 func (c *Collector) ask(ctx context.Context, shard int, node string, primary bool, req datanode.StatusReq) (datanode.StatusResp, error) {
-	cctx, cancel := context.WithTimeout(ctx, req.Wait+c.cfg.PollTimeout)
+	cctx, cancel := context.WithTimeout(ctx, c.cfg.PollTimeout)
 	defer cancel()
 	resp, err := c.client.Status(cctx, node, req)
 	if ctx.Err() != nil {
@@ -283,19 +322,22 @@ func (c *Collector) ask(ctx context.Context, shard int, node string, primary boo
 // the RCP where it is.
 //
 // Entries in the map were observed at different moments, which is safe
-// because watermarks only grow: an older observation is a lower bound. The
-// RCP is only ever raised, under mu, so concurrent publishers cannot regress
-// it. No I/O happens under the lock.
+// because watermarks only grow: an older observation is a lower bound. A
+// node's entry keeps the larger of the stored and the arriving watermark
+// and replay position, so an answer overtaken on the wire — a probe's
+// answer behind a push, or one push behind another — lowers neither, nor
+// flips Healthy. The RCP is only ever raised, under mu, so concurrent
+// publishers cannot regress it. No I/O happens under the lock.
 func (c *Collector) publish(shard int, node string, primary bool, resp datanode.StatusResp, err error) {
 	st := ReplicaStatus{Node: node, Shard: shard, Primary: primary, PolledAt: time.Now()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	prev := c.statuses[node]
+	st.MaxCommitTS, st.AppliedLSN = prev.MaxCommitTS, prev.AppliedLSN
 	if err == nil {
-		st.MaxCommitTS, st.AppliedLSN, st.Load = resp.LastCommitTS, resp.AppliedLSN, resp.Load
+		st.MaxCommitTS, st.AppliedLSN = max(st.MaxCommitTS, resp.LastCommitTS), max(st.AppliedLSN, resp.AppliedLSN)
+		st.Load = resp.Load
 		st.Healthy = primary || st.MaxCommitTS >= c.RCP()
-	} else {
-		prev := c.statuses[node]
-		st.MaxCommitTS, st.AppliedLSN = prev.MaxCommitTS, prev.AppliedLSN
 	}
 	c.statuses[node] = st
 	if primary {
@@ -320,63 +362,98 @@ func (c *Collector) publish(shard int, node string, primary bool, resp datanode.
 	}
 	if candidate != ts.Max && candidate > c.RCP() {
 		c.rcp.Store(int64(candidate))
+		c.noteLag()
 	}
 }
 
-// watch keeps one node's entry in the status map current until ctx ends. A
-// replica is long-polled: the request carries the watermark last seen and
-// parks at the replica until replay passes it, so the answer leaves the
-// moment there is something to publish, and the next request follows at
-// once. When PollInterval passes without an advance the replica answers
-// anyway, which is what keeps health and load fresh and is how a replica
-// that died with a poll parked is noticed. A primary, whose watermark the
-// RCP does not use, is simply asked every PollInterval, and so is a node
-// that fails fast.
+// onPush publishes a replica's push, unless the collector is stopped or the
+// node is not one of its replicas.
+func (c *Collector) onPush(p datanode.StatusPush) {
+	shard, ok := c.shardOf[p.Node]
+	if !ok || !c.running.Load() {
+		return
+	}
+	metricAdvances.Inc()
+	c.publish(shard, p.Node, false, p.Status, nil)
+}
+
+// noteLag sets MetricLag from the collector's wall clock.
+func (c *Collector) noteLag() {
+	if rcp := c.RCP(); rcp > 0 {
+		metricLag.Set(int64(ts.FromTime(time.Now()) - rcp))
+	}
+}
+
+// watch keeps one node's entry in the status map current until ctx ends: it
+// probes the node whenever nothing has been heard from it for PollInterval.
+// A replica's pushes count as answers, so a replica whose watermark keeps
+// moving is never probed, and one that stops — idle, or dead — is probed
+// PollInterval after its last word, which is how a replica that died is
+// noticed. A replica's probe names the collector's endpoint, so the first
+// one subscribes it (and re-subscribes it after an outage). A primary, which
+// pushes nothing, is simply probed every PollInterval, and so is a node that
+// fails fast.
 func (c *Collector) watch(ctx context.Context, shard int, node string, primary bool) {
 	defer c.wg.Done()
-	var seen ts.Timestamp
-	for ctx.Err() == nil {
-		var req datanode.StatusReq
-		if !primary {
-			req = datanode.StatusReq{After: seen, Wait: c.cfg.PollInterval}
-		}
+	var req datanode.StatusReq
+	if !primary {
+		req.PushTo = c.endpoint
+	}
+	for {
 		start := time.Now()
-		resp, err := c.ask(ctx, shard, node, primary, req)
+		_, err := c.ask(ctx, shard, node, primary, req)
 		switch {
 		case ctx.Err() != nil:
 			return // stopped mid-call: not an answer
 		case primary:
 		case err != nil:
 			metricPollFails.Inc()
-		case resp.LastCommitTS > seen:
-			metricAdvances.Inc()
-			seen = resp.LastCommitTS
-			continue
 		default:
 			metricTimeouts.Inc()
 		}
-		// Nothing moved: wait out what is left of the interval (nothing, after
-		// a long poll that ran its course).
-		if rest := c.cfg.PollInterval - time.Since(start); rest > 0 {
+		// Wait until the node has been silent for PollInterval: every push
+		// that lands meanwhile moves the deadline.
+		for {
+			heard := start
+			c.mu.Lock()
+			if at := c.statuses[node].PolledAt; at.After(heard) {
+				heard = at
+			}
+			c.mu.Unlock()
+			rest := c.cfg.PollInterval - time.Since(heard)
+			if rest <= 0 {
+				break
+			}
 			select {
 			case <-time.After(rest):
 			case <-ctx.Done():
+				return
 			}
 		}
 	}
 }
 
-// HeartbeatOnce stamps every primary with a fresh commit timestamp.
+// HeartbeatOnce stamps every primary's log with a heartbeat. A primary that
+// stamps its own (Topology.Stamp, under GClock) costs no message and no
+// wait. The others are sent one timestamp fetched from the provider for the
+// tick, and HeartbeatOnce returns once they have acked.
 func (c *Collector) HeartbeatOnce(ctx context.Context) error {
+	c.noteLag()
+	var send []string // stays nil, unallocated, while every primary stamps
+	for shard, primary := range c.topo.Primaries {
+		if c.topo.Stamp == nil || !c.topo.Stamp(shard) {
+			send = append(send, primary)
+		}
+	}
+	if len(send) == 0 {
+		return nil
+	}
 	t, err := c.tsp(ctx)
 	if err != nil {
 		return err
 	}
-	if rcp := c.RCP(); rcp > 0 {
-		metricLag.Set(int64(t - rcp))
-	}
 	var wg sync.WaitGroup
-	for _, primary := range c.topo.Primaries {
+	for _, primary := range send {
 		wg.Add(1)
 		go func(primary string) {
 			defer wg.Done()
@@ -389,7 +466,7 @@ func (c *Collector) HeartbeatOnce(ctx context.Context) error {
 	return nil
 }
 
-// heartbeats issues a heartbeat every HeartbeatInterval, on a ticker of its
+// heartbeats stamps every primary every HeartbeatInterval, on a ticker of its
 // own so that no status round trip stretches the period.
 func (c *Collector) heartbeats(ctx context.Context) {
 	defer c.wg.Done()

@@ -34,8 +34,8 @@ func rigTopology(shards int) Topology {
 	return topo
 }
 
-// manualHeartbeats is collector timing under which nothing happens unless
-// the test asks: no heartbeat ticks, and a long poll parks for pollInterval.
+// manualHeartbeats is collector timing under which no heartbeat ticks unless
+// the test asks, and a silent node is probed every pollInterval.
 func manualHeartbeats(pollInterval time.Duration) Config {
 	return Config{PollInterval: pollInterval, HeartbeatInterval: time.Hour, PollTimeout: 2 * time.Second}
 }
@@ -115,36 +115,55 @@ func TestReadersNeverWaitForAStatusRoundTrip(t *testing.T) {
 	<-polled
 }
 
-// TestWatermarkReachesRCPWithoutWaitingForThePollInterval: a replica answers
-// its parked long poll the moment it has replayed something newer, so what
-// every replica has applied is the RCP a one-way trip later, however long
-// PollInterval is.
-func TestWatermarkReachesRCPWithoutWaitingForThePollInterval(t *testing.T) {
+// probed waits until all n nodes of col's topology read healthy in an
+// answer to a probe sent since since: from then on every replica pushes to
+// col.
+func probed(t *testing.T, col *Collector, since time.Time, n int) {
+	t.Helper()
+	eventually(t, "every node to answer a probe", 5*time.Second, func() bool {
+		answered := 0
+		for _, st := range col.Statuses() {
+			if st.Healthy && st.PolledAt.After(since) {
+				answered++
+			}
+		}
+		return answered == n
+	})
+}
+
+// TestPushedWatermarkReachesRCPWithoutAProbe: a replica pushes the watermark
+// it has just applied, so what every replica has applied is the RCP a
+// one-way trip later, however long PollInterval is, and no probe is sent
+// for it.
+func TestPushedWatermarkReachesRCPWithoutAProbe(t *testing.T) {
+	counter := func(cause string) int64 {
+		return obs.Default.Counter(obs.LabeledName(MetricStatusReplies, "cause", cause)).Value()
+	}
 	r := newStreamRig(t, manualHeartbeats(time.Second))
+	start := time.Now()
 	r.col.Start()
 	defer r.col.Stop()
-	stamp := r.heartbeat(t, 0, 1)
-	if took := eventually(t, "applied heartbeat to reach the RCP", 5*time.Second, func() bool {
-		return r.col.RCP() >= stamp
-	}); took > 50*time.Millisecond {
-		t.Fatalf("RCP caught up %v after every replica had applied the heartbeat; PollInterval must not be in that path", took)
+	probed(t, r.col, start, 6)
+	probes, pushes := counter("timeout"), counter("advance")
+	for i := 0; i < 2; i++ {
+		stamp := r.heartbeat(t, 0, 1)
+		if took := eventually(t, "applied heartbeat to reach the RCP", 5*time.Second, func() bool {
+			return r.col.RCP() >= stamp
+		}); took > 50*time.Millisecond {
+			t.Fatalf("heartbeat %d: RCP caught up %v after every replica had applied it; PollInterval must not be in that path", i, took)
+		}
 	}
-	// The watchers are parked again behind the new watermark, and the next
-	// heartbeat gets the same treatment.
-	stamp = r.heartbeat(t, 0, 1)
-	if took := eventually(t, "second heartbeat to reach the RCP", 5*time.Second, func() bool {
-		return r.col.RCP() >= stamp
-	}); took > 50*time.Millisecond {
-		t.Fatalf("second heartbeat: RCP caught up after %v", took)
+	if got := counter("timeout") - probes; got != 0 || counter("advance")-pushes != 8 {
+		t.Fatalf("%d probes and %d pushes for two heartbeats over four replicas, want none and 8", got, counter("advance")-pushes)
 	}
 }
 
-// TestReplicaLostWhileItsPollIsParked: a replica that dies holding a parked
-// poll is seen unhealthy once the poll has run out and the next one failed;
-// the RCP goes on without it while its shard has another reachable replica,
-// holds (and does not regress) when it was the last, and resumes when a
-// replica rejoins.
-func TestReplicaLostWhileItsPollIsParked(t *testing.T) {
+// TestReplicaLostBetweenPushes: a replica that dies pushes nothing more, and
+// is seen unhealthy once it has been silent for PollInterval and the probe
+// that follows failed; the RCP goes on without it while its shard has
+// another reachable replica, holds (and does not regress) when it was the
+// last, and resumes when a replica rejoins.
+func TestReplicaLostBetweenPushes(t *testing.T) {
 	const pollInterval = 100 * time.Millisecond
 	r := newStreamRig(t, manualHeartbeats(pollInterval))
 	r.col.Start()
@@ -188,8 +207,6 @@ func TestReplicaLostWhileItsPollIsParked(t *testing.T) {
 
 	first := r.heartbeat(t, 0, 1)
 	eventually(t, "first heartbeat to reach the RCP", 5*time.Second, func() bool { return r.col.RCP() == first })
-	// Every watcher has re-parked behind `first` by the time its answer is
-	// visible as healthy.
 	eventually(t, "all replicas reported", 5*time.Second, func() bool {
 		return healthy(rname(0, 0)) && healthy(rname(0, 1))
 	})
@@ -231,11 +248,12 @@ func TestReplicaLostWhileItsPollIsParked(t *testing.T) {
 	}
 }
 
-// TestStopCancelsParkedPolls: Stop does not wait out the long polls parked at
-// the replicas — with a cluster's worth of watchers (6 shards: 12 replicas
-// parked, 6 primaries between polls) and a one-minute PollInterval it returns
-// at once and every goroutine Start launched is gone. Start then works again.
-func TestStopCancelsParkedPolls(t *testing.T) {
+// TestStopEndsWatchersAndDropsPushes: Stop does not wait for anything —
+// with a cluster's worth of watchers (6 shards: 12 replicas and 6 primaries
+// between probes) and a one-minute PollInterval it returns at once and every
+// goroutine Start launched is gone — and a push that lands after it is not
+// published. Start then works again and takes pushes again.
+func TestStopEndsWatchersAndDropsPushes(t *testing.T) {
 	const shards = 6
 	r := newRig(t) // for its network; the extra shards need no shipping
 	for shard := 2; shard < shards; shard++ {
@@ -250,30 +268,30 @@ func TestStopCancelsParkedPolls(t *testing.T) {
 
 	for round := 0; round < 2; round++ {
 		baseline := runtime.NumGoroutine()
+		start := time.Now()
 		r.col.Start()
-		// Once every primary has answered, every watcher has sent its first
-		// request; the replicas' are parked (their watermark is still zero).
-		eventually(t, "primaries to report", 5*time.Second, func() bool {
-			n := 0
-			for _, st := range r.col.Statuses() {
-				if st.Primary && st.Healthy {
-					n++
-				}
-			}
-			return n == shards
-		})
+		probed(t, r.col, start, 3*shards)
 		if n := runtime.NumGoroutine(); n < baseline+3*shards {
 			t.Fatalf("round %d: %d goroutines over a baseline of %d, want a watcher per node", round, n, baseline)
 		}
-		start := time.Now()
+		stamp := r.heartbeat(t, 0)
+		eventually(t, "a push to be published", 5*time.Second, func() bool {
+			return r.col.Statuses()[rname(0, 0)].MaxCommitTS == stamp
+		})
+		start = time.Now()
 		r.col.Stop()
 		if took := time.Since(start); took > time.Second {
-			t.Fatalf("round %d: Stop took %v with polls parked for a minute", round, took)
+			t.Fatalf("round %d: Stop took %v with a one-minute PollInterval", round, took)
 		}
 		for _, st := range r.col.Statuses() {
 			if !st.Healthy {
-				t.Fatalf("round %d: Stop published %s as unhealthy; a cancelled poll says nothing about the node", round, st.Node)
+				t.Fatalf("round %d: Stop published %s as unhealthy; a cancelled probe says nothing about the node", round, st.Node)
 			}
+		}
+		stopped := r.heartbeat(t, 0) // every replica of shard 0 pushes it
+		time.Sleep(20 * time.Millisecond)
+		if got := r.col.Statuses()[rname(0, 0)].MaxCommitTS; got != stamp {
+			t.Fatalf("round %d: a stopped collector published %v, pushed after Stop (last before: %v)", round, stopped, got)
 		}
 		// Stop has waited for them; the runtime may take a moment to retire
 		// the stacks.
@@ -284,8 +302,9 @@ func TestStopCancelsParkedPolls(t *testing.T) {
 }
 
 // TestCollectorMetrics: what the stream does is readable from the registry —
-// how far the RCP trails the heartbeat clock, how far each replica trails its
-// primary, and how the long polls were answered.
+// how far the RCP trails the collector's clock, how far each replica trails
+// its primary, and what the replicas were heard saying: pushes, answers to
+// probes, failed probes.
 func TestCollectorMetrics(t *testing.T) {
 	counter := func(cause string) int64 {
 		return obs.Default.Counter(obs.LabeledName(MetricStatusReplies, "cause", cause)).Value()
@@ -294,20 +313,28 @@ func TestCollectorMetrics(t *testing.T) {
 
 	const pollInterval = 20 * time.Millisecond
 	r := newStreamRig(t, manualHeartbeats(pollInterval))
+	start := time.Now()
 	r.col.Start()
 	defer r.col.Stop()
+	probed(t, r.col, start, 6)
+	if counter("timeout") <= timeouts {
+		t.Fatal("the first probes' answers were not counted")
+	}
 	first := r.heartbeat(t, 0, 1)
 	eventually(t, "first heartbeat to reach the RCP", 5*time.Second, func() bool { return r.col.RCP() == first })
 	if got := counter("advance") - advances; got < 2 {
 		t.Fatalf("advance replies = %d after a heartbeat moved the RCP over two shards", got)
 	}
-	eventually(t, "a long poll to run out", 5*time.Second, func() bool { return counter("timeout") > timeouts })
 
-	// The heartbeat clock is 10 ahead of the RCP when the second stamp is
-	// issued: that is the lag a read opening then would have seen.
+	// The gauge is set when the RCP rises, from the collector's wall clock.
+	// (This rig's timestamps are small counters, so it reads about the wall
+	// clock's epoch nanoseconds.)
+	before := ts.FromTime(time.Now())
 	second := r.heartbeat(t, 0, 1)
-	if got := obs.Default.Gauge(MetricLag).Value(); got != int64(second-first) {
-		t.Fatalf("%s = %d, want %d", MetricLag, got, second-first)
+	eventually(t, "second heartbeat to reach the RCP", 5*time.Second, func() bool { return r.col.RCP() == second })
+	after := ts.FromTime(time.Now())
+	if got := obs.Default.Gauge(MetricLag).Value(); got < int64(before-second) || got > int64(after-second) {
+		t.Fatalf("%s = %d, want the wall clock at the raise minus %v", MetricLag, got, second)
 	}
 	// Once a replica has answered after its primary reported the stamp, it
 	// trails by nothing.
@@ -331,9 +358,9 @@ func TestCollectorMetrics(t *testing.T) {
 
 // TestPublishTakesTheMinimumOverServingReplicas drives publish with made-up
 // answers: the RCP is what every serving replica has replayed, not what each
-// shard's freshest has; an unreachable replica stops counting; and one that
-// comes back behind the RCP is neither healthy nor a drag on the RCP until it
-// has caught up.
+// shard's freshest has; an unreachable replica stops counting; an answer
+// older than the one stored lowers nothing; and one that comes back behind
+// the RCP is neither healthy nor a drag on the RCP until it has caught up.
 func TestPublishTakesTheMinimumOverServingReplicas(t *testing.T) {
 	c := NewCollector(DefaultConfig(), nil, rigTopology(2), nil, 0)
 	at := func(node string, shard int, watermark ts.Timestamp) {
@@ -377,6 +404,11 @@ func TestPublishTakesTheMinimumOverServingReplicas(t *testing.T) {
 	lost(r11, 1)
 	at(r00, 0, 140)
 	expect("a shard with no serving replica pins the RCP", 100, r00, r01)
+	at(r00, 0, 99) // a probe's answer, overtaken on the wire by the push of 140
+	expect("an overtaken answer", 100, r00, r01)
+	if got := c.Statuses()[r00].MaxCommitTS; got != 140 {
+		t.Fatalf("an overtaken answer lowered the watermark to %v", got)
+	}
 
 	at(r10, 1, 97) // back, but behind the RCP: replaying what it missed
 	expect("catching up", 100, r00, r01)

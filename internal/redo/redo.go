@@ -333,6 +333,18 @@ func (l *Log) ReadFrom(from uint64, max int) ([]byte, int, error) {
 	return l.buf[l.offs[i]:end:end], j - i, nil
 }
 
+// TypeAt returns the type of the retained record at lsn, read from its frame
+// header through the index: no decode, no CRC check, no allocation. ok is
+// false when the log does not hold lsn.
+func (l *Log) TypeAt(lsn uint64) (t Type, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if lsn < l.startLSN || lsn >= l.nextLSN {
+		return 0, false
+	}
+	return Type(l.buf[l.offs[lsn-l.startLSN]+8]), true
+}
+
 // NotifyAppend returns a channel closed at the next append. Callers check
 // for new records, then wait on the channel, then re-check — the classic
 // condition-variable pattern without lost wakeups.

@@ -185,6 +185,30 @@ func TestLogAppendBatch(t *testing.T) {
 	}
 }
 
+// TestLogTypeAt: a retained record's type comes from its frame header,
+// without an allocation, and an LSN the log does not hold has none.
+func TestLogTypeAt(t *testing.T) {
+	l := NewLog()
+	l.AppendBatch([]Record{{Type: TypeHeapInsert, Key: []byte("a")}, {Type: TypeCommit, TS: 9}, {Type: TypeHeartbeat, TS: 10}})
+	for lsn, want := range map[uint64]Type{1: TypeHeapInsert, 2: TypeCommit, 3: TypeHeartbeat} {
+		if got, ok := l.TypeAt(lsn); !ok || got != want {
+			t.Fatalf("TypeAt(%d) = %v %v, want %v", lsn, got, ok, want)
+		}
+	}
+	l.Truncate(3)
+	for _, lsn := range []uint64{0, 2, 4} {
+		if _, ok := l.TypeAt(lsn); ok {
+			t.Fatalf("TypeAt(%d) answered for an LSN the log does not hold", lsn)
+		}
+	}
+	if got, _ := l.TypeAt(3); got != TypeHeartbeat {
+		t.Fatalf("TypeAt(3) after truncation = %v", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { l.TypeAt(3) }); allocs != 0 {
+		t.Fatalf("TypeAt allocates %v times", allocs)
+	}
+}
+
 func TestLogTruncate(t *testing.T) {
 	l := NewLog()
 	for i := 0; i < 10; i++ {

@@ -36,12 +36,8 @@ type Applier struct {
 	maxDDLTS   ts.Timestamp
 	ddlTS      map[uint64]ts.Timestamp // tableID (from DDL record Txn field) -> ts
 
-	onDDL func(r redo.Record) // optional catalog hook
-
-	// notifyMu guards applied, the channel NotifyApplied hands out. It is
-	// separate from mu so that registering never waits for a replay.
-	notifyMu sync.Mutex
-	applied  chan struct{}
+	onDDL     func(r redo.Record) // optional catalog hook
+	onApplied func()              // optional; see SetAppliedHook
 }
 
 // NewApplier returns an applier over store, expecting the log from LSN 1.
@@ -56,6 +52,12 @@ func NewApplier(store *mvcc.Store) *Applier {
 // letting the hosting node maintain a replica catalog.
 func (a *Applier) SetDDLHook(fn func(redo.Record)) { a.onDDL = fn }
 
+// SetAppliedHook installs a callback invoked after every Apply, outside the
+// applier's lock, so it may read MaxCommitTS and AppliedLSN: it is how a
+// replica hears that its watermark may have moved, without a goroutine
+// waiting on the applier. Set it before the first Apply.
+func (a *Applier) SetAppliedHook(fn func()) { a.onApplied = fn }
+
 // AppliedLSN returns the LSN of the last applied record.
 func (a *Applier) AppliedLSN() uint64 {
 	a.mu.Lock()
@@ -67,30 +69,6 @@ func (a *Applier) AppliedLSN() uint64 {
 // replica's contribution to the RCP (Fig. 4).
 func (a *Applier) MaxCommitTS() ts.Timestamp { return a.store.LastCommitTS() }
 
-// NotifyApplied returns a channel closed when the next batch has been
-// replayed, in the idiom of redo.Log.NotifyAppend: take the channel, check
-// MaxCommitTS or AppliedLSN, wait on the channel, check again — no wakeup is
-// lost. It is how a status long poll parks on the watermark instead of being
-// asked again every few milliseconds.
-func (a *Applier) NotifyApplied() <-chan struct{} {
-	a.notifyMu.Lock()
-	defer a.notifyMu.Unlock()
-	if a.applied == nil {
-		a.applied = make(chan struct{})
-	}
-	return a.applied
-}
-
-// wakeApplied closes the channel the current waiters hold, if any.
-func (a *Applier) wakeApplied() {
-	a.notifyMu.Lock()
-	if a.applied != nil {
-		close(a.applied)
-		a.applied = nil
-	}
-	a.notifyMu.Unlock()
-}
-
 // Store exposes the underlying MVCC store for reads.
 func (a *Applier) Store() *mvcc.Store { return a.store }
 
@@ -99,8 +77,10 @@ func (a *Applier) Store() *mvcc.Store { return a.store }
 // rejected so the shipper rewinds; batches that overlap the applied prefix
 // are deduplicated (at-least-once delivery is fine).
 func (a *Applier) Apply(recs []redo.Record) (uint64, error) {
+	if a.onApplied != nil {
+		defer a.onApplied() // runs after the unlock: the hook reads AppliedLSN
+	}
 	a.mu.Lock()
-	defer a.wakeApplied() // runs after the unlock: a woken waiter reads AppliedLSN
 	defer a.mu.Unlock()
 	for _, r := range recs {
 		switch {

@@ -112,7 +112,8 @@ func TestShipperCoalescesBehindABatchInFlight(t *testing.T) {
 	const behind = 5
 	var last uint64
 	for i := 0; i < behind; i++ {
-		last = appendOne(r.log, redo.Record{Type: redo.TypeHeartbeat, TS: ts.Timestamp(200 + i)})
+		// Commits, not heartbeats: a heartbeat never waits (see below).
+		last = appendOne(r.log, redo.Record{Type: redo.TypeCommit, Txn: uint64(i + 1), TS: ts.Timestamp(200 + i)})
 	}
 	if st := r.shipper.Stats(); st.Batches != 1 || st.AckedLSN != 0 {
 		t.Fatalf("the first batch was acked before the rest were appended (%+v): nothing was in flight", st)
@@ -124,6 +125,24 @@ func TestShipperCoalescesBehindABatchInFlight(t *testing.T) {
 	}
 	if st := r.shipper.Stats(); st.Batches != 2 || st.Records != 1+behind {
 		t.Fatalf("%d records left in %d batches, want the %d behind the first in one", st.Records, st.Batches, behind)
+	}
+}
+
+// TestShipperSendsAHeartbeatWithoutLinger: a batch whose newest record is a
+// heartbeat leaves at once even with a batch unacked, records before the
+// heartbeat included — on a link whose round trip outlasts the heartbeat
+// interval that is every heartbeat.
+func TestShipperSendsAHeartbeatWithoutLinger(t *testing.T) {
+	r := newShipRig(t, 400*time.Millisecond, 0, lingerCfg(), Async) // x0.2: 80 ms round trip
+	appendOne(r.log, redo.Record{Type: redo.TypeHeartbeat, TS: 100})
+	waitFor(t, "first batch on the wire", 5*time.Second, func() bool { return r.shipper.Stats().Batches == 1 })
+	r.log.AppendBatch([]redo.Record{
+		{Type: redo.TypeCommit, Txn: 1, TS: 150},
+		{Type: redo.TypeHeartbeat, TS: 200},
+	})
+	waitFor(t, "the heartbeat on the wire", 5*time.Second, func() bool { return r.shipper.Stats().Batches == 2 })
+	if st := r.shipper.Stats(); st.AckedLSN != 0 || st.Records != 3 {
+		t.Fatalf("%+v: want the heartbeat and the commit before it sent with the first batch still unacked", st)
 	}
 }
 

@@ -180,33 +180,21 @@ func TestApplierHeartbeatAndDDL(t *testing.T) {
 	}
 }
 
-// TestApplierNotifyApplied: the channel is closed by the next replay, and a
-// waiter that takes it before checking the watermark cannot miss one.
-func TestApplierNotifyApplied(t *testing.T) {
+// TestApplierAppliedHook: the hook runs after every Apply, once the
+// watermark it reads has moved, and outside the lock the readers it calls
+// take.
+func TestApplierAppliedHook(t *testing.T) {
 	a := NewApplier(mvcc.NewStore())
-	closed := func(ch <-chan struct{}) bool {
-		select {
-		case <-ch:
-			return true
-		default:
-			return false
-		}
-	}
-	ch := a.NotifyApplied()
-	if closed(ch) || a.NotifyApplied() != ch {
-		t.Fatal("waiters between two replays share one open channel")
-	}
+	var seen []ts.Timestamp
+	a.SetAppliedHook(func() { seen = append(seen, a.MaxCommitTS()) })
 	a.Apply([]redo.Record{{LSN: 1, Type: redo.TypeHeartbeat, TS: 5}})
-	if !closed(ch) || a.MaxCommitTS() != 5 {
-		t.Fatal("Apply must close the channel after the watermark has moved")
+	a.Apply([]redo.Record{{LSN: 2, Type: redo.TypeHeapUpdate, Txn: 1, Key: []byte("k"), Value: []byte("v")}})
+	a.Apply([]redo.Record{{LSN: 3, Type: redo.TypeHeartbeat, TS: 6}})
+	if len(seen) != 3 || seen[0] != 5 || seen[1] != 5 || seen[2] != 6 {
+		t.Fatalf("hook saw watermarks %v, want [5 5 6]", seen)
 	}
-	ch = a.NotifyApplied()
-	if closed(ch) {
-		t.Fatal("a channel taken after a replay waits for the next one")
-	}
-	a.Apply([]redo.Record{{LSN: 2, Type: redo.TypeHeartbeat, TS: 6}})
-	if !closed(ch) || a.AppliedLSN() != 2 {
-		t.Fatal("a second Apply must close the channel taken after the first")
+	if a.AppliedLSN() != 3 {
+		t.Fatalf("AppliedLSN = %d", a.AppliedLSN())
 	}
 }
 

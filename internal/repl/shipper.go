@@ -40,7 +40,8 @@ type ShipperConfig struct {
 	// record to accumulate a fuller batch — the knob that models aggressive
 	// flushing (GlobalDB) versus buffered shipping (baseline). It applies
 	// only while an earlier batch is unacked; a record that finds the link
-	// idle leaves at once.
+	// idle leaves at once, and so does a batch whose newest record is a
+	// heartbeat, which the RCP is waiting for.
 	FlushDelay time.Duration
 	// Compressor encodes batches; Noop for the baseline, LZ4 for GlobalDB.
 	Compressor Compressor
@@ -292,11 +293,12 @@ func (s *Shipper) run(ctx context.Context) {
 		}
 		// Linger to accumulate a fuller cross-transaction batch (the baseline
 		// buffers longer) — but only while a batch is on the wire, as Nagle
-		// does: on an idle link there is nothing to coalesce with, and the
-		// record waiting is as often as not a heartbeat whose whole purpose is
-		// to reach the replicas now. Acks keep landing while we wait, and the
-		// last one ends the wait.
-		if s.cfg.FlushDelay > 0 && n < s.cfg.BatchMax && inflight > 0 {
+		// does: on an idle link there is nothing to coalesce with. And never
+		// behind a heartbeat: its whole purpose is to reach the replicas now,
+		// and on a link whose round trip outlasts the heartbeat interval a
+		// batch is always on the wire. Acks keep landing while we wait, and
+		// the last one ends the wait.
+		if s.cfg.FlushDelay > 0 && n < s.cfg.BatchMax && inflight > 0 && !s.endsInHeartbeat(cursor, n) {
 			timer := time.NewTimer(s.cfg.FlushDelay)
 			for lingering := true; lingering && inflight > 0; {
 				select {
@@ -356,6 +358,13 @@ func (s *Shipper) run(ctx context.Context) {
 			results <- result{acked: resp.Payload.(Ack).AppliedLSN}
 		}()
 	}
+}
+
+// endsInHeartbeat reports whether the newest of the n records from cursor is
+// a heartbeat, read through the log's frame index.
+func (s *Shipper) endsInHeartbeat(cursor uint64, n int) bool {
+	t, ok := s.log.TypeAt(cursor + uint64(n) - 1)
+	return ok && t == redo.TypeHeartbeat
 }
 
 // applierStashMax bounds the reorder stash: beyond this many parked

@@ -203,6 +203,26 @@ func (o *Oracle) IssueAbove(floor ts.Timestamp) (t ts.Timestamp, bump time.Durat
 	return t, t.Sub(iv.Upper()), true
 }
 
+// LowerBound returns the clock's lower bound, Tclock - Terr, a timestamp true
+// time has already passed; ok is false unless the node is in GClock mode,
+// checked under the same lock as IssueAbove's. It issues nothing: the value
+// is below every timestamp the node's clock can issue from now on.
+//
+// It is a shard primary's heartbeat stamp. A heartbeat tells replicas that
+// the shard holds no commit below it still to come, so it must sit below
+// every commit timestamp issued after it, whichever clock issues that one. A
+// later commit timestamp is an upper bound read later, on this clock or on a
+// coordinator's, so it is above true time now, and so above this bound.
+func (o *Oracle) LowerBound() (t ts.Timestamp, ok bool) {
+	iv := o.clock.Now()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.mode != ts.ModeGClock {
+		return 0, false
+	}
+	return iv.Lower(), true
+}
+
 // Begin obtains an invocation timestamp under the node's current mode,
 // performing the mode's invocation wait.
 func (o *Oracle) Begin(ctx context.Context) (TxnTS, error) {

@@ -384,6 +384,31 @@ func TestIssueAboveFloorAndModes(t *testing.T) {
 	}
 }
 
+// TestLowerBoundStampsBelowLaterIssues: LowerBound answers only in GClock
+// mode, issues nothing, and sits below what the node's clock issues after it
+// and below true time when it was read.
+func TestLowerBoundStampsBelowLaterIssues(t *testing.T) {
+	r := newRig(t, 1)
+	o := r.oracles[0]
+	for _, mode := range []ts.Mode{ts.ModeGTM, ts.ModeDUAL} {
+		o.SetMode(mode)
+		if got, ok := o.LowerBound(); ok || got != 0 {
+			t.Fatalf("LowerBound in %v mode = %v", mode, got)
+		}
+	}
+	o.SetMode(ts.ModeGClock)
+	stamp, ok := o.LowerBound()
+	if !ok || stamp > ts.FromTime(time.Now()) {
+		t.Fatalf("LowerBound = %v %v, want a GClock stamp true time has passed", stamp, ok)
+	}
+	if o.maxIssued != 0 {
+		t.Fatalf("LowerBound recorded %v as issued", o.maxIssued)
+	}
+	if later, _, _ := o.IssueAbove(0); later <= stamp {
+		t.Fatalf("a timestamp issued after the stamp, %v, is not above it, %v", later, stamp)
+	}
+}
+
 // TestTransitionVsDelegatedIssuance races IssueAbove against the switch out
 // of GClock mode: because the mode check and the issuance share the oracle's
 // lock, a ClockState read after SetMode covers every timestamp handed out

@@ -673,9 +673,16 @@ func AppendFrame(b []byte, m Message) ([]byte, error) {
 
 // WriteMessage frames and writes one message. Callers batching several
 // frames (a row stream) should write through a bufio.Writer and flush per
-// batch.
+// batch. Written to a bufio.Writer, the frame is built in the free end of the
+// writer's own buffer — one buffer per connection, reused for every frame —
+// and allocates nothing while it fits there; a frame that does not is built
+// in a slice of its own, as it is for any other writer.
 func WriteMessage(w io.Writer, m Message) error {
-	b, err := AppendFrame(nil, m)
+	var b []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		b = bw.AvailableBuffer()
+	}
+	b, err := AppendFrame(b, m)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -72,6 +73,55 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 	if _, err := rd.ReadMessage(); err != io.EOF {
 		t.Fatalf("end of stream: %v, want io.EOF", err)
+	}
+}
+
+// TestWriteMessageFramesInTheWritersBuffer: through a bufio.Writer — every
+// connection's writer — a frame is built in the writer's own buffer, so
+// writing the frames of a point SELECT's answer allocates nothing, and the
+// bytes are those AppendFrame makes. Any other writer gets the same bytes.
+func TestWriteMessageFramesInTheWritersBuffer(t *testing.T) {
+	answer := []Message{
+		&RowHeader{Columns: []string{"v"}},
+		&RowBatch{Rows: [][]any{{"v42"}}},
+		&Done{Msg: "SELECT 1", Stats: globaldb.ScanStats{StorageRows: 1, PagesFetched: 1}},
+	}
+	var want []byte
+	for _, m := range answer {
+		var err error
+		if want, err = AppendFrame(want, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	w := bufio.NewWriter(&out)
+	write := func() {
+		for _, m := range answer {
+			if err := WriteMessage(w, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write()
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("framed through a bufio.Writer: %x, want %x", out.Bytes(), want)
+	}
+	out.Reset()
+	var plain bytes.Buffer
+	for _, m := range answer {
+		if err := WriteMessage(&plain, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(plain.Bytes(), want) {
+		t.Fatalf("framed to a plain writer: %x, want %x", plain.Bytes(), want)
+	}
+	w = bufio.NewWriter(io.Discard)
+	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+		t.Fatalf("framing a point SELECT's answer into the writer's buffer: %v allocs, want 0", allocs)
 	}
 }
 
