@@ -132,7 +132,7 @@ func main() {
 			rep.SetDown(true)
 		}
 	}
-	time.Sleep(50 * time.Millisecond) // a status poll notices
+	time.Sleep(50 * time.Millisecond) // a status probe notices
 
 	timeRead("replica read (after local crash)", func() (int64, bool) {
 		q, err := reader.ReadOnly(ctx, globaldb.AnyStaleness, "feed")

@@ -311,6 +311,10 @@ type Tx struct {
 // Snapshot returns the transaction's snapshot timestamp.
 func (tx *Tx) Snapshot() ts.Timestamp { return tx.txn.Snapshot() }
 
+// OneRead reports whether the transaction is a one-read context, which
+// Session.ReadOnce returns under GClock only.
+func (tx *Tx) OneRead() bool { return tx.txn.OneRead() }
+
 // CommitTS returns the transaction's commit timestamp (zero before a
 // successful Commit). Replica reads observe the transaction once the RCP
 // reaches this timestamp.

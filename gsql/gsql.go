@@ -423,12 +423,12 @@ type readKind uint8
 const (
 	// readTxn is the session's open transaction.
 	readTxn readKind = iota
-	// readAutocommit is an autocommit transaction on shard primaries.
+	// readAutocommit is an autocommit Begin transaction on shard primaries,
+	// which is what ReadOnce opens in the centralized modes too.
 	readAutocommit
-	// readOneRead is an autocommit transaction opened with
-	// globaldb.Session.ReadOnce for a plan that reads once: under GClock a
-	// one-read context on a shard primary, without the invocation wait; in
-	// the centralized modes the CN's ordinary Begin.
+	// readOneRead is an autocommit one-read context (globaldb.Tx.OneRead):
+	// under GClock, for a plan that reads once, a transaction on a shard
+	// primary without the invocation wait.
 	readOneRead
 	// readReplica is a read-only query under a staleness setting: replicas
 	// at the RCP, or primaries when the bound or the DDL gate rules them out.
@@ -465,9 +465,13 @@ func (s *Session) openReadContext(ctx context.Context, sel *Select, bp *boundPla
 		// The explicit transaction's lifecycle belongs to COMMIT/ROLLBACK.
 		return readContext{r: s.tx, kind: readTxn}, nil
 	case sel.Staleness == 0 && s.mode == readPrimary:
-		tx, kind, err := s.beginAutocommit(ctx, bp)
+		tx, err := s.beginAutocommit(ctx, bp)
 		if err != nil {
 			return readContext{}, err
+		}
+		kind := readAutocommit
+		if tx.OneRead() {
+			kind = readOneRead
 		}
 		return readContext{r: tx, kind: kind, tx: tx}, nil
 	default:
@@ -497,15 +501,13 @@ func (s *Session) openReadContext(ctx context.Context, sel *Select, bp *boundPla
 // of its storage access, the transaction is a one-read context
 // (globaldb.Session.ReadOnce): no GClock invocation wait, a second read
 // refused, and a write the primary refuses unless the row is still at the
-// version the search read. Any other search gets an ordinary Begin. kind
-// names which of the two it opened.
-func (s *Session) beginAutocommit(ctx context.Context, search *boundPlan) (tx *globaldb.Tx, kind readKind, err error) {
+// version the search read. Any other search gets an ordinary Begin, and so
+// does every search in the centralized modes (globaldb.Tx.OneRead tells).
+func (s *Session) beginAutocommit(ctx context.Context, search *boundPlan) (*globaldb.Tx, error) {
 	if search != nil && search.readsOnce() {
-		tx, err = s.sess.ReadOnce(ctx)
-		return tx, readOneRead, err
+		return s.sess.ReadOnce(ctx)
 	}
-	tx, err = s.sess.Begin(ctx)
-	return tx, readAutocommit, err
+	return s.sess.Begin(ctx)
 }
 
 // withWriteTxn runs fn inside the session transaction, or else in an
@@ -515,7 +517,7 @@ func (s *Session) withWriteTxn(ctx context.Context, search *boundPlan, fn func(t
 	if s.tx != nil {
 		return fn(s.tx)
 	}
-	tx, _, err := s.beginAutocommit(ctx, search)
+	tx, err := s.beginAutocommit(ctx, search)
 	if err != nil {
 		return 0, err
 	}

@@ -99,11 +99,25 @@ func TestPointWritesSkipInvocationWait(t *testing.T) {
 
 // TestPointWriteUnderGTMKeepsItsBegin: under GTM an autocommit point UPDATE
 // takes an ordinary transaction, as before: one timestamp fetch at begin and
-// one at commit, the commit in two messages, and no one-write context.
+// one at commit, the commit in two messages, and no one-write context. A
+// point SELECT's execute span names the context it read through: a one-read
+// context under GClock, the autocommit Begin under GTM.
 func TestPointWriteUnderGTMKeepsItsBegin(t *testing.T) {
 	db, s, _ := openOneReadSQL(t)
+	pointSelectTag := func() string {
+		t.Helper()
+		s.SetTrace(true)
+		defer s.SetTrace(false)
+		return readTag(t, exec(t, s, "SELECT bal FROM acct WHERE id = 2"))
+	}
+	if tag := pointSelectTag(); tag != "one-read" {
+		t.Errorf("point SELECT under GClock read through %q, want one-read", tag)
+	}
 	if err := db.TransitionToGTM(bg); err != nil {
 		t.Fatal(err)
+	}
+	if tag := pointSelectTag(); tag != "autocommit" {
+		t.Errorf("point SELECT under GTM read through %q, want autocommit", tag)
 	}
 	c := db.Cluster()
 	// Heartbeats fetch GTM timestamps too; stop them for the count.

@@ -338,7 +338,6 @@ func TestRORNoTornMultiShardReads(t *testing.T) {
 func TestStalenessBoundFallsBackToPrimary(t *testing.T) {
 	cfg := smallCfg()
 	cfg.RCP.HeartbeatInterval = time.Hour // RCP barely moves
-	cfg.RCP.PollInterval = 2 * time.Millisecond
 	c := open(t, cfg)
 	cn := c.CN("xian")
 	// With a tight bound and a stale RCP, the query must fall back to
@@ -406,6 +405,57 @@ func TestReplicaFailureReroutes(t *testing.T) {
 	v, found, err := ro.Get(bg, 0, key(0, 5))
 	if err != nil || !found || string(v) != "v" {
 		t.Fatalf("read with dead replicas: %q %v %v", v, found, err)
+	}
+}
+
+// TestRCPReplicaOfADownPrimaryKeepsServing: a shard whose primary is down,
+// and not yet replaced, ships nothing, so its replicas fall silent. Silence
+// only gets them probed: they answer, stay healthy, and keep serving reads
+// at the RCP, which they pin.
+func TestRCPReplicaOfADownPrimaryKeepsServing(t *testing.T) {
+	const shard = 1
+	c := open(t, smallCfg())
+	cn := c.CN("xian")
+	w, _ := cn.Begin(bg)
+	if err := w.Put(bg, shard, key(shard, 1), []byte("before-failure")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(bg); err != nil {
+		t.Fatal(err)
+	}
+	waitRCP(t, c, w.CommitTS())
+
+	failed := time.Now()
+	c.FailPrimary(shard)
+	// Nothing reaches a replica now, so what the collector hears from it
+	// three heartbeat periods on is the answer to a probe.
+	silent := failed.Add(3 * c.cfg.RCP.HeartbeatInterval)
+	deadline := time.Now().Add(5 * time.Second)
+	for _, rep := range c.Replicas(shard) {
+		for c.Collector.Statuses()[rep.ID()].PolledAt.Before(silent) {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %s of a down primary was not probed", rep.ID())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if st := c.Collector.Statuses()[rep.ID()]; !st.Healthy {
+			t.Fatalf("replica %s of a down primary reads unhealthy: %+v", rep.ID(), st)
+		}
+	}
+	ro, err := cn.ReadOnly(bg, coordinator.AnyStaleness)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ro.OnReplicas() {
+		t.Fatal("an AnyStaleness query fell back to primaries")
+	}
+	replicaReads := cn.Stats().ReplicaReads
+	v, found, err := ro.Get(bg, shard, key(shard, 1))
+	if err != nil || !found || string(v) != "before-failure" {
+		t.Fatalf("replica read of a down primary's shard: %q %v %v", v, found, err)
+	}
+	if cn.Stats().ReplicaReads != replicaReads+1 {
+		t.Fatal("the read was not served by a replica")
 	}
 }
 

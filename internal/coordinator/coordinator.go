@@ -378,6 +378,10 @@ func (t *Txn) RequireSyncCommit() { t.sync = true }
 // ID returns the cluster-wide transaction ID.
 func (t *Txn) ID() uint64 { return t.id }
 
+// OneRead reports whether the transaction is a one-read context, which
+// CN.ReadOnce returns under GClock only.
+func (t *Txn) OneRead() bool { return t.oneRead }
+
 // Snapshot returns the transaction's snapshot timestamp.
 func (t *Txn) Snapshot() ts.Timestamp { return t.ts.Snap }
 

@@ -202,14 +202,8 @@ type (
 	// InDoubtResp carries the in-doubt set.
 	InDoubtResp struct{ Txns []InDoubtTxn }
 
-	// StatusReq asks a node for its health/freshness metrics, answered at
-	// once: a probe. PushTo, when set, names the endpoint a replica pushes
-	// its watermark advances to from then on (see StatusPush); it replaces
-	// the one an earlier probe named. A primary's watermark is not what the
-	// RCP is made of; it ignores PushTo.
-	StatusReq struct {
-		PushTo string
-	}
+	// StatusReq asks a node for its health/freshness metrics: a probe.
+	StatusReq struct{}
 	// StatusResp reports them.
 	StatusResp struct {
 		// LastCommitTS is the node's visibility watermark.
@@ -220,12 +214,10 @@ type (
 		// Load is the number of reads and writes in flight at the node. Status
 		// requests are not load.
 		Load int64
-		// Primary reports the node role.
-		Primary bool
 	}
 
-	// StatusPush is a replica's status sent unasked, one way, to the endpoint
-	// the last probe named, once for every advance of its applied watermark:
+	// StatusPush is a replica's status sent unasked, one way, to
+	// CollectorEndpoint, once for every advance of its applied watermark:
 	// the batch replay that moved it sends it. Nothing answers it.
 	StatusPush struct {
 		Node   string
@@ -540,7 +532,6 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 			LastCommitTS: p.store.LastCommitTS(),
 			AppliedLSN:   p.log.LastLSN(),
 			Load:         p.inflight.Load(),
-			Primary:      true,
 		}, Size: 32}, nil
 	}
 	p.inflight.Add(1)
@@ -842,8 +833,7 @@ type Replica struct {
 	replEp  *netsim.Endpoint
 
 	inflight atomic.Int64
-	pushTo   atomic.Pointer[string] // set by a probe's PushTo
-	pushed   atomic.Int64           // the last watermark pushed, a ts.Timestamp
+	pushed   atomic.Int64 // the last watermark pushed, a ts.Timestamp
 }
 
 // ReplEndpointName returns the replication endpoint name for a replica id.
@@ -888,10 +878,7 @@ func (r *Replica) SetDown(down bool) {
 }
 
 func (r *Replica) handle(ctx context.Context, m netsim.Message) (netsim.Message, error) {
-	if req, ok := m.Payload.(StatusReq); ok {
-		if to := r.pushTo.Load(); req.PushTo != "" && (to == nil || *to != req.PushTo) {
-			r.pushTo.Store(&req.PushTo)
-		}
+	if _, ok := m.Payload.(StatusReq); ok {
 		return netsim.Message{Payload: r.status(), Size: 32}, nil // not load
 	}
 	r.inflight.Add(1)
@@ -921,14 +908,13 @@ func (r *Replica) status() StatusResp {
 }
 
 // push runs after every batch replay (the applier's hook). When the applied
-// watermark has moved past the last one pushed, it sends the endpoint the
-// last probe named one StatusPush: one one-way message per advance, none for
-// a batch that committed nothing, none before a probe has named an endpoint
-// and none while the replica is down. A push the network refuses is not
-// retried; the collector's probe covers it.
+// watermark has moved past the last one pushed, it sends CollectorEndpoint
+// one StatusPush: one one-way message per advance, none for a batch that
+// committed nothing and none while the replica is down. A push the network
+// refuses — no collector has registered the endpoint yet — is not retried;
+// the collector's probe covers it.
 func (r *Replica) push() {
-	to := r.pushTo.Load()
-	if to == nil || r.ep.Down() {
+	if r.ep.Down() {
 		return
 	}
 	st := r.status()
@@ -941,7 +927,7 @@ func (r *Replica) push() {
 			break
 		}
 	}
-	_ = r.net.Send(r.region, *to, netsim.Message{Payload: StatusPush{Node: r.id, Status: st}, Size: 32 + len(r.id)})
+	_ = r.net.Send(r.region, CollectorEndpoint, netsim.Message{Payload: StatusPush{Node: r.id, Status: st}, Size: 32 + len(r.id)})
 }
 
 // Client is a typed RPC client for data nodes, homed in a region.
@@ -955,9 +941,6 @@ type Client struct {
 func NewClient(n *netsim.Network, region string) *Client {
 	return &Client{net: n, region: region}
 }
-
-// Region returns the client's home region.
-func (c *Client) Region() string { return c.region }
 
 func (c *Client) call(ctx context.Context, node string, payload any, size int) (any, error) {
 	resp, err := c.net.Call(ctx, c.region, node, netsim.Message{Payload: payload, Size: size})
@@ -1103,22 +1086,24 @@ func (c *Client) DDL(ctx context.Context, node string, tableID uint64, t ts.Time
 	return err
 }
 
-// Status probes a node for its metrics; a non-empty req.PushTo subscribes a
-// replica's pushes (see StatusReq).
-func (c *Client) Status(ctx context.Context, node string, req StatusReq) (StatusResp, error) {
-	p, err := c.call(ctx, node, req, 24+len(req.PushTo))
+// Status probes a node for its metrics.
+func (c *Client) Status(ctx context.Context, node string) (StatusResp, error) {
+	p, err := c.call(ctx, node, StatusReq{}, 24)
 	if err != nil {
 		return StatusResp{}, err
 	}
 	return p.(StatusResp), nil
 }
 
-// ServePushes registers name in the client's region as the endpoint that
-// replicas subscribed with StatusReq.PushTo push to, and hands every
-// StatusPush that lands there to fn, on the delivering goroutine. A later
-// registration of the same name replaces this one.
-func (c *Client) ServePushes(name string, fn func(StatusPush)) {
-	c.net.Register(name, c.region, func(_ context.Context, m netsim.Message) (netsim.Message, error) {
+// CollectorEndpoint is the network name every replica pushes its status to
+// (StatusPush): the RCP collector's, wherever it runs.
+const CollectorEndpoint = "rcp"
+
+// ServePushes registers CollectorEndpoint in the client's region and hands
+// every StatusPush that lands there to fn, on the delivering goroutine. A
+// later registration, from any region, takes the endpoint over.
+func (c *Client) ServePushes(fn func(StatusPush)) {
+	c.net.Register(CollectorEndpoint, c.region, func(_ context.Context, m netsim.Message) (netsim.Message, error) {
 		push, ok := m.Payload.(StatusPush)
 		if !ok {
 			return netsim.Message{}, fmt.Errorf("%w: %T", ErrBadRequest, m.Payload)

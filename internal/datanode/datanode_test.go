@@ -222,12 +222,9 @@ func TestHeartbeatAdvancesReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "heartbeat replay", func() bool { return r.replica.Applier().MaxCommitTS() >= 777 })
-	st, err := r.client.Status(bg, "dn0r0", StatusReq{})
+	st, err := r.client.Status(bg, "dn0r0")
 	if err != nil || st.LastCommitTS < 777 {
 		t.Fatalf("replica status: %+v %v", st, err)
-	}
-	if st.Primary {
-		t.Fatal("replica must not report primary role")
 	}
 }
 
@@ -239,25 +236,26 @@ func TestDDLRecordReachesReplica(t *testing.T) {
 	waitFor(t, "ddl replay", func() bool { return r.replica.Applier().MaxDDLTS() >= 900 })
 }
 
-// TestStatusLoadAndRole pins what a status answer says about the node: its
-// role, and as Load the reads and writes in flight — not the status request
-// that is asking, which would make every idle node report 1 and inflate
-// every routing cost by the same amount.
+// TestStatusLoadAndRole pins what a status answer says about a primary and
+// a replica alike: as Load the reads and writes in flight — not the status
+// request that is asking, which would make every idle node report 1 and
+// inflate every routing cost by the same amount. (The role is not in the
+// answer: the collector knows it from its topology.)
 func TestStatusLoadAndRole(t *testing.T) {
 	r := newRig(t, repl.Async)
 	status := func(node string) StatusResp {
 		t.Helper()
-		st, err := r.client.Status(bg, node, StatusReq{})
+		st, err := r.client.Status(bg, node)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return st
 	}
-	if st := status("dn0"); !st.Primary || st.Load != 0 {
-		t.Fatalf("idle primary: %+v, want Primary and Load 0", st)
+	if st := status("dn0"); st.Load != 0 {
+		t.Fatalf("idle primary: %+v, want Load 0", st)
 	}
-	if st := status("dn0r0"); st.Primary || st.Load != 0 {
-		t.Fatalf("idle replica: %+v, want a replica and Load 0", st)
+	if st := status("dn0r0"); st.Load != 0 {
+		t.Fatalf("idle replica: %+v, want Load 0", st)
 	}
 
 	// Park n reads per node on an unresolved intent: a PENDING COMMIT
@@ -301,11 +299,11 @@ func TestStatusLoadAndRole(t *testing.T) {
 	}
 }
 
-// pushSink registers a push endpoint in the client's region and returns the
-// channel its pushes land on.
-func (r *rig) pushSink(name string) <-chan StatusPush {
+// pushSink registers the collector endpoint in the client's region and
+// returns the channel its pushes land on.
+func (r *rig) pushSink() <-chan StatusPush {
 	got := make(chan StatusPush, 16)
-	r.client.ServePushes(name, func(p StatusPush) { got <- p })
+	r.client.ServePushes(func(p StatusPush) { got <- p })
 	return got
 }
 
@@ -319,37 +317,40 @@ func noPush(t *testing.T, got <-chan StatusPush, after string) {
 	}
 }
 
-// TestReplicaPushesEachAdvance: once a probe has named an endpoint, a replica
-// sends it one StatusPush for every batch that moves its applied watermark,
-// carrying the new watermark and replay position; a batch that commits
-// nothing sends none, and neither does a replica that is down or that no
-// probe has subscribed.
-func TestReplicaPushesEachAdvance(t *testing.T) {
-	r := newRig(t, repl.Async)
-	got := r.pushSink("sink")
-	heartbeat := func(stamp ts.Timestamp) {
-		t.Helper()
-		if err := r.client.Heartbeat(bg, "dn0", stamp); err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, "heartbeat replay", func() bool { return r.replica.Applier().MaxCommitTS() == stamp })
-	}
-	heartbeat(500)
-	noPush(t, got, "an advance before any probe subscribed")
-
-	st, err := r.client.Status(bg, "dn0r0", StatusReq{PushTo: "sink"})
-	if err != nil || st.LastCommitTS != 500 {
-		t.Fatalf("subscribing probe: %+v %v", st, err)
-	}
-	heartbeat(600)
+// nextPush waits for the push of stamp from dn0r0 on got.
+func (r *rig) nextPush(t *testing.T, got <-chan StatusPush, stamp ts.Timestamp) {
+	t.Helper()
 	select {
 	case p := <-got:
-		if p.Node != "dn0r0" || p.Status.LastCommitTS != 600 || p.Status.AppliedLSN != r.primary.Log().LastLSN() {
-			t.Fatalf("push %+v, want dn0r0 at 600, LSN %d", p, r.primary.Log().LastLSN())
+		if p.Node != "dn0r0" || p.Status.LastCommitTS != stamp || p.Status.AppliedLSN != r.primary.Log().LastLSN() {
+			t.Fatalf("push %+v, want dn0r0 at %v, LSN %d", p, stamp, r.primary.Log().LastLSN())
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("no push for an advance")
+		t.Fatalf("no push for the advance to %v", stamp)
 	}
+}
+
+// heartbeat stamps dn0's log and waits for the replica to replay it.
+func (r *rig) heartbeat(t *testing.T, stamp ts.Timestamp) {
+	t.Helper()
+	if err := r.client.Heartbeat(bg, "dn0", stamp); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "heartbeat replay", func() bool { return r.replica.Applier().MaxCommitTS() == stamp })
+}
+
+// TestReplicaPushesEachAdvance: a replica sends the collector endpoint one
+// StatusPush for every batch that moves its applied watermark, carrying the
+// new watermark and replay position, with no probe asking for it; a batch
+// that commits nothing sends none, and neither does a replica that is down.
+// An advance made before any collector registered the endpoint is lost, and
+// the next one is pushed.
+func TestReplicaPushesEachAdvance(t *testing.T) {
+	r := newRig(t, repl.Async)
+	r.heartbeat(t, 500) // nobody to push to yet
+	got := r.pushSink()
+	r.heartbeat(t, 600)
+	r.nextPush(t, got, 600)
 	noPush(t, got, "one advance")
 
 	// Staged intents replay without moving the watermark.
@@ -362,49 +363,49 @@ func TestReplicaPushesEachAdvance(t *testing.T) {
 	// Down for readers (and status) while replay goes on: a crashed node
 	// tells nobody anything.
 	r.replica.Endpoint().SetDown(true)
-	heartbeat(700)
+	r.heartbeat(t, 700)
 	noPush(t, got, "an advance while down")
 	r.replica.Endpoint().SetDown(false)
-	heartbeat(800)
-	if p := <-got; p.Status.LastCommitTS != 800 {
-		t.Fatalf("push after the restart: %+v", p)
-	}
+	r.heartbeat(t, 800)
+	r.nextPush(t, got, 800)
 }
 
-// TestStatusProbeAnswersAtOnce: a probe never parks, a replica or a primary;
-// a later probe's PushTo replaces the endpoint an earlier one named, a probe
-// without one leaves it as it is, and a primary, whose watermark the RCP
-// does not use, pushes nothing.
+// TestLaterCollectorTakesPushesOver: the collector endpoint is one name,
+// and whichever client registered it last, from whatever region, receives
+// every push from then on.
+func TestLaterCollectorTakesPushesOver(t *testing.T) {
+	r := newRig(t, repl.Async)
+	first := r.pushSink()
+	r.heartbeat(t, 100)
+	r.nextPush(t, first, 100)
+	second := make(chan StatusPush, 16)
+	NewClient(r.net, "west").ServePushes(func(p StatusPush) { second <- p })
+	r.heartbeat(t, 200)
+	r.nextPush(t, second, 200)
+	noPush(t, first, "a replaced collector")
+}
+
+// TestStatusProbeAnswersAtOnce: a probe never parks, a replica or a primary,
+// and it makes nobody push: a primary, whose watermark the RCP does not
+// use, pushes nothing when its log moves.
 func TestStatusProbeAnswersAtOnce(t *testing.T) {
 	r := newRig(t, repl.Async)
-	first, second := r.pushSink("first"), r.pushSink("second")
+	got := r.pushSink()
 	for _, node := range []string{"dn0r0", "dn0"} {
 		start := time.Now()
-		if _, err := r.client.Status(bg, node, StatusReq{PushTo: "first"}); err != nil {
+		if _, err := r.client.Status(bg, node); err != nil {
 			t.Fatal(err)
 		}
 		if took := time.Since(start); took > time.Second {
 			t.Fatalf("a probe of %s took %v", node, took)
 		}
 	}
-	for i, probe := range []StatusReq{{PushTo: "second"}, {}} {
-		if _, err := r.client.Status(bg, "dn0r0", probe); err != nil {
-			t.Fatal(err)
-		}
-		stamp := ts.Timestamp(100 * (i + 1))
-		if err := r.client.Heartbeat(bg, "dn0", stamp); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case p := <-second:
-			if p.Node != "dn0r0" || p.Status.LastCommitTS != stamp {
-				t.Fatalf("push %+v, want dn0r0 at %v", p, stamp)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("probe %d: no push to the endpoint the last PushTo named", i)
-		}
+	noPush(t, got, "two probes")
+	r.replica.SetDown(true) // only the primary's log moves
+	if err := r.client.Heartbeat(bg, "dn0", 100); err != nil {
+		t.Fatal(err)
 	}
-	noPush(t, first, "a replaced subscription (or a primary)")
+	noPush(t, got, "a primary's advance")
 }
 
 // TestStampHeartbeat: under GClock a primary stamps its own log, with no

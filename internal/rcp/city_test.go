@@ -81,7 +81,7 @@ func newCityRig(t *testing.T, cfg Config) *cityRig {
 }
 
 // start starts the collector and returns once every node has answered its
-// first probe, which subscribes every replica.
+// first probe.
 func (r *cityRig) start(t *testing.T) {
 	t.Helper()
 	since := time.Now()
@@ -121,7 +121,7 @@ func (r *cityRig) tick(t *testing.T) {
 // has no timestamps of its own, so the tick fetches one and sends it to each
 // primary in a HeartbeatReq.
 func TestGClockTickSendsNothingToPrimaries(t *testing.T) {
-	r := newCityRig(t, manualHeartbeats(time.Hour))
+	r := newCityRig(t, manualHeartbeats())
 	r.start(t)
 	out, _ := r.statusTraffic()
 	before := r.col.RCP()
@@ -147,16 +147,15 @@ func TestGClockTickSendsNothingToPrimaries(t *testing.T) {
 }
 
 // TestIdleTicksCostOnePushPerReplica: every replica advance is exactly one
-// message, replica to collector, and nothing goes the other way — over N idle
-// ticks the status traffic in both directions is one message per replica per
-// tick. The long poll it replaces cost two per replica per tick in this rig
-// (the answer and the request re-arming it), so this is half.
+// message, replica to collector, and nothing goes the other way: no probe,
+// no subscription — over N idle ticks the status traffic in both directions
+// is one message per replica per tick.
 func TestIdleTicksCostOnePushPerReplica(t *testing.T) {
 	const ticks = 20
-	r := newCityRig(t, manualHeartbeats(time.Hour))
+	r := newCityRig(t, manualHeartbeats())
 	r.start(t)
 	out, in := r.statusTraffic()
-	pushes := obs.Default.Counter(obs.LabeledName(MetricStatusReplies, "cause", "advance")).Value()
+	pushes := replies("advance")
 	for i := 0; i < ticks; i++ {
 		r.tick(t)
 	}
@@ -165,8 +164,40 @@ func TestIdleTicksCostOnePushPerReplica(t *testing.T) {
 		t.Fatalf("%d idle ticks: %d messages to the collector and %d from it, want %d (one per replica per tick) and 0",
 			ticks, gotIn-in, gotOut-out, want)
 	}
-	if got := obs.Default.Counter(obs.LabeledName(MetricStatusReplies, "cause", "advance")).Value() - pushes; got != int64(ticks*len(r.replicas)) {
+	if got := replies("advance") - pushes; got != int64(ticks*len(r.replicas)) {
 		t.Fatalf("%d pushes counted, want %d", got, ticks*len(r.replicas))
+	}
+}
+
+// TestIdleLiveReplicasAreNotProbed: with the collector running as a cluster
+// runs it (DefaultConfig: a heartbeat every 5 ms), every live replica pushes
+// each tick, so none is silent for two heartbeat periods and none is probed
+// bar a late tick, while the primaries, which push nothing, are probed every
+// two periods. Over a second of idle time the collector's links carry about
+// 1 660 messages: 1 200 pushes and the primaries' probes and answers.
+// Probing every node silent for 2 ms, shorter than the heartbeat, cost
+// 4 985 to 5 191 messages a second on this rig, 1 192 to 1 262 of them
+// answers to replica probes.
+func TestIdleLiveReplicasAreNotProbed(t *testing.T) {
+	const (
+		maxProbes   = 60   // 5 % of the 1 200 replica-ticks in a second
+		maxMessages = 1994 // 40 % of the fewest seen probing every 2 ms
+	)
+	r := newCityRig(t, DefaultConfig())
+	r.start(t)
+	eventually(t, "a first RCP raise", 5*time.Second, func() bool { return r.col.RCP() > 0 })
+	time.Sleep(100 * time.Millisecond) // warm-up: every replica pushing
+	probes := replies("timeout")
+	out, in := r.statusTraffic()
+	time.Sleep(time.Second)
+	gotOut, gotIn := r.statusTraffic()
+	probed, messages := replies("timeout")-probes, gotOut-out+gotIn-in
+	t.Logf("1 s idle: %d replica probes, %d status messages (%d from the collector)", probed, messages, gotOut-out)
+	if probed > maxProbes {
+		t.Errorf("%d live replicas probed in 1 s idle, want at most %d", probed, maxProbes)
+	}
+	if messages > maxMessages {
+		t.Errorf("%d status messages in 1 s idle, want at most %d", messages, maxMessages)
 	}
 }
 

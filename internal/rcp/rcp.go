@@ -16,15 +16,15 @@
 // keeps the value it started with.
 //
 // Collection is a stream, not a batch: every replica pushes each advance of
-// its applied watermark to the collector as one one-way message
-// (datanode.StatusPush) from the batch replay that made it, and every push
-// is published on arrival. The RCP therefore trails a replica's watermark by
-// one one-way trip, with nothing to re-arm between two advances. One watcher
-// per node probes it (datanode.StatusReq) only when it has been silent for
-// PollInterval: that keeps health and load fresh, notices a replica that
-// died, and its first probe tells the replica where to push. Readers never
-// wait for the collector: RCP is an atomic load, Statuses copies a map under
-// a mutex that is never held across I/O.
+// its applied watermark, unasked, to datanode.CollectorEndpoint as one
+// one-way message (datanode.StatusPush) from the batch replay that made it,
+// and every push is published on arrival: the RCP trails a replica's
+// watermark by one one-way trip. A node nothing has been heard from for two
+// heartbeat periods is probed (datanode.StatusReq): never a live replica,
+// which every heartbeat moves; a dead one, which a failed probe, not its
+// silence, marks unhealthy; a primary, which pushes nothing, every two
+// periods. Readers never wait for the collector: RCP is an atomic load,
+// Statuses copies a map under a mutex that is never held across I/O.
 //
 // Heartbeat transactions keep idle shards moving: every HeartbeatInterval
 // every primary's log is stamped with a fresh commit timestamp so "a replica
@@ -66,12 +66,12 @@ type ReplicaStatus struct {
 	Primary bool
 	// Load is its in-flight request count when it answered.
 	Load int64
-	// Healthy is false when the last status call failed (crash, partition)
-	// and, for a replica, while it has not replayed up to the RCP (it is
-	// catching up after an outage): either way it must not be offered a
-	// read at the RCP.
+	// Healthy is false when the last probe failed (crash, partition) and,
+	// for a replica, while it has not replayed up to the RCP (it is catching
+	// up after an outage): either way it must not be offered a read at the
+	// RCP.
 	Healthy bool
-	// PolledAt is when the answer arrived.
+	// PolledAt is when the node was last heard from: a push or a probe.
 	PolledAt time.Time
 }
 
@@ -111,15 +111,11 @@ type Stamper func(shard int) bool
 
 // Config tunes the collector.
 type Config struct {
-	// PollInterval is how long a node may stay silent before the collector
-	// probes it: every node's health and load are at most this old (plus a
-	// round trip). A replica's push counts as an answer, so a replica whose
-	// watermark moves more often than this is never probed, while its
-	// watermark is reported as soon as it moves.
-	PollInterval time.Duration
 	// HeartbeatInterval is how often every primary's log is stamped with a
 	// heartbeat: by the primary itself under GClock, by a HeartbeatReq under
-	// GTM and DUAL.
+	// GTM and DUAL. A node silent for two periods is probed, so health and
+	// load are at most that old (plus a round trip), and a dead node reads
+	// unhealthy at most two periods and a failed probe after its last word.
 	HeartbeatInterval time.Duration
 	// PollTimeout bounds each status probe and heartbeat RPC.
 	PollTimeout time.Duration
@@ -128,7 +124,6 @@ type Config struct {
 // DefaultConfig returns collector timing suitable for the simulator.
 func DefaultConfig() Config {
 	return Config{
-		PollInterval:      2 * time.Millisecond,
 		HeartbeatInterval: 5 * time.Millisecond,
 		PollTimeout:       2 * time.Second,
 	}
@@ -150,8 +145,8 @@ const (
 	MetricReplicaLagLSN = "rcp_replica_lag_lsn"
 	// MetricStatusReplies counts what the collector hears from replicas by
 	// cause="advance" (a push: the watermark moved), "timeout" (the answer to
-	// a probe, sent because the replica was silent for PollInterval) or
-	// "error" (a probe failed: crash, partition).
+	// a probe, sent because the replica was silent for two heartbeat
+	// periods) or "error" (a probe failed: crash, partition).
 	MetricStatusReplies = "rcp_status_replies_total"
 )
 
@@ -168,13 +163,12 @@ type replayLag struct{ ts, lsn *obs.Gauge }
 // Collector computes the RCP. It is shared by every CN in the cluster —
 // the in-process analogue of the designated CN distributing the RCP.
 type Collector struct {
-	cfg      Config
-	client   *datanode.Client
-	topo     Topology
-	tsp      TSProvider
-	endpoint string               // where replicas push: "rcp:<region>"; set by Start
-	shardOf  map[string]int       // replica -> shard; fixed at construction
-	lag      map[string]replayLag // by replica; fixed at construction
+	cfg     Config
+	client  *datanode.Client
+	topo    Topology
+	tsp     TSProvider
+	shardOf map[string]int       // replica -> shard; fixed at construction
+	lag     map[string]replayLag // by replica; fixed at construction
 
 	rcp     atomic.Int64 // a ts.Timestamp; raised only under mu
 	running atomic.Bool  // between Start and Stop: pushes are published
@@ -215,15 +209,14 @@ func NewCollector(cfg Config, client *datanode.Client, topo Topology, tsp TSProv
 	return c
 }
 
-// Start registers the collector's push endpoint, taking it over from any
-// earlier collector in the same region, and launches the heartbeat loop and
-// one watcher per node.
+// Start registers the collector endpoint replicas push to, taking it over
+// from any earlier collector, and launches the heartbeat loop and one
+// watcher per node.
 func (c *Collector) Start() {
 	ctx, cancel := context.WithCancel(context.Background())
 	c.cancel = cancel
 	c.running.Store(true)
-	c.endpoint = "rcp:" + c.client.Region()
-	c.client.ServePushes(c.endpoint, c.onPush)
+	c.client.ServePushes(c.onPush)
 	c.wg.Add(1)
 	go c.heartbeats(ctx)
 	c.topo.each(func(shard int, node string, primary bool) {
@@ -289,24 +282,24 @@ func (c *Collector) PollOnce(ctx context.Context) ts.Timestamp {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _ = c.ask(ctx, shard, node, primary, datanode.StatusReq{}) // a failure is published as unhealthy
+			_ = c.ask(ctx, shard, node, primary) // a failure is published as unhealthy
 		}()
 	})
 	wg.Wait()
 	return c.RCP()
 }
 
-// ask is one status round trip, published on arrival unless ctx ended first
-// (a cancelled call says nothing about the node).
-func (c *Collector) ask(ctx context.Context, shard int, node string, primary bool, req datanode.StatusReq) (datanode.StatusResp, error) {
+// ask is one status probe, published on arrival unless ctx ended first (a
+// cancelled call says nothing about the node).
+func (c *Collector) ask(ctx context.Context, shard int, node string, primary bool) error {
 	cctx, cancel := context.WithTimeout(ctx, c.cfg.PollTimeout)
 	defer cancel()
-	resp, err := c.client.Status(cctx, node, req)
+	resp, err := c.client.Status(cctx, node)
 	if ctx.Err() != nil {
-		return resp, ctx.Err()
+		return ctx.Err()
 	}
 	c.publish(shard, node, primary, resp, err)
-	return resp, err
+	return err
 }
 
 // publish folds one node's answer (or its failure to answer) into the status
@@ -384,24 +377,24 @@ func (c *Collector) noteLag() {
 	}
 }
 
+// silentHeartbeats is how many heartbeat periods a node may stay silent
+// before its watcher probes it. A live replica pushes once per period, so
+// two leave a period's slack for a late tick or a slow replay.
+const silentHeartbeats = 2
+
 // watch keeps one node's entry in the status map current until ctx ends: it
-// probes the node whenever nothing has been heard from it for PollInterval.
-// A replica's pushes count as answers, so a replica whose watermark keeps
-// moving is never probed, and one that stops — idle, or dead — is probed
-// PollInterval after its last word, which is how a replica that died is
-// noticed. A replica's probe names the collector's endpoint, so the first
-// one subscribes it (and re-subscribes it after an outage). A primary, which
-// pushes nothing, is simply probed every PollInterval, and so is a node that
-// fails fast.
+// probes the node at once, and then whenever nothing has been heard from it
+// for silentHeartbeats heartbeat periods. A replica's pushes count as
+// answers, so a replica the heartbeats keep moving is never probed, and one
+// that stops — dead, or cut off from its primary — is probed two periods
+// after its last word: a failed probe marks it unhealthy, an answer keeps it
+// serving. A primary, which pushes nothing, is probed every two periods, and
+// so is a node that fails fast.
 func (c *Collector) watch(ctx context.Context, shard int, node string, primary bool) {
 	defer c.wg.Done()
-	var req datanode.StatusReq
-	if !primary {
-		req.PushTo = c.endpoint
-	}
+	silence := silentHeartbeats * c.cfg.HeartbeatInterval
 	for {
-		start := time.Now()
-		_, err := c.ask(ctx, shard, node, primary, req)
+		err := c.ask(ctx, shard, node, primary)
 		switch {
 		case ctx.Err() != nil:
 			return // stopped mid-call: not an answer
@@ -411,24 +404,18 @@ func (c *Collector) watch(ctx context.Context, shard int, node string, primary b
 		default:
 			metricTimeouts.Inc()
 		}
-		// Wait until the node has been silent for PollInterval: every push
-		// that lands meanwhile moves the deadline.
-		for {
-			heard := start
-			c.mu.Lock()
-			if at := c.statuses[node].PolledAt; at.After(heard) {
-				heard = at
-			}
-			c.mu.Unlock()
-			rest := c.cfg.PollInterval - time.Since(heard)
-			if rest <= 0 {
-				break
-			}
+		// Wait until the node has been silent for the limit, counted from
+		// the probe just published: every push that lands meanwhile moves
+		// the deadline.
+		for wait := silence; wait > 0; {
 			select {
-			case <-time.After(rest):
+			case <-time.After(wait):
 			case <-ctx.Done():
 				return
 			}
+			c.mu.Lock()
+			wait = silence - time.Since(c.statuses[node].PolledAt)
+			c.mu.Unlock()
 		}
 	}
 }

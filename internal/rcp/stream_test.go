@@ -35,9 +35,20 @@ func rigTopology(shards int) Topology {
 }
 
 // manualHeartbeats is collector timing under which no heartbeat ticks unless
-// the test asks, and a silent node is probed every pollInterval.
-func manualHeartbeats(pollInterval time.Duration) Config {
-	return Config{PollInterval: pollInterval, HeartbeatInterval: time.Hour, PollTimeout: 2 * time.Second}
+// the test asks, and no node is probed after its first probe.
+func manualHeartbeats() Config {
+	return Config{HeartbeatInterval: time.Hour, PollTimeout: 2 * time.Second}
+}
+
+// shortHeartbeats is collector timing with a real heartbeat every interval,
+// and so a probe of every node silent for two intervals.
+func shortHeartbeats(interval time.Duration) Config {
+	return Config{HeartbeatInterval: interval, PollTimeout: 2 * time.Second}
+}
+
+// replies reads the process-wide count of what collectors heard by cause.
+func replies(cause string) int64 {
+	return obs.Default.Counter(obs.LabeledName(MetricStatusReplies, "cause", cause)).Value()
 }
 
 func (r *rig) replica(id string) *datanode.Replica {
@@ -116,8 +127,7 @@ func TestReadersNeverWaitForAStatusRoundTrip(t *testing.T) {
 }
 
 // probed waits until all n nodes of col's topology read healthy in an
-// answer to a probe sent since since: from then on every replica pushes to
-// col.
+// answer to a probe sent since since (or in a push since then).
 func probed(t *testing.T, col *Collector, since time.Time, n int) {
 	t.Helper()
 	eventually(t, "every node to answer a probe", 5*time.Second, func() bool {
@@ -133,39 +143,37 @@ func probed(t *testing.T, col *Collector, since time.Time, n int) {
 
 // TestPushedWatermarkReachesRCPWithoutAProbe: a replica pushes the watermark
 // it has just applied, so what every replica has applied is the RCP a
-// one-way trip later, however long PollInterval is, and no probe is sent
-// for it.
+// one-way trip later, and no probe is sent for it.
 func TestPushedWatermarkReachesRCPWithoutAProbe(t *testing.T) {
-	counter := func(cause string) int64 {
-		return obs.Default.Counter(obs.LabeledName(MetricStatusReplies, "cause", cause)).Value()
-	}
-	r := newStreamRig(t, manualHeartbeats(time.Second))
+	r := newStreamRig(t, manualHeartbeats())
 	start := time.Now()
 	r.col.Start()
 	defer r.col.Stop()
 	probed(t, r.col, start, 6)
-	probes, pushes := counter("timeout"), counter("advance")
+	probes, pushes := replies("timeout"), replies("advance")
 	for i := 0; i < 2; i++ {
 		stamp := r.heartbeat(t, 0, 1)
 		if took := eventually(t, "applied heartbeat to reach the RCP", 5*time.Second, func() bool {
 			return r.col.RCP() >= stamp
 		}); took > 50*time.Millisecond {
-			t.Fatalf("heartbeat %d: RCP caught up %v after every replica had applied it; PollInterval must not be in that path", i, took)
+			t.Fatalf("heartbeat %d: RCP caught up %v after every replica had applied it; no probe may be in that path", i, took)
 		}
 	}
-	if got := counter("timeout") - probes; got != 0 || counter("advance")-pushes != 8 {
-		t.Fatalf("%d probes and %d pushes for two heartbeats over four replicas, want none and 8", got, counter("advance")-pushes)
+	if got := replies("timeout") - probes; got != 0 || replies("advance")-pushes != 8 {
+		t.Fatalf("%d probes and %d pushes for two heartbeats over four replicas, want none and 8", got, replies("advance")-pushes)
 	}
 }
 
-// TestReplicaLostBetweenPushes: a replica that dies pushes nothing more, and
-// is seen unhealthy once it has been silent for PollInterval and the probe
-// that follows failed; the RCP goes on without it while its shard has
-// another reachable replica, holds (and does not regress) when it was the
-// last, and resumes when a replica rejoins.
+// TestReplicaLostBetweenPushes, with real heartbeats: a replica that dies
+// pushes nothing more, and is seen unhealthy once it has been silent for two
+// heartbeat periods and the probe that follows failed. Meanwhile the RCP
+// goes on over the other replicas, which push every heartbeat and so are
+// never probed. It holds (and does not regress) when the shard's last
+// replica goes too, and resumes when a replica rejoins.
 func TestReplicaLostBetweenPushes(t *testing.T) {
-	const pollInterval = 100 * time.Millisecond
-	r := newStreamRig(t, manualHeartbeats(pollInterval))
+	const heartbeat = 20 * time.Millisecond
+	r := newStreamRig(t, shortHeartbeats(heartbeat))
+	firstProbes := replies("timeout")
 	r.col.Start()
 	defer r.col.Stop()
 
@@ -204,45 +212,53 @@ func TestReplicaLostBetweenPushes(t *testing.T) {
 		sampler.Wait()
 	}()
 	healthy := func(node string) bool { return r.col.Statuses()[node].Healthy }
+	watermark := func(node string) ts.Timestamp { return r.col.Statuses()[node].MaxCommitTS }
 
-	first := r.heartbeat(t, 0, 1)
-	eventually(t, "first heartbeat to reach the RCP", 5*time.Second, func() bool { return r.col.RCP() == first })
-	eventually(t, "all replicas reported", 5*time.Second, func() bool {
-		return healthy(rname(0, 0)) && healthy(rname(0, 1))
+	eventually(t, "every replica to serve at a moving RCP after its first probe", 5*time.Second, func() bool {
+		return replies("timeout")-firstProbes >= 4 && r.col.RCP() > 0 && healthy(rname(0, 0)) && healthy(rname(0, 1)) &&
+			healthy(rname(1, 0)) && healthy(rname(1, 1))
 	})
 
 	lost := r.replica(rname(0, 0))
+	probes := replies("timeout")
 	lost.SetDown(true)
+	heard := watermark(lost.ID())
+	// Two silent periods, then one probe: a round trip of a few ms here, and
+	// as much again for a late timer.
 	if took := eventually(t, "lost replica to read unhealthy", 5*time.Second, func() bool {
 		return !healthy(lost.ID())
-	}); took > 2*pollInterval {
-		t.Fatalf("lost replica read healthy for %v, PollInterval is %v", took, pollInterval)
+	}); took > silentHeartbeats*heartbeat+20*time.Millisecond {
+		t.Fatalf("lost replica read healthy for %v, heartbeat every %v", took, heartbeat)
 	}
-	if got := r.col.Statuses()[lost.ID()].MaxCommitTS; got != first {
-		t.Fatalf("lost replica's last watermark = %v, want %v kept", got, first)
+	if got := watermark(lost.ID()); got < heard || got > lost.Applier().MaxCommitTS() {
+		t.Fatalf("lost replica's last watermark = %v, want the last one heard (%v or later) kept", got, heard)
 	}
 
 	// Shard 0 still has a reachable replica: the RCP moves on.
-	second := r.heartbeat(t, 1)
-	eventually(t, "RCP to advance past a lost replica", 5*time.Second, func() bool { return r.col.RCP() == second })
+	eventually(t, "RCP to advance past a lost replica", 5*time.Second, func() bool {
+		return r.col.RCP() > watermark(lost.ID())
+	})
+	if n := replies("timeout") - probes; n != 0 {
+		t.Fatalf("%d live replicas probed while each pushed every heartbeat", n)
+	}
 
 	// Its last reachable replica goes too: the RCP holds while shard 1 runs
 	// ahead.
 	last := r.replica(rname(0, 1))
 	last.SetDown(true)
 	eventually(t, "last replica to read unhealthy", 5*time.Second, func() bool { return !healthy(last.ID()) })
-	third := r.heartbeat(t, 1)
-	eventually(t, "shard 1 to report the third heartbeat", 5*time.Second, func() bool {
-		st := r.col.Statuses()
-		return st[rname(1, 0)].MaxCommitTS == third && st[rname(1, 1)].MaxCommitTS == third
+	pinned := r.col.RCP()
+	ahead := max(watermark(rname(1, 0)), watermark(rname(1, 1)))
+	eventually(t, "shard 1 to run ahead", 5*time.Second, func() bool {
+		return watermark(rname(1, 0)) > ahead && watermark(rname(1, 1)) > ahead
 	})
-	if got := r.col.RCP(); got != second {
-		t.Fatalf("RCP = %v with shard 0 dark, want it pinned at %v", got, second)
+	if got := r.col.RCP(); got != pinned {
+		t.Fatalf("RCP = %v with shard 0 dark, want it pinned at %v", got, pinned)
 	}
 
 	// One of them comes back, catches up, and the RCP with it.
 	last.SetDown(false)
-	eventually(t, "RCP to resume after the rejoin", 5*time.Second, func() bool { return r.col.RCP() == third })
+	eventually(t, "RCP to resume after the rejoin", 5*time.Second, func() bool { return r.col.RCP() > ahead })
 	if !healthy(last.ID()) || healthy(lost.ID()) {
 		t.Fatalf("after the rejoin: %s healthy=%v, %s healthy=%v", last.ID(), healthy(last.ID()), lost.ID(), healthy(lost.ID()))
 	}
@@ -250,7 +266,7 @@ func TestReplicaLostBetweenPushes(t *testing.T) {
 
 // TestStopEndsWatchersAndDropsPushes: Stop does not wait for anything —
 // with a cluster's worth of watchers (6 shards: 12 replicas and 6 primaries
-// between probes) and a one-minute PollInterval it returns at once and every
+// between probes) and heartbeats an hour apart it returns at once and every
 // goroutine Start launched is gone — and a push that lands after it is not
 // published. Start then works again and takes pushes again.
 func TestStopEndsWatchersAndDropsPushes(t *testing.T) {
@@ -263,7 +279,7 @@ func TestStopEndsWatchersAndDropsPushes(t *testing.T) {
 		}
 	}
 	topo := rigTopology(shards)
-	r.col = NewCollector(manualHeartbeats(time.Minute), datanode.NewClient(r.net, "east"), topo,
+	r.col = NewCollector(manualHeartbeats(), datanode.NewClient(r.net, "east"), topo,
 		func(context.Context) (ts.Timestamp, error) { return ts.Timestamp(r.hbTS.Add(10)), nil }, 0)
 
 	for round := 0; round < 2; round++ {
@@ -281,7 +297,7 @@ func TestStopEndsWatchersAndDropsPushes(t *testing.T) {
 		start = time.Now()
 		r.col.Stop()
 		if took := time.Since(start); took > time.Second {
-			t.Fatalf("round %d: Stop took %v with a one-minute PollInterval", round, took)
+			t.Fatalf("round %d: Stop took %v with every watcher waiting out an hour", round, took)
 		}
 		for _, st := range r.col.Statuses() {
 			if !st.Healthy {
@@ -301,54 +317,44 @@ func TestStopEndsWatchersAndDropsPushes(t *testing.T) {
 	}
 }
 
-// TestCollectorMetrics: what the stream does is readable from the registry —
-// how far the RCP trails the collector's clock, how far each replica trails
-// its primary, and what the replicas were heard saying: pushes, answers to
-// probes, failed probes.
+// TestCollectorMetrics, with real heartbeats: what the stream does is
+// readable from the registry — how far the RCP trails the collector's clock,
+// how far each replica trails its primary, and what the replicas were heard
+// saying: pushes, answers to probes, failed probes.
 func TestCollectorMetrics(t *testing.T) {
-	counter := func(cause string) int64 {
-		return obs.Default.Counter(obs.LabeledName(MetricStatusReplies, "cause", cause)).Value()
-	}
-	advances, timeouts, failures := counter("advance"), counter("timeout"), counter("error")
+	advances, timeouts, failures := replies("advance"), replies("timeout"), replies("error")
 
-	const pollInterval = 20 * time.Millisecond
-	r := newStreamRig(t, manualHeartbeats(pollInterval))
+	r := newStreamRig(t, shortHeartbeats(10*time.Millisecond))
 	start := time.Now()
 	r.col.Start()
 	defer r.col.Stop()
 	probed(t, r.col, start, 6)
-	if counter("timeout") <= timeouts {
+	if replies("timeout") <= timeouts {
 		t.Fatal("the first probes' answers were not counted")
 	}
-	first := r.heartbeat(t, 0, 1)
-	eventually(t, "first heartbeat to reach the RCP", 5*time.Second, func() bool { return r.col.RCP() == first })
-	if got := counter("advance") - advances; got < 2 {
-		t.Fatalf("advance replies = %d after a heartbeat moved the RCP over two shards", got)
+	raised := r.col.RCP()
+	eventually(t, "heartbeats to raise the RCP", 5*time.Second, func() bool { return r.col.RCP() > raised })
+	if got := replies("advance") - advances; got < 2 {
+		t.Fatalf("advance replies = %d after heartbeats moved the RCP over two shards", got)
 	}
 
-	// The gauge is set when the RCP rises, from the collector's wall clock.
-	// (This rig's timestamps are small counters, so it reads about the wall
-	// clock's epoch nanoseconds.)
-	before := ts.FromTime(time.Now())
-	second := r.heartbeat(t, 0, 1)
-	eventually(t, "second heartbeat to reach the RCP", 5*time.Second, func() bool { return r.col.RCP() == second })
-	after := ts.FromTime(time.Now())
-	if got := obs.Default.Gauge(MetricLag).Value(); got < int64(before-second) || got > int64(after-second) {
-		t.Fatalf("%s = %d, want the wall clock at the raise minus %v", MetricLag, got, second)
+	// The gauge is set from the collector's wall clock. (This rig's
+	// timestamps are small counters, so it reads about the wall clock's
+	// epoch nanoseconds.)
+	want := int64(ts.FromTime(time.Now()) - r.col.RCP())
+	if got := obs.Default.Gauge(MetricLag).Value(); got < want-int64(time.Second) || got > want+int64(time.Second) {
+		t.Fatalf("%s = %d, want the wall clock minus the RCP, about %d", MetricLag, got, want)
 	}
-	// Once a replica has answered after its primary reported the stamp, it
-	// trails by nothing.
+	// Once a replica has pushed after its primary was heard from, it trails
+	// by nothing.
 	eventually(t, "replay lag to read zero", 5*time.Second, func() bool {
-		st := r.col.Statuses()
-		if st[pname(0)].MaxCommitTS != second || st[rname(0, 1)].MaxCommitTS != second {
-			return false
-		}
-		return obs.Default.Gauge(obs.LabeledName(MetricReplicaLagTS, "node", rname(0, 1))).Value() == 0 &&
+		return r.col.Statuses()[pname(0)].MaxCommitTS > raised &&
+			obs.Default.Gauge(obs.LabeledName(MetricReplicaLagTS, "node", rname(0, 1))).Value() == 0 &&
 			obs.Default.Gauge(obs.LabeledName(MetricReplicaLagLSN, "node", rname(0, 1))).Value() == 0
 	})
 
 	r.replica(rname(1, 0)).SetDown(true)
-	eventually(t, "a failed poll to be counted", 5*time.Second, func() bool { return counter("error") > failures })
+	eventually(t, "a failed probe to be counted", 5*time.Second, func() bool { return replies("error") > failures })
 
 	lines := r.col.FormatStats()
 	if len(lines) != 1+4 || !strings.Contains(lines[0], "advance=") || !strings.Contains(lines[3], rname(1, 0)) || !strings.Contains(lines[3], "healthy=false") {

@@ -137,8 +137,8 @@ func (t *Tracker) ObserveLatency(node string, rtt time.Duration) {
 	n.Latency = time.Duration(float64(n.Latency)*(1-t.Alpha) + float64(rtt)*t.Alpha)
 }
 
-// UpdateStatus refreshes a node's freshness, load, and health from the
-// collector's periodic polls.
+// UpdateStatus refreshes a node's freshness, load, and health from what
+// the collector last heard: a push or a probe.
 func (t *Tracker) UpdateStatus(node string, staleness time.Duration, load int64, healthy bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -152,7 +152,7 @@ func (t *Tracker) UpdateStatus(node string, staleness time.Duration, load int64,
 }
 
 // MarkFailed records a node crash observed in-band (a failed read); the
-// node is excluded until a status poll reports it healthy again.
+// node is excluded until a status update reports it healthy again.
 func (t *Tracker) MarkFailed(node string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
