@@ -310,6 +310,32 @@ func quiet(t *testing.T, db *globaldb.DB) (resume func()) {
 	}
 }
 
+// openAllocBudgetAcct opens the two-shard zero-RTT cluster the point
+// budgets measure on, with four accounts: id n has bal 100*n.
+func openAllocBudgetAcct(t *testing.T) (*globaldb.DB, *gsql.Session) {
+	t.Helper()
+	cfg := globaldb.OneRegion(0)
+	cfg.TimeScale = 0.02
+	cfg.Shards = 2
+	db, err := globaldb.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	s, err := gsql.Connect(db, cfg.Regions[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := s.Exec(ctx, "CREATE TABLE acct (id BIGINT, name TEXT, bal BIGINT, PRIMARY KEY (id)) SHARD BY id"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec(ctx, "INSERT INTO acct VALUES (1, 'a', 100), (2, 'b', 200), (3, 'c', 300), (4, 'd', 400)"); err != nil {
+		t.Fatal(err)
+	}
+	return db, s
+}
+
 // allocBudgetPointSelectMax caps allocations for one warm, prepared,
 // autocommit point SELECT through gsql on the zero-RTT cluster, streamed the
 // way the wire server and the database/sql driver stream it: bind, a one-read
@@ -325,25 +351,8 @@ const allocBudgetPointSelectMax = 23
 // TestAllocBudgetPointSelect gates the warm point-SELECT path, the
 // statement that is most of sql_front_local's reads.
 func TestAllocBudgetPointSelect(t *testing.T) {
-	cfg := globaldb.OneRegion(0)
-	cfg.TimeScale = 0.02
-	cfg.Shards = 2
-	db, err := globaldb.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s, err := gsql.Connect(db, cfg.Regions[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, s := openAllocBudgetAcct(t)
 	ctx := context.Background()
-	if _, err := s.Exec(ctx, "CREATE TABLE acct (id BIGINT, name TEXT, bal BIGINT, PRIMARY KEY (id)) SHARD BY id"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exec(ctx, "INSERT INTO acct VALUES (1, 'a', 100), (2, 'b', 200), (3, 'c', 300), (4, 'd', 400)"); err != nil {
-		t.Fatal(err)
-	}
 	st, err := s.Prepare(ctx, "SELECT bal FROM acct WHERE id = ?")
 	if err != nil {
 		t.Fatal(err)
@@ -392,25 +401,8 @@ const allocBudgetPointUpdateMax = 92
 // TestAllocBudgetPointUpdate gates the warm point-UPDATE path, the statement
 // that is most of sql_front_local's writes.
 func TestAllocBudgetPointUpdate(t *testing.T) {
-	cfg := globaldb.OneRegion(0)
-	cfg.TimeScale = 0.02
-	cfg.Shards = 2
-	db, err := globaldb.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s, err := gsql.Connect(db, cfg.Regions[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, s := openAllocBudgetAcct(t)
 	ctx := context.Background()
-	if _, err := s.Exec(ctx, "CREATE TABLE acct (id BIGINT, name TEXT, bal BIGINT, PRIMARY KEY (id)) SHARD BY id"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exec(ctx, "INSERT INTO acct VALUES (1, 'a', 100), (2, 'b', 200), (3, 'c', 300), (4, 'd', 400)"); err != nil {
-		t.Fatal(err)
-	}
 	st, err := s.Prepare(ctx, "UPDATE acct SET name = ? WHERE id = ?")
 	if err != nil {
 		t.Fatal(err)
@@ -435,5 +427,87 @@ func TestAllocBudgetPointUpdate(t *testing.T) {
 	t.Logf("warm point update: %.0f allocs/op (budget %d)", best, allocBudgetPointUpdateMax)
 	if best > allocBudgetPointUpdateMax {
 		t.Fatalf("warm point UPDATE allocated %.0f times, budget is %d", best, allocBudgetPointUpdateMax)
+	}
+}
+
+// Ceilings on a warm replica read under SET STALENESS = ANY on the point
+// budgets' rig: bind, a read-only query at the RCP (the DDL gate, a skyline
+// pick per shard), then either one Read RPC and the row decode (point), or
+// one pushed-aggregate page from each shard, the state merge and the decode
+// (SUM). Measured quiet on go1.24 over eight runs: 26 or 27 (point) and 105
+// or 106 (SUM), the higher figure when a skyline tracker refresh lands in
+// the window. The ceilings are 27 and 105 + 15 %.
+const (
+	allocBudgetReplicaPointMax = 31
+	allocBudgetReplicaSumMax   = 121
+)
+
+// TestAllocBudgetReplicaRead gates the warm replica read paths: a prepared
+// point SELECT and a pushed SELECT SUM(bal), both served at the RCP. No other
+// gate reads a replica.
+func TestAllocBudgetReplicaRead(t *testing.T) {
+	db, s := openAllocBudgetAcct(t)
+	ctx := context.Background()
+	if _, err := s.Exec(ctx, "SET STALENESS = ANY"); err != nil {
+		t.Fatal(err)
+	}
+	point, err := s.Prepare(ctx, "SELECT bal FROM acct WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := s.Prepare(ctx, "SELECT SUM(bal) FROM acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// read runs st and reports whether it read at the RCP and returned want.
+	read := func(st *gsql.Stmt, want int64, args ...any) bool {
+		rows, err := st.Query(ctx, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, ok := 0, true
+		for rows.Next() {
+			ok = ok && rows.Row()[0] == want
+			n++
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return rows.OnReplicas() && ok && n == 1
+	}
+	id := int64(0)
+	runPoint := func() {
+		id = id%4 + 1
+		if !read(point, 100*id, id) {
+			t.Fatalf("id %d: not read at the RCP, or not found", id)
+		}
+	}
+	runSum := func() {
+		if !read(sum, 1000) {
+			t.Fatal("SUM(bal) not read at the RCP, or not 1000")
+		}
+	}
+	// The replicas serve once the RCP passes the table's DDL and the inserts.
+	deadline := time.Now().Add(10 * time.Second)
+	for !read(point, 400, int64(4)) || !read(sum, 1000) {
+		if time.Now().After(deadline) {
+			t.Fatal("the RCP never reached the inserted rows")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 4; i++ {
+		runPoint() // warm the plans, every row's shard and the pools
+		runSum()
+	}
+
+	defer quiet(t, db)()
+	bestPoint, bestSum := minAllocs(runPoint), minAllocs(runSum)
+	t.Logf("warm replica read: point %.0f allocs/op (budget %d), SUM %.0f allocs/op (budget %d)",
+		bestPoint, allocBudgetReplicaPointMax, bestSum, allocBudgetReplicaSumMax)
+	if bestPoint > allocBudgetReplicaPointMax {
+		t.Fatalf("warm replica point SELECT allocated %.0f times, budget is %d", bestPoint, allocBudgetReplicaPointMax)
+	}
+	if bestSum > allocBudgetReplicaSumMax {
+		t.Fatalf("warm replica SELECT SUM(bal) allocated %.0f times, budget is %d", bestSum, allocBudgetReplicaSumMax)
 	}
 }
