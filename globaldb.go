@@ -245,13 +245,15 @@ func (s *Session) Begin(ctx context.Context) (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tx{readCore: readCore{sess: s, src: t}, txn: t}, nil
+	return &Tx{readCore{sess: s, txn: t}}, nil
 }
 
 // ReadOnly starts a read-only query with a staleness bound; tables names
-// the relations the query will touch (for the DDL visibility gate). A Query
-// has no Close and holds nothing back: read with it promptly, and expect
-// ErrSnapshotTooOld from one kept for more than about ten seconds.
+// the relations the query will touch (for the DDL visibility gate). Whether
+// the query reads replicas at the RCP or primaries at a fresh snapshot is
+// decided here, once (Query.OnReplicas). A Query has no Close and holds
+// nothing back: read with it promptly, and expect ErrSnapshotTooOld from one
+// kept for more than about ten seconds.
 func (s *Session) ReadOnly(ctx context.Context, bound time.Duration, tables ...string) (*Query, error) {
 	ids := make([]uint64, 0, len(tables))
 	for _, name := range tables {
@@ -265,7 +267,7 @@ func (s *Session) ReadOnly(ctx context.Context, bound time.Duration, tables ...s
 	if err != nil {
 		return nil, err
 	}
-	return &Query{readCore: readCore{sess: s, src: ro}, ro: ro}, nil
+	return &Query{readCore{sess: s, txn: ro}}, nil
 }
 
 // ReadOnce starts a transaction for one statement that reads one row once
@@ -287,7 +289,7 @@ func (s *Session) ReadOnce(ctx context.Context) (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tx{readCore: readCore{sess: s, src: t}, txn: t}, nil
+	return &Tx{readCore{sess: s, txn: t}}, nil
 }
 
 // schemaOf resolves a table name.
@@ -305,11 +307,7 @@ func (s *Session) shardOfRow(sch *Schema, r Row) int {
 // transaction's own writes.
 type Tx struct {
 	readCore
-	txn *coordinator.Txn
 }
-
-// Snapshot returns the transaction's snapshot timestamp.
-func (tx *Tx) Snapshot() ts.Timestamp { return tx.txn.Snapshot() }
 
 // OneRead reports whether the transaction is a one-read context, which
 // Session.ReadOnce returns under GClock only.
@@ -442,40 +440,32 @@ func (tx *Tx) Commit(ctx context.Context) error { return tx.txn.Commit(ctx) }
 // Abort rolls the transaction back.
 func (tx *Tx) Abort(ctx context.Context) error { return tx.txn.Abort(ctx) }
 
-// Query is a read-only query context. Its reads (the embedded read core) are
-// served from replicas at the RCP when the staleness bound and the DDL gate
-// allow, otherwise from shard primaries at a fresh snapshot.
+// Query is a read-only query context. Its reads (the embedded read core) go
+// on the route Session.ReadOnly chose: to replicas at the RCP when the
+// staleness bound and the DDL gate allow, otherwise to shard primaries at a
+// fresh snapshot.
 type Query struct {
 	readCore
-	ro *coordinator.ROTxn
 }
 
 // OnReplicas reports whether the query is served from replicas.
-func (q *Query) OnReplicas() bool { return q.ro.OnReplicas() }
-
-// Snapshot returns the query's snapshot timestamp.
-func (q *Query) Snapshot() ts.Timestamp { return q.ro.Snapshot() }
-
-// snapshotSource is what a read needs from the coordinator: point reads and
-// paged cursors on one shard, or on all of them, at some snapshot. The paper's
-// read-on-replica design (Sec. V) makes a replica read the same read at a
-// different snapshot source: *coordinator.Txn serves the transaction's
-// snapshot from shard primaries (observing its own writes), *coordinator.ROTxn
-// serves the RCP — or a fresh snapshot — from skyline-selected replicas.
-type snapshotSource interface {
-	Get(ctx context.Context, shard int, key []byte) ([]byte, bool, error)
-	ScanCursor(ctx context.Context, shard int, spec coordinator.ScanSpec) *coordinator.ScanCursor
-	ScanCursors(ctx context.Context, shards int, spec coordinator.ScanSpec) []coordinator.BatchCursor
-}
+func (q *Query) OnReplicas() bool { return q.txn.OnReplicas() }
 
 // readCore is the typed read API — Get and the five scans — written once over
-// a snapshotSource. Tx and Query both embed it (its methods are theirs, and
-// documented as such), so they differ only in how they are constructed
-// (Session.Begin, Session.ReadOnly) and in Tx's write methods.
+// a coordinator transaction. The paper's read-on-replica design (Sec. IV)
+// makes a replica read the same read on another route: a Tx reads its
+// snapshot from shard primaries (observing its own writes), a Query the RCP —
+// or a fresh snapshot — from skyline-selected nodes, and the transaction's one
+// fetch tells them apart. Tx and Query both embed readCore (its methods are
+// theirs, and documented as such), so they differ only in how they are
+// constructed (Session.Begin, Session.ReadOnly) and in Tx's write methods.
 type readCore struct {
 	sess *Session
-	src  snapshotSource
+	txn  *coordinator.Txn
 }
+
+// Snapshot returns the snapshot timestamp of the Tx or Query it is called on.
+func (c *readCore) Snapshot() ts.Timestamp { return c.txn.Snapshot() }
 
 // Get fetches one row by primary key at the snapshot of the Tx or Query it is
 // called on; on a Tx it observes the transaction's own writes.
@@ -489,7 +479,7 @@ func (c *readCore) Get(ctx context.Context, tableName string, pkVals []any) (Row
 		return nil, false, err
 	}
 	shard := c.sess.db.c.ShardOf(pkVals[pkPos(sch)])
-	v, found, err := c.src.Get(ctx, shard, key)
+	v, found, err := c.txn.Get(ctx, shard, key)
 	if err != nil || !found {
 		return nil, false, err
 	}

@@ -74,10 +74,10 @@ type gcState struct {
 //     the watermark at or below it until Commit or Abort returns — across any
 //     number of rounds, cursors it opened included — for at most
 //     coordinator.MaxSnapshotHold.
-//   - A read-only query (ROTxn) reads at the RCP, or at a fresher snapshot on
-//     primaries. It has no Close and so cannot be tracked; the RCP only grows,
-//     so a query begun since the previous round reads at or above this
-//     round's watermark. It is therefore safe for at least one interval. A
+//   - A read-only query (CN.ReadOnly) reads at the RCP, or at a fresher
+//     snapshot on primaries. It takes no pin: a globaldb.Query has no Close,
+//     so it cannot be tracked. The RCP only grows, so a query begun since the
+//     previous round reads at or above this round's watermark. It is therefore safe for at least one interval. A
 //     one-read context (CN.ReadOnce), which lives for one statement at a
 //     fresh snapshot, is not tracked either, for the same reason.
 //   - Whatever falls outside both — a query older than that, a transaction

@@ -283,7 +283,7 @@ func TestGCRefusesQueryOlderThanHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []*coordinator.ROTxn{onReplicas, onPrimaries} {
+	for _, q := range []*coordinator.Txn{onReplicas, onPrimaries} {
 		if v, found, err := q.Get(bg, shard, k); err != nil || !found || string(v) != "old" {
 			t.Fatalf("query (replicas=%v) before GC reads (%q,%v,%v)", q.OnReplicas(), v, found, err)
 		}
@@ -294,7 +294,7 @@ func TestGCRefusesQueryOlderThanHorizon(t *testing.T) {
 	if removed := c.PruneOnce(); removed == 0 {
 		t.Fatal("GC removed nothing")
 	}
-	for _, q := range []*coordinator.ROTxn{onReplicas, onPrimaries} {
+	for _, q := range []*coordinator.Txn{onReplicas, onPrimaries} {
 		if v, found, err := q.Get(bg, shard, k); !errors.Is(err, mvcc.ErrSnapshotTooOld) {
 			t.Fatalf("query (replicas=%v) older than the horizon reads (%q,%v,%v), want ErrSnapshotTooOld", q.OnReplicas(), v, found, err)
 		}

@@ -313,7 +313,7 @@ func (c *CN) newTxn(tt tso.TxnTS) *Txn {
 	c.pins.mu.Lock()
 	c.pins.held[id] = snapshotPin{snap: tt.Snap, since: time.Now()}
 	c.pins.mu.Unlock()
-	return &Txn{cn: c, id: id, ts: tt}
+	return &Txn{cn: c, id: id, ts: tt, pinned: true}
 }
 
 // nextTxnID returns a cluster-wide transaction ID.
@@ -321,10 +321,10 @@ func (c *CN) nextTxnID() uint64 { return c.cnID<<40 | c.txnSeq.Add(1) }
 
 // unpin releases the transaction's hold on the GC watermark. It runs when
 // Commit or Abort returns, not when it starts: the writes a commit flushes
-// are checked against the snapshot too. A one-read context holds none
-// (CN.ReadOnce).
+// are checked against the snapshot too. A one-read context and a read-only
+// query hold none (CN.ReadOnce, CN.ReadOnly).
 func (t *Txn) unpin() {
-	if t.oneRead {
+	if !t.pinned {
 		return
 	}
 	t.cn.pins.mu.Lock()
@@ -332,17 +332,30 @@ func (t *Txn) unpin() {
 	t.cn.pins.mu.Unlock()
 }
 
-// Txn is a read-write transaction coordinated by one CN. Writes are
-// buffered here and reach a shard's primary in one message at Commit, fused
-// with that shard's PENDING COMMIT or PREPARE step, so a transaction pays
-// WAN round trips for its reads plus two for commit — not one per write.
+// Txn is a transaction coordinated by one CN: read-write (CN.Begin), a
+// one-read context (CN.ReadOnce) or a read-only query (CN.ReadOnly). Writes
+// are buffered here and reach a shard's primary in one message at Commit,
+// fused with that shard's PENDING COMMIT or PREPARE step, so a transaction
+// pays WAN round trips for its reads plus two for commit — not one per write.
 // Write-write conflicts therefore surface when the buffer reaches the
 // primary (at Commit, at a flush before a scan, or at the size-bound flush),
 // not at Put: the first transaction to flush a key wins.
+//
+// Every read, a Get or a scan page, goes through one fetch on the
+// transaction's read route, fixed when it opens: the shard primary, or for a
+// read-only query on replicas the skyline's pick at the RCP under the
+// staleness bound, falling back to the primary (see fetch).
 type Txn struct {
 	cn *CN
 	id uint64
 	ts tso.TxnTS
+	// pinned reports that the snapshot holds the GC watermark (CN.Begin).
+	pinned bool
+	// readOnly marks a CN.ReadOnly query, which refuses writes; onReplicas
+	// and bound are its read route.
+	readOnly   bool
+	onReplicas bool
+	bound      time.Duration
 	// writes holds every shard the transaction wrote to — its commit
 	// participants — with the mutations still buffered for each. It is made
 	// at the first write, so a transaction that only reads allocates none.
@@ -411,6 +424,9 @@ func (w *shardWrites) take() []datanode.WriteOp {
 // flushes it so bulk transactions do not accumulate at the CN. The op
 // slices are retained until the transaction finishes.
 func (t *Txn) WriteBatch(ctx context.Context, shard int, ops []datanode.WriteOp) error {
+	if t.readOnly {
+		return ErrReadOnly
+	}
 	if t.done.Load() {
 		return ErrTxnDone
 	}
@@ -480,9 +496,9 @@ func (t *Txn) Delete(ctx context.Context, shard int, key []byte) error {
 	return t.WriteBatch(ctx, shard, []datanode.WriteOp{{Delete: true, Key: key}})
 }
 
-// Get reads a key at the transaction's snapshot, observing the
-// transaction's own writes: a key still in the write buffer is answered
-// from it without a round trip, anything else by the shard primary.
+// Get reads a key at the transaction's snapshot on its read route,
+// observing the transaction's own writes: a key still in the write buffer is
+// answered from it without a round trip.
 func (t *Txn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, error) {
 	if t.done.Load() {
 		return nil, false, ErrTxnDone
@@ -492,29 +508,21 @@ func (t *Txn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, err
 			return nil, false, ErrOneRead
 		}
 		t.read, t.readShard = true, shard
-		r, err := t.cn.readPrimary(ctx, shard, key, t.ts.Snap, 0)
-		t.readTS = r.CommitTS
-		return r.Value, r.Found, err
-	}
-	if w := t.writes[shard]; w != nil {
+	} else if w := t.writes[shard]; w != nil {
 		if i, ok := w.latest[string(key)]; ok {
 			op := w.ops[i]
 			return op.Value, !op.Delete, nil
 		}
 	}
-	r, err := t.cn.readPrimary(ctx, shard, key, t.ts.Snap, t.id)
-	return r.Value, r.Found, err
-}
-
-// readPrimary reads key at snap from the shard's primary, as transaction
-// txn (zero for none), and counts the read for the stats and the placement
-// advisor.
-func (c *CN) readPrimary(ctx context.Context, shard int, key []byte, snap ts.Timestamp, txn uint64) (datanode.ReadResp, error) {
-	c.primaryReads.Add(1)
-	if tr := c.placement; tr != nil {
-		tr.RecordRead(shard, c.region)
+	var r datanode.ReadResp
+	err := t.fetch(ctx, shard, func(node string) (err error) {
+		r, err = t.cn.client.ReadVersion(ctx, node, key, t.ts.Snap, t.id)
+		return err
+	})
+	if t.oneRead {
+		t.readTS = r.CommitTS
 	}
-	return c.client.ReadVersion(ctx, c.routing.Primary(shard), key, snap, txn)
+	return r.Value, r.Found, err
 }
 
 // Commit finishes the transaction: each participant receives its buffered

@@ -110,9 +110,9 @@ func (r *skewRig) run(t *testing.T, fn func() error) time.Duration {
 }
 
 // open starts a query with begin under run.
-func (r *skewRig) open(t *testing.T, begin func() (*ROTxn, error)) *ROTxn {
+func (r *skewRig) open(t *testing.T, begin func() (*Txn, error)) *Txn {
 	t.Helper()
-	var q *ROTxn
+	var q *Txn
 	r.run(t, func() (err error) {
 		q, err = begin()
 		return err
@@ -147,7 +147,7 @@ func TestReadOnlyPrimaryFallbackSnapshotIsStable(t *testing.T) {
 	r := newSkewRig(t)
 	first := r.commit(t, "k", "v0")
 
-	q := r.open(t, func() (*ROTxn, error) { return r.cn.ReadOnly(bg, 0) })
+	q := r.open(t, func() (*Txn, error) { return r.cn.ReadOnly(bg, 0) })
 	if q.OnReplicas() {
 		t.Fatal("rig: the query reads replicas, want the primary fallback")
 	}

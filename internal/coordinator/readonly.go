@@ -7,6 +7,7 @@ import (
 
 	"globaldb/internal/storage/mvcc"
 	"globaldb/internal/ts"
+	"globaldb/internal/tso"
 )
 
 // AnyStaleness disables the freshness bound: the query accepts whatever the
@@ -19,40 +20,36 @@ const AnyStaleness = time.Duration(-1)
 // cannot vouch for.
 var ErrOneRead = errors.New("coordinator: a one-read context answers exactly one Get")
 
-// ROTxn is a read-only query context. Reads are served from replicas at the
-// RCP snapshot when the staleness bound and the DDL gate allow it, and fall
-// back to primaries at a fresh snapshot otherwise (Sec. IV).
-type ROTxn struct {
-	cn    *CN
-	snap  ts.Timestamp
-	bound time.Duration
-	// replicaMode is decided once at creation so every read in the query
-	// sees one snapshot on one class of nodes (no torn mixed reads).
-	replicaMode bool
-}
+// ErrReadOnly is returned by a write to a read-only query (CN.ReadOnly).
+var ErrReadOnly = errors.New("coordinator: a read-only query cannot write")
 
-// ReadOnly starts a read-only query with a staleness bound. tableIDs are
-// the tables the query will touch, for the DDL visibility gate; pass none
-// to gate on the global maximum DDL timestamp only.
-func (c *CN) ReadOnly(ctx context.Context, bound time.Duration, tableIDs ...uint64) (*ROTxn, error) {
+// ReadOnly starts a read-only query with a staleness bound: a transaction
+// whose reads are served from replicas at the RCP snapshot when the bound and
+// the DDL gate allow it, and from primaries at a fresh snapshot otherwise
+// (Sec. IV). The route is decided here, once, so every read in the query sees
+// one snapshot on one class of nodes (no torn mixed reads). The query takes no
+// transaction ID and no pin on version GC, and refuses writes with
+// ErrReadOnly. tableIDs are the tables the query will touch, for the DDL
+// visibility gate; pass none to gate on the global maximum DDL timestamp only.
+func (c *CN) ReadOnly(ctx context.Context, bound time.Duration, tableIDs ...uint64) (*Txn, error) {
 	rcpTS := c.Collector().RCP()
-	replicaMode := true
+	onReplicas := true
 
 	// DDL gate (Sec. IV-A): every involved table's schema must have
 	// reached the replicas.
 	if !c.catalog.RORAllowed(rcpTS, tableIDs...) {
-		replicaMode = false
+		onReplicas = false
 		c.rorFallbacks.Add(1)
 	}
 	// Freshness gate: the RCP itself must satisfy the bound.
-	if replicaMode && bound >= 0 && c.rcpStaleness(rcpTS) > bound {
-		replicaMode = false
+	if onReplicas && bound >= 0 && c.rcpStaleness(rcpTS) > bound {
+		onReplicas = false
 		c.rorFallbacks.Add(1)
 	}
 
-	if replicaMode {
+	if onReplicas {
 		c.maybeRefreshTracker()
-		return &ROTxn{cn: c, snap: rcpTS, bound: bound, replicaMode: true}, nil
+		return &Txn{cn: c, ts: tso.TxnTS{Snap: rcpTS}, readOnly: true, onReplicas: true, bound: bound}, nil
 	}
 	// Fresh snapshot on primaries. The query may read many times, so it
 	// takes the waited snapshot a read-write transaction takes: stable
@@ -61,7 +58,7 @@ func (c *CN) ReadOnly(ctx context.Context, bound time.Duration, tableIDs ...uint
 	if err != nil {
 		return nil, err
 	}
-	return &ROTxn{cn: c, snap: snap.Snap, bound: bound}, nil
+	return &Txn{cn: c, ts: snap, readOnly: true, bound: bound}, nil
 }
 
 // ReadOnce starts a transaction for one statement that reads one key on a
@@ -96,63 +93,63 @@ func (c *CN) ReadOnce(ctx context.Context) (*Txn, error) {
 	return &Txn{cn: c, id: c.nextTxnID(), ts: snap, oneRead: true, settled: settled}, nil
 }
 
-// Snapshot returns the query's snapshot timestamp.
-func (r *ROTxn) Snapshot() ts.Timestamp { return r.snap }
+// OnReplicas reports whether the transaction is a read-only query that
+// reads replicas at the RCP.
+func (t *Txn) OnReplicas() bool { return t.onReplicas }
 
-// OnReplicas reports whether the query reads from replicas.
-func (r *ROTxn) OnReplicas() bool { return r.replicaMode }
-
-// Get reads one key.
-func (r *ROTxn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, error) {
-	node, replica := r.pick(shard)
-	start := time.Now()
-	v, found, err := r.cn.client.Read(ctx, node, key, r.snap, 0)
-	if err != nil && ctx.Err() != nil {
-		// The caller gave up (cancel or deadline), which says nothing about
-		// the node; and a retry on the primary would run on the same dead
-		// context. The scan path keeps the same rule.
-		return nil, false, err
-	}
-	r.observe(node, replica, start, err)
-	if nodeFailed(err) && replica {
-		// One retry on the primary: the replica crashed mid-query.
-		r.cn.primaryReads.Add(1)
-		return r.cn.client.Read(ctx, r.cn.routing.Primary(shard), key, r.snap, 0)
-	}
-	return v, found, err
-}
-
-// pick chooses the serving node for a shard.
-func (r *ROTxn) pick(shard int) (node string, replica bool) {
-	if !r.replicaMode {
-		return r.cn.routing.Primary(shard), false
-	}
-	r.cn.maybeRefreshTracker()
-	// Pure skyline cost selection (Fig. 5): the primary competes with the
-	// replicas, so a home-shard read takes the local primary while a
-	// remote-shard read takes the local replica — the routing that yields
-	// the paper's read speedups.
-	best, ok := r.cn.Tracker().Pick(shard, r.bound, false)
-	if !ok {
+// pick chooses the node that serves a read of shard on the transaction's
+// route, and reports whether it is a replica.
+func (t *Txn) pick(shard int) (node string, replica bool) {
+	if t.onReplicas {
+		t.cn.maybeRefreshTracker()
+		// Pure skyline cost selection (Fig. 5): the primary competes with the
+		// replicas, so a home-shard read takes the local primary while a
+		// remote-shard read takes the local replica — the routing that yields
+		// the paper's read speedups.
+		if best, ok := t.cn.Tracker().Pick(shard, t.bound, false); ok {
+			return best.Node, !best.Primary
+		}
 		// Everything is dark; the primary is the last resort.
-		return r.cn.routing.Primary(shard), false
 	}
-	return best.Node, !best.Primary
+	return t.cn.routing.Primary(shard), false
 }
 
-func (r *ROTxn) observe(node string, replica bool, start time.Time, err error) {
-	rtt := time.Since(start)
+// fetch runs one read of shard, a Get or a scan page, on the transaction's
+// route: call sends it to a node. It picks the node, counts the read, and
+// retries once on the primary when a replica fails. A read-only query's round
+// trip, or its failure, is noted in the ROR tracker; a read-write
+// transaction's read is counted for the placement advisor instead.
+func (t *Txn) fetch(ctx context.Context, shard int, call func(node string) error) error {
+	node, replica := t.pick(shard)
+	start := time.Now()
+	err := call(node)
+	if err != nil && ctx.Err() != nil {
+		// The caller gave up (cancel or deadline, or a cursor's Close), which
+		// says nothing about the node; and a retry on the primary would run
+		// on the same dead context.
+		return err
+	}
 	if replica {
-		r.cn.replicaReads.Add(1)
+		t.cn.replicaReads.Add(1)
 	} else {
-		r.cn.primaryReads.Add(1)
+		t.cn.primaryReads.Add(1)
 	}
 	switch {
+	case !t.readOnly:
+		if tr := t.cn.placement; tr != nil {
+			tr.RecordRead(shard, t.cn.region)
+		}
 	case nodeFailed(err):
-		r.cn.Tracker().MarkFailed(node)
+		t.cn.Tracker().MarkFailed(node)
 	case err == nil:
-		r.cn.Tracker().ObserveLatency(node, rtt)
+		t.cn.Tracker().ObserveLatency(node, time.Since(start))
 	}
+	if replica && nodeFailed(err) {
+		// One retry on the primary: the replica crashed mid-query.
+		t.cn.primaryReads.Add(1)
+		err = call(t.cn.routing.Primary(shard))
+	}
+	return err
 }
 
 // nodeFailed reports whether err says something about the node that returned

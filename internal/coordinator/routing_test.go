@@ -96,11 +96,10 @@ func TestStatsZeroValue(t *testing.T) {
 	}
 }
 
-// TestCanceledReplicaGetBlamesNoNode: a replica point read whose context is
-// already dead says nothing about the replica. Get returns the context's
-// error, leaves the replica healthy in the tracker and does not retry the
-// primary on the same dead context — the rule the scan path keeps.
-func TestCanceledReplicaGetBlamesNoNode(t *testing.T) {
+// newReplicaRig builds a CN over one shard whose primary and replica sit in
+// its own region, with the replica the cheaper node on the skyline.
+func newReplicaRig(t *testing.T) (cn *CN, tr *ror.Tracker, replica string) {
+	t.Helper()
 	net := netsim.New(netsim.Config{TimeScale: 0.02})
 	net.AddRegion("east")
 	p := datanode.NewPrimary(net, "dn0", "east", 0, repl.Async, 1)
@@ -111,26 +110,80 @@ func TestCanceledReplicaGetBlamesNoNode(t *testing.T) {
 	client := datanode.NewClient(net, "east")
 	oracle := tso.New("cn-east", clock.NewNode(clock.DefaultNodeConfig(), clock.Real(), clock.NewDevice("east", clock.Real())), nil)
 	oracle.SetMode(ts.ModeGClock)
-	cn := New(oracle.Name(), "east", 1, client, oracle, routing, table.NewCatalog())
+	cn = New(oracle.Name(), "east", 1, client, oracle, routing, table.NewCatalog())
 	cn.SetCollector(rcp.NewCollector(rcp.Config{}, client, rcp.Topology{}, nil, 0))
-	tr := ror.NewTracker()
+	tr = ror.NewTracker()
 	tr.AddNode(0, p.ID(), "east", true, 10*time.Millisecond)
 	tr.AddNode(0, rep.ID(), "east", false, time.Millisecond)
 	cn.SetTracker(tr)
+	return cn, tr, rep.ID()
+}
 
-	q := &ROTxn{cn: cn, snap: 1, bound: time.Hour, replicaMode: true}
-	if node, replica := q.pick(0); !replica || node != rep.ID() {
-		t.Fatalf("pick = %s %v, want the replica", node, replica)
+// TestCanceledReplicaGetBlamesNoNode: a replica read whose context is
+// already dead says nothing about the replica. A Get and a scan page, which
+// share one fetch, each return the context's error, leave the replica
+// healthy in the tracker and do not retry the primary on the same dead
+// context.
+func TestCanceledReplicaGetBlamesNoNode(t *testing.T) {
+	reads := map[string]func(ctx context.Context, q *Txn) error{
+		"get": func(ctx context.Context, q *Txn) error {
+			_, _, err := q.Get(ctx, 0, []byte("k"))
+			return err
+		},
+		"scan page": func(ctx context.Context, q *Txn) error {
+			cur := q.ScanCursor(ctx, 0, ScanSpec{Start: []byte("a"), End: []byte("z"), Prefetch: -1})
+			defer cur.Close()
+			for cur.NextBatch(ctx) {
+			}
+			return cur.Err()
+		},
 	}
-	ctx, cancel := context.WithCancel(bg)
-	cancel()
-	if _, _, err := q.Get(ctx, 0, []byte("k")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Get on a canceled context: %v, want context.Canceled", err)
+	for name, read := range reads {
+		t.Run(name, func(t *testing.T) {
+			cn, tr, rep := newReplicaRig(t)
+			q := &Txn{cn: cn, ts: tso.TxnTS{Snap: 1}, readOnly: true, onReplicas: true, bound: time.Hour}
+			if node, replica := q.pick(0); !replica || node != rep {
+				t.Fatalf("pick = %s %v, want the replica", node, replica)
+			}
+			ctx, cancel := context.WithCancel(bg)
+			cancel()
+			if err := read(ctx, q); !errors.Is(err, context.Canceled) {
+				t.Fatalf("read on a canceled context: %v, want context.Canceled", err)
+			}
+			if cand, ok := tr.Node(rep); !ok || !cand.Healthy {
+				t.Fatalf("replica %+v marked failed by a canceled read", cand)
+			}
+			if st := cn.Stats(); st.PrimaryReads != 0 {
+				t.Fatalf("%d primary reads: a canceled read was retried on the primary", st.PrimaryReads)
+			}
+		})
 	}
-	if cand, ok := tr.Node(rep.ID()); !ok || !cand.Healthy {
-		t.Fatalf("replica %+v marked failed by a canceled read", cand)
-	}
-	if st := cn.Stats(); st.PrimaryReads != 0 {
-		t.Fatalf("%d primary reads: a canceled read was retried on the primary", st.PrimaryReads)
+}
+
+// TestReadOnlyRefusesWrites: a read-only query, on replicas or on
+// primaries, refuses every write with ErrReadOnly and holds no pin on
+// version GC; with nothing written, its Commit ends it.
+func TestReadOnlyRefusesWrites(t *testing.T) {
+	cn, _, _ := newReplicaRig(t)
+	for _, bound := range []time.Duration{AnyStaleness, 0} {
+		q, err := cn.ReadOnly(bg, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.OnReplicas() != (bound < 0) {
+			t.Fatalf("rig: bound %v opened a query with replicas=%v", bound, q.OnReplicas())
+		}
+		if err := q.Put(bg, 0, []byte("k"), []byte("v")); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("Put (replicas=%v): %v, want ErrReadOnly", q.OnReplicas(), err)
+		}
+		if err := q.Delete(bg, 0, []byte("k")); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("Delete (replicas=%v): %v, want ErrReadOnly", q.OnReplicas(), err)
+		}
+		if _, ok := cn.OldestActiveSnapshot(time.Now()); ok {
+			t.Fatalf("query (replicas=%v) pins version GC", q.OnReplicas())
+		}
+		if err := q.Commit(bg); err != nil {
+			t.Fatalf("Commit (replicas=%v): %v", q.OnReplicas(), err)
+		}
 	}
 }

@@ -323,11 +323,16 @@ func (s ScanSpec) observePage(resp datanode.ScanPageResp) {
 	}
 }
 
-// ScanCursor returns a paged cursor over the spec's range on one shard's
-// primary at the transaction's snapshot, observing the transaction's own
-// writes. Any attached fragment runs on the data node before rows are
-// shipped. ctx bounds the cursor's background prefetching; Close (or
-// draining the cursor) releases it.
+// ScanCursor returns a paged cursor over the spec's range on one shard at
+// the transaction's snapshot, observing the transaction's own writes. Each
+// page is one fetch on the transaction's read route, so a read-only query on
+// replicas asks the skyline for every page and falls back to the primary for
+// the page a failed replica could not serve. Any attached fragment runs on
+// whichever node serves the page before rows are shipped: the fragment
+// carries the snapshot-independent plan and the request the snapshot, so
+// replica execution at the RCP is identical to primary execution. ctx bounds
+// the cursor's background prefetching; Close (or draining the cursor)
+// releases it.
 //
 // Writes the transaction still buffers for the shard are flushed first, on
 // the caller's goroutine, so the data node evaluates the scan over them; a
@@ -342,18 +347,17 @@ func (t *Txn) ScanCursor(ctx context.Context, shard int, spec ScanSpec) *ScanCur
 			if t.done.Load() {
 				return nil, nil, false, ErrTxnDone
 			}
-			t.cn.primaryReads.Add(1)
-			if tr := t.cn.placement; tr != nil {
-				tr.RecordRead(shard, t.cn.region)
-			}
-			node := t.cn.routing.Primary(shard)
-			rpc := obs.SpanFrom(ctx).Child("scan-page")
-			if rpc != nil { // untraced, skip boxing Tag's arguments
-				rpc.Tag("shard=%d node=%s", shard, node)
-			}
-			resp, err := t.cn.client.ScanPageFrag(ctx, node, from, spec.End, t.ts.Snap, remaining, page, spec.Frag, t.id)
-			rpc.AddDNExec(time.Duration(resp.ExecNanos))
-			rpc.End()
+			var resp datanode.ScanPageResp
+			err := t.fetch(ctx, shard, func(node string) (err error) {
+				rpc := obs.SpanFrom(ctx).Child("scan-page")
+				if rpc != nil { // untraced, skip boxing Tag's arguments
+					rpc.Tag("shard=%d node=%s", shard, node)
+				}
+				resp, err = t.cn.client.ScanPageFrag(ctx, node, from, spec.End, t.ts.Snap, remaining, page, spec.Frag, t.id)
+				rpc.AddDNExec(time.Duration(resp.ExecNanos))
+				rpc.End()
+				return err
+			})
 			if err != nil {
 				return nil, nil, false, err
 			}
@@ -373,9 +377,9 @@ func (t *Txn) ScanCursor(ctx context.Context, shard int, spec ScanSpec) *ScanCur
 }
 
 // ScanCursors opens one cursor per shard in [0, shards) with the same
-// spec. Opening a cursor never blocks — the routing lookup and first-page
-// RPC run on the cursor's prefetch goroutine, which starts at creation —
-// so by the time this returns, all K shards' first pages are in flight
+// spec. Opening a cursor never blocks — the node pick and first-page RPC
+// run on the cursor's prefetch goroutine, which starts at creation — so by
+// the time this returns, all K shards' first pages are in flight
 // concurrently and the merge's first refill costs one (maximum) round
 // trip instead of K serial ones. With prefetching disabled the cursors
 // stay fully lazy by design: nothing is fetched until demanded. Shards with
@@ -390,62 +394,6 @@ func (t *Txn) ScanCursors(ctx context.Context, shards int, spec ScanSpec) []Batc
 	}
 	for shard := range out {
 		out[shard] = t.ScanCursor(ctx, shard, spec)
-	}
-	return out
-}
-
-// ScanCursor returns a paged cursor over the spec's range on one shard at
-// the query's snapshot, served by the skyline-selected node with a
-// per-page fallback to the primary when a replica fails mid-scan. Any
-// attached fragment runs on whichever node serves the page — the fragment
-// carries the snapshot-independent plan and the request carries the
-// snapshot, so replica execution at the RCP is identical to primary
-// execution. ctx bounds the cursor's background prefetching.
-func (r *ROTxn) ScanCursor(ctx context.Context, shard int, spec ScanSpec) *ScanCursor {
-	return newScanCursor(ctx, spec.Start, spec.Limit, spec.PageSize, spec.window(), spec.Counters,
-		func(ctx context.Context, from []byte, remaining, page int) ([]mvcc.KV, []byte, bool, error) {
-			node, replica := r.pick(shard)
-			t0 := time.Now()
-			rpc := obs.SpanFrom(ctx).Child("scan-page")
-			if rpc != nil { // untraced, skip boxing Tag's arguments
-				rpc.Tag("shard=%d node=%s", shard, node)
-			}
-			resp, err := r.cn.client.ScanPageFrag(ctx, node, from, spec.End, r.snap, remaining, page, spec.Frag, 0)
-			if err != nil && ctx.Err() != nil {
-				rpc.End()
-				// The cursor canceled this RPC (Close, or the consumer's
-				// context) — the normal end of an early-terminated prefetch,
-				// not a node failure. Don't poison the skyline tracker by
-				// marking the replica failed, and don't retry the primary on
-				// a context that is already dead.
-				return nil, nil, false, err
-			}
-			r.observe(node, replica, t0, err)
-			if nodeFailed(err) && replica {
-				r.cn.primaryReads.Add(1)
-				primary := r.cn.routing.Primary(shard)
-				if rpc != nil {
-					rpc.Tag("shard=%d node=%s (replica %s failed)", shard, primary, node)
-				}
-				resp, err = r.cn.client.ScanPageFrag(ctx, primary, from, spec.End, r.snap, remaining, page, spec.Frag, 0)
-			}
-			rpc.AddDNExec(time.Duration(resp.ExecNanos))
-			rpc.End()
-			if err != nil {
-				return nil, nil, false, err
-			}
-			spec.observePage(resp)
-			return resp.KVs, resp.Next, resp.More, nil
-		})
-}
-
-// ScanCursors opens one cursor per shard in [0, shards); the per-shard
-// replica selection (RCP-governed skyline pick) and first-page RPCs run
-// concurrently on the cursors' prefetch goroutines — see Txn.ScanCursors.
-func (r *ROTxn) ScanCursors(ctx context.Context, shards int, spec ScanSpec) []BatchCursor {
-	out := make([]BatchCursor, shards)
-	for shard := range out {
-		out[shard] = r.ScanCursor(ctx, shard, spec)
 	}
 	return out
 }

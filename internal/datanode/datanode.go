@@ -101,7 +101,8 @@ type (
 		Found bool
 		// CommitTS is the commit timestamp of the version that answered, a
 		// deletion's included; zero when none did or the reader's own write
-		// did. A reader at an unwaited snapshot waits it out (ROTxn.Get).
+		// did. A one-read context, which reads at an unwaited snapshot, waits
+		// it out at its Commit (tso.Oracle.SettleRead).
 		CommitTS ts.Timestamp
 	}
 

@@ -95,19 +95,19 @@ type nodeState struct {
 	shard int
 }
 
+// alpha is the EWMA weight of a new latency sample.
+const alpha = 0.3
+
 // Tracker maintains per-node metrics per CN and answers pick queries.
 type Tracker struct {
-	// Alpha is the EWMA weight of a new latency sample (0..1].
-	Alpha float64
-
 	mu     sync.RWMutex
 	nodes  map[string]*nodeState
 	shards map[int][]string
 }
 
-// NewTracker returns an empty tracker with EWMA alpha 0.3.
+// NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{Alpha: 0.3, nodes: make(map[string]*nodeState), shards: make(map[int][]string)}
+	return &Tracker{nodes: make(map[string]*nodeState), shards: make(map[int][]string)}
 }
 
 // AddNode registers a node serving a shard. Nodes start healthy with zero
@@ -134,7 +134,7 @@ func (t *Tracker) ObserveLatency(node string, rtt time.Duration) {
 		n.Latency = rtt
 		return
 	}
-	n.Latency = time.Duration(float64(n.Latency)*(1-t.Alpha) + float64(rtt)*t.Alpha)
+	n.Latency = time.Duration(float64(n.Latency)*(1-alpha) + float64(rtt)*alpha)
 }
 
 // UpdateStatus refreshes a node's freshness, load, and health from what
@@ -203,9 +203,4 @@ func (t *Tracker) Pick(shard int, bound time.Duration, preferReplica bool) (Cand
 		}
 	}
 	return Select(cands, bound)
-}
-
-// Skyline exposes the current frontier for a shard (observability, tests).
-func (t *Tracker) Skyline(shard int) []Candidate {
-	return Skyline(t.CandidatesFor(shard))
 }

@@ -11,15 +11,8 @@ import (
 	"time"
 
 	"globaldb/gsql/fragment"
-	"globaldb/internal/coordinator"
 	"globaldb/internal/storage/mvcc"
 	"globaldb/internal/table"
-)
-
-// Both coordinator read contexts are snapshot sources as they stand.
-var (
-	_ snapshotSource = (*coordinator.Txn)(nil)
-	_ snapshotSource = (*coordinator.ROTxn)(nil)
 )
 
 // typedReads is the read API Tx and Query share through the read core.
@@ -47,7 +40,7 @@ func drainStats(r *Rows, err error) ([]Row, ScanStats, error) {
 
 // TestReadCoreSameThroughTxAndQuery runs every typed read through a Tx and
 // through a Query over the same committed data and requires identical rows
-// and per-layer scan counters: the two differ only in their snapshot source,
+// and per-layer scan counters: the two differ only in their read route,
 // so nothing a caller can observe about a read may depend on which one it
 // holds.
 func TestReadCoreSameThroughTxAndQuery(t *testing.T) {

@@ -394,7 +394,7 @@ func (c *readCore) ScanPKRows(ctx context.Context, tableName string, pkPrefix []
 	if err != nil {
 		return nil, err
 	}
-	return st.open(ctx, []coordinator.BatchCursor{c.src.ScanCursor(ctx, shard, st.spec(start, end, o))}, o), nil
+	return st.open(ctx, []coordinator.BatchCursor{c.txn.ScanCursor(ctx, shard, st.spec(start, end, o))}, o), nil
 }
 
 // ScanIndexRows streams rows matched by a secondary-index prefix, in index
@@ -414,7 +414,7 @@ func (c *readCore) ScanIndexRows(ctx context.Context, tableName, indexName strin
 	if err != nil {
 		return nil, err
 	}
-	return st.open(ctx, []coordinator.BatchCursor{c.src.ScanCursor(ctx, shard, st.spec(start, end, o))}, o), nil
+	return st.open(ctx, []coordinator.BatchCursor{c.txn.ScanCursor(ctx, shard, st.spec(start, end, o))}, o), nil
 }
 
 // ScanTableRows streams every row of a table, merging per-shard paged
@@ -440,6 +440,6 @@ func (c *readCore) ScanTableRows(ctx context.Context, tableName string, o ScanOp
 	// node selection (routing lookup, or the skyline pick on replicas) and
 	// first pages are issued concurrently and the cross-shard scan's setup
 	// costs one round trip, not one per shard.
-	curs := c.src.ScanCursors(ctx, c.sess.db.c.Shards(), st.spec(start, end, o))
+	curs := c.txn.ScanCursors(ctx, c.sess.db.c.Shards(), st.spec(start, end, o))
 	return st.open(ctx, curs, o), nil
 }
