@@ -77,9 +77,10 @@ type gcState struct {
 //   - A read-only query (CN.ReadOnly) reads at the RCP, or at a fresher
 //     snapshot on primaries. It takes no pin: a globaldb.Query has no Close,
 //     so it cannot be tracked. The RCP only grows, so a query begun since the
-//     previous round reads at or above this round's watermark. It is therefore safe for at least one interval. A
-//     one-read context (CN.ReadOnce), which lives for one statement at a
-//     fresh snapshot, is not tracked either, for the same reason.
+//     previous round reads at or above this round's watermark. It is
+//     therefore safe for at least one interval. A one-read context
+//     (CN.ReadOnce), which lives for one statement at a fresh snapshot, is
+//     not tracked either, for the same reason.
 //   - Whatever falls outside both — a query older than that, a transaction
 //     past its hold — is refused by the store: Prune raises the store's floor
 //     first, and a read or write below the floor gets mvcc.ErrSnapshotTooOld,
