@@ -392,10 +392,11 @@ func TestAllocBudgetPointSelect(t *testing.T) {
 // one-read context at an unwaited snapshot, one Read RPC to the primary,
 // row decode and re-encode, and the one message that stages the write,
 // checks the version read and commits, then the commit wait. Measured quiet
-// on go1.24: 80 in every run of five; the same statement through a waited
-// autocommit transaction (Begin, Get, Commit) also read 80. The ceiling is
-// the measured value + 15 %. It still reads 80 in every run of twenty with
-// the write map made at the first write.
+// on go1.24: 86 in every run. 80 are the statement's own. The other 6 are
+// the shard's two replicas pushing the watermark the replayed commit raised
+// to the collector's endpoint, three allocations each: the count counts the
+// whole process, and a stopped collector does not stop the pushes. The
+// ceiling leaves 7 % over 86.
 const allocBudgetPointUpdateMax = 92
 
 // TestAllocBudgetPointUpdate gates the warm point-UPDATE path, the statement

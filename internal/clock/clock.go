@@ -192,11 +192,17 @@ const unboundedErr = time.Hour
 
 // Now returns the node's clock reading with its error bound.
 func (n *Node) Now() ts.Interval {
+	iv, _ := n.read()
+	return iv
+}
+
+// read returns the node's clock reading and the Source time it was taken at.
+func (n *Node) read() (ts.Interval, time.Time) {
 	trueNow := n.src.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.synced {
-		return ts.Interval{Clock: ts.FromTime(trueNow).Add(n.faultSkew), Err: unboundedErr}
+		return ts.Interval{Clock: ts.FromTime(trueNow).Add(n.faultSkew), Err: unboundedErr}, trueNow
 	}
 	elapsed := trueNow.Sub(n.lastSyncTrue)
 	if elapsed < 0 {
@@ -207,7 +213,7 @@ func (n *Node) Now() ts.Interval {
 	return ts.Interval{
 		Clock: ts.FromTime(trueNow).Add(drift + n.faultSkew),
 		Err:   errBound,
-	}
+	}, trueNow
 }
 
 // Err returns the current error bound without the reading.
@@ -220,19 +226,27 @@ func (n *Node) Healthy(limit time.Duration) bool { return n.Err() <= limit }
 // WaitUntilAfter blocks until the clock's lower bound strictly exceeds t —
 // the commit wait of Sec. III ("wait until Tclock > TS"). With the paper's
 // parameters the wait is on the order of 2×Terr ≈ 120 µs, below the OS
-// timer granularity, so short waits spin-yield instead of sleeping.
+// timer granularity, so a gap of up to 200 µs is spun out rather than slept.
+//
+// A spin reads the node clock once and turns the gap into a deadline on the
+// Source, then polls the Source alone, which takes no lock, until that
+// deadline. Only every spinYieldPolls polls, a few µs apart on the real
+// clock, does it check ctx and yield its P, so a waiting transaction costs
+// one core's worth of polling, not a scheduler round trip per poll. At the
+// deadline it reads the node clock again and returns only once the lower
+// bound has passed t: a sync, skew or drift change during the spin costs
+// another lap, never an early return. Longer gaps sleep on a timer.
 func (n *Node) WaitUntilAfter(ctx context.Context, t ts.Timestamp) error {
 	for {
-		iv := n.Now()
+		iv, at := n.read()
 		if iv.Lower() > t {
 			return nil
 		}
 		gap := t.Sub(iv.Lower()) + time.Microsecond
 		if gap <= 200*time.Microsecond {
-			if err := ctx.Err(); err != nil {
+			if err := n.spin(ctx, at.Add(gap)); err != nil {
 				return err
 			}
-			runtime.Gosched()
 			continue
 		}
 		if gap > time.Second {
@@ -246,4 +260,22 @@ func (n *Node) WaitUntilAfter(ctx context.Context, t ts.Timestamp) error {
 			return ctx.Err()
 		}
 	}
+}
+
+// spinYieldPolls is how many Source polls a spin makes between context
+// checks and yields. It counts polls, not Source time, so a spin on a
+// frozen Manual source still sees its context end.
+const spinYieldPolls = 256
+
+// spin polls the Source until it reads deadline or later, or ctx ends.
+func (n *Node) spin(ctx context.Context, deadline time.Time) error {
+	for polls := 1; n.src.Now().Before(deadline); polls++ {
+		if polls%spinYieldPolls == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			runtime.Gosched()
+		}
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package clock
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -174,10 +175,91 @@ func TestWaitUntilAfterHonorsContext(t *testing.T) {
 	n := NewNode(DefaultNodeConfig(), m, dev)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	// Manual time never advances, so the wait can only end via ctx.
+	// Manual time never advances, so the wait can only end via ctx: the spin
+	// must check it by polls, since its Source never reaches a yield time.
+	start := time.Now()
 	err := n.WaitUntilAfter(ctx, n.Now().Upper())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want deadline exceeded, got %v", err)
+	}
+	if e := time.Since(start); e > 500*time.Millisecond {
+		t.Fatalf("a 30ms context ended the wait after %v", e)
+	}
+}
+
+func TestWaitUntilAfterManualAdvancedElsewhere(t *testing.T) {
+	m := NewManual(epoch)
+	n := NewNode(DefaultNodeConfig(), m, NewDevice("r", m))
+	target := n.Now().Upper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	stop := make(chan struct{})
+	advanced := make(chan struct{})
+	go func() {
+		defer close(advanced)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				m.Advance(time.Microsecond)
+				runtime.Gosched()
+			}
+		}
+	}()
+	err := n.WaitUntilAfter(ctx, target)
+	close(stop)
+	<-advanced
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Now().Lower() <= target {
+		t.Fatal("wait returned before the lower bound passed its target")
+	}
+}
+
+// TestWaitUntilAfterOutlastsMidWaitChanges lowers the clock while a wait
+// spins, by a negative fault skew or a slow drift, then moves the source past
+// the spin's deadline and freezes it short of the target: the wait must take
+// another lap, not return, until the lowered clock passes the target.
+func TestWaitUntilAfterOutlastsMidWaitChanges(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		lower func(*Node)
+	}{
+		{"skew", func(n *Node) { n.SetFaultSkew(-50 * time.Microsecond) }},
+		{"drift", func(n *Node) { n.SetDriftPPM(-400_000) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewManual(epoch)
+			n := NewNode(DefaultNodeConfig(), m, NewDevice("r", m))
+			target := n.Now().Upper() // 120 µs above the lower bound
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- n.WaitUntilAfter(ctx, target) }()
+
+			time.Sleep(time.Millisecond) // let the wait read the clock and spin
+			tc.lower(n)
+			// Past the first spin's deadline; unlowered, this would end the wait.
+			m.Advance(125 * time.Microsecond)
+			if n.Now().Lower() > target {
+				t.Fatal("the change did not lower the clock below the target")
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("wait returned (%v) with the lower bound %v short of %v", err, target-n.Now().Lower(), target)
+			case <-time.After(20 * time.Millisecond):
+			}
+			m.Advance(time.Millisecond)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if n.Now().Lower() <= target {
+				t.Fatal("wait returned before the lower bound passed its target")
+			}
+		})
 	}
 }
 

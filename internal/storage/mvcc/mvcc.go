@@ -44,7 +44,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -140,10 +139,15 @@ type chain struct {
 	intent   *intent
 }
 
+// txnMeta is a transaction's entry in the store's table. Commit and Abort
+// keep it there, marked resolving, until every chain shows the outcome, and
+// close done after removing it: a reader that no longer finds the entry can
+// re-read its chain and see the outcome at once.
 type txnMeta struct {
-	keys  [][]byte
-	state TxnState
-	done  chan struct{} // closed when the txn commits or aborts
+	keys      [][]byte
+	state     TxnState
+	resolving bool          // a Commit or Abort is installing the outcome
+	done      chan struct{} // closed when the txn commits or aborts
 }
 
 // Store is a single data node's versioned key space.
@@ -151,6 +155,7 @@ type Store struct {
 	mu   sync.RWMutex // guards the tree's shape
 	data *btree.Tree[*chain]
 
+	// txnMu is a leaf lock: write takes it under a chain lock.
 	txnMu sync.Mutex
 	txns  map[TxnID]*txnMeta
 
@@ -303,19 +308,17 @@ func (s *Store) write(txn TxnID, key, value []byte, deleted bool, snapTS ts.Time
 		}
 		return err
 	}
-	firstWrite := c.intent == nil
-	c.intent = &intent{txn: txn, value: bytes.Clone(value), deleted: deleted}
-	c.mu.Unlock()
-
-	if firstWrite {
-		// A transaction's operations are serial (one coordinator goroutine),
-		// so registering the key after releasing the chain lock cannot race
-		// this transaction's own commit.
+	if c.intent == nil {
+		// Registered under the chain lock, so a reader that sees the intent
+		// finds its transaction in the table until the chains show its
+		// outcome (txnMeta).
 		s.txnMu.Lock()
 		m := s.txnLocked(txn)
 		m.keys = append(m.keys, bytes.Clone(key))
 		s.txnMu.Unlock()
 	}
+	c.intent = &intent{txn: txn, value: bytes.Clone(value), deleted: deleted}
+	c.mu.Unlock()
 	return nil
 }
 
@@ -368,18 +371,35 @@ func (s *Store) TxnStateOf(txn TxnID) (TxnState, bool) {
 	return m.state, true
 }
 
+// resolve claims txn for its one Commit or Abort: a second resolution, or
+// one of an unknown transaction, fails with ErrTxnNotFound.
+func (s *Store) resolve(txn TxnID) (*txnMeta, error) {
+	s.txnMu.Lock()
+	defer s.txnMu.Unlock()
+	m, ok := s.txns[txn]
+	if !ok || m.resolving {
+		return nil, fmt.Errorf("%w: %d", ErrTxnNotFound, txn)
+	}
+	m.resolving = true
+	return m, nil
+}
+
+// resolved takes txn, whose chains now show its outcome, out of the table
+// and wakes the readers waiting on it.
+func (s *Store) resolved(txn TxnID, m *txnMeta) {
+	s.txnMu.Lock()
+	delete(s.txns, txn)
+	s.txnMu.Unlock()
+	close(m.done)
+}
+
 // Commit applies txn's intents as versions at commitTS and wakes waiting
 // readers.
 func (s *Store) Commit(txn TxnID, commitTS ts.Timestamp) error {
-	s.txnMu.Lock()
-	m, ok := s.txns[txn]
-	if !ok {
-		s.txnMu.Unlock()
-		return fmt.Errorf("%w: %d", ErrTxnNotFound, txn)
+	m, err := s.resolve(txn)
+	if err != nil {
+		return err
 	}
-	delete(s.txns, txn)
-	s.txnMu.Unlock()
-
 	for _, key := range m.keys {
 		c := s.getChain(key, false)
 		if c == nil {
@@ -394,21 +414,16 @@ func (s *Store) Commit(txn TxnID, commitTS ts.Timestamp) error {
 	}
 	s.advanceLastCommit(commitTS)
 	s.commits.Add(1)
-	close(m.done)
+	s.resolved(txn, m)
 	return nil
 }
 
 // Abort discards txn's intents and wakes waiting readers.
 func (s *Store) Abort(txn TxnID) error {
-	s.txnMu.Lock()
-	m, ok := s.txns[txn]
-	if !ok {
-		s.txnMu.Unlock()
-		return fmt.Errorf("%w: %d", ErrTxnNotFound, txn)
+	m, err := s.resolve(txn)
+	if err != nil {
+		return err
 	}
-	delete(s.txns, txn)
-	s.txnMu.Unlock()
-
 	for _, key := range m.keys {
 		c := s.getChain(key, false)
 		if c == nil {
@@ -426,7 +441,7 @@ func (s *Store) Abort(txn TxnID) error {
 		}
 	}
 	s.aborts.Add(1)
-	close(m.done)
+	s.resolved(txn, m)
 	return nil
 }
 
@@ -520,8 +535,7 @@ func (s *Store) GetVersion(ctx context.Context, key []byte, snapTS ts.Timestamp,
 			switch {
 			case !ok:
 				// The transaction resolved between our chain read and the
-				// state lookup; re-read the chain.
-				runtime.Gosched()
+				// state lookup, and its chains show the outcome: re-read.
 				continue
 			case state != StateActive:
 				s.waits.Add(1)

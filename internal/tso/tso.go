@@ -40,6 +40,15 @@
 // every timestamp this node issued before it switched modes — the property
 // that lets the GTM floor be computed without quiescing the cluster.
 //
+// Every GClock wait — Begin's invocation wait, Commit's finish, Adopt and
+// SettleRead — is clock.Node.WaitUntilAfter. With the paper's parameters it
+// lasts about 2·Terr ≈ 120 µs, below the OS timer granularity, so it is spun
+// out: one node clock reading turns the gap into a deadline on the clock's
+// source, which is then polled without a lock, with a context check and a
+// yield of the P only every few µs. A waiting transaction therefore holds
+// one core for its wait but leaves the scheduler to the other goroutines.
+// Waits longer than 200 µs sleep on a timer.
+//
 // The GClock waits are observable: Begin records its invocation wait in
 // the tso_invocation_wait_seconds histogram, the commit wait (Commit's
 // finish, Adopt) lands in tso_commit_wait_seconds and SettleRead's wait in
