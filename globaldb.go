@@ -272,18 +272,15 @@ func (s *Session) ReadOnly(ctx context.Context, bound time.Duration, tables ...s
 
 // ReadOnce starts a transaction for one statement that reads one row once
 // with Get, on its shard primary, and then writes at most that row: an
-// autocommit point SELECT, UPDATE or DELETE. Under GClock its snapshot skips
-// the invocation wait a Begin or a primary-served ReadOnly pays: a single
-// read sees every commit acknowledged before it began, and the wait only
-// keeps a snapshot stable for a second read. So the transaction refuses a
+// autocommit point SELECT, UPDATE or DELETE. Under GClock it refuses a
 // second Get, every scan, and writes to another shard, with an error. A
 // Commit that writes fails with a write-write conflict
 // (mvcc.ErrWriteConflict) unless the version the Get returned is still the
 // row's newest, so the read and the write act as one step at the commit
-// timestamp. A Commit that writes nothing returns only once the clock has
-// passed the commit of the version the Get returned, so every read that
-// starts after it sees that version too: end the read with Commit. In the
-// centralized modes it is an ordinary Begin transaction.
+// timestamp. Like every GClock read, the Get returns only once the clock has
+// passed the commit of the version it returned, so every read that starts
+// after it sees that version too. In the centralized modes it is an ordinary
+// Begin transaction.
 func (s *Session) ReadOnce(ctx context.Context) (*Tx, error) {
 	t, err := s.cn.ReadOnce(ctx)
 	if err != nil {

@@ -428,7 +428,7 @@ const (
 	readAutocommit
 	// readOneRead is an autocommit one-read context (globaldb.Tx.OneRead):
 	// under GClock, for a plan that reads once, a transaction on a shard
-	// primary without the invocation wait.
+	// primary whose write is checked against the version it read.
 	readOneRead
 	// readReplica is a read-only query under a staleness setting: replicas
 	// at the RCP, or primaries when the bound or the DDL gate rules them out.
@@ -499,9 +499,8 @@ func (s *Session) openReadContext(ctx context.Context, sel *Select, bp *boundPla
 // DELETE's WHERE, nil for an INSERT. When it reads once
 // (selectPlan.readsOnce), a single-table point get whose one Get is the whole
 // of its storage access, the transaction is a one-read context
-// (globaldb.Session.ReadOnce): no GClock invocation wait, a second read
-// refused, and a write the primary refuses unless the row is still at the
-// version the search read. Any other search gets an ordinary Begin, and so
+// (globaldb.Session.ReadOnce): a second read refused, and a write the
+// primary refuses unless the row is still at the version the search read. Any other search gets an ordinary Begin, and so
 // does every search in the centralized modes (globaldb.Tx.OneRead tells).
 func (s *Session) beginAutocommit(ctx context.Context, search *boundPlan) (*globaldb.Tx, error) {
 	if search != nil && search.readsOnce() {

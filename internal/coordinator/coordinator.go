@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -370,13 +371,12 @@ type Txn struct {
 	// oneRead marks a ReadOnce context, read flips at its one Get, and
 	// readTS is the version that Get returned from readShard, which its
 	// commit message carries for the primary to check. A read of a version
-	// committed at or above settled is waited out at a Commit that writes
+	// committed at or above ts.Settled is waited out at a Commit that writes
 	// nothing (tso.Oracle.SettleRead).
 	oneRead   bool
 	read      bool
 	readShard int
 	readTS    ts.Timestamp
-	settled   ts.Timestamp
 }
 
 // CommitTS returns the transaction's commit timestamp, or zero before a
@@ -515,9 +515,9 @@ func (t *Txn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, err
 		}
 	}
 	var r datanode.ReadResp
-	err := t.fetch(ctx, shard, func(node string) (err error) {
-		r, err = t.cn.client.ReadVersion(ctx, node, key, t.ts.Snap, t.id)
-		return err
+	err := t.fetch(ctx, shard, func(node string) (newest ts.Timestamp, err error) {
+		r, err = t.cn.client.ReadVersion(ctx, node, datanode.ReadReq{Key: key, SnapTS: t.ts.Snap, Txn: t.id, Once: t.oneRead})
+		return r.CommitTS, err
 	})
 	if t.oneRead {
 		t.readTS = r.CommitTS
@@ -538,12 +538,12 @@ func (t *Txn) Commit(ctx context.Context) error {
 	defer t.unpin()
 	shards := t.shards()
 	if len(shards) == 0 {
-		if t.oneRead && t.readTS >= t.settled {
+		if t.oneRead && t.readTS >= t.ts.Settled {
 			// Nothing written: the clock must pass the version read before
-			// the statement completes.
+			// the statement completes (see fetch).
 			return t.cn.oracle.SettleRead(ctx, t.readTS)
 		}
-		return nil // read-only: nothing to resolve
+		return nil // read-only: nothing to resolve, and every read settled
 	}
 	if t.oneRead && (len(shards) > 1 || shards[0] != t.readShard || t.readTS == 0) {
 		// Only a version read can be checked, on the shard it was read from;
@@ -574,7 +574,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 		if t.oneRead || (t.ts.Mode != ts.ModeGTM && t.cn.oracle.Mode() == ts.ModeGClock) {
 			resp, err = t.cn.client.WriteCommit(ctx, node, t.id, t.ts.Snap, ops, t.sync, t.readTS)
 		} else {
-			err = t.cn.client.WriteThen(ctx, node, t.id, t.ts.Snap, ops, datanode.ThenPending, "")
+			resp, err = t.cn.client.WriteStep(ctx, node, t.id, t.ts.Snap, ops, datanode.ThenPending, "")
 		}
 		commitTS := resp.CommitTS
 		var finish func(context.Context) error
@@ -592,11 +592,12 @@ func (t *Txn) Commit(ctx context.Context) error {
 				sp.Tag("shard=%d node=%s ops=%d path=%s floor-bump=%v", shard, node, len(ops), path, resp.FloorBump)
 			}
 		default:
-			// The centralized path: fetch the timestamp here, send it over.
+			// The centralized path: fetch the timestamp here, above the
+			// primary's read floor, and send it over.
 			if sp != nil {
 				sp.Tag("shard=%d node=%s ops=%d path=two-message", shard, node, len(ops))
 			}
-			if commitTS, finish, err = t.cn.oracle.Commit(ctx, t.ts.Mode); err != nil {
+			if commitTS, finish, err = t.cn.oracle.CommitAbove(ctx, t.ts.Mode, resp.Floor); err != nil {
 				break
 			}
 			if err = t.cn.client.Commit(ctx, node, t.id, commitTS, t.sync); err != nil {
@@ -638,9 +639,12 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 	prep := sp.Child("2pc-prepare")
 	tPrep := time.Now()
+	floors := make([]ts.Timestamp, len(shards))
 	err := fanOut(len(shards), func(i int) error {
-		return t.cn.client.WriteThen(ctx, t.cn.routing.Primary(shards[i]), t.id, t.ts.Snap,
+		resp, err := t.cn.client.WriteStep(ctx, t.cn.routing.Primary(shards[i]), t.id, t.ts.Snap,
 			batches[i], datanode.ThenPrepare, anchor)
+		floors[i] = resp.Floor
+		return err
 	})
 	metricPrepareLatency.Observe(time.Since(tPrep))
 	prep.End()
@@ -649,8 +653,9 @@ func (t *Txn) Commit(ctx context.Context) error {
 		return fmt.Errorf("coordinator: prepare: %w", err)
 	}
 	// The commit-timestamp fetch must follow every PENDING/prepare record
-	// (Sec. IV-A), so it cannot overlap phase one.
-	commitTS, finish, err := t.cn.oracle.Commit(ctx, t.ts.Mode)
+	// (Sec. IV-A), so it cannot overlap phase one; and it lands above every
+	// snapshot a participant served before it prepared (its read floor).
+	commitTS, finish, err := t.cn.oracle.CommitAbove(ctx, t.ts.Mode, slices.Max(floors))
 	if err != nil {
 		t.abortPrepared(shards)
 		return err

@@ -140,9 +140,10 @@ func (r *skewRig) get(t *testing.T, q *Txn, k string) (string, time.Duration) {
 // read-only query served by the primary reads key k, a one-message commit
 // whose timestamp the primary's slower clock issues then lands on k, and the
 // same query reads k again. Both reads are at one snapshot, so they must
-// agree. An unwaited snapshot (Tclock + Terr on the faster clock) sits above
-// the late commit's timestamp and the second read sees it; the invocation
-// wait puts true time, and with it every later timestamp, past the snapshot.
+// agree. The snapshot (Tclock + Terr on the faster clock) is taken without
+// the invocation wait and sits above the primary's clock; the first read
+// raises the primary's read floor to it, so the late commit lands above it.
+// Each read settles the version it returns, so it runs while the clock moves.
 func TestReadOnlyPrimaryFallbackSnapshotIsStable(t *testing.T) {
 	r := newSkewRig(t)
 	first := r.commit(t, "k", "v0")
@@ -154,19 +155,17 @@ func TestReadOnlyPrimaryFallbackSnapshotIsStable(t *testing.T) {
 	if q.Snapshot() <= first {
 		t.Fatalf("rig: snapshot %v does not cover the first commit %v", q.Snapshot(), first)
 	}
-	v, found, err := q.Get(bg, 0, []byte("k"))
-	if err != nil || !found || string(v) != "v0" {
-		t.Fatalf("first read = %q %v %v, want v0", v, found, err)
+	if v, _ := r.get(t, q, "k"); v != "v0" {
+		t.Fatalf("first read = %q, want v0", v)
 	}
 
 	late := r.commit(t, "k", "v1")
-	v, found, err = q.Get(bg, 0, []byte("k"))
-	if err != nil || !found || string(v) != "v0" {
-		t.Fatalf("second read at snapshot %v = %q %v %v, want v0 again: the commit at %v landed under a snapshot already read",
-			q.Snapshot(), v, found, err, late)
+	if v, _ := r.get(t, q, "k"); v != "v0" {
+		t.Fatalf("second read at snapshot %v = %q, want v0 again: the commit at %v landed under a snapshot already read",
+			q.Snapshot(), v, late)
 	}
 	if late <= q.Snapshot() {
-		t.Fatalf("late commit %v at or under the waited snapshot %v", late, q.Snapshot())
+		t.Fatalf("late commit %v at or under the snapshot %v, which the primary had served", late, q.Snapshot())
 	}
 }
 

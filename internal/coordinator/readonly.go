@@ -51,9 +51,8 @@ func (c *CN) ReadOnly(ctx context.Context, bound time.Duration, tableIDs ...uint
 		c.maybeRefreshTracker()
 		return &Txn{cn: c, ts: tso.TxnTS{Snap: rcpTS}, readOnly: true, onReplicas: true, bound: bound}, nil
 	}
-	// Fresh snapshot on primaries. The query may read many times, so it
-	// takes the waited snapshot a read-write transaction takes: stable
-	// against commits that land after its first read.
+	// Fresh snapshot on primaries, the one a read-write transaction takes:
+	// the primaries' read floors keep it stable across the query's reads.
 	snap, err := c.oracle.Begin(ctx)
 	if err != nil {
 		return nil, err
@@ -63,22 +62,24 @@ func (c *CN) ReadOnly(ctx context.Context, bound time.Duration, tableIDs ...uint
 
 // ReadOnce starts a transaction for one statement that reads one key on a
 // shard primary once and then writes at most that row and its index entries:
-// an autocommit point SELECT, UPDATE or DELETE. Under GClock its snapshot
-// skips the invocation wait (tso.SnapshotNoWait), which is safe because
-// nothing reads at that snapshot a second time: the context answers one Get
-// and refuses a second, every scan and every flush with ErrOneRead.
+// an autocommit point SELECT, UPDATE or DELETE. Its one Get raises no read
+// floor at the primary (datanode.ReadReq.Once), so its snapshot is not held
+// stable: a commit a trailing clock timestamps below it may land after the
+// read. The context therefore answers one Get and refuses a second, every
+// scan and every flush with ErrOneRead. In exchange, a point statement does
+// not push up the commit timestamps, and so the commit waits, of the writes
+// that follow it at the primary.
 //
-// That snapshot is not stable: a commit a trailing clock timestamps below it
-// may land after the read. So the Get records the version it returned. A
-// Commit that writes carries it in the commit message, and the primary
-// refuses the writes with mvcc.ErrWriteConflict unless that version is still
-// the newest of every key written, checked under the hold that issues the
-// commit timestamp above it; the read and the writes then act as one step at
-// the commit timestamp, and the commit wait (Adopt) orders it after
-// everything it read. A Commit with nothing to write returns only once the
-// clock has passed the commit of the version read (SettleRead), so a read
-// that starts after it, on any CN, sees that version too. Commit also refuses
-// writes that span shards or follow a read that found no version.
+// The Get records the version it returned. A Commit that writes carries it
+// in the commit message, and the primary refuses the writes with
+// mvcc.ErrWriteConflict unless that version is still the newest of every key
+// written, checked under the hold that issues the commit timestamp above it;
+// the read and the writes then act as one step at the commit timestamp, and
+// the commit wait (Adopt) orders it after everything it read. A Commit with
+// nothing to write returns only once the clock has passed the commit of the
+// version read (SettleRead), so a read that starts after it, on any CN, sees
+// that version too: the statement commits before its row leaves. Commit also
+// refuses writes that span shards or follow a read that found no version.
 //
 // The context holds no pin on version GC: like a read-only query, it reads
 // and writes for one statement at a snapshot fresher than the watermark a GC
@@ -86,11 +87,14 @@ func (c *CN) ReadOnly(ctx context.Context, bound time.Duration, tableIDs ...uint
 // write below its floor. In the centralized modes it is an ordinary Begin
 // transaction.
 func (c *CN) ReadOnce(ctx context.Context) (*Txn, error) {
-	snap, settled := c.oracle.SnapshotNoWait()
-	if snap.Snap == 0 {
-		return c.Begin(ctx)
+	tt, err := c.oracle.Begin(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return &Txn{cn: c, id: c.nextTxnID(), ts: snap, oneRead: true, settled: settled}, nil
+	if tt.Mode != ts.ModeGClock {
+		return c.newTxn(tt), nil
+	}
+	return &Txn{cn: c, id: c.nextTxnID(), ts: tt, oneRead: true}, nil
 }
 
 // OnReplicas reports whether the transaction is a read-only query that
@@ -115,14 +119,24 @@ func (t *Txn) pick(shard int) (node string, replica bool) {
 }
 
 // fetch runs one read of shard, a Get or a scan page, on the transaction's
-// route: call sends it to a node. It picks the node, counts the read, and
-// retries once on the primary when a replica fails. A read-only query's round
-// trip, or its failure, is noted in the ROR tracker; a read-write
-// transaction's read is counted for the placement advisor instead.
-func (t *Txn) fetch(ctx context.Context, shard int, call func(node string) error) error {
+// route: call sends it to a node and returns the newest commit timestamp the
+// result was computed from. It picks the node, counts the read, and retries
+// once on the primary when a replica fails. A read-only query's round trip,
+// or its failure, is noted in the ROR tracker; a read-write transaction's
+// read is counted for the placement advisor instead.
+//
+// Under GClock, the result leaves fetch only once the clock's lower bound has
+// passed that timestamp (tso.Oracle.SettleRead), unless it lies below the
+// bound recorded at begin: a commit is visible before its commit wait ends,
+// and a read that starts after this one returns, on a trailing clock, must
+// still see what this one saw. A read at the RCP never settles: the RCP is
+// below every primary's heartbeat stamp, a clock's lower bound. A one-read
+// context settles its one read at Commit instead, which its statement runs
+// before the row leaves (CN.ReadOnce).
+func (t *Txn) fetch(ctx context.Context, shard int, call func(node string) (ts.Timestamp, error)) error {
 	node, replica := t.pick(shard)
 	start := time.Now()
-	err := call(node)
+	newest, err := call(node)
 	if err != nil && ctx.Err() != nil {
 		// The caller gave up (cancel or deadline, or a cursor's Close), which
 		// says nothing about the node; and a retry on the primary would run
@@ -147,7 +161,10 @@ func (t *Txn) fetch(ctx context.Context, shard int, call func(node string) error
 	if replica && nodeFailed(err) {
 		// One retry on the primary: the replica crashed mid-query.
 		t.cn.primaryReads.Add(1)
-		err = call(t.cn.routing.Primary(shard))
+		newest, err = call(t.cn.routing.Primary(shard))
+	}
+	if err == nil && t.ts.Mode == ts.ModeGClock && !t.onReplicas && !t.oneRead && newest >= t.ts.Settled {
+		err = t.cn.oracle.SettleRead(ctx, newest)
 	}
 	return err
 }

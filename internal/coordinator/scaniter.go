@@ -10,6 +10,7 @@ import (
 	"globaldb/internal/obs"
 	"globaldb/internal/stats"
 	"globaldb/internal/storage/mvcc"
+	"globaldb/internal/ts"
 )
 
 // BatchCursor is the batch-native pull iterator the scan pipeline runs on:
@@ -348,7 +349,7 @@ func (t *Txn) ScanCursor(ctx context.Context, shard int, spec ScanSpec) *ScanCur
 				return nil, nil, false, ErrTxnDone
 			}
 			var resp datanode.ScanPageResp
-			err := t.fetch(ctx, shard, func(node string) (err error) {
+			err := t.fetch(ctx, shard, func(node string) (newest ts.Timestamp, err error) {
 				rpc := obs.SpanFrom(ctx).Child("scan-page")
 				if rpc != nil { // untraced, skip boxing Tag's arguments
 					rpc.Tag("shard=%d node=%s", shard, node)
@@ -356,7 +357,7 @@ func (t *Txn) ScanCursor(ctx context.Context, shard int, spec ScanSpec) *ScanCur
 				resp, err = t.cn.client.ScanPageFrag(ctx, node, from, spec.End, t.ts.Snap, remaining, page, spec.Frag, t.id)
 				rpc.AddDNExec(time.Duration(resp.ExecNanos))
 				rpc.End()
-				return err
+				return resp.Newest, err
 			})
 			if err != nil {
 				return nil, nil, false, err

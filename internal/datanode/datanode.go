@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"globaldb/internal/netsim"
+	"globaldb/internal/obs"
 	"globaldb/internal/redo"
 	"globaldb/internal/repl"
 	"globaldb/internal/storage/mvcc"
@@ -28,6 +29,13 @@ import (
 	"globaldb/internal/tso"
 	"globaldb/internal/wal"
 )
+
+// MetricReadFloorBumps counts, on obs.Default, the single-shard commits whose
+// timestamp a primary's read floor decided rather than its clock:
+// WriteResp.FloorBump is the size of each such bump.
+const MetricReadFloorBumps = "dn_read_floor_bumps_total"
+
+var metricReadFloorBumps = obs.Default.Counter(MetricReadFloorBumps)
 
 // WriteOp is one staged mutation.
 type WriteOp struct {
@@ -66,9 +74,9 @@ type (
 		// Sync (ThenCommit) forces a replica-quorum wait before the ack, as
 		// CommitReq.Sync does.
 		Sync bool
-		// ReadTS, when non-zero, is the version a one-write statement read at
-		// its unwaited snapshot (ReadResp.CommitTS). Staging then refuses
-		// with mvcc.ErrWriteConflict unless it is still the newest committed
+		// ReadTS, when non-zero, is the version a one-write statement read
+		// (ReadResp.CommitTS). Staging then refuses with
+		// mvcc.ErrWriteConflict unless it is still the newest committed
 		// version of every key written (mvcc.Store.Unchanged): a row's index
 		// entries are written with the row, so they carry its version.
 		ReadTS ts.Timestamp
@@ -84,9 +92,15 @@ type (
 		// and, for ThenCommit and ThenPending, pending: the coordinator
 		// fetches the timestamp and sends CommitReq.
 		CommitTS ts.Timestamp
-		// FloorBump is how far the commit watermark pushed CommitTS past the
-		// primary's clock reading (see ThenCommit); zero when the clock won.
+		// FloorBump is how far the commit watermark or the read floor pushed
+		// CommitTS past the primary's clock reading (see ThenCommit); zero
+		// when the clock won.
 		FloorBump time.Duration
+		// Floor is the primary's read floor once the step's marks are in
+		// place, set when the primary issued no timestamp: a PREPARE ack's
+		// floor, and a pending single-shard commit's. The coordinator issues
+		// the commit timestamp above the highest floor its acks returned.
+		Floor ts.Timestamp
 	}
 
 	// ReadReq is a point read at a snapshot.
@@ -94,6 +108,11 @@ type (
 		Key    []byte
 		SnapTS ts.Timestamp
 		Txn    uint64 // non-zero: read own writes
+		// Once marks the one read of a one-read context
+		// (coordinator.CN.ReadOnce), which raises no read floor: nothing
+		// reads at its snapshot again, and a write it makes is checked
+		// against the version it read (WriteReq.ReadTS) instead.
+		Once bool
 	}
 	// ReadResp returns the value if found.
 	ReadResp struct {
@@ -101,8 +120,8 @@ type (
 		Found bool
 		// CommitTS is the commit timestamp of the version that answered, a
 		// deletion's included; zero when none did or the reader's own write
-		// did. A one-read context, which reads at an unwaited snapshot, waits
-		// it out at its Commit (tso.Oracle.SettleRead).
+		// did. A GClock reader settles it before the result leaves the
+		// computing node (tso.Oracle.SettleRead).
 		CommitTS ts.Timestamp
 	}
 
@@ -148,6 +167,11 @@ type (
 		// scan plus fragment evaluation), carried back so the coordinator's
 		// tracer can split an RPC span into network vs remote-execute time.
 		ExecNanos int64
+		// Newest is the highest commit timestamp among the versions the page
+		// was computed from, deletions and rows a fragment filtered out or
+		// looked up included — ReadResp.CommitTS for a page. A GClock reader
+		// settles it before the page leaves the computing node.
+		Newest ts.Timestamp
 	}
 
 	// CommitReq commits a single-shard transaction at TS. Sync forces a
@@ -251,15 +275,17 @@ const (
 	// Write, Pending and Commit messages produce — then acks as CommitReq
 	// does and returns the timestamp in WriteResp.CommitTS.
 	//
-	// The timestamp is max(Tclock + Terr, LastCommitTS + 1). The second term
-	// is the watermark floor: a DDL timestamp, or a heartbeat's sent in a
-	// HeartbeatReq (the collector's, under GTM and DUAL), comes from another
-	// node without a commit wait, so one may sit in this log up to twice the
-	// error bound ahead of true time, and a replica that replayed it reports
-	// the shard complete up to it. A commit below it could be skipped by an
-	// RCP snapshot; the handlers that advance the watermark hold the same
-	// mutex, so the floor is exact. A heartbeat the primary stamps itself
-	// (StampHeartbeat) is a lower bound and never raises the floor.
+	// The timestamp is max(Tclock + Terr, LastCommitTS + 1, read floor + 1);
+	// the read floor is the highest snapshot the primary has served (see
+	// Primary). The second term is the watermark floor: a DDL timestamp, or
+	// a heartbeat's sent in a HeartbeatReq (the collector's, under GTM and
+	// DUAL), comes from another node without a commit wait, so one may sit
+	// in this log up to twice the error bound ahead of true time, and a
+	// replica that replayed it reports the shard complete up to it. A commit
+	// below it could be skipped by an RCP snapshot; the handlers that advance
+	// the watermark hold the same mutex, so the floor is exact. A heartbeat
+	// the primary stamps itself (StampHeartbeat) is a lower bound and never
+	// raises the floor.
 	//
 	// With the primary's oracle in GTM or DUAL mode, or none wired, the step
 	// stops after PENDING COMMIT — it is ThenPending — and WriteResp.CommitTS
@@ -322,9 +348,38 @@ type Primary struct {
 	outRing  []uint64
 	outPos   int
 
+	// readFloor is the highest snapshot this primary has served a read, a
+	// page or a write at: every commit timestamp it issues, and every 2PC
+	// commit timestamp through the PREPARE ack (WriteResp.Floor), lands above
+	// it. So once a read at S has been served here, nothing commits here at
+	// or below S, and a GClock snapshot is stable without an invocation wait.
+	// A commit already in flight when the read arrives is pending or
+	// prepared, and the read waits for its outcome: each commit path marks
+	// its intents before it loads the floor, and a read raises the floor
+	// before it reads the store.
+	readFloor atomic.Int64
+
 	ep       *netsim.Endpoint
 	inflight atomic.Int64
 }
+
+// raiseReadFloor raises the read floor to snap. ts.Max, the snapshot replay
+// stages at to skip the first-committer check, names no clock reading and
+// raises nothing.
+func (p *Primary) raiseReadFloor(snap ts.Timestamp) {
+	if snap == ts.Max {
+		return
+	}
+	for {
+		cur := p.readFloor.Load()
+		if int64(snap) <= cur || p.readFloor.CompareAndSwap(cur, int64(snap)) {
+			return
+		}
+	}
+}
+
+// ReadFloor returns the highest snapshot the primary has served.
+func (p *Primary) ReadFloor() ts.Timestamp { return ts.Timestamp(p.readFloor.Load()) }
 
 // txnOutcome is a resolved 2PC decision.
 type txnOutcome struct {
@@ -545,8 +600,12 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 		}
 		return netsim.Message{Payload: resp, Size: 24}, nil
 	case ReadReq:
+		if !req.Once {
+			p.raiseReadFloor(req.SnapTS)
+		}
 		return serveRead(ctx, p.store, req, mvcc.TxnID(req.Txn))
 	case ScanPageReq:
+		p.raiseReadFloor(req.SnapTS)
 		resp, err := servePage(ctx, p.store, req, mvcc.TxnID(req.Txn))
 		if err != nil {
 			return netsim.Message{}, err
@@ -607,7 +666,15 @@ func (p *Primary) handle(ctx context.Context, m netsim.Message) (netsim.Message,
 // commit lands between the check and the commit timestamp it precedes. A
 // staging failure (write-write conflict) leaves the already-staged intents
 // logged and the transaction unmarked; the coordinator aborts it.
+//
+// The request's snapshot raises the read floor first, so the transaction's
+// own commit timestamp lands above its snapshot whichever clock issues it. A
+// one-write statement's does not: its version check stands in for the
+// snapshot, which nothing reads at again (ReadReq.Once).
 func (p *Primary) execWrite(ctx context.Context, req WriteReq) (WriteResp, error) {
+	if req.ReadTS == 0 {
+		p.raiseReadFloor(req.SnapTS)
+	}
 	p.mu.Lock()
 	txn := mvcc.TxnID(req.Txn)
 	recs := make([]redo.Record, 0, len(req.Ops)+2)
@@ -641,11 +708,16 @@ func (p *Primary) execWrite(ctx context.Context, req WriteReq) (WriteResp, error
 			if o := p.oracle.Load(); req.Then == ThenCommit && o != nil {
 				// Only now, with the transaction pending and its record in the
 				// batch, is the timestamp read (Sec. IV-A) — above everything
-				// this log already holds (the watermark floor).
-				if t, bump, ok := o.IssueAbove(p.store.LastCommitTS()); ok {
+				// this log already holds (the watermark floor) and every
+				// snapshot served here (the read floor).
+				last, read := p.store.LastCommitTS(), p.ReadFloor()
+				if t, bump, ok := o.IssueAbove(max(last, read)); ok {
 					if err = p.store.Commit(txn, t); err == nil {
 						recs = append(recs, redo.Record{Type: redo.TypeCommit, Txn: req.Txn, TS: t})
 						resp = WriteResp{CommitTS: t, FloorBump: bump}
+						if bump > 0 && read > last && t == read+1 {
+							metricReadFloorBumps.Inc()
+						}
 					}
 				}
 			}
@@ -654,6 +726,11 @@ func (p *Primary) execWrite(ctx context.Context, req WriteReq) (WriteResp, error
 				// The anchor rides in the record so recovery knows whom to ask.
 				recs = append(recs, redo.Record{Type: redo.TypePrepare, Txn: req.Txn, Value: []byte(req.Anchor)})
 			}
+		}
+		if resp.CommitTS == 0 && req.Then != ThenNothing {
+			// Loaded after the marks: a read that raises the floor later
+			// finds the intents pending or prepared and waits for them.
+			resp.Floor = p.ReadFloor()
 		}
 	}
 	var lsn uint64
@@ -805,13 +882,13 @@ func servePage(ctx context.Context, store *mvcc.Store, req ScanPageReq, reader m
 		resp.ExecNanos = int64(time.Since(t0))
 		return resp, err
 	}
-	kvs, next, more, err := store.ScanPage(ctx, req.Start, req.End, req.SnapTS,
+	kvs, next, more, newest, err := store.ScanPageNewest(ctx, req.Start, req.End, req.SnapTS,
 		pageLimit(req.Limit, req.MaxPage), reader)
 	if err != nil {
 		return ScanPageResp{}, err
 	}
 	return ScanPageResp{KVs: kvs, Next: next, More: more, Examined: len(kvs),
-		ExecNanos: int64(time.Since(t0))}, nil
+		ExecNanos: int64(time.Since(t0)), Newest: newest}, nil
 }
 
 func scanSize(kvs []mvcc.KV) int {
@@ -967,8 +1044,14 @@ func (c *Client) write(ctx context.Context, node string, req WriteReq) (WriteRes
 // WriteThen stages ops on node for txn and applies then in the same message
 // (see WriteReq); anchor is recorded with a ThenPrepare.
 func (c *Client) WriteThen(ctx context.Context, node string, txn uint64, snap ts.Timestamp, ops []WriteOp, then WriteThen, anchor string) error {
-	_, err := c.write(ctx, node, WriteReq{Txn: txn, SnapTS: snap, Ops: ops, Then: then, Anchor: anchor})
+	_, err := c.WriteStep(ctx, node, txn, snap, ops, then, anchor)
 	return err
+}
+
+// WriteStep is WriteThen returning the ack, whose Floor a ThenPrepare or
+// ThenPending caller issues the commit timestamp above.
+func (c *Client) WriteStep(ctx context.Context, node string, txn uint64, snap ts.Timestamp, ops []WriteOp, then WriteThen, anchor string) (WriteResp, error) {
+	return c.write(ctx, node, WriteReq{Txn: txn, SnapTS: snap, Ops: ops, Then: then, Anchor: anchor})
 }
 
 // WriteCommit stages ops on node for txn and asks the primary to finish the
@@ -987,14 +1070,14 @@ func (c *Client) Write(ctx context.Context, node string, txn uint64, snap ts.Tim
 
 // Read performs a point read.
 func (c *Client) Read(ctx context.Context, node string, key []byte, snap ts.Timestamp, txn uint64) ([]byte, bool, error) {
-	r, err := c.ReadVersion(ctx, node, key, snap, txn)
+	r, err := c.ReadVersion(ctx, node, ReadReq{Key: key, SnapTS: snap, Txn: txn})
 	return r.Value, r.Found, err
 }
 
-// ReadVersion is Read returning the whole response, with the commit
-// timestamp of the version that answered.
-func (c *Client) ReadVersion(ctx context.Context, node string, key []byte, snap ts.Timestamp, txn uint64) (ReadResp, error) {
-	p, err := c.call(ctx, node, ReadReq{Key: key, SnapTS: snap, Txn: txn}, len(key)+24)
+// ReadVersion sends req to node and returns the whole response, with the
+// commit timestamp of the version that answered.
+func (c *Client) ReadVersion(ctx context.Context, node string, req ReadReq) (ReadResp, error) {
+	p, err := c.call(ctx, node, req, len(req.Key)+24)
 	if err != nil {
 		return ReadResp{}, err
 	}

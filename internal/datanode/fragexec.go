@@ -10,6 +10,7 @@ import (
 	"globaldb/internal/keys"
 	"globaldb/internal/storage/mvcc"
 	"globaldb/internal/table"
+	"globaldb/internal/ts"
 )
 
 // This file is the data-node side of GlobalDB's distributed execution
@@ -67,8 +68,9 @@ var arenaPool = sync.Pool{New: func() any { return fragment.NewArena() }}
 
 // execFragScanPage serves one paged scan request that carries a fragment.
 // It returns the page, plus the count of storage rows examined so the
-// computing node can account rows filtered out DN-side.
-func execFragScanPage(ctx context.Context, store *mvcc.Store, req ScanPageReq, reader mvcc.TxnID) (ScanPageResp, error) {
+// computing node can account rows filtered out DN-side, and the newest
+// version the walk read.
+func execFragScanPage(ctx context.Context, store *mvcc.Store, req ScanPageReq, reader mvcc.TxnID) (resp ScanPageResp, err error) {
 	frag, err := fragment.Decode(req.Frag)
 	if err != nil {
 		return ScanPageResp{}, err
@@ -78,6 +80,7 @@ func execFragScanPage(ctx context.Context, store *mvcc.Store, req ScanPageReq, r
 	outBudget := pageLimit(req.Limit, req.MaxPage)
 	w := &pageWalk{ctx: ctx, store: store, req: req, reader: reader, frag: frag, arena: arena,
 		need: frag.NeededCols(), start: req.Start, rows: fragScanBatch}
+	defer func() { resp.Newest = w.newest }()
 	if frag.HasAggs() {
 		return execFragAggregate(w)
 	}
@@ -159,6 +162,9 @@ type pageWalk struct {
 	need   []bool // Fragment.NeededCols: the rest are skipped byte-wise
 	start  []byte // where the next page starts
 	rows   int    // storage rows the next page reads
+	// newest is the highest commit timestamp among the versions the walk
+	// has read, outer and inner rows alike (ScanPageResp.Newest).
+	newest ts.Timestamp
 }
 
 // walkedPage is one storage page, decoded and filtered.
@@ -176,7 +182,8 @@ type walkedPage struct {
 // fourfold per page up to fragScanBatch, mirroring the coordinator
 // cursor's adaptive page growth.
 func (w *pageWalk) next(maxKeep int) (walkedPage, error) {
-	kvs, next, more, err := w.store.ScanPage(w.ctx, w.start, w.req.End, w.req.SnapTS, w.rows, w.reader)
+	kvs, next, more, newest, err := w.store.ScanPageNewest(w.ctx, w.start, w.req.End, w.req.SnapTS, w.rows, w.reader)
+	w.newest = max(w.newest, newest)
 	if err == nil && w.frag.Index {
 		kvs, err = w.rowsOf(kvs)
 	}
@@ -206,12 +213,13 @@ func (w *pageWalk) next(maxKeep int) (walkedPage, error) {
 func (w *pageWalk) rowsOf(kvs []mvcc.KV) ([]mvcc.KV, error) {
 	rows := kvs[:0]
 	for _, kv := range kvs {
-		row, found, err := w.store.Get(w.ctx, kv.Value, w.req.SnapTS, w.reader)
+		v, found, err := w.store.GetVersion(w.ctx, kv.Value, w.req.SnapTS, w.reader)
 		if err != nil {
 			return nil, err
 		}
-		if found {
-			rows = append(rows, mvcc.KV{Key: kv.Key, Value: row})
+		w.newest = max(w.newest, v.CommitTS)
+		if found && !v.Deleted {
+			rows = append(rows, mvcc.KV{Key: kv.Key, Value: v.Value})
 		}
 	}
 	return rows, nil
@@ -313,10 +321,11 @@ func execFragLookupJoin(w *pageWalk, outBudget int) (ScanPageResp, error) {
 				}
 			}
 			innerKey := keyEnc.Bytes()
-			ikvs, err := w.store.Scan(w.ctx, innerKey, keys.PrefixEnd(innerKey), w.req.SnapTS, 0, w.reader)
+			ikvs, _, _, newest, err := w.store.ScanPageNewest(w.ctx, innerKey, keys.PrefixEnd(innerKey), w.req.SnapTS, 0, w.reader)
 			if err != nil {
 				return ScanPageResp{}, err
 			}
+			w.newest = max(w.newest, newest)
 			looked += len(ikvs)
 			if len(ikvs) == 0 {
 				continue

@@ -37,6 +37,11 @@ type Request struct {
 	// Report marks a one-way notification of a GClock commit timestamp
 	// (Fig. 3: "Send TS_GClock, Terr — no response needed").
 	Report bool
+	// Floor, on a DUAL commit request, is the highest read floor of the
+	// commit's participants: the issued TS_DUAL exceeds it too, so the commit
+	// lands above every snapshot they have served, unwaited GClock ones
+	// included.
+	Floor ts.Timestamp
 }
 
 // Response carries an issued timestamp.
@@ -180,7 +185,7 @@ func (s *Server) issueDualLocked(req Request) Response {
 	if req.GClock.Err > s.terrMax {
 		s.terrMax = req.GClock.Err
 	}
-	t := maxTS(s.last, s.tsMax)
+	t := maxTS(maxTS(s.last, s.tsMax), req.Floor)
 	if u := req.GClock.Upper(); u > t {
 		t = u
 	}
@@ -190,8 +195,8 @@ func (s *Server) issueDualLocked(req Request) Response {
 	s.issuedDual++
 
 	// Terr2 = |TS_GClock − TS_DUAL| (Fig. 2): how far the issued timestamp
-	// sits above the requester's clock; waiting that long lets real time
-	// catch up to the timestamp before it commits.
+	// sits above the requester's clock, a floor's lift included; waiting that
+	// long lets real time catch up to the timestamp before it commits.
 	wait := time.Duration(t - req.GClock.Clock)
 	if wait < 0 {
 		wait = -wait

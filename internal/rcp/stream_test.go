@@ -170,12 +170,35 @@ func TestPushedWatermarkReachesRCPWithoutAProbe(t *testing.T) {
 // goes on over the other replicas, which push every heartbeat and so are
 // never probed. It holds (and does not regress) when the shard's last
 // replica goes too, and resumes when a replica rejoins.
+//
+// Besides the collector's own ticks, the test stamps the primaries by hand
+// ten times per period. A live replica pushes every stamp, so it stays
+// silent for two periods only if its pushes stop, not when the host delays
+// two ticks of the collector's timer.
 func TestReplicaLostBetweenPushes(t *testing.T) {
 	const heartbeat = 20 * time.Millisecond
 	r := newStreamRig(t, shortHeartbeats(heartbeat))
 	firstProbes := replies("timeout")
 	r.col.Start()
 	defer r.col.Stop()
+	stopBeats := make(chan struct{})
+	var beats sync.WaitGroup
+	beats.Add(1)
+	go func() {
+		defer beats.Done()
+		for {
+			select {
+			case <-stopBeats:
+				return
+			case <-time.After(heartbeat / 10):
+			}
+			_ = r.col.HeartbeatOnce(bg)
+		}
+	}()
+	defer func() {
+		close(stopBeats)
+		beats.Wait()
+	}()
 
 	// Sample the RCP for the whole test: it must never step back, and every
 	// replica the collector calls healthy must already have replayed up to

@@ -28,8 +28,8 @@ const (
 	MetricOneMessageCommits = "cn_commit_one_message_total"
 	// MetricOneWriteStatements counts commits on the one-write path: an
 	// autocommit point UPDATE or DELETE that read in a one-read context
-	// (CN.ReadOnce), at a GClock snapshot taken without the invocation wait,
-	// and wrote, its commit checked against the version it read. A point
+	// (CN.ReadOnce) under GClock, and wrote, its commit checked against the
+	// version it read. A point
 	// SELECT, or an UPDATE that matched no row, commits nothing and is not
 	// counted. Every one is in the one-message count too.
 	MetricOneWriteStatements = "cn_one_write_statements_total"

@@ -11,7 +11,8 @@
 //
 //	Active   — the transaction is still executing; its eventual commit
 //	           timestamp is guaranteed to exceed any snapshot already
-//	           issued, so the intent is simply invisible to readers.
+//	           read at on this store (the primary's read floor), so the
+//	           intent is simply invisible to readers.
 //	Pending  — a PENDING COMMIT record has been written: the commit
 //	           timestamp is being fetched and may land below a reader's
 //	           snapshot, so readers touching these tuples must wait.
@@ -606,8 +607,18 @@ func (s *Store) Scan(ctx context.Context, start, end []byte, snapTS ts.Timestamp
 // snapshot mutually consistent. A snapTS below the prune floor fails with
 // ErrSnapshotTooOld.
 func (s *Store) ScanPage(ctx context.Context, start, end []byte, snapTS ts.Timestamp, limit int, reader TxnID) (kvs []KV, next []byte, more bool, err error) {
+	kvs, next, more, _, err = s.ScanPageNewest(ctx, start, end, snapTS, limit, reader)
+	return kvs, next, more, err
+}
+
+// ScanPageNewest is ScanPage also reporting newest, the highest commit
+// timestamp among the versions the page's keys answered with at snapTS,
+// deletions included: what a reader at a GClock snapshot must let true time
+// pass before the page's result may leave it (tso.Oracle.SettleRead). The
+// reader's own intents count for nothing.
+func (s *Store) ScanPageNewest(ctx context.Context, start, end []byte, snapTS ts.Timestamp, limit int, reader TxnID) (kvs []KV, next []byte, more bool, newest ts.Timestamp, err error) {
 	for {
-		out, foreign, last, truncated := s.scanOnce(start, end, snapTS, limit, reader)
+		out, foreign, last, truncated, newest := s.scanOnce(start, end, snapTS, limit, reader)
 		// Validate foreign intents seen during the scan: any that is (or
 		// has become) pending/prepared — or resolved since — may have
 		// committed below our snapshot, so wait and restart. Intents still
@@ -628,24 +639,24 @@ func (s *Store) ScanPage(ctx context.Context, start, end []byte, snapTS ts.Times
 		}
 		if wait == nil {
 			if err := s.fence(snapTS); err != nil {
-				return nil, nil, false, err
+				return nil, nil, false, 0, err
 			}
 			s.scanRows.Add(int64(len(out)))
 			if !truncated {
-				return out, nil, false, nil
+				return out, nil, false, newest, nil
 			}
 			// Resume at the immediate successor of the last visited key.
 			next = append(bytes.Clone(last), 0x00)
 			if end != nil && bytes.Compare(next, end) >= 0 {
-				return out, nil, false, nil
+				return out, nil, false, newest, nil
 			}
-			return out, next, true, nil
+			return out, next, true, newest, nil
 		}
 		s.waits.Add(1)
 		select {
 		case <-wait:
 		case <-ctx.Done():
-			return nil, nil, false, ctx.Err()
+			return nil, nil, false, 0, ctx.Err()
 		}
 	}
 }
@@ -661,9 +672,10 @@ var closedCh = func() chan struct{} {
 }()
 
 // scanOnce walks the range, returning visible pairs, the distinct foreign
-// transactions whose intents were encountered, the last key visited, and
-// whether the walk stopped early at the limit.
-func (s *Store) scanOnce(start, end []byte, snapTS ts.Timestamp, limit int, reader TxnID) (out []KV, foreign []TxnID, last []byte, truncated bool) {
+// transactions whose intents were encountered, the last key visited, whether
+// the walk stopped early at the limit, and the newest commit timestamp among
+// the versions visited keys answered with.
+func (s *Store) scanOnce(start, end []byte, snapTS ts.Timestamp, limit int, reader TxnID) (out []KV, foreign []TxnID, last []byte, truncated bool, newest ts.Timestamp) {
 	seen := map[TxnID]bool{}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -686,8 +698,11 @@ func (s *Store) scanOnce(start, end []byte, snapTS ts.Timestamp, limit int, read
 				foreign = append(foreign, it.txn)
 			}
 		}
-		if v, found := visible(versions, snapTS); found && !v.Deleted {
-			out = append(out, KV{Key: key, Value: v.Value})
+		if v, found := visible(versions, snapTS); found {
+			newest = max(newest, v.CommitTS)
+			if !v.Deleted {
+				out = append(out, KV{Key: key, Value: v.Value})
+			}
 		}
 		if limit > 0 && len(out) >= limit {
 			truncated = true
@@ -695,7 +710,7 @@ func (s *Store) scanOnce(start, end []byte, snapTS ts.Timestamp, limit int, read
 		}
 		return true
 	})
-	return out, foreign, last, truncated
+	return out, foreign, last, truncated, newest
 }
 
 // ApplyCommitted installs an already-committed version directly, bypassing

@@ -7,24 +7,38 @@
 //
 //	GTM    — fetch a counter timestamp from the central GTM server, paying
 //	         a network round trip (the baseline's bottleneck).
-//	GClock — read the local synchronized clock: TS = Tclock + Terr, wait at
-//	         invocation, commit-wait before acknowledging. No round trip.
-//	         A statement that reads one key once — an autocommit point
-//	         SELECT, UPDATE or DELETE, in one read-once context — skips the
-//	         invocation wait (SnapshotNoWait): the wait only keeps a
-//	         snapshot stable across reads, and such a statement has no
-//	         second read. If it writes, its shard primary commits the write
-//	         only if the version read is still the row's newest, checked
-//	         where it issues the commit timestamp (IssueAbove), so the read
-//	         and the write act as one step at that timestamp; its commit
-//	         wait (Adopt) stays. If it writes nothing, its commit waits
-//	         instead until the clock passes the commit of the version it
-//	         returned (SettleRead) — and not at all for the usual version,
-//	         one below the clock's lower bound at the snapshot. A streamed
-//	         point SELECT commits, and so settles, before its row leaves.
+//	GClock — read the local synchronized clock: TS = Tclock + Terr, and
+//	         commit-wait before acknowledging. No round trip, and no wait at
+//	         invocation (see below).
 //	DUAL   — transition bridge: obtain a clock reading, exchange it with
 //	         the GTM server for TS_DUAL = max(TS_GTM, TS_GClock)+1, and
 //	         honor the server-prescribed wait (Figs. 2–3).
+//
+// Sec. III makes a GClock snapshot stable with an invocation wait, "wait
+// until Tclock > TS", about 2·Terr. Begin does not wait. Three rules, one per
+// layer, keep the snapshot stable and reads in real-time order instead:
+//
+//   - Read floor. A shard primary keeps the highest snapshot it has served a
+//     read or a write at, and issues every commit timestamp above it
+//     (IssueAbove's floor), so no commit lands at or below a snapshot the
+//     primary has already served. A commit already in flight when the read
+//     arrives is pending or prepared there, and the read waits for it.
+//   - Prepare floor. A PREPARE ack carries the participant's read floor, and
+//     a two-phase commit's timestamp is issued above the highest one
+//     (CommitAbove); a DUAL-mode commit passes the same floor to the GTM
+//     server, which issues above it.
+//   - Settle. A commit is visible before its commit wait ends, so a read may
+//     return a version whose timestamp true time has not reached. Before such
+//     a result leaves the computing node, the clock's lower bound must pass
+//     the newest version it carries (SettleRead), or a read that starts
+//     afterwards on a trailing clock could miss it. A version below
+//     TxnTS.Settled, the lower bound when the snapshot was read, needs no
+//     settle; nor does a replica read at the RCP, which sits below every
+//     clock's lower bound.
+//
+// The one-read context of a point statement (coordinator.CN.ReadOnce) reads
+// once, so it needs no stable snapshot: its read raises no floor, a write it
+// makes is checked against the version it read, and it settles at Commit.
 //
 // Timestamps are always fetched under the node's *current* mode. A
 // transaction records the mode it began under only to enforce the one abort
@@ -39,20 +53,22 @@
 // transition controller's snapshot of ClockState() is guaranteed to cover
 // every timestamp this node issued before it switched modes — the property
 // that lets the GTM floor be computed without quiescing the cluster.
+// Issuance is strictly increasing per oracle, so a commit issued here is
+// above every snapshot issued here before it.
 //
-// Every GClock wait — Begin's invocation wait, Commit's finish, Adopt and
-// SettleRead — is clock.Node.WaitUntilAfter. With the paper's parameters it
-// lasts about 2·Terr ≈ 120 µs, below the OS timer granularity, so it is spun
-// out: one node clock reading turns the gap into a deadline on the clock's
-// source, which is then polled without a lock, with a context check and a
-// yield of the P only every few µs. A waiting transaction therefore holds
-// one core for its wait but leaves the scheduler to the other goroutines.
-// Waits longer than 200 µs sleep on a timer.
+// Every GClock wait — Commit's finish, Adopt and SettleRead — is
+// clock.Node.WaitUntilAfter. With the paper's parameters it lasts about
+// 2·Terr ≈ 120 µs, below the OS timer granularity, so it is spun out: one
+// node clock reading turns the gap into a deadline on the clock's source,
+// which is then polled without a lock, with a context check and a yield of
+// the P only every few µs. A waiting transaction therefore holds one core
+// for its wait but leaves the scheduler to the other goroutines. Waits
+// longer than 200 µs sleep on a timer.
 //
-// The GClock waits are observable: Begin records its invocation wait in
-// the tso_invocation_wait_seconds histogram, the commit wait (Commit's
-// finish, Adopt) lands in tso_commit_wait_seconds and SettleRead's wait in
-// tso_read_wait_seconds, all on obs.Default.
+// The waits are observable on obs.Default: the commit wait (Commit's
+// finish, Adopt) lands in tso_commit_wait_seconds, a settle in
+// tso_read_wait_seconds, and the only invocation wait left, a DUAL-mode
+// Begin's server-prescribed one, in tso_invocation_wait_seconds.
 package tso
 
 import (
@@ -69,14 +85,15 @@ import (
 
 // Metric names of the two GClock waits.
 const (
-	// MetricInvocationWait is the time Begin spends in the GClock
-	// invocation wait (seconds).
+	// MetricInvocationWait is the time Begin spends in an invocation wait
+	// (seconds): under DUAL, the server-prescribed one. A GClock Begin does
+	// not wait.
 	MetricInvocationWait = "tso_invocation_wait_seconds"
 	// MetricCommitWait is the time a GClock commit spends in the commit wait
 	// before it may be acknowledged (seconds).
 	MetricCommitWait = "tso_commit_wait_seconds"
-	// MetricReadWait is the time a read at a SnapshotNoWait snapshot spends
-	// waiting out the commit of the version it returns (seconds).
+	// MetricReadWait is the time a GClock read spends settling: waiting out
+	// the commit of the newest version it returns (seconds).
 	MetricReadWait = "tso_read_wait_seconds"
 )
 
@@ -92,6 +109,11 @@ type TxnTS struct {
 	Snap ts.Timestamp
 	// Mode is the management mode the transaction began under.
 	Mode ts.Mode
+	// Settled is, under GClock, the clock's lower bound when Snap was read:
+	// true time had passed it then, so a read returning a version committed
+	// below it owes no settle (SettleRead). Zero in the other modes, which
+	// never settle.
+	Settled ts.Timestamp
 }
 
 // Oracle issues timestamps on one node: a computing node, or a shard primary
@@ -171,8 +193,8 @@ func (o *Oracle) Clock() *clock.Node { return o.clock }
 
 // issueLocal atomically reads the mode and, if it is GClock, issues the
 // local timestamp Tclock + Terr, raised to floor+1 when the clock has not
-// passed floor yet. iv is the clock reading it was issued from. ok is false
-// when the mode is not GClock.
+// passed floor yet, and above every timestamp issued here before. iv is the
+// clock reading it was issued from. ok is false when the mode is not GClock.
 func (o *Oracle) issueLocal(floor ts.Timestamp) (t ts.Timestamp, iv ts.Interval, ok bool) {
 	iv = o.clock.Now()
 	o.mu.Lock()
@@ -184,9 +206,10 @@ func (o *Oracle) issueLocal(floor ts.Timestamp) (t ts.Timestamp, iv ts.Interval,
 	if t <= floor {
 		t = floor + 1
 	}
-	if t > o.maxIssued {
-		o.maxIssued = t
+	if t <= o.maxIssued {
+		t = o.maxIssued + 1
 	}
+	o.maxIssued = t
 	return t, iv, true
 }
 
@@ -199,11 +222,12 @@ func (o *Oracle) issueLocal(floor ts.Timestamp) (t ts.Timestamp, iv ts.Interval,
 // shard primary finishing a single-shard transaction reads its own
 // synchronized clock where the data is (Sec. III) instead of waiting for a
 // second message carrying a reading of the coordinator's. The floor is the
-// primary's commit watermark — timestamps already logged there that came
-// from other clocks (heartbeats, DDL, 2PC decisions) and that this clock may
-// trail by up to its error bound. The issued value, bump included, is
-// recorded under the same lock as the mode check, so ClockState() covers it
-// the way it covers Begin's and Commit's.
+// higher of the primary's commit watermark — timestamps already logged there
+// that came from other clocks (heartbeats, DDL, 2PC decisions) and that this
+// clock may trail by up to its error bound — and its read floor, the highest
+// snapshot it has served. The issued value, bump included, is recorded under
+// the same lock as the mode check, so ClockState() covers it the way it
+// covers Begin's and Commit's.
 func (o *Oracle) IssueAbove(floor ts.Timestamp) (t ts.Timestamp, bump time.Duration, ok bool) {
 	t, iv, ok := o.issueLocal(floor)
 	if !ok {
@@ -232,78 +256,51 @@ func (o *Oracle) LowerBound() (t ts.Timestamp, ok bool) {
 	return iv.Lower(), true
 }
 
-// Begin obtains an invocation timestamp under the node's current mode,
-// performing the mode's invocation wait.
+// Begin obtains an invocation timestamp under the node's current mode. Under
+// GClock it is Tclock + Terr, at least true time, so above every commit
+// acknowledged before Begin was called, and it is returned without the
+// invocation wait: the read floor keeps it stable and the settle keeps reads
+// in real-time order (see the package doc). Under DUAL it honors the
+// server-prescribed wait.
 func (o *Oracle) Begin(ctx context.Context) (TxnTS, error) {
-	if t, _, ok := o.issueLocal(0); ok {
-		// "Invocation: wait until Tclock > TS_GClock and begin" — by the
-		// time work starts, true time has passed the snapshot, making
-		// concurrent writers' eventual commit timestamps exceed it.
-		if err := waitObserved(ctx, o.clock, t, metricInvocationWait); err != nil {
-			return TxnTS{}, err
-		}
-		return TxnTS{Snap: t, Mode: ts.ModeGClock}, nil
+	if t, iv, ok := o.issueLocal(0); ok {
+		return TxnTS{Snap: t, Mode: ts.ModeGClock, Settled: iv.Lower()}, nil
 	}
 	mode := o.Mode()
-	resp, err := o.callGTM(ctx, mode)
+	resp, err := o.callGTM(ctx, mode, 0, metricInvocationWait)
 	if err != nil {
 		return TxnTS{}, err
 	}
 	return TxnTS{Snap: resp.TS, Mode: mode}, nil
 }
 
-// SnapshotNoWait returns a read snapshot without the invocation wait or any
-// network round trip — Sec. III's "single shard queries bypass this wait".
-// The snapshot is valid for exactly one read of one key, and that read ends
-// with SettleRead unless the version it returns sits below settled, the
-// clock's lower bound when the snapshot was read: true time had passed it
-// then already.
-//
-// Tclock + Terr is at least true time, which is above every acknowledged
-// commit (the commit wait saw to that), so the read sees every commit
-// acknowledged before it began. That alone does not order it against later
-// reads: a primary makes a commit visible before its commit wait ends, so
-// the read may return a version whose timestamp true time has not reached
-// yet, and a read that starts afterwards on a slower clock could take a
-// snapshot below that timestamp and miss a version already returned.
-// SettleRead waits until true time has passed the returned version, so every
-// snapshot taken after the read returns covers it.
-//
-// Nothing keeps the snapshot itself stable: a commit whose timestamp a
-// trailing clock issues below it may still land after the read, so a second
-// read at the same snapshot could see a state the first did not. Anything
-// that may read twice uses Begin. The one context that takes this snapshot
-// (coordinator.CN.ReadOnce) serves a point SELECT, UPDATE or DELETE: a
-// write it makes is checked against the version it read, so such a late
-// commit fails that check, where the snapshot's own check would admit it,
-// since it sits below the snapshot. The write's commit wait then covers the
-// read, so SettleRead is owed only when nothing is written, at the commit
-// of a read that wrote nothing.
-func (o *Oracle) SnapshotNoWait() (snap TxnTS, settled ts.Timestamp) {
-	if t, iv, ok := o.issueLocal(0); ok {
-		return TxnTS{Snap: t, Mode: ts.ModeGClock}, iv.Lower()
-	}
-	// Centralized modes have no local clock notion; the caller falls back
-	// to Begin.
-	return TxnTS{Mode: o.Mode()}, 0
-}
-
-// SettleRead finishes a read at a SnapshotNoWait snapshot that returned a
-// version committed at t: it waits until the clock's lower bound passes t,
-// the reader's half of the commit wait.
+// SettleRead finishes a GClock read that returned a version committed at t,
+// which true time may not have reached yet (a commit is visible before its
+// commit wait ends): it waits until the clock's lower bound passes t, the
+// reader's half of the commit wait. Every snapshot taken after it returns,
+// on any node, covers t.
 func (o *Oracle) SettleRead(ctx context.Context, t ts.Timestamp) error {
 	return waitObserved(ctx, o.clock, t, metricReadWait)
 }
 
 // Commit obtains a commit timestamp for a transaction begun under
-// beginMode, fetching under the node's *current* mode. The returned finish
-// function performs the commit wait and must run after the commit has
-// applied, before acknowledging the client.
+// beginMode: CommitAbove with no floor.
+func (o *Oracle) Commit(ctx context.Context, beginMode ts.Mode) (ts.Timestamp, func(context.Context) error, error) {
+	return o.CommitAbove(ctx, beginMode, 0)
+}
+
+// CommitAbove obtains a commit timestamp above floor for a transaction begun
+// under beginMode, fetching under the node's *current* mode. floor is the
+// highest read floor the participants' acks returned, so the commit lands
+// above every snapshot they have served: under GClock it is IssueAbove's
+// floor, under DUAL the server issues above it. A GTM counter ignores it. The
+// returned finish function performs the commit wait and must run after the
+// commit has applied, before acknowledging the client.
 //
 // It returns gtm.ErrOldModeAborted when a GTM-mode transaction reaches
 // commit after the node has switched to GClock (Fig. 2's abort rule).
-func (o *Oracle) Commit(ctx context.Context, beginMode ts.Mode) (ts.Timestamp, func(context.Context) error, error) {
-	if t, iv, ok := o.issueLocal(0); ok {
+func (o *Oracle) CommitAbove(ctx context.Context, beginMode ts.Mode, floor ts.Timestamp) (ts.Timestamp, func(context.Context) error, error) {
+	if t, iv, ok := o.issueLocal(floor); ok {
 		if beginMode == ts.ModeGTM {
 			return 0, nil, gtm.ErrOldModeAborted
 		}
@@ -320,7 +317,7 @@ func (o *Oracle) Commit(ctx context.Context, beginMode ts.Mode) (ts.Timestamp, f
 	if reqMode != ts.ModeGTM {
 		reqMode = ts.ModeDUAL
 	}
-	resp, err := o.callGTM(ctx, reqMode)
+	resp, err := o.callGTM(ctx, reqMode, floor, nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -362,18 +359,25 @@ func (o *Oracle) report(t ts.Timestamp, errBound time.Duration) {
 }
 
 // callGTM performs a timestamp fetch for GTM or DUAL mode, honoring the
-// server-prescribed anomaly-avoidance wait before returning.
-func (o *Oracle) callGTM(ctx context.Context, mode ts.Mode) (gtm.Response, error) {
+// server-prescribed anomaly-avoidance wait before returning and recording it
+// in h when h is not nil. A DUAL request carries floor (see CommitAbove).
+func (o *Oracle) callGTM(ctx context.Context, mode ts.Mode, floor ts.Timestamp, h *obs.Histogram) (gtm.Response, error) {
 	req := gtm.Request{Mode: mode}
 	if mode == ts.ModeDUAL {
 		req.GClock = o.clock.Now()
+		req.Floor = floor
 	}
 	resp, err := o.gtm.Call(ctx, req)
 	if err != nil {
 		return gtm.Response{}, err
 	}
 	if resp.Wait > 0 {
-		if err := sleepCtx(ctx, resp.Wait); err != nil {
+		start := time.Now()
+		err := sleepCtx(ctx, resp.Wait)
+		if h != nil {
+			h.Observe(time.Since(start))
+		}
+		if err != nil {
 			return gtm.Response{}, err
 		}
 	}

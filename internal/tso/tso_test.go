@@ -134,27 +134,66 @@ func TestGClockExternalConsistencyAcrossNodes(t *testing.T) {
 	}
 }
 
-func TestSnapshotNoWait(t *testing.T) {
+// TestGClockBeginSkipsTheWait: a GClock Begin returns Tclock + Terr at once,
+// with the clock's lower bound at that reading as Settled, and records no
+// invocation wait; a commit issued afterwards on the same oracle still lands
+// above the snapshot. The centralized modes settle nothing.
+func TestGClockBeginSkipsTheWait(t *testing.T) {
 	r := newRig(t, 1)
 	o := r.oracles[0]
 	o.SetMode(ts.ModeGClock)
-	s, settled := o.SnapshotNoWait()
-	if s.Mode != ts.ModeGClock || s.Snap == 0 || settled == 0 || settled >= s.Snap {
-		t.Fatalf("SnapshotNoWait = %+v, settled below %v", s, settled)
+	inv := metricInvocationWait.Snapshot().Count
+	s, err := o.Begin(bg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if lower := o.Clock().Now().Lower(); lower < settled {
-		t.Fatalf("settled %v is above a later lower bound %v", settled, lower)
+	if s.Mode != ts.ModeGClock || s.Snap == 0 || s.Settled == 0 || s.Settled >= s.Snap {
+		t.Fatalf("Begin = %+v, want a GClock snapshot above a non-zero Settled", s)
+	}
+	if got := metricInvocationWait.Snapshot().Count - inv; got != 0 {
+		t.Fatalf("a GClock Begin recorded %d invocation waits, want 0", got)
+	}
+	if lower := o.Clock().Now().Lower(); lower < s.Settled {
+		t.Fatalf("Settled %v is above a later lower bound %v", s.Settled, lower)
+	}
+	if c, _, err := o.Commit(bg, s.Mode); err != nil || c <= s.Snap {
+		t.Fatalf("Commit right after Begin = %v, %v; want above the snapshot %v", c, err, s.Snap)
 	}
 	o.SetMode(ts.ModeGTM)
-	s, _ = o.SnapshotNoWait()
-	if s.Snap != 0 {
-		t.Fatal("centralized modes must signal fallback with a zero snapshot")
+	if s, err = o.Begin(bg); err != nil || s.Settled != 0 {
+		t.Fatalf("GTM Begin = %+v, %v; want Settled 0", s, err)
 	}
 }
 
-// TestWaitHistograms: each GClock invocation wait, commit wait (Commit's
-// finish, Adopt) and read wait (SettleRead) is one sample in its histogram;
-// a GTM-mode Begin and SnapshotNoWait record none.
+// TestCommitAboveFloor: a commit timestamp lands above the floor it is given,
+// whether the clock issues it (GClock) or the GTM server (DUAL), and a DUAL
+// commit's prescribed wait covers the floor's lift.
+func TestCommitAboveFloor(t *testing.T) {
+	r := newRig(t, 1)
+	o := r.oracles[0]
+	o.SetMode(ts.ModeGClock)
+	floor := o.Clock().Now().Upper().Add(2 * time.Millisecond)
+	c, finish, err := o.CommitAbove(bg, ts.ModeGClock, floor)
+	if err != nil || c <= floor {
+		t.Fatalf("GClock CommitAbove(%v) = %v, %v", floor, c, err)
+	}
+	if err := finish(bg); err != nil || o.Clock().Now().Lower() <= c {
+		t.Fatalf("finish returned before the clock passed %v: %v", c, err)
+	}
+	r.server.SetMode(ts.ModeDUAL)
+	o.SetMode(ts.ModeDUAL)
+	floor = o.Clock().Now().Upper().Add(2 * time.Millisecond)
+	if c, _, err = o.CommitAbove(bg, ts.ModeDUAL, floor); err != nil || c <= floor {
+		t.Fatalf("DUAL CommitAbove(%v) = %v, %v", floor, c, err)
+	}
+	if now := o.Clock().Now(); now.Upper() < c {
+		t.Fatalf("DUAL CommitAbove returned at %v, before the clock reached %v", now, c)
+	}
+}
+
+// TestWaitHistograms: each DUAL invocation wait, GClock commit wait
+// (Commit's finish, Adopt) and read wait (SettleRead) is one sample in its
+// histogram; a GTM-mode or GClock-mode Begin records none.
 func TestWaitHistograms(t *testing.T) {
 	r := newRig(t, 1)
 	o := r.oracles[0]
@@ -165,16 +204,12 @@ func TestWaitHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.SetMode(ts.ModeGClock)
-	o.SnapshotNoWait()
-	if got := invocations() - inv; got != 0 {
-		t.Fatalf("a GTM Begin and SnapshotNoWait recorded %d invocation waits, want 0", got)
-	}
 	b, err := o.Begin(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := invocations() - inv; got != 1 {
-		t.Fatalf("a GClock Begin recorded %d invocation waits, want 1", got)
+	if got := invocations() - inv; got != 0 {
+		t.Fatalf("a GTM and a GClock Begin recorded %d invocation waits, want 0", got)
 	}
 	c, finish, err := o.Commit(bg, b.Mode)
 	if err != nil {
@@ -192,7 +227,10 @@ func TestWaitHistograms(t *testing.T) {
 
 	// SettleRead has its own histogram and leaves the clock past t.
 	rw := metricReadWait.Snapshot().Count
-	s, _ := o.SnapshotNoWait()
+	s, err := o.Begin(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := o.SettleRead(bg, s.Snap); err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +240,18 @@ func TestWaitHistograms(t *testing.T) {
 	if got := metricReadWait.Snapshot().Count - rw; got != 1 {
 		t.Fatalf("a SettleRead recorded %d read waits, want 1", got)
 	}
-	if commitWaits()-cw != 2 || invocations()-inv != 1 {
+	if commitWaits()-cw != 2 || invocations()-inv != 0 {
 		t.Fatal("a SettleRead counted as a commit or invocation wait")
+	}
+
+	// A DUAL Begin honors the server's wait, which is its invocation wait.
+	r.server.SetMode(ts.ModeDUAL)
+	o.SetMode(ts.ModeDUAL)
+	if _, err := o.Begin(bg); err != nil {
+		t.Fatal(err)
+	}
+	if got := invocations() - inv; got != 1 {
+		t.Fatalf("a DUAL Begin recorded %d invocation waits, want 1", got)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"globaldb/internal/obs"
@@ -145,18 +147,31 @@ func (w *Writer) kickSyncer() {
 // records, lingers briefly when other committers are around so they pile
 // into the same group, then issues one fsync and resolves every waiter it
 // covered. A lone committer is not made to wait for company that is not
-// coming: the linger runs only on evidence of concurrency — more than one
-// waiter parked now, or the previous group released more than one.
+// coming: the linger runs only on evidence of concurrency, counted in commit
+// records at append time — more than one appended since the last fsync, or
+// more than one covered by it.
+//
+// On one P the evidence is read once more after a yield of the P. The syncer
+// is woken by the committer that parks, and there it would otherwise run
+// before any other committer could append: every group would then hold one
+// commit, and the evidence would never appear. With nobody else runnable the
+// yield returns at once. With more Ps the other committers append on them
+// meanwhile, and a yield would only queue the fsync behind whatever its P
+// runs next.
 func (w *Writer) runSyncer() {
 	defer close(w.syncerDone)
-	lastReleased := 0
 	for {
 		select {
 		case <-w.syncReq:
 		case <-w.syncerStop:
 			return // Close's final sync covers the tail
 		}
-		if (lastReleased > 1 || w.waitersParked() > 1) && !w.maxBatchPending() {
+		company := w.lastGroupCommits > 1 || w.unsyncedCommits() > 1
+		if !company && runtime.GOMAXPROCS(0) == 1 {
+			runtime.Gosched()
+			company = w.unsyncedCommits() > 1
+		}
+		if company && !w.maxBatchPending() {
 			timer := time.NewTimer(w.opts.Linger)
 			select {
 			case <-timer.C:
@@ -171,13 +186,32 @@ func (w *Writer) runSyncer() {
 		case <-w.syncReq:
 		default:
 		}
-		released, synced, err := w.groupSync()
-		if err != nil {
+		if _, err := w.groupSync(); err != nil {
 			w.failWaiters(err)
 			return
 		}
-		if synced {
-			lastReleased = released
+	}
+}
+
+// waitedType reports whether a record of type t is one its appender parks on
+// durability for before it acks: a commit, a commit of a prepared
+// transaction, or a prepare.
+func waitedType(t redo.Type) bool {
+	return t == redo.TypeCommit || t == redo.TypeCommitPrepared || t == redo.TypePrepare
+}
+
+// unsyncedCommits is how many commit records were appended since the last
+// fsync read the log's end.
+func (w *Writer) unsyncedCommits() uint64 {
+	return w.commits.Load() - w.syncedCommits.Load()
+}
+
+// raiseU64 raises a to v if v is larger.
+func raiseU64(a *atomic.Uint64, v uint64) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
 		}
 	}
 }
@@ -218,33 +252,36 @@ func (w *Writer) waiterCovered(upTo uint64) bool {
 // (appends that never wait) rides along with the next commit's fsync
 // instead of paying its own. Unwaited records still reach stable storage on
 // rotation and Close; losing them in a crash loses only unacked work. It
-// reports how many waiters the fsync released, and whether one ran at all.
-func (w *Writer) groupSync() (released int, synced bool, err error) {
+// reports how many waiters the fsync released, and records in
+// lastGroupCommits how many commit records it covered.
+func (w *Writer) groupSync() (released int, err error) {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		return 0, false, nil
+		return 0, nil
 	}
-	upTo := w.nextLSN - 1
+	upTo, commits := w.nextLSN-1, w.commits.Load()
 	f := w.file
 	w.mu.Unlock()
 	if f == nil || upTo == 0 || upTo <= w.durable.Load() {
-		return 0, false, nil
+		return 0, nil
 	}
 	if !w.waiterCovered(upTo) {
 		// Nobody needs these records durable yet: no one is parked, or every
 		// waiter parked on a record appended after upTo was read. WaitDurable
 		// kicks after parking, and an append kicks while anyone is parked, so
 		// skipping cannot strand a commit.
-		return 0, false, nil
+		return 0, nil
 	}
 	if err := w.fsyncTimed(f); err != nil {
 		// A rotation may have closed this segment underneath us; rotation
 		// fsyncs before closing, so everything up to upTo is durable anyway.
 		if !errors.Is(err, os.ErrClosed) {
-			return 0, false, fmt.Errorf("wal: group fsync: %w", err)
+			return 0, fmt.Errorf("wal: group fsync: %w", err)
 		}
 	}
+	w.lastGroupCommits = commits - w.syncedCommits.Load()
+	raiseU64(&w.syncedCommits, commits)
 	released = w.advanceDurable(upTo)
 	w.groups.Add(1)
 	w.grouped.Add(int64(released))
@@ -261,7 +298,7 @@ func (w *Writer) groupSync() (released int, synced bool, err error) {
 	if more {
 		w.kickSyncer()
 	}
-	return released, true, nil
+	return released, nil
 }
 
 // fsyncTimed fsyncs f, applies the configured device-latency model, and
@@ -329,8 +366,14 @@ func (w *Writer) AppendAssign(recs []redo.Record) (uint64, error) {
 		recs[i].LSN = w.nextLSN + uint64(i)
 		frames = redo.AppendRecord(frames, recs[i])
 	}
+	commits := 0
+	for _, r := range recs {
+		if waitedType(r.Type) {
+			commits++
+		}
+	}
 	last := recs[len(recs)-1].LSN
-	if err := w.writeLocked(frames, last); err != nil {
+	if err := w.writeLocked(frames, last, commits); err != nil {
 		return 0, err
 	}
 	return last, nil

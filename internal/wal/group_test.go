@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -287,5 +288,41 @@ func TestLoneCommitterDoesNotLinger(t *testing.T) {
 	}
 	if got := w.GroupStats().Fsyncs; got != 6 {
 		t.Fatalf("fsyncs = %d, want 6: one fsync for the intent and the commit together", got)
+	}
+}
+
+// TestGroupCommitCoalescesOnOneP drives the linger gate on one P. The syncer
+// is woken by the committer that parks, so on one P it runs before any other
+// committer can append: a gate that looks only at parked waiters, or at the
+// previous group's size, then sees one commit in every group and never
+// lingers again. The gate counts commit records at append time and, on one P,
+// yields the P once before it reads them, so concurrent committers still
+// share fsyncs.
+func TestGroupCommitCoalescesOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w, err := Open(Options{Dir: t.TempDir(), Sync: SyncGroup, Linger: 200 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	const committers = 8
+	const rounds = 15
+	var wg sync.WaitGroup
+	for c := 0; c < committers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if _, err := commitOnce(w, uint64(c*rounds+r+1)); err != nil {
+					t.Errorf("commit: %v", err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	commits := int64(committers * rounds)
+	if st := w.GroupStats(); st.Fsyncs > commits/2 {
+		t.Fatalf("fsyncs = %d for %d commits of %d committers on one P: the linger gate latched off", st.Fsyncs, commits, committers)
 	}
 }

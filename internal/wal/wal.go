@@ -104,9 +104,14 @@ type Writer struct {
 	closed  bool
 
 	appends atomic.Int64
-	syncs   atomic.Int64
-	groups  atomic.Int64 // group fsyncs issued (SyncGroup)
-	grouped atomic.Int64 // commit waiters released by group fsyncs
+	// commits counts the commit records (waitedType) appended, at append
+	// time, and syncedCommits how many of them the last fsync covered: the
+	// group committer's evidence of concurrent committers (group.go).
+	commits       atomic.Uint64
+	syncedCommits atomic.Uint64
+	syncs         atomic.Int64
+	groups        atomic.Int64 // group fsyncs issued (SyncGroup)
+	grouped       atomic.Int64 // commit waiters released by group fsyncs
 
 	// durable is the highest LSN known to be on stable storage; WaitDurable
 	// futures resolve as it advances (group.go).
@@ -120,6 +125,9 @@ type Writer struct {
 	syncerStop chan struct{}
 	syncerDone chan struct{}
 	stopOnce   sync.Once
+	// lastGroupCommits is how many commit records the syncer's last fsync
+	// covered; only the syncer goroutine touches it.
+	lastGroupCommits uint64
 }
 
 // segmentName formats the file name for a segment starting at startLSN.
@@ -202,6 +210,7 @@ func (w *Writer) Append(frames []byte) error {
 		return err
 	}
 	next := w.nextLSN
+	commits := 0
 	for p := frames; len(p) > 0; next++ {
 		lsn, n, err := redo.FrameLSN(p)
 		if err != nil {
@@ -210,9 +219,12 @@ func (w *Writer) Append(frames []byte) error {
 		if lsn != next {
 			return fmt.Errorf("%w: frame %d has LSN %d, want %d", ErrGap, next-w.nextLSN, lsn, next)
 		}
+		if waitedType(redo.Type(p[8])) { // the type byte leads the payload
+			commits++
+		}
 		p = p[n:]
 	}
-	return w.writeLocked(frames, next-1)
+	return w.writeLocked(frames, next-1, commits)
 }
 
 // appendableLocked reports why the writer takes no more appends: it was
@@ -226,11 +238,11 @@ func (w *Writer) appendableLocked() error {
 	return w.werr
 }
 
-// writeLocked writes a validated run of frames ending at LSN last, then
-// applies the sync policy. An error is terminal: the writer fails its
-// waiters and every later append with it, so nothing after a lost record is
-// ever reported durable. Caller holds w.mu.
-func (w *Writer) writeLocked(frames []byte, last uint64) (err error) {
+// writeLocked writes a validated run of frames ending at LSN last, commits
+// of them commit records, then applies the sync policy. An error is
+// terminal: the writer fails its waiters and every later append with it, so
+// nothing after a lost record is ever reported durable. Caller holds w.mu.
+func (w *Writer) writeLocked(frames []byte, last uint64, commits int) (err error) {
 	defer func() {
 		if err != nil {
 			w.failWaiters(err)
@@ -258,6 +270,7 @@ func (w *Writer) writeLocked(frames []byte, last uint64) (err error) {
 		// callers do not park forever on a policy that never syncs.
 		w.advanceDurable(last)
 	case SyncGroup:
+		w.commits.Add(uint64(commits))
 		// Fsyncs are demand-driven: a committer kicks the syncer when it
 		// parks in WaitDurable, so an append wakes it only for committers
 		// already parked — one may wait on an LSN this append produced —
@@ -303,12 +316,13 @@ func (w *Writer) Sync() error {
 		w.mu.Unlock()
 		return nil
 	}
-	last := w.nextLSN - 1
+	last, commits := w.nextLSN-1, w.commits.Load()
 	err := w.fsyncTimed(w.file)
 	w.mu.Unlock()
 	if err != nil {
 		return err
 	}
+	raiseU64(&w.syncedCommits, commits)
 	w.advanceDurable(last)
 	return nil
 }
